@@ -442,79 +442,6 @@ def bench_figure4_smoke(repeats):
     }
 
 
-def _hitloop_spec():
-    """A bench-only workload: a tight loop over an L1-resident footprint.
-
-    After the first sweep warms the 16 KiB region into the 32 KiB L1,
-    every reference hits, so the batched machine spends its time in the
-    fused L1-hit-run path — this is the workload that isolates the
-    array-batched core loop (docs/performance.md).  Registered into
-    ``BENCHMARKS`` on demand so ``Machine`` can resolve it by name; it is
-    not part of the paper's Table 2 mapping.
-    """
-    from repro.workloads import synthetic as syn
-    from repro.workloads.benchmarks import BENCHMARKS, BenchmarkSpec
-
-    name = "_hitloop"
-    if name not in BENCHMARKS:
-        BENCHMARKS[name] = BenchmarkSpec(
-            name,
-            "Micro",
-            0.0,
-            lambda base, seed: syn.sequential_scan(
-                base, footprint=16 * 1024, stride=64, gap=0, seed=seed
-            ),
-            base_cpi=0.5,
-            batch_factory=lambda base, seed: syn.sequential_scan_batches(
-                base, footprint=16 * 1024, stride=64, gap=0, seed=seed
-            ),
-        )
-    return name
-
-
-def bench_core_loop(repeats):
-    """Tentpole metric: the array-batched core loop on an L1-hit workload.
-
-    One core, L1-resident footprint, 100k measured instructions: the
-    scalar machine replays it one dispatch event per reference, the
-    batched machine consumes whole hit runs per event through the fused
-    path.  ``value`` is the wall-clock speedup batched-over-scalar —
-    a ratio, so it tracks the fast path's advantage independently of
-    host drift.  Bit-identical statistics between the two modes are
-    asserted here and, more thoroughly, by ``diff_validate --batched``.
-    """
-    name = _hitloop_spec()
-    config = config_2d().derive(name="2D-1c", num_cores=1)
-
-    def run(batched):
-        def go():
-            machine = Machine(
-                config, [name], seed=SMOKE_SEED,
-                workload_name="hitloop", batched=batched,
-            )
-            result = machine.run(
-                warmup_instructions=2_000, measure_instructions=100_000,
-            )
-            return result.hmipc, machine.engine.events_fired
-        return go
-
-    scalar_seconds, (scalar_ipc, scalar_events) = best_of(run(False), repeats)
-    batched_seconds, (batched_ipc, batched_events) = best_of(run(True), repeats)
-    assert scalar_ipc == batched_ipc, (
-        f"batched hmipc diverged: {scalar_ipc} != {batched_ipc}"
-    )
-    return {
-        "value": scalar_seconds / batched_seconds,
-        "unit": "speedup_vs_scalar",
-        "higher_is_better": True,
-        "wall_seconds": scalar_seconds + batched_seconds,
-        "scalar_seconds": scalar_seconds,
-        "batched_seconds": batched_seconds,
-        "scalar_events": scalar_events,
-        "batched_events": batched_events,
-    }
-
-
 def bench_trace_gen(items, repeats):
     """Columnar trace production vs the per-item generator (items/sec).
 
@@ -792,7 +719,6 @@ def run_suite(quick):
         "dram_bank_batched": bench_dram_bank_batched(
             5_000 if quick else 20_000, repeats
         ),
-        "core_loop": bench_core_loop(1 if quick else 3),
         "mc_loop": bench_mc_loop(3, bursts=80 if quick else 120),
         "trace_gen": bench_trace_gen(200_000 if quick else 1_000_000, repeats),
         "figure4_smoke": bench_figure4_smoke(1 if quick else 2),

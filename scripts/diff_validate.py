@@ -12,9 +12,10 @@ Modes:
      arrays overclocked to 0.5x) **is caught** by the timing checker,
      which names the violated constraint.
 
-  With ``--batched`` the smoke additionally diffs the scalar core loop
-  against the array-batched fused fast path — plain, checker-enabled
-  and sampled — and fails on any transcript or stat divergence.
+  With ``--batched`` the smoke additionally diffs row-form (iterator)
+  traces and the scalar MC pump against columnar (cursor) traces and
+  the fused MC drain — plain, checker-enabled and sampled — and fails
+  on any transcript or stat divergence.
 
 * ``--modes`` (CI): stack-mode seam assertions —
   1. ``memory`` mode is **bit-identical** to the all-direct MemCache
@@ -124,10 +125,10 @@ def cmd_smoke(args) -> int:
     else:
         print("checkers attached: transcript unchanged, all invariants held")
 
-    # Batched-vs-scalar: the fused fast path is an execution-strategy
-    # change only, so scalar and batched cores must match bit-for-bit —
-    # plain, with checkers attached (scalar-fallback seam), and under a
-    # sampling plan (skip-ahead seam).
+    # Batched-vs-scalar: the trace form (and the MC drain batched mode
+    # arms) is an execution-strategy change only, so the two machines
+    # must match bit-for-bit — plain, with checkers attached, and under
+    # a sampling plan (skip-ahead seam).
     if args.batched:
         from repro.sampling.plan import SamplingPlan
         from repro.validate import diff_batched

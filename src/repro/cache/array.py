@@ -12,7 +12,7 @@ from collections import OrderedDict
 from typing import Optional, Tuple
 
 from ..common.units import is_power_of_two, log2int
-from .replacement import LruPolicy, make_policy
+from .replacement import make_policy
 
 
 class CacheArray:
@@ -95,41 +95,6 @@ class CacheArray:
         """Hit test without disturbing replacement state (prefetch filters)."""
         line = addr & self._align_mask
         return line in self._sets[self.set_index(line)]
-
-    def probe_run(
-        self, lines, sets_col, writes, start: int, count: int
-    ) -> None:
-        """Apply the demand-hit updates for a verified run in bulk.
-
-        ``lines[k]`` is the aligned physical line of run item ``k``;
-        ``sets_col[start + k]``/``writes[start + k]`` are the batch's
-        set-index and is-write columns.  The caller has already proven
-        every item resident (a read-only scan), so this applies exactly
-        what ``lookup`` + ``mark_dirty`` would per item — replacement
-        update, plus dirty bit and a second replacement update on writes
-        — in one call for the whole run.
-        """
-        sets = self._sets
-        if isinstance(self.policy, LruPolicy):
-            # LRU inlined: on_access is move_to_end, and the write path's
-            # second move of the same (already-MRU) line is a no-op.
-            for k in range(count):
-                set_idx = sets_col[start + k]
-                cache_set = sets[set_idx]
-                line = lines[k]
-                cache_set.move_to_end(line)
-                if writes[start + k]:
-                    cache_set[line] = True
-        else:
-            on_access = self._on_access
-            for k in range(count):
-                set_idx = sets_col[start + k]
-                cache_set = sets[set_idx]
-                line = lines[k]
-                on_access(cache_set, set_idx, line)
-                if writes[start + k]:
-                    cache_set[line] = True
-                    on_access(cache_set, set_idx, line)
 
     def fill(self, addr: int, dirty: bool = False) -> Optional[Tuple[int, bool]]:
         """Insert a line; returns the evicted ``(line, dirty)`` if any."""

@@ -177,79 +177,14 @@ class L1Cache:
         # Our own fetch is spent once its fill has been applied.
         mem_request.release()
 
-    # ------------------------------------------------------------------
-    # Batched fast path (fused L1-hit runs)
-    # ------------------------------------------------------------------
-    def access_run(self, lines, sets_col, paddrs, pcs, start: int) -> int:
-        """Read-only scan: hits-with-no-prefetch-issue prefix of a run.
-
-        ``lines[k]``/``paddrs[k]`` are the aligned line and full physical
-        address of run item ``k`` (0-indexed — the core computed them
-        during its translation walk); ``sets_col``/``pcs`` are batch
-        columns indexed at ``start + k``.  Returns how many consecutive
-        items would (a) hit in the tag array and (b) not issue a
-        prefetch — i.e. the exact prefix the fused core loop may process
-        without any event or MSHR activity.  Nothing is mutated; the
-        matching state updates are applied later by :meth:`apply_run`
-        for the prefix the core's timing loop actually admitted.
-        """
-        sets = self.array._sets
-        hit_n = 0
-        for k in range(len(lines)):
-            if lines[k] in sets[sets_col[start + k]]:
-                hit_n += 1
-            else:
-                break
-        prefetcher = self.prefetcher
-        if prefetcher is None or hit_n == 0 or self.mshr.is_full:
-            # A full MSHR file drops every candidate at the filter, so
-            # training can never issue anywhere in the run.
-            return hit_n
-        array = self.array
-        align_mask = array._align_mask
-        set_mask = array._set_mask
-        line_shift = array._line_shift
-        mshr_contains = self.mshr.contains
-
-        def survives(candidate_line: int) -> bool:
-            # Mirrors the _train_prefetcher filter; all probes are pure.
-            line = candidate_line & align_mask
-            if line in sets[(line >> line_shift) & set_mask]:
-                return False
-            return not mshr_contains(line)
-
-        # The prefetcher trains on the physical address (the scalar path
-        # hands it request.addr), so the scan walks the run-relative
-        # paddr list with a matching pc slice.
-        return prefetcher.scan_run(
-            paddrs, pcs[start:start + hit_n], 0, hit_n, survives
-        )
-
-    def apply_run(
-        self, lines, sets_col, writes, paddrs, pcs, start: int, count: int
-    ) -> None:
-        """Apply the state/stat updates for ``count`` admitted run items.
-
-        The scalar hit path per item does: accesses+1, replacement
-        update, hits+1, dirty+replacement on writes, prefetcher training
-        (whose candidates the scan already proved filtered).  This is
-        the same work batched: counters bumped once, tag-array updates
-        via :meth:`CacheArray.probe_run`, prefetcher tables advanced via
-        ``observe_run``.
-        """
-        self._c_accesses.value += float(count)
-        self._c_hits.value += float(count)
-        self.array.probe_run(lines, sets_col, writes, start, count)
-        if self.prefetcher is not None:
-            self.prefetcher.observe_run(
-                paddrs, pcs[start:start + count], 0, count
-            )
-
     def _train_prefetcher(self, addr: int, pc: int, was_miss: bool) -> None:
         """L1 prefetch (next-line + IP-stride in Table 1) into the L1."""
         if self.prefetcher is None:
             return
-        for candidate in self.prefetcher.observe(addr, pc, was_miss):
+        candidates = self.prefetcher.observe(addr, pc, was_miss)
+        if not candidates:
+            return
+        for candidate in candidates:
             line = self.array.align(candidate)
             if self.array.probe(line) or self.mshr.is_full:
                 continue

@@ -3,11 +3,21 @@
 A prefetcher observes demand accesses (address + PC + hit/miss) and
 suggests candidate line addresses.  The owning cache filters candidates
 against its own contents/MSHRs and injects PREFETCH requests.
+
+``observe`` runs once per demand access, and almost every call suggests
+nothing, so "no candidates" is the shared empty tuple :data:`NO_CANDIDATES`
+(test the result for truth; do not compare it with ``[]``).  A class
+whose ``observe`` neither trains nor emits on a hit says so with
+``trains_on_hits = False`` (absent means it does) and
+:class:`CompositePrefetcher` leaves it out of the hit path.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
+
+#: What ``observe`` returns when it suggests nothing (allocation-free).
+NO_CANDIDATES: Sequence[int] = ()
 
 
 class NextLinePrefetcher:
@@ -19,18 +29,14 @@ class NextLinePrefetcher:
         self.line_size = line_size
         self.degree = degree
 
-    def observe(self, addr: int, pc: int, was_miss: bool) -> List[int]:
+    #: Stateless, and silent on hits.
+    trains_on_hits = False
+
+    def observe(self, addr: int, pc: int, was_miss: bool) -> Sequence[int]:
         if not was_miss:
-            return []
+            return NO_CANDIDATES
         line = addr & ~(self.line_size - 1)
         return [line + self.line_size * i for i in range(1, self.degree + 1)]
-
-    def scan_run(self, addrs, pcs, start: int, stop: int, survives) -> int:
-        """Hit runs never trigger this prefetcher; the whole run is clean."""
-        return stop - start
-
-    def observe_run(self, addrs, pcs, start: int, stop: int) -> None:
-        """Train on a run of demand hits: stateless, nothing to do."""
 
     def capture_state(self) -> dict:
         return {"v": 1}
@@ -71,279 +77,30 @@ class IpStridePrefetcher:
         self.degree = degree
         self._table: Dict[int, _StrideEntry] = {}
 
-    def observe(self, addr: int, pc: int, was_miss: bool) -> List[int]:
+    def observe(self, addr: int, pc: int, was_miss: bool) -> Sequence[int]:
         slot = pc % self.table_size
         entry = self._table.get(slot)
         if entry is None:
             self._table[slot] = _StrideEntry(addr)
-            return []
+            return NO_CANDIDATES
         stride = addr - entry.last_addr
-        if stride != 0 and stride == entry.stride:
-            entry.confidence = min(entry.confidence + 1, self.threshold)
-        else:
+        entry.last_addr = addr
+        if stride == 0 or stride != entry.stride:
             entry.stride = stride
             entry.confidence = 0
-        entry.last_addr = addr
-        if entry.confidence < self.threshold or entry.stride == 0:
-            return []
+            return NO_CANDIDATES
+        threshold = self.threshold
+        if entry.confidence + 1 < threshold:
+            entry.confidence += 1
+            return NO_CANDIDATES
+        entry.confidence = threshold
         candidates = []
         mask = ~(self.line_size - 1)
         for i in range(1, self.degree + 1):
-            target = addr + entry.stride * i
+            target = addr + stride * i
             if target >= 0:
                 candidates.append(target & mask)
         return candidates
-
-    # ------------------------------------------------------------------
-    # Batched fast path (fused L1-hit runs)
-    # ------------------------------------------------------------------
-    def scan_run(
-        self,
-        addrs,
-        pcs,
-        start: int,
-        stop: int,
-        survives: Callable[[int], bool],
-    ) -> int:
-        """Length of the run prefix that issues no prefetch (read-only).
-
-        Evolves a *shadow* of the stride table across items
-        ``[start, stop)`` exactly as :meth:`observe` with hits would, and
-        calls ``survives(candidate_line)`` for each would-be candidate;
-        the scan stops at the first item whose emission survives the
-        owner's filter (that item must go through the scalar path so the
-        prefetch is actually issued).  The real table is untouched.
-        """
-        n = stop - start
-        if n <= 0:
-            return 0
-        table = self._table
-        table_size = self.table_size
-        threshold = self.threshold
-        degree = self.degree
-        mask = ~(self.line_size - 1)
-        # Single-PC runs (the overwhelmingly common shape of a fused hit
-        # run) keep the one live table slot's state in locals — no
-        # shadow dict, no per-item slot hashing.  The check itself is a
-        # C-level scan.
-        pc0 = pcs[start]
-        if pcs[start:stop].count(pc0) == n:
-            entry = table.get(pc0 % table_size)
-            if entry is None:
-                last, run_stride, confidence = addrs[start], 0, 0
-                i0 = start + 1
-            else:
-                last = entry.last_addr
-                run_stride = entry.stride
-                confidence = entry.confidence
-                i0 = start
-            # The scan is read-only over state no other event can touch
-            # inside the caller's quiescent window, so a line's survives
-            # verdict is constant for the whole call — consecutive items
-            # of a stride run re-emit each other's candidate lines, and
-            # the memo collapses those repeats to one probe.
-            memo: Dict[int, bool] = {}
-            memo_get = memo.get
-            # Constant-stride bulk tail: when the run's addresses form an
-            # arithmetic progression, the slot state saturates within a
-            # few items and every later item emits the same candidate
-            # shape — so walk only a short head per item, then probe the
-            # tail's unique candidate lines in bulk.
-            head_stop = stop
-            stride0 = 0
-            if n >= threshold + 6:
-                a0 = addrs[start]
-                stride0 = addrs[start + 1] - a0
-                if stride0 != 0 and addrs[start:stop] == list(
-                    range(a0, a0 + stride0 * n, stride0)
-                ):
-                    head_stop = start + threshold + 3
-                else:
-                    stride0 = 0
-            for i in range(i0, head_stop):
-                addr = addrs[i]
-                stride = addr - last
-                if stride != 0 and stride == run_stride:
-                    confidence += 1
-                    if confidence > threshold:
-                        confidence = threshold
-                else:
-                    run_stride = stride
-                    confidence = 0
-                last = addr
-                if confidence >= threshold and stride != 0:
-                    for j in range(1, degree + 1):
-                        target = addr + stride * j
-                        if target >= 0:
-                            line = target & mask
-                            verdict = memo_get(line)
-                            if verdict is None:
-                                memo[line] = verdict = survives(line)
-                            if verdict:
-                                return i - start
-            if head_stop < stop:
-                if confidence >= threshold and run_stride == stride0:
-                    clean = True
-                    for j in range(1, degree + 1):
-                        off = stride0 * j
-                        for line in {
-                            (a + off) & mask
-                            for a in addrs[head_stop:stop]
-                            if a + off >= 0
-                        }:
-                            verdict = memo_get(line)
-                            if verdict is None:
-                                memo[line] = verdict = survives(line)
-                            if verdict:
-                                clean = False
-                    if clean:
-                        return n
-                # Rare: some tail candidate survives (or the state never
-                # saturated) — locate the exact first emitter per item.
-                # Every verdict is memoized, so this walk stays cheap.
-                for i in range(head_stop, stop):
-                    addr = addrs[i]
-                    stride = addr - last
-                    if stride != 0 and stride == run_stride:
-                        confidence += 1
-                        if confidence > threshold:
-                            confidence = threshold
-                    else:
-                        run_stride = stride
-                        confidence = 0
-                    last = addr
-                    if confidence >= threshold and stride != 0:
-                        for j in range(1, degree + 1):
-                            target = addr + stride * j
-                            if target >= 0:
-                                line = target & mask
-                                verdict = memo_get(line)
-                                if verdict is None:
-                                    memo[line] = verdict = survives(line)
-                                if verdict:
-                                    return i - start
-            return n
-        shadow: Dict[int, list] = {}
-        for i in range(start, stop):
-            addr = addrs[i]
-            slot = pcs[i] % table_size
-            state = shadow.get(slot)
-            if state is None:
-                entry = table.get(slot)
-                if entry is None:
-                    shadow[slot] = [addr, 0, 0]
-                    continue
-                state = shadow[slot] = [
-                    entry.last_addr, entry.stride, entry.confidence,
-                ]
-            stride = addr - state[0]
-            if stride != 0 and stride == state[1]:
-                confidence = state[2] + 1
-                if confidence > threshold:
-                    confidence = threshold
-                state[2] = confidence
-            else:
-                state[1] = stride
-                state[2] = confidence = 0
-            state[0] = addr
-            if confidence >= threshold and stride != 0:
-                for j in range(1, degree + 1):
-                    target = addr + stride * j
-                    if target >= 0 and survives(target & mask):
-                        return i - start
-        return stop - start
-
-    def observe_run(self, addrs, pcs, start: int, stop: int) -> None:
-        """Train on items ``[start, stop)`` of a verified hit run.
-
-        Same table transitions as per-item :meth:`observe` calls with
-        ``was_miss=False``; candidate emission is skipped because the
-        caller already proved (via :meth:`scan_run`) that every emission
-        in the run is filtered out by the owning cache.
-        """
-        n = stop - start
-        if n <= 0:
-            return
-        table = self._table
-        table_size = self.table_size
-        threshold = self.threshold
-        # Single-PC fast path: evolve the one slot's state in locals and
-        # write it back once (the table is private, so intermediate
-        # states are unobservable between items).
-        pc0 = pcs[start]
-        if pcs[start:stop].count(pc0) == n:
-            slot = pc0 % table_size
-            entry = table.get(slot)
-            if entry is None:
-                entry = table[slot] = _StrideEntry(addrs[start])
-                i0 = start + 1
-            else:
-                i0 = start
-            last = entry.last_addr
-            run_stride = entry.stride
-            confidence = entry.confidence
-            # Constant-stride bulk tail: past a short head the per-item
-            # transitions are pure increments, so the final state folds
-            # to a clamped sum.
-            head_stop = stop
-            stride0 = 0
-            if n >= threshold + 6:
-                a0 = addrs[start]
-                stride0 = addrs[start + 1] - a0
-                if stride0 != 0 and addrs[start:stop] == list(
-                    range(a0, a0 + stride0 * n, stride0)
-                ):
-                    head_stop = start + threshold + 3
-                else:
-                    stride0 = 0
-            for i in range(i0, head_stop):
-                addr = addrs[i]
-                stride = addr - last
-                if stride != 0 and stride == run_stride:
-                    if confidence < threshold:
-                        confidence += 1
-                else:
-                    run_stride = stride
-                    confidence = 0
-                last = addr
-            if head_stop < stop:
-                if run_stride == stride0:
-                    confidence += stop - head_stop
-                    if confidence > threshold:
-                        confidence = threshold
-                    last = addrs[stop - 1]
-                else:
-                    for i in range(head_stop, stop):
-                        addr = addrs[i]
-                        stride = addr - last
-                        if stride != 0 and stride == run_stride:
-                            if confidence < threshold:
-                                confidence += 1
-                        else:
-                            run_stride = stride
-                            confidence = 0
-                        last = addr
-            entry.last_addr = last
-            entry.stride = run_stride
-            entry.confidence = confidence
-            return
-        for i in range(start, stop):
-            addr = addrs[i]
-            slot = pcs[i] % table_size
-            entry = table.get(slot)
-            if entry is None:
-                table[slot] = _StrideEntry(addr)
-                continue
-            stride = addr - entry.last_addr
-            if stride != 0 and stride == entry.stride:
-                confidence = entry.confidence + 1
-                entry.confidence = (
-                    confidence if confidence < threshold else threshold
-                )
-            else:
-                entry.stride = stride
-                entry.confidence = 0
-            entry.last_addr = addr
 
     def capture_state(self) -> dict:
         return {
@@ -369,37 +126,25 @@ class CompositePrefetcher:
 
     def __init__(self, prefetchers: Optional[List[object]] = None) -> None:
         self.prefetchers = list(prefetchers or [])
+        # The members a demand hit has to reach (the rest are no-ops on
+        # hits); fixed at construction, like the fan-in itself.
+        self._hit_trained = [
+            p for p in self.prefetchers if getattr(p, "trains_on_hits", True)
+        ]
 
-    def observe(self, addr: int, pc: int, was_miss: bool) -> List[int]:
-        seen = set()
-        merged: List[int] = []
-        for prefetcher in self.prefetchers:
-            for candidate in prefetcher.observe(addr, pc, was_miss):
-                if candidate not in seen:
-                    seen.add(candidate)
-                    merged.append(candidate)
+    def observe(self, addr: int, pc: int, was_miss: bool) -> Sequence[int]:
+        merged: Sequence[int] = NO_CANDIDATES
+        for prefetcher in self.prefetchers if was_miss else self._hit_trained:
+            candidates = prefetcher.observe(addr, pc, was_miss)
+            if candidates:
+                if not merged:
+                    merged = []
+                # A handful of lines at most: a list scan de-duplicates
+                # without building a set.
+                for candidate in candidates:
+                    if candidate not in merged:
+                        merged.append(candidate)
         return merged
-
-    def scan_run(
-        self,
-        addrs,
-        pcs,
-        start: int,
-        stop: int,
-        survives: Callable[[int], bool],
-    ) -> int:
-        """Shortest clean prefix across the fan-in (read-only)."""
-        clean = stop - start
-        for prefetcher in self.prefetchers:
-            n = prefetcher.scan_run(addrs, pcs, start, start + clean, survives)
-            if n < clean:
-                clean = n
-        return clean
-
-    def observe_run(self, addrs, pcs, start: int, stop: int) -> None:
-        """Train every prefetcher on a verified hit run."""
-        for prefetcher in self.prefetchers:
-            prefetcher.observe_run(addrs, pcs, start, stop)
 
     def capture_state(self) -> dict:
         return {

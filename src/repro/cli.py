@@ -9,7 +9,8 @@ Commands:
   report.
 * ``profile run --config 2d --mix H1`` — run one workload (or
   ``figure4``) in-process under cProfile and print the top hotspots
-  plus the fused/scalar memory-controller window statistics.
+  plus the fused/scalar memory-controller window statistics and, for
+  ``run``, each core's parked-dispatch tally.
 * ``figure {4,6a,6b,7,9}``            — regenerate a figure.
 * ``table {2a,2b}``                   — regenerate a table.
 * ``fairness --config quad-mc``       — solo-vs-mixed fairness metrics.
@@ -334,6 +335,17 @@ def _cmd_profile(args) -> int:
             )
         else:
             print("  drain disabled in every cell (scalar pump only)")
+
+    if args.experiment == "run":
+        # A plain per-core tally (not a registry counter): how many
+        # follow-up dispatch events the ROB parking rule saved.
+        print("\ncore dispatch parking (ROB-stall events saved):")
+        for core in machine.cores:
+            print(
+                f"  core{core.core_id}: parked {core.parked_dispatches} of "
+                f"{core.stats.get('rob_stalls'):.0f} ROB stalls, "
+                f"{core.stats.get('dispatched_refs'):.0f} refs dispatched"
+            )
 
     print(f"\ntop {args.top} functions by {args.sort}:")
     stats = pstats.Stats(profiler)

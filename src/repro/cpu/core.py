@@ -32,15 +32,14 @@ from ..common.request import AccessType, MemoryRequest
 from ..common.stats import StatRegistry
 from ..engine.simulator import Engine
 from ..cache.l1 import L1Cache
-from ..cache.prefetch import IpStridePrefetcher, NextLinePrefetcher
 from .trace import BatchedTrace, Trace, TraceItem
 
 _READ = AccessType.READ
 _WRITE = AccessType.WRITE
 
-#: Smallest quiescent-window width (cycles) worth entering the fused
-#: dispatch path for; below this the setup cost exceeds the win.
-_MIN_FUSE_WINDOW = 8
+#: ``_commit_limit`` when neither a commit watch nor a measurement quota
+#: is pending: beyond any reachable instruction count.
+_NO_LIMIT = 1 << 62
 
 
 class _InFlight:
@@ -101,10 +100,9 @@ class Core:
         "_cursor",
         "_trace_items",
         "_page_shift",
-        "_fuse_ready",
-        "_fuse_fails",
-        "_fuse_skip",
         "_hit_fast",
+        "_commit_limit",
+        "parked_dispatches",
     )
 
     def __init__(
@@ -174,10 +172,10 @@ class Core:
         # so the data-return path tests one never-true attribute branch.
         self.ras_monitor = None
 
-        # Array-batched fast path: when the trace is columnar and the
-        # configuration is provably replicable (see _compute_fuse_ready),
-        # _dispatch may consume whole L1-hit runs in one event.
+        # Handle of the pending commit event (valid while
+        # _commit_scheduled): the parking rule reads its fire time.
         self._commit_event = None
+        # Columnar traces are read through their cursor, column-direct.
         self._cursor = (
             trace.cursor() if isinstance(trace, BatchedTrace) else None
         )
@@ -186,14 +184,6 @@ class Core:
         # pulling this many items from a freshly generated stream.
         self._trace_items = 0
         self._page_shift = allocator._page_shift
-        self._fuse_ready = self._compute_fuse_ready()
-        # Deterministic fusion backoff: when fused attempts keep failing
-        # (busy engine, miss-heavy run), probing the window every single
-        # dispatch is wasted work.  Failures grow a skip budget; any
-        # success resets it.  Skipping an attempt is always safe — the
-        # scalar path below is bit-identical.
-        self._fuse_fails = 0
-        self._fuse_skip = 0
         # Inline L1-hit fast path: a verified tag hit dispatches without
         # acquiring a pooled MemoryRequest (the scalar hit path completes
         # the request synchronously, so the object is pure overhead).
@@ -202,42 +192,13 @@ class Core:
         self._hit_fast = (
             isinstance(l1, L1Cache) and l1.array._set_mask is not None
         )
-
-    def _compute_fuse_ready(self) -> bool:
-        """Static gate for the fused dispatch path.
-
-        Every condition here guarantees some exactness argument of
-        :meth:`_fused_dispatch`; anything unusual (non-power-of-two
-        geometry, an unknown prefetcher, a reduced engine) falls back to
-        the scalar path permanently and silently.
-        """
-        if self._cursor is None:
-            return False
-        l1 = self.l1
-        if not isinstance(l1, L1Cache):
-            return False
-        array = l1.array
-        if array._set_mask is None:
-            return False
-        if array.num_sets * array.line_size > self.allocator.page_size:
-            # The set-index bits must sit inside the page offset so the
-            # batch's virtual set-index column survives translation.
-            return False
-        engine = self.engine
-        for name in ("cycle_quiescent", "peek_next_time", "run_deadline"):
-            if not hasattr(engine, name):
-                return False
-        if self.tlb is not None and self.tlb._set_mask is None:
-            return False
-        prefetcher = l1.prefetcher
-        if prefetcher is not None:
-            members = getattr(prefetcher, "prefetchers", [prefetcher])
-            for p in members:
-                if not isinstance(
-                    p, (NextLinePrefetcher, IpStridePrefetcher)
-                ):
-                    return False
-        return True
+        # Smallest committed instruction count at which _commit has a
+        # watch or quota to act on (see _refresh_commit_limit).
+        self._commit_limit = _NO_LIMIT
+        #: Dispatch events saved by the parking rule (_park_next).  A
+        #: plain tally, deliberately not a registry counter, so stat
+        #: dumps and digests are the same with or without the rule.
+        self.parked_dispatches = 0
 
     # ------------------------------------------------------------------
     # Control
@@ -255,6 +216,7 @@ class Core:
         self.measure_quota = quota
         self.frozen = False
         self.frozen_ipc = None
+        self._refresh_commit_limit()
 
     def watch_commit(self, threshold: int, callback) -> None:
         """Invoke ``callback(self)`` once when ``committed`` reaches ``threshold``.
@@ -268,6 +230,23 @@ class Core:
         else:
             self._commit_watch = threshold
             self._on_commit_watch = callback
+            self._refresh_commit_limit()
+
+    def _refresh_commit_limit(self) -> None:
+        """Recompute the committed count below which _commit is pure pacing.
+
+        The minimum of the one-shot watch threshold and the instruction
+        at which the measurement quota is met; call after changing
+        either.
+        """
+        limit = _NO_LIMIT if self._commit_watch is None else self._commit_watch
+        if (
+            not self.frozen
+            and self.measure_quota is not None
+            and self._measure_start_icount is not None
+        ):
+            limit = min(limit, self._measure_start_icount + self.measure_quota)
+        self._commit_limit = limit
 
     @property
     def measurement_done(self) -> bool:
@@ -387,32 +366,13 @@ class Core:
             self._schedule_dispatch(self._next_dispatch_time)
             return
 
-        item = self._pending_item
+        # A cursor trace is read column-direct and its index advances
+        # only once the op dispatches, so every stall below simply
+        # re-reads the same row on retry; only an iterator trace has to
+        # hold its consumed item in _pending_item.
         cursor = self._cursor
-        if item is not None:
-            gap = item.gap
-            addr = item.addr
-            is_write = item.is_write
-            pc = item.pc
-        elif cursor is not None:
-            if (
-                self._fuse_ready
-                and self.ras_monitor is None
-                and not self.l1._poisoned_lines
-            ):
-                skip = self._fuse_skip
-                if skip:
-                    self._fuse_skip = skip - 1
-                elif self._fused_dispatch():
-                    self._fuse_fails = 0
-                    return
-                else:
-                    fails = self._fuse_fails + 1
-                    self._fuse_fails = fails
-                    if fails >= 4:
-                        self._fuse_skip = 64 if fails >= 16 else 4 * fails
-            # Column-direct item read: no TraceItem is materialised
-            # unless the op has to be parked as a pending item below.
+        if cursor is not None:
+            item = None
             batch = cursor.batch
             i = cursor.index
             if batch is None or i >= batch.length:
@@ -422,23 +382,20 @@ class Core:
             addr = batch.addrs[i]
             is_write = batch.writes[i] != 0
             pc = batch.pcs[i]
-            cursor.index = i + 1
         else:
-            item = next(self.trace)
-            self._trace_items += 1
-            gap = item.gap
-            addr = item.addr
-            is_write = item.is_write
-            pc = item.pc
+            item = self._pending_item
+            if item is None:
+                item = next(self.trace)
+                self._trace_items += 1
+            gap, addr, is_write, pc = item
         next_icount = self.icount + gap + 1
 
         # ROB occupancy gate: the new op must fit in the window with the
         # oldest uncommitted op.
-        if self._outstanding and (
-            next_icount - self._outstanding[0].icount >= self.rob_size
+        outstanding = self._outstanding
+        if outstanding and (
+            next_icount - outstanding[0].icount >= self.rob_size
         ):
-            if item is None:
-                item = TraceItem(gap, addr, is_write, pc)
             self._pending_item = item
             self._rob_blocked = True
             self._c_rob_stalls.value += 1.0
@@ -465,8 +422,6 @@ class Core:
             else:
                 walk_penalty = tlb.access(addr)
             if walk_penalty:
-                if item is None:
-                    item = TraceItem(gap, addr, is_write, pc)
                 self._pending_item = item
                 self._next_dispatch_time = now + walk_penalty
                 self._c_tlb_walk_cycles.value += walk_penalty
@@ -483,6 +438,7 @@ class Core:
         else:
             paddr = (frame << shift) | (addr & allocator._offset_mask)
         l1 = self.l1
+        cache_set = None
         if (
             self._hit_fast
             and self.ras_monitor is None
@@ -492,404 +448,111 @@ class Core:
             line = paddr & array._align_mask
             set_idx = (line >> array._line_shift) & array._set_mask
             cache_set = array._sets[set_idx]
-            if line in cache_set:
-                # Inline L1 hit: the same mutations, in the same order,
-                # as l1.access + the synchronous _on_data — minus the
-                # pooled request object (pooling is stat-free).
-                l1._c_accesses.value += 1.0
+        if cache_set is not None and line in cache_set:
+            # Inline L1 hit: the same mutations, in the same order, as
+            # l1.access + the synchronous _on_data — minus the pooled
+            # request object (pooling is stat-free).
+            l1._c_accesses.value += 1.0
+            array._on_access(cache_set, set_idx, line)
+            l1._c_hits.value += 1.0
+            if is_write:
+                cache_set[line] = True
                 array._on_access(cache_set, set_idx, line)
-                l1._c_hits.value += 1.0
-                if is_write:
-                    cache_set[line] = True
-                    array._on_access(cache_set, set_idx, line)
-                self._c_load_latency_sum.value += l1.latency
-                self._c_loads_completed.value += 1.0
+            self._c_load_latency_sum.value += l1.latency
+            self._c_loads_completed.value += 1.0
+            if not self._commit_scheduled:
+                self._commit_scheduled = True
+                self._commit_event = engine.schedule_at(now, self._commit)
+            l1._train_prefetcher(paddr, pc, False)
+            outstanding.append(_InFlight(next_icount, is_write, now))
+        else:
+            inflight = _InFlight(next_icount, is_write, None)
+            request = MemoryRequest.acquire(
+                paddr,
+                _WRITE if is_write else _READ,
+                self.core_id,
+                pc,
+                now,
+                partial(self._on_data, inflight),
+            )
+            if not l1.access(request):
+                self._pending_item = item
+                self._l1_blocked = True
+                self._c_l1_mshr_stalls.value += 1.0
+                l1.on_mshr_free(self._resume_after_l1)
+                # A rejected request was merged nowhere; recycle it (the
+                # retry acquires a fresh one, same as re-construction did).
+                request.release()
+                return
+            outstanding.append(inflight)
+            if is_write:
+                # Stores commit from the store buffer without waiting
+                # for data.
+                inflight.completed_time = now
                 if not self._commit_scheduled:
                     self._commit_scheduled = True
                     self._commit_event = engine.schedule_at(
                         now, self._commit
                     )
-                l1._train_prefetcher(paddr, pc, was_miss=False)
-                self._pending_item = None
-                self.icount = next_icount
-                self._outstanding.append(
-                    _InFlight(next_icount, is_write, now)
-                )
-                self._c_dispatched_refs.value += 1.0
-                front_end = -(-(gap + 1) // self.width)
-                self._next_dispatch_time = now + front_end
-                # Inlined _schedule_dispatch (front_end >= 1 keeps the
-                # target strictly in the future, so no now-clamp).
-                if not self._dispatch_scheduled:
-                    self._dispatch_scheduled = True
-                    engine.schedule_at(now + front_end, self._dispatch)
-                return
 
-        inflight = _InFlight(next_icount, is_write, None)
-        access = _WRITE if is_write else _READ
-        request = MemoryRequest.acquire(
-            paddr,
-            access,
-            self.core_id,
-            pc,
-            now,
-            partial(self._on_data, inflight),
-        )
-        if not l1.access(request):
-            if item is None:
-                item = TraceItem(gap, addr, is_write, pc)
-            self._pending_item = item
-            self._l1_blocked = True
-            self._c_l1_mshr_stalls.value += 1.0
-            l1.on_mshr_free(self._resume_after_l1)
-            # A rejected request was merged nowhere; recycle it (the
-            # retry acquires a fresh one, same as re-construction did).
-            request.release()
-            return
-
-        self._pending_item = None
+        if cursor is not None:
+            cursor.index = i + 1
+        else:
+            self._pending_item = None
         self.icount = next_icount
-        self._outstanding.append(inflight)
-        if is_write:
-            # Stores commit from the store buffer without waiting for data.
-            inflight.completed_time = now
-            if not self._commit_scheduled:
-                self._commit_scheduled = True
-                self._commit_event = engine.schedule_at(now, self._commit)
         self._c_dispatched_refs.value += 1.0
         # Integer ceil-division; gap >= 0 keeps this >= 1 by construction.
-        front_end = -(-(gap + 1) // self.width)
-        self._next_dispatch_time = now + front_end
-        if not self._dispatch_scheduled:
-            self._dispatch_scheduled = True
-            engine.schedule_at(now + front_end, self._dispatch)
-
-    def _fused_dispatch(self) -> bool:
-        """Consume a run of consecutive L1-hit trace items in one event.
-
-        Inside a *quiescent window* — a span of cycles in which no
-        foreign event can fire — every structure the hit path reads
-        (TLB sets, page table, tag array, MSHR occupancy) is static, so
-        residency can be checked for a whole run up front and the
-        per-item work collapses into three phases:
-
-        1. **Scan** (read-only): walk the batch's derived columns from
-           the cursor, stopping at the first TLB miss, unallocated page,
-           tag miss, or surviving prefetch candidate.
-        2. **Timing**: a (time, seq)-ordered virtual merge of the
-           dispatch and commit event sources, replicating the scalar
-           pacing arithmetic (front-end width, ROB gate, commit CPI)
-           without touching the engine.
-        3. **Apply**: bulk statistics and replacement/TLB/prefetcher
-           state updates for exactly the items the timing loop admitted.
-
-        Returns True when at least one item was consumed — in which
-        case every statistic, state bit and future event is identical
-        to what the scalar path would have produced — or False to fall
-        through to the scalar path with nothing mutated.
-        """
-        engine = self.engine
-        if not engine.cycle_quiescent():
-            return False
-        now = engine.now
-
-        # Window: (now, wend) must contain no foreign event.  Our own
-        # pending commit is absorbed into the virtual loop instead.
-        c_event = self._commit_event if self._commit_scheduled else None
-        limit_cycles = getattr(engine, "horizon", 512) - 1
-        wend = engine.peek_next_time(limit_cycles, ignore=c_event)
-        if wend is None:
-            wend = now + limit_cycles + 1
-        deadline = engine.run_deadline
-        if deadline is not None and wend > deadline + 1:
-            wend = deadline + 1
-        if wend - now < _MIN_FUSE_WINDOW:
-            return False
-
-        cursor = self._cursor
-        batch = cursor.batch
-        if batch is None or cursor.index >= batch.length:
-            try:
-                batch = cursor.advance_batch()
-            except StopIteration:
-                return False  # scalar path raises the same exhaustion
-        start = cursor.index
-
-        # Instruction cap: keep commit-watch and measurement-quota
-        # crossings out of the window, so virtual commits never have to
-        # run their callbacks.  Dispatched icounts stay below the cap,
-        # hence so does every committed icount.
-        icap = self._commit_watch
+        next_time = now + -(-(gap + 1) // self.width)
+        self._next_dispatch_time = next_time
+        if self._dispatch_scheduled:
+            return
         if (
-            not self.frozen
-            and self.measure_quota is not None
-            and self._measure_start_icount is not None
+            self._commit_scheduled
+            and self._commit_event.time > next_time
+            and self._park_next(next_icount - outstanding[0].icount)
         ):
-            quota_cap = self._measure_start_icount + self.measure_quota
-            if icap is None or quota_cap < icap:
-                icap = quota_cap
-        if icap is not None and self.icount >= icap:
-            return False
+            return
+        # next_time is strictly in the future, so no now-clamp.
+        self._dispatch_scheduled = True
+        engine.schedule_at(next_time, self._dispatch)
 
-        l1 = self.l1
-        array = l1.array
-        derived = batch.derived(
-            self._page_shift, array._line_shift, array._set_mask
-        )
-        vpns = derived.vpns
-        line_offsets = derived.line_offsets
-        sets_col = derived.sets
-        addrs = batch.addrs
+    def _park_next(self, window: int) -> bool:
+        """Park the next op now when its dispatch event could only stall.
 
-        # --- Phase 1: read-only scan for the fusable prefix. ----------
-        scan_stop = batch.length
-        max_items = wend - now  # dispatch advances >= 1 cycle per item
-        if scan_stop - start > max_items:
-            scan_stop = start + max_items
-        allocator = self.allocator
-        page_table = allocator._page_table
-        offset_mask = allocator._offset_mask
-        page_shift = self._page_shift
-        plines = []
-        paddrs = []
-        tlb = self.tlb
-        tlb_sets = tlb_mask = None
-        if tlb is not None:
-            tlb_sets = tlb._sets
-            tlb_mask = tlb._set_mask
-        # Page-span walk: consecutive same-vpn items (the common shape —
-        # a 4 KiB page holds 64 lines) share one TLB probe and one page
-        # lookup, and the physical columns fill by comprehension.
-        i = start
-        while i < scan_stop:
-            vpn = vpns[i]
-            if tlb is not None and vpn not in tlb_sets[vpn & tlb_mask]:
-                break  # TLB miss: the scalar path does the walk
-            frame = page_table.get(vpn)
-            if frame is None:
-                break  # first touch: the scalar path allocates
-            j = i + 1
-            while j < scan_stop and vpns[j] == vpn:
-                j += 1
-            base = frame << page_shift
-            plines += [base | off for off in line_offsets[i:j]]
-            paddrs += [base | (a & offset_mask) for a in addrs[i:j]]
-            i = j
-        if not plines:
-            return False
-        run_n = l1.access_run(plines, sets_col, paddrs, batch.pcs, start)
-        if run_n == 0:
-            return False
-
-        # --- Phase 2: virtual (time, seq) merge of dispatch+commit. ---
-        # The scan may overshoot what this loop admits (window end, ROB
-        # pressure, icap); that is fine because the scan mutated nothing.
-        gaps = batch.gaps
-        writes = batch.writes
-        width = self.width
-        rob_size = self.rob_size
-        base_cpi = self.base_cpi
-        outstanding = self._outstanding
-        # The merge loop below runs a few iterations per admitted item;
-        # keep its dependencies in locals.
-        ceil_ = ceil
-        inflight_cls = _InFlight
-        out_append = outstanding.append
-        out_popleft = outstanding.popleft
-        # Entries popped by the virtual commit are dead (their completion
-        # callback, if any, fired before the pop) — recycle them so the
-        # steady-state loop allocates nothing.
-        free: list = []
-        free_pop = free.pop
-        free_append = free.append
-        vicount = self.icount
-        vcommitted = self.committed
-        vlct = self._last_commit_time
-        vlci = self._last_commit_icount
-        vndt = self._next_dispatch_time
-        vrob_blocked = False  # we are dispatching, so not blocked now
-        rob_stalls = 0
-        k = 0  # items consumed, relative to start
-        # Dispatch-side fast gates: the window cap as a plain compare
-        # (sentinel beyond any reachable icount instead of a None test)
-        # and the ROB head's icount tracked in a local so the gate costs
-        # one subtraction, not a deque probe.
-        icap_v = icap if icap is not None else 1 << 62
-        _NO_HEAD = 1 << 62
-        head_icount = outstanding[0].icount if outstanding else _NO_HEAD
-
-        # Each source is (time, seq) or dormant (time None).  seq orders
-        # same-cycle firing exactly as the engine's scheduling order
-        # would; the absorbed commit event predates anything scheduled
-        # here, hence seq -1.
-        dispatch_t: Optional[int] = now
-        dispatch_seq = 0
-        if c_event is not None:
-            commit_t: Optional[int] = c_event.time
-            commit_seq = -1
+        Called at the end of a successful dispatch at cycle ``t`` whose
+        follow-up dispatch would fire at ``t + front_end``, once the
+        caller has established that this core's pending commit fires
+        strictly after that.  ``window`` is the ROB span the just
+        dispatched op already occupies.  If the next trace item does not
+        fit either, the follow-up event is a leaf: nothing can retire
+        from this core's ROB before it fires, so it would find the same
+        full window, park the item, set ``_rob_blocked``, bump
+        ``rob_stalls`` and schedule nothing.  Doing exactly that here
+        saves the event; the commit that frees the window wakes dispatch
+        as it always has.
+        """
+        cursor = self._cursor
+        if cursor is not None:
+            batch = cursor.batch
+            i = cursor.index
+            if i >= batch.length:
+                try:
+                    batch = cursor.advance_batch()
+                except StopIteration:
+                    return False  # the follow-up event raises it, on time
+                i = 0
+            gap = batch.gaps[i]
         else:
-            commit_t = None
-            commit_seq = 0
-        c_absorbed = False  # original event virtually fired -> cancel it
-        vseq = 1
-
-        while True:
-            if dispatch_t is not None and (
-                commit_t is None
-                or dispatch_t < commit_t
-                or (dispatch_t == commit_t and dispatch_seq < commit_seq)
-            ):
-                vt = dispatch_t
-                is_dispatch = True
-            elif commit_t is not None:
-                vt = commit_t
-                is_dispatch = False
-            else:
-                break  # both dormant
-            if vt >= wend:
-                break  # a foreign event may precede this: go real
-
-            if is_dispatch:
-                if vt < vndt:
-                    # Scalar _dispatch fires, sees now < next dispatch
-                    # time, and reschedules itself.
-                    dispatch_t = vndt
-                    dispatch_seq = vseq
-                    vseq += 1
-                    continue
-                if k >= run_n:
-                    break  # next item unverified: real event handles it
-                sk = start + k
-                gap = gaps[sk]
-                next_icount = vicount + gap + 1
-                if next_icount >= icap_v:
-                    break  # watch/quota in reach: real event handles it
-                if next_icount - head_icount >= rob_size:
-                    if k == 0:
-                        return False  # nothing mutated yet: go scalar
-                    rob_stalls += 1
-                    vrob_blocked = True
-                    dispatch_t = None  # dormant until a commit unblocks
-                    continue
-                # Verified hit: replicate the scalar dispatch in event
-                # order.  l1.access completes the request synchronously,
-                # so _on_data (commit arming) runs before the ROB append
-                # and the front-end reschedule.
-                if commit_t is None:
-                    commit_t = vt
-                    commit_seq = vseq
-                    vseq += 1
-                if free:
-                    fl = free_pop()
-                    fl.icount = next_icount
-                    fl.is_write = writes[sk] != 0
-                    fl.completed_time = vt
-                    out_append(fl)
-                else:
-                    out_append(
-                        inflight_cls(next_icount, writes[sk] != 0, vt)
-                    )
-                if head_icount == _NO_HEAD:
-                    head_icount = next_icount
-                vicount = next_icount
-                k += 1
-                vndt = vt + (-(-(gap + 1) // width))
-                dispatch_t = vndt
-                dispatch_seq = vseq
-                vseq += 1
-                continue
-
-            # Virtual commit event at time vt.
-            if commit_seq == -1:
-                c_absorbed = True
-            commit_t = None
-            while outstanding:
-                head = outstanding[0]
-                completed = head.completed_time
-                if completed is None:
-                    break  # pre-existing miss in flight; _on_data re-arms
-                pace = ceil_((head.icount - vlci) * base_cpi)
-                target = vlct + (pace if pace > 1 else 1)
-                if completed > target:
-                    target = completed
-                if vt < target:
-                    commit_t = target
-                    commit_seq = vseq
-                    vseq += 1
-                    break
-                out_popleft()
-                free_append(head)
-                head_icount = (
-                    outstanding[0].icount if outstanding else _NO_HEAD
-                )
-                vlct = target
-                vlci = head.icount
-                vcommitted = head.icount
-                # watch/quota checks are unreachable: icap keeps every
-                # committed icount below both thresholds.
-                if vrob_blocked:
-                    vrob_blocked = False
-                    if dispatch_t is None:
-                        dispatch_t = vt
-                        dispatch_seq = vseq
-                        vseq += 1
-
-        if k == 0:
-            # Only reachable with zero mutations (the first virtual
-            # action is always the dispatch at `now`, which either
-            # consumed an item or bailed above).
+            item = self._pending_item = next(self.trace, None)
+            if item is None:
+                return False  # exhausted: the follow-up event raises
+            self._trace_items += 1
+            gap = item.gap
+        if window + gap + 1 < self.rob_size:
             return False
-
-        # --- Exit: write state back and reconcile real events. --------
-        self.icount = vicount
-        self.committed = vcommitted
-        self._last_commit_time = vlct
-        self._last_commit_icount = vlci
-        self._next_dispatch_time = vndt
-        self._rob_blocked = vrob_blocked
-        cursor.index = start + k
-
-        if c_absorbed:
-            c_event.cancel()
-            self._commit_scheduled = False
-            self._commit_event = None
-        # commit_seq == -1 here means the original real event was never
-        # reached; it stays queued with its original seq untouched.
-        sched_commit = commit_t is not None and commit_seq != -1
-        sched_dispatch = dispatch_t is not None
-        if sched_commit and (
-            not sched_dispatch or commit_seq < dispatch_seq
-        ):
-            self._commit_scheduled = True
-            self._commit_event = engine.schedule_at(commit_t, self._commit)
-            sched_commit = False
-        if sched_dispatch:
-            self._dispatch_scheduled = True
-            engine.schedule_at(dispatch_t, self._dispatch)
-        if sched_commit:
-            self._commit_scheduled = True
-            self._commit_event = engine.schedule_at(commit_t, self._commit)
-
-        # --- Phase 3: bulk-apply per-item state and statistics. -------
-        # Every admitted item was a TLB hit, an L1 hit and a completed
-        # "load" (the scalar hit path runs _on_data for stores too).
-        fk = float(k)
-        self._c_dispatched_refs.value += fk
-        self._c_loads_completed.value += fk
-        self._c_load_latency_sum.value += float(k * l1.latency)
-        if rob_stalls:
-            self._c_rob_stalls.value += float(rob_stalls)
-        if tlb is not None:
-            tlb._c_hits.value += fk
-            last_vpn = -1
-            for i in range(start, start + k):
-                vpn = vpns[i]
-                if vpn != last_vpn:
-                    # Consecutive same-page items: the second move_to_end
-                    # is a no-op, so only page transitions pay for one.
-                    tlb_sets[vpn & tlb_mask].move_to_end(vpn)
-                    last_vpn = vpn
-        l1.apply_run(plines, sets_col, writes, paddrs, batch.pcs, start, k)
+        self._rob_blocked = True
+        self._c_rob_stalls.value += 1.0
+        self.parked_dispatches += 1
         return True
 
     def _resume_after_l1(self) -> None:
@@ -922,19 +585,6 @@ class Core:
     # ------------------------------------------------------------------
     # Commit
     # ------------------------------------------------------------------
-    def _schedule_commit(self, at: int) -> None:
-        if self._commit_scheduled:
-            return
-        self._commit_scheduled = True
-        engine = self.engine
-        now = engine.now
-        # The event handle is kept so the fused dispatch path can absorb
-        # a pending commit into its virtual loop (and cancel the real
-        # event if the loop consumes it).
-        self._commit_event = engine.schedule_at(
-            at if at > now else now, self._commit
-        )
-
     def _commit(self) -> None:
         self._commit_scheduled = False
         now = self.engine.now
@@ -963,35 +613,39 @@ class Core:
             self._last_commit_time = lct = target
             self._last_commit_icount = lci = icount
             self.committed = icount
-            if (
-                self._commit_watch is not None
-                and self.committed >= self._commit_watch
-            ):
-                self._commit_watch = None
-                callback, self._on_commit_watch = self._on_commit_watch, None
-                callback(self)
-            self._check_quota()
+            if icount >= self._commit_limit:
+                self._commit_milestones()
             if self._rob_blocked:
                 self._rob_blocked = False
-                self._schedule_dispatch(now)
+                if not self._dispatch_scheduled:
+                    self._dispatch_scheduled = True
+                    self.engine.schedule_at(now, self._dispatch)
 
-    def _check_quota(self) -> None:
+    def _commit_milestones(self) -> None:
+        """Fire the commit watch and/or freeze at the measurement quota."""
         if (
-            self.frozen
-            or self.measure_quota is None
-            or self._measure_start_icount is None
+            self._commit_watch is not None
+            and self.committed >= self._commit_watch
         ):
-            return
-        done = self.committed - self._measure_start_icount
-        if done >= self.measure_quota:
-            self.frozen = True
-            elapsed = self.engine.now - (self._measure_start_time or 0)
-            self.frozen_ipc = done / elapsed if elapsed > 0 else 0.0
-            self.stats.set("measured_instructions", done)
-            self.stats.set("measured_cycles", elapsed)
-            if self.on_frozen is not None:
-                self.on_frozen(self)
-            self.stats.freeze()
+            self._commit_watch = None
+            callback, self._on_commit_watch = self._on_commit_watch, None
+            callback(self)
+        if (
+            not self.frozen
+            and self.measure_quota is not None
+            and self._measure_start_icount is not None
+        ):
+            done = self.committed - self._measure_start_icount
+            if done >= self.measure_quota:
+                self.frozen = True
+                elapsed = self.engine.now - (self._measure_start_time or 0)
+                self.frozen_ipc = done / elapsed if elapsed > 0 else 0.0
+                self.stats.set("measured_instructions", done)
+                self.stats.set("measured_cycles", elapsed)
+                if self.on_frozen is not None:
+                    self.on_frozen(self)
+                self.stats.freeze()
+        self._refresh_commit_limit()
 
     # ------------------------------------------------------------------
     # Snapshot seam
@@ -1004,7 +658,7 @@ class Core:
         """
         pending = self._pending_item
         return {
-            "v": 1,
+            "v": 2,
             "l1": self.l1.capture_state(ctx),
             "tlb": None if self.tlb is None else self.tlb.capture_state(),
             "cursor": (
@@ -1039,14 +693,13 @@ class Core:
                 if self._commit_scheduled and self._commit_event is not None
                 else None
             ),
-            "fuse_fails": self._fuse_fails,
-            "fuse_skip": self._fuse_skip,
+            "parked_dispatches": self.parked_dispatches,
         }
 
     def restore_state(self, state: dict, ctx) -> None:
         from ..common.versioning import check_state_version
 
-        check_state_version(state, 1, "Core")
+        check_state_version(state, 2, "Core")
         self.l1.restore_state(state["l1"], ctx)
         if self.tlb is not None:
             self.tlb.restore_state(state["tlb"])
@@ -1091,5 +744,5 @@ class Core:
             if state["commit_event"] is None
             else ctx.get_event(state["commit_event"])
         )
-        self._fuse_fails = state["fuse_fails"]
-        self._fuse_skip = state["fuse_skip"]
+        self.parked_dispatches = state["parked_dispatches"]
+        self._refresh_commit_limit()

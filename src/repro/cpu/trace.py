@@ -12,10 +12,9 @@ Two representations exist:
   original interface; every consumer of ``Iterator[TraceItem]`` keeps
   working unchanged.
 * **Columnar form** — :class:`TraceBatch`, a structure-of-arrays chunk
-  (``array('q')``/``array('b')`` columns for gap/addr/pc/is_write) plus
-  lazily computed derived columns (virtual line address, L1 set index)
-  keyed by cache geometry.  The batched core fast path indexes these
-  columns directly instead of materialising one NamedTuple per op.
+  (``array('q')``/``array('b')`` columns for gap/addr/pc/is_write).  The
+  core indexes these columns directly instead of materialising one
+  NamedTuple per op.
 
 :func:`batch_iter` chunks any row-form trace into batches;
 :class:`BatchedTrace` wraps a batch stream and serves *both* interfaces
@@ -28,11 +27,10 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from itertools import islice
-from typing import Iterable, Iterator, NamedTuple, Optional, Tuple
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 #: Default number of trace items per columnar batch.  Large enough to
-#: amortise per-batch Python overhead, small enough that derived-column
-#: computation stays cache-friendly.
+#: amortise per-batch Python overhead.
 TRACE_BATCH_SIZE = 1024
 
 
@@ -49,21 +47,6 @@ class TraceItem(NamedTuple):
 Trace = Iterator[TraceItem]
 
 
-class DerivedColumns(NamedTuple):
-    """Geometry-dependent columns precomputed for one :class:`TraceBatch`.
-
-    All values are derived from the *virtual* address column; they stay
-    valid after translation because the simulator's page size is never
-    smaller than ``num_sets * line_size`` (checked by the core before
-    enabling the fused path).
-    """
-
-    vlines: list  # addr >> line_shift (virtual line number)
-    vpns: list  # addr >> page_shift (virtual page number)
-    line_offsets: list  # line-aligned offset within the page
-    sets: list  # L1 set index
-
-
 class TraceBatch:
     """A structure-of-arrays chunk of consecutive trace items.
 
@@ -74,8 +57,7 @@ class TraceBatch:
     comprehensions) run at C iteration speed.
     """
 
-    __slots__ = ("gaps", "addrs", "writes", "pcs", "length",
-                 "_geom_key", "_derived")
+    __slots__ = ("gaps", "addrs", "writes", "pcs", "length")
 
     def __init__(
         self,
@@ -96,8 +78,6 @@ class TraceBatch:
             == self.length
         ):
             raise ValueError("trace batch columns must have equal length")
-        self._geom_key: Optional[Tuple[int, int, int, int]] = None
-        self._derived: Optional[DerivedColumns] = None
 
     def __len__(self) -> int:
         return self.length
@@ -117,28 +97,6 @@ class TraceBatch:
     def instructions(self) -> int:
         """Total instructions this batch represents (gaps + the ops)."""
         return sum(self.gaps) + self.length
-
-    def derived(
-        self, page_shift: int, line_shift: int, set_mask: int
-    ) -> DerivedColumns:
-        """Geometry-derived columns, cached per geometry.
-
-        ``line_offsets`` is the line-aligned offset of each address
-        within its page; combined with a frame number it reconstructs
-        the physical line address without re-decomposing the address.
-        """
-        key = (page_shift, line_shift, set_mask, self.length)
-        if self._geom_key == key and self._derived is not None:
-            return self._derived
-        addrs = self.addrs
-        page_off_mask = (1 << page_shift) - 1 & ~((1 << line_shift) - 1)
-        vlines = [a >> line_shift for a in addrs]
-        vpns = [a >> page_shift for a in addrs]
-        line_offsets = [a & page_off_mask for a in addrs]
-        sets = [v & set_mask for v in vlines]
-        self._geom_key = key
-        self._derived = DerivedColumns(vlines, vpns, line_offsets, sets)
-        return self._derived
 
 
 class _BatchIter:
@@ -197,10 +155,9 @@ def batch_iter(
 class BatchCursor:
     """Mutable read position over a stream of :class:`TraceBatch`.
 
-    The batched core reads ``cursor.batch`` columns directly at
-    ``cursor.index`` and bumps the index itself inside the fused loop;
-    scalar consumers call :meth:`next_item`.  Both observe the same
-    position.
+    The core reads ``cursor.batch`` columns directly at ``cursor.index``
+    and bumps the index itself once an op dispatches; row-form consumers
+    call :meth:`next_item`.  Both observe the same position.
     """
 
     __slots__ = ("batch", "index", "batches_advanced", "_source")
@@ -270,9 +227,9 @@ class BatchedTrace:
     """A trace held in columnar form, usable through both interfaces.
 
     Iterating it yields :class:`TraceItem` (drop-in for ``Trace``);
-    :meth:`cursor` exposes the shared :class:`BatchCursor` for the fused
-    core path.  Because both views share one cursor, a consumer that
-    mixes them never sees an item twice or skips one.
+    :meth:`cursor` exposes the shared :class:`BatchCursor` for the
+    core's column-direct reads.  Because both views share one cursor, a
+    consumer that mixes them never sees an item twice or skips one.
     """
 
     __slots__ = ("_cursor",)

@@ -138,7 +138,7 @@ class Engine:
         self._seq = 0
         self._events_fired = 0
         self._stop = False
-        # Introspection for the core's fused fast path: the detached
+        # Introspection for the MC fused drain: the detached
         # same-cycle batch currently being fired (and how far into it the
         # walk has progressed), plus the active run's `until` deadline.
         self._active_batch: Optional[List[Event]] = None
@@ -156,7 +156,7 @@ class Engine:
         return self._wheel_count + len(self._heap)
 
     # ------------------------------------------------------------------
-    # Introspection (fused fast path support)
+    # Introspection (memory-controller fused drain support)
     # ------------------------------------------------------------------
     def cycle_quiescent(self) -> bool:
         """True when no further event can fire in the current cycle.

@@ -194,7 +194,7 @@ class MemoryController:
         exists and that the configuration is replayable (stateless
         arbiter, engine introspection hooks) before committing to it —
         any failed precondition falls back to the scalar pump with
-        exponential backoff, exactly as the core-side fused dispatch.
+        exponential backoff.
         """
         self._fused_enabled = True
         self._fuse_state = None

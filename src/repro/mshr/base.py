@@ -89,15 +89,6 @@ class MshrFile:
         """
         raise NotImplementedError
 
-    def contains_many(self, line_addrs) -> list:
-        """Vectorized :meth:`contains`: one bool per address, stat-free.
-
-        The batched L1 fast path filters whole candidate runs through
-        this; implementations override it with a loop-hoisted version.
-        """
-        contains = self.contains
-        return [contains(a) for a in line_addrs]
-
     # -- snapshot seam -------------------------------------------------
     def _capture_base(self) -> dict:
         """Counters shared by every MSHR organization."""

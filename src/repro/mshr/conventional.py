@@ -25,10 +25,6 @@ class ConventionalMshr(MshrFile):
     def contains(self, line_addr: int) -> bool:
         return line_addr in self._entries
 
-    def contains_many(self, line_addrs) -> list:
-        entries = self._entries
-        return [a in entries for a in line_addrs]
-
     def search(self, line_addr: int) -> Tuple[Optional[MshrEntry], int]:
         # Probe accounting inlined (every operation costs exactly one).
         self.total_probes += 1

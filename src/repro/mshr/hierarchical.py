@@ -45,16 +45,6 @@ class HierarchicalMshr(MshrFile):
         bank = self._banks[self._bank_of(line_addr)]
         return line_addr in bank or line_addr in self._shared
 
-    def contains_many(self, line_addrs) -> list:
-        banks = self._banks
-        shared = self._shared
-        shift = self._shift
-        num_banks = self.num_banks
-        return [
-            a in banks[(a >> shift) % num_banks] or a in shared
-            for a in line_addrs
-        ]
-
     def search(self, line_addr: int) -> Tuple[Optional[MshrEntry], int]:
         bank = self._banks[self._bank_of(line_addr)]
         entry = bank.get(line_addr)

@@ -24,7 +24,7 @@ first free displacement is one rotate-and-scan rather than a slot walk.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from ..common.units import log2int
 from .base import MshrEntry, MshrFile
@@ -62,36 +62,6 @@ class VbfMshr(MshrFile):
             if candidate is not None and candidate.line_addr == line_addr:
                 return True
         return False
-
-    def contains_many(self, line_addrs: Sequence[int]) -> List[bool]:
-        """Vectorized membership: one bool per address, stat-free.
-
-        Semantically ``[self.contains(a) for a in line_addrs]`` with the
-        per-call dispatch hoisted — the probe primitive for batched scans
-        (fused L1-hit runs filter whole candidate runs in one call).
-        """
-        cap = self.capacity
-        shift = self._shift
-        slots = self._slots
-        rows = self.vbf._rows
-        out = []
-        append = out.append
-        for line_addr in line_addrs:
-            home = (line_addr >> shift) % cap
-            bits = rows[home]
-            found = False
-            while bits:
-                low = bits & -bits
-                bits ^= low
-                slot = home + low.bit_length() - 1
-                if slot >= cap:
-                    slot -= cap
-                candidate = slots[slot]
-                if candidate is not None and candidate.line_addr == line_addr:
-                    found = True
-                    break
-            append(found)
-        return out
 
     def search(self, line_addr: int) -> Tuple[Optional[MshrEntry], int]:
         cap = self.capacity

@@ -15,19 +15,39 @@ Entry point: ``attach_ras(machine, ras_config, seed)`` — called by
 from __future__ import annotations
 
 from .config import ECC_SCHEMES, MCE_POLICIES, RasConfig
-from .controller import RasController
-from .ecc import (
-    GROSS_CORRUPTION_BITS,
-    OUTCOME_CORRECTED,
-    OUTCOME_DETECTED,
-    OUTCOME_OK,
-    OUTCOME_SILENT,
-    SCHEMES,
-    EccScheme,
-    get_scheme,
-)
-from .injector import AccessToken, FaultInjector, ReadFaults
-from .prng import hash64, stable_label_hash, uniform
+
+# Only the config dataclass is needed to describe a machine (SystemConfig
+# has a ``ras`` field); the controller, injector, ECC and PRNG modules
+# load on first use, so a fault-free run never imports them.
+_LAZY = {
+    "RasController": "controller",
+    "GROSS_CORRUPTION_BITS": "ecc",
+    "OUTCOME_CORRECTED": "ecc",
+    "OUTCOME_DETECTED": "ecc",
+    "OUTCOME_OK": "ecc",
+    "OUTCOME_SILENT": "ecc",
+    "SCHEMES": "ecc",
+    "EccScheme": "ecc",
+    "get_scheme": "ecc",
+    "AccessToken": "injector",
+    "FaultInjector": "injector",
+    "ReadFaults": "injector",
+    "hash64": "prng",
+    "stable_label_hash": "prng",
+    "uniform": "prng",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "AccessToken",
@@ -53,7 +73,7 @@ __all__ = [
 
 
 def attach_ras(machine, ras_config: RasConfig, seed: int,
-               thermal_factor: float = 1.0) -> RasController:
+               thermal_factor: float = 1.0) -> "RasController":
     """Wire a RasController into an already-built machine.
 
     Must run after the memory system and cores exist and before the
@@ -62,6 +82,8 @@ def attach_ras(machine, ras_config: RasConfig, seed: int,
     :func:`~repro.ras.prng.stable_label_hash`) so every sweep cell
     draws an independent, reproducible fault universe.
     """
+    from .controller import RasController
+
     timing = machine.memory.controllers[0].device.timing
     ras = RasController(
         ras_config,

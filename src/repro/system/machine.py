@@ -140,10 +140,10 @@ class Machine:
                 :data:`repro.validate.CHECKER_NAMES`).  ``None`` (the
                 default) attaches nothing and adds zero overhead.
             batched: feed cores columnar :class:`~repro.cpu.trace.
-                TraceBatch` streams, enabling the fused L1-hit-run fast
-                path (bit-identical statistics, verified by
-                ``scripts/diff_validate.py --batched``).  ``False``
-                replays the legacy per-item path exactly.
+                TraceBatch` streams read through a cursor (bit-identical
+                statistics, verified by ``scripts/diff_validate.py
+                --batched``).  ``False`` feeds the same items through
+                per-item iterators.
             fused_mc: enable the memory-controller fused drain (the
                 batched miss path).  ``None`` (default) follows the
                 ``REPRO_FUSED_MC`` environment variable (on unless set

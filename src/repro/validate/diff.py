@@ -65,11 +65,11 @@ def run_traced(
 ) -> TracedRun:
     """Run one workload and capture its command transcript and stats.
 
-    ``batched`` selects the core's trace representation (columnar fused
-    fast path vs per-item scalar dispatch) and, with it, the memory
-    controllers' fused drain; ``fused_mc=False`` pins the drain off
-    while keeping the batched core path (the ``--no-fused-mc`` escape
-    hatch).  ``sampling`` optionally runs under a
+    ``batched`` selects the core's trace representation (columnar
+    cursor vs per-item iterator, one dispatch path either way) and,
+    with it, the memory controllers' fused drain; ``fused_mc=False``
+    pins the drain off while keeping the columnar traces (the
+    ``--no-fused-mc`` escape hatch).  ``sampling`` optionally runs under a
     :class:`~repro.sampling.plan.SamplingPlan` instead of full detail.
     """
     from ..system.machine import Machine
@@ -276,14 +276,15 @@ def diff_batched(
 ) -> Tuple[DiffReport, TracedRun, TracedRun]:
     """Same workload, scalar vs batched execution strategy end to end.
 
-    The batched arm runs both fused fast paths — the core's L1-hit-run
-    dispatch *and* the memory controllers' fused miss-path drain (armed
-    by ``Machine`` whenever ``batched=True`` on an eligible config);
-    the scalar arm runs neither.  Both are pure execution-strategy
-    changes, so transcripts and stat tables must be bit-identical; any
-    difference is a fused-path bug.  ``checkers``/``sampling`` exercise
-    the seams: both fast paths stay active under instrumentation, and
-    the mixture must still match exactly.
+    The batched arm feeds the cores columnar traces through a cursor
+    and runs the memory controllers' fused miss-path drain (armed by
+    ``Machine`` whenever ``batched=True`` on an eligible config); the
+    scalar arm feeds row-form iterators and pumps every issue.  Both
+    are pure execution-strategy changes, so transcripts and stat tables
+    must be bit-identical; any difference is a trace-form or drain bug.
+    ``checkers``/``sampling`` exercise the seams: the drain stays
+    active under instrumentation, and the mixture must still match
+    exactly.
     """
     lhs = run_traced(
         config, benchmarks, warmup=warmup, measure=measure, seed=seed,

@@ -80,6 +80,25 @@ def _stream_batches(reads: int, writes: int, gap: int) -> BatchFactory:
     )
 
 
+def _hot_cold_spec(
+    name: str, suite: str, paper_mpki: float, cold_fraction: float,
+    base_cpi: float = 0.5,
+) -> BenchmarkSpec:
+    """A moderate/low-MPKI benchmark: 16 KiB hot set, 256 MiB cold region."""
+    shape = dict(
+        hot_bytes=16 * KIB, cold_bytes=256 * MIB,
+        cold_fraction=cold_fraction, gap=9,
+    )
+    return _spec(
+        name, suite, paper_mpki,
+        lambda base, seed: syn.hot_cold(base, seed=seed, **shape),
+        base_cpi,
+        batch_factory=lambda base, seed: syn.hot_cold_batches(
+            base, seed=seed, **shape
+        ),
+    )
+
+
 BENCHMARKS: Dict[str, BenchmarkSpec] = {
     spec.name: spec
     for spec in [
@@ -112,6 +131,9 @@ BENCHMARKS: Dict[str, BenchmarkSpec] = {
         _spec(
             "qsort", "MiBench", 153.6,
             lambda base, seed: syn.random_uniform(
+                base, footprint=_BIG, gap=2, seed=seed, rmw=True,
+            ),
+            batch_factory=lambda base, seed: syn.random_uniform_batches(
                 base, footprint=_BIG, gap=2, seed=seed, rmw=True,
             ),
         ),
@@ -160,6 +182,9 @@ BENCHMARKS: Dict[str, BenchmarkSpec] = {
         _spec(
             "equake", "SpecFP'00", 37.3,
             lambda base, seed: syn.random_uniform(
+                base, footprint=_BIG, gap=26, write_fraction=0.15, seed=seed,
+            ),
+            batch_factory=lambda base, seed: syn.random_uniform_batches(
                 base, footprint=_BIG, gap=26, write_fraction=0.15, seed=seed,
             ),
         ),
@@ -236,71 +261,16 @@ BENCHMARKS: Dict[str, BenchmarkSpec] = {
                 write_fraction=0.2, seed=seed,
             ),
         ),
-        _spec(
-            "apsi", "SpecFP'06", 3.9,
-            lambda base, seed: syn.hot_cold(
-                base, hot_bytes=16 * KIB, cold_bytes=256 * MIB,
-                cold_fraction=0.039, gap=9, seed=seed,
-            ),
-        ),
+        _hot_cold_spec("apsi", "SpecFP'06", 3.9, 0.039),
         # --- Low miss rates -------------------------------------------
-        _spec(
-            "h264", "MediaBench-II", 2.9,
-            lambda base, seed: syn.hot_cold(
-                base, hot_bytes=16 * KIB, cold_bytes=256 * MIB,
-                cold_fraction=0.029, gap=9, seed=seed,
-            ),
-        ),
-        _spec(
-            "mesa", "MediaBench-I", 2.4,
-            lambda base, seed: syn.hot_cold(
-                base, hot_bytes=16 * KIB, cold_bytes=256 * MIB,
-                cold_fraction=0.024, gap=9, seed=seed,
-            ),
-        ),
-        _spec(
-            "gzip", "SpecInt'00", 1.4,
-            lambda base, seed: syn.hot_cold(
-                base, hot_bytes=16 * KIB, cold_bytes=256 * MIB,
-                cold_fraction=0.014, gap=9, seed=seed,
-            ),
-        ),
-        _spec(
-            "astar", "SpecInt'06", 1.4,
-            lambda base, seed: syn.hot_cold(
-                base, hot_bytes=16 * KIB, cold_bytes=256 * MIB,
-                cold_fraction=0.014, gap=9, seed=seed,
-            ),
-        ),
-        _spec(
-            "zeusmp", "SpecFP'06", 1.4,
-            lambda base, seed: syn.hot_cold(
-                base, hot_bytes=16 * KIB, cold_bytes=256 * MIB,
-                cold_fraction=0.014, gap=9, seed=seed,
-            ),
-        ),
-        _spec(
-            "bzip2", "SpecInt'06", 1.4,
-            lambda base, seed: syn.hot_cold(
-                base, hot_bytes=16 * KIB, cold_bytes=256 * MIB,
-                cold_fraction=0.014, gap=9, seed=seed,
-            ),
-        ),
-        _spec(
-            "vortex", "SpecInt'00", 1.3,
-            lambda base, seed: syn.hot_cold(
-                base, hot_bytes=16 * KIB, cold_bytes=256 * MIB,
-                cold_fraction=0.013, gap=9, seed=seed,
-            ),
-        ),
-        _spec(
-            "namd", "SpecFP'06", 1.0,
-            lambda base, seed: syn.hot_cold(
-                base, hot_bytes=16 * KIB, cold_bytes=256 * MIB,
-                cold_fraction=0.010, gap=9, seed=seed,
-            ),
-            base_cpi=0.45,
-        ),
+        _hot_cold_spec("h264", "MediaBench-II", 2.9, 0.029),
+        _hot_cold_spec("mesa", "MediaBench-I", 2.4, 0.024),
+        _hot_cold_spec("gzip", "SpecInt'00", 1.4, 0.014),
+        _hot_cold_spec("astar", "SpecInt'06", 1.4, 0.014),
+        _hot_cold_spec("zeusmp", "SpecFP'06", 1.4, 0.014),
+        _hot_cold_spec("bzip2", "SpecInt'06", 1.4, 0.014),
+        _hot_cold_spec("vortex", "SpecInt'00", 1.3, 0.013),
+        _hot_cold_spec("namd", "SpecFP'06", 1.0, 0.010, base_cpi=0.45),
     ]
 }
 

@@ -295,6 +295,64 @@ def random_uniform(
             yield TraceItem(gap, addr, rng.random() < write_fraction, _pc(2, 0))
 
 
+def random_uniform_batches(
+    base: int,
+    footprint: int,
+    gap: int = 5,
+    write_fraction: float = 0.0,
+    seed: int = 2,
+    rmw: bool = False,
+    batch_size: int = TRACE_BATCH_SIZE,
+) -> Iterator[TraceBatch]:
+    """Columnar :func:`random_uniform`: identical item stream as batches.
+
+    ``rng.randrange(n)`` is spelled out as the ``getrandbits`` rejection
+    loop it runs internally, so the RNG is drawn in exactly the row
+    generator's order.  With ``rmw`` the read/write pair may straddle a
+    batch boundary; the write half then opens the next batch.
+    """
+    rng = random.Random(seed)
+    rnd = rng.random
+    getrandbits = rng.getrandbits
+    lines = max(1, footprint // 64)
+    line_bits = lines.bit_length()
+    gaps = array("q", [gap]) * batch_size
+    pc_read, pc_write = _pc(2, 0), _pc(2, 1)
+    carried = None  # address whose write half is still owed (rmw only)
+    while True:
+        addrs = array("q", bytes(8 * batch_size))
+        writes = array("b", bytes(batch_size))
+        pcs = array("q", [pc_read]) * batch_size
+        i = 0
+        if carried is not None:
+            addrs[0] = carried
+            writes[0] = 1
+            pcs[0] = pc_write
+            carried = None
+            i = 1
+        while i < batch_size:
+            line = getrandbits(line_bits)
+            while line >= lines:
+                line = getrandbits(line_bits)
+            word = getrandbits(4)
+            while word >= 8:
+                word = getrandbits(4)
+            addr = base + line * 64 + word * 8
+            addrs[i] = addr
+            if not rmw:
+                if rnd() < write_fraction:
+                    writes[i] = 1
+            elif i + 1 < batch_size:
+                i += 1
+                addrs[i] = addr
+                writes[i] = 1
+                pcs[i] = pc_write
+            else:
+                carried = addr
+            i += 1
+        yield TraceBatch(gaps, addrs, writes, pcs)
+
+
 def pointer_chase(
     base: int,
     footprint: int,
@@ -483,6 +541,57 @@ def hot_cold(
         else:
             addr = base + rng.randrange(hot_lines) * 64
             yield TraceItem(gap, addr, is_write, _pc(5, 0))
+
+
+def hot_cold_batches(
+    base: int,
+    hot_bytes: int,
+    cold_bytes: int,
+    cold_fraction: float,
+    gap: int = 9,
+    write_fraction: float = 0.2,
+    seed: int = 5,
+    batch_size: int = TRACE_BATCH_SIZE,
+) -> Iterator[TraceBatch]:
+    """Columnar :func:`hot_cold`: identical item stream as batches.
+
+    One RNG feeds three draws per item (write?, cold?, which line) whose
+    order the row generator fixes, so the loop below keeps that order
+    and only strips the per-item generator/NamedTuple machinery;
+    ``rng.randrange(n)`` is spelled out as the ``getrandbits`` rejection
+    loop it runs internally.
+    """
+    if not 0.0 <= cold_fraction <= 1.0:
+        raise ValueError("cold_fraction must be within [0, 1]")
+    rng = random.Random(seed)
+    rnd = rng.random
+    getrandbits = rng.getrandbits
+    hot_lines = max(1, hot_bytes // 64)
+    cold_lines = max(1, cold_bytes // 64)
+    hot_bits = hot_lines.bit_length()
+    cold_bits = cold_lines.bit_length()
+    cold_base = base + hot_bytes
+    gaps = array("q", [gap]) * batch_size
+    pc_hot, pc_cold = _pc(5, 0), _pc(5, 1)
+    while True:
+        addrs = array("q", bytes(8 * batch_size))
+        writes = array("b", bytes(batch_size))
+        pcs = array("q", [pc_hot]) * batch_size
+        for i in range(batch_size):
+            if rnd() < write_fraction:
+                writes[i] = 1
+            if rnd() < cold_fraction:
+                line = getrandbits(cold_bits)
+                while line >= cold_lines:
+                    line = getrandbits(cold_bits)
+                addrs[i] = cold_base + line * 64
+                pcs[i] = pc_cold
+            else:
+                line = getrandbits(hot_bits)
+                while line >= hot_lines:
+                    line = getrandbits(hot_bits)
+                addrs[i] = base + line * 64
+        yield TraceBatch(gaps, addrs, writes, pcs)
 
 
 def zipf(

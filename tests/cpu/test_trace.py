@@ -72,21 +72,6 @@ def test_trace_batch_rejects_ragged_columns():
         TraceBatch([0, 1], [0x0], [0], [0x0])
 
 
-def test_trace_batch_derived_columns():
-    batch = batch_iter(ITEMS, size=len(ITEMS)).__next__()
-    page_shift, line_shift, set_mask = 12, 6, 0x3F
-    derived = batch.derived(page_shift, line_shift, set_mask)
-    assert derived.vlines == [i.addr >> line_shift for i in ITEMS]
-    assert derived.vpns == [i.addr >> page_shift for i in ITEMS]
-    page_off_mask = (1 << page_shift) - 1 & ~((1 << line_shift) - 1)
-    assert derived.line_offsets == [i.addr & page_off_mask for i in ITEMS]
-    assert derived.sets == [v & set_mask for v in derived.vlines]
-    # Cached per geometry: same key returns the same object.
-    assert batch.derived(page_shift, line_shift, set_mask) is derived
-    other = batch.derived(13, line_shift, set_mask)
-    assert other is not derived
-
-
 @pytest.mark.parametrize("size", [1, 2, 3, 1024])
 def test_batch_iter_chunks_and_preserves_order(size):
     batches = list(batch_iter(ITEMS, size=size))

@@ -1,11 +1,13 @@
-"""Batched-vs-scalar equivalence: the fused fast path changes nothing.
+"""Batched-vs-scalar equivalence: the trace form changes nothing.
 
-The array-batched core loop (columnar ``TraceBatch`` + fused L1-hit
-runs) is an execution strategy, not a model change — every stat table
-must be bit-identical to the per-item scalar dispatch loop.  These
-property tests drive both modes over randomized traces that mix L1
-hits, misses, writes and TLB misses, at batch sizes chosen to stress
-batch boundaries (1, 2, odd, huge), and diff the complete stat dump.
+A core reads a columnar ``TraceBatch`` stream through a cursor and a
+row-form trace through an iterator; both feed the one dispatch path, so
+every stat table must be bit-identical between them.  These property
+tests drive both forms over randomized traces that mix L1 hits, misses,
+writes and TLB misses, at batch sizes chosen to stress batch boundaries
+(1, 2, odd, huge), and diff the complete stat dump.  (Batched mode also
+arms the memory controllers' fused drain; the miss-heavy half of this
+file is that path's differential.)
 """
 
 import random
@@ -83,7 +85,7 @@ def _run(name: str, batched: bool):
     result = machine.run(
         warmup_instructions=_WARMUP, measure_instructions=_MEASURE
     )
-    return result, machine.registry.dump(), machine.engine.events_fired
+    return result, machine.registry.dump(), machine
 
 
 @pytest.mark.parametrize(
@@ -93,10 +95,10 @@ def _run(name: str, batched: bool):
     ids=["batch1", "batch2", "batch-odd", "batch-huge"],
 )
 def test_random_mix_stats_bit_identical(random_benchmark):
-    scalar_result, scalar_stats, scalar_events = _run(
+    scalar_result, scalar_stats, scalar_machine = _run(
         random_benchmark, batched=False
     )
-    batched_result, batched_stats, batched_events = _run(
+    batched_result, batched_stats, batched_machine = _run(
         random_benchmark, batched=True
     )
     assert batched_stats == scalar_stats
@@ -108,10 +110,17 @@ def test_random_mix_stats_bit_identical(random_benchmark):
         )
         assert bcore.l2_mpki == score.l2_mpki
         assert bcore.avg_load_latency == score.avg_load_latency
-    # The fused path exists to fire fewer events; on a mostly-hit mix it
-    # must actually engage (strictly fewer events), not silently fall
-    # back to scalar dispatch everywhere.
-    assert batched_events < scalar_events
+    # Both forms take the same dispatch decisions — including which
+    # ROB-stalled ops park without an event, and on a mostly-hit mix
+    # some must — so the cores fire the same events; only the fused MC
+    # drain (batched mode arms it) may still save some.
+    parked = [core.parked_dispatches for core in batched_machine.cores]
+    assert parked == [core.parked_dispatches for core in scalar_machine.cores]
+    assert sum(parked) > 0
+    assert (
+        batched_machine.engine.events_fired
+        <= scalar_machine.engine.events_fired
+    )
 
 
 def test_native_producer_matches_batch_iter_adapter():
@@ -143,11 +152,11 @@ def test_native_producer_matches_batch_iter_adapter():
 # Miss-heavy mixes: the memory-controller fused drain under stress.
 # ---------------------------------------------------------------------------
 #
-# The random mix above is mostly L1 hits, so it exercises the *core*
-# fused dispatch.  The mixes below are DRAM-bound: deep MRQs, blocked
-# cores, row conflicts, refresh blackouts, MSHR backpressure.  In
-# batched mode the Machine also arms the memory-controller fused drain,
-# so this diff covers both fast paths against the fully scalar machine.
+# The random mix above is mostly L1 hits, so it exercises the core's
+# hit and ROB-stall paths.  The mixes below are DRAM-bound: deep MRQs,
+# blocked cores, row conflicts, refresh blackouts, MSHR backpressure.
+# In batched mode the Machine also arms the memory-controller fused
+# drain, so this diff covers it against the fully scalar machine.
 
 from repro.validate import missheavy
 

@@ -157,3 +157,19 @@ def test_sampled_run_resumes_bit_identically(tmp_path):
         snapshot=SnapshotPlan(every=EVERY, write=False),
     )
     assert dataclasses.asdict(resumed) == dataclasses.asdict(oracle)
+
+
+def test_core_state_from_before_the_parking_rule_is_refused():
+    """Core state v1 carried fused-dispatch backoff counters and no
+    parked tally; restoring one must fail whole, not half-apply."""
+    from repro.common.errors import SnapshotSchemaError
+
+    config = _small(config_3d_fast())
+    machine = _build(config, {})
+    tree = machine.capture_state()
+    assert all(core["v"] == 2 for core in tree["cores"])
+    assert not any("fuse_fails" in core for core in tree["cores"])
+    tree["cores"][0] = dict(tree["cores"][0], v=1, fuse_fails=0, fuse_skip=0)
+    fresh = _build(config, {})
+    with pytest.raises(SnapshotSchemaError):
+        fresh.restore_state(tree)

@@ -147,3 +147,77 @@ def timing_mutations(
             yield param, shrink_timing(timing, param, factor)
         except ValueError:
             continue
+
+
+# ---------------------------------------------------------------------------
+# Whole-machine generators: a legal SystemConfig and a benchmark list.
+# ---------------------------------------------------------------------------
+
+#: (l1_size, l1_assoc): 32 sets, 32 sets, and 48 sets — the last is not
+#: a power of two, which turns the core's inline L1-hit path off.
+_L1_SHAPES = ((24 * 1024, 12), (8 * 1024, 4), (12 * 1024, 4))
+#: (l2_size, l2_assoc): the stock 12 MiB, and two that keep misses coming.
+_L2_SHAPES = ((12 << 20, 24), (1 << 20, 16), (64 * 1024, 8))
+
+#: Benchmarks whose references mostly hit in the L1 (the ``hot_cold``
+#: family): a core running one spends its time ROB-limited, not waiting
+#: on DRAM.
+HIT_BOUND_BENCHMARKS = (
+    "apsi", "h264", "mesa", "gzip", "astar", "zeusmp", "bzip2", "vortex",
+    "namd",
+)
+
+
+def random_system_config(seed: int, num_cores: int = 4):
+    """A legal machine: a paper preset with core/cache/MHA/DRAM knobs
+    re-drawn, small enough in every dimension to simulate in a blink."""
+    from repro.system import config as presets
+
+    rng = random.Random(seed ^ 0x5C0F)
+    base = rng.choice((
+        presets.config_2d, presets.config_3d, presets.config_3d_wide,
+        presets.config_3d_fast, presets.config_dual_mc,
+        presets.config_quad_mc,
+    ))()
+    l1_size, l1_assoc = rng.choice(_L1_SHAPES)
+    l2_size, l2_assoc = rng.choice(_L2_SHAPES)
+    return base.derive(
+        name=f"rand-{seed}",
+        num_cores=num_cores,
+        dispatch_width=rng.choice((1, 2, 4, 8)),
+        rob_size=rng.choice((16, 48, 96, 128)),
+        l1_size=l1_size,
+        l1_assoc=l1_assoc,
+        l1_mshr_entries=rng.choice((1, 2, 8)),
+        l1_prefetch=rng.random() < 0.7,
+        l1_replacement=rng.choice(("lru", "lru", "random", "srrip")),
+        dtlb_enabled=rng.random() < 0.8,
+        dtlb_entries=rng.choice((16, 64)),
+        dtlb_walk_penalty=rng.choice((10, 30)),
+        l2_size=l2_size,
+        l2_assoc=l2_assoc,
+        l2_prefetch=rng.random() < 0.7,
+        l2_mshr_organization=rng.choice(
+            ("conventional", "direct-mapped", "quadratic", "vbf",
+             "hierarchical")
+        ),
+        l2_mshr_per_bank=rng.choice((2, 8, 32)),
+        l2_mshr_dynamic=rng.random() < 0.3,
+        row_buffer_entries=rng.choice((1, 4)),
+        scheduler=rng.choice(("fr-fcfs", "fr-fcfs", "fcfs")),
+        dram_page_policy=rng.choice(("open", "open", "closed")),
+        dram_mapping_scheme=rng.choice(("page", "xor")),
+        dram_capacity=256 << 20,
+    )
+
+
+def random_benchmarks(seed: int, num_cores: int = 4) -> List[str]:
+    """One Table-2 benchmark per core; about half are hit-bound."""
+    from repro.workloads.benchmarks import BENCHMARKS
+
+    rng = random.Random(seed ^ 0xB3C4)
+    everything = sorted(BENCHMARKS)
+    return [
+        rng.choice(HIT_BOUND_BENCHMARKS if rng.random() < 0.5 else everything)
+        for _ in range(num_cores)
+    ]

@@ -55,6 +55,18 @@ def test_traces_are_deterministic_per_seed(name):
     assert a == b
 
 
+@pytest.mark.parametrize("name", sorted(TABLE2A_NAMES))
+def test_every_benchmark_has_a_native_columnar_producer(name):
+    """No paper benchmark chunks through the row-to-batch adapter, and
+    the columnar stream is the row generator's stream, item for item."""
+    spec = get_benchmark(name)
+    assert spec.batch_factory is not None
+    count = 2_500  # crosses two 1024-item batch boundaries
+    rows = list(itertools.islice(spec.trace(1 << 40, seed=5), count))
+    batched = list(itertools.islice(spec.batched_trace(1 << 40, seed=5), count))
+    assert batched == rows
+
+
 def test_intensity_ordering_follows_paper_bands():
     """Refs per kilo-instruction must be ordered with paper MPKI bands."""
 

@@ -185,3 +185,57 @@ def test_phased_validation():
         next(syn.phased([], 5))
     with pytest.raises(ValueError):
         next(syn.phased([iter([TraceItem(0, 1, False, 0)])], 0))
+
+
+# ---------------------------------------------------------------------------
+# Native columnar producers: the same item stream as the row generator.
+# ---------------------------------------------------------------------------
+
+_PRODUCER_PAIRS = {
+    "hot_cold": (
+        syn.hot_cold, syn.hot_cold_batches,
+        dict(hot_bytes=16 * 1024, cold_bytes=1 << 28, cold_fraction=0.04,
+             gap=9),
+    ),
+    "hot_cold-one-line-regions": (
+        # randrange(1) still draws one bit per call; so must the batches.
+        syn.hot_cold, syn.hot_cold_batches,
+        dict(hot_bytes=64, cold_bytes=64, cold_fraction=0.5, gap=3,
+             write_fraction=0.5),
+    ),
+    "random_uniform-rmw": (
+        syn.random_uniform, syn.random_uniform_batches,
+        dict(footprint=1 << 26, gap=2, rmw=True),
+    ),
+    "random_uniform": (
+        syn.random_uniform, syn.random_uniform_batches,
+        dict(footprint=1 << 26, gap=26, write_fraction=0.15),
+    ),
+    "random_uniform-odd-footprint": (
+        syn.random_uniform, syn.random_uniform_batches,
+        dict(footprint=64 * 1000, gap=1, write_fraction=0.5),
+    ),
+}
+
+
+@pytest.mark.parametrize("batch_size", [1, 7, 1024])
+@pytest.mark.parametrize("seed", [1, 42, 2008])
+@pytest.mark.parametrize("pair", sorted(_PRODUCER_PAIRS))
+def test_native_producer_matches_row_generator(pair, seed, batch_size):
+    rows_fn, batches_fn, kwargs = _PRODUCER_PAIRS[pair]
+    want = 3 * batch_size
+    rows = _take(rows_fn(0x4000, seed=seed, **kwargs), want)
+    native = []
+    for batch in batches_fn(
+        0x4000, seed=seed, batch_size=batch_size, **kwargs
+    ):
+        assert len(batch) == batch_size
+        native.extend(batch)
+        if len(native) >= want:
+            break
+    assert native == rows
+
+
+def test_hot_cold_batches_validation():
+    with pytest.raises(ValueError):
+        next(syn.hot_cold_batches(0, 1024, 1024, cold_fraction=-0.1))
