@@ -26,6 +26,7 @@ down by more than ``--max-regression`` (default 0.30).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import platform
@@ -267,149 +268,6 @@ def bench_host_calibration(repeats):
         "seconds": seconds,
         "ops_per_sec": 200_000 / seconds,
         "checksum": acc,
-    }
-
-
-def bench_dram_bank_batched(accesses, repeats):
-    """``Bank.access_run`` vs the per-element loop on a row-hit stream.
-
-    Rows cycle inside the 4-entry row-buffer cache, so after the first
-    few activates every access is a hit — the regime ``access_run``
-    collapses to closed-form attribute arithmetic.  Outputs are asserted
-    identical; ``value`` is the batched throughput and
-    ``speedup_vs_loop`` the ratio the fused drain banks on.
-    """
-    rng = random.Random(3)
-    rows = [rng.randrange(4) for _ in range(accesses)]
-
-    def make_bank():
-        timing = true_3d()
-        return Bank(timing, RefreshSchedule(timing, phase=0), 4)
-
-    def run_loop():
-        bank = make_bank()
-        t = 0
-        out = []
-        for row in rows:
-            result = bank.access(t, row, False)
-            out.append(result)
-            t = result[0]
-        return out
-
-    def run_batched():
-        return make_bank().access_run(0, rows, is_write=False)
-
-    loop_seconds, loop_out = best_of(run_loop, repeats)
-    batched_seconds, batched_out = best_of(run_batched, repeats)
-    assert batched_out == loop_out, "access_run diverged from the loop"
-    return {
-        "value": accesses / batched_seconds,
-        "unit": "accesses/sec",
-        "higher_is_better": True,
-        "wall_seconds": loop_seconds + batched_seconds,
-        "loop_seconds": loop_seconds,
-        "batched_seconds": batched_seconds,
-        "speedup_vs_loop": loop_seconds / batched_seconds,
-    }
-
-
-def _mc_loop_arm(fused, bursts, burst_size):
-    """One mc_loop arm: burst replay into a bare memory controller."""
-    from repro.common.request import AccessType, MemoryRequest
-    from repro.dram.device import DramDevice
-    from repro.dram.timing import ddr2_commodity
-    from repro.interconnect.bus import Bus
-    from repro.memctrl.controller import MemoryController
-    from repro.memctrl.mapping import AddressMapping
-    from repro.memctrl.schedulers import FrFcfsScheduler
-
-    engine = Engine()
-    mapping = AddressMapping(num_mcs=1, ranks_per_mc=4, banks_per_rank=4)
-    device = DramDevice(ddr2_commodity(), num_ranks=4, banks_per_rank=4)
-    # A long wire pushes completions out past the whole burst, so the
-    # drain can retire a burst in one window — the deep-queue, high-MLP
-    # regime this fast path exists for.
-    bus = Bus(width_bytes=64, cycles_per_beat=1, wire_latency=120)
-    mc = MemoryController(
-        0, engine, device, bus, FrFcfsScheduler(), mapping,
-        queue_capacity=2 * burst_size, quantum=1,
-    )
-    if fused:
-        mc.enable_fused_drain()
-    record = []
-
-    def done(request):
-        record.append(
-            (request.addr, request.issued_to_dram_at, request.completed_at)
-        )
-
-    # Sixteen streaming sequences, one per rank x bank pair (the
-    # page-interleaved mapping puts the low 4 page bits on bank/rank):
-    # line-stride within a row, advancing to the next row every 64
-    # lines — the MLP-rich, locality-rich burst profile an L2 miss
-    # storm hands the controller.  With every bank covered, issue
-    # spacing is quantum-limited rather than tCCD-limited, so a burst
-    # drains in few windows.
-    elapsed = 0.0
-    for burst in range(bursts):
-        for i in range(burst_size):
-            stream = i & 15
-            line = burst * (burst_size // 16) + (i >> 4)
-            addr = (
-                stream * 4096
-                + (line // 64) * (16 * 4096)
-                + (line % 64) * 64
-            )
-            mc.enqueue(MemoryRequest(addr, AccessType.READ, callback=done))
-        start = time.perf_counter()
-        engine.run()
-        elapsed += time.perf_counter() - start
-        # Idle forward so every burst starts quiescent at the same time
-        # in both arms.
-        engine.schedule_at(engine.now + 500, lambda: None)
-        engine.run()
-    return elapsed, record, engine.events_fired, mc
-
-
-def bench_mc_loop(repeats, bursts=120, burst_size=32):
-    """Tentpole metric: the fused memory-side drain on deep MRQ bursts.
-
-    Bursts of reads land on a quiescent bare controller (no cores, no
-    caches): the scalar pump replays them one event-driven arbitration
-    per issue; the fused drain retires whole windows analytically.  Only
-    the service loop (``engine.run``) is timed — the enqueue path is
-    byte-identical in both arms and outside this PR's fast path.  The
-    completion records are asserted identical; ``value`` is the
-    wall-clock speedup fused-over-scalar — an in-process ratio, immune
-    to host drift.  CI gates this at ``MIN_MC_LOOP_RATIO``.
-    """
-
-    # Interleave the arms so host-speed drift (frequency scaling, cache
-    # warmth) hits both equally; take the best repeat per arm.
-    best = {False: (float("inf"), None), True: (float("inf"), None)}
-    for _ in range(repeats):
-        for fused in (False, True):
-            seconds, record, events, mc = _mc_loop_arm(
-                fused, bursts, burst_size
-            )
-            if seconds < best[fused][0]:
-                best[fused] = (seconds, (record, events, mc))
-    scalar_seconds, (scalar_record, scalar_events, _) = best[False]
-    fused_seconds, (fused_record, fused_events, mc) = best[True]
-    assert fused_record == scalar_record, "fused drain diverged from scalar"
-    stats = mc.fused_stats()
-    assert stats["fused_issues"] > 0, f"drain never engaged: {stats}"
-    return {
-        "value": scalar_seconds / fused_seconds,
-        "unit": "speedup_vs_scalar",
-        "higher_is_better": True,
-        "wall_seconds": scalar_seconds + fused_seconds,
-        "scalar_seconds": scalar_seconds,
-        "fused_seconds": fused_seconds,
-        "scalar_events": scalar_events,
-        "fused_events": fused_events,
-        "fused_issues": stats["fused_issues"],
-        "fused_windows": stats["windows"],
     }
 
 
@@ -663,9 +521,9 @@ def bench_snapshot_overhead(repeats):
             fresh._apply_restore()
             return fresh.engine.now
 
-        # Interleave the arms (the mc_loop discipline): the gated value
-        # is a ratio, so cell and checkpoint timings must see the same
-        # host conditions or a load spike on one side skews it.
+        # Interleave the arms: the gated value is a ratio, so cell and
+        # checkpoint timings must see the same host conditions or a load
+        # spike on one side skews it.
         best = {"cell": float("inf"), "capture": float("inf"),
                 "build": float("inf"), "restore_total": float("inf")}
         resumed_cycle = None
@@ -676,6 +534,10 @@ def bench_snapshot_overhead(repeats):
                 ("build", build),
                 ("restore_total", run_restore),
             ):
+                # The machines earlier arms dropped are cyclic garbage;
+                # reclaim them here, or a ~20 ms full collection lands in
+                # whichever arm the allocation count happens to pick.
+                gc.collect()
                 start = time.perf_counter()
                 out = fn()
                 elapsed = time.perf_counter() - start
@@ -716,10 +578,6 @@ def run_suite(quick):
         "mshr_vbf": bench_mshr(lambda: VbfMshr(32), ops, repeats),
         "mshr_conventional": bench_mshr(lambda: ConventionalMshr(32), ops, repeats),
         "dram_bank": bench_dram_bank(ops, repeats),
-        "dram_bank_batched": bench_dram_bank_batched(
-            5_000 if quick else 20_000, repeats
-        ),
-        "mc_loop": bench_mc_loop(3, bursts=80 if quick else 120),
         "trace_gen": bench_trace_gen(200_000 if quick else 1_000_000, repeats),
         "figure4_smoke": bench_figure4_smoke(1 if quick else 2),
         "figure4_rasoff": bench_figure4_rasoff(2 if quick else 3),
@@ -731,10 +589,6 @@ def run_suite(quick):
 #: Tolerated zero-rate-RAS-on vs RAS-off wall-clock ratio (the hook cost
 #: itself is branch-predictable attribute checks; 2% covers timer noise).
 RAS_HOOK_BUDGET = 1.02
-
-#: Floor on the mc_loop fused-over-scalar speedup.  An in-process ratio,
-#: so host drift cannot save a fast path that stopped engaging.
-MIN_MC_LOOP_RATIO = 2.0
 
 #: Ceiling on one checkpoint + one restore as a fraction of the smoke
 #: cell's runtime (an in-process ratio, immune to host drift).
@@ -931,21 +785,6 @@ def main(argv=None):
                 f"FAIL: zero-rate RAS-on run is {hook_ratio:.3f}x the "
                 "RAS-off run; hook budget is "
                 f"{RAS_HOOK_BUDGET:.2f}x"
-            )
-            return 1
-
-    mc_ratio = metrics.get("mc_loop", {}).get("value")
-    if mc_ratio is not None:
-        under = mc_ratio < MIN_MC_LOOP_RATIO
-        print(
-            f"mc_loop fused speedup: {mc_ratio:.2f}x "
-            f"(floor {MIN_MC_LOOP_RATIO:.1f}x)"
-            + ("  <-- UNDER FLOOR" if under else "")
-        )
-        if args.check and under:
-            print(
-                f"FAIL: fused memory-side drain is {mc_ratio:.2f}x the "
-                f"scalar pump; floor is {MIN_MC_LOOP_RATIO:.1f}x"
             )
             return 1
 

@@ -13,9 +13,9 @@ Modes:
      which names the violated constraint.
 
   With ``--batched`` the smoke additionally diffs row-form (iterator)
-  traces and the scalar MC pump against columnar (cursor) traces and
-  the fused MC drain — plain, checker-enabled and sampled — and fails
-  on any transcript or stat divergence.
+  traces against columnar (cursor) traces — plain, checker-enabled and
+  sampled — and fails on any transcript or stat divergence;
+  ``--miss-heavy`` repeats that on DRAM-bound synthetic mixes.
 
 * ``--modes`` (CI): stack-mode seam assertions —
   1. ``memory`` mode is **bit-identical** to the all-direct MemCache
@@ -125,10 +125,9 @@ def cmd_smoke(args) -> int:
     else:
         print("checkers attached: transcript unchanged, all invariants held")
 
-    # Batched-vs-scalar: the trace form (and the MC drain batched mode
-    # arms) is an execution-strategy change only, so the two machines
-    # must match bit-for-bit — plain, with checkers attached, and under
-    # a sampling plan (skip-ahead seam).
+    # Batched-vs-scalar: the trace form is a representation change
+    # only, so the two machines must match bit-for-bit — plain, with
+    # checkers attached, and under a sampling plan (skip-ahead seam).
     if args.batched:
         from repro.sampling.plan import SamplingPlan
         from repro.validate import diff_batched
@@ -153,10 +152,10 @@ def cmd_smoke(args) -> int:
             if not breport.identical:
                 failures.append(f"{name}: transcripts/stats diverged")
 
-        # Miss-heavy mixes: DRAM-bound traffic that puts the fused
-        # memory-controller drain (not just the core fast path) on the
-        # line.  The L2 is shrunk so the looping synthetic footprints
-        # stay miss-heavy for the whole run.
+        # Miss-heavy mixes: DRAM-bound traffic (saturated MRQ, row
+        # conflicts, refresh blackouts) behind both trace forms.  The
+        # L2 is shrunk so the looping synthetic footprints stay
+        # miss-heavy for the whole run.
         if args.miss_heavy:
             from repro.validate import missheavy
 
@@ -167,7 +166,7 @@ def cmd_smoke(args) -> int:
             mh_benchmarks = list(names.values())
             try:
                 for name, kwargs in variants:
-                    breport, _, rhs = diff_batched(
+                    breport, _, _ = diff_batched(
                         mh_config, mh_benchmarks,
                         warmup=scale.warmup_instructions,
                         measure=scale.measure_instructions,
@@ -178,13 +177,6 @@ def cmd_smoke(args) -> int:
                     if not breport.identical:
                         failures.append(
                             f"miss-heavy {name}: transcripts/stats diverged"
-                        )
-                    fused = rhs.result.extra.get("fused_mc_issues", 0.0)
-                    print(f"  (fused drain issues: {fused:.0f})")
-                    if not fused:
-                        failures.append(
-                            f"miss-heavy {name}: fused drain never engaged "
-                            "(differential proved nothing)"
                         )
             finally:
                 missheavy.unregister(names)
@@ -282,8 +274,7 @@ def main(argv=None) -> int:
                              "cores (plain, checker-enabled, sampled)")
     parser.add_argument("--miss-heavy", action="store_true",
                         help="with --smoke --batched: also diff the "
-                             "DRAM-bound miss-heavy mixes that drive the "
-                             "fused memory-controller drain")
+                             "DRAM-bound miss-heavy mixes")
     parser.add_argument("--preset-a", default="2d",
                         choices=["2d", "3d-commodity", "true-3d"])
     parser.add_argument("--preset-b", default="true-3d",

@@ -5,7 +5,7 @@ Modes:
 
 * ``--smoke`` (CI): the checkpoint/restore acceptance gate —
   1. for every snapshot-relevant machine shape (plain, checker-enabled,
-     sampled, scalar-core, fused-MC miss-heavy, L4 cache mode, RAS-on)
+     sampled, scalar-core, miss-heavy, L4 cache mode, RAS-on)
      a run is **preempted at a randomized snapshot boundary**, resumed
      from the on-disk snapshot in a fresh ``Machine``, and the stitched
      run (pre-preemption transcript + post-resume transcript, final
@@ -61,7 +61,7 @@ def _scenarios():
     Every entry is ``(name, config, machine_kwargs, sampling)`` — one
     per subsystem with restore-sensitive state: the plain batched path,
     runtime checkers, the sampling controller, the scalar core loop,
-    the fused memory-controller drain under miss-heavy traffic, the L4
+    a saturated MRQ under miss-heavy traffic, the L4
     stacked-cache mode, and the RAS scrub/fault machinery.
     """
     fast = CONFIGS["3d-fast"]()
@@ -71,9 +71,9 @@ def _scenarios():
         ("sampled", fast, {}, SamplingPlan()),
         ("scalar", fast, {"batched": False}, None),
         (
-            "fused-mc",
+            "miss-heavy",
             fast.derive(name="3d-fast-mh", l2_size=64 * KIB, l2_assoc=8),
-            {"fused_mc": True},
+            {},
             None,
         ),
         ("l4-cache", config_l4_cache(base=fast), {}, None),
@@ -406,7 +406,7 @@ def main(argv=None) -> int:
                            "machine shape + damage refusal + service chaos")
     mode.add_argument("--one", metavar="SCENARIO",
                       help="run one scenario's differential (plain, "
-                           "checkers, sampled, scalar, fused-mc, l4-cache, "
+                           "checkers, sampled, scalar, miss-heavy, l4-cache, "
                            "ras-on)")
     parser.add_argument("--scale", default="smoke",
                         choices=["smoke", "default", "large"])

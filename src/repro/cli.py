@@ -9,8 +9,8 @@ Commands:
   report.
 * ``profile run --config 2d --mix H1`` — run one workload (or
   ``figure4``) in-process under cProfile and print the top hotspots
-  plus the fused/scalar memory-controller window statistics and, for
-  ``run``, each core's parked-dispatch tally.
+  plus, for ``run``, one line per memory controller (issues, row-hit
+  rate, queue wait, MRQ occupancy) and each core's parked-dispatch tally.
 * ``figure {4,6a,6b,7,9}``            — regenerate a figure.
 * ``table {2a,2b}``                   — regenerate a table.
 * ``fairness --config quad-mc``       — solo-vs-mixed fairness metrics.
@@ -233,7 +233,6 @@ def _cmd_run(args) -> int:
         workload_name=workload_name,
         checkers=args.check,
         sampling=plan,
-        fused_mc=False if args.no_fused_mc else None,
     )
     print(f"config {config.name}, workload {workload_name} ({scale.name} scale)")
     if args.check:
@@ -263,15 +262,10 @@ def _cmd_profile(args) -> int:
     import cProfile
     import pstats
 
-    from .system.machine import ENV_FUSED_MC, Machine
+    from .system.machine import Machine
 
-    if args.no_fused_mc:
-        # The env hatch reaches every machine the experiment builds,
-        # including runner cells that never see an explicit argument.
-        os.environ[ENV_FUSED_MC] = "0"
     scale = get_scale(args.scale)
     profiler = cProfile.Profile()
-    fused = None
     if args.experiment == "run":
         config = CONFIGS[args.config]()
         mix = MIXES[args.mix]
@@ -289,54 +283,20 @@ def _cmd_profile(args) -> int:
             f"profiled run: config {config.name}, workload {mix.name} "
             f"({scale.name} scale), HMIPC {result.hmipc:.3f}"
         )
-        fused = [mc.fused_stats() for mc in machine.memory.controllers]
-    else:
-        profiler.enable()
-        figure = run_figure4(
-            scale=scale, mixes=_mixes_arg(args.mixes), seed=args.seed,
-            workers=1,
-        )
-        profiler.disable()
-        print(f"profiled figure4 ({scale.name} scale, in-process cells)")
-        fused = figure.table
-
-    print("\nfused memory-controller drain:")
-    if isinstance(fused, list):
-        for index, snap in enumerate(fused):
-            if not snap["enabled"]:
-                print(f"  mc{index}: drain disabled (scalar pump only)")
-                continue
-            breaks = ", ".join(
-                f"{reason}={count}"
-                for reason, count in sorted(snap["breaks"].items())
-            ) or "none"
+        print("\nmemory controllers:")
+        for mc in machine.memory.controllers:
+            get = mc.stats.get
+            issued = get("issued")
+            accepts = get("mrq_accepts")
             print(
-                f"  mc{index}: windows {snap['windows']}, "
-                f"fused issues {snap['fused_issues']}, "
-                f"scalar pumps {snap['scalar_pumps']}, breaks: {breaks}"
+                f"  {mc.stats.name}: issued {issued:.0f}, "
+                f"row-hit rate {get('row_hits') / max(issued, 1.0):.3f}, "
+                f"mean queue wait "
+                f"{get('queue_wait_cycles') / max(issued, 1.0):.1f} cyc, "
+                f"mean MRQ occupancy "
+                f"{get('mrq_occupancy_sum') / max(accepts, 1.0):.2f}, "
+                f"MRQ rejections {get('mrq_rejections'):.0f}"
             )
-    else:
-        # Cells only surface the aggregate extras (the per-controller
-        # break histograms die with each cell's machine).
-        totals = {"fused_mc_windows": 0.0, "fused_mc_issues": 0.0,
-                  "fused_mc_scalar_pumps": 0.0}
-        armed = 0
-        for cell in fused.cells.values():
-            if "fused_mc_windows" in cell.extra:
-                armed += 1
-                for key in totals:
-                    totals[key] += cell.extra.get(key, 0.0)
-        if armed:
-            print(
-                f"  {armed} cell(s): "
-                f"windows {totals['fused_mc_windows']:.0f}, "
-                f"fused issues {totals['fused_mc_issues']:.0f}, "
-                f"scalar pumps {totals['fused_mc_scalar_pumps']:.0f}"
-            )
-        else:
-            print("  drain disabled in every cell (scalar pump only)")
-
-    if args.experiment == "run":
         # A plain per-core tally (not a registry counter): how many
         # follow-up dispatch events the ROB parking rule saved.
         print("\ncore dispatch parking (ROB-stall events saved):")
@@ -346,6 +306,14 @@ def _cmd_profile(args) -> int:
                 f"{core.stats.get('rob_stalls'):.0f} ROB stalls, "
                 f"{core.stats.get('dispatched_refs'):.0f} refs dispatched"
             )
+    else:
+        profiler.enable()
+        run_figure4(
+            scale=scale, mixes=_mixes_arg(args.mixes), seed=args.seed,
+            workers=1,
+        )
+        profiler.disable()
+        print(f"profiled figure4 ({scale.name} scale, in-process cells)")
 
     print(f"\ntop {args.top} functions by {args.sort}:")
     stats = pstats.Stats(profiler)
@@ -670,17 +638,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=42)
     _add_check_flag(p_run)
     _add_sample_flag(p_run)
-    p_run.add_argument(
-        "--no-fused-mc", action="store_true",
-        help="disable the fused memory-controller drain (same as "
-        "REPRO_FUSED_MC=0); the scalar pump handles every issue",
-    )
     p_run.set_defaults(func=_cmd_run)
 
     p_prof = sub.add_parser(
         "profile",
         help="run one experiment in-process under cProfile: top hotspots "
-        "plus fused/scalar memory-controller window statistics",
+        "plus per-controller and per-core tallies",
     )
     p_prof.add_argument("experiment", choices=["run", "figure4"])
     p_prof.add_argument("--config", default="3d-fast",
@@ -695,10 +658,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="functions to print")
     p_prof.add_argument("--sort", default="cumulative",
                         choices=["cumulative", "tottime"])
-    p_prof.add_argument(
-        "--no-fused-mc", action="store_true",
-        help="profile the scalar pump instead (exports REPRO_FUSED_MC=0)",
-    )
     p_prof.set_defaults(func=_cmd_profile)
 
     p_fig = sub.add_parser("figure", help="regenerate a paper figure")

@@ -125,83 +125,6 @@ class Bank:
         self._c_row_misses.value += 1.0
         return data_time, False
 
-    def access_run(self, start: int, rows, is_write: bool = False):
-        """Chained bulk access: each element starts at the previous
-        element's data time.
-
-        Bit-identical to the equivalent loop::
-
-            t = start
-            for row in rows:
-                data, hit = bank.access(t, row, is_write)
-                out.append((data, hit))
-                t = data
-
-        but steps homogeneous row-hit runs closed-form: while the run
-        stays inside a refresh-blackout-free span of the current epoch
-        and the target row is latched, each access is exactly
-        ``data = t + tCAS`` with ``_bank_ready = t + tCCD``, so the loop
-        collapses to attribute arithmetic.  Any element that leaves the
-        fast regime (row miss, blackout boundary, epoch crossing,
-        closed-page policy, instrumented ``access``) falls back to
-        :meth:`access` for that element and re-probes.
-        """
-        out = []
-        append = out.append
-        t = start
-        access = self.access
-        # Instance-wrapped access (validation observers) must see every
-        # element; page policy "closed" never hits.
-        if "access" in self.__dict__ or self.page_policy != "open":
-            for row in rows:
-                result = access(t, row, is_write)
-                append(result)
-                t = result[0]
-            return out
-        timing = self.timing
-        t_cas = timing.t_cas
-        t_ccd = timing.t_ccd
-        refresh = self.refresh
-        buffers = self.row_buffers
-        lookup = buffers.lookup
-        touch_dirty = buffers.touch_dirty
-        # The fast regime is valid while t stays in [t, safe_until): no
-        # blackout (earliest_available is the identity) and a constant
-        # refresh epoch (epochs only change when a blackout opens).
-        safe_until = -1
-        hits = 0
-        for row in rows:
-            if t >= safe_until:
-                if (
-                    self._bank_ready <= t
-                    and refresh.earliest_available(t) == t
-                    and refresh.epoch(t) == self._epoch
-                ):
-                    safe_until = refresh.next_blackout_start(t)
-                if t >= safe_until:
-                    result = access(t, row, is_write)
-                    append(result)
-                    t = result[0]
-                    continue
-            if self._bank_ready <= t and lookup(row):
-                data = t + t_cas
-                if is_write:
-                    touch_dirty(row)
-                self._bank_ready = t + t_ccd
-                hits += 1
-                append((data, True))
-                t = data
-                continue
-            result = access(t, row, is_write)
-            append(result)
-            t = result[0]
-            # access may have crossed an epoch or moved ready times;
-            # force a re-probe of the fast regime.
-            safe_until = -1
-        if hits:
-            self._c_row_hits.value += float(hits)
-        return out
-
     def functional_touch(self, row: int, is_write: bool) -> None:
         """Functional-warmup path: update open-row state only.
 

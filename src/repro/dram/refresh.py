@@ -132,27 +132,6 @@ class RefreshSchedule:
                 return epoch0 + (time - start) // refi
         return -1  # pragma: no cover - unreachable (phase == first start)
 
-    def next_blackout_start(self, time: int) -> int:
-        """First cycle >= ``time`` that falls inside a blackout window.
-
-        Every cycle in ``[time, next_blackout_start(time))`` is
-        blackout-free, so within that span :meth:`earliest_available` is
-        the identity and :meth:`epoch` is constant (a new epoch begins
-        exactly when a blackout opens).  The controller's fused drain
-        uses this to bound a batch window analytically.
-
-        Only exact for the current anchored regime: for times before the
-        anchor (historical regimes, or a pending rate change whose
-        boundary lies in the future) it conservatively returns ``time``
-        itself, which callers treat as "no usable window".
-        """
-        if time < self._anchor:
-            return time
-        offset = (time - self._anchor) % self.t_refi
-        if offset < self.t_rfc:
-            return time
-        return time + (self.t_refi - offset)
-
     def earliest_available(self, time: int) -> int:
         """Earliest cycle >= ``time`` that is outside a blackout window."""
         if time >= self._anchor:

@@ -113,8 +113,6 @@ class Engine:
         "_events_fired",
         "_stop",
         "_active_batch",
-        "_active_pos",
-        "run_deadline",
     )
 
     def __init__(self, horizon: int = DEFAULT_HORIZON) -> None:
@@ -138,12 +136,9 @@ class Engine:
         self._seq = 0
         self._events_fired = 0
         self._stop = False
-        # Introspection for the MC fused drain: the detached
-        # same-cycle batch currently being fired (and how far into it the
-        # walk has progressed), plus the active run's `until` deadline.
+        # The detached same-cycle batch currently being fired; non-None
+        # only inside a callback, where capture_state refuses to run.
         self._active_batch: Optional[List[Event]] = None
-        self._active_pos = 0
-        self.run_deadline: Optional[int] = None
 
     @property
     def events_fired(self) -> int:
@@ -154,75 +149,6 @@ class Engine:
     def pending(self) -> int:
         """Number of events still queued (including cancelled ones)."""
         return self._wheel_count + len(self._heap)
-
-    # ------------------------------------------------------------------
-    # Introspection (memory-controller fused drain support)
-    # ------------------------------------------------------------------
-    def cycle_quiescent(self) -> bool:
-        """True when no further event can fire in the current cycle.
-
-        Callable only from inside an event callback.  Checks the unfired
-        tail of the detached same-cycle batch, the current wheel slot
-        (same-cycle events scheduled *by* callbacks this cycle), and the
-        heap top.  Conservative: a cancelled heap top reports the cycle
-        as busy rather than paying a pop to find out.
-        """
-        now = self.now
-        batch = self._active_batch
-        if batch is not None:
-            for event in batch[self._active_pos:]:
-                if not event.cancelled:
-                    return False
-        bucket = self._wheel[now & self._mask]
-        if bucket is not None:
-            for event in bucket:
-                if not event.cancelled and event.time == now:
-                    return False
-        heap = self._heap
-        if heap and heap[0].time <= now:
-            return False
-        return True
-
-    def peek_next_time(
-        self, limit: int, ignore: Optional[Event] = None
-    ) -> Optional[int]:
-        """Earliest event time in ``(now, now + limit]``, else ``None``.
-
-        Scans wheel slots forward from the next cycle, skipping cancelled
-        events (exact — they never fire) and the single ``ignore`` event
-        (the caller's own absorbed event).  Stale bucket leftovers are
-        recognised by their time not matching the slot's cycle.  A heap
-        event inside the window bounds the result conservatively even if
-        cancelled.
-        """
-        now = self.now
-        if limit >= self._horizon:
-            limit = self._horizon - 1
-        best = None
-        if self._wheel_count:
-            wheel = self._wheel
-            mask = self._mask
-            for delta in range(1, limit + 1):
-                time = now + delta
-                bucket = wheel[time & mask]
-                if bucket is None:
-                    continue
-                for event in bucket:
-                    if (
-                        not event.cancelled
-                        and event is not ignore
-                        and event.time == time
-                    ):
-                        best = time
-                        break
-                if best is not None:
-                    break
-        heap = self._heap
-        if heap:
-            heap_time = heap[0].time
-            if heap_time <= now + limit and (best is None or heap_time < best):
-                best = heap_time
-        return best
 
     @property
     def horizon(self) -> int:
@@ -467,7 +393,6 @@ class Engine:
             max_cycles = watchdog.max_cycles
             pending_work = watchdog.pending_work
         self._stop = False
-        self.run_deadline = until
         # Budgets are measured against the engine-wide events_fired
         # counter so run() and step() account identically; cancelled
         # events never increment it in either path.
@@ -492,7 +417,6 @@ class Engine:
                     until, stop_when, max_cycles, budget, start_fired
                 )
         finally:
-            self.run_deadline = None
             if gc_was_enabled:
                 gc.enable()
         if not drained:
@@ -565,13 +489,10 @@ class Engine:
                         # exception path so diagnostics stay exact.
                         fired = self._events_fired
                         self._active_batch = bucket
-                        pos = 0
                         try:
                             for event in bucket:
-                                pos += 1
                                 if not event.cancelled:
                                     fired += 1
-                                    self._active_pos = pos
                                     event.fn(*event.args)
                                     if self._stop:
                                         self._requeue_rest(bucket, event, cursor)
@@ -664,7 +585,6 @@ class Engine:
                     )
                 self.now = time
                 self._events_fired += 1
-                self._active_pos = idx
                 try:
                     event.fn(*event.args)
                 except BaseException:
@@ -781,8 +701,6 @@ class Engine:
         self._heap_cancelled = state["heap_cancelled"]
         self._stop = False
         self._active_batch = None
-        self._active_pos = 0
-        self.run_deadline = None
 
 
 class HeapEngine:
@@ -806,7 +724,6 @@ class HeapEngine:
         self._seq = 0
         self._events_fired = 0
         self._stop = False
-        self.run_deadline: Optional[int] = None
 
     @property
     def events_fired(self) -> int:
@@ -817,31 +734,6 @@ class HeapEngine:
     def pending(self) -> int:
         """Number of events still in the heap (including cancelled ones)."""
         return len(self._queue)
-
-    def cycle_quiescent(self) -> bool:
-        """True when no queued event can fire in the current cycle.
-
-        Conservative on cancelled tops (reports busy); events are popped
-        one at a time here, so the queue top is the full picture.
-        """
-        queue = self._queue
-        return not queue or queue[0].time > self.now
-
-    def peek_next_time(
-        self, limit: int, ignore: Optional[Event] = None
-    ) -> Optional[int]:
-        """Earliest queued time in ``(now, now + limit]``, else ``None``.
-
-        Heap order only exposes the top without a scan, so ``ignore`` is
-        not honoured here: the caller's own absorbed event bounds the
-        window conservatively (less fusion, never divergence).
-        """
-        queue = self._queue
-        if queue:
-            time = queue[0].time
-            if self.now < time <= self.now + limit:
-                return time
-        return None
 
     def schedule(self, delay: int, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` cycles from now."""
@@ -900,43 +792,39 @@ class HeapEngine:
             max_cycles = watchdog.max_cycles
             pending_work = watchdog.pending_work
         self._stop = False
-        self.run_deadline = until
         start_fired = self._events_fired
-        try:
-            while self._queue:
-                event = self._queue[0]
-                if event.cancelled:
-                    heappop(self._queue)
-                    continue
-                if until is not None and event.time > until:
-                    self.now = until
-                    return
-                if max_cycles is not None and event.time > max_cycles:
-                    raise SimulationHang(
-                        f"exceeded max_cycles={max_cycles}: next event at "
-                        f"cycle {event.time} with {len(self._queue)} events "
-                        f"queued and {self._events_fired - start_fired} "
-                        "fired this run",
-                        cycle=self.now,
-                        events_fired=self._events_fired - start_fired,
-                        queue_depth=len(self._queue),
-                    )
-                if budget is not None and self._events_fired - start_fired >= budget:
-                    raise SimulationHang(
-                        f"exceeded max_events={budget} at cycle {self.now} "
-                        f"with {len(self._queue)} events still queued",
-                        cycle=self.now,
-                        events_fired=self._events_fired - start_fired,
-                        queue_depth=len(self._queue),
-                    )
+        while self._queue:
+            event = self._queue[0]
+            if event.cancelled:
                 heappop(self._queue)
-                self.now = event.time
-                self._events_fired += 1
-                event.fn(*event.args)
-                if self._stop or (stop_when is not None and stop_when()):
-                    return
-        finally:
-            self.run_deadline = None
+                continue
+            if until is not None and event.time > until:
+                self.now = until
+                return
+            if max_cycles is not None and event.time > max_cycles:
+                raise SimulationHang(
+                    f"exceeded max_cycles={max_cycles}: next event at "
+                    f"cycle {event.time} with {len(self._queue)} events "
+                    f"queued and {self._events_fired - start_fired} "
+                    "fired this run",
+                    cycle=self.now,
+                    events_fired=self._events_fired - start_fired,
+                    queue_depth=len(self._queue),
+                )
+            if budget is not None and self._events_fired - start_fired >= budget:
+                raise SimulationHang(
+                    f"exceeded max_events={budget} at cycle {self.now} "
+                    f"with {len(self._queue)} events still queued",
+                    cycle=self.now,
+                    events_fired=self._events_fired - start_fired,
+                    queue_depth=len(self._queue),
+                )
+            heappop(self._queue)
+            self.now = event.time
+            self._events_fired += 1
+            event.fn(*event.args)
+            if self._stop or (stop_when is not None and stop_when()):
+                return
         if pending_work is not None:
             outstanding = pending_work()
             if outstanding:
@@ -968,4 +856,3 @@ class HeapEngine:
         self._events_fired = state["events_fired"]
         self._queue = [ctx.get_event(ref) for ref in state["queue"]]
         self._stop = False
-        self.run_deadline = None

@@ -81,36 +81,6 @@ class Bus:
             self._c_queue_cycles.value += queue_delay
         return start, end + self.wire_latency
 
-    def transfer_run(self, size_bytes: int, earliest_starts):
-        """Reserve the bus for a run of same-size transfers, in order.
-
-        Bit-identical to calling :meth:`transfer` once per element of
-        ``earliest_starts`` (same reservations, same counters), but the
-        occupancy is computed once and the counter updates are batched,
-        so fused bulk paths pay one method call per run instead of one
-        per transfer.  Returns the list of ``(start, arrival)`` pairs.
-        """
-        occupancy = self.occupancy_cycles(size_bytes)
-        wire = self.wire_latency
-        free_at = self._free_at
-        queue_cycles = 0
-        out = []
-        append = out.append
-        for earliest in earliest_starts:
-            start = earliest if earliest > free_at else free_at
-            free_at = start + occupancy
-            if start > earliest:
-                queue_cycles += start - earliest
-            append((start, free_at + wire))
-        self._free_at = free_at
-        count = len(out)
-        self._c_transfers.value += float(count)
-        self._c_busy_cycles.value += float(count * occupancy)
-        self._c_bytes.value += float(count * size_bytes)
-        if queue_cycles:
-            self._c_queue_cycles.value += float(queue_cycles)
-        return out
-
     def peek_arrival(self, size_bytes: int, earliest_start: int) -> int:
         """Arrival time a transfer *would* get, without reserving."""
         start = max(earliest_start, self._free_at)

@@ -4,13 +4,8 @@ The paper keeps the *aggregate* MRQ capacity constant at 32 entries across
 all controllers: one MC gets a 32-entry queue, four MCs get 8 entries each
 (Section 4.1).
 
-The queue is stored structure-of-arrays: alongside the ``MrqEntry``
-handles (which schedulers, checkers, and tests consume) it maintains
-parallel columns of the fields the controller's ready-scan touches every
-pump — bank object, row, arrival cycle.  The scalar pump and the fused
-drain both scan the columns with plain attribute loads instead of
-chasing per-entry objects; the entry list stays the source of truth for
-everything else.
+The queue is a plain arrival-ordered list of :class:`MrqEntry` handles;
+the controller's pump, the schedulers and the checkers all iterate it.
 """
 
 from __future__ import annotations
@@ -55,10 +50,6 @@ class MemoryRequestQueue:
             raise ValueError("MRQ capacity must be >= 1")
         self.capacity = capacity
         self._entries: List[MrqEntry] = []
-        # Parallel columns, index-aligned with _entries.
-        self._banks: List = []
-        self._rows: List[int] = []
-        self._arrivals: List[int] = []
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -76,21 +67,6 @@ class MemoryRequestQueue:
         """Entries in arrival order (the scheduler may pick any of them)."""
         return self._entries
 
-    @property
-    def banks(self) -> List:
-        """Bank column, index-aligned with :attr:`entries`."""
-        return self._banks
-
-    @property
-    def rows(self) -> List[int]:
-        """Row column, index-aligned with :attr:`entries`."""
-        return self._rows
-
-    @property
-    def arrivals(self) -> List[int]:
-        """Arrival-cycle column, index-aligned with :attr:`entries`."""
-        return self._arrivals
-
     def push(
         self,
         request: MemoryRequest,
@@ -103,21 +79,10 @@ class MemoryRequestQueue:
             return None
         entry = MrqEntry(request, coords, now, bank)
         self._entries.append(entry)
-        self._banks.append(bank)
-        self._rows.append(coords.row)
-        self._arrivals.append(now)
         return entry
 
     def remove(self, entry: MrqEntry) -> None:
-        self.remove_at(self._entries.index(entry))
-
-    def remove_at(self, index: int) -> MrqEntry:
-        """Remove and return the entry at ``index`` (column-aligned)."""
-        entry = self._entries.pop(index)
-        del self._banks[index]
-        del self._rows[index]
-        del self._arrivals[index]
-        return entry
+        self._entries.remove(entry)
 
     def occupancy(self) -> float:
         return len(self._entries) / self.capacity
@@ -141,14 +106,9 @@ class MemoryRequestQueue:
 
         check_state_version(state, 1, "MemoryRequestQueue")
         self._entries = []
-        self._banks = []
-        self._rows = []
-        self._arrivals = []
         for req_idx, coords_tuple, arrival in state["entries"]:
             coords = DramCoordinates(*coords_tuple)
             bank = device.bank(coords.rank, coords.bank)
-            entry = MrqEntry(ctx.get_request(req_idx), coords, arrival, bank)
-            self._entries.append(entry)
-            self._banks.append(bank)
-            self._rows.append(coords.row)
-            self._arrivals.append(arrival)
+            self._entries.append(
+                MrqEntry(ctx.get_request(req_idx), coords, arrival, bank)
+            )

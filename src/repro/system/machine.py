@@ -10,7 +10,6 @@ keeps executing, and report harmonic-mean IPC plus per-core MPKI.
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -47,11 +46,6 @@ from .config import SystemConfig
 
 #: Per-core virtual address spacing; generators stay far below this.
 CORE_VA_STRIDE = 1 << 40
-
-#: Environment escape hatch for the memory-controller fused drain:
-#: ``REPRO_FUSED_MC=0`` disables it machine-wide (mirrors the CLI's
-#: ``--no-fused-mc``).  The name is pinned by a test.
-ENV_FUSED_MC = "REPRO_FUSED_MC"
 
 
 def _timing_for(config: SystemConfig) -> DramTiming:
@@ -125,7 +119,6 @@ class Machine:
         engine: Optional[Engine] = None,
         checkers=None,
         batched: bool = True,
-        fused_mc: Optional[bool] = None,
     ) -> None:
         """Wire a machine.
 
@@ -144,12 +137,6 @@ class Machine:
                 statistics, verified by ``scripts/diff_validate.py
                 --batched``).  ``False`` feeds the same items through
                 per-item iterators.
-            fused_mc: enable the memory-controller fused drain (the
-                batched miss path).  ``None`` (default) follows the
-                ``REPRO_FUSED_MC`` environment variable (on unless set
-                to ``0``).  Regardless of the request, the drain only
-                arms on eligible machines: batched mode, flat
-                ``stack_mode == "memory"`` topology, RAS disabled.
         """
         if len(benchmarks) != config.num_cores:
             raise ValueError(
@@ -479,24 +466,6 @@ class Machine:
             # Checked runs also arm the request-pool reuse guard.
             request_mod.set_pool_check(True)
 
-        # Memory-side fused drain (the batched miss path).  Only armed
-        # where the drain's window proofs hold structurally: batched
-        # mode, the flat memory topology (no L4/stack facade traffic),
-        # and no RAS (fault injection must see every scalar issue).
-        # Each controller still re-proves a quiescent window per pump
-        # and falls back to the scalar path otherwise.
-        if fused_mc is None:
-            fused_mc = os.environ.get(ENV_FUSED_MC, "1") != "0"
-        self.fused_mc_enabled = bool(
-            fused_mc
-            and batched
-            and config.stack_mode == "memory"
-            and not ras_enabled
-        )
-        if self.fused_mc_enabled:
-            for controller in self.memory.controllers:
-                controller.enable_fused_drain()
-
     # ------------------------------------------------------------------
     def outstanding_requests(self) -> int:
         """Requests in flight: MSHR occupancy plus MC queue depths.
@@ -732,9 +701,9 @@ class Machine:
 
         Two machines with equal fingerprints are interchangeable for
         resume purposes: same config contents (not just name), same
-        benchmark multiset and order, same seed, trace mode, checkers,
-        engine kind, and fused-drain arming.  Snapshot files record it
-        and refuse to restore onto a machine with a different one.
+        benchmark multiset and order, same seed, trace mode, checkers
+        and engine kind.  Snapshot files record it and refuse to restore
+        onto a machine with a different one.
         """
         from ..service.keys import canonical_json, config_to_dict
 
@@ -745,7 +714,6 @@ class Machine:
             "batched": self._batched,
             "checkers": self._checker_names,
             "engine": type(self.engine).__name__,
-            "fused_mc": self.fused_mc_enabled,
             "workload": self.workload_name,
         }
         return hashlib.sha256(
@@ -1038,17 +1006,6 @@ class Machine:
         if self.l4 is not None:
             merged_extra.update(self.l4.result_extra())
             merged_extra["l4_tag_shave_bytes"] = float(self._l4_tag_shave)
-        if self.fused_mc_enabled:
-            drain = [mc.fused_stats() for mc in self.memory.controllers]
-            merged_extra["fused_mc_windows"] = float(
-                sum(d["windows"] for d in drain)
-            )
-            merged_extra["fused_mc_issues"] = float(
-                sum(d["fused_issues"] for d in drain)
-            )
-            merged_extra["fused_mc_scalar_pumps"] = float(
-                sum(d["scalar_pumps"] for d in drain)
-            )
         merged_extra.update(extra)
         return MachineResult(
             config_name=self.config.name,
@@ -1072,7 +1029,6 @@ def run_workload(
     checkers=None,
     sampling=None,
     batched: bool = True,
-    fused_mc: Optional[bool] = None,
     snapshot=None,
     resume_from: Optional[str] = None,
     force_resume: bool = False,
@@ -1080,9 +1036,7 @@ def run_workload(
     """One-call convenience: build a machine and run it.
 
     ``sampling`` accepts a :class:`~repro.sampling.plan.SamplingPlan`
-    (or ``None`` for the default full-detail run).  ``fused_mc=False``
-    (or ``REPRO_FUSED_MC=0``) disables the memory-controller fused
-    drain while keeping the batched core path.  ``snapshot`` accepts a
+    (or ``None`` for the default full-detail run).  ``snapshot`` accepts a
     :class:`~repro.snapshot.SnapshotPlan`; ``resume_from`` primes the
     machine from an existing checkpoint before running (``force_resume``
     skips the config-fingerprint check, never the integrity check).
@@ -1094,7 +1048,6 @@ def run_workload(
         workload_name=workload_name,
         checkers=checkers,
         batched=batched,
-        fused_mc=fused_mc,
     )
     if resume_from is not None:
         machine.resume(resume_from, force=force_resume)

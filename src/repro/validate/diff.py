@@ -61,15 +61,12 @@ def run_traced(
     batched: bool = True,
     sampling=None,
     label: str = "",
-    fused_mc: Optional[bool] = None,
 ) -> TracedRun:
     """Run one workload and capture its command transcript and stats.
 
     ``batched`` selects the core's trace representation (columnar
-    cursor vs per-item iterator, one dispatch path either way) and,
-    with it, the memory controllers' fused drain; ``fused_mc=False``
-    pins the drain off while keeping the columnar traces (the
-    ``--no-fused-mc`` escape hatch).  ``sampling`` optionally runs under a
+    cursor vs per-item iterator, one dispatch path either way).
+    ``sampling`` optionally runs under a
     :class:`~repro.sampling.plan.SamplingPlan` instead of full detail.
     """
     from ..system.machine import Machine
@@ -82,7 +79,6 @@ def run_traced(
         engine=engine,
         checkers=checkers,
         batched=batched,
-        fused_mc=fused_mc,
     )
     recorder = TranscriptRecorder()
     from .hooks import instrument_banks
@@ -274,17 +270,13 @@ def diff_batched(
     checkers=None,
     sampling=None,
 ) -> Tuple[DiffReport, TracedRun, TracedRun]:
-    """Same workload, scalar vs batched execution strategy end to end.
+    """Same workload, row-form vs columnar traces end to end.
 
-    The batched arm feeds the cores columnar traces through a cursor
-    and runs the memory controllers' fused miss-path drain (armed by
-    ``Machine`` whenever ``batched=True`` on an eligible config); the
-    scalar arm feeds row-form iterators and pumps every issue.  Both
-    are pure execution-strategy changes, so transcripts and stat tables
-    must be bit-identical; any difference is a trace-form or drain bug.
-    ``checkers``/``sampling`` exercise the seams: the drain stays
-    active under instrumentation, and the mixture must still match
-    exactly.
+    The batched arm feeds the cores columnar traces through a cursor;
+    the scalar arm feeds row-form iterators.  The trace form is a pure
+    representation change, so transcripts and stat tables must be
+    bit-identical — with ``checkers`` attached and under ``sampling``
+    too; any difference is a trace-form bug.
     """
     lhs = run_traced(
         config, benchmarks, warmup=warmup, measure=measure, seed=seed,

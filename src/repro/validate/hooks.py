@@ -168,7 +168,7 @@ def _wrap_controller(controller, checker: QueueConservationChecker) -> None:
 
     def _issue(entry, now):
         checker.on_issue(controller.mc_id, entry)
-        return original_issue(entry, now)
+        original_issue(entry, now)
 
     controller.enqueue = enqueue
     controller._issue = _issue

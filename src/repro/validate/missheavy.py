@@ -1,26 +1,22 @@
-"""Miss-heavy synthetic workloads for the batched miss-path differential.
+"""Miss-heavy synthetic workloads for the trace-form differential.
 
-The fused memory-controller drain only matters — and only engages — when
-the DRAM side dominates: deep MRQs, blocked cores, quiescent windows.
-The mixes here are built to put the drain (and its fallback seams) under
-maximal stress:
+The DRAM-bound inputs of the scalar-vs-batched gates: deep MRQs, blocked
+cores, refresh interaction.  Each mix stresses one part of the memory
+controller's pump and the bank timing under it:
 
 ``streaming``
     Line-stride scans over a multi-megabyte span: every reference is a
     new line, MSHRs and the MRQ fill with overlapping misses, and the
-    cores ROB-block — the drain's best case.
+    cores ROB-block — a saturated MRQ.
 ``pointer-chase``
     A full-period LCG walk with zero memory-level parallelism: the MRQ
-    holds at most one entry per core, so the drain must *refuse* to
-    engage (shallow-queue break) without perturbing anything.
+    holds at most one entry per core (the shallow-queue case).
 ``row-conflict-max``
     Row-size strides so consecutive DRAM commands open a new row every
-    time: exercises the activate/precharge arithmetic inside fused
-    windows.
+    time: exercises the activate/precharge arithmetic.
 ``refresh-straddling``
-    Sparse accesses separated by long instruction gaps: windows keep
-    running into refresh blackouts and the ``next_blackout_start``
-    barrier clamp decides correctness.
+    Sparse accesses separated by long instruction gaps: issues keep
+    running into refresh blackouts.
 
 Each mix is registered as a looping finite item list (same idiom as the
 randomized equivalence property tests), with a ``batch_factory`` at a
@@ -95,8 +91,8 @@ def _items_row_conflict(seed: int) -> List[Tuple[int, int, int, int]]:
 
 def _items_refresh_straddle(seed: int) -> List[Tuple[int, int, int, int]]:
     # Sparse misses with long instruction gaps between them: the memory
-    # system idles across refresh-interval boundaries, so any fused
-    # window that does open tends to run into a blackout barrier.
+    # system idles across refresh-interval boundaries, so issues tend
+    # to land in or next to a refresh blackout.
     rng = random.Random(seed)
     items = []
     addr = 0

@@ -60,15 +60,6 @@ CACHE_MODE_EXTRA_ORDER = (
     "l4_tag_shave_bytes",
 )
 
-#: Extras appended only when the fused memory-controller drain is armed
-#: (batched memory mode) — absent from cache/memcache modes, which never
-#: arm it.
-FUSED_MC_EXTRA_ORDER = (
-    "fused_mc_windows",
-    "fused_mc_issues",
-    "fused_mc_scalar_pumps",
-)
-
 
 def test_l4_stat_group_items_order_is_pinned():
     _, facade = _build_facade()
@@ -81,12 +72,9 @@ def test_memory_mode_has_no_l4_surfaces():
     groups = machine.registry.dump()
     assert not [n for n in groups if n == "l4" or n.startswith("offchip.")]
     result = machine.run(warmup_instructions=500, measure_instructions=1500)
-    # Memory mode's extras: the pre-existing energy keys, then the
-    # fused-drain keys (armed by default in batched memory mode) — and
-    # none of the l4 surfaces.
-    assert tuple(result.extra) == (
-        CACHE_MODE_EXTRA_ORDER[:2] + FUSED_MC_EXTRA_ORDER
-    )
+    # Memory mode's extras: the pre-existing energy keys and none of
+    # the l4 surfaces.
+    assert tuple(result.extra) == CACHE_MODE_EXTRA_ORDER[:2]
 
 
 def test_cache_mode_extra_keys_extend_in_pinned_order():

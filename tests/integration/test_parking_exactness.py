@@ -4,8 +4,7 @@ At the end of a successful dispatch the core may decide that its
 follow-up dispatch event could only find the ROB still full, and park
 the next op on the spot instead of scheduling that event
 (``Core._park_next``).  The claim is exactness: every ``MachineResult``
-(bar the MC drain's own engagement counters, see below) and every
-``registry.dump()`` is what the polling core produces.
+and every ``registry.dump()`` is what the polling core produces.
 
 The polling core lives here, as the reference: a ``Core`` subclass whose
 parking predicate is forced false, so each ROB stall is discovered by a
@@ -14,7 +13,6 @@ patching the name ``Machine`` builds its cores from — there is no switch
 for it in ``src/``.
 """
 
-import dataclasses
 import random
 
 import pytest
@@ -57,33 +55,13 @@ class RecordingCore(Core):
         return parked
 
 
-#: ``MachineResult.extra`` keys that count how often the memory
-#: controllers' fused drain engaged.  The drain decides by looking at the
-#: event queue (is this cycle quiescent, when is the next event), so
-#: removing leaf events legitimately moves these — e.g. 3D-wide x H2 at
-#: smoke scale opens 38 windows instead of 68 — while every model output
-#: stays put.  They are the one thing the comparison leaves out; the
-#: drain itself stays armed in both arms.
-DRAIN_ENGAGEMENT_KEYS = (
-    "fused_mc_windows", "fused_mc_issues", "fused_mc_scalar_pumps",
-)
-
-
-def _model_outputs(result) -> dict:
-    """The ``MachineResult`` tree without the drain-engagement extras."""
-    tree = dataclasses.asdict(result)
-    for key in DRAIN_ENGAGEMENT_KEYS:
-        tree["extra"].pop(key, None)
-    return tree
-
-
 def _run(monkeypatch, core_cls, config, benchmarks, seed=7, **kwargs):
     monkeypatch.setattr(machine_module, "Core", core_cls)
     machine = Machine(
         config, benchmarks, seed=seed, workload_name="parking", **kwargs
     )
     result = machine.run(WARMUP, MEASURE)
-    return _model_outputs(result), machine.registry.dump(), machine
+    return result, machine.registry.dump(), machine
 
 
 @pytest.mark.parametrize("seed", range(48))
@@ -171,11 +149,10 @@ def test_hit_bound_mix_fires_strictly_fewer_events(batched, monkeypatch):
     """On the ledger's hit-bound cell the rule must engage, and every
     parked op must account for exactly one saved event (the few whose
     follow-up event the polling run never reached before it ended are
-    the only slack).  The MC drain is pinned off so its window choices,
-    which look at the event queue, cannot move the count."""
+    the only slack)."""
     config = config_3d_fast()
     benchmarks = list(MIXES["M1"].benchmarks)
-    kwargs = dict(batched=batched, fused_mc=False)
+    kwargs = dict(batched=batched)
     want_result, want_dump, polling = _run(
         monkeypatch, PollingCore, config, benchmarks, **kwargs
     )
@@ -275,7 +252,7 @@ def test_snapshot_inside_an_elided_window_resumes_exactly(
     resumed = second.run(
         WARMUP, MEASURE, snapshot=SnapshotPlan(every=boundary, write=False)
     )
-    assert _model_outputs(resumed) == want_result
+    assert resumed == want_result
     assert second.registry.dump() == want_dump
     assert sum(c.parked_dispatches for c in second.cores) == len(
         RecordingCore.windows

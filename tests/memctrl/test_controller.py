@@ -1,5 +1,8 @@
 """Integration-style unit tests for one memory controller."""
 
+import random
+from types import SimpleNamespace
+
 import pytest
 
 from repro.common.request import AccessType, MemoryRequest
@@ -9,19 +12,23 @@ from repro.engine import Engine
 from repro.interconnect.bus import Bus
 from repro.memctrl.controller import MemoryController
 from repro.memctrl.mapping import AddressMapping
-from repro.memctrl.schedulers import FrFcfsScheduler
+from repro.memctrl.schedulers import FcfsScheduler, FrFcfsScheduler
+from repro.validate import attach_checkers
 
 
-def _mc(engine, queue_capacity=32, quantum=1, wire=0, width=64):
+def _mc(engine, queue_capacity=32, quantum=1, wire=0, width=64,
+        scheduler=None, overhead=0, refresh=False):
     mapping = AddressMapping(num_mcs=1, ranks_per_mc=2, banks_per_rank=2)
     device = DramDevice(ddr2_commodity(), num_ranks=2, banks_per_rank=2)
-    # Stagger all refresh far away so latency math below is exact.
-    for rank in device.ranks:
-        rank.refresh.phase = 10**9
+    if not refresh:
+        # Stagger all refresh far away so latency math below is exact.
+        for rank in device.ranks:
+            rank.refresh.phase = 10**9
     bus = Bus(width_bytes=width, cycles_per_beat=1, wire_latency=wire)
     return MemoryController(
-        0, engine, device, bus, FrFcfsScheduler(), mapping,
+        0, engine, device, bus, scheduler or FrFcfsScheduler(), mapping,
         queue_capacity=queue_capacity, quantum=quantum,
+        transaction_overhead=overhead,
     )
 
 
@@ -142,3 +149,99 @@ def test_row_hit_rate_stat():
 def test_rejects_bad_quantum():
     with pytest.raises(ValueError):
         _mc(Engine(), quantum=0)
+
+
+# ---------------------------------------------------------------------------
+# Pump properties under deep bursts, refresh enabled.
+# ---------------------------------------------------------------------------
+
+
+def _assert_pump_wakeup(engine, mc):
+    """What the pump must have left behind after any one event."""
+    entries = mc.mrq.entries
+    pump = mc._pump_event
+    if not entries:
+        # Queue drained: no wake-up event is left behind.
+        assert pump is None
+        return
+    assert pump is not None and not pump.cancelled, "lost wake-up"
+    now = engine.now
+    if pump.time > now and now >= mc._next_issue_time:
+        # The issue gap has elapsed and the pump is still asleep, so
+        # every bank is busy — and it wakes exactly when the first frees.
+        assert pump.time == min(e.bank.earliest_start(now) for e in entries)
+
+
+@pytest.mark.parametrize("scheduler_cls", [FrFcfsScheduler, FcfsScheduler])
+@pytest.mark.parametrize("seed,quantum,overhead", [(3, 1, 0), (17, 2, 5)])
+def test_pump_deep_bursts_keep_cadence_and_refresh(
+    scheduler_cls, seed, quantum, overhead
+):
+    engine = Engine()
+    mc = _mc(
+        engine, queue_capacity=64, quantum=quantum, wire=2,
+        scheduler=scheduler_cls(), overhead=overhead, refresh=True,
+    )
+    # The checkers duck-type on ``controllers`` (and a ``config`` to look
+    # a timing fault up by), so a bare controller can carry them.
+    checkers = attach_checkers(
+        SimpleNamespace(controllers=[mc], config=None), "dram-timing,queue"
+    )
+    rng = random.Random(seed)
+    done = []
+    straddled = 0
+    for burst in range(12):
+        # Start each burst just ahead of one rank's next refresh
+        # blackout so its issues straddle the window.
+        refresh = mc.device.ranks[burst % 2].refresh
+        windows = (engine.now - refresh.phase) // refresh.t_refi + 1
+        blackout = refresh.phase + windows * refresh.t_refi
+        start = max(engine.now, blackout - rng.randrange(0, 60))
+        engine.schedule_at(start, lambda: None)
+        engine.run()
+        requests = []
+        for _ in range(16):
+            addr = rng.randrange(0, 1 << 22) & ~0x3F
+            access = (
+                AccessType.WRITEBACK if rng.random() < 0.3 else AccessType.READ
+            )
+            request = MemoryRequest(addr, access, callback=done.append)
+            assert mc.enqueue(request)
+            requests.append(request)
+        while engine.step():
+            _assert_pump_wakeup(engine, mc)
+        assert engine.now >= blackout
+        straddled += any(
+            r.issued_to_dram_at >= blackout + refresh.t_rfc for r in requests
+        )
+        issue_times = sorted(r.issued_to_dram_at for r in requests)
+        for earlier, later in zip(issue_times, issue_times[1:]):
+            assert later - earlier >= max(quantum, overhead)
+        for request in requests:
+            # The pump never issues to a rank that is refreshing.
+            rank = mc.device.ranks[mc.mapping.decompose(request.addr).rank]
+            issued = request.issued_to_dram_at
+            assert rank.refresh.earliest_available(issued) == issued
+    assert len(done) == 12 * 16
+    assert straddled, "no burst ran across a refresh blackout"
+    checkers.assert_drained()
+    assert checkers["dram-timing"].accesses_checked == 12 * 16
+
+
+def test_pump_sleeps_until_the_first_bank_frees():
+    engine = Engine()
+    mc = _mc(engine)
+    # Same bank, different rows: after the first issue every queued
+    # entry's bank is busy.
+    first, second = _read(0x0000), _read(0x4000 * 2)
+    mc.enqueue(first)
+    mc.enqueue(second)
+    assert engine.step()  # pump @0 issues `first`
+    assert engine.step()  # pump @1 finds nothing ready
+    assert engine.now == 1 and first.issued_to_dram_at == 0
+    wake = mc.mrq.entries[0].bank.earliest_start(1)
+    assert wake > 1
+    assert mc._pump_event.time == wake
+    engine.run()
+    assert second.issued_to_dram_at == wake
+    assert mc._pump_event is None and engine.pending == 0

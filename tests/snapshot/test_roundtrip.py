@@ -40,9 +40,9 @@ def _shapes():
         ("checkers", _small(config_2d()), {"checkers": "all"}),
         ("scalar", fast, {"batched": False}),
         (
-            "fused-mc",
+            "miss-heavy",
             fast.derive(name="3d-fast-mh", l2_size=64 * 1024, l2_assoc=8),
-            {"fused_mc": True},
+            {},
         ),
         ("l4-cache", _small(config_l4_cache(base=config_3d_fast())), {}),
         (
@@ -170,6 +170,28 @@ def test_core_state_from_before_the_parking_rule_is_refused():
     assert all(core["v"] == 2 for core in tree["cores"])
     assert not any("fuse_fails" in core for core in tree["cores"])
     tree["cores"][0] = dict(tree["cores"][0], v=1, fuse_fails=0, fuse_skip=0)
+    fresh = _build(config, {})
+    with pytest.raises(SnapshotSchemaError):
+        fresh.restore_state(tree)
+
+
+def test_controller_state_from_before_the_drain_removal_is_refused():
+    """MemoryController state v1 carried the fused drain's eight
+    backoff/tally keys; restoring one must fail whole, not half-apply."""
+    from repro.common.errors import SnapshotSchemaError
+
+    config = _small(config_3d_fast())
+    tree = _build(config, {}).capture_state()
+    controllers = tree["memory"]["controllers"]
+    assert all(mc["v"] == 2 for mc in controllers)
+    assert not any(
+        key.startswith(("fuse", "fs_")) for mc in controllers for key in mc
+    )
+    controllers[0] = dict(
+        controllers[0], v=1, fused_enabled=True, fuse_state=None,
+        fuse_fails=0, fuse_skip=0, fs_windows=0, fs_fused_issues=0,
+        fs_scalar_pumps=0, fuse_breaks=[],
+    )
     fresh = _build(config, {})
     with pytest.raises(SnapshotSchemaError):
         fresh.restore_state(tree)

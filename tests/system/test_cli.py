@@ -37,6 +37,27 @@ def test_run_smoke(capsys, monkeypatch):
     assert "nJ/access" in out
 
 
+def test_profile_run_reports_each_memory_controller(capsys, monkeypatch):
+    import re
+
+    from repro.system import scale as scale_mod
+
+    tiny = scale_mod.ExperimentScale("smoke", 300, 1000)
+    monkeypatch.setitem(scale_mod._SCALES, "smoke", tiny)
+    assert main(
+        ["profile", "run", "--config", "quad-mc", "--mix", "H1", "--top", "1"]
+    ) == 0
+    out = capsys.readouterr().out
+    lines = re.findall(
+        r"^  mc\d: issued \d+, row-hit rate [01]\.\d{3}, "
+        r"mean queue wait \d+\.\d cyc, mean MRQ occupancy \d+\.\d{2}, "
+        r"MRQ rejections \d+$",
+        out, re.MULTILINE,
+    )
+    assert len(lines) == 4
+    assert "parked" in out
+
+
 def test_figure4_via_cli(capsys, monkeypatch):
     from repro.system import scale as scale_mod
 
