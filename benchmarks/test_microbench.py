@@ -19,8 +19,7 @@ from repro.mshr.vbf_mshr import VbfMshr
 def test_engine_event_throughput(benchmark):
     """The tracked engine workload: 32 interleaved delay chains.
 
-    Mirrors ``bench_engine_parallel`` in ``scripts/bench_trajectory.py``:
-    a deep queue of short, mixed delays is where the calendar-queue
+    A deep queue of short, mixed delays is where the calendar-queue
     insert path earns its keep.
     """
 

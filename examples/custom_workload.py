@@ -57,9 +57,12 @@ def main() -> None:
 
     # 3-4: run it as core 0 alongside three Table-2 benchmarks.
     for config in (config_2d(), config_quad_mc()):
+        # Cores are seated in sorted benchmark order and results come
+        # back in the listed order; a sorted list keeps machine.cores[i]
+        # and result.cores[i] the same core.  S.all is the placeholder.
         machine = Machine(
             config,
-            ["gzip", "mcf", "S.all", "qsort"],  # placeholder for wiring
+            ["S.all", "gzip", "mcf", "qsort"],
             workload_name="matmul+mix",
         )
         # Replace core 0's trace with the replayed file.

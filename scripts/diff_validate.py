@@ -12,11 +12,6 @@ Modes:
      arrays overclocked to 0.5x) **is caught** by the timing checker,
      which names the violated constraint.
 
-  With ``--batched`` the smoke additionally diffs row-form (iterator)
-  traces against columnar (cursor) traces — plain, checker-enabled and
-  sampled — and fails on any transcript or stat divergence;
-  ``--miss-heavy`` repeats that on DRAM-bound synthetic mixes.
-
 * ``--modes`` (CI): stack-mode seam assertions —
   1. ``memory`` mode is **bit-identical** to the all-direct MemCache
      degenerate configuration (the facade pass-through path): same
@@ -125,62 +120,6 @@ def cmd_smoke(args) -> int:
     else:
         print("checkers attached: transcript unchanged, all invariants held")
 
-    # Batched-vs-scalar: the trace form is a representation change
-    # only, so the two machines must match bit-for-bit — plain, with
-    # checkers attached, and under a sampling plan (skip-ahead seam).
-    if args.batched:
-        from repro.sampling.plan import SamplingPlan
-        from repro.validate import diff_batched
-
-        variants = [
-            ("batched differential", {}),
-            ("batched differential (checkers)", {"checkers": "all"}),
-            (
-                "batched differential (sampled)",
-                {"sampling": SamplingPlan()},
-            ),
-        ]
-        for name, kwargs in variants:
-            breport, _, _ = diff_batched(
-                config, list(mix.benchmarks),
-                warmup=scale.warmup_instructions,
-                measure=scale.measure_instructions,
-                seed=args.seed, workload_name=mix.name,
-                **kwargs,
-            )
-            print(f"[{name}] {breport.format()}")
-            if not breport.identical:
-                failures.append(f"{name}: transcripts/stats diverged")
-
-        # Miss-heavy mixes: DRAM-bound traffic (saturated MRQ, row
-        # conflicts, refresh blackouts) behind both trace forms.  The
-        # L2 is shrunk so the looping synthetic footprints stay
-        # miss-heavy for the whole run.
-        if args.miss_heavy:
-            from repro.validate import missheavy
-
-            names = missheavy.register_all(seed=args.seed, batch_size=256)
-            mh_config = config.derive(
-                name=f"{config.name}-mh", l2_size=64 * 1024, l2_assoc=8
-            )
-            mh_benchmarks = list(names.values())
-            try:
-                for name, kwargs in variants:
-                    breport, _, _ = diff_batched(
-                        mh_config, mh_benchmarks,
-                        warmup=scale.warmup_instructions,
-                        measure=scale.measure_instructions,
-                        seed=args.seed, workload_name="miss-heavy",
-                        **kwargs,
-                    )
-                    print(f"[miss-heavy {name}] {breport.format()}")
-                    if not breport.identical:
-                        failures.append(
-                            f"miss-heavy {name}: transcripts/stats diverged"
-                        )
-            finally:
-                missheavy.unregister(names)
-
     # 3. A seeded timing bug must be caught and named.
     faults.install(faults.parse_fault("timing:*:*:-1:0.5"))
     try:
@@ -269,12 +208,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--check", action="store_true",
                         help="also attach runtime checkers (--engines)")
-    parser.add_argument("--batched", action="store_true",
-                        help="with --smoke: also diff scalar vs batched "
-                             "cores (plain, checker-enabled, sampled)")
-    parser.add_argument("--miss-heavy", action="store_true",
-                        help="with --smoke --batched: also diff the "
-                             "DRAM-bound miss-heavy mixes")
     parser.add_argument("--preset-a", default="2d",
                         choices=["2d", "3d-commodity", "true-3d"])
     parser.add_argument("--preset-b", default="true-3d",

@@ -5,8 +5,8 @@ Modes:
 
 * ``--smoke`` (CI): the checkpoint/restore acceptance gate —
   1. for every snapshot-relevant machine shape (plain, checker-enabled,
-     sampled, scalar-core, miss-heavy, L4 cache mode, RAS-on)
-     a run is **preempted at a randomized snapshot boundary**, resumed
+     sampled, miss-heavy, L4 cache mode, RAS-on) a run is **preempted
+     at a randomized snapshot boundary**, resumed
      from the on-disk snapshot in a fresh ``Machine``, and the stitched
      run (pre-preemption transcript + post-resume transcript, final
      stat tables, final result) must be **bit-identical** to an
@@ -59,17 +59,16 @@ def _scenarios():
     """The machine shapes the snapshot layer must round-trip.
 
     Every entry is ``(name, config, machine_kwargs, sampling)`` — one
-    per subsystem with restore-sensitive state: the plain batched path,
-    runtime checkers, the sampling controller, the scalar core loop,
-    a saturated MRQ under miss-heavy traffic, the L4
-    stacked-cache mode, and the RAS scrub/fault machinery.
+    per subsystem with restore-sensitive state: the plain path, runtime
+    checkers, the sampling controller, a saturated MRQ under miss-heavy
+    traffic, the L4 stacked-cache mode, and the RAS scrub/fault
+    machinery.
     """
     fast = CONFIGS["3d-fast"]()
     return [
         ("plain", fast, {}, None),
         ("checkers", CONFIGS["2d"](), {"checkers": "all"}, None),
         ("sampled", fast, {}, SamplingPlan()),
-        ("scalar", fast, {"batched": False}, None),
         (
             "miss-heavy",
             fast.derive(name="3d-fast-mh", l2_size=64 * KIB, l2_assoc=8),
@@ -406,7 +405,7 @@ def main(argv=None) -> int:
                            "machine shape + damage refusal + service chaos")
     mode.add_argument("--one", metavar="SCENARIO",
                       help="run one scenario's differential (plain, "
-                           "checkers, sampled, scalar, miss-heavy, l4-cache, "
+                           "checkers, sampled, miss-heavy, l4-cache, "
                            "ras-on)")
     parser.add_argument("--scale", default="smoke",
                         choices=["smoke", "default", "large"])

@@ -32,7 +32,7 @@ from ..common.request import AccessType, MemoryRequest
 from ..common.stats import StatRegistry
 from ..engine.simulator import Engine
 from ..cache.l1 import L1Cache
-from .trace import BatchedTrace, Trace, TraceItem
+from .trace import BatchedTrace, Trace, as_batched
 
 _READ = AccessType.READ
 _WRITE = AccessType.WRITE
@@ -61,7 +61,7 @@ class Core:
     __slots__ = (
         "engine",
         "core_id",
-        "trace",
+        "_trace",
         "l1",
         "allocator",
         "stats",
@@ -78,7 +78,6 @@ class Core:
         "icount",
         "committed",
         "_outstanding",
-        "_pending_item",
         "_next_dispatch_time",
         "_last_commit_time",
         "_last_commit_icount",
@@ -98,7 +97,6 @@ class Core:
         "ras_monitor",
         "_commit_event",
         "_cursor",
-        "_trace_items",
         "_page_shift",
         "_hit_fast",
         "_commit_limit",
@@ -146,7 +144,6 @@ class Core:
         self.icount = 0  # instructions dispatched so far
         self.committed = 0  # instructions committed so far
         self._outstanding: Deque[_InFlight] = deque()
-        self._pending_item: Optional[TraceItem] = None
         self._next_dispatch_time = 0
         self._last_commit_time = 0
         self._last_commit_icount = 0
@@ -175,14 +172,6 @@ class Core:
         # Handle of the pending commit event (valid while
         # _commit_scheduled): the parking rule reads its fire time.
         self._commit_event = None
-        # Columnar traces are read through their cursor, column-direct.
-        self._cursor = (
-            trace.cursor() if isinstance(trace, BatchedTrace) else None
-        )
-        # Scalar-trace consumption counter: with no cursor the trace is
-        # a plain iterator, so snapshot restore replays position by
-        # pulling this many items from a freshly generated stream.
-        self._trace_items = 0
         self._page_shift = allocator._page_shift
         # Inline L1-hit fast path: a verified tag hit dispatches without
         # acquiring a pooled MemoryRequest (the scalar hit path completes
@@ -203,6 +192,24 @@ class Core:
     # ------------------------------------------------------------------
     # Control
     # ------------------------------------------------------------------
+    @property
+    def trace(self) -> BatchedTrace:
+        """The trace this core executes, in columnar form."""
+        return self._trace
+
+    @trace.setter
+    def trace(self, trace: Trace) -> None:
+        """Seat a trace; dispatch and ``skip_ahead`` read its cursor.
+
+        Accepts a :class:`BatchedTrace` or any iterable of
+        :class:`~repro.cpu.trace.TraceItem` (a generator,
+        :func:`~repro.workloads.tracefile.read_trace`), which is chunked
+        into columns.  Stalled ops re-read the cursor's current row, so
+        a swap between events takes effect at the next dispatch.
+        """
+        self._trace = as_batched(trace)
+        self._cursor = self._trace.cursor()
+
     def start(self) -> None:
         """Begin fetching the trace (call once, at time 0 or later)."""
         self._schedule_dispatch(self.engine.now)
@@ -294,26 +301,29 @@ class Core:
         """
         start = self.icount
         target = start + instructions
-        item = self._pending_item
-        self._pending_item = None
-        trace = self.trace
         tlb_touch = self.tlb.touch if self.tlb is not None else None
         translate = self.allocator.translate
         functional_access = self.l1.functional_access
+        cursor = self._cursor
+        batch = cursor.batch
+        i = cursor.index
         icount = start
-        pulled = 0
         while icount < target:
-            if item is None:
-                item = next(trace)
-                pulled += 1
-            icount += item.gap + 1
-            addr = item.addr
-            if tlb_touch is not None:
-                tlb_touch(addr)
-            functional_access(translate(addr), item.pc, item.is_write)
-            item = None
-        if self._cursor is None:
-            self._trace_items += pulled
+            if batch is None or i >= batch.length:
+                batch = cursor.advance_batch()
+                i = 0
+            gaps, addrs, writes, pcs = (
+                batch.gaps, batch.addrs, batch.writes, batch.pcs
+            )
+            length = batch.length
+            while i < length and icount < target:
+                icount += gaps[i] + 1
+                addr = addrs[i]
+                if tlb_touch is not None:
+                    tlb_touch(addr)
+                functional_access(translate(addr), pcs[i], writes[i] != 0)
+                i += 1
+        cursor.index = i
         self.icount = icount
         # Orphan whatever was in flight: completions still arrive (and
         # count their real latencies) but nothing is left to commit.
@@ -366,28 +376,19 @@ class Core:
             self._schedule_dispatch(self._next_dispatch_time)
             return
 
-        # A cursor trace is read column-direct and its index advances
+        # The trace is read column-direct and the cursor's index advances
         # only once the op dispatches, so every stall below simply
-        # re-reads the same row on retry; only an iterator trace has to
-        # hold its consumed item in _pending_item.
+        # re-reads the same row on retry.
         cursor = self._cursor
-        if cursor is not None:
-            item = None
-            batch = cursor.batch
-            i = cursor.index
-            if batch is None or i >= batch.length:
-                batch = cursor.advance_batch()
-                i = 0
-            gap = batch.gaps[i]
-            addr = batch.addrs[i]
-            is_write = batch.writes[i] != 0
-            pc = batch.pcs[i]
-        else:
-            item = self._pending_item
-            if item is None:
-                item = next(self.trace)
-                self._trace_items += 1
-            gap, addr, is_write, pc = item
+        batch = cursor.batch
+        i = cursor.index
+        if batch is None or i >= batch.length:
+            batch = cursor.advance_batch()
+            i = 0
+        gap = batch.gaps[i]
+        addr = batch.addrs[i]
+        is_write = batch.writes[i] != 0
+        pc = batch.pcs[i]
         next_icount = self.icount + gap + 1
 
         # ROB occupancy gate: the new op must fit in the window with the
@@ -396,7 +397,6 @@ class Core:
         if outstanding and (
             next_icount - outstanding[0].icount >= self.rob_size
         ):
-            self._pending_item = item
             self._rob_blocked = True
             self._c_rob_stalls.value += 1.0
             return  # resumed by commit
@@ -422,7 +422,6 @@ class Core:
             else:
                 walk_penalty = tlb.access(addr)
             if walk_penalty:
-                self._pending_item = item
                 self._next_dispatch_time = now + walk_penalty
                 self._c_tlb_walk_cycles.value += walk_penalty
                 self._schedule_dispatch(self._next_dispatch_time)
@@ -476,7 +475,6 @@ class Core:
                 partial(self._on_data, inflight),
             )
             if not l1.access(request):
-                self._pending_item = item
                 self._l1_blocked = True
                 self._c_l1_mshr_stalls.value += 1.0
                 l1.on_mshr_free(self._resume_after_l1)
@@ -495,10 +493,7 @@ class Core:
                         now, self._commit
                     )
 
-        if cursor is not None:
-            cursor.index = i + 1
-        else:
-            self._pending_item = None
+        cursor.index = i + 1
         self.icount = next_icount
         self._c_dispatched_refs.value += 1.0
         # Integer ceil-division; gap >= 0 keeps this >= 1 by construction.
@@ -532,23 +527,15 @@ class Core:
         as it always has.
         """
         cursor = self._cursor
-        if cursor is not None:
-            batch = cursor.batch
-            i = cursor.index
-            if i >= batch.length:
-                try:
-                    batch = cursor.advance_batch()
-                except StopIteration:
-                    return False  # the follow-up event raises it, on time
-                i = 0
-            gap = batch.gaps[i]
-        else:
-            item = self._pending_item = next(self.trace, None)
-            if item is None:
-                return False  # exhausted: the follow-up event raises
-            self._trace_items += 1
-            gap = item.gap
-        if window + gap + 1 < self.rob_size:
+        batch = cursor.batch
+        i = cursor.index
+        if i >= batch.length:
+            try:
+                batch = cursor.advance_batch()
+            except StopIteration:
+                return False  # the follow-up event raises it, on time
+            i = 0
+        if window + batch.gaps[i] + 1 < self.rob_size:
             return False
         self._rob_blocked = True
         self._c_rob_stalls.value += 1.0
@@ -656,19 +643,14 @@ class Core:
         ``on_frozen`` is not captured: the machine re-wires it at
         construction, before restore, exactly as the original run did.
         """
-        pending = self._pending_item
         return {
-            "v": 2,
+            "v": 3,
             "l1": self.l1.capture_state(ctx),
             "tlb": None if self.tlb is None else self.tlb.capture_state(),
-            "cursor": (
-                None if self._cursor is None else self._cursor.capture_state()
-            ),
-            "trace_items": self._trace_items,
+            "cursor": self._cursor.capture_state(),
             "icount": self.icount,
             "committed": self.committed,
             "outstanding": [ctx.ref_inflight(f) for f in self._outstanding],
-            "pending_item": None if pending is None else tuple(pending),
             "next_dispatch_time": self._next_dispatch_time,
             "last_commit_time": self._last_commit_time,
             "last_commit_icount": self._last_commit_icount,
@@ -699,27 +681,16 @@ class Core:
     def restore_state(self, state: dict, ctx) -> None:
         from ..common.versioning import check_state_version
 
-        check_state_version(state, 2, "Core")
+        check_state_version(state, 3, "Core")
         self.l1.restore_state(state["l1"], ctx)
         if self.tlb is not None:
             self.tlb.restore_state(state["tlb"])
-        if self._cursor is not None:
-            self._cursor.restore_state(state["cursor"])
-        else:
-            # Scalar trace: regenerated fresh at construction, so replay
-            # position by consuming the same number of items.
-            if self._trace_items != 0:
-                raise ValueError("can only restore a core with a fresh trace")
-            for _ in range(state["trace_items"]):
-                next(self.trace)
-            self._trace_items = state["trace_items"]
+        self._cursor.restore_state(state["cursor"])
         self.icount = state["icount"]
         self.committed = state["committed"]
         self._outstanding = deque(
             ctx.get_inflight(ref) for ref in state["outstanding"]
         )
-        pending = state["pending_item"]
-        self._pending_item = None if pending is None else TraceItem(*pending)
         self._next_dispatch_time = state["next_dispatch_time"]
         self._last_commit_time = state["last_commit_time"]
         self._last_commit_icount = state["last_commit_icount"]

@@ -6,20 +6,17 @@ number of non-memory instructions preceding this memory operation, so
 cumulative instruction counts (and therefore IPC and MPKI denominators)
 are reconstructed exactly.
 
-Two representations exist:
+Generators *produce* either form; the core *consumes* one:
 
-* **Row form** — :class:`TraceItem`, one NamedTuple per memory op.  The
-  original interface; every consumer of ``Iterator[TraceItem]`` keeps
-  working unchanged.
+* **Row form** — :class:`TraceItem`, one NamedTuple per memory op: what
+  a hand-written generator or :func:`~repro.workloads.tracefile.
+  read_trace` yields.
 * **Columnar form** — :class:`TraceBatch`, a structure-of-arrays chunk
-  (``array('q')``/``array('b')`` columns for gap/addr/pc/is_write).  The
-  core indexes these columns directly instead of materialising one
-  NamedTuple per op.
+  (``array('q')``/``array('b')`` columns for gap/addr/pc/is_write).
 
-:func:`batch_iter` chunks any row-form trace into batches;
-:class:`BatchedTrace` wraps a batch stream and serves *both* interfaces
-from one shared cursor, so row-form and batch-form consumers observe a
-single consistent position.
+:func:`as_batched` turns anything into a :class:`BatchedTrace` (row-form
+input is chunked by :func:`batch_iter`), and the core reads its
+:class:`BatchCursor` column-direct — there is no row-form consumer.
 """
 
 from __future__ import annotations
@@ -87,12 +84,6 @@ class TraceBatch:
         for i in range(self.length):
             yield TraceItem(gaps[i], addrs[i], bool(writes[i]), pcs[i])
 
-    def item(self, i: int) -> TraceItem:
-        """Row-form view of entry ``i``."""
-        return TraceItem(
-            self.gaps[i], self.addrs[i], bool(self.writes[i]), self.pcs[i]
-        )
-
     @property
     def instructions(self) -> int:
         """Total instructions this batch represents (gaps + the ops)."""
@@ -143,7 +134,7 @@ def batch_iter(
 ) -> Iterator[TraceBatch]:
     """Chunk any row-form trace into :class:`TraceBatch` objects.
 
-    The adapter keeping per-item generators usable by the batched core:
+    The adapter between per-item generators and the core's cursor:
     finite traces end with a final partial batch; endless traces chunk
     forever.
     """
@@ -156,8 +147,7 @@ class BatchCursor:
     """Mutable read position over a stream of :class:`TraceBatch`.
 
     The core reads ``cursor.batch`` columns directly at ``cursor.index``
-    and bumps the index itself once an op dispatches; row-form consumers
-    call :meth:`next_item`.  Both observe the same position.
+    and bumps the index itself once an op dispatches.
     """
 
     __slots__ = ("batch", "index", "batches_advanced", "_source")
@@ -209,27 +199,12 @@ class BatchCursor:
             self.advance_batch()
         self.index = state["index"]
 
-    def next_item(self) -> TraceItem:
-        """Consume one item in row form (raises StopIteration at end)."""
-        batch = self.batch
-        i = self.index
-        if batch is None or i >= batch.length:
-            batch = self.advance_batch()
-            i = 0
-        self.index = i + 1
-        return TraceItem(
-            batch.gaps[i], batch.addrs[i], bool(batch.writes[i]),
-            batch.pcs[i],
-        )
-
 
 class BatchedTrace:
-    """A trace held in columnar form, usable through both interfaces.
+    """A trace held in columnar form: the one form a core executes.
 
-    Iterating it yields :class:`TraceItem` (drop-in for ``Trace``);
-    :meth:`cursor` exposes the shared :class:`BatchCursor` for the
-    core's column-direct reads.  Because both views share one cursor, a
-    consumer that mixes them never sees an item twice or skips one.
+    :meth:`cursor` exposes the :class:`BatchCursor` for the core's
+    column-direct reads.
     """
 
     __slots__ = ("_cursor",)
@@ -239,12 +214,6 @@ class BatchedTrace:
 
     def cursor(self) -> BatchCursor:
         return self._cursor
-
-    def __iter__(self) -> "BatchedTrace":
-        return self
-
-    def __next__(self) -> TraceItem:
-        return self._cursor.next_item()
 
 
 def as_batched(

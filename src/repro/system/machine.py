@@ -118,7 +118,6 @@ class Machine:
         workload_name: str = "",
         engine: Optional[Engine] = None,
         checkers=None,
-        batched: bool = True,
     ) -> None:
         """Wire a machine.
 
@@ -132,11 +131,6 @@ class Machine:
                 a comma-separated string, or an iterable of names from
                 :data:`repro.validate.CHECKER_NAMES`).  ``None`` (the
                 default) attaches nothing and adds zero overhead.
-            batched: feed cores columnar :class:`~repro.cpu.trace.
-                TraceBatch` streams read through a cursor (bit-identical
-                statistics, verified by ``scripts/diff_validate.py
-                --batched``).  ``False`` feeds the same items through
-                per-item iterators.
         """
         if len(benchmarks) != config.num_cores:
             raise ValueError(
@@ -147,10 +141,9 @@ class Machine:
         self.workload_name = workload_name or "+".join(benchmarks)
         # Construction spec, kept verbatim for the snapshot config
         # fingerprint: a checkpoint only resumes onto a machine built
-        # from the same (config, benchmarks, seed, mode) tuple.
+        # from the same (config, benchmarks, seed) tuple.
         self._requested_benchmarks = list(benchmarks)
         self._seed = seed
-        self._batched = bool(batched)
         # Canonical core placement: a workload is a *multiset* of
         # benchmark instances — the cores are homogeneous, so which
         # physical slot runs which instance is an implementation detail,
@@ -366,12 +359,9 @@ class Machine:
                 latency=config.l1_latency,
                 prefetcher=l1_prefetcher,
             )
-            if batched:
-                trace = spec.batched_trace(
-                    core_id * CORE_VA_STRIDE, seed + core_id
-                )
-            else:
-                trace = spec.trace(core_id * CORE_VA_STRIDE, seed + core_id)
+            trace = spec.batched_trace(
+                core_id * CORE_VA_STRIDE, seed + core_id
+            )
             tlb = None
             if config.dtlb_enabled:
                 tlb = Tlb(
@@ -701,8 +691,8 @@ class Machine:
 
         Two machines with equal fingerprints are interchangeable for
         resume purposes: same config contents (not just name), same
-        benchmark multiset and order, same seed, trace mode, checkers
-        and engine kind.  Snapshot files record it and refuse to restore
+        benchmark multiset and order, same seed, checkers and engine
+        kind.  Snapshot files record it and refuse to restore
         onto a machine with a different one.
         """
         from ..service.keys import canonical_json, config_to_dict
@@ -711,7 +701,6 @@ class Machine:
             "config": config_to_dict(self.config),
             "benchmarks": self._requested_benchmarks,
             "seed": self._seed,
-            "batched": self._batched,
             "checkers": self._checker_names,
             "engine": type(self.engine).__name__,
             "workload": self.workload_name,
@@ -1028,7 +1017,6 @@ def run_workload(
     workload_name: str = "",
     checkers=None,
     sampling=None,
-    batched: bool = True,
     snapshot=None,
     resume_from: Optional[str] = None,
     force_resume: bool = False,
@@ -1047,7 +1035,6 @@ def run_workload(
         seed=seed,
         workload_name=workload_name,
         checkers=checkers,
-        batched=batched,
     )
     if resume_from is not None:
         machine.resume(resume_from, force=force_resume)

@@ -28,7 +28,6 @@ from __future__ import annotations
 from ..common.errors import CheckViolation
 from .base import Checker, CheckerSet
 from .diff import (
-    diff_batched,
     DiffReport,
     TracedRun,
     diff_engines,
@@ -58,7 +57,6 @@ __all__ = [
     "TracedRun",
     "TranscriptRecorder",
     "attach_checkers",
-    "diff_batched",
     "diff_engines",
     "diff_modes",
     "diff_runs",

@@ -58,17 +58,9 @@ def run_traced(
     workload_name: str = "",
     engine=None,
     checkers=None,
-    batched: bool = True,
-    sampling=None,
     label: str = "",
 ) -> TracedRun:
-    """Run one workload and capture its command transcript and stats.
-
-    ``batched`` selects the core's trace representation (columnar
-    cursor vs per-item iterator, one dispatch path either way).
-    ``sampling`` optionally runs under a
-    :class:`~repro.sampling.plan.SamplingPlan` instead of full detail.
-    """
+    """Run one workload and capture its command transcript and stats."""
     from ..system.machine import Machine
 
     machine = Machine(
@@ -78,16 +70,12 @@ def run_traced(
         workload_name=workload_name,
         engine=engine,
         checkers=checkers,
-        batched=batched,
     )
     recorder = TranscriptRecorder()
     from .hooks import instrument_banks
 
     instrument_banks(machine, recorder)
-    if sampling is not None:
-        result = machine.run_sampled(sampling, warmup, measure)
-    else:
-        result = machine.run(warmup, measure)
+    result = machine.run(warmup, measure)
     return TracedRun(
         label=label or f"{config.name}/{type(machine.engine).__name__}",
         config_name=config.name,
@@ -255,38 +243,6 @@ def diff_engines(
         config, benchmarks, warmup=warmup, measure=measure, seed=seed,
         workload_name=workload_name, engine=HeapEngine(), checkers=checkers,
         label=f"{config.name}/heap",
-    )
-    return diff_runs(lhs, rhs), lhs, rhs
-
-
-def diff_batched(
-    config: SystemConfig,
-    benchmarks: Sequence[str],
-    *,
-    warmup: int,
-    measure: int,
-    seed: int = 42,
-    workload_name: str = "",
-    checkers=None,
-    sampling=None,
-) -> Tuple[DiffReport, TracedRun, TracedRun]:
-    """Same workload, row-form vs columnar traces end to end.
-
-    The batched arm feeds the cores columnar traces through a cursor;
-    the scalar arm feeds row-form iterators.  The trace form is a pure
-    representation change, so transcripts and stat tables must be
-    bit-identical — with ``checkers`` attached and under ``sampling``
-    too; any difference is a trace-form bug.
-    """
-    lhs = run_traced(
-        config, benchmarks, warmup=warmup, measure=measure, seed=seed,
-        workload_name=workload_name, checkers=checkers, batched=False,
-        sampling=sampling, label=f"{config.name}/scalar",
-    )
-    rhs = run_traced(
-        config, benchmarks, warmup=warmup, measure=measure, seed=seed,
-        workload_name=workload_name, checkers=checkers, batched=True,
-        sampling=sampling, label=f"{config.name}/batched",
     )
     return diff_runs(lhs, rhs), lhs, rhs
 

@@ -1,8 +1,9 @@
-"""Miss-heavy synthetic workloads for the trace-form differential.
+"""Miss-heavy synthetic workloads for the trace-producer differential.
 
-The DRAM-bound inputs of the scalar-vs-batched gates: deep MRQs, blocked
-cores, refresh interaction.  Each mix stresses one part of the memory
-controller's pump and the bank timing under it:
+The DRAM-bound inputs of ``tests/integration/test_batched_equivalence.py``
+(native columns vs ``batch_iter`` over the row generator): deep MRQs,
+blocked cores, refresh interaction.  Each mix stresses one part of the
+memory controller's pump and the bank timing under it:
 
 ``streaming``
     Line-stride scans over a multi-megabyte span: every reference is a

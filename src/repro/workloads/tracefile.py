@@ -7,11 +7,10 @@ traces.  The format is one record per line::
     <gap> <hex addr> <R|W> <hex pc>
 
 optionally gzip-compressed (suffix ``.gz``).  ``capture`` snapshots a
-generator to a file; ``read_trace`` streams one back, optionally looping
-forever (the core model expects endless traces).  ``read_trace_batches``
-streams the same file in columnar :class:`~repro.cpu.trace.TraceBatch`
-form — records parse straight into column arrays with no per-item
-object, which is what the batched core fast path wants to consume.
+generator to a file; ``read_trace_batches`` streams one back as
+columnar :class:`~repro.cpu.trace.TraceBatch` chunks — the one record
+parser — optionally looping forever (the core model expects endless
+traces), and ``read_trace`` is its row-form view.
 """
 
 from __future__ import annotations
@@ -20,11 +19,14 @@ import gzip
 import itertools
 from array import array
 from pathlib import Path
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 from ..cpu.trace import TRACE_BATCH_SIZE, TraceBatch, TraceItem
 
 PathLike = Union[str, Path]
+
+# The columns are array('q'): every field must fit signed 64 bits.
+_INT64 = range(-(1 << 63), 1 << 63)
 
 
 def _open(path: Path, mode: str):
@@ -52,43 +54,34 @@ def capture(trace: Iterator[TraceItem], count: int, path: PathLike) -> int:
     return write_trace(itertools.islice(trace, count), path)
 
 
+def _parse_record(parts: List[str]) -> Optional[Tuple[int, int, int, int]]:
+    """``(gap, addr, is_write, pc)`` of one split line; None if malformed.
+
+    Malformed: wrong field count or kind, a non-numeric field, a negative
+    ``gap`` (the core's dispatch pacing assumes ``gap >= 0``), or a
+    value that does not fit the signed 64-bit columns.
+    """
+    if len(parts) != 4 or parts[2] not in ("R", "W"):
+        return None
+    try:
+        gap, addr, pc = int(parts[0]), int(parts[1], 16), int(parts[3], 16)
+    except ValueError:
+        return None
+    if gap < 0 or gap not in _INT64 or addr not in _INT64 or pc not in _INT64:
+        return None
+    return gap, addr, 1 if parts[2] == "W" else 0, pc
+
+
 def read_trace(path: PathLike, loop: bool = False) -> Iterator[TraceItem]:
     """Stream a trace file; with ``loop`` the file repeats forever.
 
     Looping replays suit the core model's endless-trace contract; the
     wrap point behaves like a program iterating its main loop again.
+    A row view over :func:`read_trace_batches`, so both readers accept
+    and refuse exactly the same files.
     """
-    path = Path(path)
-    item_cls = TraceItem
-    while True:
-        empty = True
-        with _open(path, "r") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                parts = line.split()
-                if not parts or parts[0][0] == "#":
-                    continue
-                empty = False
-                if len(parts) != 4 or parts[2] not in ("R", "W"):
-                    raise ValueError(
-                        f"{path}:{lineno}: malformed trace record "
-                        f"{line.strip()!r}"
-                    )
-                try:
-                    yield item_cls(
-                        int(parts[0]),
-                        int(parts[1], 16),
-                        parts[2] == "W",
-                        int(parts[3], 16),
-                    )
-                except ValueError:
-                    raise ValueError(
-                        f"{path}:{lineno}: malformed trace record "
-                        f"{line.strip()!r}"
-                    ) from None
-        if empty:
-            raise ValueError(f"trace file {path} contains no records")
-        if not loop:
-            return
+    for batch in read_trace_batches(path, loop=loop):
+        yield from batch
 
 
 def read_trace_batches(
@@ -99,11 +92,13 @@ def read_trace_batches(
     """Stream a trace file as columnar :class:`TraceBatch` chunks.
 
     Records parse directly into ``array`` columns — no per-item
-    NamedTuple is ever built — so file replay feeds the batched core
-    fast path at column speed.  Batches hold ``batch_size`` items except
+    NamedTuple is ever built.  Batches hold ``batch_size`` items except
     possibly the last one per pass (the file's tail); with ``loop`` the
-    file repeats forever, restarting a fresh batch at each wrap just as
-    :func:`read_trace`'s wrap restarts the record stream.
+    file repeats forever, restarting a fresh batch at each wrap.
+
+    A malformed record raises ``ValueError`` naming the file and line,
+    after the good records before it have been handed over (as a short
+    batch), so a replay fails at the bad record, not a batch early.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
@@ -120,21 +115,19 @@ def read_trace_batches(
                 if not parts or parts[0][0] == "#":
                     continue
                 empty = False
-                if len(parts) != 4 or parts[2] not in ("R", "W"):
+                record = _parse_record(parts)
+                if record is None:
+                    if gaps:
+                        yield TraceBatch(gaps, addrs, writes, pcs)
                     raise ValueError(
                         f"{path}:{lineno}: malformed trace record "
                         f"{line.strip()!r}"
                     )
-                try:
-                    gaps.append(int(parts[0]))
-                    addrs.append(int(parts[1], 16))
-                    writes.append(1 if parts[2] == "W" else 0)
-                    pcs.append(int(parts[3], 16))
-                except ValueError:
-                    raise ValueError(
-                        f"{path}:{lineno}: malformed trace record "
-                        f"{line.strip()!r}"
-                    ) from None
+                gap, addr, is_write, pc = record
+                gaps.append(gap)
+                addrs.append(addr)
+                writes.append(is_write)
+                pcs.append(pc)
                 if len(gaps) >= batch_size:
                     yield TraceBatch(gaps, addrs, writes, pcs)
                     gaps = array("q")

@@ -1,7 +1,5 @@
 """Unit tests for trace primitives (row and columnar forms)."""
 
-import itertools
-
 import pytest
 
 from repro.cpu.trace import (
@@ -63,7 +61,6 @@ def test_trace_batch_columns_and_row_views():
     )
     assert len(batch) == len(ITEMS)
     assert list(batch) == ITEMS
-    assert [batch.item(i) for i in range(len(ITEMS))] == ITEMS
     assert batch.instructions == sum(i.gap + 1 for i in ITEMS)
 
 
@@ -86,24 +83,28 @@ def test_batch_iter_rejects_bad_size():
         next(batch_iter(ITEMS, size=0))
 
 
-def test_batched_trace_row_interface_matches_source():
-    trace = BatchedTrace(batch_iter(ITEMS, size=2))
-    assert list(itertools.islice(trace, len(ITEMS))) == ITEMS
-    with pytest.raises(StopIteration):
-        next(trace)
+def _drain(trace: BatchedTrace):
+    """Every item a core would read, pulled through the cursor."""
+    cursor = trace.cursor()
+    items = []
+    while True:
+        try:
+            items.extend(cursor.advance_batch())
+        except StopIteration:
+            return items
 
 
-def test_batched_trace_shared_cursor_mixes_views():
+def test_batched_trace_cursor_reads_the_source_in_order():
     trace = BatchedTrace(batch_iter(ITEMS, size=2))
     cursor = trace.cursor()
-    # Row view consumes one item, then the cursor continues from there.
-    assert next(trace) == ITEMS[0]
-    assert cursor.next_item() == ITEMS[1]
-    # Batch view: the cursor's position is mid-stream, not rewound.
-    assert next(trace) == ITEMS[2]
+    assert cursor.batch is None and cursor.batches_advanced == 0
+    assert _drain(trace) == ITEMS
+    assert cursor.batches_advanced == 3
+    with pytest.raises(StopIteration):
+        cursor.advance_batch()
 
 
 def test_as_batched_is_idempotent():
     trace = as_batched(ITEMS, size=2)
     assert as_batched(trace) is trace
-    assert list(itertools.islice(trace, len(ITEMS))) == ITEMS
+    assert _drain(trace) == ITEMS

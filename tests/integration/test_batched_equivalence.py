@@ -1,25 +1,72 @@
-"""Batched-vs-scalar equivalence: the trace form changes nothing.
+"""Producer equivalence: native columns == ``batch_iter(row generator)``.
 
-A core reads a columnar ``TraceBatch`` stream through a cursor and a
-row-form trace through an iterator; both feed the one dispatch path, so
-every stat table must be bit-identical between them.  These property
-tests drive both forms over randomized traces that mix L1 hits, misses,
-writes and TLB misses, at batch sizes chosen to stress batch boundaries
-(1, 2, odd, huge), and diff the complete stat dump.  The miss-heavy
-half of this file repeats the differential on DRAM-bound inputs.
+A core executes one trace form — ``TraceBatch`` columns read through a
+cursor — but the columns come from two kinds of producer: a benchmark's
+native ``batch_factory`` and the ``batch_iter`` adapter chunking its
+row generator (what an ad-hoc generator or ``read_trace`` goes
+through).  The row generators are the oracle: for every input below the
+machine is run once on the registered producer and once with each
+benchmark re-fed from its row generator at a ragged batch size, and the
+``MachineResult``, the complete stat dump and the number of events
+fired must be equal.  Batch sizes (1, 2, odd, huge against 37) put the
+batch boundaries in different places on the two arms, so an op that
+stalls, parks or is skipped across a boundary is covered too.
 """
 
+import dataclasses
 import random
 
 import pytest
 
-from repro.cpu.trace import batch_iter
+from repro.cpu.trace import TraceItem, batch_iter
 from repro.system.config import config_2d
 from repro.system.machine import Machine
+from repro.validate import missheavy
 from repro.workloads.benchmarks import BENCHMARKS, BenchmarkSpec
+from repro.workloads.mixes import MIXES
 
 _WARMUP = 1_000
 _MEASURE = 4_000
+_RAGGED = 37
+
+
+def _run(config, names, seed):
+    machine = Machine(config, names, seed=seed, workload_name="producers")
+    result = machine.run(
+        warmup_instructions=_WARMUP, measure_instructions=_MEASURE
+    )
+    return result, machine.registry.dump(), machine
+
+
+def _run_both(config, names, seed=7):
+    """(registered producers, the same benchmarks fed from their rows)."""
+    registered = _run(config, names, seed)
+    specs = {name: BENCHMARKS[name] for name in names}
+    try:
+        for name, spec in specs.items():
+            BENCHMARKS[name] = dataclasses.replace(
+                spec,
+                batch_factory=lambda base, seed, _rows=spec.factory: (
+                    batch_iter(_rows(base, seed), _RAGGED)
+                ),
+            )
+        return registered, _run(config, names, seed)
+    finally:
+        BENCHMARKS.update(specs)
+
+
+def _assert_identical(registered, row_fed):
+    (got_result, got_dump, got), (want_result, want_dump, want) = (
+        registered, row_fed
+    )
+    assert got_result == want_result
+    assert got_dump == want_dump
+    # Same dispatch decisions, including which ROB-stalled ops park
+    # without an event, so both machines fire exactly the same events.
+    assert [core.parked_dispatches for core in got.cores] == [
+        core.parked_dispatches for core in want.cores
+    ]
+    assert got.engine.events_fired == want.engine.events_fired
 
 
 def _random_items(seed: int):
@@ -48,9 +95,10 @@ def _random_items(seed: int):
     return items
 
 
-def _register(name: str, seed: int, batch_size: int) -> str:
-    from repro.cpu.trace import TraceItem
-
+@pytest.fixture
+def random_benchmark(request):
+    seed, batch_size = request.param
+    name = f"_randmix_s{seed}_b{batch_size}"
     items = _random_items(seed)
 
     def factory(base, _seed):
@@ -64,27 +112,8 @@ def _register(name: str, seed: int, batch_size: int) -> str:
             factory(base, seed), size=batch_size
         ),
     )
-    return name
-
-
-@pytest.fixture
-def random_benchmark(request):
-    seed, batch_size = request.param
-    name = f"_randmix_s{seed}_b{batch_size}"
-    _register(name, seed, batch_size)
     yield name
     BENCHMARKS.pop(name, None)
-
-
-def _run(name: str, batched: bool):
-    config = config_2d().derive(name="2D-1c", num_cores=1)
-    machine = Machine(
-        config, [name], seed=7, workload_name=name, batched=batched
-    )
-    result = machine.run(
-        warmup_instructions=_WARMUP, measure_instructions=_MEASURE
-    )
-    return result, machine.registry.dump(), machine
 
 
 @pytest.mark.parametrize(
@@ -94,31 +123,11 @@ def _run(name: str, batched: bool):
     ids=["batch1", "batch2", "batch-odd", "batch-huge"],
 )
 def test_random_mix_stats_bit_identical(random_benchmark):
-    scalar_result, scalar_stats, scalar_machine = _run(
-        random_benchmark, batched=False
-    )
-    batched_result, batched_stats, batched_machine = _run(
-        random_benchmark, batched=True
-    )
-    assert batched_stats == scalar_stats
-    assert batched_result.hmipc == scalar_result.hmipc
-    assert batched_result.total_cycles == scalar_result.total_cycles
-    for bcore, score in zip(batched_result.cores, scalar_result.cores):
-        assert (bcore.ipc, bcore.instructions, bcore.cycles) == (
-            score.ipc, score.instructions, score.cycles
-        )
-        assert bcore.l2_mpki == score.l2_mpki
-        assert bcore.avg_load_latency == score.avg_load_latency
-    # Both forms take the same dispatch decisions — including which
-    # ROB-stalled ops park without an event, and on a mostly-hit mix
-    # some must — so both machines fire exactly the same events.
-    parked = [core.parked_dispatches for core in batched_machine.cores]
-    assert parked == [core.parked_dispatches for core in scalar_machine.cores]
-    assert sum(parked) > 0
-    assert (
-        batched_machine.engine.events_fired
-        == scalar_machine.engine.events_fired
-    )
+    config = config_2d().derive(name="2D-1c", num_cores=1)
+    registered, row_fed = _run_both(config, [random_benchmark])
+    _assert_identical(registered, row_fed)
+    # A mostly-hit mix must exercise the parking rule.
+    assert sum(core.parked_dispatches for core in registered[2].cores) > 0
 
 
 def test_native_producer_matches_batch_iter_adapter():
@@ -147,15 +156,12 @@ def test_native_producer_matches_batch_iter_adapter():
 
 
 # ---------------------------------------------------------------------------
-# Miss-heavy mixes: the trace-form differential on DRAM-bound inputs.
+# Miss-heavy mixes: the same differential on DRAM-bound inputs.
 # ---------------------------------------------------------------------------
 #
 # The random mix above is mostly L1 hits, so it exercises the core's
 # hit and ROB-stall paths.  The mixes below are DRAM-bound: deep MRQs,
 # blocked cores, row conflicts, refresh blackouts, MSHR backpressure.
-
-from repro.validate import missheavy
-
 
 # The stock L2 is 12 MiB — a looping synthetic trace becomes resident
 # after one pass and stops missing.  Shrink the L2 so the mixes stay
@@ -163,17 +169,10 @@ from repro.validate import missheavy
 _SMALL_L2 = dict(l2_size=64 * 1024, l2_assoc=8)
 
 
-def _run_mc(name: str, batched: bool, **overrides):
-    params = dict(_SMALL_L2)
-    params.update(overrides)
-    config = config_2d().derive(name="2D-mh", num_cores=1, **params)
-    machine = Machine(
-        config, [name], seed=7, workload_name=name, batched=batched
+def _miss_heavy_config(**overrides):
+    return config_2d().derive(
+        name="2D-mh", num_cores=1, **dict(_SMALL_L2, **overrides)
     )
-    result = machine.run(
-        warmup_instructions=_WARMUP, measure_instructions=_MEASURE
-    )
-    return result, machine.registry.dump(), machine
 
 
 @pytest.fixture
@@ -204,24 +203,14 @@ def miss_heavy_benchmark(request):
 )
 def test_miss_heavy_stats_bit_identical(miss_heavy_benchmark):
     kind, name = miss_heavy_benchmark
-    scalar_result, scalar_stats, scalar_machine = _run_mc(name, batched=False)
-    batched_result, batched_stats, batched_machine = _run_mc(name, batched=True)
-    assert batched_stats == scalar_stats
-    assert batched_result.hmipc == scalar_result.hmipc
-    assert batched_result.total_cycles == scalar_result.total_cycles
-    for bcore, score in zip(batched_result.cores, scalar_result.cores):
-        assert bcore.avg_load_latency == score.avg_load_latency
-        assert bcore.l2_mpki == score.l2_mpki
-    assert (
-        batched_machine.engine.events_fired
-        == scalar_machine.engine.events_fired
-    )
+    registered, row_fed = _run_both(_miss_heavy_config(), [name])
+    _assert_identical(registered, row_fed)
     if kind == "streaming":
         # The saturated-MRQ case must really be DRAM-bound, otherwise
         # this differential never leaves the L2.
         issued = sum(
             mc.stats.get("issued")
-            for mc in batched_machine.memory.controllers
+            for mc in registered[2].memory.controllers
         )
         assert issued > _MEASURE / 8
 
@@ -230,13 +219,8 @@ def test_miss_heavy_single_entry_mshr_bit_identical():
     """One MSHR entry per bank: maximal backpressure and fill churn."""
     name = missheavy.register_miss_heavy("streaming", 21, 7)
     try:
-        dumps = []
-        for batched in (False, True):
-            _, dump, _ = _run_mc(
-                name, batched=batched, l1_mshr_entries=1, l2_mshr_per_bank=1
-            )
-            dumps.append(dump)
-        assert dumps[0] == dumps[1]
+        config = _miss_heavy_config(l1_mshr_entries=1, l2_mshr_per_bank=1)
+        _assert_identical(*_run_both(config, [name]))
     finally:
         missheavy.unregister(name)
 
@@ -245,35 +229,17 @@ def test_miss_heavy_multicore_mixed_kinds_bit_identical():
     """All four miss-heavy kinds at once on a 4-core machine."""
     names = missheavy.register_all(seed=31, batch_size=256)
     try:
-        dumps = []
-        for batched in (False, True):
-            config = config_2d().derive(name="2D-mh4", **_SMALL_L2)
-            machine = Machine(
-                config, list(names.values()), seed=11,
-                workload_name="missheavy-4c", batched=batched,
-            )
-            machine.run(
-                warmup_instructions=_WARMUP, measure_instructions=_MEASURE
-            )
-            dumps.append(machine.registry.dump())
-        assert dumps[0] == dumps[1]
+        config = config_2d().derive(name="2D-mh4", **_SMALL_L2)
+        _assert_identical(*_run_both(
+            config, list(names.values()), seed=11
+        ))
     finally:
         missheavy.unregister(names)
 
 
 def test_multicore_mix_stats_bit_identical():
-    """The stock 4-core H1 mix: full-system scalar vs batched dump."""
-    from repro.workloads.mixes import MIXES
-
-    mix = MIXES["H1"]
-    dumps = []
-    for batched in (False, True):
-        machine = Machine(
-            config_2d(), list(mix.benchmarks), seed=42,
-            workload_name=mix.name, batched=batched,
-        )
-        machine.run(
-            warmup_instructions=_WARMUP, measure_instructions=_MEASURE
-        )
-        dumps.append(machine.registry.dump())
-    assert dumps[0] == dumps[1]
+    """The stock 4-core H1 mix: every Table-2 native producer against
+    its row generator, end to end."""
+    _assert_identical(*_run_both(
+        config_2d(), list(MIXES["H1"].benchmarks), seed=42
+    ))

@@ -67,18 +67,17 @@ def _run(monkeypatch, core_cls, config, benchmarks, seed=7, **kwargs):
 @pytest.mark.parametrize("seed", range(48))
 def test_parking_core_matches_polling_core(seed, monkeypatch):
     """Randomized legal configs x benchmark lists; the seed's low bits
-    walk 1/4 cores x Engine/HeapEngine x checkers off/on x trace form."""
+    walk 1/4 cores x Engine/HeapEngine x checkers off/on."""
     num_cores = 4 if seed & 1 else 1
     engine_cls = HeapEngine if seed & 2 else Engine
     checkers = "all" if seed & 4 else None
-    batched = not seed & 8
     config = random_system_config(seed, num_cores)
     benchmarks = random_benchmarks(seed, num_cores)
 
     def arm(core_cls):
         return _run(
             monkeypatch, core_cls, config, benchmarks, seed=seed,
-            engine=engine_cls(), checkers=checkers, batched=batched,
+            engine=engine_cls(), checkers=checkers,
         )
 
     want_result, want_dump, polling = arm(PollingCore)
@@ -133,31 +132,28 @@ def test_parking_core_matches_polling_core_on_ragged_gaps(
     num_cores = 4 if seed & 1 else 1
     config = random_system_config(seed, num_cores)
     benchmarks = [ragged_benchmark] * num_cores
-    kwargs = dict(seed=seed, batched=not seed & 2)
     want_result, want_dump, _ = _run(
-        monkeypatch, PollingCore, config, benchmarks, **kwargs
+        monkeypatch, PollingCore, config, benchmarks, seed=seed
     )
     got_result, got_dump, _ = _run(
-        monkeypatch, Core, config, benchmarks, **kwargs
+        monkeypatch, Core, config, benchmarks, seed=seed
     )
     assert got_result == want_result
     assert got_dump == want_dump
 
 
-@pytest.mark.parametrize("batched", [True, False], ids=["cursor", "iterator"])
-def test_hit_bound_mix_fires_strictly_fewer_events(batched, monkeypatch):
+def test_hit_bound_mix_fires_strictly_fewer_events(monkeypatch):
     """On the ledger's hit-bound cell the rule must engage, and every
     parked op must account for exactly one saved event (the few whose
     follow-up event the polling run never reached before it ended are
     the only slack)."""
     config = config_3d_fast()
     benchmarks = list(MIXES["M1"].benchmarks)
-    kwargs = dict(batched=batched)
     want_result, want_dump, polling = _run(
-        monkeypatch, PollingCore, config, benchmarks, **kwargs
+        monkeypatch, PollingCore, config, benchmarks
     )
     got_result, got_dump, parking = _run(
-        monkeypatch, Core, config, benchmarks, **kwargs
+        monkeypatch, Core, config, benchmarks
     )
     assert (got_result, got_dump) == (want_result, want_dump)
     parked = sum(core.parked_dispatches for core in parking.cores)
@@ -185,19 +181,17 @@ def test_finite_trace_ends_no_earlier_when_the_rule_peeks(monkeypatch):
         config = config_3d_fast().derive(name="finite", num_cores=1)
         ends = []
         for core_cls in (PollingCore, Core):
-            for batched in (True, False):
-                monkeypatch.setattr(machine_module, "Core", core_cls)
-                machine = Machine(
-                    config, ["_finite"], seed=1, workload_name="finite",
-                    batched=batched,
-                )
-                with pytest.raises(StopIteration):
-                    machine.run(0, 10_000)
-                core = machine.cores[0]
-                ends.append((
-                    machine.engine.now, core.icount, core.committed,
-                    core.stats.get("rob_stalls"),
-                ))
+            monkeypatch.setattr(machine_module, "Core", core_cls)
+            machine = Machine(
+                config, ["_finite"], seed=1, workload_name="finite"
+            )
+            with pytest.raises(StopIteration):
+                machine.run(0, 10_000)
+            core = machine.cores[0]
+            ends.append((
+                machine.engine.now, core.icount, core.committed,
+                core.stats.get("rob_stalls"),
+            ))
         assert len(set(ends)) == 1
         assert core.parked_dispatches > 0
     finally:

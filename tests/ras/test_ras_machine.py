@@ -42,6 +42,51 @@ def test_zero_rate_ras_is_bit_identical_to_ras_off():
     assert extra["ras_penalty_cycles"] == 0
 
 
+def _ras_calls_and_commands(config):
+    """(Python calls into ``repro.ras`` during the run, DRAM commands
+    issued) for the figure-4 smoke cell: counts, so they repeat exactly
+    on any host."""
+    import cProfile
+    import os
+    import types
+
+    import repro.ras
+    from repro.system.machine import Machine
+
+    ras_dir = os.path.dirname(repro.ras.__file__) + os.sep
+    machine = Machine(config, _BENCH, seed=42, workload_name="H1")
+    profiler = cProfile.Profile(builtins=False)
+    profiler.enable()
+    try:
+        machine.run(_WARMUP, _MEASURE)
+    finally:
+        profiler.disable()
+    calls = sum(
+        entry.callcount
+        for entry in profiler.getstats()
+        if isinstance(entry.code, types.CodeType)
+        and entry.code.co_filename.startswith(ras_dir)
+    )
+    issued = sum(mc.stats.get("issued") for mc in machine.memory.controllers)
+    return calls, issued
+
+
+def test_ras_hook_cost_is_pinned_in_calls_per_dram_command():
+    """The RAS seams' host cost, as a count instead of a wall-clock
+    ratio: nothing in ``repro.ras`` runs on a fault-free machine, and a
+    zero-rate RAS machine pays two calls per issued command (bank remap
+    at enqueue, ECC check at read-out).  One more per-access hook makes
+    it three and fails here."""
+    calls, issued = _ras_calls_and_commands(config_2d())
+    assert issued > 4_000
+    assert calls == 0
+    calls, issued_on = _ras_calls_and_commands(
+        config_2d().derive(name="2D+ras0", ras=RasConfig(ecc="none"))
+    )
+    assert issued_on == issued  # cycle-identical, see the test above
+    assert 0 < calls / issued <= 2.01
+
+
 def test_transient_faults_get_corrected_reproducibly():
     config = config_3d().derive(
         name="3D+faults",

@@ -38,7 +38,6 @@ def _shapes():
     return [
         ("plain", fast, {}),
         ("checkers", _small(config_2d()), {"checkers": "all"}),
-        ("scalar", fast, {"batched": False}),
         (
             "miss-heavy",
             fast.derive(name="3d-fast-mh", l2_size=64 * 1024, l2_assoc=8),
@@ -167,9 +166,32 @@ def test_core_state_from_before_the_parking_rule_is_refused():
     config = _small(config_3d_fast())
     machine = _build(config, {})
     tree = machine.capture_state()
-    assert all(core["v"] == 2 for core in tree["cores"])
+    assert all(core["v"] == 3 for core in tree["cores"])
     assert not any("fuse_fails" in core for core in tree["cores"])
     tree["cores"][0] = dict(tree["cores"][0], v=1, fuse_fails=0, fuse_skip=0)
+    fresh = _build(config, {})
+    with pytest.raises(SnapshotSchemaError):
+        fresh.restore_state(tree)
+
+
+def test_core_state_v2_is_refused():
+    """Core state v2 carried the row-iterator form's held item and
+    consumption count beside the cursor; v3 has the cursor only, and a
+    v2 tree must fail whole, not half-apply."""
+    from repro.common.errors import SnapshotSchemaError
+
+    config = _small(config_3d_fast())
+    tree = _build(config, {}).capture_state()
+    assert all(core["v"] == 3 for core in tree["cores"])
+    assert not any(
+        key in core
+        for core in tree["cores"]
+        for key in ("pending_item", "trace_items")
+    )
+    assert all(core["cursor"] is not None for core in tree["cores"])
+    tree["cores"][0] = dict(
+        tree["cores"][0], v=2, pending_item=None, trace_items=0
+    )
     fresh = _build(config, {})
     with pytest.raises(SnapshotSchemaError):
         fresh.restore_state(tree)
@@ -195,3 +217,34 @@ def test_controller_state_from_before_the_drain_removal_is_refused():
     fresh = _build(config, {})
     with pytest.raises(SnapshotSchemaError):
         fresh.restore_state(tree)
+
+
+def test_mid_run_checkpoint_size_stays_under_its_ceiling(tmp_path):
+    """Checkpoint cost as a count: the bytes one mid-run snapshot of the
+    figure-4 smoke cell writes (99.6 kB when pinned; it is the state
+    walk and the fsync'd write that a periodic snapshot pays).  A seam
+    that starts capturing regenerable state — trace batches, whole stat
+    histories — lands well past the ceiling."""
+    import os
+
+    from repro.workloads.mixes import MIXES
+
+    path = str(tmp_path / "cell.snap")
+    machine = Machine(
+        config_2d(), list(MIXES["H1"].benchmarks), seed=42,
+        workload_name="H1",
+    )
+    preemption.clear()
+    preemption.request_preemption()
+    try:
+        with pytest.raises(SnapshotPreempted) as caught:
+            machine.run(
+                2_000, 8_000,
+                snapshot=SnapshotPlan(
+                    path=path, every=40_000, preemptible=True
+                ),
+            )
+    finally:
+        preemption.clear()
+    assert caught.value.cycle == 40_000  # mid-run: the cell ends ~85k
+    assert 32 * 1024 < os.path.getsize(path) < 128 * 1024

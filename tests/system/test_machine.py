@@ -139,3 +139,45 @@ def test_fault_free_machine_does_not_import_ras_machinery():
         capture_output=True, text=True, timeout=120,
     )
     assert out.stdout.strip() == "['repro.ras', 'repro.ras.config']"
+
+
+def _one_address(pulled):
+    """Endless single-address trace that counts the items it hands out."""
+    from repro.cpu.trace import TraceItem
+
+    while True:
+        pulled[0] += 1
+        yield TraceItem(3, 0x1000, False, 0x400)
+
+
+def test_swapped_trace_drives_dispatch():
+    """The documented bring-your-own-trace idiom: assigning ``core.trace``
+    must change what the core executes, not only what the attribute
+    reads back."""
+    mix = ["S.all", "gzip", "mcf", "qsort"]  # sorted: slot i is request i
+    placeholder = Machine(config_2d(), mix).run(1_000, 4_000)
+    machine = Machine(config_2d(), mix)
+    machine.cores[0].trace = _one_address([0])
+    swapped = machine.run(1_000, 4_000)
+    assert placeholder.cores[0].l2_mpki > 50
+    assert swapped.cores[0].l2_mpki < 1
+    assert swapped.cores[0].ipc > 2 * placeholder.cores[0].ipc
+
+
+def test_swapped_trace_feeds_skip_ahead_and_dispatch_from_one_source():
+    """Under sampling a core alternates ``skip_ahead`` and detailed
+    dispatch; every instruction it counts, skipped or dispatched, must
+    come out of the swapped-in source."""
+    from repro.cpu.trace import TRACE_BATCH_SIZE
+    from repro.sampling.plan import SamplingPlan
+
+    pulled = [0]
+    machine = Machine(config_2d(), ["S.all", "gzip", "mcf", "qsort"])
+    core = machine.cores[0]
+    core.trace = _one_address(pulled)
+    machine.run_sampled(SamplingPlan(), 2_000, 8_000)
+    cursor = core.trace.cursor()
+    consumed = (cursor.batches_advanced - 1) * TRACE_BATCH_SIZE + cursor.index
+    assert consumed > 2_000
+    assert core.icount == consumed * 4  # gap 3 + the op
+    assert pulled[0] == cursor.batches_advanced * TRACE_BATCH_SIZE

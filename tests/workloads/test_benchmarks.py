@@ -63,8 +63,11 @@ def test_every_benchmark_has_a_native_columnar_producer(name):
     assert spec.batch_factory is not None
     count = 2_500  # crosses two 1024-item batch boundaries
     rows = list(itertools.islice(spec.trace(1 << 40, seed=5), count))
-    batched = list(itertools.islice(spec.batched_trace(1 << 40, seed=5), count))
-    assert batched == rows
+    batches = spec.batch_factory(1 << 40, 5)
+    columnar = list(itertools.islice(
+        itertools.chain.from_iterable(batches), count
+    ))
+    assert columnar == rows
 
 
 def test_intensity_ordering_follows_paper_bands():

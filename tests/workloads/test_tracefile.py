@@ -83,6 +83,30 @@ def test_malformed_variants_name_file_and_line(tmp_path, record):
         list(read_trace(path))
 
 
+@pytest.mark.parametrize("reader", [read_trace, read_trace_batches])
+@pytest.mark.parametrize("record", [
+    "-3 1000 R 400",                 # negative gap: dispatch assumes >= 0
+    "0 8000000000000000 R 400",      # addr = 2**63: past signed 64-bit
+    "0 1000 R ffffffffffffffffff",   # pc past signed 64-bit
+    "99999999999999999999 10 R 4",   # gap past signed 64-bit
+], ids=["negative-gap", "addr-2e63", "pc-overflow", "gap-overflow"])
+def test_out_of_range_records_are_malformed_in_both_readers(
+    tmp_path, reader, record
+):
+    path = tmp_path / "t.txt"
+    path.write_text(f"0 1000 R 400\n{record}\n")
+    with pytest.raises(ValueError, match=r"t\.txt:2: malformed"):
+        list(reader(path))
+
+
+def test_signed_64_bit_edges_are_accepted(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_text("0 7fffffffffffffff W -8000000000000000\n")
+    assert list(read_trace(path)) == [
+        TraceItem(0, (1 << 63) - 1, True, -(1 << 63))
+    ]
+
+
 def test_good_records_before_malformed_are_yielded(tmp_path):
     """Streaming: parsing is lazy, so earlier records arrive first."""
     path = tmp_path / "t.txt"
@@ -241,8 +265,13 @@ def test_read_trace_batches_feeds_batched_machine(tmp_path):
                                   reads_per_element=1, writes_per_element=1)
     path = tmp_path / "stream.trace"
     capture(generator, 200, path)
-    trace = BatchedTrace(read_trace_batches(path, batch_size=64))
-    assert list(itertools.islice(trace, 200)) == list(read_trace(path))
+    cursor = BatchedTrace(read_trace_batches(path, batch_size=64)).cursor()
+    items = []
+    while len(items) < 200:
+        items.extend(cursor.advance_batch())
+    assert items == list(read_trace(path))
+    with pytest.raises(StopIteration):
+        cursor.advance_batch()
 
 
 def test_read_trace_batches_throughput(tmp_path):
