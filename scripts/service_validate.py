@@ -25,11 +25,7 @@ from pathlib import Path
 
 from repro.common.units import MIB
 from repro.experiments import faults
-from repro.experiments.faults import (
-    CRASH_EXITCODE,
-    ServiceFaultSpec,
-    encode_service_faults,
-)
+from repro.experiments.faults import CRASH_EXITCODE, FaultSpec, encode_faults
 from repro.service import ServicePolicy, SweepService, SweepSpec
 from repro.service.chaos import (
     cache_entry_paths,
@@ -168,13 +164,11 @@ def scenario_cache_corruption(h, workdir, spec, policy, reference):
 
 def scenario_kill_worker(h, workdir, spec, policy, reference):
     """A worker SIGKILLed mid-cell is restarted; the cell is retried."""
-    faults.install_service(
-        ServiceFaultSpec("kill-worker", "base", "M1", times=1, seconds=0.0)
-    )
+    faults.install(FaultSpec("kill-worker", "base", "M1", times=1))
     try:
         result, stats = run_sweep(workdir / "killworker", spec, policy)
     finally:
-        faults.clear_service()
+        faults.clear()
     h.check(
         stats["supervisor"]["workers_crashed"] >= 1,
         "kill-worker fault never crashed a worker",
@@ -196,18 +190,15 @@ def scenario_heartbeat_stall(h, workdir, spec, policy, reference):
     """
     import dataclasses
 
-    from repro.experiments.faults import FaultSpec
-
     tight = dataclasses.replace(policy, heartbeat_timeout=0.5)
-    faults.install(FaultSpec("slow", "narrow", "M3", times=1, seconds=3.0))
-    faults.install_service(
-        ServiceFaultSpec("hb-delay", "narrow", "M3", times=1, seconds=30.0)
+    faults.install(
+        FaultSpec("slow", "narrow", "M3", times=1, seconds=3.0),
+        FaultSpec("hb-delay", "narrow", "M3", times=1, seconds=30.0),
     )
     try:
         result, stats = run_sweep(workdir / "hbstall", spec, tight)
     finally:
         faults.clear()
-        faults.clear_service()
     h.check(
         stats["supervisor"]["workers_hung_killed"] >= 1,
         "hb-delay fault never got a worker declared hung",
@@ -236,8 +227,8 @@ def scenario_service_crash(h, workdir, spec, policy, scale_name, reference):
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(workdir), env.get("PYTHONPATH", "")])
     )
-    env[faults.ENV_SERVICE_VAR] = encode_service_faults(
-        (ServiceFaultSpec("crash-service", "base", "M3", times=1),)
+    env[faults.ENV_VAR] = encode_faults(
+        (FaultSpec("crash-service", "base", "M3", times=1),)
     )
     started = time.monotonic()
     out_path = workdir / "crash-child.out"

@@ -16,7 +16,7 @@ Modes:
      any single byte flipped — must be *refused*
      (:class:`~repro.common.errors.SnapshotError`), never silently
      restored; the intact file must still restore afterwards;
-  3. the sweep-service chaos slice: ``kill-worker-mid-cell`` (SIGKILL
+  3. the sweep-service chaos slice: ``kill-worker`` (SIGKILL
      mid-simulation with periodic snapshots on), ``corrupt-snapshot``
      and ``truncate-snapshot`` faults each drive a supervised sweep
      whose final :func:`~repro.service.chaos.result_fingerprint` must
@@ -284,9 +284,7 @@ def chaos_slice(seed, failures) -> None:
     )
 
     def _sweep(fault_specs):
-        faults.clear_service()
-        if fault_specs:
-            faults.install_service(*fault_specs)
+        faults.install(*fault_specs)
         try:
             with tempfile.TemporaryDirectory() as root:
                 with SweepService(root, policy) as service:
@@ -301,26 +299,26 @@ def chaos_slice(seed, failures) -> None:
                 )
                 return result_fingerprint(result), result, stats, sidecars
         finally:
-            faults.clear_service()
+            faults.clear()
 
     reference, ref_result, _, _ = _sweep([])
     if not ref_result.complete:
         failures.append("chaos: undisturbed reference sweep incomplete")
         return
-    kill = faults.ServiceFaultSpec(kind="kill-worker-mid-cell", seconds=0.3)
+    kill = faults.FaultSpec("kill-worker", seconds=0.3)
     # corrupt/truncate tamper with an *existing* checkpoint before the
     # resume attempt reads it, so each needs the mid-cell kill of
     # attempt 1 to leave that checkpoint behind.
     trials = [
-        ("kill-worker-mid-cell", [kill], True),
+        ("kill-worker", [kill], True),
         (
             "corrupt-snapshot",
-            [kill, faults.ServiceFaultSpec(kind="corrupt-snapshot", times=-1)],
+            [kill, faults.FaultSpec("corrupt-snapshot", times=-1)],
             False,
         ),
         (
             "truncate-snapshot",
-            [kill, faults.ServiceFaultSpec(kind="truncate-snapshot", times=-1)],
+            [kill, faults.FaultSpec("truncate-snapshot", times=-1)],
             False,
         ),
     ]

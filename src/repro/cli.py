@@ -114,7 +114,7 @@ def _add_check_flag(parser: argparse.ArgumentParser) -> None:
 
 
 def _export_check_env(args) -> None:
-    """Experiment commands pass --check to workers via REPRO_CHECK."""
+    """Experiment commands pass --check to run_matrix via REPRO_CHECK."""
     if getattr(args, "check", None):
         from .experiments.runner import ENV_CHECK
 
@@ -131,7 +131,7 @@ def _add_sample_flag(parser: argparse.ArgumentParser) -> None:
 
 
 def _export_sample_env(args) -> None:
-    """Experiment commands pass --sample to workers via REPRO_SAMPLE."""
+    """Experiment commands pass --sample to run_matrix via REPRO_SAMPLE."""
     spec = getattr(args, "sample", None)
     if spec:
         from .sampling.plan import ENV_SAMPLE, parse_sample_spec

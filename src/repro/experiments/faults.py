@@ -1,31 +1,47 @@
-"""Deterministic fault injection for testing the resilience layer itself.
+"""Deterministic fault injection for testing the resilience layers.
 
-The retry, timeout, and resume paths of :func:`repro.experiments.runner.
-run_matrix` only matter when cells actually fail — which healthy code
-never does in CI.  This module lets tests (and the CI smoke job) inject
-failures into specific matrix cells, deterministically keyed on
-``(config name, mix name, attempt number)`` so the same spec reproduces
-the same failure in-process, across forked workers, and across retries.
+The retry, timeout, resume, cache-verification and restart paths only
+matter when something actually fails — which healthy code never does in
+CI.  This module lets tests and the CI chaos gates inject failures into
+specific matrix cells, deterministically keyed on ``(config name, mix
+name, attempt number)`` so the same spec reproduces the same failure
+in-process, in a supervised worker, and across retries.
 
 A fault spec is ``kind:config:mix[:times][:seconds]``:
 
-* ``kind`` — ``raise`` (throw :class:`~repro.common.errors.InjectedFault`),
-  ``crash`` (``os._exit``: simulates a segfault/OOM-killed worker),
-  ``hang`` (sleep ``seconds``, default 3600: simulates a livelock; the
-  runner's wall-clock timeout must kill it), ``slow`` (sleep
-  ``seconds`` then proceed normally), or ``timing`` (corrupt the DRAM
-  array timing of a checker-enabled run so that banks answer faster
-  than the protocol allows — the :mod:`repro.validate` timing checker
-  must catch it; the ``seconds`` field doubles as the shrink factor
-  when it is in ``(0, 1)``, defaulting to 0.5 otherwise).
+* ``kind`` — what fails, grouped by where it fires:
+
+  - at cell start (:func:`inject`): ``raise`` (throw
+    :class:`~repro.common.errors.InjectedFault`), ``crash``
+    (``os._exit``: a segfaulted or OOM-killed worker), ``hang`` (sleep
+    ``seconds``, default 3600: a livelock the wall-clock timeout must
+    kill), ``slow`` (sleep ``seconds``, then proceed normally);
+  - in the model (:mod:`repro.validate.hooks`): ``timing`` shrinks the
+    DRAM array timings of a checker-enabled run so banks answer faster
+    than the protocol allows — the timing checker must catch it
+    (``seconds`` in ``(0, 1)`` is the shrink factor, else 0.5);
+  - in a supervised worker (:mod:`repro.service.supervisor`):
+    ``kill-worker`` (SIGKILL the worker ``seconds`` into the cell — it
+    must be replaced and the cell retried, from its latest checkpoint
+    when snapshots are on), ``hb-delay`` (stall the heartbeat thread for
+    ``seconds`` — the worker must be declared hung on silence alone),
+    ``corrupt-snapshot`` / ``truncate-snapshot`` (flip a byte in / halve
+    the cell's on-disk checkpoint before a resume attempt — the loader
+    must refuse it and the cell restart cleanly from zero);
+  - in the sweep service (:mod:`repro.service`): ``corrupt-cache`` /
+    ``truncate-cache`` (damage a cache entry just after it is written —
+    the read path must quarantine it and recompute), ``crash-service``
+    (raise :class:`~repro.common.errors.InjectedServiceCrash` after the
+    cell's completion is journaled — a restart must resume
+    bit-identically).
+
 * ``config`` / ``mix`` — cell coordinates; ``*`` matches any.
 * ``times`` — affect attempts ``1..times`` (default 1, so the first retry
   succeeds); ``-1`` means every attempt.
-* ``seconds`` — sleep length for ``hang``/``slow``.
+* ``seconds`` — the delay of the kinds that take one.
 
 Specs reach worker processes through the ``REPRO_FAULTS`` environment
-variable (inherited on fork) or in-process via :func:`install` (serial
-runs and tests).
+variable (inherited on fork) or in-process via :func:`install`.
 """
 
 from __future__ import annotations
@@ -40,10 +56,25 @@ from ..common.errors import InjectedFault
 #: Environment variable holding ``;``-separated fault specs.
 ENV_VAR = "REPRO_FAULTS"
 
-KINDS = ("raise", "crash", "hang", "slow", "timing")
+#: Kinds :func:`inject` applies at the start of a cell attempt.
+CELL_START_KINDS = ("raise", "crash", "hang", "slow")
 
-#: Timing shrink factor applied when a ``timing`` fault leaves the
-#: ``seconds`` field at its sleep-oriented default.
+KINDS = CELL_START_KINDS + (
+    "timing",
+    "kill-worker",
+    "hb-delay",
+    "corrupt-snapshot",
+    "truncate-snapshot",
+    "corrupt-cache",
+    "truncate-cache",
+    "crash-service",
+)
+
+#: ``seconds`` when a spec leaves it out (0 for every other kind).
+_DEFAULT_SECONDS = {"hang": 3600.0, "slow": 3600.0}
+
+#: Timing shrink factor applied when a ``timing`` fault's ``seconds``
+#: field is not a factor in ``(0, 1)``.
 DEFAULT_TIMING_FACTOR = 0.5
 
 #: Exit code used by ``crash`` faults (distinctive in post-mortems).
@@ -55,15 +86,19 @@ class FaultSpec:
     """One injected fault, matched against (config, mix, attempt)."""
 
     kind: str
-    config: str
-    mix: str
+    config: str = "*"
+    mix: str = "*"
     times: int = 1
-    seconds: float = 3600.0
+    seconds: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(
                 f"unknown fault kind {self.kind!r}; known: {', '.join(KINDS)}"
+            )
+        if self.seconds is None:
+            object.__setattr__(
+                self, "seconds", _DEFAULT_SECONDS.get(self.kind, 0.0)
             )
 
     def matches(self, config: str, mix: str, attempt: int) -> bool:
@@ -95,7 +130,7 @@ def parse_fault(text: str) -> FaultSpec:
         )
     kind, config, mix = parts[0], parts[1], parts[2]
     times = int(parts[3]) if len(parts) > 3 and parts[3] else 1
-    seconds = float(parts[4]) if len(parts) > 4 and parts[4] else 3600.0
+    seconds = float(parts[4]) if len(parts) > 4 and parts[4] else None
     return FaultSpec(kind=kind, config=config, mix=mix, times=times, seconds=seconds)
 
 
@@ -115,7 +150,10 @@ _installed: Optional[Tuple[FaultSpec, ...]] = None
 
 
 def install(*specs: FaultSpec) -> None:
-    """Activate faults in this process (overrides ``REPRO_FAULTS``)."""
+    """Activate exactly these faults in this process.
+
+    Overrides ``REPRO_FAULTS`` and replaces any earlier :func:`install`.
+    """
     global _installed
     _installed = tuple(specs)
 
@@ -133,19 +171,27 @@ def active_faults() -> Tuple[FaultSpec, ...]:
     return parse_faults(os.environ.get(ENV_VAR, ""))
 
 
-def inject(config: str, mix: str, attempt: int) -> None:
-    """Apply the first matching active fault for this cell attempt.
+def fault_for(
+    kind: str, config: str, mix: str, attempt: int = 1
+) -> Optional[FaultSpec]:
+    """The first active fault of ``kind`` matching this cell attempt."""
+    for spec in active_faults():
+        if spec.kind == kind and spec.matches(config, mix, attempt):
+            return spec
+    return None
 
-    Called by the runner's worker entry point before simulating a cell.
-    No matching fault means no effect — production sweeps run this as a
-    single dict lookup against an empty tuple.
+
+def inject(config: str, mix: str, attempt: int) -> None:
+    """Apply the first matching cell-start fault for this cell attempt.
+
+    Called by :func:`repro.experiments.runner.run_cell` before
+    simulating.  No matching fault means no effect — production sweeps
+    run this as a loop over an empty tuple.
     """
     for spec in active_faults():
-        if not spec.matches(config, mix, attempt):
-            continue
-        if spec.kind == "timing":
-            # Timing corruption is applied where the DRAM model is
-            # built (see repro.validate.hooks), not at cell start.
+        if spec.kind not in CELL_START_KINDS or not spec.matches(
+            config, mix, attempt
+        ):
             continue
         if spec.kind == "raise":
             raise InjectedFault(
@@ -153,182 +199,22 @@ def inject(config: str, mix: str, attempt: int) -> None:
             )
         if spec.kind == "crash":
             os._exit(CRASH_EXITCODE)
-        if spec.kind in ("hang", "slow"):
-            time.sleep(spec.seconds)
+        time.sleep(spec.seconds)  # hang / slow
         return
-
-
-# ----------------------------------------------------------------------
-# Service-layer fault injection (the sweep-service chaos harness)
-#
-# Cell faults above fire *inside* a simulation attempt; service faults
-# target the machinery around it: the worker processes, the result
-# cache, and the service itself.  Spec syntax is identical
-# (``kind:config:mix[:times][:seconds]``), carried by the
-# ``REPRO_SERVICE_FAULTS`` environment variable (inherited by forked
-# workers) or installed in-process via :func:`install_service`.
-
-#: Environment variable holding ``;``-separated service fault specs.
-ENV_SERVICE_VAR = "REPRO_SERVICE_FAULTS"
-
-SERVICE_KINDS = (
-    #: SIGKILL the worker process ``seconds`` after it starts a matching
-    #: cell — the supervisor must observe the death, restart the worker,
-    #: and retry or record the cell.
-    "kill-worker",
-    #: Stall the worker's heartbeat thread for ``seconds`` during a
-    #: matching cell — the supervisor must declare the worker hung and
-    #: recycle it even though the simulation itself is alive.
-    "hb-delay",
-    #: Flip a byte inside a cache entry just after it is written — the
-    #: read path must detect the bad checksum, quarantine the entry,
-    #: and recompute.
-    "corrupt-cache",
-    #: Cut a cache entry in half after it is written (a torn write that
-    #: somehow survived) — same detection obligations.
-    "truncate-cache",
-    #: Raise :class:`~repro.common.errors.InjectedServiceCrash` after a
-    #: matching cell's completion is journaled — a service killed here
-    #: must resume to a bit-identical result.
-    "crash-service",
-    #: SIGKILL the worker ``seconds`` into a matching cell *with periodic
-    #: snapshots on* — the retry must resume from the latest checkpoint
-    #: (not from zero) and still produce a bit-identical result.
-    "kill-worker-mid-cell",
-    #: Flip one byte in the cell's on-disk snapshot before a resume
-    #: attempt — the loader must refuse it (checksum) and the cell must
-    #: restart cleanly from zero, never resume corrupted state.
-    "corrupt-snapshot",
-    #: Cut the cell's on-disk snapshot in half before a resume attempt —
-    #: same refusal obligations as ``corrupt-snapshot``.
-    "truncate-snapshot",
-)
-
-
-@dataclass(frozen=True)
-class ServiceFaultSpec:
-    """One injected service-layer fault, matched like :class:`FaultSpec`."""
-
-    kind: str
-    config: str = "*"
-    mix: str = "*"
-    times: int = 1
-    seconds: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in SERVICE_KINDS:
-            raise ValueError(
-                f"unknown service fault kind {self.kind!r}; "
-                f"known: {', '.join(SERVICE_KINDS)}"
-            )
-
-    def matches(self, config: str, mix: str, attempt: int) -> bool:
-        if self.config != "*" and self.config != config:
-            return False
-        if self.mix != "*" and self.mix != mix:
-            return False
-        return self.times < 0 or attempt <= self.times
-
-    def encode(self) -> str:
-        return (
-            f"{self.kind}:{self.config}:{self.mix}:{self.times}:{self.seconds:g}"
-        )
-
-
-def parse_service_fault(text: str) -> ServiceFaultSpec:
-    """Parse one ``kind:config:mix[:times][:seconds]`` service spec."""
-    parts = text.strip().split(":")
-    if len(parts) < 3:
-        raise ValueError(
-            f"service fault spec {text!r} needs at least kind:config:mix"
-        )
-    times = int(parts[3]) if len(parts) > 3 and parts[3] else 1
-    seconds = float(parts[4]) if len(parts) > 4 and parts[4] else 0.0
-    return ServiceFaultSpec(
-        kind=parts[0], config=parts[1], mix=parts[2],
-        times=times, seconds=seconds,
-    )
-
-
-def parse_service_faults(text: str) -> Tuple[ServiceFaultSpec, ...]:
-    """Parse a ``;``-separated list of service fault specs."""
-    return tuple(
-        parse_service_fault(part) for part in text.split(";") if part.strip()
-    )
-
-
-def encode_service_faults(specs: Tuple[ServiceFaultSpec, ...]) -> str:
-    """Inverse of :func:`parse_service_faults` (for ``REPRO_SERVICE_FAULTS``)."""
-    return ";".join(spec.encode() for spec in specs)
-
-
-_service_installed: Optional[Tuple[ServiceFaultSpec, ...]] = None
-
-
-def install_service(*specs: ServiceFaultSpec) -> None:
-    """Activate service faults in this process (overrides the env var)."""
-    global _service_installed
-    _service_installed = tuple(specs)
-
-
-def clear_service() -> None:
-    """Deactivate in-process service faults (the env var applies again)."""
-    global _service_installed
-    _service_installed = None
-
-
-def active_service_faults() -> Tuple[ServiceFaultSpec, ...]:
-    """Service faults in effect: installed ones, else from the environment."""
-    if _service_installed is not None:
-        return _service_installed
-    return parse_service_faults(os.environ.get(ENV_SERVICE_VAR, ""))
-
-
-def service_fault_for(
-    kind: str, config: str, mix: str, attempt: int = 1
-) -> Optional[ServiceFaultSpec]:
-    """The first active service fault of ``kind`` matching this cell."""
-    for spec in active_service_faults():
-        if spec.kind == kind and spec.matches(config, mix, attempt):
-            return spec
-    return None
-
-
-def timing_fault_for(config: str, mix: str, attempt: int = 1) -> Optional[FaultSpec]:
-    """The active ``timing`` fault matching this cell, if any.
-
-    Queried by :func:`repro.validate.hooks.attach_checkers` when it
-    instruments a machine: a match means the DRAM arrays should be
-    corrupted (array timings scaled by :attr:`FaultSpec.timing_factor`)
-    so the timing-legality checker has a real violation to catch.
-    """
-    for spec in active_faults():
-        if spec.kind == "timing" and spec.matches(config, mix, attempt):
-            return spec
-    return None
 
 
 __all__ = [
     "CRASH_EXITCODE",
     "DEFAULT_TIMING_FACTOR",
-    "ENV_SERVICE_VAR",
     "ENV_VAR",
     "FaultSpec",
-    "SERVICE_KINDS",
-    "ServiceFaultSpec",
+    "KINDS",
     "active_faults",
-    "active_service_faults",
     "clear",
-    "clear_service",
     "encode_faults",
-    "encode_service_faults",
+    "fault_for",
     "inject",
     "install",
-    "install_service",
     "parse_fault",
     "parse_faults",
-    "parse_service_fault",
-    "parse_service_faults",
-    "service_fault_for",
-    "timing_fault_for",
 ]

@@ -221,6 +221,32 @@ def scan_jsonl(path: PathLike) -> Tuple[list, int]:
     return records, valid_bytes
 
 
+def open_jsonl(path: Path, header: dict, replay=None):
+    """Open a journal for appending; returns ``(handle, replayed)``.
+
+    With ``replay`` and an existing non-empty journal, its records are
+    scanned and handed to ``replay(records)`` — which interprets them
+    and may refuse the journal by raising, before anything is modified —
+    then a torn final record (a crash mid-append) is cut off, because
+    the next append would otherwise glue onto it, and the file is
+    reopened for append.  Otherwise the file is (re)started with
+    ``header`` as its first record and ``replayed`` is ``None``.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    if replay is None or not path.exists() or path.stat().st_size == 0:
+        handle = open(path, "w")
+        append_jsonl(handle, header)
+        return handle, None
+    records, valid_bytes = scan_jsonl(path)
+    replayed = replay(records)
+    if path.stat().st_size > valid_bytes:
+        with open(path, "r+b") as tail:
+            tail.truncate(valid_bytes)
+            tail.flush()
+            os.fsync(tail.fileno())
+    return open(path, "a"), replayed
+
+
 # ----------------------------------------------------------------------
 # Incremental cell journal (checkpoint/resume)
 
@@ -243,13 +269,17 @@ def config_fingerprint(configs) -> str:
 
 
 def journal_signature(
-    configs, mixes, scale: ExperimentScale, seed: int
+    configs, mixes, scale: ExperimentScale, seed: int, sampling=None
 ) -> dict:
     """Identity of one matrix: a journal only resumes an identical run.
 
     ``configs`` accepts :class:`SystemConfig` objects (preferred — the
     signature then carries a :func:`config_fingerprint` pinning their
     contents) or plain name strings (legacy; contents unchecked).
+    ``sampling`` (a spec string or plan) adds the normalized plan when
+    sampling is on, so sampled estimates are never resumed as
+    full-detail results or under a different plan; full-detail
+    signatures carry no such key.
     """
     names = [c if isinstance(c, str) else c.name for c in configs]
     signature = {
@@ -263,6 +293,10 @@ def journal_signature(
     objects = [c for c in configs if not isinstance(c, str)]
     if objects and len(objects) == len(names):
         signature["config_fingerprint"] = config_fingerprint(objects)
+    if sampling:
+        from ..service.keys import normalize_sampling
+
+        signature["sampling"] = normalize_sampling(sampling)
     return signature
 
 
@@ -315,52 +349,42 @@ class CellJournal:
         is truncated and restarted.
         """
         path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        completed: Dict[Tuple[str, str], MachineResult] = {}
-        failed: Dict[Tuple[str, str], CellFailure] = {}
-        if resume and path.exists() and path.stat().st_size > 0:
-            records, valid_bytes = scan_jsonl(path)
+
+        def replay(records):
             header, completed, failed = cls._parse(records, path)
             recorded = header.get("signature")
-            if recorded != signature:
-                if cls._fingerprint_only_mismatch(recorded, signature):
-                    if not force:
-                        raise JournalConfigMismatch(
-                            f"journal {path} names the same matrix "
-                            "(configs/mixes/scale/seed) but its configs "
-                            "had different contents when it was written "
-                            "— a config was edited since; delete the "
-                            "journal or pass --force-resume to mix the "
-                            "old cells in anyway",
-                            path=str(path),
-                            found=recorded.get("config_fingerprint"),
-                            expected=signature.get("config_fingerprint"),
-                        )
-                else:
-                    raise ValueError(
-                        f"journal {path} was written by a different run "
-                        f"(its signature {recorded!r} does not "
-                        f"match this matrix); delete it or drop --resume"
-                    )
-            if path.stat().st_size > valid_bytes:
-                # Crash mid-append left a torn final record: cut it off
-                # before reopening for append, otherwise the next record
-                # would be written onto the same line and corrupt it.
-                with open(path, "r+b") as tail:
-                    tail.truncate(valid_bytes)
-                    tail.flush()
-                    os.fsync(tail.fileno())
-            handle = open(path, "a")
-        else:
-            handle = open(path, "w")
-            append_jsonl(
-                handle,
-                {
-                    "kind": "header",
-                    "journal_version": _JOURNAL_VERSION,
-                    "signature": signature,
-                },
-            )
+            if recorded == signature:
+                return completed, failed
+            if not cls._fingerprint_only_mismatch(recorded, signature):
+                raise ValueError(
+                    f"journal {path} was written by a different run "
+                    f"(its signature {recorded!r} does not "
+                    f"match this matrix); delete it or drop --resume"
+                )
+            if not force:
+                raise JournalConfigMismatch(
+                    f"journal {path} names the same matrix "
+                    "(configs/mixes/scale/seed) but its configs "
+                    "had different contents when it was written "
+                    "— a config was edited since; delete the "
+                    "journal or pass --force-resume to mix the "
+                    "old cells in anyway",
+                    path=str(path),
+                    found=recorded.get("config_fingerprint"),
+                    expected=signature.get("config_fingerprint"),
+                )
+            return completed, failed
+
+        handle, replayed = open_jsonl(
+            path,
+            {
+                "kind": "header",
+                "journal_version": _JOURNAL_VERSION,
+                "signature": signature,
+            },
+            replay if resume else None,
+        )
+        completed, failed = replayed or ({}, {})
         return cls(handle, path, completed, failed)
 
     @staticmethod

@@ -8,10 +8,14 @@ executes such a matrix, optionally across processes
 A full default-scale sweep takes tens of minutes, so the runner is built
 to survive partial failure rather than abort on it:
 
-* each cell runs in its own worker process with an optional wall-clock
-  timeout (a hung or OOM-killed cell cannot take the matrix down);
-* failed attempts are retried with exponential backoff + jitter, up to
-  :attr:`RunPolicy.retries` extra attempts;
+* with ``workers > 1`` or a ``cell_timeout``, cells run on the
+  supervised worker processes of
+  :class:`repro.service.supervisor.WorkerSupervisor` — the executor the
+  sweep service uses — so a crashed, hung (silent heartbeat) or
+  timed-out worker is killed and replaced without taking the matrix
+  down; otherwise cells run in this process, one after another;
+* failed attempts are retried with exponential backoff, up to
+  :attr:`CellPolicy.retries` extra attempts;
 * a cell that still fails becomes a recorded :class:`CellFailure` in
   ``ResultTable.failures`` instead of an exception — healthy cells keep
   their results;
@@ -26,13 +30,10 @@ See ``docs/resilience.md`` for the full semantics.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
-import random
 import time
 import traceback
-from dataclasses import dataclass, field, replace
-from multiprocessing.connection import wait as _connection_wait
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..common.errors import CellFailedError
@@ -62,51 +63,37 @@ def harmonic_mean(values: Iterable[float]) -> float:
 
 
 @dataclass(frozen=True)
-class RunPolicy:
-    """Resilience knobs for one ``run_matrix`` invocation.
+class CellPolicy:
+    """How one cell is executed reliably: the knobs every executor shares.
+
+    :class:`RunPolicy` (one ``run_matrix`` call) and
+    :class:`repro.service.supervisor.ServicePolicy` (the long-running
+    sweep service) extend this with their own fields and defaults.
 
     Attributes:
         cell_timeout: wall-clock seconds per cell *attempt*; exceeding it
             kills the worker and counts as a failed attempt.  Timeouts
-            require process isolation, so setting this forces the
-            per-cell-process path even for ``workers=1``.
+            need a worker process to kill, so under ``run_matrix``
+            setting this selects the supervised path even for
+            ``workers=1``.
         retries: extra attempts after the first failure (total attempts
             is ``retries + 1``).
-        backoff_base / backoff_factor / backoff_max: exponential backoff
-            between attempts — attempt *n* waits
-            ``min(backoff_max, backoff_base * backoff_factor**(n-1))``
-            seconds before re-running.
-        backoff_jitter: multiplies the delay by ``1 + jitter*U(0,1)`` to
-            decorrelate retries across cells.
-        journal_path: append one fsync'd JSON record per completed cell
-            here (see :class:`repro.experiments.persistence.CellJournal`).
-        resume: skip cells already recorded as successful in the journal;
-            failed or missing cells are re-simulated.
-        force_resume: resume a journal whose configs were *edited* since
-            it was written (same names, different contents) instead of
-            refusing with
-            :class:`~repro.common.errors.JournalConfigMismatch`.
+        backoff_base / backoff_max: exponential backoff between attempts
+            — attempt *n* waits ``min(backoff_max, backoff_base *
+            2**(n-1))`` seconds before re-running.
         snapshot_every: checkpoint every cell's machine state every this
             many cycles (see :mod:`repro.snapshot`); an interrupted,
-            crashed or timed-out cell re-attempt resumes from its latest
-            snapshot instead of re-simulating from zero.  A corrupt or
-            mismatched snapshot is refused and the cell restarts clean.
-        snapshot_dir: directory for per-cell snapshot files (default:
-            ``<journal_path>.snapshots`` next to the journal, or
-            ``results/snapshots`` without one).
+            crashed, preempted or timed-out cell re-attempt resumes from
+            its latest snapshot instead of re-simulating from zero.  A
+            corrupt or mismatched snapshot is refused and the cell
+            restarts clean.
     """
 
     cell_timeout: Optional[float] = None
     retries: int = 0
     backoff_base: float = 0.25
-    backoff_factor: float = 2.0
     backoff_max: float = 8.0
-    backoff_jitter: float = 0.25
-    journal_path: Optional[Union[str, "os.PathLike[str]"]] = None
-    resume: bool = False
-    force_resume: bool = False
     snapshot_every: Optional[int] = None
-    snapshot_dir: Optional[Union[str, "os.PathLike[str]"]] = None
 
     def __post_init__(self) -> None:
         if self.retries < 0:
@@ -120,17 +107,37 @@ class RunPolicy:
                 f"snapshot_every must be positive, got {self.snapshot_every}"
             )
 
+    def backoff_delay(self, attempt: int) -> float:
+        """Seconds to wait after failed attempt number ``attempt``."""
+        return min(self.backoff_max, self.backoff_base * 2 ** (attempt - 1))
+
+
+@dataclass(frozen=True)
+class RunPolicy(CellPolicy):
+    """Resilience knobs for one ``run_matrix`` invocation.
+
+    Attributes (beyond :class:`CellPolicy`):
+        journal_path: append one fsync'd JSON record per completed cell
+            here (see :class:`repro.experiments.persistence.CellJournal`).
+        resume: skip cells already recorded as successful in the journal;
+            failed or missing cells are re-simulated.
+        force_resume: resume a journal whose configs were *edited* since
+            it was written (same names, different contents) instead of
+            refusing with
+            :class:`~repro.common.errors.JournalConfigMismatch`.
+        snapshot_dir: directory for per-cell snapshot files (default:
+            ``<journal_path>.snapshots`` next to the journal, or
+            ``results/snapshots`` without one).
+    """
+
+    journal_path: Optional[Union[str, "os.PathLike[str]"]] = None
+    resume: bool = False
+    force_resume: bool = False
+    snapshot_dir: Optional[Union[str, "os.PathLike[str]"]] = None
+
     def with_journal(self, path) -> "RunPolicy":
         """Copy of this policy journaling to ``path``."""
         return replace(self, journal_path=path)
-
-    def backoff_delay(self, attempt: int, rng: random.Random) -> float:
-        """Seconds to wait after failed attempt number ``attempt``."""
-        delay = min(
-            self.backoff_max,
-            self.backoff_base * self.backoff_factor ** (attempt - 1),
-        )
-        return delay * (1.0 + self.backoff_jitter * rng.random())
 
 
 @dataclass
@@ -153,48 +160,83 @@ class CellFailure:
         )
 
 
-#: Environment variable enabling runtime checkers in every cell
-#: (inherited by forked workers, like ``REPRO_FAULTS``).  Value is a
-#: checker spec: ``all`` or a comma-separated subset of
-#: :data:`repro.validate.CHECKER_NAMES`.
+@dataclass
+class CellTask:
+    """One cell to simulate, plus its retry state.
+
+    The one cell record: ``run_matrix`` and the sweep service both build
+    these, :func:`run_cell` simulates one, and the supervisor ships them
+    to its workers.  Everything that decides *what* is simulated is
+    resolved by whoever builds the task — :func:`run_cell` consults no
+    environment variable for it — so the caller's journal signature or
+    cache key describes exactly the run the worker performs.
+    """
+
+    config: SystemConfig
+    mix_name: str
+    benchmarks: Tuple[str, ...]
+    warmup_instructions: int
+    measure_instructions: int
+    seed: int
+    #: Checker spec (``all`` or names from
+    #: :data:`repro.validate.CHECKER_NAMES`); ``None`` attaches none.
+    checkers: Optional[str] = None
+    #: Sampling spec (see :mod:`repro.sampling`); ``None`` = full detail.
+    sampling: Optional[str] = None
+    #: :class:`repro.snapshot.SnapshotPlan` when the cell checkpoints
+    #: (typed loosely: that package loads only when snapshots are on).
+    snapshot: Optional[object] = None
+    #: Content address the sweep service caches the result under.
+    key: str = ""
+    attempt: int = 1
+    elapsed: float = 0.0
+    ready_at: float = 0.0
+
+    def scenario(self) -> Tuple[str, str]:
+        return (self.config.name, self.mix_name)
+
+    def failed(self, error_type: str, message: str, tb: str = "") -> CellFailure:
+        """The post-mortem of this cell as of its current attempt."""
+        return CellFailure(
+            config=self.config.name,
+            mix=self.mix_name,
+            error_type=error_type,
+            message=message,
+            traceback=tb,
+            attempts=self.attempt,
+            elapsed=self.elapsed,
+        )
+
+
+#: Environment variable enabling runtime checkers in every cell of a
+#: ``run_matrix`` call that passes no ``checkers`` (what the CLI's
+#: ``--check`` exports).  Value is a checker spec: ``all`` or a
+#: comma-separated subset of :data:`repro.validate.CHECKER_NAMES`.
 ENV_CHECK = "REPRO_CHECK"
 
 
-def _run_cell(args):
-    """Simulate one cell (runs inside the worker process)."""
-    (config, mix_name, benchmarks, warmup, measure, seed, attempt, checkers,
-     sampling, snapshot) = args
-    faults.inject(config.name, mix_name, attempt)
-    if checkers is None:
-        checkers = os.environ.get(ENV_CHECK) or None
-    from ..sampling.plan import parse_sample_spec, plan_from_env
+def run_cell(task: CellTask) -> MachineResult:
+    """Simulate one attempt of one cell (in-process or inside a worker)."""
+    config, mix_name = task.config, task.mix_name
+    faults.inject(config.name, mix_name, task.attempt)
+    plan = None
+    if task.sampling:
+        from ..sampling.plan import parse_sample_spec
 
-    plan = parse_sample_spec(sampling) if sampling else plan_from_env()
-
-    snap_plan = None
-    snap_path = None
-    if snapshot is not None:
-        from ..snapshot import SnapshotPlan
-
-        # (every, path) from run_matrix; (every, path, preemptible) from
-        # the sweep service, whose workers honor SIGUSR1 checkpoints.
-        every, snap_path = snapshot[0], snapshot[1]
-        preemptible = bool(snapshot[2]) if len(snapshot) > 2 else False
-        snap_plan = SnapshotPlan(
-            path=snap_path, every=every, preemptible=preemptible
-        )
+        plan = parse_sample_spec(task.sampling)
+    snap_path = task.snapshot.path if task.snapshot is not None else None
 
     def simulate(resume_from):
         return run_workload(
             config,
-            benchmarks,
-            warmup_instructions=warmup,
-            measure_instructions=measure,
-            seed=seed,
+            task.benchmarks,
+            warmup_instructions=task.warmup_instructions,
+            measure_instructions=task.measure_instructions,
+            seed=task.seed,
             workload_name=mix_name,
-            checkers=checkers,
+            checkers=task.checkers,
             sampling=plan,
-            snapshot=snap_plan,
+            snapshot=task.snapshot,
             resume_from=resume_from,
         )
 
@@ -215,7 +257,9 @@ def _run_cell(args):
                 pass
             result = simulate(None)
         else:
-            _write_resume_sidecar(snap_path, config.name, mix_name, attempt)
+            _write_resume_sidecar(
+                snap_path, config.name, mix_name, task.attempt
+            )
     else:
         result = simulate(None)
     if snap_path is not None:
@@ -224,7 +268,7 @@ def _run_cell(args):
             os.unlink(snap_path)
         except OSError:
             pass
-    return (config.name, mix_name, result)
+    return result
 
 
 def _write_resume_sidecar(
@@ -381,43 +425,6 @@ def parallelism_from_env() -> int:
 # Internal execution machinery
 
 
-@dataclass
-class _Job:
-    """One cell plus its retry state."""
-
-    config: SystemConfig
-    mix_name: str
-    benchmarks: Tuple[str, ...]
-    warmup: int
-    measure: int
-    seed: int
-    attempt: int = 1
-    ready_at: float = 0.0
-    elapsed: float = 0.0
-    checkers: Optional[str] = None
-    sampling: Optional[str] = None
-    #: ``(every_cycles, snapshot_path)`` when periodic checkpointing is on.
-    snapshot: Optional[Tuple[int, str]] = None
-
-    @property
-    def key(self) -> Tuple[str, str]:
-        return (self.config.name, self.mix_name)
-
-    def cell_args(self):
-        return (
-            self.config,
-            self.mix_name,
-            self.benchmarks,
-            self.warmup,
-            self.measure,
-            self.seed,
-            self.attempt,
-            self.checkers,
-            self.sampling,
-            self.snapshot,
-        )
-
-
 class _Recorder:
     """Collects cell outcomes and mirrors them into the journal."""
 
@@ -426,218 +433,71 @@ class _Recorder:
         self.failures: Dict[Tuple[str, str], CellFailure] = {}
         self.journal = journal
 
-    def record_result(self, job: _Job, result: MachineResult) -> None:
-        self.cells[job.key] = result
-        self.failures.pop(job.key, None)
+    def record_result(self, task: CellTask, result: MachineResult) -> None:
+        self.cells[task.scenario()] = result
+        self.failures.pop(task.scenario(), None)
         if self.journal is not None:
             self.journal.record_result(
-                job.config.name, job.mix_name, result, attempts=job.attempt
+                task.config.name, task.mix_name, result, attempts=task.attempt
             )
 
-    def record_failure(self, job: _Job, error: Tuple[str, str, str]) -> None:
-        failure = CellFailure(
-            config=job.config.name,
-            mix=job.mix_name,
-            error_type=error[0],
-            message=error[1],
-            traceback=error[2],
-            attempts=job.attempt,
-            elapsed=job.elapsed,
-        )
-        self.failures[job.key] = failure
+    def record_failure(self, task: CellTask, failure: CellFailure) -> None:
+        self.failures[task.scenario()] = failure
         if self.journal is not None:
             self.journal.record_failure(failure)
 
 
-def _retry_or_fail(
-    job: _Job,
-    error: Tuple[str, str, str],
-    pending: List[_Job],
-    policy: RunPolicy,
-    rng: random.Random,
-    recorder: _Recorder,
-    now: float,
-) -> None:
-    """Requeue a failed attempt with backoff, or record the failure."""
-    if job.attempt <= policy.retries:
-        job.ready_at = now + policy.backoff_delay(job.attempt, rng)
-        job.attempt += 1
-        pending.append(job)
-    else:
-        recorder.record_failure(job, error)
-
-
 def _run_serial(
-    jobs: List[_Job],
-    policy: RunPolicy,
-    rng: random.Random,
-    recorder: _Recorder,
+    tasks: List[CellTask], policy: RunPolicy, recorder: _Recorder
 ) -> None:
     """In-process execution with retries (no wall-clock timeouts).
 
     ``KeyboardInterrupt``/``SystemExit`` propagate so Ctrl-C still stops
     a sweep — completed cells are already safe in the journal.
     """
-    for job in jobs:
+    for task in tasks:
         while True:
             start = time.monotonic()
             try:
-                _, _, result = _run_cell(job.cell_args())
+                result = run_cell(task)
             except Exception as exc:
-                job.elapsed += time.monotonic() - start
-                error = (type(exc).__name__, str(exc), traceback.format_exc())
-                if job.attempt <= policy.retries:
-                    time.sleep(policy.backoff_delay(job.attempt, rng))
-                    job.attempt += 1
+                task.elapsed += time.monotonic() - start
+                if task.attempt <= policy.retries:
+                    time.sleep(policy.backoff_delay(task.attempt))
+                    task.attempt += 1
                     continue
-                recorder.record_failure(job, error)
+                recorder.record_failure(
+                    task,
+                    task.failed(
+                        type(exc).__name__, str(exc), traceback.format_exc()
+                    ),
+                )
                 break
-            job.elapsed += time.monotonic() - start
-            recorder.record_result(job, result)
+            task.elapsed += time.monotonic() - start
+            recorder.record_result(task, result)
             break
 
 
-def _cell_worker(conn, args) -> None:
-    """Worker-process entry point: simulate one cell, ship the outcome."""
-    try:
-        _, _, result = _run_cell(args)
-    except Exception as exc:
-        conn.send(("error", type(exc).__name__, str(exc), traceback.format_exc()))
-    else:
-        conn.send(("ok", result))
-    finally:
-        conn.close()
-
-
-@dataclass
-class _Running:
-    job: _Job
-    process: "multiprocessing.process.BaseProcess"
-    conn: "multiprocessing.connection.Connection"
-    started: float
-
-
-def _reap(entry: _Running) -> None:
-    entry.conn.close()
-    entry.process.join(timeout=5.0)
-    if entry.process.is_alive():  # pragma: no cover - defensive
-        entry.process.kill()
-        entry.process.join()
-
-
-def _run_isolated(
-    jobs: List[_Job],
-    workers: int,
-    policy: RunPolicy,
-    rng: random.Random,
-    recorder: _Recorder,
+def _run_supervised(
+    tasks: List[CellTask], workers: int, policy: RunPolicy, recorder: _Recorder
 ) -> None:
-    """Process-per-cell execution with timeouts, retries, and isolation.
+    """Execution on supervised worker processes (the service's executor).
 
-    Unlike a process *pool*, one process per cell attempt means a hung
-    or crashed cell is killed and retried without poisoning a shared
-    worker, and worker death is observed directly (pipe EOF + exitcode)
-    instead of surfacing as ``BrokenProcessPool`` for the whole matrix.
+    A matrix owns its supervisor for the duration of the call and hands
+    it no circuit breaker: every cell it was asked to run is attempted
+    ``retries + 1`` times.  Whatever ends the call — completion, Ctrl-C,
+    a journal write error — no worker process outlives it.
     """
-    ctx = multiprocessing.get_context()
-    pending: List[_Job] = list(jobs)
-    running: List[_Running] = []
+    # Imported here so that importing (and serially running) experiments
+    # never pays for multiprocessing or the service package.
+    from ..service.supervisor import ServicePolicy, WorkerSupervisor
 
-    def spawn(job: _Job) -> None:
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        process = ctx.Process(
-            target=_cell_worker, args=(child_conn, job.cell_args()), daemon=True
-        )
-        process.start()
-        child_conn.close()
-        running.append(
-            _Running(job=job, process=process, conn=parent_conn,
-                     started=time.monotonic())
-        )
-
+    shared = {f.name: getattr(policy, f.name) for f in fields(CellPolicy)}
+    supervisor = WorkerSupervisor(ServicePolicy(workers=workers, **shared))
     try:
-        while pending or running:
-            now = time.monotonic()
-            ready_jobs = sorted(
-                (j for j in pending if j.ready_at <= now),
-                key=lambda j: j.ready_at,
-            )
-            while len(running) < workers and ready_jobs:
-                job = ready_jobs.pop(0)
-                pending.remove(job)
-                spawn(job)
-
-            if not running:
-                # Everything is waiting out a backoff window.
-                delay = min(j.ready_at for j in pending) - time.monotonic()
-                if delay > 0:
-                    time.sleep(delay)
-                continue
-
-            wait_bounds = []
-            if policy.cell_timeout is not None:
-                wait_bounds.extend(
-                    entry.started + policy.cell_timeout for entry in running
-                )
-            if pending:
-                wait_bounds.append(min(j.ready_at for j in pending))
-            timeout = None
-            if wait_bounds:
-                timeout = max(0.0, min(wait_bounds) - time.monotonic())
-            readable = _connection_wait(
-                [entry.conn for entry in running], timeout=timeout
-            )
-
-            now = time.monotonic()
-            finished = [entry for entry in running if entry.conn in readable]
-            for entry in finished:
-                running.remove(entry)
-                entry.job.elapsed += now - entry.started
-                try:
-                    message = entry.conn.recv()
-                except (EOFError, OSError):
-                    message = None
-                _reap(entry)
-                if message is not None and message[0] == "ok":
-                    recorder.record_result(entry.job, message[1])
-                    continue
-                if message is None:
-                    error = (
-                        "WorkerCrash",
-                        f"worker exited with code {entry.process.exitcode} "
-                        "before reporting a result",
-                        "",
-                    )
-                else:
-                    error = (message[1], message[2], message[3])
-                _retry_or_fail(
-                    entry.job, error, pending, policy, rng, recorder, now
-                )
-
-            if policy.cell_timeout is not None:
-                expired = [
-                    entry
-                    for entry in running
-                    if now - entry.started >= policy.cell_timeout
-                ]
-                for entry in expired:
-                    running.remove(entry)
-                    entry.process.terminate()
-                    entry.job.elapsed += now - entry.started
-                    _reap(entry)
-                    error = (
-                        "CellTimeout",
-                        f"attempt {entry.job.attempt} exceeded the "
-                        f"{policy.cell_timeout:g}s wall-clock budget",
-                        "",
-                    )
-                    _retry_or_fail(
-                        entry.job, error, pending, policy, rng, recorder, now
-                    )
+        supervisor.run(tasks, recorder.record_result, recorder.record_failure)
     finally:
-        for entry in running:  # interrupted: don't leak worker processes
-            entry.process.terminate()
-            _reap(entry)
+        supervisor.shutdown()
 
 
 def run_matrix(
@@ -661,9 +521,9 @@ def run_matrix(
     ``checkers`` attaches runtime invariant checkers (see
     :mod:`repro.validate`) to every cell; a
     :class:`~repro.common.errors.CheckViolation` fails the cell like any
-    other error (and is retried/journaled the same way).  Setting the
-    ``REPRO_CHECK`` environment variable has the same effect for runs
-    that cannot pass the argument (e.g. the CLI experiment commands).
+    other error (and is retried/journaled the same way).  ``None`` falls
+    back to the ``REPRO_CHECK`` environment variable, for runs that
+    cannot pass the argument (e.g. the CLI experiment commands).
 
     ``sampling`` runs every cell in sampled mode (see
     :mod:`repro.sampling`): a spec string such as
@@ -672,7 +532,12 @@ def run_matrix(
     and full-detail simulation when that is unset too.  Sampled cell
     results carry ``sample_*`` keys in ``MachineResult.extra`` (interval
     count and the relative 95% CI of the IPC estimate), which the
-    journal persists alongside the speedups.
+    journal persists alongside the speedups; a sampled journal is only
+    resumed under the same sampling plan.
+
+    Both variables are read here, once: the cells (and the journal
+    signature) carry the resolved values, and workers never consult the
+    environment for them.
     """
     names = [c.name for c in configs]
     if len(set(names)) != len(names):
@@ -688,13 +553,18 @@ def run_matrix(
     if policy.resume and policy.journal_path is None:
         raise ValueError("resume=True needs a journal_path to resume from")
     workers = parallelism_from_env() if workers is None else max(1, workers)
-    if sampling:
-        from ..sampling.plan import parse_sample_spec
+    supervised = workers > 1 or policy.cell_timeout is not None
+    from ..sampling.plan import ENV_SAMPLE, parse_sample_spec
 
-        parse_sample_spec(sampling)  # fail fast on a malformed spec
+    if checkers is None:
+        checkers = os.environ.get(ENV_CHECK) or None
+    sampling = sampling or os.environ.get(ENV_SAMPLE) or None
+    parse_sample_spec(sampling)  # fail fast on a malformed spec
 
     snapshot_dir = None
     if policy.snapshot_every is not None:
+        from ..snapshot import SnapshotPlan
+
         if policy.snapshot_dir is not None:
             snapshot_dir = str(policy.snapshot_dir)
         elif policy.journal_path is not None:
@@ -707,18 +577,22 @@ def run_matrix(
         if snapshot_dir is None:
             return None
         safe = f"{config_name}__{mix_name}".replace(os.sep, "-")
-        return (
-            policy.snapshot_every,
-            os.path.join(snapshot_dir, f"{safe}.snap"),
+        # Supervised workers honor a SIGUSR1 request to checkpoint and
+        # yield before a timeout or hang kill; nothing sends one to the
+        # in-process loop.
+        return SnapshotPlan(
+            path=os.path.join(snapshot_dir, f"{safe}.snap"),
+            every=policy.snapshot_every,
+            preemptible=supervised,
         )
 
-    jobs = [
-        _Job(
+    tasks = [
+        CellTask(
             config=config,
             mix_name=mix.name,
             benchmarks=tuple(mix.benchmarks),
-            warmup=scale.warmup_instructions,
-            measure=scale.measure_instructions,
+            warmup_instructions=scale.warmup_instructions,
+            measure_instructions=scale.measure_instructions,
             seed=seed,
             checkers=checkers,
             sampling=sampling,
@@ -735,7 +609,9 @@ def run_matrix(
 
         # Config *objects* (not just names) so the signature pins their
         # contents via a fingerprint — see journal_signature.
-        signature = journal_signature(configs, mix_names, scale, seed)
+        signature = journal_signature(
+            configs, mix_names, scale, seed, sampling=sampling
+        )
         journal = CellJournal.open(
             policy.journal_path,
             signature,
@@ -745,17 +621,16 @@ def run_matrix(
         recorder.journal = journal
         if policy.resume:
             recorder.cells.update(journal.completed)
-            jobs = [job for job in jobs if job.key not in journal.completed]
+            tasks = [
+                task for task in tasks
+                if task.scenario() not in journal.completed
+            ]
 
-    rng = random.Random(seed ^ 0x5EED5EED)
     try:
-        use_processes = bool(jobs) and (
-            workers > 1 or policy.cell_timeout is not None
-        )
-        if use_processes:
-            _run_isolated(jobs, workers, policy, rng, recorder)
+        if tasks and supervised:
+            _run_supervised(tasks, workers, policy, recorder)
         else:
-            _run_serial(jobs, policy, rng, recorder)
+            _run_serial(tasks, policy, recorder)
     finally:
         if journal is not None:
             journal.close()

@@ -120,7 +120,7 @@ class ResultCache:
         count_key = (config_name, mix_name)
         attempt = self._write_counts.get(count_key, 0) + 1
         self._write_counts[count_key] = attempt
-        if faults.service_fault_for(
+        if faults.fault_for(
             "corrupt-cache", config_name, mix_name, attempt
         ):
             data = bytearray(path.read_bytes())
@@ -129,7 +129,7 @@ class ResultCache:
             position = min(len(data) - 2, len(data) // 2)
             data[position] ^= 0x01
             path.write_bytes(bytes(data))
-        elif faults.service_fault_for(
+        elif faults.fault_for(
             "truncate-cache", config_name, mix_name, attempt
         ):
             data = path.read_bytes()

@@ -1,7 +1,7 @@
 """Chaos helpers: tamper with a live service the way real faults do.
 
 The declarative fault specs in :mod:`repro.experiments.faults`
-(``REPRO_SERVICE_FAULTS``) cover deterministic in-band injection; this
+(``REPRO_FAULTS``) cover deterministic in-band injection; this
 module adds the out-of-band hammers the validate script and tests use
 directly — flipping bytes in cache files that already exist, SIGKILLing
 worker processes from outside, and comparing two service results

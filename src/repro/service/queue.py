@@ -4,7 +4,7 @@ Every state transition — a sweep submitted, a cell finished (from cache
 or simulation), a job completing — is appended to one fsync'd JSONL
 journal before it is acknowledged, reusing the append/replay machinery
 of :mod:`repro.experiments.persistence` (``append_jsonl``/
-``scan_jsonl``).  A service killed at any instant reopens the journal,
+``open_jsonl``).  A service killed at any instant reopens the journal,
 replays it (tolerating and truncating a torn final record), and knows
 exactly which cells of which jobs remain — in-flight sweeps survive
 process death.
@@ -19,7 +19,6 @@ work the service cannot finish.
 from __future__ import annotations
 
 import dataclasses
-import os
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,7 +29,7 @@ from ..experiments.persistence import (
     _failure_from_dict,
     _failure_to_dict,
     append_jsonl,
-    scan_jsonl,
+    open_jsonl,
 )
 from ..experiments.runner import CellFailure
 from ..system.config import SystemConfig
@@ -215,23 +214,12 @@ class JobQueue:
         are moved back to ``queued`` with ``recovered`` set.
         """
         path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        jobs: Dict[str, SweepJob] = {}
-        submit_count = 0
-        if path.exists() and path.stat().st_size > 0:
-            records, valid_bytes = scan_jsonl(path)
-            jobs, submit_count = cls._replay(records, path)
-            if path.stat().st_size > valid_bytes:
-                with open(path, "r+b") as tail:
-                    tail.truncate(valid_bytes)
-                    tail.flush()
-                    os.fsync(tail.fileno())
-            handle = open(path, "a")
-        else:
-            handle = open(path, "w")
-            append_jsonl(
-                handle, {"kind": "header", "queue_version": _QUEUE_VERSION}
-            )
+        handle, replayed = open_jsonl(
+            path,
+            {"kind": "header", "queue_version": _QUEUE_VERSION},
+            lambda records: cls._replay(records, path),
+        )
+        jobs, submit_count = replayed or ({}, 0)
         queue = cls(handle, path, jobs, submit_count, max_pending_cells)
         queue._recover_interrupted()
         return queue

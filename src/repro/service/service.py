@@ -34,10 +34,16 @@ from typing import Dict, List, Optional, Tuple, Union
 from ..common.errors import InjectedServiceCrash
 from ..experiments import faults
 from ..experiments.runner import CellFailure, ResultTable
+from ..snapshot import SnapshotPlan
 from ..system.machine import MachineResult
 from .cache import ResultCache
 from .queue import CellOutcome, JobQueue, SweepJob, SweepSpec
-from .supervisor import CellTask, ServicePolicy, WorkerSupervisor
+from .supervisor import (
+    CellTask,
+    CircuitBreaker,
+    ServicePolicy,
+    WorkerSupervisor,
+)
 
 PathLike = Union[str, Path]
 
@@ -76,7 +82,12 @@ class SweepService:
             self.root / "queue.jsonl",
             max_pending_cells=self.policy.max_pending_cells,
         )
-        self.supervisor = WorkerSupervisor(self.policy)
+        #: Admission policy: a scenario that keeps failing is shed fast
+        #: instead of occupying a worker again on every resubmission.
+        self.breaker = CircuitBreaker(
+            self.policy.breaker_threshold, self.policy.breaker_cooldown
+        )
+        self.supervisor = WorkerSupervisor(self.policy, breaker=self.breaker)
         #: In-memory overlay of results by cell key (fast path; the
         #: cache is the durable source of truth).
         self._results: Dict[str, MachineResult] = {}
@@ -166,11 +177,11 @@ class SweepService:
                 # Keyed by the cell's content hash: a rescheduled or
                 # recovered attempt of the same cell finds its
                 # checkpoint; a different cell never can.  Workers honor
-                # SIGUSR1 preemption (the trailing True).
-                snapshot = (
-                    self.policy.snapshot_every,
-                    str(snapshot_dir / f"{key}.snap"),
-                    True,
+                # SIGUSR1 preemption.
+                snapshot = SnapshotPlan(
+                    path=str(snapshot_dir / f"{key}.snap"),
+                    every=self.policy.snapshot_every,
+                    preemptible=True,
                 )
             tasks.append(
                 CellTask(
@@ -239,7 +250,7 @@ class SweepService:
         scenario = (outcome.config, outcome.mix)
         count = self._crash_counts.get(scenario, 0) + 1
         self._crash_counts[scenario] = count
-        if faults.service_fault_for(
+        if faults.fault_for(
             "crash-service", outcome.config, outcome.mix, count
         ):
             raise InjectedServiceCrash(
@@ -348,7 +359,7 @@ class SweepService:
             "service": dict(self.stats_counters),
             "cache": dict(self.cache.stats),
             "supervisor": dict(self.supervisor.stats),
-            "breaker": self.supervisor.breaker.snapshot(),
+            "breaker": self.breaker.snapshot(),
             "queue": {
                 "jobs": len(self.queue.jobs),
                 "pending_cells": self.queue.pending_cell_count(),

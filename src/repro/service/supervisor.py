@@ -1,8 +1,8 @@
-"""Worker supervision for the sweep service.
+"""Supervised worker processes: the one executor of matrix cells.
 
-The experiment runner's process isolation (one process per cell
-attempt) is the right tool for a single ``run_matrix`` call; a
-long-running service instead keeps a small pool of *persistent* worker
+Both ``run_matrix`` (when it needs processes: ``workers > 1`` or a
+``cell_timeout``) and the sweep service run their cells here.  A
+:class:`WorkerSupervisor` keeps a small pool of *persistent* worker
 processes and supervises them:
 
 * every worker runs a heartbeat thread beside the simulation; the
@@ -13,16 +13,20 @@ processes and supervises them:
   via pipe EOF / process sentinel and the worker is respawned; the cell
   it was running is retried with backoff up to ``retries`` times, then
   recorded as a :class:`~repro.experiments.runner.CellFailure`;
-* a per-scenario circuit breaker trips after ``breaker_threshold``
-  consecutive failures of the same (config, mix) cell, shedding further
-  attempts of that scenario fast (no worker occupied, no timeout paid)
-  until ``breaker_cooldown`` elapses and a half-open probe is allowed.
+* a worker doomed by a timeout or a silent heartbeat whose cell takes
+  snapshots is first asked (SIGUSR1) to checkpoint and yield, so the
+  retry resumes mid-cell;
+* when its owner hands it a :class:`CircuitBreaker` (the sweep service
+  does, a matrix does not), a scenario that failed ``threshold`` times
+  in a row is shed fast — no worker occupied, no timeout paid — until
+  the cooldown elapses and a half-open probe is allowed.
 
 Chaos hooks (see :mod:`repro.experiments.faults`): ``kill-worker``
 SIGKILLs the worker mid-cell; ``hb-delay`` stalls only the heartbeat
 thread, so the supervisor must distinguish a hung worker from a slow
-one by silence alone.  The legacy cell faults (``raise``/``crash``/
-``hang``/...) fire inside the attempt as they do under ``run_matrix``.
+one by silence alone; ``corrupt-snapshot``/``truncate-snapshot`` damage
+a checkpoint before a resume attempt reads it.  The cell-start faults
+(``raise``/``crash``/``hang``/``slow``) fire inside the attempt.
 """
 
 from __future__ import annotations
@@ -33,51 +37,44 @@ import signal
 import threading
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from multiprocessing.connection import wait as _connection_wait
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..common.errors import SnapshotPreempted
 from ..experiments import faults
-from ..experiments.runner import CellFailure, _run_cell
+from ..experiments.runner import CellFailure, CellPolicy, CellTask, run_cell
 from ..snapshot import preemption
-from ..system.config import SystemConfig
 
 
 @dataclass(frozen=True)
-class ServicePolicy:
-    """Service-level resilience knobs (above the per-cell ``RunPolicy``)."""
+class ServicePolicy(CellPolicy):
+    """Supervision and service knobs on top of :class:`CellPolicy`."""
 
+    #: Extra attempts per cell after the first.
+    retries: int = 1
+    #: Exponential backoff between attempts of the same cell.
+    backoff_base: float = 0.05
+    backoff_max: float = 2.0
     #: Persistent worker processes.
     workers: int = 2
     #: Seconds between worker heartbeats.
     heartbeat_interval: float = 0.1
     #: Heartbeat silence after which a busy worker is declared hung.
     heartbeat_timeout: float = 15.0
-    #: Wall-clock budget per cell attempt (``None`` = unbounded).
-    cell_timeout: Optional[float] = None
-    #: Extra attempts per cell after the first.
-    retries: int = 1
-    #: Exponential backoff between attempts of the same cell.
-    backoff_base: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_max: float = 2.0
     #: Admission bound: total pending cells across queued jobs.
     max_pending_cells: int = 4096
     #: Consecutive failures of one (config, mix) that trip its breaker.
     breaker_threshold: int = 3
     #: Seconds an open breaker sheds load before allowing a probe.
     breaker_cooldown: float = 30.0
-    #: Checkpoint each cell's machine every this many cycles (``None``
-    #: disables snapshots).  Interrupted/preempted cells resume from
-    #: their latest snapshot instead of re-simulating from zero.
-    snapshot_every: Optional[int] = None
     #: Seconds a doomed worker (hung heartbeat, cell timeout) gets to
     #: honor a SIGUSR1 preemption request — checkpointing at the next
     #: snapshot boundary — before the SIGKILL falls.
     preempt_grace: float = 3.0
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.heartbeat_timeout <= self.heartbeat_interval:
@@ -85,23 +82,10 @@ class ServicePolicy:
                 "heartbeat_timeout must exceed heartbeat_interval "
                 f"({self.heartbeat_timeout} <= {self.heartbeat_interval})"
             )
-        if self.retries < 0:
-            raise ValueError(f"retries must be >= 0, got {self.retries}")
         if self.breaker_threshold < 1:
             raise ValueError(
                 f"breaker_threshold must be >= 1, got {self.breaker_threshold}"
             )
-        if self.snapshot_every is not None and self.snapshot_every <= 0:
-            raise ValueError(
-                f"snapshot_every must be positive, got {self.snapshot_every}"
-            )
-
-    def backoff_delay(self, attempt: int) -> float:
-        """Seconds to wait after failed attempt number ``attempt``."""
-        return min(
-            self.backoff_max,
-            self.backoff_base * self.backoff_factor ** (attempt - 1),
-        )
 
 
 class CircuitBreaker:
@@ -150,44 +134,6 @@ class CircuitBreaker:
         }
 
 
-@dataclass
-class CellTask:
-    """One cell the supervisor must produce a result (or failure) for."""
-
-    config: SystemConfig
-    mix_name: str
-    benchmarks: Tuple[str, ...]
-    key: str
-    warmup_instructions: int
-    measure_instructions: int
-    seed: int
-    checkers: Optional[str] = None
-    sampling: Optional[str] = None
-    attempt: int = 1
-    elapsed: float = 0.0
-    ready_at: float = 0.0
-    #: ``(every_cycles, snapshot_path, preemptible)`` when the service
-    #: checkpoints this cell (see :mod:`repro.snapshot`).
-    snapshot: Optional[Tuple] = None
-
-    def scenario(self) -> Tuple[str, str]:
-        return (self.config.name, self.mix_name)
-
-    def cell_args(self):
-        return (
-            self.config,
-            self.mix_name,
-            tuple(self.benchmarks),
-            self.warmup_instructions,
-            self.measure_instructions,
-            self.seed,
-            self.attempt,
-            self.checkers,
-            self.sampling,
-            self.snapshot,
-        )
-
-
 # ----------------------------------------------------------------------
 # Worker process side
 
@@ -218,23 +164,23 @@ def _tamper_snapshot(path: str, config: str, mix: str, attempt: int) -> None:
     """
     if not os.path.exists(path):
         return
-    if faults.service_fault_for("corrupt-snapshot", config, mix, attempt):
+    if faults.fault_for("corrupt-snapshot", config, mix, attempt):
         data = bytearray(open(path, "rb").read())
         if data:
             data[len(data) // 2] ^= 0x01
             with open(path, "wb") as handle:
                 handle.write(bytes(data))
-    elif faults.service_fault_for("truncate-snapshot", config, mix, attempt):
+    elif faults.fault_for("truncate-snapshot", config, mix, attempt):
         data = open(path, "rb").read()
         with open(path, "wb") as handle:
             handle.write(data[: len(data) // 2])
 
 
-def _service_worker_main(conn, supervisor_conn, heartbeat_interval: float) -> None:
+def _worker_main(conn, supervisor_conn, heartbeat_interval: float) -> None:
     """Persistent worker: heartbeat thread + one cell at a time."""
     if supervisor_conn is not None:
         # Forked workers inherit the supervisor's end of the pipe; close
-        # our copy so an abruptly dead service (os._exit) EOFs us —
+        # our copy so an abruptly dead supervisor (os._exit) EOFs us —
         # otherwise our own inherited write end keeps recv() blocked
         # forever and the orphaned worker never exits.
         supervisor_conn.close()
@@ -258,35 +204,25 @@ def _service_worker_main(conn, supervisor_conn, heartbeat_interval: float) -> No
             if message[0] == "stop":
                 return
             assert message[0] == "cell"
-            args = message[1]
-            config, mix_name = args[0], args[1]
-            attempt = args[6]
-            snapshot = args[9] if len(args) > 9 else None
+            task: CellTask = message[1]
+            cell = (task.config.name, task.mix_name, task.attempt)
             preemption.clear()  # a stale request must not abort this cell
-            delay = faults.service_fault_for(
-                "hb-delay", config.name, mix_name, attempt
-            )
+            delay = faults.fault_for("hb-delay", *cell)
             if delay is not None:
                 state["stall"] = delay.seconds
-            for kind in ("kill-worker", "kill-worker-mid-cell"):
-                killer = faults.service_fault_for(
-                    kind, config.name, mix_name, attempt
+            killer = faults.fault_for("kill-worker", *cell)
+            if killer is not None:
+                # Chaos: die like a segfault, `seconds` into the cell.
+                timer = threading.Timer(
+                    killer.seconds,
+                    lambda: os.kill(os.getpid(), signal.SIGKILL),
                 )
-                if killer is not None:
-                    # Chaos: die like a segfault, `seconds` into the cell.
-                    timer = threading.Timer(
-                        killer.seconds,
-                        lambda: os.kill(os.getpid(), signal.SIGKILL),
-                    )
-                    timer.daemon = True
-                    timer.start()
-                    break
-            if snapshot is not None:
-                _tamper_snapshot(
-                    snapshot[1], config.name, mix_name, attempt
-                )
+                timer.daemon = True
+                timer.start()
+            if task.snapshot is not None:
+                _tamper_snapshot(task.snapshot.path, *cell)
             try:
-                _, _, result = _run_cell(args)
+                result = run_cell(task)
             except SnapshotPreempted as exc:
                 # The checkpoint is durably on disk; the supervisor will
                 # reschedule the cell to resume from it.
@@ -323,13 +259,19 @@ class _Worker:
 
 
 class WorkerSupervisor:
-    """Runs cell tasks on supervised persistent workers."""
+    """Runs cell tasks on supervised persistent workers.
 
-    def __init__(self, policy: Optional[ServicePolicy] = None) -> None:
+    ``breaker`` is the admission policy of a long-running owner (the
+    sweep service); without one no task is ever shed.
+    """
+
+    def __init__(
+        self,
+        policy: Optional[ServicePolicy] = None,
+        breaker: Optional[CircuitBreaker] = None,
+    ) -> None:
         self.policy = policy or ServicePolicy()
-        self.breaker = CircuitBreaker(
-            self.policy.breaker_threshold, self.policy.breaker_cooldown
-        )
+        self.breaker = breaker
         self._ctx = multiprocessing.get_context()
         self._workers: List[_Worker] = []
         self.stats: Dict[str, int] = {
@@ -347,7 +289,7 @@ class WorkerSupervisor:
     def _spawn_worker(self) -> _Worker:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         process = self._ctx.Process(
-            target=_service_worker_main,
+            target=_worker_main,
             args=(child_conn, parent_conn, self.policy.heartbeat_interval),
             daemon=True,
         )
@@ -381,13 +323,14 @@ class WorkerSupervisor:
         ]
 
     def shutdown(self) -> None:
-        """Stop every worker (graceful send, then kill)."""
+        """Stop every worker: idle ones are told to exit, busy ones —
+        left over when an exception cut :meth:`run` short — are killed."""
         for worker in list(self._workers):
             try:
                 worker.conn.send(("stop",))
             except (BrokenPipeError, OSError):
                 pass
-            self._discard_worker(worker)
+            self._discard_worker(worker, kill=worker.busy is not None)
 
     # -- execution -------------------------------------------------------
 
@@ -409,8 +352,7 @@ class WorkerSupervisor:
         shed = on_shed or on_failure
         pending: List[CellTask] = []
         for task in tasks:
-            if not self.breaker.allow(task.scenario()):
-                shed(task, _breaker_failure(task))
+            if self._shed(task, shed):
                 continue
             pending.append(task)
 
@@ -431,12 +373,11 @@ class WorkerSupervisor:
                         break
                     worker = self._spawn_worker()
                 pending.remove(task)
-                if not self.breaker.allow(task.scenario()):
+                if self._shed(task, shed):
                     # Breaker tripped by a sibling attempt since queuing.
-                    shed(task, _breaker_failure(task))
                     continue
                 try:
-                    worker.conn.send(("cell", task.cell_args()))
+                    worker.conn.send(("cell", task))
                 except (BrokenPipeError, OSError):
                     # Died between cells: replace it, task goes back.
                     self.stats["workers_crashed"] += 1
@@ -495,6 +436,26 @@ class WorkerSupervisor:
 
     # -- event handlers --------------------------------------------------
 
+    def _shed(self, task, shed) -> bool:
+        """Shed ``task`` without an attempt when its breaker is open."""
+        if self.breaker is None or self.breaker.allow(task.scenario()):
+            return False
+        failure = task.failed(
+            "CircuitOpen",
+            f"scenario ({task.config.name}, {task.mix_name}) circuit "
+            "breaker is open; cell shed without an attempt",
+        )
+        shed(task, replace(failure, attempts=0))
+        return True
+
+    def _succeeded(self, worker, now, on_result, result) -> None:
+        task = worker.busy
+        worker.busy = None
+        task.elapsed += now - worker.started
+        if self.breaker is not None:
+            self.breaker.record_success(task.scenario())
+        on_result(task, result)
+
     def _drain(self, worker, now, pending, on_result, on_failure) -> None:
         """Consume every buffered message from one worker."""
         while True:
@@ -509,11 +470,7 @@ class WorkerSupervisor:
             if kind == "hb":
                 worker.last_heartbeat = now
             elif kind == "result":
-                task = worker.busy
-                worker.busy = None
-                task.elapsed += now - worker.started
-                self.breaker.record_success(task.scenario())
-                on_result(task, message[1])
+                self._succeeded(worker, now, on_result, message[1])
             elif kind == "preempted":
                 self._requeue_preempted(worker, now, pending)
             elif kind == "error":
@@ -543,9 +500,11 @@ class WorkerSupervisor:
 
     def _worker_died(self, worker, now, pending, on_failure) -> None:
         task = worker.busy
-        exitcode = worker.process.exitcode
         self.stats["workers_crashed"] += 1
-        self._discard_worker(worker, kill=True)
+        # Pipe EOF can precede the exit itself: reap (bounded) before
+        # reading the exit code, and leave an exiting process unkilled.
+        self._discard_worker(worker)
+        exitcode = worker.process.exitcode
         if task is None:
             return
         task.elapsed += now - worker.started
@@ -596,10 +555,7 @@ class WorkerSupervisor:
                 return True
             elif message[0] == "result":
                 # The cell finished while we were preparing to shoot it.
-                worker.busy = None
-                task.elapsed += now - worker.started
-                self.breaker.record_success(task.scenario())
-                on_result(task, message[1])
+                self._succeeded(worker, now, on_result, message[1])
                 return True
             elif message[0] == "error":
                 return False  # let the kill path classify the failure
@@ -653,7 +609,8 @@ class WorkerSupervisor:
     def _retry_or_fail(
         self, task, error_type, message, tb, pending, on_failure
     ) -> None:
-        self.breaker.record_failure(task.scenario())
+        if self.breaker is not None:
+            self.breaker.record_failure(task.scenario())
         if task.attempt <= self.policy.retries:
             delay = self.policy.backoff_delay(task.attempt)
             task.attempt += 1
@@ -661,33 +618,7 @@ class WorkerSupervisor:
             self.stats["cells_retried"] += 1
             pending.append(task)
             return
-        on_failure(
-            task,
-            CellFailure(
-                config=task.config.name,
-                mix=task.mix_name,
-                error_type=error_type,
-                message=message,
-                traceback=tb,
-                attempts=task.attempt,
-                elapsed=task.elapsed,
-            ),
-        )
-
-
-def _breaker_failure(task: CellTask) -> CellFailure:
-    return CellFailure(
-        config=task.config.name,
-        mix=task.mix_name,
-        error_type="CircuitOpen",
-        message=(
-            f"scenario ({task.config.name}, {task.mix_name}) circuit "
-            "breaker is open; cell shed without an attempt"
-        ),
-        traceback="",
-        attempts=0,
-        elapsed=task.elapsed,
-    )
+        on_failure(task, task.failed(error_type, message, tb))
 
 
 __all__ = [

@@ -222,8 +222,10 @@ def attach_checkers(machine, checkers: CheckerSpec = "all") -> CheckerSet:
 
 def _apply_timing_fault(machine) -> None:
     """Corrupt DRAM array timings when a ``timing`` fault matches."""
-    spec = faults.timing_fault_for(
-        getattr(machine.config, "name", ""), getattr(machine, "workload_name", "")
+    spec = faults.fault_for(
+        "timing",
+        getattr(machine.config, "name", ""),
+        getattr(machine, "workload_name", ""),
     )
     if spec is None:
         return

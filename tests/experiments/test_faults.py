@@ -6,12 +6,17 @@ assertions check that the runner isolates, retries, and records those
 failures without losing the healthy cells.
 """
 
+import os
+import time
+
 import pytest
 
+import repro.experiments.runner as runner_module
 from repro.common.errors import CellFailedError, InjectedFault
 from repro.common.units import MIB
 from repro.experiments import faults
 from repro.experiments.faults import FaultSpec
+from repro.experiments.persistence import _result_to_dict
 from repro.experiments.runner import RunPolicy, parallelism_from_env, run_matrix
 from repro.system.config import config_3d_fast
 from repro.system.scale import ExperimentScale
@@ -53,12 +58,19 @@ def matrix():
 def test_parse_fault_spec():
     spec = faults.parse_fault("crash:base:M1:2:5.5")
     assert spec == FaultSpec("crash", "base", "M1", times=2, seconds=5.5)
+    spec = faults.parse_fault("kill-worker:base:M1:2:0.3")
+    assert spec == FaultSpec("kill-worker", "base", "M1", times=2, seconds=0.3)
 
 
 def test_parse_defaults_and_roundtrip():
     spec = faults.parse_fault("raise:cfg:mix")
     assert spec.times == 1
-    specs = (spec, FaultSpec("hang", "*", "M3", times=-1, seconds=9.0))
+    # Only the sleeping kinds default to a long delay.
+    assert faults.parse_fault("hang:cfg:mix").seconds == 3600.0
+    assert FaultSpec("kill-worker") == faults.parse_fault("kill-worker:*:*:1:0")
+    specs = (spec, FaultSpec("hang", "*", "M3", times=-1, seconds=9.0)) + tuple(
+        FaultSpec(kind, "cfg", "*", times=2) for kind in faults.KINDS
+    )
     assert faults.parse_faults(faults.encode_faults(specs)) == specs
 
 
@@ -77,13 +89,20 @@ def test_matching_wildcards_and_attempts():
     assert not spec.matches("anything", "M3", 1)
     always = FaultSpec("raise", "cfg", "*", times=-1)
     assert always.matches("cfg", "M9", 999)
+    anywhere = FaultSpec("hb-delay", seconds=30.0)  # coordinates default to *
+    assert anywhere.matches("cfg", "M9", 1) and not anywhere.matches("cfg", "M9", 2)
 
 
 def test_inject_raises_only_for_matching_cell():
-    faults.install(FaultSpec("raise", "base", "M1"))
+    # A matching fault of a kind that fires elsewhere (worker, cache,
+    # service) neither fires at cell start nor shadows one that does.
+    faults.install(FaultSpec("kill-worker", times=-1), FaultSpec("raise", "base", "M1"))
     faults.inject("base", "M3", 1)  # no-op
     with pytest.raises(InjectedFault):
         faults.inject("base", "M1", 1)
+    assert faults.fault_for("kill-worker", "base", "M1", 7).times == -1
+    assert faults.fault_for("raise", "base", "M1", 2) is None  # times=1
+    assert faults.fault_for("timing", "base", "M1") is None
 
 
 # ----------------------------------------------------------------------
@@ -96,8 +115,6 @@ def test_parallelism_default_is_serial(monkeypatch):
 
 
 def test_parallelism_auto_uses_cpu_count(monkeypatch):
-    import os
-
     monkeypatch.setenv("REPRO_PARALLEL", "auto")
     assert parallelism_from_env() == (os.cpu_count() or 1)
 
@@ -196,7 +213,7 @@ def test_crash_and_hang_cells_degrade_gracefully(matrix):
         policy=RunPolicy(cell_timeout=3.0, retries=1, **FAST),
     )
     # Healthy cells all completed.
-    assert table.ok("base", "M3") and table.ok("narrow", "M1")
+    assert sorted(table.cells) == [("base", "M3"), ("narrow", "M1")]
     crash = table.failure("base", "M1")
     assert crash.error_type == "WorkerCrash"
     assert str(faults.CRASH_EXITCODE) in crash.message
@@ -209,7 +226,7 @@ def test_crash_and_hang_cells_degrade_gracefully(matrix):
 
 def test_hang_timeout_then_retry_succeeds(matrix):
     configs, _ = matrix
-    # Hangs only on attempt 1; the retry (fresh process) completes.
+    # Hangs only on attempt 1; the retry (replacement worker) completes.
     faults.install(FaultSpec("hang", "base", "M3", times=1, seconds=120.0))
     table = run_matrix(
         configs,
@@ -220,6 +237,107 @@ def test_hang_timeout_then_retry_succeeds(matrix):
     )
     assert not table.failures
     assert table.ok("base", "M3")
+
+
+def test_matrix_never_sheds_a_cell(matrix):
+    """The circuit breaker is the sweep service's admission policy: a
+    matrix attempts every cell it was asked to run, ``retries + 1`` times."""
+    configs, _ = matrix
+    faults.install(FaultSpec("raise", "base", "M1", times=-1))
+    table = run_matrix(
+        configs, [MIXES["M1"]], TINY, workers=2,
+        policy=RunPolicy(retries=4, **FAST),
+    )
+    failure = table.failure("base", "M1")
+    assert failure.error_type == "InjectedFault"
+    assert failure.attempts == 5
+    assert table.ok("narrow", "M1")
+
+
+def test_interrupted_matrix_leaves_no_worker_process(matrix, monkeypatch):
+    """Ctrl-C (here: out of the result callback) must not leak workers."""
+    from repro.service.supervisor import WorkerSupervisor
+
+    configs, mixes = matrix
+    pids = []
+    spawn = WorkerSupervisor._spawn_worker
+
+    def recording_spawn(self):
+        worker = spawn(self)
+        pids.append(worker.process.pid)
+        return worker
+
+    interrupted_at = []
+
+    def interrupt(self, task, result):
+        interrupted_at.append(time.monotonic())
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(WorkerSupervisor, "_spawn_worker", recording_spawn)
+    monkeypatch.setattr(runner_module._Recorder, "record_result", interrupt)
+    # The second worker is still hung in its cell when the first reports.
+    faults.install(FaultSpec("hang", "base", "M3", times=-1, seconds=120.0))
+    with pytest.raises(KeyboardInterrupt):
+        run_matrix(configs[:1], mixes, TINY, workers=2)
+    assert len(pids) == 2
+
+    def alive(pid):
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+
+    deadline = interrupted_at[0] + 1.0
+    while any(alive(pid) for pid in pids) and time.monotonic() < deadline:
+        time.sleep(0.02)
+    assert not any(alive(pid) for pid in pids)
+    assert time.monotonic() < deadline
+
+
+@pytest.mark.parametrize(
+    "specs, policy, resumes",
+    [
+        # SIGKILLed mid-simulation: the retry continues from the latest
+        # periodic checkpoint ...
+        ([FaultSpec("kill-worker", seconds=0.3)], dict(retries=1), True),
+        # ... unless that checkpoint is damaged: refused, clean restart.
+        (
+            [
+                FaultSpec("kill-worker", seconds=0.3),
+                FaultSpec("corrupt-snapshot", times=-1),
+            ],
+            dict(retries=1),
+            False,
+        ),
+        # Overrunning its budget: asked to checkpoint and yield before
+        # the kill, which costs no retry, so none is needed to finish.
+        ([], dict(retries=0, cell_timeout=0.3), True),
+    ],
+    ids=["killed", "killed+corrupt-snapshot", "timed-out"],
+)
+def test_interrupted_cell_resumes_mid_cell(tmp_path, specs, policy, resumes):
+    """An interrupted supervised cell costs the work since its last
+    checkpoint, not the cell, and the result is identical either way."""
+    # Sized (~0.6 s here) so that 0.3 s in, the first 10k-cycle
+    # checkpoint exists and the cell is far from finished.
+    configs, mixes = [config_3d_fast()], [MIXES["M1"]]
+    scale = ExperimentScale("chaos", 2_000, 80_000)
+    undisturbed = run_matrix(configs, mixes, scale, workers=1)
+
+    faults.install(*specs)
+    table = run_matrix(
+        configs, mixes, scale, workers=2,
+        policy=RunPolicy(
+            snapshot_every=10_000, snapshot_dir=tmp_path, **policy, **FAST
+        ),
+    )
+    assert not table.failures
+    assert _result_to_dict(table.result("3D-fast", "M1")) == _result_to_dict(
+        undisturbed.result("3D-fast", "M1")
+    )
+    assert bool(list(tmp_path.glob("*.resumed.json"))) == resumes
+    assert not list(tmp_path.glob("*.snap"))  # consumed
 
 
 def test_env_var_reaches_worker_processes(matrix, monkeypatch):

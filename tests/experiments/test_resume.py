@@ -138,7 +138,7 @@ def test_interrupted_matrix_resumes_where_it_left_off(
 
 
 def test_resume_works_across_process_isolation(tmp_path, matrix):
-    """Journal written by the process-isolated path resumes serially."""
+    """A journal written on supervised workers resumes the same way."""
     configs, mixes = matrix
     journal = tmp_path / "matrix.journal.jsonl"
     faults.install(FaultSpec("crash", "narrow", "M1", times=-1))
@@ -167,6 +167,57 @@ def test_resume_rejects_mismatched_signature(tmp_path, matrix):
             configs, mixes, TINY, seed=7, workers=1,
             policy=RunPolicy(journal_path=journal, resume=True),
         )
+
+
+SAMPLED = "detailed:100,warmup:100,detail_warmup:20,min_intervals:2"
+
+
+@pytest.mark.parametrize(
+    "written, resumed",
+    [(SAMPLED, None), (None, SAMPLED), (SAMPLED, "on")],
+)
+def test_resume_refuses_a_different_sampling_plan(
+    tmp_path, matrix, monkeypatch, written, resumed
+):
+    """A sampled estimate is never handed back as a full-detail result
+    (or the reverse, or an estimate under another plan) — whether the
+    plan arrives as an argument or through ``REPRO_SAMPLE``."""
+    configs, mixes = matrix
+    journal = tmp_path / "matrix.journal.jsonl"
+    monkeypatch.setenv("REPRO_SAMPLE", written or "")
+    run_matrix(
+        configs, mixes, TINY, workers=1,
+        policy=RunPolicy(journal_path=journal),
+    )
+    monkeypatch.delenv("REPRO_SAMPLE")
+    with pytest.raises(ValueError, match="different run"):
+        run_matrix(
+            configs, mixes, TINY, workers=1, sampling=resumed,
+            policy=RunPolicy(journal_path=journal, resume=True),
+        )
+    # Under the plan it was written with, the journal resumes as ever.
+    table = run_matrix(
+        configs, mixes, TINY, workers=1, sampling=written,
+        policy=RunPolicy(journal_path=journal, resume=True),
+    )
+    assert len(table.cells) == 4
+    assert all(
+        bool(r.extra.get("sampled")) == bool(written)
+        for r in table.cells.values()
+    )
+
+
+def test_full_detail_signature_is_unchanged_by_sampling_support(matrix):
+    """Full-detail journals stay byte-identical to (and resumable from)
+    those written before the signature knew about sampling."""
+    configs, mixes = matrix
+    names = [m.name for m in mixes]
+    plain = journal_signature(configs, names, TINY, 42)
+    assert "sampling" not in plain
+    assert journal_signature(configs, names, TINY, 42, sampling=None) == plain
+    sampled = journal_signature(configs, names, TINY, 42, sampling="on")
+    assert sampled["sampling"]["detailed"] == 1200
+    assert {k: v for k, v in sampled.items() if k != "sampling"} == plain
 
 
 def test_resume_refuses_edited_config_contents(tmp_path, matrix, counted_runs):

@@ -1,7 +1,13 @@
 """Unit tests for means, the result table, and the matrix runner."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.common.units import MIB
 from repro.experiments.runner import (
     ResultTable,
@@ -88,6 +94,23 @@ def test_duplicate_mix_names_rejected():
     )
     with pytest.raises(ValueError, match="duplicate mix names"):
         run_matrix([config], [MIXES["M1"], clone], TINY, workers=1)
+
+
+def test_importing_experiments_loads_no_process_machinery():
+    """Supervision loads with the first matrix that needs processes, so
+    serial users never pay for multiprocessing or the service package."""
+    code = (
+        "import sys, repro.experiments\n"
+        "loaded = {'multiprocessing', 'repro.service'} & set(sys.modules)\n"
+        "sys.exit(f'imported eagerly: {sorted(loaded)}' if loaded else 0)"
+    )
+    src = pathlib.Path(repro.__file__).parents[1]
+    subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        check=True,
+        timeout=60,
+    )
 
 
 def test_parallel_workers_match_serial():

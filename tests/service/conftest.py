@@ -48,7 +48,6 @@ def fabricated_result(mix_name, config_name="base", ipc=0.5):
 def _clean_faults():
     yield
     faults.clear()
-    faults.clear_service()
 
 
 @pytest.fixture()

@@ -3,7 +3,7 @@
 import json
 
 from repro.experiments import faults
-from repro.experiments.faults import ServiceFaultSpec
+from repro.experiments.faults import FaultSpec
 from repro.service.cache import ResultCache
 
 from .conftest import fabricated_result
@@ -103,9 +103,7 @@ def test_schema_confusion_is_corruption(tmp_path):
 def test_corrupt_cache_fault_fires_on_matching_write(tmp_path):
     """The chaos fault tampers the entry; the read path catches it."""
     cache = ResultCache(tmp_path)
-    faults.install_service(
-        ServiceFaultSpec("corrupt-cache", "base", "M1", times=1)
-    )
+    faults.install(FaultSpec("corrupt-cache", "base", "M1", times=1))
     cache.put(KEY_A, fabricated_result("M1"), config_name="base", mix_name="M1")
     assert cache.get(KEY_A) is None  # detected, quarantined
     assert cache.stats["corrupt_quarantined"] == 1
@@ -116,9 +114,7 @@ def test_corrupt_cache_fault_fires_on_matching_write(tmp_path):
 
 def test_truncate_cache_fault_scopes_by_cell(tmp_path):
     cache = ResultCache(tmp_path)
-    faults.install_service(
-        ServiceFaultSpec("truncate-cache", "base", "M1", times=1)
-    )
+    faults.install(FaultSpec("truncate-cache", "base", "M1", times=1))
     cache.put(KEY_A, fabricated_result("M1"), config_name="base", mix_name="M1")
     cache.put(KEY_B, fabricated_result("M3"), config_name="base", mix_name="M3")
     assert cache.get(KEY_A) is None  # tampered

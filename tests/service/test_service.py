@@ -6,7 +6,7 @@ import pytest
 
 from repro.common.errors import InjectedServiceCrash, ServiceOverloadError
 from repro.experiments import faults
-from repro.experiments.faults import FaultSpec, ServiceFaultSpec
+from repro.experiments.faults import FaultSpec
 from repro.service.cache import ResultCache
 from repro.service.chaos import (
     cache_entry_paths,
@@ -62,7 +62,7 @@ def test_crash_mid_sweep_resumes_bit_identical(tmp_path, fast_policy, tiny_spec)
     # One worker → cells journal in submission order → the crash lands
     # deterministically after the second of four cells.
     policy = dataclasses.replace(fast_policy, workers=1)
-    faults.install_service(ServiceFaultSpec("crash-service", "base", "M3", times=1))
+    faults.install(FaultSpec("crash-service", "base", "M3", times=1))
     service = SweepService(tmp_path / "svc", policy)
     job_id = service.submit(tiny_spec)
     with pytest.raises(InjectedServiceCrash):
@@ -70,7 +70,7 @@ def test_crash_mid_sweep_resumes_bit_identical(tmp_path, fast_policy, tiny_spec)
     done_before = len(service.queue.jobs[job_id].outcomes)
     service.close()
     assert 0 < done_before < 4  # genuinely interrupted mid-sweep
-    faults.clear_service()
+    faults.clear()
 
     resumed, stats = run_sweep(tmp_path / "svc", policy, tiny_spec, job_id)
     assert resumed.complete
@@ -157,6 +157,20 @@ def test_unknown_job_raises(tmp_path, fast_policy):
             service.result("job-9999-cafecafecafe")
         with pytest.raises(KeyError):
             service.process("job-9999-cafecafecafe")
+
+
+def test_service_simulates_the_spec_not_the_environment(
+    tmp_path, fast_policy, one_cell_spec, monkeypatch
+):
+    """A full-detail spec is simulated in full detail whatever
+    ``REPRO_SAMPLE`` says: otherwise an estimate would be cached under
+    the full-detail key and served from there ever after."""
+    reference, _ = run_sweep(tmp_path / "ref", fast_policy, one_cell_spec)
+    monkeypatch.setenv("REPRO_SAMPLE", "on")
+    result, _ = run_sweep(tmp_path / "svc", fast_policy, one_cell_spec)
+    cell = result.table.result("base", "M1")
+    assert not cell.extra.get("sampled")
+    assert result_fingerprint(result) == result_fingerprint(reference)
 
 
 def test_config_knob_change_misses_cache(tmp_path, fast_policy, one_cell_spec):

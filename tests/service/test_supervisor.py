@@ -8,7 +8,7 @@ import time
 import pytest
 
 from repro.experiments import faults
-from repro.experiments.faults import FaultSpec, ServiceFaultSpec
+from repro.experiments.faults import CRASH_EXITCODE, FaultSpec
 from repro.service.supervisor import (
     CellTask,
     CircuitBreaker,
@@ -99,10 +99,24 @@ def test_crashed_worker_is_replaced_and_cell_retried(supervisor):
     assert retried.attempt == 2
 
 
+def test_crashed_worker_reports_its_exit_code():
+    """The post-mortem names the real exit status, never ``None``: the
+    pipe EOF the supervisor wakes on can precede the process exit."""
+    policy = dataclasses.replace(FAST, retries=0, workers=1)
+    faults.install(FaultSpec("crash", "base", "M1", times=-1))
+    for _ in range(20):
+        supervisor = WorkerSupervisor(policy)
+        try:
+            _, failures, _ = run_tasks(supervisor, [make_task()])
+        finally:
+            supervisor.shutdown()
+        (_, failure), = failures
+        assert failure.error_type == "WorkerCrash"
+        assert str(CRASH_EXITCODE) in failure.message
+
+
 def test_sigkill_fault_mid_cell_is_survived(supervisor):
-    faults.install_service(
-        ServiceFaultSpec("kill-worker", "base", "M1", times=1, seconds=0.0)
-    )
+    faults.install(FaultSpec("kill-worker", "base", "M1", times=1))
     results, failures, _ = run_tasks(supervisor, [make_task()])
     assert len(results) == 1 and not failures
     assert supervisor.stats["workers_crashed"] >= 1
@@ -122,9 +136,9 @@ def test_heartbeat_silence_kills_live_worker():
     policy = dataclasses.replace(FAST, heartbeat_timeout=0.4)
     supervisor = WorkerSupervisor(policy)
     try:
-        faults.install(FaultSpec("slow", "base", "M1", times=1, seconds=3.0))
-        faults.install_service(
-            ServiceFaultSpec("hb-delay", "base", "M1", times=1, seconds=30.0)
+        faults.install(
+            FaultSpec("slow", "base", "M1", times=1, seconds=3.0),
+            FaultSpec("hb-delay", "base", "M1", times=1, seconds=30.0),
         )
         started = time.monotonic()
         results, failures, _ = run_tasks(supervisor, [make_task()])
@@ -213,10 +227,10 @@ def test_breaker_is_per_scenario():
 
 
 def test_supervisor_sheds_open_scenarios():
-    policy = dataclasses.replace(
-        FAST, retries=0, breaker_threshold=1, breaker_cooldown=60.0, workers=1
+    policy = dataclasses.replace(FAST, retries=0, workers=1)
+    supervisor = WorkerSupervisor(
+        policy, breaker=CircuitBreaker(threshold=1, cooldown=60.0)
     )
-    supervisor = WorkerSupervisor(policy)
     try:
         faults.install(FaultSpec("raise", "base", "M1", times=-1))
         # First run trips the breaker for (base, M1).
