@@ -1,44 +1,28 @@
-"""Shared configuration for the figure/table regeneration benches.
-
-Each bench regenerates one table or figure of the paper and prints the
-same rows the paper reports, then asserts the headline *shape*.
+"""Shared knobs for the regeneration benches (``test_experiments.py``).
 
 Scale control:
 
 * ``REPRO_SCALE``   — smoke | default | large (default: smoke, so the
   whole harness finishes in minutes; use ``default`` for the numbers
   recorded in EXPERIMENTS.md).
-* ``REPRO_MIXES``   — comma-separated mix subset (default: per-figure).
+* ``REPRO_MIXES``   — comma-separated mix subset (default: each
+  experiment's own groups).
 * ``REPRO_PARALLEL``— worker processes for the run matrices.
 """
 
 import os
 
-import pytest
-
 from repro.system.scale import get_scale
-from repro.workloads.mixes import MIX_ORDER, MIXES, mixes_in_groups
+from repro.workloads.mixes import MIXES
 
 
 def bench_scale():
     return get_scale(os.environ.get("REPRO_SCALE", "smoke"))
 
 
-def bench_mixes(default_groups=None):
-    """Mixes selected by REPRO_MIXES, else by the figure's default groups."""
+def bench_mixes():
+    """Mixes selected by REPRO_MIXES, else None (the experiment's own)."""
     names = os.environ.get("REPRO_MIXES")
     if names:
         return [MIXES[name.strip()] for name in names.split(",")]
-    if default_groups is None:
-        return [MIXES[name] for name in MIX_ORDER]
-    return list(mixes_in_groups(*default_groups))
-
-
-@pytest.fixture()
-def scale():
-    return bench_scale()
-
-
-def run_once(benchmark, fn):
-    """pytest-benchmark wrapper: a full figure is one (slow) iteration."""
-    return benchmark.pedantic(fn, rounds=1, iterations=1, warmup_rounds=0)
+    return None

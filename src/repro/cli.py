@@ -13,12 +13,21 @@ Commands:
   rate, queue wait, MRQ occupancy) and each core's parked-dispatch tally.
 * ``figure {4,6a,6b,7,9}``            — regenerate a figure.
 * ``table {2a,2b}``                   — regenerate a table.
-* ``fairness --config quad-mc``       — solo-vs-mixed fairness metrics.
+* ``ablation {scheduler,interleave,prefetch,replacement,page_policy,
+  mapping,mshr_org}``                 — run a design-choice ablation.
 * ``ras-study``                       — fault rate x ECC sweep (RAS).
 * ``stack-modes``                     — stack usage-mode x capacity
   study (flat memory / L4 cache / MemCache — see docs/stack_modes.md).
 * ``report --output results/``        — regenerate everything.
-* ``ablation {scheduler,interleave,prefetch,replacement,mshr}``
+* ``fairness --config quad-mc``       — solo-vs-mixed fairness metrics.
+
+The experiment commands (``figure``, ``table``, ``ablation``,
+``ras-study``, ``stack-modes``) are parser entries only: each resolves
+to one name of :data:`repro.experiments.catalog.CATALOG` (``figure 7
+--panel dual-mc`` -> ``figure7_dual``) and runs through the one
+``_cmd_experiment``; that name is also what ``report --only`` takes and
+the stem of the default ``--resume`` journal.  ``--check`` / ``--sample``
+are passed down as arguments — the CLI never writes ``os.environ``.
 
 All experiment commands accept ``--scale`` (smoke/default/large),
 ``--mixes`` (comma-separated) and ``--seed``, plus resilience knobs:
@@ -48,26 +57,17 @@ tables).  See the "Sampled simulation" section of
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 from .common.errors import CheckViolation
-from .experiments import (
-    RunPolicy,
-    run_figure4,
-    run_ras_study,
-    run_full_suite,
-    run_figure6a,
-    run_figure6b,
-    run_figure7,
-    run_figure9,
-    run_interleave_ablation,
-    run_mshr_org_ablation,
-    run_prefetch_ablation,
-    run_scheduler_ablation,
-    run_table2a,
-    run_table2b,
+from .experiments import RunPolicy, run_experiment, run_full_suite
+from .experiments.catalog import (
+    CATALOG,
+    Experiment,
+    ras_study_experiment,
+    render,
+    stack_modes_experiment,
 )
 from .system.config import (
     SystemConfig,
@@ -113,14 +113,6 @@ def _add_check_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _export_check_env(args) -> None:
-    """Experiment commands pass --check to run_matrix via REPRO_CHECK."""
-    if getattr(args, "check", None):
-        from .experiments.runner import ENV_CHECK
-
-        os.environ[ENV_CHECK] = args.check
-
-
 def _add_sample_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--sample", nargs="?", const="on", default=None, metavar="SPEC",
@@ -130,26 +122,8 @@ def _add_sample_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _export_sample_env(args) -> None:
-    """Experiment commands pass --sample to run_matrix via REPRO_SAMPLE."""
-    spec = getattr(args, "sample", None)
-    if spec:
-        from .sampling.plan import ENV_SAMPLE, parse_sample_spec
-
-        parse_sample_spec(spec)  # fail fast on a malformed spec
-        os.environ[ENV_SAMPLE] = spec
-
-
-def _policy_from_args(args, default_name: str) -> Optional[RunPolicy]:
-    """Build a RunPolicy from the resilience flags (None when unused).
-
-    ``--resume`` without an explicit ``--journal`` defaults to
-    ``results/<experiment>.journal.jsonl`` so that re-running the same
-    command with ``--resume`` added picks up where it left off.
-    """
-    journal = args.journal
-    if journal is None and args.resume:
-        journal = f"results/{default_name}.journal.jsonl"
+def _policy_from_args(args, journal: Optional[str]) -> Optional[RunPolicy]:
+    """Build a RunPolicy from the resilience flags (None when unused)."""
     if (
         args.cell_timeout is None
         and args.retries == 0
@@ -167,16 +141,6 @@ def _policy_from_args(args, default_name: str) -> Optional[RunPolicy]:
         snapshot_every=args.snapshot_every,
         snapshot_dir=args.snapshot_dir,
     )
-
-
-def _print_failures(table) -> None:
-    """Surface recorded cell failures after a degraded run."""
-    failures = getattr(table, "failures", None)
-    if failures:
-        print(f"\nWARNING: {len(failures)} cell(s) failed:", flush=True)
-        for _, failure in sorted(failures.items()):
-            print(f"  {failure.describe()}")
-        print("re-run with --resume to retry only the failed cells")
 
 
 def _cmd_list(args) -> int:
@@ -308,8 +272,8 @@ def _cmd_profile(args) -> int:
             )
     else:
         profiler.enable()
-        run_figure4(
-            scale=scale, mixes=_mixes_arg(args.mixes), seed=args.seed,
+        run_experiment(
+            "figure4", scale, _mixes_arg(args.mixes), seed=args.seed,
             workers=1,
         )
         profiler.disable()
@@ -321,54 +285,76 @@ def _cmd_profile(args) -> int:
     return 0
 
 
-def _cmd_figure(args) -> int:
-    from .common.errors import CellFailedError
-
-    _export_check_env(args)
-    _export_sample_env(args)
-    scale = get_scale(args.scale)
-    mixes = _mixes_arg(args.mixes)
-    seed, workers = args.seed, args.workers
+def _figure_experiment(args) -> Experiment:
     if args.which in ("7", "9"):
-        name = f"figure{args.which}_{args.panel.replace('-mc', '')}-mc"
-    else:
-        name = f"figure{args.which}"
-    policy = _policy_from_args(args, name)
-    common = dict(
-        scale=scale, mixes=mixes, seed=seed, workers=workers, policy=policy
+        return CATALOG[f"figure{args.which}_{args.panel[:-len('-mc')]}"]
+    return CATALOG[f"figure{args.which}"]
+
+
+def _ras_study_experiment(args) -> Experiment:
+    from .experiments.ras_study import DEFAULT_ECCS, DEFAULT_RATES
+    from .ras.config import ECC_SCHEMES
+
+    rates, eccs = DEFAULT_RATES, DEFAULT_ECCS
+    if args.rates:
+        rates = tuple(float(r) for r in args.rates.split(","))
+    if args.ecc:
+        eccs = tuple(e.strip() for e in args.ecc.split(","))
+        unknown = [e for e in eccs if e not in ECC_SCHEMES]
+        if unknown:
+            raise SystemExit(
+                f"unknown ECC scheme(s) {unknown}; choose from {ECC_SCHEMES}"
+            )
+    return ras_study_experiment(rates, eccs)
+
+
+def _stack_modes_experiment(args) -> Experiment:
+    from .common.units import MIB
+
+    if not args.capacities:
+        return CATALOG["stack_modes"]
+    return stack_modes_experiment(
+        tuple(int(float(c) * MIB) for c in args.capacities.split(","))
     )
-    if args.which == "4":
-        result = run_figure4(**common)
-    elif args.which == "6a":
-        result = run_figure6a(**common)
-    elif args.which == "6b":
-        result = run_figure6b(**common)
-    elif args.which == "7":
-        result = run_figure7(panel=args.panel, **common)
-    else:
-        result = run_figure9(panel=args.panel, **common)
-    try:
-        print(result.format())
-    except CellFailedError as exc:
-        print(f"report incomplete — {exc}")
-    _print_failures(getattr(result, "table", None))
-    return 0
 
 
-def _cmd_table(args) -> int:
-    _export_check_env(args)
-    _export_sample_env(args)
-    scale = get_scale(args.scale)
-    if args.which == "2a":
-        result = run_table2a(scale=scale, seed=args.seed)
-    else:
-        result = run_table2b(
-            scale=scale, mixes=_mixes_arg(args.mixes), seed=args.seed,
-            workers=args.workers,
-            policy=_policy_from_args(args, "table2b"),
-        )
-    print(result.format())
-    return 0
+def _cmd_experiment(args) -> int:
+    """Every experiment subcommand: resolve the catalog entry, run, render.
+
+    ``args.experiment`` maps the parsed arguments to a catalog entry
+    (re-parameterized by the subcommand's own flags, if it has any).
+    A degraded run still renders what it can and exits 0.
+    """
+    experiment = args.experiment(args)
+    journal = args.journal
+    if journal is None and args.resume:
+        # Re-running the same command with --resume added picks up
+        # where it left off.
+        journal = f"results/{experiment.name}.journal.jsonl"
+    result = run_experiment(
+        experiment,
+        scale=get_scale(args.scale),
+        mixes=_mixes_arg(args.mixes),
+        seed=args.seed,
+        workers=args.workers,
+        policy=_policy_from_args(args, journal),
+        checkers=args.check,
+        sampling=args.sample,
+    )
+    print(render(result), flush=True)
+    # The RAS study's acceptance gate; meaningless over failed cells.
+    gate = getattr(result, "check_monotone", None)
+    violations = gate() if gate and not result.table.failures else []
+    if violations:
+        print("\nMONOTONICITY VIOLATIONS:")
+        for line in violations:
+            print(f"  {line}")
+    if getattr(args, "output", None):
+        from .experiments import save_table
+
+        save_table(result.table, args.output)
+        print(f"\nsaved result table to {args.output}")
+    return 1 if violations else 0
 
 
 def _cmd_analyze(args) -> int:
@@ -405,28 +391,11 @@ def _cmd_fairness(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    _export_check_env(args)
-    _export_sample_env(args)
     journal_dir = None
     if args.resume or args.journal is not None:
         # --journal names a *directory* for report runs (one journal
         # per experiment inside it).
         journal_dir = args.journal or args.output or "results"
-    policy = None
-    if (
-        args.cell_timeout is not None
-        or args.retries
-        or args.resume
-        or args.snapshot_every is not None
-    ):
-        policy = RunPolicy(
-            cell_timeout=args.cell_timeout,
-            retries=args.retries,
-            resume=args.resume,
-            force_resume=args.force_resume,
-            snapshot_every=args.snapshot_every,
-            snapshot_dir=args.snapshot_dir,
-        )
     reports = run_full_suite(
         scale=get_scale(args.scale),
         mixes=_mixes_arg(args.mixes),
@@ -434,108 +403,14 @@ def _cmd_report(args) -> int:
         workers=args.workers,
         output_dir=args.output,
         only=args.only.split(",") if args.only else None,
-        policy=policy,
+        policy=_policy_from_args(args, None),
         journal_dir=journal_dir,
+        checkers=args.check,
+        sampling=args.sample,
     )
     for name, text in reports.items():
         print(f"\n===== {name} =====")
         print(text)
-    return 0
-
-
-def _cmd_ablation(args) -> int:
-    from .experiments import run_replacement_ablation
-
-    _export_check_env(args)
-    _export_sample_env(args)
-
-    runners = {
-        "scheduler": run_scheduler_ablation,
-        "interleave": run_interleave_ablation,
-        "prefetch": run_prefetch_ablation,
-        "replacement": run_replacement_ablation,
-        "mshr": run_mshr_org_ablation,
-    }
-    result = runners[args.which](
-        scale=get_scale(args.scale),
-        mixes=_mixes_arg(args.mixes),
-        seed=args.seed,
-        workers=args.workers,
-        policy=_policy_from_args(args, f"ablation_{args.which}"),
-    )
-    print(result.format())
-    _print_failures(getattr(result, "table", None))
-    return 0
-
-
-def _cmd_ras_study(args) -> int:
-    from .experiments import save_table
-    from .experiments.ras_study import DEFAULT_ECCS, DEFAULT_RATES
-    from .ras.config import ECC_SCHEMES
-
-    _export_check_env(args)
-    _export_sample_env(args)
-    if args.rates:
-        rates = tuple(float(r) for r in args.rates.split(","))
-    else:
-        rates = DEFAULT_RATES
-    if args.ecc:
-        eccs = tuple(e.strip() for e in args.ecc.split(","))
-        unknown = [e for e in eccs if e not in ECC_SCHEMES]
-        if unknown:
-            raise SystemExit(
-                f"unknown ECC scheme(s) {unknown}; choose from {ECC_SCHEMES}"
-            )
-    else:
-        eccs = DEFAULT_ECCS
-    result = run_ras_study(
-        scale=get_scale(args.scale),
-        mixes=_mixes_arg(args.mixes),
-        seed=args.seed,
-        workers=args.workers,
-        policy=_policy_from_args(args, "ras_study"),
-        rates=rates,
-        eccs=eccs,
-    )
-    print(result.format())
-    violations = result.check_monotone()
-    if violations:
-        print("\nMONOTONICITY VIOLATIONS:")
-        for line in violations:
-            print(f"  {line}")
-    if args.output:
-        save_table(result.table, args.output)
-        print(f"\nsaved result table to {args.output}")
-    _print_failures(result.table)
-    return 1 if violations else 0
-
-
-def _cmd_stack_modes(args) -> int:
-    from .common.units import MIB
-    from .experiments import run_stack_modes, save_table
-    from .experiments.stack_modes import DEFAULT_CAPACITIES
-
-    _export_check_env(args)
-    _export_sample_env(args)
-    if args.capacities:
-        capacities = tuple(
-            int(float(c) * MIB) for c in args.capacities.split(",")
-        )
-    else:
-        capacities = DEFAULT_CAPACITIES
-    result = run_stack_modes(
-        scale=get_scale(args.scale),
-        mixes=_mixes_arg(args.mixes),
-        seed=args.seed,
-        workers=args.workers,
-        capacities=capacities,
-        policy=_policy_from_args(args, "stack_modes"),
-    )
-    print(result.format())
-    if args.output:
-        save_table(result.table, args.output)
-        print(f"\nsaved result table to {args.output}")
-    _print_failures(result.table)
     return 0
 
 
@@ -665,12 +540,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--panel", default="quad-mc",
                        choices=["dual-mc", "quad-mc"])
     _add_common(p_fig)
-    p_fig.set_defaults(func=_cmd_figure)
+    p_fig.set_defaults(func=_cmd_experiment, experiment=_figure_experiment)
 
     p_tab = sub.add_parser("table", help="regenerate a paper table")
     p_tab.add_argument("which", choices=["2a", "2b"])
     _add_common(p_tab)
-    p_tab.set_defaults(func=_cmd_table)
+    p_tab.set_defaults(
+        func=_cmd_experiment,
+        experiment=lambda args: CATALOG[f"table{args.which}"],
+    )
 
     p_ana = sub.add_parser(
         "analyze", help="run one workload and print a bottleneck report"
@@ -721,7 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also save the raw result table as JSON",
     )
     _add_common(p_ras)
-    p_ras.set_defaults(func=_cmd_ras_study)
+    p_ras.set_defaults(func=_cmd_experiment, experiment=_ras_study_experiment)
 
     p_modes = sub.add_parser(
         "stack-modes",
@@ -737,7 +615,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="also save the raw result table as JSON",
     )
     _add_common(p_modes)
-    p_modes.set_defaults(func=_cmd_stack_modes)
+    p_modes.set_defaults(
+        func=_cmd_experiment, experiment=_stack_modes_experiment
+    )
 
     p_srv = sub.add_parser(
         "serve",
@@ -779,10 +659,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_abl = sub.add_parser("ablation", help="run a design-choice ablation")
     p_abl.add_argument(
         "which",
-        choices=["scheduler", "interleave", "prefetch", "replacement", "mshr"],
+        choices=[
+            name[len("ablation_"):]
+            for name in CATALOG
+            if name.startswith("ablation_")
+        ],
     )
     _add_common(p_abl)
-    p_abl.set_defaults(func=_cmd_ablation)
+    p_abl.set_defaults(
+        func=_cmd_experiment,
+        experiment=lambda args: CATALOG[f"ablation_{args.which}"],
+    )
 
     return parser
 

@@ -1,18 +1,9 @@
 """Experiment harness: regenerates every table and figure of the paper."""
 
-from .ablations import (
-    run_interleave_ablation,
-    run_mapping_ablation,
-    run_page_policy_ablation,
-    run_replacement_ablation,
-    run_mshr_org_ablation,
-    run_prefetch_ablation,
-    run_scheduler_ablation,
-)
 from .analysis import BottleneckReport, analyze, compare_reports
+from .catalog import CATALOG, Experiment, ExperimentResult, run_experiment
 from .charts import bar, grouped_bars, speedup_chart
 from .fairness import FairnessResult, fairness_study
-from .figure4 import Figure4Result, run_figure4
 from .full_run import run_full_suite
 from .persistence import (
     CellJournal,
@@ -21,13 +12,9 @@ from .persistence import (
     load_table,
     save_table,
 )
-from .ras_study import RasStudyResult, run_ras_study
-from .stack_modes import StackModesResult, run_stack_modes
-from .stack_study import StackStudyResult, run_stack_study
-from .sweep import SweepResult, sweep_field
-from .figure6 import Figure6aResult, Figure6bResult, run_figure6a, run_figure6b
-from .figure7 import Figure7Result, run_figure7
-from .figure9 import Figure9Result, run_figure9
+from .ras_study import RasStudyResult
+from .stack_modes import StackModesResult
+from .sweep import sweep_field
 from .report import format_comparison, format_table
 from .runner import (
     CellFailure,
@@ -38,12 +25,15 @@ from .runner import (
     parallelism_from_env,
     run_matrix,
 )
-from .table2 import Table2aResult, Table2bResult, run_table2a, run_table2b
+from .table2 import Table2aResult, Table2bResult, run_table2a
 
 __all__ = [
     "BottleneckReport",
+    "CATALOG",
     "CellFailure",
     "CellJournal",
+    "Experiment",
+    "ExperimentResult",
     "RunPolicy",
     "config_fingerprint",
     "journal_signature",
@@ -55,11 +45,6 @@ __all__ = [
     "fairness_study",
     "grouped_bars",
     "speedup_chart",
-    "Figure4Result",
-    "Figure6aResult",
-    "Figure6bResult",
-    "Figure7Result",
-    "Figure9Result",
     "ResultTable",
     "Table2aResult",
     "Table2bResult",
@@ -68,29 +53,12 @@ __all__ = [
     "geometric_mean",
     "harmonic_mean",
     "load_table",
-    "run_figure4",
-    "run_figure6a",
-    "run_figure6b",
-    "run_figure7",
-    "run_figure9",
+    "run_experiment",
     "run_full_suite",
-    "run_interleave_ablation",
-    "run_mapping_ablation",
-    "run_page_policy_ablation",
     "run_matrix",
-    "run_mshr_org_ablation",
-    "run_prefetch_ablation",
-    "run_replacement_ablation",
-    "run_scheduler_ablation",
     "run_table2a",
     "RasStudyResult",
-    "run_ras_study",
     "StackModesResult",
-    "run_stack_modes",
-    "StackStudyResult",
-    "run_stack_study",
-    "run_table2b",
     "save_table",
-    "SweepResult",
     "sweep_field",
 ]

@@ -1,86 +1,21 @@
 """One-shot regeneration of every table, figure, and ablation.
 
-``run_full_suite`` executes the complete evaluation and returns the
-formatted report per experiment; with ``output_dir`` each report is also
-written to ``<name>.txt``.  This is what produced the numbers recorded
-in EXPERIMENTS.md (at the ``default`` scale).
+``run_full_suite`` runs the catalog's suite and returns the rendered
+report per experiment; with ``output_dir`` each report is also written
+to ``<name>.txt``.  This is what produced the numbers recorded in
+EXPERIMENTS.md (at the ``default`` scale).
 """
 
 from __future__ import annotations
 
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 from ..system.scale import DEFAULT, ExperimentScale
 from ..workloads.mixes import WorkloadMix
+from .catalog import CATALOG, render, run_experiment
 from .runner import RunPolicy
-from .ablations import (
-    run_interleave_ablation,
-    run_mapping_ablation,
-    run_page_policy_ablation,
-    run_mshr_org_ablation,
-    run_prefetch_ablation,
-    run_replacement_ablation,
-    run_scheduler_ablation,
-)
-from .figure4 import run_figure4
-from .figure6 import run_figure6a, run_figure6b
-from .figure7 import run_figure7
-from .figure9 import run_figure9
-from .stack_study import run_stack_study
-from .table2 import run_table2a, run_table2b
-
-
-def _jobs(
-    scale: ExperimentScale,
-    mixes: Optional[Sequence[WorkloadMix]],
-    seed: int,
-    workers: Optional[int],
-    policy: Optional[RunPolicy] = None,
-    journal_dir: Optional[Path] = None,
-) -> List[Tuple[str, Callable[[], object]]]:
-    def common(name: str) -> dict:
-        job_policy = policy
-        if journal_dir is not None:
-            job_policy = (policy or RunPolicy()).with_journal(
-                journal_dir / f"{name}.journal.jsonl"
-            )
-        return dict(
-            scale=scale, mixes=mixes, seed=seed, workers=workers,
-            policy=job_policy,
-        )
-
-    return [
-        ("table2a", lambda: run_table2a(scale=scale, seed=seed)),
-        ("table2b", lambda: run_table2b(**common("table2b"))),
-        ("figure4", lambda: run_figure4(**common("figure4"))),
-        ("figure6a", lambda: run_figure6a(**common("figure6a"))),
-        ("figure6b", lambda: run_figure6b(**common("figure6b"))),
-        ("figure7_dual",
-         lambda: run_figure7(panel="dual-mc", **common("figure7_dual"))),
-        ("figure7_quad",
-         lambda: run_figure7(panel="quad-mc", **common("figure7_quad"))),
-        ("figure9_dual",
-         lambda: run_figure9(panel="dual-mc", **common("figure9_dual"))),
-        ("figure9_quad",
-         lambda: run_figure9(panel="quad-mc", **common("figure9_quad"))),
-        ("ablation_scheduler",
-         lambda: run_scheduler_ablation(**common("ablation_scheduler"))),
-        ("ablation_interleave",
-         lambda: run_interleave_ablation(**common("ablation_interleave"))),
-        ("ablation_prefetch",
-         lambda: run_prefetch_ablation(**common("ablation_prefetch"))),
-        ("ablation_replacement",
-         lambda: run_replacement_ablation(**common("ablation_replacement"))),
-        ("ablation_page_policy",
-         lambda: run_page_policy_ablation(**common("ablation_page_policy"))),
-        ("ablation_mapping",
-         lambda: run_mapping_ablation(**common("ablation_mapping"))),
-        ("ablation_mshr_org",
-         lambda: run_mshr_org_ablation(**common("ablation_mshr_org"))),
-        ("study_stack", lambda: run_stack_study(**common("study_stack"))),
-    ]
 
 
 def run_full_suite(
@@ -93,32 +28,50 @@ def run_full_suite(
     progress: bool = True,
     policy: Optional[RunPolicy] = None,
     journal_dir: Optional[str] = None,
+    checkers: Optional[str] = None,
+    sampling: Optional[str] = None,
 ) -> Dict[str, str]:
-    """Run every experiment; returns {experiment name: formatted report}.
+    """Run the suite; returns {experiment name: rendered report}.
+
+    An experiment with failed cells is recorded as its incomplete text
+    plus the failure list (see :func:`~repro.experiments.catalog.render`)
+    and the suite goes on to the next one.
 
     Args:
-        only: restrict to these experiment names (see ``_jobs``).
+        only: restrict to these catalog names (default: every entry
+            with ``in_suite``); run in catalog order either way.
         output_dir: when set, write each report to ``<name>.txt`` there.
         policy: resilience knobs (timeouts/retries/resume) applied to
             every matrix in the suite.
         journal_dir: when set, each experiment checkpoints its cells to
             ``<journal_dir>/<name>.journal.jsonl`` (enables resume).
+        checkers, sampling: forwarded to every experiment.
     """
-    journal_path = Path(journal_dir) if journal_dir else None
-    jobs = _jobs(scale, mixes, seed, workers, policy, journal_path)
-    if only is not None:
-        known = {name for name, _ in jobs}
-        unknown = set(only) - known
+    if only is None:
+        names = [name for name, exp in CATALOG.items() if exp.in_suite]
+    else:
+        unknown = set(only) - set(CATALOG)
         if unknown:
-            raise ValueError(f"unknown experiments {sorted(unknown)}; known: {sorted(known)}")
-        jobs = [(name, job) for name, job in jobs if name in only]
+            raise ValueError(
+                f"unknown experiments {sorted(unknown)}; known: {list(CATALOG)}"
+            )
+        names = [name for name in CATALOG if name in only]
     directory = Path(output_dir) if output_dir else None
     if directory is not None:
         directory.mkdir(parents=True, exist_ok=True)
     reports: Dict[str, str] = {}
-    for name, job in jobs:
+    for name in names:
         start = time.time()
-        reports[name] = job().format()
+        job_policy = policy
+        if journal_dir is not None:
+            job_policy = (policy or RunPolicy()).with_journal(
+                Path(journal_dir) / f"{name}.journal.jsonl"
+            )
+        result = run_experiment(
+            name, scale, mixes, seed=seed, workers=workers, policy=job_policy,
+            checkers=checkers, sampling=sampling,
+        )
+        reports[name] = render(result)
         if directory is not None:
             (directory / f"{name}.txt").write_text(reports[name] + "\n")
         if progress:

@@ -16,7 +16,9 @@ by stable request coordinates, the fault set at a lower rate is a subset
 of the fault set at a higher rate for the same seed; the *attributed*
 overhead and the uncorrected-error rate are therefore monotonically
 non-decreasing in the injected rate
-(:meth:`RasStudyResult.check_monotone` asserts this).  The *measured*
+(:meth:`RasStudyResult.check_monotone` asserts this).  The catalog's
+``ras_study`` entry (:func:`~repro.experiments.catalog.ras_study_experiment`)
+runs the sweep on the H mixes.  The *measured*
 ΔIPC column is reported for context only: in a closed-loop simulator a
 few delayed reads perturb the whole downstream schedule, and at small
 scales that perturbation (row-buffer locality shifting by a percent or
@@ -27,14 +29,12 @@ machinery actually added.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..ras.config import RasConfig
 from ..system.config import SystemConfig, config_2d, config_3d, config_3d_fast
-from ..system.scale import DEFAULT, ExperimentScale
-from ..workloads.mixes import WorkloadMix, mixes_in_groups
-from .report import format_table
-from .runner import ResultTable, RunPolicy, run_matrix
+from .report import format_table, with_sampling_note
+from .runner import ResultTable
 
 #: Organizations the study sweeps (Figure 4's endpoints plus the middle).
 BASE_ORDER = ("2D", "3D", "3D-fast")
@@ -201,36 +201,9 @@ class RasStudyResult:
             "organization+scheme (schedule-perturbation noise included); "
             "error columns are per thousand DRAM reads across the mixes"
         )
-        sampling = self.table.sampling_note()
-        if sampling:
-            note = f"{note}\n{sampling}"
         return format_table(
             "RAS study: fault rate x ECC scheme",
             rows,
             columns,
-            note=note,
+            note=with_sampling_note(note, self.table),
         )
-
-
-def run_ras_study(
-    scale: ExperimentScale = DEFAULT,
-    mixes: Optional[Sequence[WorkloadMix]] = None,
-    seed: int = 42,
-    workers: Optional[int] = None,
-    policy: Optional[RunPolicy] = None,
-    rates: Sequence[float] = DEFAULT_RATES,
-    eccs: Sequence[str] = DEFAULT_ECCS,
-) -> RasStudyResult:
-    """Run the fault-rate x ECC sweep (H mixes by default)."""
-    if mixes is None:
-        mixes = mixes_in_groups("H")
-    configs = build_ras_matrix(rates, eccs)
-    table = run_matrix(
-        configs, mixes, scale, seed=seed, workers=workers, policy=policy
-    )
-    return RasStudyResult(
-        table=table,
-        mixes=[m.name for m in mixes],
-        rates=tuple(rates),
-        eccs=tuple(eccs),
-    )

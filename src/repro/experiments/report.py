@@ -54,6 +54,16 @@ def format_table(
     return "\n".join(lines)
 
 
+def with_sampling_note(note: str, table) -> str:
+    """``note`` plus the table's sampled-run annotation, when it has one.
+
+    Every report built on a :class:`~repro.experiments.runner.ResultTable`
+    passes its note through here, so a sampled run's confidence travels
+    with the numbers whatever the experiment.
+    """
+    return "\n".join(part for part in (note, table.sampling_note()) if part)
+
+
 def format_comparison(
     title: str,
     rows: Sequence[str],

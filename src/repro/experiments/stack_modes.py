@@ -22,7 +22,7 @@ overhead wins back the lead — the crossover is the study's output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..common.units import MIB
 from ..system.config import (
@@ -32,10 +32,8 @@ from ..system.config import (
     config_l4_cache,
     config_memcache,
 )
-from ..system.scale import DEFAULT, ExperimentScale
-from ..workloads.mixes import WorkloadMix, mixes_in_groups
-from .report import format_table
-from .runner import ResultTable, RunPolicy, run_matrix
+from .report import format_table, with_sampling_note
+from .runner import ResultTable
 
 #: Mode rows of the study table, in presentation order.
 MODE_ORDER = ("memory", "L4-sram", "L4-alloy", "MemCache")
@@ -44,7 +42,10 @@ MODE_ORDER = ("memory", "L4-sram", "L4-alloy", "MemCache")
 DEFAULT_CAPACITIES = (32 * MIB, 64 * MIB, 128 * MIB)
 
 
-def _configs(capacities: Sequence[int]) -> List[SystemConfig]:
+def build_mode_matrix(
+    capacities: Sequence[int] = DEFAULT_CAPACITIES,
+) -> List[SystemConfig]:
+    """Flat memory plus every cache-bearing mode at every capacity."""
     configs: List[SystemConfig] = [config_3d_fast()]
     for capacity in capacities:
         configs.append(config_l4_cache(capacity))
@@ -79,31 +80,10 @@ class StackModesResult:
             "Study: stack mode x capacity (GM speedup over flat memory)",
             labels,
             columns,
-            note=(
+            note=with_sampling_note(
                 "flat memory is the paper's 3D-fast organization; cache "
                 "modes add an off-chip channel behind the stack "
-                "(PAPERS.md: Memory, Cache, or MemCache?)"
+                "(PAPERS.md: Memory, Cache, or MemCache?)",
+                self.table,
             ),
         )
-
-
-def run_stack_modes(
-    scale: ExperimentScale = DEFAULT,
-    mixes: Optional[Sequence[WorkloadMix]] = None,
-    seed: int = 42,
-    workers: Optional[int] = None,
-    capacities: Sequence[int] = DEFAULT_CAPACITIES,
-    policy: Optional[RunPolicy] = None,
-) -> StackModesResult:
-    """Run the stack-mode capacity sweep."""
-    if mixes is None:
-        mixes = mixes_in_groups("H", "VH")
-    table = run_matrix(
-        _configs(capacities), mixes, scale, seed=seed, workers=workers,
-        policy=policy,
-    )
-    return StackModesResult(
-        table=table,
-        capacities=list(capacities),
-        mixes=[m.name for m in mixes],
-    )

@@ -1,6 +1,6 @@
 """Generic design-space sweeps over configuration fields.
 
-The figure runners cover the paper's specific sweeps; ``sweep_field``
+The catalog covers the paper's specific sweeps; ``sweep_field``
 generalizes them: vary any :class:`SystemConfig` field across values,
 simulate the given mixes, and report GM speedups relative to the first
 value.  This is the "what if" tool a user reaches for after reproducing
@@ -10,46 +10,13 @@ the paper (e.g. sweep ``rob_size``, ``l2_latency``, ``mrq_capacity``).
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from ..system.config import SystemConfig
 from ..system.scale import DEFAULT, ExperimentScale
-from ..workloads.mixes import WorkloadMix, mixes_in_groups
-from .report import format_table
-from .runner import ResultTable, RunPolicy, run_matrix
-
-
-@dataclass
-class SweepResult:
-    """GM speedups of every swept value over the first one."""
-
-    field: str
-    values: List[Any]
-    table: ResultTable
-    mixes: List[str]
-
-    def config_name(self, value: Any) -> str:
-        return f"{self.field}={value}"
-
-    def gm(self, value: Any) -> float:
-        return self.table.gm_speedup(
-            self.config_name(value), self.config_name(self.values[0])
-        )
-
-    def hmipc(self, value: Any, mix: str) -> float:
-        return self.table.hmipc(self.config_name(value), mix)
-
-    def best_value(self) -> Any:
-        return max(self.values, key=self.gm)
-
-    def format(self) -> str:
-        rows = [self.config_name(v) for v in self.values]
-        return format_table(
-            f"Sweep of {self.field} (GM speedup over {self.values[0]})",
-            rows,
-            {"GM speedup": [self.gm(v) for v in self.values]},
-        )
+from ..workloads.mixes import WorkloadMix
+from .catalog import HEADLINE_GROUPS, Experiment, ExperimentResult, run_experiment
+from .runner import RunPolicy
 
 
 def sweep_field(
@@ -61,8 +28,12 @@ def sweep_field(
     seed: int = 42,
     workers: Optional[int] = None,
     policy: Optional[RunPolicy] = None,
-) -> SweepResult:
-    """Vary one config field; everything else pinned to ``base``."""
+) -> ExperimentResult:
+    """Vary one config field; everything else pinned to ``base``.
+
+    The result's configs are named ``<field>=<value>``; the first value
+    is the baseline (``result.gm("rob_size=96")``).
+    """
     if not values:
         raise ValueError("need at least one value to sweep")
     field_names = {f.name for f in dataclasses.fields(SystemConfig)}
@@ -73,16 +44,15 @@ def sweep_field(
         )
     if len(set(values)) != len(values):
         raise ValueError("sweep values must be distinct")
-    if mixes is None:
-        mixes = mixes_in_groups("H", "VH")
-    configs = [
-        base.derive(name=f"{field}={value}", **{field: value})
-        for value in values
-    ]
-    table = run_matrix(configs, mixes, scale, seed=seed, workers=workers, policy=policy)
-    return SweepResult(
-        field=field,
-        values=list(values),
-        table=table,
-        mixes=[m.name for m in mixes],
+    experiment = Experiment(
+        name=f"sweep_{field}",
+        title=f"Sweep of {field} (GM speedup over {values[0]})",
+        configs=lambda: [
+            base.derive(name=f"{field}={value}", **{field: value})
+            for value in values
+        ],
+        groups=HEADLINE_GROUPS,
+    )
+    return run_experiment(
+        experiment, scale, mixes, seed=seed, workers=workers, policy=policy
     )

@@ -4,7 +4,8 @@
 6 MiB L2 — this is the calibration target for the synthetic traces: the
 *ordering* and magnitude bands must match the paper.
 
-(b) Baseline HMIPC per four-program mix on the 2D (off-chip) machine.
+(b) Baseline HMIPC per four-program mix on the 2D (off-chip) machine
+(the catalog's ``table2b`` entry runs it).
 """
 
 from __future__ import annotations
@@ -17,12 +18,12 @@ from ..system.config import config_2d
 from ..system.machine import run_workload
 from ..system.scale import DEFAULT, ExperimentScale
 from ..workloads.benchmarks import BENCHMARKS
-from ..workloads.mixes import MIX_ORDER, MIXES, WorkloadMix
-from .report import format_table
-from .runner import RunPolicy, run_matrix
+from ..workloads.mixes import MIX_ORDER, MIXES
+from .report import format_table, with_sampling_note
+from .runner import ResultTable
 
 
-def _single_core_config():
+def single_core_config():
     """One core, 6 MiB L2, off-chip memory (Table 2a's measurement rig).
 
     Prefetchers are disabled for this characterization: the table
@@ -42,9 +43,20 @@ def _single_core_config():
 
 @dataclass
 class Table2aResult:
-    """Measured vs paper MPKI, in paper (descending-MPKI) order."""
+    """Measured vs paper MPKI, in paper (descending-MPKI) order.
 
-    mpki: Dict[str, float]
+    ``table`` holds the raw single-core runs, one "mix" per benchmark.
+    """
+
+    table: ResultTable
+
+    @property
+    def mpki(self) -> Dict[str, float]:
+        (config,) = self.table.configs
+        return {
+            name: self.table.result(config, name).cores[0].l2_mpki
+            for name in self.table.mixes
+        }
 
     def ordered_names(self) -> List[str]:
         return sorted(
@@ -52,16 +64,19 @@ class Table2aResult:
         )
 
     def format(self) -> str:
-        names = self.ordered_names()
+        names, mpki = self.ordered_names(), self.mpki
         return format_table(
             "Table 2(a): stand-alone L2 MPKI (6 MiB L2, single core)",
             names,
             {
                 "paper": [BENCHMARKS[n].paper_mpki for n in names],
-                "measured": [self.mpki[n] for n in names],
+                "measured": [mpki[n] for n in names],
             },
             value_format="{:.1f}",
-            note="target: same ordering and magnitude bands as the paper",
+            note=with_sampling_note(
+                "target: same ordering and magnitude bands as the paper",
+                self.table,
+            ),
         )
 
 
@@ -69,54 +84,54 @@ def run_table2a(
     scale: ExperimentScale = DEFAULT,
     benchmarks: Optional[Sequence[str]] = None,
     seed: int = 42,
+    checkers: Optional[str] = None,
+    sampling: Optional[str] = None,
 ) -> Table2aResult:
-    """Measure stand-alone MPKI for each benchmark."""
+    """Measure stand-alone MPKI for each benchmark.
+
+    ``checkers`` / ``sampling`` take the same specs as ``run_matrix``.
+    """
+    from ..sampling.plan import parse_sample_spec
+
     names = list(benchmarks) if benchmarks is not None else sorted(BENCHMARKS)
-    config = _single_core_config()
-    mpki: Dict[str, float] = {}
+    config = single_core_config()
+    plan = parse_sample_spec(sampling)
+    table = ResultTable(configs=[config.name], mixes=names, cells={})
     for name in names:
-        result = run_workload(
+        table.cells[(config.name, name)] = run_workload(
             config,
             [name],
             warmup_instructions=scale.warmup_instructions,
             measure_instructions=scale.measure_instructions,
             seed=seed,
             workload_name=name,
+            checkers=checkers,
+            sampling=plan,
         )
-        mpki[name] = result.cores[0].l2_mpki
-    return Table2aResult(mpki=mpki)
+    return Table2aResult(table)
 
 
 @dataclass
 class Table2bResult:
     """Baseline (2D) HMIPC per mix, vs the paper's Table 2(b)."""
 
-    hmipc: Dict[str, float]
+    table: ResultTable
+
+    @property
+    def hmipc(self) -> Dict[str, float]:
+        return {m: self.table.hmipc("2D", m) for m in self.table.mixes}
 
     def format(self) -> str:
-        names = [n for n in MIX_ORDER if n in self.hmipc]
+        names = [n for n in MIX_ORDER if n in self.table.mixes]
         return format_table(
             "Table 2(b): baseline HMIPC on the 2D (off-chip) machine",
             names,
             {
                 "paper": [MIXES[n].paper_hmipc for n in names],
-                "measured": [self.hmipc[n] for n in names],
+                "measured": [self.table.hmipc("2D", n) for n in names],
             },
-            note="target: VH < H < HM < M ordering, same magnitude bands",
+            note=with_sampling_note(
+                "target: VH < H < HM < M ordering, same magnitude bands",
+                self.table,
+            ),
         )
-
-
-def run_table2b(
-    scale: ExperimentScale = DEFAULT,
-    mixes: Optional[Sequence[WorkloadMix]] = None,
-    seed: int = 42,
-    workers: Optional[int] = None,
-    policy: Optional[RunPolicy] = None,
-) -> Table2bResult:
-    """Measure baseline HMIPC for every mix on the 2D machine."""
-    if mixes is None:
-        mixes = [MIXES[name] for name in MIX_ORDER]
-    table = run_matrix([config_2d()], mixes, scale, seed=seed, workers=workers, policy=policy)
-    return Table2bResult(
-        hmipc={m.name: table.hmipc("2D", m.name) for m in mixes}
-    )

@@ -95,6 +95,9 @@ class _StubTable:
     def gm_speedup(self, name, baseline):
         return 1.0
 
+    def sampling_note(self):
+        return None
+
 
 def test_stack_modes_table_header_is_pinned():
     result = StackModesResult(

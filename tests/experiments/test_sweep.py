@@ -26,20 +26,21 @@ def rob_sweep():
 
 
 def test_sweep_shape(rob_sweep):
-    assert rob_sweep.field == "rob_size"
-    assert rob_sweep.values == [32, 96]
-    assert rob_sweep.gm(32) == pytest.approx(1.0)
-    assert rob_sweep.gm(96) > 0
+    assert rob_sweep.experiment.name == "sweep_rob_size"
+    assert rob_sweep.table.configs == ["rob_size=32", "rob_size=96"]
+    assert rob_sweep.gm("rob_size=32") == pytest.approx(1.0)
+    assert rob_sweep.gm("rob_size=96") > 0
 
 
 def test_best_value_and_format(rob_sweep):
-    assert rob_sweep.best_value() in (32, 96)
+    assert max(rob_sweep.table.configs, key=rob_sweep.gm) in rob_sweep.shown
     text = rob_sweep.format()
-    assert "rob_size" in text and "GM speedup" in text
+    assert "Sweep of rob_size (GM speedup over 32)" in text
+    assert "rob_size=96" in text and "GM speedup" in text
 
 
 def test_hmipc_accessor(rob_sweep):
-    assert rob_sweep.hmipc(96, "M3") > 0
+    assert rob_sweep.table.hmipc("rob_size=96", "M3") > 0
 
 
 def test_unknown_field_rejected():

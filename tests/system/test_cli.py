@@ -147,17 +147,32 @@ def test_figure_with_journal_and_resume(capsys, monkeypatch, tmp_path):
     assert "Figure 4" in capsys.readouterr().out
 
 
-def test_figure_with_injected_failure_degrades(capsys, monkeypatch, tmp_path):
+@pytest.mark.parametrize(
+    "command, failing_config",
+    [
+        (["figure", "4"], "3D-wide"),
+        (["table", "2b"], "2D"),
+        (["ablation", "scheduler"], "fcfs"),
+        (["ras-study", "--rates", "0,0.001", "--ecc", "none"], "3D/none@0.001"),
+        (["stack-modes", "--capacities", "32"], "L4-alloy-32M"),
+    ],
+    ids=["figure4", "table2b", "ablation", "ras-study", "stack-modes"],
+)
+def test_figure_with_injected_failure_degrades(
+    capsys, monkeypatch, command, failing_config
+):
+    """A degraded run renders what it can on every experiment command."""
     from repro.experiments import faults
     from repro.system import scale as scale_mod
 
     tiny = scale_mod.ExperimentScale("smoke", 300, 1000)
     monkeypatch.setitem(scale_mod._SCALES, "smoke", tiny)
-    monkeypatch.setenv(faults.ENV_VAR, "raise:3D-wide:M3:-1")
-    assert main(["figure", "4", "--mixes", "M3", "--workers", "1"]) == 0
+    monkeypatch.setenv(faults.ENV_VAR, f"raise:{failing_config}:M3:-1")
+    assert main(command + ["--mixes", "M3", "--workers", "1"]) == 0
     out = capsys.readouterr().out
     assert "report incomplete" in out
     assert "WARNING: 1 cell(s) failed" in out
+    assert f"cell ({failing_config}, M3)" in out
     assert "--resume" in out
 
 
@@ -169,3 +184,77 @@ def test_resilience_flags_parse():
     assert args.cell_timeout == 30.0
     assert args.retries == 2
     assert args.resume and args.journal is None
+
+
+def test_check_and_sample_travel_as_arguments_not_environment(
+    capsys, monkeypatch
+):
+    import os
+
+    from repro.system import scale as scale_mod
+
+    small = scale_mod.ExperimentScale("smoke", 2_000, 20_000)
+    monkeypatch.setitem(scale_mod._SCALES, "smoke", small)
+    monkeypatch.delenv("REPRO_CHECK", raising=False)
+    monkeypatch.delenv("REPRO_SAMPLE", raising=False)
+    before = dict(os.environ)
+    assert main([
+        "figure", "4", "--mixes", "M3", "--workers", "1", "--check", "mshr",
+        "--sample", "detailed:400,warmup:800,detail_warmup:100,min_intervals:2",
+    ]) == 0
+    assert dict(os.environ) == before
+    # ...and both reached the cells: the report says it was sampled.
+    assert "sampled simulation (4/4 cells" in capsys.readouterr().out
+
+
+def test_table2a_honours_check_and_sample(capsys, monkeypatch):
+    from repro.experiments import table2
+    from repro.system import scale as scale_mod
+
+    small = scale_mod.ExperimentScale("smoke", 2_000, 20_000)
+    monkeypatch.setitem(scale_mod._SCALES, "smoke", small)
+    monkeypatch.setattr(table2, "BENCHMARKS", {"namd": table2.BENCHMARKS["namd"]})
+    with pytest.raises(ValueError, match="unknown checker"):
+        main(["table", "2a", "--check", "no-such-checker"])
+    assert main([
+        "table", "2a",
+        "--sample", "detailed:400,warmup:800,detail_warmup:100,min_intervals:2",
+    ]) == 0
+    assert "sampled simulation (1/1 cells" in capsys.readouterr().out
+    with pytest.raises(ValueError, match="bad sampling spec"):
+        main(["table", "2a", "--sample", "detailed"])
+
+
+def test_ablation_choices_are_the_catalogs():
+    from repro.experiments.catalog import CATALOG
+
+    (ablation,) = [
+        action.choices["ablation"]
+        for action in build_parser()._subparsers._group_actions
+    ]
+    (which,) = [a for a in ablation._actions if a.dest == "which"]
+    assert [f"ablation_{choice}" for choice in which.choices] == [
+        name for name in CATALOG if name.startswith("ablation_")
+    ]
+    assert "page_policy" in which.choices and "mshr_org" in which.choices
+
+
+def test_figure7_journal_is_resumed_by_report(capsys, monkeypatch, tmp_path):
+    """One name per experiment: both commands journal to the same file."""
+    from repro.experiments import runner
+    from repro.system import scale as scale_mod
+
+    tiny = scale_mod.ExperimentScale("smoke", 300, 1000)
+    monkeypatch.setitem(scale_mod._SCALES, "smoke", tiny)
+    monkeypatch.chdir(tmp_path)
+    common = ["--mixes", "M3", "--workers", "1", "--resume"]
+    assert main(["figure", "7", "--panel", "dual-mc"] + common) == 0
+    assert (tmp_path / "results" / "figure7_dual.journal.jsonl").exists()
+    figure = capsys.readouterr().out.strip()
+
+    def no_simulation(task):
+        raise AssertionError(f"re-simulated {task.scenario()}")
+
+    monkeypatch.setattr(runner, "run_cell", no_simulation)
+    assert main(["report", "--only", "figure7_dual"] + common) == 0
+    assert figure in capsys.readouterr().out
