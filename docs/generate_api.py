@@ -23,6 +23,7 @@ PACKAGES = [
     "repro.stack3d",
     "repro.system",
     "repro.experiments",
+    "repro.validate",
 ]
 
 

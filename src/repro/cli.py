@@ -20,6 +20,9 @@ Commands:
   study (flat memory / L4 cache / MemCache — see docs/stack_modes.md).
 * ``report --output results/``        — regenerate everything.
 * ``fairness --config quad-mc``       — solo-vs-mixed fairness metrics.
+* ``validate {engines,timing,resume,sampling}`` — run one differential
+  of :mod:`repro.validate.diff` (or the sampling accuracy gate) on a
+  config/mix/scale of your choosing.  See ``docs/validation.md``.
 
 The experiment commands (``figure``, ``table``, ``ablation``,
 ``ras-study``, ``stack-modes``) are parser entries only: each resolves
@@ -111,6 +114,24 @@ def _add_check_flag(parser: argparse.ArgumentParser) -> None:
         help="attach runtime invariant checkers (default when given: all; "
         "or a comma-separated subset of dram-timing,mshr,queue)",
     )
+
+
+def _add_cell_args(parser, config_default, mix_override=None) -> None:
+    """``--config/--mix/--scale/--seed``: the one cell a command runs
+    (no ``--config`` when ``config_default`` is None: it sweeps its own).
+    ``mix_override`` is the command's own ``(flag, help)`` beside
+    ``--mix``, kept where ``--help`` has always listed it."""
+    if config_default is not None:
+        parser.add_argument(
+            "--config", default=config_default, choices=sorted(CONFIGS)
+        )
+    parser.add_argument("--mix", default="H1", choices=list(MIX_ORDER))
+    if mix_override is not None:
+        flag, text = mix_override
+        parser.add_argument(flag, default=None, help=text)
+    parser.add_argument("--scale", default="smoke",
+                        choices=["smoke", "default", "large"])
+    parser.add_argument("--seed", type=int, default=42)
 
 
 def _add_sample_flag(parser: argparse.ArgumentParser) -> None:
@@ -414,6 +435,30 @@ def _cmd_report(args) -> int:
     return 0
 
 
+def _resume_shape(name: str) -> str:
+    """``--shape`` choices, read (and ``repro.validate`` imported) only
+    when the flag is given, not by every command's parser build."""
+    from .validate.diff import resume_shapes
+
+    if name not in resume_shapes():
+        raise argparse.ArgumentTypeError(
+            f"unknown shape {name!r} (choose from {', '.join(resume_shapes())})"
+        )
+    return name
+
+
+def _cmd_validate(args) -> int:
+    """A tool's flags are its handler's parameters, names resolved."""
+    from .validate import tools
+
+    options = dict(vars(args), mix=MIXES[args.mix], scale=get_scale(args.scale))
+    for parser_key in ("command", "tool", "func"):
+        del options[parser_key]
+    if "config" in options:
+        options["config"] = CONFIGS[args.config]()
+    return getattr(tools, args.tool)(**options)
+
+
 def _cmd_serve(args) -> int:
     from .service.http import ServiceServer
     from .service.service import SweepService
@@ -502,15 +547,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_list.set_defaults(func=_cmd_list)
 
     p_run = sub.add_parser("run", help="simulate one workload")
-    p_run.add_argument("--config", default="3d-fast", choices=sorted(CONFIGS))
-    p_run.add_argument("--mix", default="H1", choices=list(MIX_ORDER))
-    p_run.add_argument(
-        "--benchmarks", default=None,
-        help="comma-separated benchmark names (overrides --mix; one per core)",
-    )
-    p_run.add_argument("--scale", default="smoke",
-                       choices=["smoke", "default", "large"])
-    p_run.add_argument("--seed", type=int, default=42)
+    _add_cell_args(p_run, "3d-fast", (
+        "--benchmarks",
+        "comma-separated benchmark names (overrides --mix; one per core)",
+    ))
     _add_check_flag(p_run)
     _add_sample_flag(p_run)
     p_run.set_defaults(func=_cmd_run)
@@ -521,14 +561,9 @@ def build_parser() -> argparse.ArgumentParser:
         "plus per-controller and per-core tallies",
     )
     p_prof.add_argument("experiment", choices=["run", "figure4"])
-    p_prof.add_argument("--config", default="3d-fast",
-                        choices=sorted(CONFIGS))
-    p_prof.add_argument("--mix", default="H1", choices=list(MIX_ORDER))
-    p_prof.add_argument("--mixes", default=None,
-                        help="(figure4) comma-separated mix names")
-    p_prof.add_argument("--scale", default="smoke",
-                        choices=["smoke", "default", "large"])
-    p_prof.add_argument("--seed", type=int, default=42)
+    _add_cell_args(
+        p_prof, "3d-fast", ("--mixes", "(figure4) comma-separated mix names")
+    )
     p_prof.add_argument("--top", type=int, default=25,
                         help="functions to print")
     p_prof.add_argument("--sort", default="cumulative",
@@ -553,23 +588,51 @@ def build_parser() -> argparse.ArgumentParser:
     p_ana = sub.add_parser(
         "analyze", help="run one workload and print a bottleneck report"
     )
-    p_ana.add_argument("--config", default="3d-fast", choices=sorted(CONFIGS))
-    p_ana.add_argument("--mix", default="H1", choices=list(MIX_ORDER))
-    p_ana.add_argument("--scale", default="smoke",
-                       choices=["smoke", "default", "large"])
-    p_ana.add_argument("--seed", type=int, default=42)
+    _add_cell_args(p_ana, "3d-fast")
     _add_check_flag(p_ana)
     p_ana.set_defaults(func=_cmd_analyze)
 
     p_fair = sub.add_parser(
         "fairness", help="fairness metrics for one mix (solo vs mixed)"
     )
-    p_fair.add_argument("--config", default="quad-mc", choices=sorted(CONFIGS))
-    p_fair.add_argument("--mix", default="H1", choices=list(MIX_ORDER))
-    p_fair.add_argument("--scale", default="smoke",
-                        choices=["smoke", "default", "large"])
-    p_fair.add_argument("--seed", type=int, default=42)
+    _add_cell_args(p_fair, "quad-mc")
     p_fair.set_defaults(func=_cmd_fairness)
+
+    p_val = sub.add_parser(
+        "validate",
+        help="run one differential (or the sampling accuracy gate) on a "
+        "chosen config/mix/scale; exit 1 on an unexpected verdict",
+    )
+    tools = p_val.add_subparsers(dest="tool", required=True)
+    p_eng = tools.add_parser(
+        "engines", help="calendar-queue vs heap engine: must be identical"
+    )
+    _add_cell_args(p_eng, "2d")
+    _add_check_flag(p_eng)
+    p_tim = tools.add_parser(
+        "timing", help="two DRAM timing presets: where the faster one "
+        "first changes behaviour",
+    )
+    _add_cell_args(p_tim, "2d")
+    presets = ["2d", "3d-commodity", "true-3d"]
+    p_tim.add_argument("--preset-a", default="2d", choices=presets)
+    p_tim.add_argument("--preset-b", default="true-3d", choices=presets)
+    p_res = tools.add_parser(
+        "resume", help="preempt at a --seed-drawn snapshot boundary and "
+        "resume in a fresh machine: must match the uninterrupted run",
+    )
+    _add_cell_args(p_res, None)
+    p_res.add_argument("--shape", default=None, type=_resume_shape,
+                       help="one machine shape (default: all)")
+    p_smp = tools.add_parser(
+        "sampling", help="sampled vs full-detail Figure 4: speedup error "
+        "<= 2%%, sampled sweep >= 3x faster",
+    )
+    _add_cell_args(p_smp, None)
+    p_smp.set_defaults(scale="large")  # the plan is tuned for long runs
+    p_smp.add_argument("--spec", default=None, metavar="SPEC",
+                       help="sampling spec (default: the tuned default plan)")
+    p_val.set_defaults(func=_cmd_validate)
 
     p_rep = sub.add_parser(
         "report", help="regenerate every table/figure/ablation"

@@ -36,7 +36,7 @@ ENV_SAMPLE = "REPRO_SAMPLE"
 #: default plan was tuned on the figure-4 configs at the ``large``
 #: experiment scale: per-config relative-speedup error stays under 2%
 #: while the sampled run finishes >3x faster than full detail (see
-#: ``scripts/sample_validate.py``).
+#: ``python -m repro validate sampling``).
 _DEFAULTS = {
     "detailed": 1200,
     "warmup": 4650,

@@ -2,26 +2,21 @@
 
 The declarative fault specs in :mod:`repro.experiments.faults`
 (``REPRO_FAULTS``) cover deterministic in-band injection; this
-module adds the out-of-band hammers the validate script and tests use
-directly — flipping bytes in cache files that already exist, SIGKILLing
-worker processes from outside, and comparing two service results
-bit-for-bit (the property every chaos scenario must preserve).
+module adds the out-of-band hammers the service tests use directly —
+flipping bytes in and truncating cache files that already exist — and
+the bit-for-bit comparison of two service results (the property every
+chaos scenario must preserve).
 """
 
 from __future__ import annotations
 
-import os
-import signal
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import List, Optional
 
 from ..experiments.persistence import _result_to_dict
 from .cache import ResultCache
 from .keys import canonical_json
 from .service import ServiceResult
-from .supervisor import WorkerSupervisor
-
-PathLike = Union[str, Path]
 
 
 def cache_entry_paths(cache: ResultCache) -> List[Path]:
@@ -58,17 +53,6 @@ def _first_entry(cache: ResultCache) -> Path:
     return paths[0]
 
 
-def kill_workers(supervisor: WorkerSupervisor) -> List[int]:
-    """SIGKILL every live worker from outside (as the OOM killer would)."""
-    pids = supervisor.worker_pids()
-    for pid in pids:
-        try:
-            os.kill(pid, signal.SIGKILL)
-        except ProcessLookupError:  # pragma: no cover - raced exit
-            pass
-    return pids
-
-
 def result_fingerprint(result: ServiceResult) -> str:
     """Canonical serialization of a sweep's numeric results.
 
@@ -93,7 +77,6 @@ def result_fingerprint(result: ServiceResult) -> str:
 __all__ = [
     "cache_entry_paths",
     "corrupt_cache_entry",
-    "kill_workers",
     "result_fingerprint",
     "truncate_cache_entry",
 ]

@@ -10,7 +10,8 @@ warmup), so the rest of the hierarchy — MSHRs, checkers, RAS, sampling —
 is unchanged:
 
 * ``memory``   — the facade is *not constructed*; the machine is
-  byte-for-byte today's simulator (gated by ``diff_validate.py --modes``).
+  byte-for-byte today's simulator (gated by
+  ``tests/stack3d/test_mode_equivalence.py``).
 * ``cache``    — every physical address lives off-chip; the stack holds
   a cache of it.  Tag organizations: ``sram`` (tags on the processor
   die, charged against the L2's capacity) or ``dram`` (alloy-style

@@ -201,7 +201,7 @@ class Machine:
         # off-chip channel, behind the same MainMemory interface.  In
         # "memory" mode this block is skipped entirely — zero new
         # objects, stat groups, or branches on the request path (gated
-        # bit-for-bit by ``scripts/diff_validate.py --modes``).
+        # bit-for-bit by ``tests/stack3d/test_mode_equivalence.py``).
         self.l4 = None
         self._l4_tag_shave = 0
         l2_size = config.l2_size
@@ -229,7 +229,7 @@ class Machine:
                 mapping_scheme=config.dram_mapping_scheme,
                 page_policy=config.dram_page_policy,
                 # Globally unique MC ids and "offchip."-prefixed stat
-                # groups: transcripts/checkers stay unambiguous, and the
+                # groups: transcripts and checkers stay unambiguous, and the
                 # stack power model (bank prefix "dram.") keeps counting
                 # only stack banks.
                 first_mc_id=config.num_mcs,

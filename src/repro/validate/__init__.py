@@ -11,10 +11,11 @@ Three legs, all opt-in and zero-overhead when disabled:
   ``Machine(..., checkers="all")`` or the ``--check`` CLI flag.
 
 * **Differential harness** (:mod:`~repro.validate.diff`,
-  ``scripts/diff_validate.py``) runs the same workload under the
-  calendar-queue and heap engines (or under two DRAM timing presets),
-  records full per-bank command transcripts, and reports the first
-  divergence with cycle, command, and bank-state dump.
+  ``python -m repro validate``) runs the same workload under the
+  calendar-queue and heap engines (or under two DRAM timing presets, or
+  interrupted and resumed from a snapshot), records full per-bank
+  command transcripts, and reports the first divergence with cycle,
+  command, and bank-state dump.
 
 * **Property strategies** (``tests/strategies.py``) provide seeded
   random request streams, address patterns, and timing mutations that
@@ -32,6 +33,7 @@ from .diff import (
     TracedRun,
     diff_engines,
     diff_modes,
+    diff_resume,
     diff_runs,
     diff_timing_presets,
     filter_run,
@@ -59,6 +61,7 @@ __all__ = [
     "attach_checkers",
     "diff_engines",
     "diff_modes",
+    "diff_resume",
     "diff_runs",
     "diff_timing_presets",
     "filter_run",

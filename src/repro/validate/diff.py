@@ -14,21 +14,22 @@ the final stat tables, and diff them.
 * :func:`diff_timing_presets` must report **divergent** — it exists to
   show *where* an aggressive timing first changes behaviour, which is
   how a surprising speedup is audited back to a cause.
+* :func:`diff_resume` interrupts the run instead: preempted at a
+  snapshot boundary and resumed in a fresh machine, it must be
+  **identical** to the uninterrupted run.
 
-``scripts/diff_validate.py`` wraps both as a CLI.
+``python -m repro validate {engines,timing,resume}`` prints these
+reports for a chosen config/mix/scale (:mod:`repro.validate.tools`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..common.errors import SnapshotPreempted
 from ..system.config import SystemConfig
 from .transcript import CommandRecord, TranscriptRecorder
-
-#: Stat keys whose values are allowed to differ between engine
-#: implementations (none today; listed for future wall-clock style keys).
-_STAT_IGNORE: Tuple[str, ...] = ()
 
 
 @dataclass
@@ -58,10 +59,20 @@ def run_traced(
     workload_name: str = "",
     engine=None,
     checkers=None,
+    sampling=None,
+    snapshot=None,
+    resume_from: Optional[str] = None,
     label: str = "",
 ) -> TracedRun:
-    """Run one workload and capture its command transcript and stats."""
+    """Run one workload and capture its command transcript and stats.
+
+    ``sampling``, ``snapshot`` and ``resume_from`` are those of
+    :func:`~repro.system.machine.run_workload`.  A preempted run raises
+    :class:`SnapshotPreempted` with its transcript so far as
+    ``exc.records``.
+    """
     from ..system.machine import Machine
+    from .hooks import instrument_banks
 
     machine = Machine(
         config,
@@ -71,11 +82,20 @@ def run_traced(
         engine=engine,
         checkers=checkers,
     )
+    if resume_from is not None:
+        machine.resume(resume_from)
     recorder = TranscriptRecorder()
-    from .hooks import instrument_banks
-
     instrument_banks(machine, recorder)
-    result = machine.run(warmup, measure)
+    try:
+        if sampling is not None:
+            result = machine.run_sampled(
+                sampling, warmup, measure, snapshot=snapshot
+            )
+        else:
+            result = machine.run(warmup, measure, snapshot=snapshot)
+    except SnapshotPreempted as exc:
+        exc.records = recorder.records
+        raise
     return TracedRun(
         label=label or f"{config.name}/{type(machine.engine).__name__}",
         config_name=config.name,
@@ -179,8 +199,6 @@ def _diff_stats(
         lgroup = lhs.get(group, {})
         rgroup = rhs.get(group, {})
         for key in sorted(set(lgroup) | set(rgroup)):
-            if f"{group}.{key}" in _STAT_IGNORE:
-                continue
             lval = lgroup.get(key)
             rval = rgroup.get(key)
             if lval != rval:
@@ -372,3 +390,100 @@ def diff_timing_presets(
         workload_name=workload_name, label=f"{config.name}/{preset_b}",
     )
     return diff_runs(lhs, rhs), lhs, rhs
+
+
+def resume_shapes(
+    fast: Optional[SystemConfig] = None,
+    baseline: Optional[SystemConfig] = None,
+) -> Dict[str, Tuple[SystemConfig, Optional[str], object]]:
+    """The machine shapes the snapshot layer must round-trip.
+
+    ``name -> (config, checkers, sampling plan)``, one per subsystem
+    with restore-sensitive state: the plain path, the runtime checkers,
+    the sampling controller, a saturated MRQ under miss-heavy traffic,
+    the L4 stacked-cache mode and the RAS scrub/fault machinery.  Built
+    on ``fast`` (default 3D-fast) and, for the checker shape,
+    ``baseline`` (default 2D); tests pass cut-down bases.
+    """
+    from ..common.units import KIB
+    from ..ras.config import RasConfig
+    from ..sampling.plan import SamplingPlan
+    from ..system.config import config_2d, config_3d_fast, config_l4_cache
+
+    fast = fast if fast is not None else config_3d_fast()
+    baseline = baseline if baseline is not None else config_2d()
+    miss_heavy = fast.derive(name="3d-fast-mh", l2_size=64 * KIB, l2_assoc=8)
+    faulty = RasConfig(enabled=True, transient_rate=1e-4, retention_rate=1e-4)
+    return {
+        "plain": (fast, None, None),
+        "checkers": (baseline, "all", None),
+        "sampled": (fast, None, SamplingPlan()),
+        "miss-heavy": (miss_heavy, None, None),
+        "l4-cache": (config_l4_cache(base=fast), None, None),
+        "ras-on": (fast.derive(name="3d-fast-ras", ras=faulty), None, None),
+    }
+
+
+def diff_resume(
+    config: SystemConfig,
+    benchmarks: Sequence[str],
+    *,
+    every: int,
+    snapshot_path: str,
+    label: str = "",
+    **run_kwargs,
+) -> Tuple[DiffReport, TracedRun, TracedRun]:
+    """An uninterrupted run vs the same run preempted and resumed.
+
+    The victim is preempted at its first snapshot boundary (``every``
+    cycles), writing ``snapshot_path``; a *fresh* machine resumes from
+    that file.  The two transcripts stitched, the final stat tables and
+    the final :class:`MachineResult` must equal the oracle's, which is
+    driven in the same chunked cadence (``write=False``) so that only
+    the capture/restore round trip is under test.  ``run_kwargs`` go to
+    :func:`run_traced`; the rhs label ends in the preemption cycle.
+    """
+    from ..snapshot import SnapshotPlan, preemption
+
+    label = label or config.name
+    chunked = SnapshotPlan(every=every, write=False)
+    oracle = run_traced(
+        config, benchmarks, snapshot=chunked, label=f"{label}/oracle",
+        **run_kwargs,
+    )
+    preemption.clear()
+    preemption.request_preemption()
+    try:
+        run_traced(
+            config, benchmarks, **run_kwargs,
+            snapshot=SnapshotPlan(
+                path=snapshot_path, every=every, preemptible=True
+            ),
+        )
+    except SnapshotPreempted as exc:
+        prefix, cycle = exc.records, exc.cycle
+    else:
+        raise ValueError(
+            f"{label}: run finished before its first snapshot boundary "
+            f"(every={every}); nothing was preempted"
+        )
+    finally:
+        preemption.clear()
+    resumed = run_traced(
+        config, benchmarks, snapshot=chunked, resume_from=snapshot_path,
+        **run_kwargs,
+    )
+    # The resumed run's fresh recorder numbers its commands from zero;
+    # rebase them the way one uninterrupted recorder would have.
+    stitched = replace(
+        resumed,
+        label=f"{label}/preempted+resumed@{cycle}",
+        transcript=prefix + [
+            record._replace(index=record.index + len(prefix))
+            for record in resumed.transcript
+        ],
+    )
+    report = diff_runs(oracle, stitched)
+    if asdict(oracle.result) != asdict(stitched.result):
+        report.stat_diffs.append(("result", "machine-result", None, None))
+    return report, oracle, stitched

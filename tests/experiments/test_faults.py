@@ -310,13 +310,26 @@ def test_interrupted_matrix_leaves_no_worker_process(matrix, monkeypatch):
             dict(retries=1),
             False,
         ),
+        (
+            [
+                FaultSpec("kill-worker", seconds=0.3),
+                FaultSpec("truncate-snapshot", times=-1),
+            ],
+            dict(retries=1),
+            False,
+        ),
         # Overrunning its budget: asked to checkpoint and yield before
         # the kill, which costs no retry, so none is needed to finish.
         ([], dict(retries=0, cell_timeout=0.3), True),
     ],
-    ids=["killed", "killed+corrupt-snapshot", "timed-out"],
+    ids=[
+        "killed", "killed+corrupt-snapshot", "killed+truncate-snapshot",
+        "timed-out",
+    ],
 )
-def test_interrupted_cell_resumes_mid_cell(tmp_path, specs, policy, resumes):
+def test_interrupted_cell_resumes_mid_cell(
+    tmp_path, monkeypatch, specs, policy, resumes
+):
     """An interrupted supervised cell costs the work since its last
     checkpoint, not the cell, and the result is identical either way."""
     # Sized (~0.6 s here) so that 0.3 s in, the first 10k-cycle
@@ -325,6 +338,14 @@ def test_interrupted_cell_resumes_mid_cell(tmp_path, specs, policy, resumes):
     scale = ExperimentScale("chaos", 2_000, 80_000)
     undisturbed = run_matrix(configs, mixes, scale, workers=1)
 
+    attempts = []
+    record_result = runner_module._Recorder.record_result
+
+    def recording(self, task, result):
+        attempts.append(task.attempt)
+        record_result(self, task, result)
+
+    monkeypatch.setattr(runner_module._Recorder, "record_result", recording)
     faults.install(*specs)
     table = run_matrix(
         configs, mixes, scale, workers=2,
@@ -336,6 +357,9 @@ def test_interrupted_cell_resumes_mid_cell(tmp_path, specs, policy, resumes):
     assert _result_to_dict(table.result("3D-fast", "M1")) == _result_to_dict(
         undisturbed.result("3D-fast", "M1")
     )
+    # The kill really landed mid-cell (a tampered checkpoint leaves no
+    # other trace of it); the cooperative yield cost no retry.
+    assert attempts == [2 if specs else 1]
     assert bool(list(tmp_path.glob("*.resumed.json"))) == resumes
     assert not list(tmp_path.glob("*.snap"))  # consumed
 

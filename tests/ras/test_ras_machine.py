@@ -92,8 +92,17 @@ def test_transient_faults_get_corrected_reproducibly():
         name="3D+faults",
         ras=RasConfig(ecc="secded", transient_rate=2e-3, retention_rate=5e-4),
     )
-    first = _run(config, checkers="all")
-    second = _run(config, checkers="all")
+    first, second = (
+        run_traced(
+            config, _BENCH, warmup=_WARMUP, measure=_MEASURE,
+            checkers="all", label=label,
+        )
+        for label in ("faulty/a", "faulty/b")
+    )
+    # Same seed, same faults: the same DRAM commands at the same cycles.
+    report = diff_runs(first, second)
+    assert report.identical, report.format()
+    first, second = first.result, second.result
     assert first.extra["ras_corrected"] > 0
     assert first.extra["ras_penalty_cycles"] > 0
     ras_keys = [k for k in first.extra if k.startswith("ras_")]

@@ -50,8 +50,7 @@ def _clean_faults():
     faults.clear()
 
 
-@pytest.fixture()
-def tiny_spec():
+def tiny_sweep_spec():
     """2 configs x 2 mixes at TINY scale (4 cells)."""
     return SweepSpec(
         configs=(
@@ -63,6 +62,23 @@ def tiny_spec():
     )
 
 
+def fast_service_policy(workers=2):
+    """Quick heartbeats/backoff so failure paths resolve in milliseconds."""
+    return ServicePolicy(
+        workers=workers,
+        heartbeat_interval=0.05,
+        heartbeat_timeout=2.0,
+        retries=1,
+        backoff_base=0.01,
+        backoff_max=0.05,
+    )
+
+
+@pytest.fixture()
+def tiny_spec():
+    return tiny_sweep_spec()
+
+
 @pytest.fixture()
 def one_cell_spec():
     return SweepSpec(
@@ -72,12 +88,4 @@ def one_cell_spec():
 
 @pytest.fixture()
 def fast_policy():
-    """Quick heartbeats/backoff so failure paths resolve in milliseconds."""
-    return ServicePolicy(
-        workers=2,
-        heartbeat_interval=0.05,
-        heartbeat_timeout=2.0,
-        retries=1,
-        backoff_base=0.01,
-        backoff_max=0.05,
-    )
+    return fast_service_policy()

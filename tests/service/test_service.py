@@ -1,6 +1,9 @@
 """End-to-end SweepService: cache hits, crash recovery, degradation."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -12,17 +15,17 @@ from repro.service.chaos import (
     cache_entry_paths,
     corrupt_cache_entry,
     result_fingerprint,
+    truncate_cache_entry,
 )
 from repro.service.service import SweepService
 
 from .conftest import small_config
 
 
-def run_sweep(root, policy, spec, job_id=None):
-    """Open a service, run one sweep (or resume), return (result, stats)."""
+def run_sweep(root, policy, spec):
+    """Open a service, run one sweep, return (result, stats)."""
     with SweepService(root, policy) as service:
-        if job_id is None:
-            job_id = service.submit(spec)
+        job_id = service.submit(spec)
         service.process()
         return service.result(job_id), service.stats()
 
@@ -56,23 +59,65 @@ def test_cache_is_shared_across_overlapping_sweeps(
     assert stats["service"]["cells_simulated"] == 3
 
 
-def test_crash_mid_sweep_resumes_bit_identical(tmp_path, fast_policy, tiny_spec):
+#: The sweep as a service process that dies the way ``kill -9`` or an
+#: OOM kill ends one: no ``close()``, no flush, workers orphaned.
+_ABRUPT_EXIT_CHILD = """
+import os, sys
+from repro.common.errors import InjectedServiceCrash
+from repro.experiments.faults import CRASH_EXITCODE
+from repro.service.service import SweepService
+from tests.service.conftest import fast_service_policy, tiny_sweep_spec
+service = SweepService(sys.argv[1], fast_service_policy(workers=1))
+print(service.submit(tiny_sweep_spec()), flush=True)
+try:
+    service.process()
+except InjectedServiceCrash:
+    os._exit(CRASH_EXITCODE)
+"""
+
+
+@pytest.mark.parametrize("abrupt", [False, True], ids=["raised", "abrupt-exit"])
+def test_crash_mid_sweep_resumes_bit_identical(
+    tmp_path, fast_policy, tiny_spec, abrupt
+):
     reference, _ = run_sweep(tmp_path / "ref", fast_policy, tiny_spec)
 
     # One worker → cells journal in submission order → the crash lands
     # deterministically after the second of four cells.
     policy = dataclasses.replace(fast_policy, workers=1)
-    faults.install(FaultSpec("crash-service", "base", "M3", times=1))
-    service = SweepService(tmp_path / "svc", policy)
-    job_id = service.submit(tiny_spec)
-    with pytest.raises(InjectedServiceCrash):
-        service.process()
-    done_before = len(service.queue.jobs[job_id].outcomes)
-    service.close()
-    assert 0 < done_before < 4  # genuinely interrupted mid-sweep
-    faults.clear()
+    crash = FaultSpec("crash-service", "base", "M3", times=1)
+    if abrupt:
+        # Output goes to a file, not a pipe: an fd inherited by a worker
+        # the os._exit orphans must not be able to wedge the wait.
+        with open(tmp_path / "child.out", "w") as out:
+            child = subprocess.run(
+                [sys.executable, "-c", _ABRUPT_EXIT_CHILD, tmp_path / "svc"],
+                env={
+                    **os.environ,
+                    "PYTHONPATH": os.pathsep.join(sys.path),
+                    faults.ENV_VAR: faults.encode_faults((crash,)),
+                },
+                stdout=out, stderr=subprocess.STDOUT, timeout=120,
+            )
+        output = (tmp_path / "child.out").read_text()
+        assert child.returncode == faults.CRASH_EXITCODE, output
+        job_id = output.split()[0]
+    else:
+        faults.install(crash)
+        service = SweepService(tmp_path / "svc", policy)
+        job_id = service.submit(tiny_spec)
+        with pytest.raises(InjectedServiceCrash):
+            service.process()
+        service.close()
+        faults.clear()
 
-    resumed, stats = run_sweep(tmp_path / "svc", policy, tiny_spec, job_id)
+    with SweepService(tmp_path / "svc", policy) as service:  # the restart
+        job = service.queue.jobs[job_id]
+        assert job.recovered
+        done_before = len(job.outcomes)
+        assert 0 < done_before < 4  # genuinely interrupted mid-sweep
+        service.process()
+        resumed, stats = service.result(job_id), service.stats()
     assert resumed.complete
     assert "resumed from its journal" in " ".join(resumed.notes)
     # Only the cells the crash cut off run again; journaled ones are kept.
@@ -84,15 +129,18 @@ def test_crash_mid_sweep_resumes_bit_identical(tmp_path, fast_policy, tiny_spec)
     assert result_fingerprint(resumed) == result_fingerprint(reference)
 
 
+@pytest.mark.parametrize("tamper", [corrupt_cache_entry, truncate_cache_entry])
 def test_corrupted_cache_entry_recomputed_never_served(
-    tmp_path, fast_policy, tiny_spec
+    tmp_path, fast_policy, tiny_spec, tamper
 ):
     first, _ = run_sweep(tmp_path, fast_policy, tiny_spec)
-    corrupt_cache_entry(ResultCache(tmp_path / "cache"))
+    cache = ResultCache(tmp_path / "cache")
+    tamper(cache)
 
     second, stats = run_sweep(tmp_path, fast_policy, tiny_spec)
     assert second.complete
     assert stats["cache"]["corrupt_quarantined"] == 1
+    assert len(list(cache.quarantine_dir.glob("*.json*"))) == 1
     assert stats["service"]["cells_simulated"] == 1  # only the bad one
     assert stats["service"]["cells_from_cache"] == 3
     assert result_fingerprint(second) == result_fingerprint(first)

@@ -9,6 +9,7 @@ import pytest
 
 from repro.experiments import faults
 from repro.experiments.faults import CRASH_EXITCODE, FaultSpec
+from repro.experiments.runner import run_cell
 from repro.service.supervisor import (
     CellTask,
     CircuitBreaker,
@@ -17,7 +18,7 @@ from repro.service.supervisor import (
 )
 from repro.workloads.mixes import MIXES
 
-from .conftest import TINY, small_config
+from .conftest import TINY, fast_service_policy, small_config
 
 
 def make_task(config_name="base", mix_name="M1", **config_overrides):
@@ -34,14 +35,7 @@ def make_task(config_name="base", mix_name="M1", **config_overrides):
     )
 
 
-FAST = ServicePolicy(
-    workers=2,
-    heartbeat_interval=0.05,
-    heartbeat_timeout=2.0,
-    retries=1,
-    backoff_base=0.01,
-    backoff_max=0.05,
-)
+FAST = fast_service_policy()
 
 
 def run_tasks(supervisor, tasks):
@@ -116,10 +110,12 @@ def test_crashed_worker_reports_its_exit_code():
 
 
 def test_sigkill_fault_mid_cell_is_survived(supervisor):
+    undisturbed = run_cell(make_task())  # in-process, no worker to kill
     faults.install(FaultSpec("kill-worker", "base", "M1", times=1))
     results, failures, _ = run_tasks(supervisor, [make_task()])
     assert len(results) == 1 and not failures
     assert supervisor.stats["workers_crashed"] >= 1
+    assert results[0][1] == undisturbed  # the retry is bit-identical
 
 
 def test_retries_exhausted_becomes_failure(supervisor):
@@ -136,6 +132,7 @@ def test_heartbeat_silence_kills_live_worker():
     policy = dataclasses.replace(FAST, heartbeat_timeout=0.4)
     supervisor = WorkerSupervisor(policy)
     try:
+        undisturbed = run_cell(make_task())
         faults.install(
             FaultSpec("slow", "base", "M1", times=1, seconds=3.0),
             FaultSpec("hb-delay", "base", "M1", times=1, seconds=30.0),
@@ -144,7 +141,9 @@ def test_heartbeat_silence_kills_live_worker():
         results, failures, _ = run_tasks(supervisor, [make_task()])
         elapsed = time.monotonic() - started
         assert len(results) == 1 and not failures  # retry succeeded
+        assert results[0][1] == undisturbed  # ... bit-identically
         assert supervisor.stats["workers_hung_killed"] == 1
+        assert supervisor.stats["cells_retried"] == 1
         # Killed on silence (~0.4s), not after the 3s slow cell finished.
         assert elapsed < 30.0
     finally:

@@ -10,18 +10,15 @@ later.  Nothing below depends on hash ordering, so the suite passes
 under ``PYTHONHASHSEED=random`` (CI runs it that way).
 """
 
-import dataclasses
-
 import pytest
 
 from repro.common.errors import SnapshotPreempted
 from repro.common.units import MIB
-from repro.ras.config import RasConfig
-from repro.sampling.plan import SamplingPlan
 from repro.snapshot import SnapshotPlan, preemption
 from repro.snapshot.format import read_snapshot_file
 from repro.system.config import config_2d, config_3d_fast, config_l4_cache
 from repro.system.machine import Machine
+from repro.validate.diff import diff_resume, resume_shapes
 
 MIX = ["gzip", "namd", "mesa", "astar"]  # light, quick to simulate
 WARMUP = 500
@@ -33,36 +30,22 @@ def _small(config):
     return config.derive(l2_size=1 * MIB, l2_assoc=16, dram_capacity=64 * MIB)
 
 
-def _shapes():
-    fast = _small(config_3d_fast())
-    return [
-        ("plain", fast, {}),
-        ("checkers", _small(config_2d()), {"checkers": "all"}),
-        (
-            "miss-heavy",
-            fast.derive(name="3d-fast-mh", l2_size=64 * 1024, l2_assoc=8),
-            {},
-        ),
-        ("l4-cache", _small(config_l4_cache(base=config_3d_fast())), {}),
-        (
-            "ras-on",
-            fast.derive(
-                name="3d-fast-ras",
-                ras=RasConfig(
-                    enabled=True, transient_rate=1e-4, retention_rate=1e-4
-                ),
-            ),
-            {},
-        ),
-    ]
+#: The production shape list over cut-down bases: name -> (config,
+#: checkers, sampling plan).
+SHAPES = resume_shapes(
+    fast=_small(config_3d_fast()), baseline=_small(config_2d())
+)
+FULL_DETAIL = [name for name, shape in SHAPES.items() if shape[2] is None]
 
 
-def _build(config, kwargs):
-    return Machine(config, MIX, seed=7, workload_name="test", **kwargs)
+def _build(config, checkers=None):
+    return Machine(
+        config, MIX, seed=7, workload_name="test", checkers=checkers
+    )
 
 
-def _preempt_to_file(config, kwargs, path):
-    machine = _build(config, kwargs)
+def _preempt_to_file(config, checkers, path):
+    machine = _build(config, checkers)
     preemption.clear()
     preemption.request_preemption()
     try:
@@ -77,36 +60,34 @@ def _preempt_to_file(config, kwargs, path):
     raise AssertionError("run finished without hitting a snapshot boundary")
 
 
-@pytest.mark.parametrize(
-    "name,config,kwargs", _shapes(), ids=[s[0] for s in _shapes()]
-)
-def test_resumed_run_matches_uninterrupted(name, config, kwargs, tmp_path):
-    path = str(tmp_path / "cell.snap")
-    oracle = _build(config, kwargs).run(
-        WARMUP, MEASURE, snapshot=SnapshotPlan(every=EVERY, write=False)
+def _assert_resumes_bit_identically(name, tmp_path):
+    """Transcript, stat tables and result of preempt+resume == oracle."""
+    config, checkers, plan = SHAPES[name]
+    report, oracle, stitched = diff_resume(
+        config, MIX, warmup=WARMUP, measure=MEASURE, every=EVERY,
+        snapshot_path=str(tmp_path / "cell.snap"), seed=7,
+        workload_name="test", checkers=checkers, sampling=plan, label=name,
     )
-    _preempt_to_file(config, kwargs, path)
-    resumed_machine = _build(config, kwargs)
-    resumed_machine.resume(path)
-    resumed = resumed_machine.run(
-        WARMUP, MEASURE, snapshot=SnapshotPlan(every=EVERY, write=False)
-    )
-    assert dataclasses.asdict(resumed) == dataclasses.asdict(oracle)
+    assert report.identical, report.format()
+    # Preempted mid-run: commands on both sides of the boundary.
+    assert 0 < stitched.commands == oracle.commands
 
 
-@pytest.mark.parametrize(
-    "name,config,kwargs", _shapes(), ids=[s[0] for s in _shapes()]
-)
-def test_restore_then_recapture_reproduces_the_tree(
-    name, config, kwargs, tmp_path
-):
+@pytest.mark.parametrize("name", FULL_DETAIL)
+def test_resumed_run_matches_uninterrupted(name, tmp_path):
+    _assert_resumes_bit_identically(name, tmp_path)
+
+
+@pytest.mark.parametrize("name", FULL_DETAIL)
+def test_restore_then_recapture_reproduces_the_tree(name, tmp_path):
     """capture -> restore -> capture is the identity on state trees."""
+    config, checkers, _ = SHAPES[name]
     path = str(tmp_path / "cell.snap")
-    exc = _preempt_to_file(config, kwargs, path)
+    exc = _preempt_to_file(config, checkers, path)
     header, tree = read_snapshot_file(str(path))
     assert header["meta"]["cycle"] == exc.cycle
 
-    machine = _build(config, kwargs)
+    machine = _build(config, checkers)
     machine.resume(path)
     machine._apply_restore()
     assert machine.engine.now == exc.cycle
@@ -118,9 +99,9 @@ def test_tree_covers_every_wired_component(tmp_path):
     """Each component the machine registers appears in the state tree."""
     config = _small(config_l4_cache(base=config_3d_fast()))
     path = str(tmp_path / "cell.snap")
-    _preempt_to_file(config, {}, path)
+    _preempt_to_file(config, None, path)
     _, tree = read_snapshot_file(path)
-    machine = _build(config, {})
+    machine = _build(config)
     assert len(tree["cores"]) == len(machine.cores)
     assert len(tree["l1s"]) == len(machine.l1s)
     for key in ("engine", "memory", "l2", "stats", "objects",
@@ -129,33 +110,7 @@ def test_tree_covers_every_wired_component(tmp_path):
 
 
 def test_sampled_run_resumes_bit_identically(tmp_path):
-    config = _small(config_3d_fast())
-    plan = SamplingPlan()
-    path = str(tmp_path / "cell.snap")
-    oracle = Machine(config, MIX, seed=7).run_sampled(
-        plan, WARMUP, MEASURE,
-        snapshot=SnapshotPlan(every=EVERY, write=False),
-    )
-    machine = Machine(config, MIX, seed=7)
-    preemption.clear()
-    preemption.request_preemption()
-    with pytest.raises(SnapshotPreempted):
-        try:
-            machine.run_sampled(
-                plan, WARMUP, MEASURE,
-                snapshot=SnapshotPlan(
-                    path=path, every=EVERY, preemptible=True
-                ),
-            )
-        finally:
-            preemption.clear()
-    resumed_machine = Machine(config, MIX, seed=7)
-    resumed_machine.resume(path)
-    resumed = resumed_machine.run_sampled(
-        plan, WARMUP, MEASURE,
-        snapshot=SnapshotPlan(every=EVERY, write=False),
-    )
-    assert dataclasses.asdict(resumed) == dataclasses.asdict(oracle)
+    _assert_resumes_bit_identically("sampled", tmp_path)
 
 
 def test_core_state_from_before_the_parking_rule_is_refused():
@@ -164,12 +119,12 @@ def test_core_state_from_before_the_parking_rule_is_refused():
     from repro.common.errors import SnapshotSchemaError
 
     config = _small(config_3d_fast())
-    machine = _build(config, {})
+    machine = _build(config)
     tree = machine.capture_state()
     assert all(core["v"] == 3 for core in tree["cores"])
     assert not any("fuse_fails" in core for core in tree["cores"])
     tree["cores"][0] = dict(tree["cores"][0], v=1, fuse_fails=0, fuse_skip=0)
-    fresh = _build(config, {})
+    fresh = _build(config)
     with pytest.raises(SnapshotSchemaError):
         fresh.restore_state(tree)
 
@@ -181,7 +136,7 @@ def test_core_state_v2_is_refused():
     from repro.common.errors import SnapshotSchemaError
 
     config = _small(config_3d_fast())
-    tree = _build(config, {}).capture_state()
+    tree = _build(config).capture_state()
     assert all(core["v"] == 3 for core in tree["cores"])
     assert not any(
         key in core
@@ -192,7 +147,7 @@ def test_core_state_v2_is_refused():
     tree["cores"][0] = dict(
         tree["cores"][0], v=2, pending_item=None, trace_items=0
     )
-    fresh = _build(config, {})
+    fresh = _build(config)
     with pytest.raises(SnapshotSchemaError):
         fresh.restore_state(tree)
 
@@ -203,7 +158,7 @@ def test_controller_state_from_before_the_drain_removal_is_refused():
     from repro.common.errors import SnapshotSchemaError
 
     config = _small(config_3d_fast())
-    tree = _build(config, {}).capture_state()
+    tree = _build(config).capture_state()
     controllers = tree["memory"]["controllers"]
     assert all(mc["v"] == 2 for mc in controllers)
     assert not any(
@@ -214,7 +169,7 @@ def test_controller_state_from_before_the_drain_removal_is_refused():
         fuse_fails=0, fuse_skip=0, fs_windows=0, fs_fused_issues=0,
         fs_scalar_pumps=0, fuse_breaks=[],
     )
-    fresh = _build(config, {})
+    fresh = _build(config)
     with pytest.raises(SnapshotSchemaError):
         fresh.restore_state(tree)
 

@@ -180,6 +180,9 @@ def test_memcache_fraction_one_is_cache_mode():
     # both DRAM channels and every stat group, l4 included.
     report = diff_runs(lhs, rhs)
     assert report.identical, report.format()
+    # ... and the checked cache-mode run really exercised the off-chip
+    # channel, not just the stack.
+    assert lhs.result.extra["l4_offchip_reads"] > 0
 
 
 # ----------------------------------------------------------------------

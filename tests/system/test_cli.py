@@ -258,3 +258,40 @@ def test_figure7_journal_is_resumed_by_report(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(runner, "run_cell", no_simulation)
     assert main(["report", "--only", "figure7_dual"] + common) == 0
     assert figure in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, code, said",
+    [
+        # The reproduced defect: the snapshot driver's `--one bogus` ran
+        # zero scenarios, printed nothing and exited 0.
+        (["validate", "resume", "--shape", "bogus"], 2, "unknown shape 'bogus'"),
+        (["validate"], 2, "{engines,timing,resume,sampling}"),
+        # No --smoke switch overriding the other flags: each is honoured,
+        # and the defaults are the old smoke values.
+        (["validate", "sampling", "--smoke"], 2, "unrecognized arguments: --smoke"),
+        (["validate", "sampling"], 0, "H1 large 42 None"),
+        (
+            ["validate", "sampling", "--mix", "VH1", "--spec", "detailed:500",
+             "--scale", "smoke", "--seed", "7"],
+            0, "VH1 smoke 7 detailed:500",
+        ),
+    ],
+)
+def test_validate_that_checks_nothing_does_not_pass(
+    capsys, monkeypatch, argv, code, said
+):
+    from repro.validate import tools
+
+    def sampling(mix, scale, seed, spec):
+        print(mix.name, scale.name, seed, spec)
+        return 0
+
+    monkeypatch.setattr(tools, "sampling", sampling)
+    try:
+        exited = main(argv)
+    except SystemExit as exc:
+        exited = exc.code
+    assert exited == code
+    captured = capsys.readouterr()
+    assert said in captured.out + captured.err

@@ -9,6 +9,8 @@ future engine optimization.
 
 import pytest
 
+from repro.cli import main
+from repro.system import scale as scale_mod
 from repro.system.config import config_2d, config_3d_fast
 from repro.validate import diff_engines, diff_runs, diff_timing_presets
 from repro.validate.diff import TracedRun
@@ -16,6 +18,7 @@ from repro.workloads.mixes import MIXES
 
 WARMUP, MEASURE = 500, 2_000
 MIX = MIXES["H1"]
+TINY = scale_mod.ExperimentScale("smoke", WARMUP, MEASURE)
 
 
 @pytest.mark.parametrize("factory", [config_2d, config_3d_fast])
@@ -104,3 +107,52 @@ def test_timing_presets_diverge():
     assert report.first_divergence is not None
     # The faster preset is visible in the very report that localizes it.
     assert "DIVERGE" in report.format()
+
+
+@pytest.mark.parametrize("tool", ["engines", "timing", "resume", "sampling"])
+def test_validate_tool_exits_1_on_the_wrong_verdict(capsys, monkeypatch, tool):
+    """Each tool fails when its differential does not come out the way
+    the tool exists to show (fabricated, as in
+    ``test_diff_reports_first_divergence``)."""
+    from types import SimpleNamespace
+
+    from repro.engine.simulator import HeapEngine
+    from repro.validate import diff, tools
+
+    run_traced = diff.run_traced
+
+    def losing_a_command(*args, **kwargs):
+        run = run_traced(*args, **kwargs)
+        if isinstance(kwargs.get("engine"), HeapEngine) or kwargs.get("resume_from"):
+            run.transcript.pop()
+        return run
+
+    def skewed(*args, sampling=None, **kwargs):
+        # A figure-4 table whose sampled 3D-fast speedup is 25 % off.
+        table = SimpleNamespace(
+            failures={}, configs=["2D", "3D-fast"],
+            speedup=lambda config, mix, baseline: 2.5 if sampling else 2.0,
+        )
+        return SimpleNamespace(table=table)
+
+    monkeypatch.setattr(diff, "run_traced", losing_a_command)
+    monkeypatch.setattr(tools, "run_experiment", skewed)
+    if tool != "resume":  # whose snapshot cadences need a smoke-long run
+        monkeypatch.setitem(scale_mod._SCALES, "smoke", TINY)
+    argv = {
+        "engines": ["engines"],
+        "timing": ["timing", "--preset-a", "2d", "--preset-b", "2d"],
+        "resume": ["resume", "--shape", "plain"],
+        "sampling": ["sampling"],
+    }[tool]
+    assert main(["validate"] + argv) == 1
+    captured = capsys.readouterr()
+    assert "FAIL: " in captured.err
+    assert f"validate {tool}: OK" not in captured.out
+
+
+def test_validate_engines_passes_on_the_stock_model(capsys, monkeypatch):
+    monkeypatch.setitem(scale_mod._SCALES, "smoke", TINY)
+    assert main(["validate", "engines", "--check"]) == 0
+    out = capsys.readouterr().out
+    assert "IDENTICAL" in out and "validate engines: OK" in out
