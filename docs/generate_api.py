@@ -24,6 +24,7 @@ PACKAGES = [
     "repro.system",
     "repro.experiments",
     "repro.validate",
+    "repro.service",
 ]
 
 
@@ -50,7 +51,7 @@ def main() -> None:
         "One entry per public symbol of each subpackage's `__all__`.",
         "Narrative guides: [modeling](modeling.md), [workloads](workloads.md),",
         "[extending](extending.md), [resilience](resilience.md) (watchdogs,",
-        "retries, checkpoint/resume).",
+        "retries, checkpoint/resume), [service](service.md) (`repro serve`).",
         "",
     ]
     for package_name in PACKAGES:

@@ -688,7 +688,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_srv.add_argument(
         "--root", default="results/service",
-        help="state directory: job-queue journal + result cache",
+        help="state directory: job journals + result cache",
     )
     p_srv.add_argument("--host", default="127.0.0.1")
     p_srv.add_argument("--port", type=int, default=8642)

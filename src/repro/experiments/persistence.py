@@ -114,10 +114,9 @@ def _write_atomic(path: Path, text: str) -> None:
             tmp.unlink()
 
 
-def save_table(table: ResultTable, path: PathLike) -> None:
-    """Write a result table to a JSON file (atomically)."""
-    payload = {
-        "format_version": _FORMAT_VERSION,
+def table_to_dict(table: ResultTable) -> dict:
+    """The one wire form of a table (results file and HTTP API)."""
+    return {
         "configs": table.configs,
         "mixes": table.mixes,
         "cells": [
@@ -133,6 +132,27 @@ def save_table(table: ResultTable, path: PathLike) -> None:
             for _, failure in sorted(table.failures.items())
         ],
     }
+
+
+def table_from_dict(payload: dict) -> ResultTable:
+    """Inverse of :func:`table_to_dict` (``failures`` optional)."""
+    return ResultTable(
+        configs=list(payload["configs"]),
+        mixes=list(payload["mixes"]),
+        cells={
+            (cell["config"], cell["mix"]): _result_from_dict(cell["result"])
+            for cell in payload["cells"]
+        },
+        failures={
+            (record["config"], record["mix"]): _failure_from_dict(record)
+            for record in payload.get("failures", [])
+        },
+    )
+
+
+def save_table(table: ResultTable, path: PathLike) -> None:
+    """Write a result table to a JSON file (atomically)."""
+    payload = {"format_version": _FORMAT_VERSION, **table_to_dict(table)}
     _write_atomic(Path(path), json.dumps(payload, indent=2, sort_keys=True))
 
 
@@ -147,29 +167,13 @@ def load_table(path: PathLike) -> ResultTable:
             f"this library reads versions {readable} — "
             "it was probably written by a newer release"
         )
-    cells = {
-        (cell["config"], cell["mix"]): _result_from_dict(cell["result"])
-        for cell in payload["cells"]
-    }
-    failures = {
-        (record["config"], record["mix"]): _failure_from_dict(record)
-        for record in payload.get("failures", [])
-    }
-    return ResultTable(
-        configs=list(payload["configs"]),
-        mixes=list(payload["mixes"]),
-        cells=cells,
-        failures=failures,
-    )
+    return table_from_dict(payload)
 
 
 # ----------------------------------------------------------------------
-# Reusable fsync'd JSONL journal machinery
-#
-# Shared by :class:`CellJournal` below and the sweep-service durable
-# job queue (:mod:`repro.service.queue`): append-only JSON-per-line
-# files where every append is flushed and fsync'd, and a crash
-# mid-append tears at most the final line.
+# fsync'd JSONL: append-only JSON-per-line files where every append is
+# flushed and fsync'd, and a crash mid-append tears at most the final
+# line.
 
 
 def append_jsonl(handle: io.TextIOBase, record: dict) -> None:
@@ -219,32 +223,6 @@ def scan_jsonl(path: PathLike) -> Tuple[list, int]:
         valid_bytes = newline + 1
         offset = newline + 1
     return records, valid_bytes
-
-
-def open_jsonl(path: Path, header: dict, replay=None):
-    """Open a journal for appending; returns ``(handle, replayed)``.
-
-    With ``replay`` and an existing non-empty journal, its records are
-    scanned and handed to ``replay(records)`` — which interprets them
-    and may refuse the journal by raising, before anything is modified —
-    then a torn final record (a crash mid-append) is cut off, because
-    the next append would otherwise glue onto it, and the file is
-    reopened for append.  Otherwise the file is (re)started with
-    ``header`` as its first record and ``replayed`` is ``None``.
-    """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    if replay is None or not path.exists() or path.stat().st_size == 0:
-        handle = open(path, "w")
-        append_jsonl(handle, header)
-        return handle, None
-    records, valid_bytes = scan_jsonl(path)
-    replayed = replay(records)
-    if path.stat().st_size > valid_bytes:
-        with open(path, "r+b") as tail:
-            tail.truncate(valid_bytes)
-            tail.flush()
-            os.fsync(tail.fileno())
-    return open(path, "a"), replayed
 
 
 # ----------------------------------------------------------------------
@@ -307,22 +285,27 @@ class CellJournal:
     records one completed cell (``kind: result``) or one exhausted-retry
     failure (``kind: failure``).  Each append is flushed and fsync'd so
     a kill -9 loses at most the cell in flight; a truncated final line
-    (killed mid-append) is tolerated and ignored on load.
+    (killed mid-append) is tolerated and ignored on load.  A sweep-service
+    job (:mod:`repro.service.queue`) is one such file.
     """
 
     def __init__(
         self,
-        handle: io.TextIOBase,
         path: Path,
-        completed: Dict[Tuple[str, str], MachineResult],
-        failed: Dict[Tuple[str, str], CellFailure],
+        records: list,
+        handle: Optional[io.TextIOBase] = None,
     ) -> None:
-        self._handle = handle
         self.path = path
-        #: Cells already simulated successfully (populated on resume).
-        self.completed = completed
-        #: Failures recorded by the interrupted run (informational).
-        self.failed = failed
+        self._handle = handle
+        #: The header's signature (``None`` if no header was replayed).
+        self.signature = None
+        #: Successful cells: replayed, then added by :meth:`record_result`.
+        self.completed: Dict[Tuple[str, str], MachineResult] = {}
+        #: Exhausted-retry failures (a later result for the cell clears it).
+        self.failed: Dict[Tuple[str, str], CellFailure] = {}
+        #: Simulation attempts behind each completed cell.
+        self.attempts: Dict[Tuple[str, str], int] = {}
+        self._parse(records)
 
     # -- construction ---------------------------------------------------
 
@@ -349,12 +332,20 @@ class CellJournal:
         is truncated and restarted.
         """
         path = Path(path)
-
-        def replay(records):
-            header, completed, failed = cls._parse(records, path)
-            recorded = header.get("signature")
-            if recorded == signature:
-                return completed, failed
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if not resume or not path.exists() or path.stat().st_size == 0:
+            header = {
+                "kind": "header",
+                "journal_version": _JOURNAL_VERSION,
+                "signature": signature,
+            }
+            handle = open(path, "w")
+            append_jsonl(handle, header)
+            return cls(path, [header], handle)
+        records, valid_bytes = scan_jsonl(path)
+        journal = cls(path, records)
+        recorded = journal.signature
+        if recorded != signature:
             if not cls._fingerprint_only_mismatch(recorded, signature):
                 raise ValueError(
                     f"journal {path} was written by a different run "
@@ -373,19 +364,15 @@ class CellJournal:
                     found=recorded.get("config_fingerprint"),
                     expected=signature.get("config_fingerprint"),
                 )
-            return completed, failed
-
-        handle, replayed = open_jsonl(
-            path,
-            {
-                "kind": "header",
-                "journal_version": _JOURNAL_VERSION,
-                "signature": signature,
-            },
-            replay if resume else None,
-        )
-        completed, failed = replayed or ({}, {})
-        return cls(handle, path, completed, failed)
+        if path.stat().st_size > valid_bytes:
+            # Cut off a torn final record (a crash mid-append): the next
+            # append would otherwise glue onto it.
+            with open(path, "r+b") as tail:
+                tail.truncate(valid_bytes)
+                tail.flush()
+                os.fsync(tail.fileno())
+        journal._handle = open(path, "a")
+        return journal
 
     @staticmethod
     def _fingerprint_only_mismatch(recorded, expected) -> bool:
@@ -406,74 +393,83 @@ class CellJournal:
 
         return shape(recorded) == shape(expected)
 
-    @staticmethod
-    def _parse(records, path):
-        """Interpret replayed journal records (torn tail already gone)."""
-        header: dict = {}
-        completed: Dict[Tuple[str, str], MachineResult] = {}
-        failed: Dict[Tuple[str, str], CellFailure] = {}
+    def _parse(self, records) -> None:
+        """The one replay: interpret records (torn tail already gone)."""
         for index, record in enumerate(records):
             kind = record.get("kind")
             if index == 0:
                 if kind != "header":
                     raise ValueError(
-                        f"{path} is not a cell journal (first line is "
+                        f"{self.path} is not a cell journal (first line is "
                         f"{kind!r}, expected a header)"
                     )
                 if record.get("journal_version") != _JOURNAL_VERSION:
                     raise ValueError(
-                        f"journal {path} has version "
+                        f"journal {self.path} has version "
                         f"{record.get('journal_version')}; this library "
                         f"reads version {_JOURNAL_VERSION}"
                     )
-                header = record
+                self.signature = record.get("signature")
             elif kind == "result":
-                key = (record["config"], record["mix"])
-                completed[key] = _result_from_dict(record["result"])
-                failed.pop(key, None)
+                self._note_result(
+                    record["config"], record["mix"],
+                    _result_from_dict(record["result"]),
+                    record.get("attempts", 1),
+                )
             elif kind == "failure":
                 failure = _failure_from_dict(record["failure"])
-                failed[(failure.config, failure.mix)] = failure
-        return header, completed, failed
+                self.failed[(failure.config, failure.mix)] = failure
+
+    def _note_result(self, config, mix, result, attempts) -> None:
+        self.completed[(config, mix)] = result
+        self.attempts[(config, mix)] = attempts
+        self.failed.pop((config, mix), None)
+
+    @classmethod
+    def read(cls, path: PathLike) -> "CellJournal":
+        """Replay a journal without opening it for writing.
+
+        A torn final line is tolerated (and left in place — only
+        :meth:`open` with ``resume=True`` truncates it).
+        """
+        path = Path(path)
+        return cls(path, scan_jsonl(path)[0])
 
     @classmethod
     def load(cls, path: PathLike):
-        """Read a journal without opening it for writing.
-
-        Returns ``(completed, failed)`` dictionaries keyed by
-        ``(config, mix)``.  A torn final line is tolerated (and left in
-        place — only :meth:`open` with ``resume=True`` truncates it).
-        """
-        path = Path(path)
-        records, _ = scan_jsonl(path)
-        _, completed, failed = cls._parse(records, path)
-        return completed, failed
+        """:meth:`read`, returning ``(completed, failed)`` dictionaries
+        keyed by ``(config, mix)``."""
+        journal = cls.read(path)
+        return journal.completed, journal.failed
 
     # -- appending ------------------------------------------------------
-
-    def _append(self, record: dict) -> None:
-        append_jsonl(self._handle, record)
 
     def record_result(
         self, config: str, mix: str, result: MachineResult, attempts: int = 1
     ) -> None:
         """Checkpoint one successfully completed cell."""
-        self._append(
+        append_jsonl(
+            self._handle,
             {
                 "kind": "result",
                 "config": config,
                 "mix": mix,
                 "attempts": attempts,
                 "result": _result_to_dict(result),
-            }
+            },
         )
+        self._note_result(config, mix, result, attempts)
 
     def record_failure(self, failure: CellFailure) -> None:
         """Record a cell that failed after all retries (re-run on resume)."""
-        self._append({"kind": "failure", "failure": _failure_to_dict(failure)})
+        append_jsonl(
+            self._handle,
+            {"kind": "failure", "failure": _failure_to_dict(failure)},
+        )
+        self.failed[(failure.config, failure.mix)] = failure
 
     def close(self) -> None:
-        if not self._handle.closed:
+        if self._handle is not None and not self._handle.closed:
             self._handle.close()
 
     def __enter__(self) -> "CellJournal":

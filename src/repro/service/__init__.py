@@ -1,9 +1,10 @@
 """Resilient sweep service.
 
 A long-running front end over :mod:`repro.experiments`: sweeps are
-submitted as jobs to a durable (fsync-journaled) queue, cells are
-memoized in a content-addressed, corruption-detecting result cache,
-simulations run on heartbeat-supervised worker processes behind
+submitted as jobs to a durable queue — a directory holding one fsync'd
+:class:`~repro.experiments.persistence.CellJournal` per job — cells are
+memoized across jobs in a content-addressed, corruption-detecting
+result cache, simulations run on heartbeat-supervised worker processes behind
 per-scenario circuit breakers, and a stdlib HTTP/JSON interface
 (``repro serve``) exposes submit/status/result.  The chaos hooks in
 :mod:`repro.experiments.faults` plus :mod:`repro.service.chaos` verify
@@ -14,12 +15,11 @@ to bit-identical sweep results.
 
 from .cache import ResultCache
 from .keys import cell_key, cell_payload, canonical_json
-from .queue import CellOutcome, JobQueue, SweepJob, SweepSpec
+from .queue import JobQueue, SweepJob, SweepSpec
 from .service import ServiceResult, SweepService
 from .supervisor import CellTask, CircuitBreaker, ServicePolicy, WorkerSupervisor
 
 __all__ = [
-    "CellOutcome",
     "CellTask",
     "CircuitBreaker",
     "JobQueue",

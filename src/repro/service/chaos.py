@@ -13,7 +13,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import List, Optional
 
-from ..experiments.persistence import _result_to_dict
+from ..experiments.persistence import table_to_dict
 from .cache import ResultCache
 from .keys import canonical_json
 from .service import ServiceResult
@@ -62,16 +62,7 @@ def result_fingerprint(result: ServiceResult) -> str:
     canonical order, ignoring provenance (a cache hit must fingerprint
     identically to the simulation that produced it).
     """
-    return canonical_json(
-        [
-            {
-                "config": config,
-                "mix": mix,
-                "result": _result_to_dict(cell),
-            }
-            for (config, mix), cell in sorted(result.table.cells.items())
-        ]
-    )
+    return canonical_json(table_to_dict(result.table)["cells"])
 
 
 __all__ = [

@@ -2,7 +2,7 @@
 
 No web framework: :class:`http.server.ThreadingHTTPServer` handles
 requests while a single executor thread drains the job queue — handler
-threads only touch the journal-locked queue (submit/status reads), so
+threads only submit and read snapshots taken under the queue's lock, so
 the simulation pipeline itself stays single-driver.
 
 Endpoints::
@@ -35,7 +35,7 @@ from typing import Optional
 
 from ..common.errors import InjectedServiceCrash, ServiceOverloadError
 from ..experiments.faults import CRASH_EXITCODE
-from ..experiments.persistence import _failure_to_dict, _result_to_dict
+from ..experiments.persistence import table_to_dict
 from ..system.scale import get_scale
 from ..workloads.mixes import MIXES
 from .keys import config_from_dict, scale_from_dict
@@ -100,22 +100,7 @@ def result_to_json(result: ServiceResult) -> dict:
             f"{config}/{mix}": source
             for (config, mix), source in sorted(result.provenance.items())
         },
-        "table": {
-            "configs": result.table.configs,
-            "mixes": result.table.mixes,
-            "cells": [
-                {
-                    "config": config,
-                    "mix": mix,
-                    "result": _result_to_dict(cell),
-                }
-                for (config, mix), cell in sorted(result.table.cells.items())
-            ],
-            "failures": [
-                _failure_to_dict(failure)
-                for _, failure in sorted(result.table.failures.items())
-            ],
-        },
+        "table": table_to_dict(result.table),
     }
 
 
@@ -179,15 +164,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply(200, self.service.stats())
             return
         if path == "/sweeps":
-            self._reply(
-                200,
-                {
-                    "jobs": [
-                        self.service.status(job_id)
-                        for job_id in self.service.queue.jobs
-                    ]
-                },
-            )
+            self._reply(200, {"jobs": self.service.statuses()})
             return
         if path.startswith("/sweeps/"):
             parts = path.split("/")

@@ -1,13 +1,18 @@
-"""Durable job queue for the sweep service.
+"""Durable job queue for the sweep service: a directory of cell journals.
 
-Every state transition — a sweep submitted, a cell finished (from cache
-or simulation), a job completing — is appended to one fsync'd JSONL
-journal before it is acknowledged, reusing the append/replay machinery
-of :mod:`repro.experiments.persistence` (``append_jsonl``/
-``open_jsonl``).  A service killed at any instant reopens the journal,
-replays it (tolerating and truncating a torn final record), and knows
-exactly which cells of which jobs remain — in-flight sweeps survive
-process death.
+A job is one :class:`~repro.experiments.persistence.CellJournal` file,
+``<directory>/<job_id>.jsonl``, written and replayed by that class and
+nothing else: its header's signature is the submitted
+:class:`SweepSpec`, and each cell's fate is a ``result`` record (from a
+simulation, or ``attempts == 0`` when the result cache served it) or a
+``failure`` record.  The header is fsync'd before a submission is
+acknowledged, so a service killed at any instant rescans the directory
+and knows exactly which cells of which jobs remain — in-flight sweeps
+survive process death.
+
+A job's state is derived, not journaled: ``completed`` when every cell
+has a record, ``queued`` otherwise, ``running`` only in memory while the
+executor holds it.
 
 Admission control is enforced here: the queue is bounded by total
 *pending cells* (not jobs, so one huge sweep cannot sneak past a job
@@ -19,19 +24,16 @@ work the service cannot finish.
 from __future__ import annotations
 
 import dataclasses
+import json
+import os
+import re
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from ..common.errors import ServiceOverloadError
-from ..experiments.persistence import (
-    _failure_from_dict,
-    _failure_to_dict,
-    append_jsonl,
-    open_jsonl,
-)
-from ..experiments.runner import CellFailure
+from ..experiments.persistence import CellJournal
 from ..system.config import SystemConfig
 from ..system.scale import ExperimentScale
 from ..workloads.mixes import WorkloadMix
@@ -47,11 +49,8 @@ from .keys import (
 
 PathLike = Union[str, Path]
 
-_QUEUE_VERSION = 1
-
-#: Job lifecycle.  ``queued`` → ``running`` → ``completed``; a service
-#: restart moves interrupted ``running`` jobs back to ``queued``.
-JOB_STATES = ("queued", "running", "completed")
+#: ``job-<seq>-<fingerprint12>.jsonl``; ``seq`` orders the queue.
+_JOB_FILE = re.compile(r"job-(\d+)-[0-9a-f]+\.jsonl")
 
 
 @dataclass(frozen=True)
@@ -111,6 +110,14 @@ class SweepSpec:
             "sampling": self.sampling,
         }
 
+    def signature(self) -> dict:
+        """The job journal's signature: :meth:`to_dict` in JSON form.
+
+        ``dataclasses.asdict`` keeps tuples, and a replayed header holds
+        lists, so the two are compared after a JSON round trip.
+        """
+        return json.loads(json.dumps(self.to_dict()))
+
     @classmethod
     def from_dict(cls, data: dict) -> "SweepSpec":
         return cls(
@@ -132,160 +139,107 @@ class SweepSpec:
 
 
 @dataclass
-class CellOutcome:
-    """The journaled fate of one cell of one job."""
-
-    config: str
-    mix: str
-    key: str
-    #: ``cache`` (served from the result cache), ``sim`` (freshly
-    #: simulated), ``failure`` (all retries exhausted), or ``shed``
-    #: (skipped by an open circuit breaker).
-    source: str
-    failure: Optional[CellFailure] = None
-
-    @property
-    def ok(self) -> bool:
-        return self.failure is None and self.source in ("cache", "sim")
-
-
-@dataclass
 class SweepJob:
-    """One submitted sweep and its journal-backed progress."""
+    """One submitted sweep: a view over its cell journal."""
 
     job_id: str
     spec: SweepSpec
-    state: str = "queued"
-    outcomes: Dict[Tuple[str, str], CellOutcome] = field(default_factory=dict)
-    #: Set when a restart interrupted this job mid-run (staleness note).
+    #: The job's file; read-only except while the executor runs the job.
+    journal: CellJournal
+    running: bool = False
+    #: The file had records but was incomplete when the queue was opened:
+    #: a restart interrupted the job (staleness note).
     recovered: bool = False
 
+    def _recorded(self) -> set:
+        return self.journal.completed.keys() | self.journal.failed.keys()
+
+    @property
+    def state(self) -> str:
+        if self.running:
+            return "running"
+        return "queued" if self.pending_cell_count() else "completed"
+
     def remaining_cells(self) -> List[Tuple[SystemConfig, WorkloadMix]]:
+        recorded = self._recorded()
         return [
             (config, mix)
             for config, mix in self.spec.cells()
-            if (config.name, mix.name) not in self.outcomes
+            if (config.name, mix.name) not in recorded
         ]
 
     def pending_cell_count(self) -> int:
-        if self.state == "completed":
-            return 0
-        return self.spec.cell_count() - len(self.outcomes)
+        return self.spec.cell_count() - len(self._recorded())
 
     def progress(self) -> dict:
-        done = len(self.outcomes)
-        failed = sum(1 for o in self.outcomes.values() if not o.ok)
+        completed, attempts = self.journal.completed, self.journal.attempts
+        from_cache = sum(1 for cell in completed if attempts[cell] == 0)
         return {
             "state": self.state,
             "cells_total": self.spec.cell_count(),
-            "cells_done": done,
-            "cells_failed": failed,
-            "cells_from_cache": sum(
-                1 for o in self.outcomes.values() if o.source == "cache"
-            ),
-            "cells_simulated": sum(
-                1 for o in self.outcomes.values() if o.source == "sim"
-            ),
+            "cells_done": len(self._recorded()),
+            "cells_failed": len(self.journal.failed),
+            "cells_from_cache": from_cache,
+            "cells_simulated": len(completed) - from_cache,
             "recovered": self.recovered,
         }
 
 
 class JobQueue:
-    """Crash-durable, bounded queue of sweep jobs."""
+    """Crash-durable, bounded queue of sweep jobs: one journal per job."""
 
-    def __init__(self, handle, path: Path, jobs: Dict[str, SweepJob],
-                 submit_count: int, max_pending_cells: int) -> None:
-        self._handle = handle
-        self.path = path
-        self.jobs = jobs
-        self._submit_count = submit_count
+    def __init__(self, directory: Path, max_pending_cells: int) -> None:
+        self.directory = directory
+        #: Jobs in submission (``seq``) order.
+        self.jobs: Dict[str, SweepJob] = {}
         self.max_pending_cells = max_pending_cells
-        self._lock = threading.Lock()
-
-    # -- construction ----------------------------------------------------
+        self._seq = 0
+        #: Guards ``jobs`` and every job's journal state: HTTP handler
+        #: threads read under it while submissions and the executor's
+        #: cell records write under it.
+        self.lock = threading.Lock()
 
     @classmethod
-    def open(cls, path: PathLike, max_pending_cells: int = 4096) -> "JobQueue":
-        """Open (or create) a queue journal, replaying prior state.
+    def open(
+        cls, directory: PathLike, max_pending_cells: int = 4096
+    ) -> "JobQueue":
+        """Open (or create) a job directory, replaying every job file.
 
-        Replay tolerates a torn final record (a crash mid-append) by
-        truncating it — the cell it described was never acknowledged,
-        so re-running it is correct.  Jobs left ``running`` by a crash
-        are moved back to ``queued`` with ``recovered`` set.
+        Order and ids come from each file's parsed ``seq``, not from a
+        filename sort (``job-10000`` sorts before ``job-9999``).  A file
+        whose header never completed — a crash mid-submit, before the
+        acknowledgement — is not a job and is deleted.
         """
-        path = Path(path)
-        handle, replayed = open_jsonl(
-            path,
-            {"kind": "header", "queue_version": _QUEUE_VERSION},
-            lambda records: cls._replay(records, path),
+        directory = Path(directory)
+        directory.mkdir(parents=True, exist_ok=True)
+        queue = cls(directory, max_pending_cells)
+        files = sorted(
+            (int(match.group(1)), path)
+            for path in directory.iterdir()
+            if (match := _JOB_FILE.fullmatch(path.name))
         )
-        jobs, submit_count = replayed or ({}, 0)
-        queue = cls(handle, path, jobs, submit_count, max_pending_cells)
-        queue._recover_interrupted()
+        for seq, path in files:
+            journal = CellJournal.read(path)
+            if journal.signature is None:
+                path.unlink()
+                continue
+            job = SweepJob(
+                path.stem, SweepSpec.from_dict(journal.signature), journal
+            )
+            job.recovered = (
+                0 < job.pending_cell_count() < job.spec.cell_count()
+            )
+            queue.jobs[job.job_id] = job
+            queue._seq = seq
         return queue
 
-    @staticmethod
-    def _replay(records, path):
-        jobs: Dict[str, SweepJob] = {}
-        submit_count = 0
-        for index, record in enumerate(records):
-            kind = record.get("kind")
-            if index == 0:
-                if kind != "header":
-                    raise ValueError(
-                        f"{path} is not a job-queue journal (first line is "
-                        f"{kind!r}, expected a header)"
-                    )
-                if record.get("queue_version") != _QUEUE_VERSION:
-                    raise ValueError(
-                        f"queue journal {path} has version "
-                        f"{record.get('queue_version')}; this library reads "
-                        f"version {_QUEUE_VERSION}"
-                    )
-            elif kind == "submit":
-                submit_count += 1
-                job = SweepJob(
-                    job_id=record["job_id"],
-                    spec=SweepSpec.from_dict(record["spec"]),
-                )
-                jobs[job.job_id] = job
-            elif kind == "job-state":
-                job = jobs.get(record["job_id"])
-                if job is not None:
-                    job.state = record["state"]
-            elif kind == "cell":
-                job = jobs.get(record["job_id"])
-                if job is None:
-                    continue
-                failure = (
-                    _failure_from_dict(record["failure"])
-                    if record.get("failure")
-                    else None
-                )
-                outcome = CellOutcome(
-                    config=record["config"],
-                    mix=record["mix"],
-                    key=record["key"],
-                    source=record["source"],
-                    failure=failure,
-                )
-                job.outcomes[(outcome.config, outcome.mix)] = outcome
-        return jobs, submit_count
-
-    def _recover_interrupted(self) -> None:
-        for job in self.jobs.values():
-            if job.state == "running":
-                job.recovered = True
-                self.set_state(job.job_id, "queued")
-
-    # -- admission + submission -----------------------------------------
-
     def pending_cell_count(self) -> int:
+        """Cells not yet recorded, over every job (call under ``lock``)."""
         return sum(job.pending_cell_count() for job in self.jobs.values())
 
     def submit(self, spec: SweepSpec) -> str:
         """Durably enqueue a sweep; raises ``ServiceOverloadError`` when full."""
-        with self._lock:
+        with self.lock:
             pending = self.pending_cell_count()
             if pending + spec.cell_count() > self.max_pending_cells:
                 raise ServiceOverloadError(
@@ -293,62 +247,27 @@ class JobQueue:
                     f"{spec.cell_count()} would exceed the "
                     f"{self.max_pending_cells}-cell admission bound"
                 )
-            self._submit_count += 1
-            job_id = f"job-{self._submit_count:04d}-{spec.fingerprint()}"
-            append_jsonl(
-                self._handle,
-                {"kind": "submit", "job_id": job_id, "spec": spec.to_dict()},
+            job_id = f"job-{self._seq + 1:04d}-{spec.fingerprint()}"
+            journal = CellJournal.open(
+                self.directory / f"{job_id}.jsonl", spec.signature()
             )
-            self.jobs[job_id] = SweepJob(job_id=job_id, spec=spec)
+            journal.close()
+            # The new file's directory entry is durable before the ack.
+            directory = os.open(self.directory, os.O_RDONLY)
+            try:
+                os.fsync(directory)
+            finally:
+                os.close(directory)
+            self._seq += 1
+            self.jobs[job_id] = SweepJob(job_id, spec, journal)
             return job_id
 
-    # -- progress --------------------------------------------------------
-
-    def set_state(self, job_id: str, state: str) -> None:
-        if state not in JOB_STATES:
-            raise ValueError(f"unknown job state {state!r}")
-        with self._lock:
-            append_jsonl(
-                self._handle,
-                {"kind": "job-state", "job_id": job_id, "state": state},
-            )
-            self.jobs[job_id].state = state
-
-    def record_cell(self, job_id: str, outcome: CellOutcome) -> None:
-        """Durably record one cell's fate (journal first, then memory)."""
-        record = {
-            "kind": "cell",
-            "job_id": job_id,
-            "config": outcome.config,
-            "mix": outcome.mix,
-            "key": outcome.key,
-            "source": outcome.source,
-        }
-        if outcome.failure is not None:
-            record["failure"] = _failure_to_dict(outcome.failure)
-        with self._lock:
-            append_jsonl(self._handle, record)
-            job = self.jobs[job_id]
-            job.outcomes[(outcome.config, outcome.mix)] = outcome
-
     def next_queued(self) -> Optional[SweepJob]:
-        with self._lock:
-            for job in self.jobs.values():  # insertion == submission order
+        with self.lock:
+            for job in self.jobs.values():
                 if job.state == "queued":
                     return job
         return None
 
-    # -- lifecycle -------------------------------------------------------
 
-    def close(self) -> None:
-        if not self._handle.closed:
-            self._handle.close()
-
-    def __enter__(self) -> "JobQueue":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-__all__ = ["CellOutcome", "JOB_STATES", "JobQueue", "SweepJob", "SweepSpec"]
+__all__ = ["JobQueue", "SweepJob", "SweepSpec"]

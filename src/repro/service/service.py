@@ -8,15 +8,17 @@ the content-addressed :class:`~repro.service.cache.ResultCache`, and the
   sheds it with :class:`~repro.common.errors.ServiceOverloadError`;
 * :meth:`process` drives queued jobs: each cell is served from the
   verified cache when possible, otherwise dispatched to a supervised
-  worker, journaled, and written back to the cache — in that order, so
-  a crash between any two steps is recoverable;
-* construction replays the queue journal: jobs interrupted mid-run are
-  re-queued (flagged ``recovered``) and resume from their journaled
-  cells, skipping everything already done;
-* :meth:`result` degrades gracefully — it always returns the cells it
-  has as a partial :class:`~repro.experiments.runner.ResultTable`, with
-  per-cell provenance (cache/simulated/failed/shed/pending) and
-  staleness/failure notes instead of refusing the whole sweep.
+  worker, written to the cache, then recorded in the job's journal — in
+  that order, so a crash between any two steps is recoverable;
+* construction rescans the job directory: jobs interrupted mid-run
+  (flagged ``recovered``) resume from their journaled cells, skipping
+  everything already done;
+* :meth:`result` reads the job's journal and degrades gracefully — it
+  always returns the cells it has as a partial
+  :class:`~repro.experiments.runner.ResultTable`, with per-cell
+  provenance (cache/simulated/failed/shed/pending) and staleness/failure
+  notes instead of refusing the whole sweep.  The cache is only a memo
+  *across* jobs.
 
 The ``crash-service`` chaos fault raises
 :class:`~repro.common.errors.InjectedServiceCrash` *after* the matching
@@ -33,11 +35,11 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from ..common.errors import InjectedServiceCrash
 from ..experiments import faults
+from ..experiments.persistence import CellJournal
 from ..experiments.runner import CellFailure, ResultTable
 from ..snapshot import SnapshotPlan
-from ..system.machine import MachineResult
 from .cache import ResultCache
-from .queue import CellOutcome, JobQueue, SweepJob, SweepSpec
+from .queue import JobQueue, SweepJob, SweepSpec
 from .supervisor import (
     CellTask,
     CircuitBreaker,
@@ -56,16 +58,14 @@ class ServiceResult:
     state: str
     table: ResultTable
     #: Per-cell provenance: ``cache`` / ``simulated`` / ``failed`` /
-    #: ``shed`` / ``pending`` / ``lost``.
+    #: ``shed`` / ``pending``.
     provenance: Dict[Tuple[str, str], str]
     #: Human-readable staleness/degradation notes (empty = pristine).
     notes: List[str] = field(default_factory=list)
 
     @property
     def complete(self) -> bool:
-        return self.state == "completed" and not self.table.failures and not any(
-            source in ("pending", "lost") for source in self.provenance.values()
-        )
+        return self.state == "completed" and not self.table.failures
 
 
 class SweepService:
@@ -75,11 +75,18 @@ class SweepService:
         self, root: PathLike, policy: Optional[ServicePolicy] = None
     ) -> None:
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
+        legacy = self.root / "queue.jsonl"
+        if legacy.exists():
+            raise ValueError(
+                f"{legacy} is a job queue from an older service-root "
+                "layout; older service roots are not migrated — finish "
+                "its jobs with the release that wrote it, or start the "
+                "service on a new root"
+            )
         self.policy = policy or ServicePolicy()
         self.cache = ResultCache(self.root / "cache")
         self.queue = JobQueue.open(
-            self.root / "queue.jsonl",
+            self.root / "jobs",
             max_pending_cells=self.policy.max_pending_cells,
         )
         #: Admission policy: a scenario that keeps failing is shed fast
@@ -88,9 +95,6 @@ class SweepService:
             self.policy.breaker_threshold, self.policy.breaker_cooldown
         )
         self.supervisor = WorkerSupervisor(self.policy, breaker=self.breaker)
-        #: In-memory overlay of results by cell key (fast path; the
-        #: cache is the durable source of truth).
-        self._results: Dict[str, MachineResult] = {}
         self._crash_counts: Dict[Tuple[str, str], int] = {}
         self.stats_counters: Dict[str, int] = {
             "jobs_submitted": 0,
@@ -107,7 +111,6 @@ class SweepService:
 
     def close(self) -> None:
         self.supervisor.shutdown()
-        self.queue.close()
 
     def __enter__(self) -> "SweepService":
         return self
@@ -136,9 +139,7 @@ class SweepService:
         finished: List[str] = []
         while True:
             if job_id is not None:
-                job = self.queue.jobs.get(job_id)
-                if job is None:
-                    raise KeyError(f"unknown job {job_id!r}")
+                job = self._job(job_id)
                 if job.state != "queued":
                     return finished
             else:
@@ -151,7 +152,21 @@ class SweepService:
                 return finished
 
     def _execute(self, job: SweepJob) -> None:
-        self.queue.set_state(job.job_id, "running")
+        # Resuming truncates a torn final record left by a crash.
+        journal = CellJournal.open(
+            job.journal.path, job.spec.signature(), resume=True
+        )
+        with self.queue.lock:
+            job.journal, job.running = journal, True
+        try:
+            self._run_cells(job)
+        finally:
+            journal.close()
+        with self.queue.lock:
+            job.running = False
+        self.stats_counters["jobs_completed"] += 1
+
+    def _run_cells(self, job: SweepJob) -> None:
         spec = job.spec
         snapshot_dir = None
         if self.policy.snapshot_every is not None:
@@ -162,14 +177,8 @@ class SweepService:
             key = spec.key_for(config, mix)
             cached = self.cache.get(key)  # corrupt → quarantined + miss
             if cached is not None:
-                self._results[key] = cached
-                self._record(
-                    job,
-                    CellOutcome(
-                        config=config.name, mix=mix.name, key=key,
-                        source="cache",
-                    ),
-                )
+                # attempts=0: no simulation was attempted for this job.
+                self._record(job, config.name, mix.name, cached, attempts=0)
                 self.stats_counters["cells_from_cache"] += 1
                 continue
             snapshot = None
@@ -199,142 +208,103 @@ class SweepService:
             )
 
         def on_result(task: CellTask, result) -> None:
-            # Cache before journal: once the journal says done, the
-            # entry must exist for the assembler/resume to serve.
+            # Cache before journal: a crash between the two re-runs the
+            # cell, and the cache absorbs the cost.
             self.cache.put(
                 task.key, result,
                 config_name=task.config.name, mix_name=task.mix_name,
             )
-            self._results[task.key] = result
             self._record(
-                job,
-                CellOutcome(
-                    config=task.config.name, mix=task.mix_name,
-                    key=task.key, source="sim",
-                ),
+                job, task.config.name, task.mix_name, result, task.attempt
             )
             self.stats_counters["cells_simulated"] += 1
 
         def on_failure(task: CellTask, failure: CellFailure) -> None:
-            self._record(
-                job,
-                CellOutcome(
-                    config=task.config.name, mix=task.mix_name,
-                    key=task.key, source="failure", failure=failure,
-                ),
-            )
+            self._record(job, task.config.name, task.mix_name, failure)
             self.stats_counters["cells_failed"] += 1
 
         def on_shed(task: CellTask, failure: CellFailure) -> None:
-            self._record(
-                job,
-                CellOutcome(
-                    config=task.config.name, mix=task.mix_name,
-                    key=task.key, source="shed", failure=failure,
-                ),
-            )
+            self._record(job, task.config.name, task.mix_name, failure)
             self.stats_counters["cells_shed"] += 1
 
         self.supervisor.run(tasks, on_result, on_failure, on_shed)
-        self.queue.set_state(job.job_id, "completed")
-        self.stats_counters["jobs_completed"] += 1
 
-    def _record(self, job: SweepJob, outcome: CellOutcome) -> None:
-        """Journal a cell outcome, then honor any crash-service fault.
+    def _record(
+        self, job: SweepJob, config: str, mix: str, outcome, attempts: int = 0
+    ) -> None:
+        """Journal a cell's ``MachineResult`` or ``CellFailure``, then
+        honor any crash-service fault.
 
         The crash fires strictly *after* the journal append returns, so
         the acceptance property "resume is bit-identical" is tested at
         the worst possible instant: state durable, ack not yet visible.
         """
-        self.queue.record_cell(job.job_id, outcome)
-        scenario = (outcome.config, outcome.mix)
-        count = self._crash_counts.get(scenario, 0) + 1
-        self._crash_counts[scenario] = count
-        if faults.fault_for(
-            "crash-service", outcome.config, outcome.mix, count
-        ):
+        with self.queue.lock:
+            if isinstance(outcome, CellFailure):
+                job.journal.record_failure(outcome)
+            else:
+                job.journal.record_result(config, mix, outcome, attempts)
+        count = self._crash_counts.get((config, mix), 0) + 1
+        self._crash_counts[(config, mix)] = count
+        if faults.fault_for("crash-service", config, mix, count):
             raise InjectedServiceCrash(
                 f"injected service crash after journaling cell "
-                f"({outcome.config}, {outcome.mix})"
+                f"({config}, {mix})"
             )
 
     # -- inspection ------------------------------------------------------
 
-    def status(self, job_id: str) -> dict:
+    def _job(self, job_id: str) -> SweepJob:
         job = self.queue.jobs.get(job_id)
         if job is None:
             raise KeyError(f"unknown job {job_id!r}")
-        report = job.progress()
-        report["job_id"] = job_id
-        return report
+        return job
+
+    def status(self, job_id: str) -> dict:
+        with self.queue.lock:
+            return dict(self._job(job_id).progress(), job_id=job_id)
+
+    def statuses(self) -> List[dict]:
+        """Every job's :meth:`status`, as one consistent snapshot."""
+        with self.queue.lock:
+            return [
+                dict(job.progress(), job_id=job.job_id)
+                for job in self.queue.jobs.values()
+            ]
 
     def result(self, job_id: str) -> ServiceResult:
-        """Assemble the sweep's table — partial if it must be.
+        """Assemble the sweep's table from its journal — partial if need be.
 
-        Never raises for degraded jobs: missing, failed, shed, and
-        pending cells are annotated in ``provenance`` and ``notes`` so
-        callers can decide whether partial data is acceptable.
+        Never raises for degraded jobs: failed, shed, and pending cells
+        are annotated in ``provenance`` and ``notes`` so callers can
+        decide whether partial data is acceptable.
         """
-        job = self.queue.jobs.get(job_id)
-        if job is None:
-            raise KeyError(f"unknown job {job_id!r}")
+        with self.queue.lock:
+            job = self._job(job_id)
+            state, journal = job.state, job.journal
+            completed, failed = dict(journal.completed), dict(journal.failed)
+            attempts = dict(journal.attempts)
         spec = job.spec
-        cells: Dict[Tuple[str, str], MachineResult] = {}
-        failures: Dict[Tuple[str, str], CellFailure] = {}
         provenance: Dict[Tuple[str, str], str] = {}
-        notes: List[str] = []
-        lost = 0
         for config, mix in spec.cells():
             cell = (config.name, mix.name)
-            outcome = job.outcomes.get(cell)
-            if outcome is None:
+            if cell in completed:
+                cached = attempts[cell] == 0
+                provenance[cell] = "cache" if cached else "simulated"
+            elif cell in failed:
+                shed = failed[cell].error_type == "CircuitOpen"
+                provenance[cell] = "shed" if shed else "failed"
+            else:
                 provenance[cell] = "pending"
-                continue
-            if not outcome.ok:
-                provenance[cell] = (
-                    "shed" if outcome.source == "shed" else "failed"
-                )
-                if outcome.failure is not None:
-                    failures[cell] = outcome.failure
-                continue
-            result = self._results.get(outcome.key)
-            if result is None:
-                result = self.cache.get(outcome.key)
-            if result is None:
-                # Journal says done but the entry is gone or failed its
-                # checksum since (it is quarantined now): degrade, don't
-                # serve garbage.
-                provenance[cell] = "lost"
-                lost += 1
-                failures[cell] = CellFailure(
-                    config=cell[0], mix=cell[1],
-                    error_type="CacheEntryLost",
-                    message=(
-                        "journaled result's cache entry is missing or "
-                        "quarantined; resubmit the sweep to recompute"
-                    ),
-                    traceback="", attempts=0, elapsed=0.0,
-                )
-                continue
-            cells[cell] = result
-            provenance[cell] = (
-                "cache" if outcome.source == "cache" else "simulated"
-            )
 
+        notes: List[str] = []
         pending = sum(1 for s in provenance.values() if s == "pending")
         if pending:
+            notes.append(f"{pending} cell(s) not yet run (job state: {state})")
+        if failed:
+            named = sorted(f"{c}/{m}" for c, m in failed)
             notes.append(
-                f"{pending} cell(s) not yet run (job state: {job.state})"
-            )
-        if failures:
-            named = sorted(f"{c}/{m}" for c, m in failures)
-            notes.append(
-                f"{len(failures)} cell(s) unavailable: {', '.join(named)}"
-            )
-        if lost:
-            notes.append(
-                f"{lost} cell(s) lost to cache corruption after completion; "
-                "resubmit to recompute"
+                f"{len(failed)} cell(s) unavailable: {', '.join(named)}"
             )
         if job.recovered:
             notes.append(
@@ -343,28 +313,30 @@ class SweepService:
             )
         return ServiceResult(
             job_id=job_id,
-            state=job.state,
+            state=state,
             table=ResultTable(
                 configs=[c.name for c in spec.configs],
                 mixes=[m.name for m in spec.mixes],
-                cells=cells,
-                failures=failures,
+                cells=completed,
+                failures=failed,
             ),
             provenance=provenance,
             notes=notes,
         )
 
     def stats(self) -> dict:
+        with self.queue.lock:
+            queue = {
+                "jobs": len(self.queue.jobs),
+                "pending_cells": self.queue.pending_cell_count(),
+                "max_pending_cells": self.queue.max_pending_cells,
+            }
         return {
             "service": dict(self.stats_counters),
             "cache": dict(self.cache.stats),
             "supervisor": dict(self.supervisor.stats),
             "breaker": self.breaker.snapshot(),
-            "queue": {
-                "jobs": len(self.queue.jobs),
-                "pending_cells": self.queue.pending_cell_count(),
-                "max_pending_cells": self.queue.max_pending_cells,
-            },
+            "queue": queue,
         }
 
 

@@ -203,7 +203,7 @@ def _worker_main(conn, supervisor_conn, heartbeat_interval: float) -> None:
                 return
             if message[0] == "stop":
                 return
-            assert message[0] == "cell"
+            assert message[0] == "run"
             task: CellTask = message[1]
             cell = (task.config.name, task.mix_name, task.attempt)
             preemption.clear()  # a stale request must not abort this cell
@@ -377,7 +377,7 @@ class WorkerSupervisor:
                     # Breaker tripped by a sibling attempt since queuing.
                     continue
                 try:
-                    worker.conn.send(("cell", task))
+                    worker.conn.send(("run", task))
                 except (BrokenPipeError, OSError):
                     # Died between cells: replace it, task goes back.
                     self.stats["workers_crashed"] += 1

@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import sys
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -117,8 +119,6 @@ def test_overload_returns_503_with_retry_after(tmp_path, fast_policy, tiny_spec)
     server = ServiceServer(service, port=0)
     # Listener only, no executor: nothing drains the queue, so the
     # second submission must hit the admission bound.
-    import threading
-
     listener = threading.Thread(target=server.httpd.serve_forever, daemon=True)
     listener.start()
     try:
@@ -133,6 +133,48 @@ def test_overload_returns_503_with_retry_after(tmp_path, fast_policy, tiny_spec)
         server.httpd.shutdown()
         server.httpd.server_close()
         service.close()
+
+
+def test_listing_is_consistent_during_concurrent_submits(
+    tmp_path, fast_policy, tiny_spec
+):
+    """``GET /sweeps`` while submissions land: the handler thread must
+    read a snapshot taken under the queue's lock, not iterate the job
+    table while another thread inserts into it."""
+    service = SweepService(tmp_path, fast_policy)
+    server = ServiceServer(service, port=0)
+    listener = threading.Thread(target=server.httpd.serve_forever, daemon=True)
+    listener.start()
+    errors = []
+    submitting = threading.Event()
+    submitting.set()
+
+    def list_jobs():
+        while submitting.is_set() and not errors:
+            try:
+                get(server, "/sweeps")
+            except Exception as exc:  # a failed request, of any kind
+                errors.append(exc)
+
+    lister = threading.Thread(target=list_jobs)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        lister.start()
+        for _ in range(400):
+            if errors:
+                break
+            service.submit(tiny_spec)
+    finally:
+        submitting.clear()
+        lister.join(timeout=30)
+        sys.setswitchinterval(interval)
+        server.httpd.shutdown()
+        server.httpd.server_close()
+        service.close()
+    assert not lister.is_alive()
+    assert not errors, repr(errors[0])
+    assert len(service.queue.jobs) == 400
 
 
 def test_parse_rejects_unknown_mix():

@@ -10,6 +10,7 @@ import pytest
 from repro.common.errors import InjectedServiceCrash, ServiceOverloadError
 from repro.experiments import faults
 from repro.experiments.faults import FaultSpec
+from repro.experiments.persistence import CellJournal, scan_jsonl
 from repro.service.cache import ResultCache
 from repro.service.chaos import (
     cache_entry_paths,
@@ -17,6 +18,7 @@ from repro.service.chaos import (
     result_fingerprint,
     truncate_cache_entry,
 )
+from repro.service.queue import SweepSpec
 from repro.service.service import SweepService
 
 from .conftest import small_config
@@ -65,6 +67,7 @@ _ABRUPT_EXIT_CHILD = """
 import os, sys
 from repro.common.errors import InjectedServiceCrash
 from repro.experiments.faults import CRASH_EXITCODE
+from repro.service.queue import SweepSpec
 from repro.service.service import SweepService
 from tests.service.conftest import fast_service_policy, tiny_sweep_spec
 service = SweepService(sys.argv[1], fast_service_policy(workers=1))
@@ -114,7 +117,7 @@ def test_crash_mid_sweep_resumes_bit_identical(
     with SweepService(tmp_path / "svc", policy) as service:  # the restart
         job = service.queue.jobs[job_id]
         assert job.recovered
-        done_before = len(job.outcomes)
+        done_before = job.progress()["cells_done"]
         assert 0 < done_before < 4  # genuinely interrupted mid-sweep
         service.process()
         resumed, stats = service.result(job_id), service.stats()
@@ -180,21 +183,45 @@ def test_admission_control_rejects_when_full(tmp_path, fast_policy, tiny_spec):
             service.submit(tiny_spec)
 
 
-def test_lost_cache_entry_degrades_not_garbage(tmp_path, fast_policy, tiny_spec):
-    """Journal says done, entry deleted after the fact: report, don't lie."""
-    with SweepService(tmp_path, fast_policy) as service:
-        job_id = service.submit(tiny_spec)
-        service.process()
+def test_completed_table_survives_cache_deletion(
+    tmp_path, fast_policy, tiny_spec
+):
+    """A job's results live in its journal; the cache is only a memo
+    across jobs, so deleting every entry costs the job nothing."""
+    first, _ = run_sweep(tmp_path, fast_policy, tiny_spec)
     for path in cache_entry_paths(ResultCache(tmp_path / "cache")):
         path.unlink()
     with SweepService(tmp_path, fast_policy) as service:
+        (job_id,) = service.queue.jobs
         result = service.result(job_id)
-    assert not result.complete
-    assert set(result.provenance.values()) == {"lost"}
-    assert all(
-        f.error_type == "CacheEntryLost" for f in result.table.failures.values()
-    )
-    assert any("lost to cache corruption" in note for note in result.notes)
+    assert result.complete
+    assert set(result.provenance.values()) == {"simulated"}
+    assert result_fingerprint(result) == result_fingerprint(first)
+
+
+def test_job_file_is_one_cell_journal(
+    tmp_path, fast_policy, tiny_spec, one_cell_spec
+):
+    """A service job is written in the one journal grammar: a header,
+    then one ``result`` per served cell (``attempts == 0`` for a cache
+    hit) — readable by ``CellJournal.load`` like any run_matrix journal."""
+    run_sweep(tmp_path, fast_policy, one_cell_spec)
+    result, stats = run_sweep(tmp_path, fast_policy, tiny_spec)
+    path = tmp_path / "jobs" / f"{result.job_id}.jsonl"
+    records, _ = scan_jsonl(path)
+    assert records[0]["kind"] == "header"
+    assert SweepSpec.from_dict(records[0]["signature"]) == tiny_spec
+    completed, failed = CellJournal.load(path)
+    counters = stats["service"]
+    served = counters["cells_simulated"] + counters["cells_from_cache"]
+    assert len(completed) == served == 4 and not failed
+    attempts = {
+        (r["config"], r["mix"]): r["attempts"]
+        for r in records if r["kind"] == "result"
+    }
+    assert attempts[("base", "M1")] == 0  # the overlapping cell: a cache hit
+    assert result.provenance[("base", "M1")] == "cache"
+    assert sorted(attempts.values())[1:] == [1, 1, 1]
 
 
 def test_unknown_job_raises(tmp_path, fast_policy):
