@@ -56,8 +56,10 @@ def sweep(mix_name: str) -> None:
         print()
     print(
         "Reading the grid (paper Figure 6): moving right (more MCs) pays"
-        "\nmuch more than moving down (more ranks), and the second row-"
-        "\nbuffer entry captures most of the row-buffer-cache benefit."
+        "\nmuch more than moving down (more ranks).  The paper's extra"
+        "\nrow-buffer entries add ~25-35 %; here the 1- and 4-entry grids"
+        "\nnearly match (FIDELITY.json rows 'figure6b: gm ... / ...-1RB',"
+        "\nstatus DEVIATES)."
     )
 
 

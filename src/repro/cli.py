@@ -22,7 +22,9 @@ Commands:
 * ``fairness --config quad-mc``       — solo-vs-mixed fairness metrics.
 * ``validate {engines,timing,resume,sampling}`` — run one differential
   of :mod:`repro.validate.diff` (or the sampling accuracy gate) on a
-  config/mix/scale of your choosing.  See ``docs/validation.md``.
+  config/mix/scale of your choosing; ``validate fidelity`` measures
+  every paper claim of the catalog into ``FIDELITY.json``.  See
+  ``docs/validation.md``.
 
 The experiment commands (``figure``, ``table``, ``ablation``,
 ``ras-study``, ``stack-modes``) are parser entries only: each resolves
@@ -362,7 +364,7 @@ def _cmd_experiment(args) -> int:
         checkers=args.check,
         sampling=args.sample,
     )
-    print(render(result), flush=True)
+    print(render(experiment, result), flush=True)
     # The RAS study's acceptance gate; meaningless over failed cells.
     gate = getattr(result, "check_monotone", None)
     violations = gate() if gate and not result.table.failures else []
@@ -451,9 +453,11 @@ def _cmd_validate(args) -> int:
     """A tool's flags are its handler's parameters, names resolved."""
     from .validate import tools
 
-    options = dict(vars(args), mix=MIXES[args.mix], scale=get_scale(args.scale))
+    options = dict(vars(args), scale=get_scale(args.scale))
     for parser_key in ("command", "tool", "func"):
         del options[parser_key]
+    if "mix" in options:
+        options["mix"] = MIXES[args.mix]
     if "config" in options:
         options["config"] = CONFIGS[args.config]()
     return getattr(tools, args.tool)(**options)
@@ -632,6 +636,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_smp.set_defaults(scale="large")  # the plan is tuned for long runs
     p_smp.add_argument("--spec", default=None, metavar="SPEC",
                        help="sampling spec (default: the tuned default plan)")
+    p_fid = tools.add_parser(
+        "fidelity", help="measure every paper claim of the catalog into "
+        "that scale's column of FIDELITY.json and regenerate "
+        "EXPERIMENTS.md's tables: a row outside its band fails",
+    )
+    p_fid.add_argument("--scale", default="smoke", choices=["smoke", "default"])
     p_val.set_defaults(func=_cmd_validate)
 
     p_rep = sub.add_parser(

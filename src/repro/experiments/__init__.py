@@ -14,8 +14,7 @@ from .persistence import (
 )
 from .ras_study import RasStudyResult
 from .stack_modes import StackModesResult
-from .sweep import sweep_field
-from .report import format_comparison, format_table
+from .report import format_table
 from .runner import (
     CellFailure,
     ResultTable,
@@ -48,7 +47,6 @@ __all__ = [
     "ResultTable",
     "Table2aResult",
     "Table2bResult",
-    "format_comparison",
     "format_table",
     "geometric_mean",
     "harmonic_mean",
@@ -60,5 +58,4 @@ __all__ = [
     "RasStudyResult",
     "StackModesResult",
     "save_table",
-    "sweep_field",
 ]

@@ -25,9 +25,9 @@ callable, evaluated when the experiment runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..common.errors import CellFailedError
 from ..common.units import KIB, MIB
@@ -42,9 +42,11 @@ from ..system.config import (
     with_mshr,
 )
 from ..system.scale import DEFAULT, ExperimentScale
+from ..workloads.benchmarks import BENCHMARKS
 from ..workloads.mixes import MIX_ORDER, MIXES, WorkloadMix, mixes_in_groups
 from . import ras_study, stack_modes, table2
 from .charts import grouped_bars, speedup_chart
+from .fidelity import Band, Expectation, Ordering, claims_note, paper_column
 from .report import format_table, with_sampling_note
 from .runner import ResultTable, RunPolicy, run_matrix
 
@@ -71,10 +73,11 @@ class Experiment:
         show_baseline: whether the baseline config gets a column / row.
         column: label of the measured column of the GM-row layout.
         show_probes: add the measured MSHR probes/access column.
-        paper: the paper's reference value per config, in the report's
-            unit; a "paper" column in the GM-row layout, else for notes.
-        paper_probes: the paper's MSHR probes/access per config.
-        note: trailing note, or a callable computing it from the result.
+        expect: the paper's claims about this matrix, as
+            :class:`~repro.experiments.fidelity.Band` /
+            :class:`~repro.experiments.fidelity.Ordering` data; they
+            make the report's note, the GM-row layout's "paper" column
+            and this entry's ``FIDELITY.json`` rows.
         in_suite: whether ``repro report`` runs it by default.
         result: for studies with their own metric — builds the result
             from the :class:`ResultTable` in place of
@@ -93,9 +96,7 @@ class Experiment:
     show_baseline: bool = True
     column: str = "GM speedup"
     show_probes: bool = False
-    paper: Mapping[str, float] = field(default_factory=dict)
-    paper_probes: Mapping[str, float] = field(default_factory=dict)
-    note: Union[str, Callable[["ExperimentResult"], str]] = ""
+    expect: Tuple[Expectation, ...] = ()
     in_suite: bool = True
     result: Optional[Callable[..., Any]] = None
     run: Optional[Callable[..., Any]] = None
@@ -135,15 +136,10 @@ class ExperimentResult:
         """Geometric mean of :meth:`value` over ``groups`` (or all mixes)."""
         return self._unit(self.table.gm_speedup(config, self.baseline, groups))
 
-    def probes(self, config: str, groups: Optional[Sequence[str]] = None) -> float:
-        """Mean MSHR probes per access over the mixes in ``groups``
-        (all mixes when ``groups`` is None or selects none of them)."""
-        selected = [
-            m for m in self.table.mixes if groups and MIXES[m].group in groups
-        ] or self.table.mixes
-        return sum(
-            self.table.result(config, m).mshr_avg_probes for m in selected
-        ) / len(selected)
+    def probes(self, config: str) -> float:
+        """Mean MSHR probes per access over the run's mixes."""
+        mixes = self.table.mixes
+        return sum(self.table.result(config, m).mshr_avg_probes for m in mixes) / len(mixes)
 
     def format(self) -> str:
         exp = self.experiment
@@ -164,15 +160,15 @@ class ExperimentResult:
             columns = {exp.column: [self.gm(c) for c in rows]}
             if exp.show_probes:
                 columns["probes/access"] = [self.probes(c) for c in rows]
-            if exp.paper:
-                columns["paper"] = [exp.paper[c] for c in rows]
-        note = exp.note(self) if callable(exp.note) else exp.note
+            paper = paper_column(exp.expect)
+            if paper:
+                columns["paper"] = [paper[c] for c in rows]
         return format_table(
             exp.title,
             rows,
             columns,
             value_format="{:+.1f}" if exp.percent else "{:.3f}",
-            note=with_sampling_note(note, self.table),
+            note=with_sampling_note("", self.table),
         )
 
     def chart(self, width: int = 40) -> str:
@@ -194,17 +190,40 @@ class ExperimentResult:
 
 
 # ---------------------------------------------------------------------------
-# The declarations.  Notes that quote the paper derive the numbers from
-# the entry's ``paper`` mapping, so each reference value is typed once.
+# The declarations.  Each paper value is typed once, in a claim of an
+# entry's ``expect``.  A claim is MET when the default-scale value is
+# within tolerance of the paper's (10 % of a speedup; Table 2: a factor
+# of 1.15 of an MPKI, of 1.6 of an HMIPC, absolute IPC being no target);
+# its band then holds the paper's value and both measured columns.
+# Otherwise it DEVIATES, with a reason, and its band holds the measured
+# columns only.
 # ---------------------------------------------------------------------------
 
-def _figure4_note(result: ExperimentResult) -> str:
-    paper = ", ".join(
-        f"{config} {value:.2f}x"
-        for config, value in result.experiment.paper.items()
-    )
-    ordering = " < ".join(result.table.configs)
-    return f"paper GM(H,VH): {paper}; ordering {ordering}"
+_UNTESTED = "unexplained — ROADMAP item 3"
+_HOT_MC = ("MC scaling runs hot; the replicated MC front end (mc_transaction_overhead, "
+           f"DESIGN.md 2b.4) is the suspected serializer, {_UNTESTED}")
+_FLAT_ROW_BUFFERS = ("first-touch allocation de-conflicts concurrent streams, so one row-buffer "
+                     "entry already hits and more add next to nothing (DESIGN.md 2b.6)")
+_HOT_LADDER = ("every step of the ladder runs hot; synthetic workloads being more "
+               f"bandwidth-hungry than SimPoint samples is untested, {_UNTESTED}")
+_VBF_PROBES = f"the VBF ends most searches at the first or second probe, {_UNTESTED}"
+
+
+def _table2_bands(metric, config, paper, deviations, factor):
+    """One Band per ``(name, paper value)``: within ``factor`` of the
+    paper, unless ``deviations`` gives its ``(lo, hi, reason)``."""
+    bands = []
+    for name, value in paper:
+        lo, hi, reason = deviations.get(
+            name, (float(f"{value / factor:.3g}"), float(f"{value * factor:.3g}"), "")
+        )
+        bands.append(Band(f"{metric} {config} @{name}", lo, hi, value, reason))
+    return tuple(bands)
+
+
+_STREAM_MPKI = (120.0, 130.0, "one miss per 64 B line every 8 instructions caps a stream at "
+                "125 MPKI; the paper's 250-327 needs ~3 instructions per miss, which line "
+                "granularity cannot reach (docs/workloads.md)")
 
 
 def _extra_l2_config(extra: int, label: str) -> SystemConfig:
@@ -290,27 +309,22 @@ def _figure7(panel: str) -> Experiment:
             ("8xMSHR", ("conventional", 8)),
             ("Dynamic", ("conventional", 8, True)),
         ],
-        note=(
-            "shape: 2x/4x help memory-intensive mixes, 8x saturates, "
-            "Dynamic avoids the losses on low-traffic mixes"
+        expect=(
+            Band("gm 4xMSHR @H,VH", 5.0, 100.0),  # bigger MSHRs clearly help
+            Band("gm 8xMSHR - 4xMSHR @H,VH", -3.0, 3.0),  # 8x saturates
+            Band("gm Dynamic - 8xMSHR", -2.0, 2.0),  # Dynamic never loses
+            # ... and avoids the losses of 8x on the low-traffic mixes.
+            Ordering(
+                ("gm 8xMSHR @HM,M", "gm Dynamic @HM,M"), per_mix=True,
+                reason="the tuner trains each of its three sizes for 50,000 cycles before "
+                "choosing one, and a low-traffic mix's whole run barely outlasts the "
+                "first sample, which runs the full 8x file",
+            ),
         ),
     )
 
 
-def _figure9_note(result: ExperimentResult) -> str:
-    exp = result.experiment
-    parts = [
-        f"paper GM(H,VH) for {config}: {value:+.1f}%"
-        for config, value in exp.paper.items()
-    ] + [
-        f"{config} probes/access measured "
-        f"{result.probes(config, HEADLINE_GROUPS):.2f} (paper {value:.2f})"
-        for config, value in exp.paper_probes.items()
-    ]
-    return "; ".join(parts)
-
-
-def _figure9(panel: str, paper_vd: float, paper_probes: float) -> Experiment:
+def _figure9(panel: str, vd: Band, probes: Band) -> Experiment:
     # 8xMSHR is the ideal 64-entry CAM (the impractical yardstick), VBF
     # the practical direct-mapped file (probe latency modelled), V+D the
     # paper's proposal.  Probe counts include the mandatory first probe.
@@ -323,9 +337,8 @@ def _figure9(panel: str, paper_vd: float, paper_probes: float) -> Experiment:
             ("Dynamic", ("conventional", 8, True)),
             ("V+D", ("vbf", 8, True)),
         ],
-        paper={"V+D": paper_vd},
-        paper_probes={"VBF": paper_probes},
-        note=_figure9_note,
+        # The practical VBF tracks the impractical ideal CAM.
+        expect=(vd, probes, Band("gm VBF - 8xMSHR @H,VH", -6.0, 10.0)),
     )
 
 
@@ -383,15 +396,33 @@ CATALOG: Dict[str, Experiment] = {
     exp.name: exp
     for exp in (
         # One benchmark per run on one core: no mixes, matrix or journal.
+        # Benchmarks under 5 MPKI get no band: at smoke scale their MPKI
+        # is the cold-miss floor (~14), not their stream's.
         Experiment(
             name="table2a",
             configs=lambda: [table2.single_core_config()],
             run=table2.run_table2a,
+            expect=_table2_bands(
+                "mpki", "table2a",
+                [(n, b.paper_mpki) for n, b in BENCHMARKS.items() if b.paper_mpki >= 5],
+                {n: _STREAM_MPKI for n in BENCHMARKS if n.startswith("S.")},
+                factor=1.15,
+            ) + (
+                Ordering(("mpki table2a @namd", "mpki table2a @milc", "mpki table2a @S.copy")),
+                Ordering(("mpki table2a @mcf", "mpki table2a @tigr")),
+            ),
         ),
         Experiment(
             name="table2b",
             configs=lambda: [config_2d()],
             result=table2.Table2bResult,
+            expect=_table2_bands(
+                "hmipc", "2D", [(m, MIXES[m].paper_hmipc) for m in MIX_ORDER],
+                {"H3": (0.16, 0.19, "qsort is modelled as purely random "
+                        "read-modify-write, harsher on row locality than "
+                        "the real program")},
+                factor=1.6,
+            ) + (Ordering(("hmipc 2D @VH", "hmipc 2D @H", "hmipc 2D @HM", "hmipc 2D @M")),),
         ),
         # 2D < 3D < 3D-wide < 3D-fast on every workload, each step a
         # roughly equal boost; the moderate (M) mixes benefit much less.
@@ -402,23 +433,40 @@ CATALOG: Dict[str, Experiment] = {
                 config_2d(), config_3d(), config_3d_wide(), config_3d_fast()
             ],
             per_mix=True,
-            paper={"3D": 1.347, "3D-wide": 1.718, "3D-fast": 2.168},
-            note=_figure4_note,
+            expect=(
+                Band("gm 3D @H,VH", 1.5, 1.7, paper=1.347, reason=_HOT_LADDER),
+                Band("gm 3D-wide @H,VH", 1.9, 2.3, paper=1.718, reason=_HOT_LADDER),
+                Band("gm 3D-fast @H,VH", 2.5, 3.0, paper=2.168, reason=_HOT_LADDER),
+                Ordering(
+                    ("gm 2D @H,VH", "gm 3D @H,VH", "gm 3D-wide @H,VH",
+                     "gm 3D-fast @H,VH"),
+                    per_mix=True,
+                ),
+                Ordering(("gm 3D-fast @M", "gm 3D-fast @H,VH")),
+                Band("gm 3D-fast @M", 1.0, 1.5),
+            ),
         ),
+        # MC scaling >> rank scaling >> extra L2.
         Experiment(
             name="figure6a",
             title="Figure 6(a): GM(H,VH) speedup over 3D-fast (1MC, 8 ranks)",
             configs=_figure6a_configs,
             groups=HEADLINE_GROUPS,
             column="measured",
-            paper={
-                "1MC-8R": 1.0, "2MC-8R": 1.132, "4MC-8R": 1.324,
-                "1MC-16R": 1.004, "2MC-16R": 1.143, "4MC-16R": 1.338,
-                "+512K-L2": 1.001, "+1M-L2": 1.004,
-            },
-            note="shape: MC scaling >> rank scaling >> extra L2",
+            expect=(
+                Band("gm 1MC-8R", 1.0, 1.0, paper=1.0),
+                Band("gm 2MC-8R", 1.45, 1.7, paper=1.132, reason=_HOT_MC),
+                Band("gm 4MC-8R", 1.65, 2.1, paper=1.324, reason=_HOT_MC),
+                Band("gm 1MC-16R", 0.9, 1.1, paper=1.004),
+                Band("gm 2MC-16R", 1.5, 1.75, paper=1.143, reason=_HOT_MC),
+                Band("gm 4MC-16R", 1.7, 2.2, paper=1.338, reason=_HOT_MC),
+                Band("gm +512K-L2", 0.9, 1.1, paper=1.001),
+                Band("gm +1M-L2", 0.9, 1.1, paper=1.004),
+                Ordering(("gm +1M-L2", "gm 1MC-16R", "gm 4MC-16R")),
+            ),
         ),
-        # 1.75x in total over 3D-fast at (4MC, 16R, 4RB).
+        # 1.75x in total over 3D-fast at (4MC, 16R, 4RB); the first
+        # extra entry gives most of the row-buffer gain.
         Experiment(
             name="figure6b",
             title="Figure 6(b): GM(H,VH) speedup over 3D-fast vs row-buffer entries",
@@ -426,18 +474,38 @@ CATALOG: Dict[str, Experiment] = {
             groups=HEADLINE_GROUPS,
             show_baseline=False,
             column="measured",
-            paper={
-                "2MC-8R-1RB": 1.132, "2MC-8R-2RB": 1.408,
-                "2MC-8R-3RB": 1.507, "2MC-8R-4RB": 1.547,
-                "4MC-16R-1RB": 1.338, "4MC-16R-2RB": 1.671,
-                "4MC-16R-3RB": 1.731, "4MC-16R-4RB": 1.747,
-            },
-            note="shape: first extra row-buffer entry gives most of the gain",
+            expect=(
+                Band("gm 2MC-8R-1RB", 1.45, 1.7, paper=1.132, reason=_HOT_MC),
+                Band("gm 2MC-8R-2RB", 1.4, 1.7, paper=1.408),
+                Band("gm 2MC-8R-3RB", 1.45, 1.7, paper=1.507),
+                Band("gm 2MC-8R-4RB", 1.45, 1.7, paper=1.547),
+                Band("gm 4MC-16R-1RB", 1.7, 2.2, paper=1.338, reason=_HOT_MC),
+                Band("gm 4MC-16R-2RB", 1.65, 2.2, paper=1.671),
+                Band("gm 4MC-16R-3RB", 1.7, 2.2, paper=1.731),
+                Band("gm 4MC-16R-4RB", 1.7, 2.2, paper=1.747),
+                Band("gm 2MC-8R-2RB / 2MC-8R-1RB", 0.97, 1.05,
+                     paper=1.408 / 1.132, reason=_FLAT_ROW_BUFFERS),
+                Band("gm 2MC-8R-4RB / 2MC-8R-1RB", 0.97, 1.05,
+                     paper=1.547 / 1.132, reason=_FLAT_ROW_BUFFERS),
+                Band("gm 4MC-16R-2RB / 4MC-16R-1RB", 0.97, 1.05,
+                     paper=1.671 / 1.338, reason=_FLAT_ROW_BUFFERS),
+                Band("gm 4MC-16R-4RB / 4MC-16R-1RB", 0.97, 1.05,
+                     paper=1.747 / 1.338, reason=_FLAT_ROW_BUFFERS),
+            ),
         ),
         _figure7("dual"),
         _figure7("quad"),
-        _figure9("dual", paper_vd=23.0, paper_probes=2.31),
-        _figure9("quad", paper_vd=17.8, paper_probes=2.21),
+        _figure9(
+            "dual",
+            Band("gm V+D @H,VH", 50.0, 85.0, paper=23.0,
+                 reason=f"the gain is 8xMSHR's, capacity alone, {_UNTESTED}"),
+            Band("probes VBF @H,VH", 1.3, 1.5, paper=2.31, reason=_VBF_PROBES),
+        ),
+        _figure9(
+            "quad",
+            Band("gm V+D @H,VH", 17.0, 50.0, paper=17.8),
+            Band("probes VBF @H,VH", 1.15, 1.3, paper=2.21, reason=_VBF_PROBES),
+        ),
         _ablation(
             "scheduler", "memory scheduler (over fr-fcfs)",
             [
@@ -445,6 +513,12 @@ CATALOG: Dict[str, Experiment] = {
                 ("fcfs", {"scheduler": "fcfs"}),
                 ("writedrain", {"scheduler": "frfcfs-writedrain"}),
             ],
+            expect=(
+                # The paper's row-hit-first scheduling beats FIFO...
+                Ordering(("gm fcfs", "gm fr-fcfs"),
+                         reason=f"FCFS is no slower than FR-FCFS here, {_UNTESTED}"),
+                Band("gm writedrain", 0.98, 1.02),  # ... and write drain ties it
+            ),
         ),
         _ablation(
             "interleave", "L2 bank interleaving (over page/streamlined)",
@@ -452,6 +526,10 @@ CATALOG: Dict[str, Experiment] = {
                 ("page-interleaved", {}),
                 ("line-interleaved", {"l2_interleave": "line"}),
             ],
+            # The shared request bus of line interleaving should cost
+            # performance; it costs nothing measurable here.
+            expect=(Band("gm line-interleaved", 0.99, 1.07,
+                         reason=f"the shared bus costs nothing measurable, {_UNTESTED}"),),
         ),
         _ablation(
             "prefetch", "prefetching (over prefetch on)",
@@ -459,6 +537,8 @@ CATALOG: Dict[str, Experiment] = {
                 ("prefetch-on", {}),
                 ("prefetch-off", {"l1_prefetch": False, "l2_prefetch": False}),
             ],
+            # Prefetching costs on the bandwidth-saturated H/VH mixes.
+            expect=(Band("gm prefetch-off", 1.0, 1.3),),
         ),
         _ablation(
             "replacement", "L2 replacement policy (over LRU)",
@@ -495,7 +575,13 @@ CATALOG: Dict[str, Experiment] = {
             ],
             column="GM speedup vs ideal",
             show_probes=True,
-            note="shape: vbf ~= ideal CAM; linear probing pays many probes",
+            # vbf ~= ideal CAM; linear probing pays many probes.
+            expect=(
+                Band("gm vbf", 0.95, 1.05),
+                Ordering(("gm linear-probe", "gm vbf")),
+                Ordering(("probes vbf", "probes linear-probe"), per_mix=True),
+                Band("probes linear-probe", 10.0, 15.0),
+            ),
         ),
         # The paper's Section 6 ranking as an experiment: "2D+L3" spends
         # the stack on a 64 MiB L3 with the DRAM still off-chip.
@@ -511,10 +597,9 @@ CATALOG: Dict[str, Experiment] = {
                 config_quad_mc().derive(name="quad-MC"),
             ],
             groups=HEADLINE_GROUPS,
-            note=(
-                "expected: stacked cache < any stacked memory; "
-                "re-architected memory widens the gap (paper Section 6)"
-            ),
+            # Stacked cache < any stacked memory; re-architected memory
+            # widens the gap.
+            expect=(Ordering(("gm 2D", "gm 2D+L3", "gm 3D", "gm 3D-fast", "gm quad-MC")),),
         ),
         ras_study_experiment(),
         stack_modes_experiment(),
@@ -560,8 +645,9 @@ def run_experiment(
     return ExperimentResult(experiment, table)
 
 
-def render(result) -> str:
-    """A result's report text; a degraded run renders what it can.
+def render(experiment: Experiment, result) -> str:
+    """A result's report text plus its claims, measured on it (the
+    note); a degraded run renders what it can.
 
     A report over a failed cell reads "report incomplete" with the
     cell's post-mortem; any recorded failures are listed below it.
@@ -570,6 +656,9 @@ def render(result) -> str:
         text = result.format()
     except CellFailedError as exc:
         text = f"report incomplete — {exc}"
+    note = claims_note(experiment, result.table)
+    if note:
+        text = f"{text}\n{note}"
     failures = result.table.failures
     if failures:
         lines = [f"\nWARNING: {len(failures)} cell(s) failed:"]

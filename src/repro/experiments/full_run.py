@@ -2,8 +2,9 @@
 
 ``run_full_suite`` runs the catalog's suite and returns the rendered
 report per experiment; with ``output_dir`` each report is also written
-to ``<name>.txt``.  This is what produced the numbers recorded in
-EXPERIMENTS.md (at the ``default`` scale).
+to ``<name>.txt``.  (The numbers EXPERIMENTS.md quotes are the
+``default`` column of ``FIDELITY.json``, written by ``python -m repro
+validate fidelity``.)
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ def run_full_suite(
             name, scale, mixes, seed=seed, workers=workers, policy=job_policy,
             checkers=checkers, sampling=sampling,
         )
-        reports[name] = render(result)
+        reports[name] = render(CATALOG[name], result)
         if directory is not None:
             (directory / f"{name}.txt").write_text(reports[name] + "\n")
         if progress:

@@ -6,7 +6,7 @@ so paper-vs-measured comparison is a side-by-side read.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Sequence
 
 
 def format_table(
@@ -63,32 +63,3 @@ def with_sampling_note(note: str, table) -> str:
     """
     return "\n".join(part for part in (note, table.sampling_note()) if part)
 
-
-def format_comparison(
-    title: str,
-    rows: Sequence[str],
-    paper: Sequence[float],
-    measured: Sequence[float],
-    metric: str = "speedup",
-) -> str:
-    """Two-column paper-vs-measured table with the ratio."""
-    if not (len(rows) == len(paper) == len(measured)):
-        raise ValueError("rows, paper, measured must have equal length")
-    ratios: List[float] = [
-        (m / p) if p else float("nan") for p, m in zip(paper, measured)
-    ]
-    return format_table(
-        title,
-        rows,
-        {
-            f"paper {metric}": list(paper),
-            f"measured {metric}": list(measured),
-            "measured/paper": ratios,
-        },
-    )
-
-
-def speedup_suffix(value: float, baseline_name: Optional[str] = None) -> str:
-    """Human phrasing like '1.75x over 3D-fast'."""
-    base = f" over {baseline_name}" if baseline_name else ""
-    return f"{value:.2f}x{base}"

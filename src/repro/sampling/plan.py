@@ -19,8 +19,9 @@ The CLI spec syntax mirrors ``--check``'s comma-separated style::
     --sample detailed:1200,warmup:4650
     --sample detailed:1200,warmup:4650,detail_warmup:400,min_intervals:8
 
-and the ``REPRO_SAMPLE`` environment variable carries the same spec
-across process boundaries (worker processes of ``run_matrix``).
+and ``run_matrix`` reads the same spec from the ``REPRO_SAMPLE``
+environment variable when it is given none — its only reader; worker
+processes receive the resolved spec on each cell task.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import os
 from dataclasses import dataclass
 from typing import Optional
 
-#: Environment variable carrying a sampling spec into worker processes.
+#: Environment variable ``run_matrix`` falls back to for a sampling spec.
 ENV_SAMPLE = "REPRO_SAMPLE"
 
 #: Spec keys accepted by :func:`parse_sample_spec`, with defaults.  The

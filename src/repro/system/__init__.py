@@ -12,7 +12,7 @@ from .config import (
     with_mshr,
 )
 from .machine import CoreResult, Machine, MachineResult, run_workload
-from .scale import DEFAULT, LARGE, SMOKE, ExperimentScale, get_scale, scale_from_env
+from .scale import DEFAULT, LARGE, SMOKE, ExperimentScale, get_scale
 from .validation import LatencyBreakdown, latency_ladder, unloaded_read_latency
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "config_quad_mc",
     "get_scale",
     "run_workload",
-    "scale_from_env",
     "latency_ladder",
     "unloaded_read_latency",
     "with_mshr",

@@ -9,7 +9,6 @@ statistically stationary — there are no program phases to sample across.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 
@@ -41,7 +40,3 @@ def get_scale(name: str) -> ExperimentScale:
             f"unknown scale {name!r}; known: {', '.join(sorted(_SCALES))}"
         ) from None
 
-
-def scale_from_env(default: str = "default") -> ExperimentScale:
-    """Scale selected by the ``REPRO_SCALE`` environment variable."""
-    return get_scale(os.environ.get("REPRO_SCALE", default))

@@ -3,9 +3,10 @@
 The exactness *gates* are tier-1 tests (docs/validation.md has the
 table); these point the same differentials at a config, mix and scale
 of the user's choosing, plus the one comparison too long for tier-1
-(:func:`sampling`).  Each prints its report and returns the exit code:
-1, with a ``FAIL:`` line per violated expectation on stderr, when the
-differential does not come out the way the tool exists to show.
+(:func:`sampling`) and the paper-claim measurement (:func:`fidelity`).
+Each prints its report and returns the exit code: 1, with a ``FAIL:``
+line per violated expectation on stderr, when the differential does not
+come out the way the tool exists to show.
 """
 
 from __future__ import annotations
@@ -15,10 +16,13 @@ import random
 import sys
 import tempfile
 import time
+from pathlib import Path
 from typing import List, Optional
 
-from ..experiments.catalog import run_experiment
+from ..experiments import fidelity as claims
+from ..experiments.catalog import CATALOG, run_experiment
 from ..sampling.plan import SamplingPlan, parse_sample_spec
+from ..workloads.mixes import MIXES
 from .diff import diff_engines, diff_resume, diff_timing_presets, resume_shapes
 
 #: Per-config bound on ``|speedup_sampled / speedup_full - 1|``
@@ -133,3 +137,34 @@ def sampling(mix, scale, seed, spec: Optional[str] = None) -> int:
     if ratio < SAMPLING_MIN_SPEEDUP:
         failures.append(f"sampled sweep only {ratio:.2f}x faster than full detail")
     return _verdict("sampling", failures)
+
+
+def fidelity(scale) -> int:
+    """Every catalog claim (``Experiment.expect``) measured at ``scale``
+    (smoke: the gate mixes; default: each entry's own) into that column
+    of ``FIDELITY.json`` and EXPERIMENTS.md's tables, in the working
+    directory.  Fails on a failed cell (writing nothing) or on a row
+    outside its band in either column."""
+    measured, failures = {}, []
+    for experiment in CATALOG.values():
+        if not experiment.expect:
+            continue
+        mixes = None
+        if scale.name == "smoke":
+            mixes = [
+                MIXES[m] for m in claims.GATE_MIXES
+                if not experiment.groups or MIXES[m].group in experiment.groups
+            ]
+        print(f"{experiment.name} ({scale.name} scale)", flush=True)
+        result = run_experiment(experiment, scale, mixes)
+        failures += [f.describe() for f in result.table.failures.values()]
+        measured.update(claims.measure(experiment, result.table))
+    if failures:
+        return _verdict("fidelity", failures)
+    path, doc = Path("FIDELITY.json"), Path("EXPERIMENTS.md")
+    columns = claims.loads(path.read_text("utf-8"))[1] if path.exists() else {}
+    rows = claims.rows(CATALOG.values(), dict(columns, **{scale.name: measured}))
+    path.write_text(claims.dumps(rows), "utf-8")
+    if doc.exists():
+        doc.write_text(claims.rewrite_tables(doc.read_text("utf-8"), rows), "utf-8")
+    return _verdict("fidelity", claims.violations(rows))

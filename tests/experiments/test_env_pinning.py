@@ -1,9 +1,8 @@
 """Pin the public environment-variable names.
 
-``REPRO_PARALLEL`` (and the benchmark knobs ``REPRO_SCALE`` /
-``REPRO_MIXES``) are user-facing contract: they appear in the README and
-generated API docs.  These tests fail if the literal names drift in any
-of the places that consume or document them.
+``REPRO_PARALLEL`` is user-facing contract: it appears in the README and
+the generated API docs.  These tests fail if the literal name drifts in
+any of the places that consume or document it.
 """
 
 from pathlib import Path
@@ -37,16 +36,8 @@ def test_repro_parallel_rejects_bad_values(monkeypatch, bad):
         parallelism_from_env()
 
 
-@pytest.mark.parametrize(
-    "relpath",
-    ["README.md", "docs/api.md", "benchmarks/conftest.py"],
-)
+@pytest.mark.parametrize("relpath", ["README.md", "docs/api.md"])
 def test_literal_name_documented(relpath):
     text = (REPO_ROOT / relpath).read_text(encoding="utf-8")
     assert "REPRO_PARALLEL" in text, f"{relpath} lost the REPRO_PARALLEL name"
 
-
-def test_benchmark_knob_names_documented_in_conftest():
-    text = (REPO_ROOT / "benchmarks" / "conftest.py").read_text(encoding="utf-8")
-    for name in ("REPRO_SCALE", "REPRO_MIXES"):
-        assert name in text

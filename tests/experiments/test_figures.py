@@ -8,7 +8,7 @@ from functools import lru_cache
 
 import pytest
 
-from repro.experiments.catalog import CATALOG, run_experiment
+from repro.experiments.catalog import CATALOG, render, run_experiment
 from repro.experiments.table2 import run_table2a
 from repro.system.scale import ExperimentScale
 from repro.workloads.mixes import MIXES
@@ -29,13 +29,12 @@ def test_every_catalog_entry_runs_formats_and_charts(name):
     names = [config.name for config in experiment.configs()]
     assert len(set(names)) == len(names)
     assert experiment.default_mixes()
-    assert set(experiment.paper) <= set(names)
-    assert set(experiment.paper_probes) <= set(names)
 
     result = run(name)
     assert result.table.configs == names
     assert not result.table.failures
-    assert result.format()
+    # Every claim's quantities name configs of the matrix (else KeyError).
+    assert render(experiment, result)
     if experiment.run is None and experiment.result is None:
         assert experiment.title in result.format()
         assert result.baseline == names[0]
@@ -50,8 +49,11 @@ def test_figure4_structure_and_format():
     text = result.format()
     assert "Figure 4" in text
     assert "H3" in text and "3D-fast" in text and "GM(all)" in text
-    # The paper's reference values appear once, in the catalog entry.
-    assert "paper GM(H,VH): 3D 1.35x, 3D-wide 1.72x, 3D-fast 2.17x" in text
+    # The claims (paper values included) are the rendered note; this
+    # run's one H mix leaves the claim over the M mixes unmeasured.
+    note = render(CATALOG["figure4"], result)[len(text):]
+    assert "gm 3D-fast @H,VH in [" in note and "(paper 2.168)" in note
+    assert "not measured on these mixes" in note
 
 
 def test_figure6a_structure():
@@ -92,8 +94,10 @@ def test_figure9_structure():
     probes = result.probes("VBF")
     assert probes >= 1.0
     text = result.format()
-    assert "V+D" in text and "probes/access" in text
-    assert "paper GM(H,VH) for V+D: +17.8%" in text and "(paper 2.21)" in text
+    assert "V+D" in text
+    note = render(CATALOG["figure9_quad"], result)[len(text):]
+    assert "gm V+D @H,VH in [" in note and "(paper 17.8)" in note
+    assert "probes VBF @H,VH in [" in note and "(paper 2.21)" in note
 
 
 def test_figure9_rejects_unknown_panel():
@@ -123,7 +127,7 @@ def test_table2a_takes_checkers_and_sampling():
 
 def test_table2b_structure():
     result = run_experiment("table2b", scale=TINY, mixes=[MIXES["M3"]], workers=1)
-    assert result.hmipc["M3"] > 0
+    assert result.table.hmipc("2D", "M3") > 0
     assert "Table 2(b)" in result.format()
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.report import format_comparison, format_table, speedup_suffix
+from repro.experiments.report import format_table
 
 
 def test_format_table_basic():
@@ -28,19 +28,3 @@ def test_format_table_length_mismatch():
     with pytest.raises(ValueError):
         format_table("T", ["a", "b"], {"v": [1.0]})
 
-
-def test_format_comparison_includes_ratio():
-    text = format_comparison("C", ["w"], paper=[2.0], measured=[3.0])
-    assert "paper speedup" in text
-    assert "measured/paper" in text
-    assert "1.500" in text
-
-
-def test_format_comparison_length_mismatch():
-    with pytest.raises(ValueError):
-        format_comparison("C", ["w"], [1.0], [1.0, 2.0])
-
-
-def test_speedup_suffix():
-    assert speedup_suffix(1.754) == "1.75x"
-    assert speedup_suffix(2.0, "3D-fast") == "2.00x over 3D-fast"

@@ -266,7 +266,7 @@ def test_figure7_journal_is_resumed_by_report(capsys, monkeypatch, tmp_path):
         # The reproduced defect: the snapshot driver's `--one bogus` ran
         # zero scenarios, printed nothing and exited 0.
         (["validate", "resume", "--shape", "bogus"], 2, "unknown shape 'bogus'"),
-        (["validate"], 2, "{engines,timing,resume,sampling}"),
+        (["validate"], 2, "{engines,timing,resume,sampling,fidelity}"),
         # No --smoke switch overriding the other flags: each is honoured,
         # and the defaults are the old smoke values.
         (["validate", "sampling", "--smoke"], 2, "unrecognized arguments: --smoke"),
@@ -276,6 +276,8 @@ def test_figure7_journal_is_resumed_by_report(capsys, monkeypatch, tmp_path):
              "--scale", "smoke", "--seed", "7"],
             0, "VH1 smoke 7 detailed:500",
         ),
+        # FIDELITY.json has a smoke and a default column, nothing else.
+        (["validate", "fidelity", "--scale", "bogus"], 2, "invalid choice: 'bogus'"),
     ],
 )
 def test_validate_that_checks_nothing_does_not_pass(

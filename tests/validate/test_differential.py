@@ -109,14 +109,22 @@ def test_timing_presets_diverge():
     assert "DIVERGE" in report.format()
 
 
-@pytest.mark.parametrize("tool", ["engines", "timing", "resume", "sampling"])
-def test_validate_tool_exits_1_on_the_wrong_verdict(capsys, monkeypatch, tool):
+@pytest.mark.parametrize(
+    "tool",
+    ["engines", "timing", "resume", "sampling", "fidelity", "fidelity-failed-cell"],
+)
+def test_validate_tool_exits_1_on_the_wrong_verdict(
+    capsys, monkeypatch, tmp_path, tool
+):
     """Each tool fails when its differential does not come out the way
     the tool exists to show (fabricated, as in
     ``test_diff_reports_first_divergence``)."""
     from types import SimpleNamespace
 
     from repro.engine.simulator import HeapEngine
+    from repro.experiments import faults
+    from repro.experiments.catalog import Experiment
+    from repro.experiments.fidelity import Band
     from repro.validate import diff, tools
 
     run_traced = diff.run_traced
@@ -136,7 +144,20 @@ def test_validate_tool_exits_1_on_the_wrong_verdict(capsys, monkeypatch, tool):
         return SimpleNamespace(table=table)
 
     monkeypatch.setattr(diff, "run_traced", losing_a_command)
-    monkeypatch.setattr(tools, "run_experiment", skewed)
+    if tool == "sampling":
+        monkeypatch.setattr(tools, "run_experiment", skewed)
+    if tool.startswith("fidelity"):
+        # A one-claim catalog: 3D-fast is ~2x 2D on H1, so [100, 200] is
+        # out of reach; [0, 200] fails only through the failed cell.
+        failed_cell = tool == "fidelity-failed-cell"
+        claim = Band("gm 3D-fast", 0.0 if failed_cell else 100.0, 200.0)
+        monkeypatch.setattr(tools, "CATALOG", {"fake": Experiment(
+            name="fake", configs=lambda: [config_2d(), config_3d_fast()],
+            groups=("H",), expect=(claim,),
+        )})
+        monkeypatch.chdir(tmp_path)
+        if failed_cell:
+            monkeypatch.setenv(faults.ENV_VAR, "raise:3D-fast:H1:-1")
     if tool != "resume":  # whose snapshot cadences need a smoke-long run
         monkeypatch.setitem(scale_mod._SCALES, "smoke", TINY)
     argv = {
@@ -144,11 +165,14 @@ def test_validate_tool_exits_1_on_the_wrong_verdict(capsys, monkeypatch, tool):
         "timing": ["timing", "--preset-a", "2d", "--preset-b", "2d"],
         "resume": ["resume", "--shape", "plain"],
         "sampling": ["sampling"],
-    }[tool]
+    }.get(tool, ["fidelity"])
     assert main(["validate"] + argv) == 1
     captured = capsys.readouterr()
     assert "FAIL: " in captured.err
-    assert f"validate {tool}: OK" not in captured.out
+    assert f"validate {argv[0]}: OK" not in captured.out
+    if tool == "fidelity-failed-cell":  # nothing written over a failed cell
+        assert "cell (3D-fast, H1) failed" in captured.err
+        assert not (tmp_path / "FIDELITY.json").exists()
 
 
 def test_validate_engines_passes_on_the_stock_model(capsys, monkeypatch):
