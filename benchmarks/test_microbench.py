@@ -19,8 +19,8 @@ from repro.mshr.vbf_mshr import VbfMshr
 def test_engine_event_throughput(benchmark):
     """The tracked engine workload: 32 interleaved delay chains.
 
-    A deep queue of short, mixed delays is where the calendar-queue
-    insert path earns its keep.
+    A deep queue of short, mixed delays: every schedule and dispatch is
+    a heap push and pop over ~32 entries.
     """
 
     def run():

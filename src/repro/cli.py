@@ -20,8 +20,8 @@ Commands:
   study (flat memory / L4 cache / MemCache — see docs/stack_modes.md).
 * ``report --output results/``        — regenerate everything.
 * ``fairness --config quad-mc``       — solo-vs-mixed fairness metrics.
-* ``validate {engines,timing,resume,sampling}`` — run one differential
-  of :mod:`repro.validate.diff` (or the sampling accuracy gate) on a
+* ``validate {timing,resume,sampling}`` — run one differential of
+  :mod:`repro.validate.diff` (or the sampling accuracy gate) on a
   config/mix/scale of your choosing; ``validate fidelity`` measures
   every paper claim of the catalog into ``FIDELITY.json``.  See
   ``docs/validation.md``.
@@ -608,11 +608,6 @@ def build_parser() -> argparse.ArgumentParser:
         "chosen config/mix/scale; exit 1 on an unexpected verdict",
     )
     tools = p_val.add_subparsers(dest="tool", required=True)
-    p_eng = tools.add_parser(
-        "engines", help="calendar-queue vs heap engine: must be identical"
-    )
-    _add_cell_args(p_eng, "2d")
-    _add_check_flag(p_eng)
     p_tim = tools.add_parser(
         "timing", help="two DRAM timing presets: where the faster one "
         "first changes behaviour",

@@ -3,7 +3,6 @@
 from .event import Event
 from .simulator import (
     Engine,
-    HeapEngine,
     SimulationDeadlock,
     SimulationError,
     SimulationHang,
@@ -13,7 +12,6 @@ from .simulator import (
 __all__ = [
     "Engine",
     "Event",
-    "HeapEngine",
     "SimulationDeadlock",
     "SimulationError",
     "SimulationHang",

@@ -17,15 +17,11 @@ class Event:
     Events are created through :meth:`repro.engine.simulator.Engine.schedule`
     and may be cancelled with :meth:`cancel`.  A cancelled event stays in
     the engine's queue but is skipped when popped (lazy deletion), which is
-    much cheaper than re-heapifying.
-
-    ``heap_owner`` is only assigned for events resident in an engine's
-    far-future heap: cancelling one notifies the engine so it can compact
-    the heap once cancelled events dominate it.  Wheel-resident events
-    (the overwhelming majority) never pay for the extra slot write.
+    much cheaper than re-heapifying.  The engine orders its queue on the
+    ``(time, seq)`` key it stores beside each event, never on the event.
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "heap_owner")
+    __slots__ = ("time", "seq", "fn", "args", "cancelled")
 
     def __init__(self, time: int, seq: int, fn: Callable[..., Any], args: Tuple[Any, ...]):
         self.time = time
@@ -36,20 +32,7 @@ class Event:
 
     def cancel(self) -> None:
         """Mark the event so the engine skips it instead of firing it."""
-        if self.cancelled:
-            return
         self.cancelled = True
-        owner = getattr(self, "heap_owner", None)
-        if owner is not None:
-            owner._note_heap_cancel()
-
-    def __lt__(self, other: "Event") -> bool:
-        # heapq ordering: primary key is the fire time, secondary is the
-        # monotonically increasing sequence number so that two events
-        # scheduled for the same cycle fire in scheduling order (FIFO).
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = " cancelled" if self.cancelled else ""

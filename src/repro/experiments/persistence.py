@@ -7,8 +7,8 @@ re-run instantly without re-simulating.
 Two complementary mechanisms:
 
 * :func:`save_table`/:func:`load_table` — a complete table as one JSON
-  document, written atomically (temp file + ``os.replace``) so an
-  interrupt mid-save never corrupts an existing results file.
+  document, written with :func:`~repro.common.durable.write_atomic` so
+  an interrupt mid-save never corrupts an existing results file.
 * :class:`CellJournal` — an incremental JSONL journal appended (and
   fsync'd) one record per *completed cell* while a matrix is running,
   so an interrupted sweep can resume and skip finished cells
@@ -24,6 +24,7 @@ import os
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
+from ..common.durable import write_atomic
 from ..common.errors import JournalConfigMismatch
 from ..system.machine import CoreResult, MachineResult
 from ..system.scale import ExperimentScale
@@ -100,20 +101,6 @@ def _failure_from_dict(data: dict) -> CellFailure:
     )
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` without ever exposing a partial file."""
-    tmp = path.with_name(f".{path.name}.tmp.{os.getpid()}")
-    try:
-        with open(tmp, "w") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    finally:
-        if tmp.exists():
-            tmp.unlink()
-
-
 def table_to_dict(table: ResultTable) -> dict:
     """The one wire form of a table (results file and HTTP API)."""
     return {
@@ -153,7 +140,7 @@ def table_from_dict(payload: dict) -> ResultTable:
 def save_table(table: ResultTable, path: PathLike) -> None:
     """Write a result table to a JSON file (atomically)."""
     payload = {"format_version": _FORMAT_VERSION, **table_to_dict(table)}
-    _write_atomic(Path(path), json.dumps(payload, indent=2, sort_keys=True))
+    write_atomic(path, json.dumps(payload, indent=2, sort_keys=True))
 
 
 def load_table(path: PathLike) -> ResultTable:

@@ -527,15 +527,14 @@ def run_matrix(
 
     ``sampling`` runs every cell in sampled mode (see
     :mod:`repro.sampling`): a spec string such as
-    ``"detailed:1200,warmup:4650"`` or ``"on"`` for the default plan.
-    ``None`` falls back to the ``REPRO_SAMPLE`` environment variable,
-    and full-detail simulation when that is unset too.  Sampled cell
-    results carry ``sample_*`` keys in ``MachineResult.extra`` (interval
-    count and the relative 95% CI of the IPC estimate), which the
-    journal persists alongside the speedups; a sampled journal is only
-    resumed under the same sampling plan.
+    ``"detailed:1200,warmup:4650"`` or ``"on"`` for the default plan;
+    ``None`` simulates in full detail.  Sampled cell results carry
+    ``sample_*`` keys in ``MachineResult.extra`` (interval count and the
+    relative 95% CI of the IPC estimate), which the journal persists
+    alongside the speedups; a sampled journal is only resumed under the
+    same sampling plan.
 
-    Both variables are read here, once: the cells (and the journal
+    ``REPRO_CHECK`` is read here, once: the cells (and the journal
     signature) carry the resolved values, and workers never consult the
     environment for them.
     """
@@ -554,11 +553,11 @@ def run_matrix(
         raise ValueError("resume=True needs a journal_path to resume from")
     workers = parallelism_from_env() if workers is None else max(1, workers)
     supervised = workers > 1 or policy.cell_timeout is not None
-    from ..sampling.plan import ENV_SAMPLE, parse_sample_spec
+    from ..sampling.plan import parse_sample_spec
 
     if checkers is None:
         checkers = os.environ.get(ENV_CHECK) or None
-    sampling = sampling or os.environ.get(ENV_SAMPLE) or None
+    sampling = sampling or None
     parse_sample_spec(sampling)  # fail fast on a malformed spec
 
     snapshot_dir = None

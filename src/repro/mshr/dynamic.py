@@ -106,7 +106,7 @@ class DynamicMshrTuner:
 
     def capture_state(self) -> dict:
         """Sampling state machine.  The in-flight phase events live in
-        the engine wheel and re-bind to this tuner via bound-method
+        the engine queue and re-bind to this tuner via bound-method
         references; per-file ``capacity_limit`` is restored by each
         file's own seam."""
         return {

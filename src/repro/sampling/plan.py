@@ -19,19 +19,14 @@ The CLI spec syntax mirrors ``--check``'s comma-separated style::
     --sample detailed:1200,warmup:4650
     --sample detailed:1200,warmup:4650,detail_warmup:400,min_intervals:8
 
-and ``run_matrix`` reads the same spec from the ``REPRO_SAMPLE``
-environment variable when it is given none — its only reader; worker
-processes receive the resolved spec on each cell task.
+and travels as an argument: ``run_matrix(sampling=...)`` takes the same
+string, and worker processes receive it on each cell task.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Optional
-
-#: Environment variable ``run_matrix`` falls back to for a sampling spec.
-ENV_SAMPLE = "REPRO_SAMPLE"
 
 #: Spec keys accepted by :func:`parse_sample_spec`, with defaults.  The
 #: default plan was tuned on the figure-4 configs at the ``large``
@@ -122,8 +117,3 @@ def parse_sample_spec(spec: Optional[str]) -> Optional[SamplingPlan]:
                 f"bad sampling spec count {raw!r} for key {key!r}"
             ) from None
     return SamplingPlan(**values)
-
-
-def plan_from_env() -> Optional[SamplingPlan]:
-    """The plan requested via ``REPRO_SAMPLE``, if any."""
-    return parse_sample_spec(os.environ.get(ENV_SAMPLE))

@@ -9,7 +9,7 @@ Detected corruption moves the entry into ``<root>/quarantine/`` (kept
 for post-mortems, never read again) and reports a miss — the service
 recomputes and rewrites the cell.
 
-Writes are atomic (temp file + ``os.replace`` + fsync) so a crash
+Writes go through :func:`~repro.common.durable.write_atomic` so a crash
 mid-write can never leave a half-entry under a valid key; the worst
 case is a missing entry, which is just a miss.
 
@@ -26,6 +26,7 @@ import os
 from pathlib import Path
 from typing import Dict, Optional, Union
 
+from ..common.durable import write_atomic
 from ..experiments import faults
 from ..experiments.persistence import _result_from_dict, _result_to_dict
 from ..system.machine import MachineResult
@@ -101,16 +102,7 @@ class ResultCache:
         document = {"payload": payload, "sha256": _payload_digest(payload)}
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f".{path.name}.tmp.{os.getpid()}")
-        try:
-            with open(tmp, "w") as handle:
-                handle.write(json.dumps(document, sort_keys=True, indent=1))
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
-        finally:
-            if tmp.exists():
-                tmp.unlink()
+        write_atomic(path, json.dumps(document, sort_keys=True, indent=1))
         self.stats["writes"] += 1
         self._maybe_tamper(path, config_name, mix_name)
         return path

@@ -25,13 +25,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import re
 import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
+from ..common.durable import fsync_dir
 from ..common.errors import ServiceOverloadError
 from ..experiments.persistence import CellJournal
 from ..system.config import SystemConfig
@@ -253,11 +253,7 @@ class JobQueue:
             )
             journal.close()
             # The new file's directory entry is durable before the ack.
-            directory = os.open(self.directory, os.O_RDONLY)
-            try:
-                os.fsync(directory)
-            finally:
-                os.close(directory)
+            fsync_dir(self.directory)
             self._seq += 1
             self.jobs[job_id] = SweepJob(job_id, spec, journal)
             return job_id

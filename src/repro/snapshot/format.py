@@ -17,11 +17,11 @@ A snapshot file is::
   unpickler below refuses every global/class reference, so a tampered
   snapshot cannot execute code on load — it can only fail its checksum.
 
-Durability: writes go to a same-directory temp file which is fsynced,
-then atomically renamed over the destination (the CellJournal/ResultCache
-discipline).  A crash mid-write leaves either the old snapshot or none;
-a torn tail in a partially synced file is caught by the length and
-checksum checks and refused, never silently resumed.
+Durability: writes go through :func:`~repro.common.durable.write_atomic`
+(the results-file and ResultCache discipline: same-directory temp file,
+fsync, rename, directory fsync).  A crash mid-write leaves either the
+old snapshot or none; a torn tail in a partially synced file is caught
+by the length and checksum checks and refused, never silently resumed.
 """
 
 from __future__ import annotations
@@ -31,9 +31,9 @@ import io
 import json
 import os
 import pickle
-import tempfile
 from typing import Any, Dict, Optional, Tuple
 
+from ..common.durable import write_atomic
 from ..common.errors import (
     SnapshotConfigMismatch,
     SnapshotFormatError,
@@ -121,30 +121,8 @@ def write_snapshot_file(
             payload,
         )
     )
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".snapshot-", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(blob)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
-    # Also sync the directory entry so the rename itself is durable.
-    try:
-        dir_fd = os.open(directory, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform quirk
-        return
-    try:
-        os.fsync(dir_fd)
-    finally:
-        os.close(dir_fd)
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    write_atomic(path, blob)
 
 
 def read_snapshot_header(path: str) -> Dict[str, Any]:

@@ -116,17 +116,11 @@ class Machine:
         benchmarks: Sequence[str],
         seed: int = 42,
         workload_name: str = "",
-        engine: Optional[Engine] = None,
         checkers=None,
     ) -> None:
         """Wire a machine.
 
         Args:
-            engine: event engine to drive the machine with; defaults to
-                the calendar-queue :class:`~repro.engine.simulator.
-                Engine`.  The differential harness passes a
-                ``HeapEngine`` here to replay the same workload under
-                the reference scheduler.
             checkers: runtime invariant checkers to attach (``"all"``,
                 a comma-separated string, or an iterable of names from
                 :data:`repro.validate.CHECKER_NAMES`).  ``None`` (the
@@ -159,7 +153,7 @@ class Machine:
         for slot, request_index in enumerate(placement):
             self._slot_of_request[request_index] = slot
         placed_benchmarks = [benchmarks[i] for i in placement]
-        self.engine = engine if engine is not None else Engine()
+        self.engine = Engine()
         self.registry = StatRegistry()
         dram_capacity = config.dram_capacity
         ras_enabled = config.ras is not None and config.ras.enabled
@@ -528,9 +522,8 @@ class Machine:
             if warmup_instructions > 0:
                 # Each core reports crossing the warmup quota from inside
                 # its own commit event; the last one stops the run.  This
-                # keeps the engine on its batched fast path (no per-event
-                # predicate) and stops at exactly the event a stop_when
-                # poll would have.
+                # costs the drain loop no per-event predicate call and
+                # stops at exactly the event a stop_when poll would have.
                 self._run_phase = "warmup"
                 self._warmup_waiting = len(self.cores)
                 for core in self.cores:
@@ -691,9 +684,9 @@ class Machine:
 
         Two machines with equal fingerprints are interchangeable for
         resume purposes: same config contents (not just name), same
-        benchmark multiset and order, same seed, checkers and engine
-        kind.  Snapshot files record it and refuse to restore
-        onto a machine with a different one.
+        benchmark multiset and order, same seed and checkers.  Snapshot
+        files record it and refuse to restore onto a machine with a
+        different one.
         """
         from ..service.keys import canonical_json, config_to_dict
 
@@ -702,7 +695,6 @@ class Machine:
             "benchmarks": self._requested_benchmarks,
             "seed": self._seed,
             "checkers": self._checker_names,
-            "engine": type(self.engine).__name__,
             "workload": self.workload_name,
         }
         return hashlib.sha256(

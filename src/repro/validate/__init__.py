@@ -11,11 +11,10 @@ Three legs, all opt-in and zero-overhead when disabled:
   ``Machine(..., checkers="all")`` or the ``--check`` CLI flag.
 
 * **Differential harness** (:mod:`~repro.validate.diff`,
-  ``python -m repro validate``) runs the same workload under the
-  calendar-queue and heap engines (or under two DRAM timing presets, or
-  interrupted and resumed from a snapshot), records full per-bank
-  command transcripts, and reports the first divergence with cycle,
-  command, and bank-state dump.
+  ``python -m repro validate``) runs the same workload twice — under two
+  DRAM timing presets, or interrupted and resumed from a snapshot —
+  records full per-bank command transcripts, and reports the first
+  divergence with cycle, command, and bank-state dump.
 
 * **Property strategies** (``tests/strategies.py``) provide seeded
   random request streams, address patterns, and timing mutations that
@@ -31,7 +30,6 @@ from .base import Checker, CheckerSet
 from .diff import (
     DiffReport,
     TracedRun,
-    diff_engines,
     diff_modes,
     diff_resume,
     diff_runs,
@@ -59,7 +57,6 @@ __all__ = [
     "TracedRun",
     "TranscriptRecorder",
     "attach_checkers",
-    "diff_engines",
     "diff_modes",
     "diff_resume",
     "diff_runs",

@@ -1,25 +1,23 @@
-"""Differential validation: one workload, two implementations.
+"""Differential validation: one workload, two runs.
 
-The calendar-queue :class:`~repro.engine.simulator.Engine` exists only
-as a faster implementation of the :class:`~repro.engine.simulator.
-HeapEngine` contract, and every DRAM timing preset claims to model the
-*same* protocol at different speeds.  Both claims are checked the same
-way: run the identical workload twice, record the full per-bank command
-transcript (:class:`~repro.validate.transcript.TranscriptRecorder`) and
-the final stat tables, and diff them.
+Run the same workload twice, record the full per-bank command transcript
+(:class:`~repro.validate.transcript.TranscriptRecorder`) and the final
+stat tables, and diff them; the first differing command (or stat)
+localizes a behaviour change to a cycle and a bank.
 
-* :func:`diff_engines` must report **identical** — the two engines are
-  supposed to be bit-equivalent, so the first differing command (or
-  stat) localizes an engine bug to a cycle and a bank.
-* :func:`diff_timing_presets` must report **divergent** — it exists to
-  show *where* an aggressive timing first changes behaviour, which is
-  how a surprising speedup is audited back to a cause.
+* :func:`diff_timing_presets` must report **divergent** — every DRAM
+  timing preset claims to model the *same* protocol at different
+  speeds, and the diff shows *where* an aggressive timing first changes
+  behaviour, which is how a surprising speedup is audited back to a
+  cause.
 * :func:`diff_resume` interrupts the run instead: preempted at a
   snapshot boundary and resumed in a fresh machine, it must be
   **identical** to the uninterrupted run.
+* :func:`diff_modes` must report **identical** — memory mode against
+  the stack-mode facade configured as a pass-through.
 
-``python -m repro validate {engines,timing,resume}`` prints these
-reports for a chosen config/mix/scale (:mod:`repro.validate.tools`).
+``python -m repro validate {timing,resume}`` prints these reports for a
+chosen config/mix/scale (:mod:`repro.validate.tools`).
 """
 
 from __future__ import annotations
@@ -39,7 +37,6 @@ class TracedRun:
     label: str
     config_name: str
     workload: str
-    engine_name: str
     transcript: List[CommandRecord]
     stats: Dict[str, Dict[str, float]]
     result: object  # MachineResult
@@ -57,7 +54,6 @@ def run_traced(
     measure: int,
     seed: int = 42,
     workload_name: str = "",
-    engine=None,
     checkers=None,
     sampling=None,
     snapshot=None,
@@ -79,7 +75,6 @@ def run_traced(
         benchmarks,
         seed=seed,
         workload_name=workload_name,
-        engine=engine,
         checkers=checkers,
     )
     if resume_from is not None:
@@ -97,10 +92,9 @@ def run_traced(
         exc.records = recorder.records
         raise
     return TracedRun(
-        label=label or f"{config.name}/{type(machine.engine).__name__}",
+        label=label or config.name,
         config_name=config.name,
         workload=machine.workload_name,
-        engine_name=type(machine.engine).__name__,
         transcript=recorder.records,
         stats=machine.registry.dump(),
         result=result,
@@ -236,35 +230,6 @@ def diff_runs(lhs: TracedRun, rhs: TracedRun, context: int = 2) -> DiffReport:
     return report
 
 
-def diff_engines(
-    config: SystemConfig,
-    benchmarks: Sequence[str],
-    *,
-    warmup: int,
-    measure: int,
-    seed: int = 42,
-    workload_name: str = "",
-    checkers=None,
-) -> Tuple[DiffReport, TracedRun, TracedRun]:
-    """Same workload under the calendar-queue and heap engines.
-
-    These must be bit-identical; any difference is an engine bug.
-    """
-    from ..engine.simulator import Engine, HeapEngine
-
-    lhs = run_traced(
-        config, benchmarks, warmup=warmup, measure=measure, seed=seed,
-        workload_name=workload_name, engine=Engine(), checkers=checkers,
-        label=f"{config.name}/calendar",
-    )
-    rhs = run_traced(
-        config, benchmarks, warmup=warmup, measure=measure, seed=seed,
-        workload_name=workload_name, engine=HeapEngine(), checkers=checkers,
-        label=f"{config.name}/heap",
-    )
-    return diff_runs(lhs, rhs), lhs, rhs
-
-
 def filter_run(
     run: TracedRun,
     *,
@@ -293,7 +258,6 @@ def filter_run(
         label=label or f"{run.label}[filtered]",
         config_name=run.config_name,
         workload=run.workload,
-        engine_name=run.engine_name,
         transcript=transcript,
         stats=stats,
         result=run.result,

@@ -23,7 +23,7 @@ from ..experiments import fidelity as claims
 from ..experiments.catalog import CATALOG, run_experiment
 from ..sampling.plan import SamplingPlan, parse_sample_spec
 from ..workloads.mixes import MIXES
-from .diff import diff_engines, diff_resume, diff_timing_presets, resume_shapes
+from .diff import diff_resume, diff_timing_presets, resume_shapes
 
 #: Per-config bound on ``|speedup_sampled / speedup_full - 1|``
 #: (deterministic for a fixed seed, so stable across hosts).
@@ -46,17 +46,6 @@ def _budget(mix, scale, seed) -> dict:
         warmup=scale.warmup_instructions, measure=scale.measure_instructions,
         seed=seed, workload_name=mix.name,
     )
-
-
-def engines(config, mix, scale, seed, check=None) -> int:
-    """Calendar-queue vs heap engine: must be bit-identical."""
-    report, lhs, _ = diff_engines(
-        config, list(mix.benchmarks), checkers=check, **_budget(mix, scale, seed)
-    )
-    print(report.format())
-    print(f"({lhs.commands} DRAM commands, workload {mix.name}, {scale.name} scale)")
-    failures = [] if report.identical else [f"{config.name}: the engines diverged"]
-    return _verdict("engines", failures)
 
 
 def timing(config, mix, scale, seed, preset_a, preset_b) -> int:

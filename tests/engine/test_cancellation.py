@@ -1,28 +1,17 @@
 """Lazy cancellation: cancelled events never fire and never advance time.
 
-``run()`` and ``step()`` share one extraction helper (``_pop_live``), so
-both must discard cancelled events without touching ``now``, the fired
-counter, or event budgets.  Also covers the far-future heap compaction
-that bounds memory under cancel-heavy loads.
+A cancelled event stays queued until it reaches the top of the heap,
+where ``run()`` and ``step()`` alike discard it without touching ``now``,
+the fired counter, or event budgets.
 """
 
 import pytest
 
-from repro.engine import Engine, HeapEngine, SimulationHang
+from repro.engine import Engine, SimulationHang
 
 
-def _assert_wheel_consistent(engine):
-    """The wheel count must match the buckets, slot by slot."""
-    resident = sum(
-        len(bucket) for bucket in engine._wheel if bucket is not None
-    )
-    assert resident == engine._wheel_count
-    assert engine.pending == engine._wheel_count + len(engine._heap)
-
-
-@pytest.mark.parametrize("engine_cls", [Engine, HeapEngine])
-def test_cancelled_events_never_advance_now_in_step(engine_cls):
-    engine = engine_cls()
+def test_cancelled_events_never_advance_now_in_step():
+    engine = Engine()
     engine.schedule(5, lambda: None).cancel()
     engine.schedule(10, lambda: None)
     assert engine.step() is True  # fires the live event at t=10 directly
@@ -30,10 +19,9 @@ def test_cancelled_events_never_advance_now_in_step(engine_cls):
     assert engine.events_fired == 1
 
 
-@pytest.mark.parametrize("engine_cls", [Engine, HeapEngine])
-def test_all_cancelled_queue_drains_without_time_motion(engine_cls):
-    engine = engine_cls()
-    for delay in (3, 7, 7, 900):  # wheel residents and a heap resident
+def test_all_cancelled_queue_drains_without_time_motion():
+    engine = Engine()
+    for delay in (3, 7, 7, 900):
         engine.schedule(delay, lambda: None).cancel()
     assert engine.step() is False
     assert engine.now == 0
@@ -42,9 +30,8 @@ def test_all_cancelled_queue_drains_without_time_motion(engine_cls):
     assert engine.now == 0
 
 
-@pytest.mark.parametrize("engine_cls", [Engine, HeapEngine])
-def test_cancelled_events_never_advance_now_in_run(engine_cls):
-    engine = engine_cls()
+def test_cancelled_events_never_advance_now_in_run():
+    engine = Engine()
     times = []
     engine.schedule(4, lambda: None).cancel()
     engine.schedule(8, lambda: times.append(engine.now))
@@ -55,9 +42,8 @@ def test_cancelled_events_never_advance_now_in_run(engine_cls):
     assert engine.events_fired == 1
 
 
-@pytest.mark.parametrize("engine_cls", [Engine, HeapEngine])
-def test_cancelled_events_do_not_consume_budget(engine_cls):
-    engine = engine_cls()
+def test_cancelled_events_do_not_consume_budget():
+    engine = Engine()
     fired = []
     for i in range(10):
         event = engine.schedule(1 + i, fired.append, i)
@@ -68,7 +54,7 @@ def test_cancelled_events_do_not_consume_budget(engine_cls):
 
 
 def test_cancelled_same_cycle_siblings_are_skipped_in_batch():
-    """Within one wheel slot, cancels interleaved with live events."""
+    """Within one cycle, cancels interleaved with live events."""
     engine = Engine()
     fired = []
     events = [engine.schedule(5, fired.append, i) for i in range(6)]
@@ -78,23 +64,6 @@ def test_cancelled_same_cycle_siblings_are_skipped_in_batch():
     engine.run()
     assert fired == [1, 2, 4]
     assert engine.now == 5
-
-
-def test_heap_compaction_bounds_cancelled_residents():
-    """Far-future cancels trigger an in-place heap rebuild."""
-    engine = Engine()
-    keep = engine.schedule(50_000, lambda: None)
-    doomed = [engine.schedule(10_000 + i, lambda: None) for i in range(200)]
-    assert engine.pending == 201
-    for event in doomed:
-        event.cancel()
-    # Compaction kicked in: most cancelled events physically removed
-    # (up to COMPACT_MIN_CANCELLED stragglers may remain), the live
-    # far-future event retained.
-    assert engine.pending < 66
-    assert not keep.cancelled
-    engine.run()
-    assert engine.now == 50_000
 
 
 def test_cancel_from_inside_same_cycle_batch():
@@ -115,29 +84,25 @@ def test_cancel_from_inside_same_cycle_batch():
 
 
 # ----------------------------------------------------------------------
-# Lazy-compaction edge cases: the *last* event in a calendar slot at the
-# current cycle gets cancelled.  The slot must be released (not leaked as
-# a cancelled-only bucket), the wheel count must stay exact, and time
-# must never move.
+# The *last* live event at the current cycle gets cancelled: it must be
+# discarded without firing, and time must never move.
 # ----------------------------------------------------------------------
 def test_cancel_last_event_in_current_cycle_slot_after_step():
     engine = Engine()
     fired = []
     engine.schedule(5, fired.append, "a")
     leftover = engine.schedule(5, fired.append, "b")
-    assert engine.step() is True  # fires "a"; "b" stays in the live slot
+    assert engine.step() is True  # fires "a"; "b" stays queued
     assert engine.now == 5
-    leftover.cancel()  # now the last event in the slot at the current cycle
+    leftover.cancel()  # now the last event at the current cycle
     assert engine.step() is False
     assert engine.now == 5
     assert fired == ["a"]
-    assert engine._wheel[5 & engine._mask] is None  # slot released
-    _assert_wheel_consistent(engine)
+    assert engine.pending == 0
 
 
-@pytest.mark.parametrize("engine_cls", [Engine, HeapEngine])
-def test_cancel_current_cycle_leftover_then_run_to_later_event(engine_cls):
-    engine = engine_cls()
+def test_cancel_current_cycle_leftover_then_run_to_later_event():
+    engine = Engine()
     fired = []
     engine.schedule(5, fired.append, "a")
     leftover = engine.schedule(5, fired.append, "b")
@@ -150,16 +115,10 @@ def test_cancel_current_cycle_leftover_then_run_to_later_event(engine_cls):
     assert engine.pending == 0
 
 
-@pytest.mark.parametrize("engine_cls", [Engine, HeapEngine])
-def test_cancel_event_spawned_into_current_cycle_during_batch(engine_cls):
-    """A delay-0 event born and killed inside the same cycle's batch.
-
-    On the calendar engine the spawned event forms a *fresh* bucket in
-    the already-detached current slot; cancelling it leaves that bucket
-    cancelled-only, which the next outer pass must release without
-    firing anything or advancing time.
-    """
-    engine = engine_cls()
+def test_cancel_event_spawned_into_current_cycle_during_batch():
+    """A delay-0 event born and killed inside the same cycle: it is
+    discarded without firing anything or advancing time."""
+    engine = Engine()
     fired = []
     holder = {}
 
@@ -177,33 +136,10 @@ def test_cancel_event_spawned_into_current_cycle_during_batch(engine_cls):
     assert fired == ["spawner", "killer"]
     assert engine.now == 3
     assert engine.pending == 0
-    if engine_cls is Engine:
-        assert engine._wheel[3 & engine._mask] is None
-        _assert_wheel_consistent(engine)
 
 
-def test_cancelled_current_slot_with_wraparound_live_event():
-    """The released slot must not stall the scan when the next live
-    event's slot index wraps around *behind* the cursor."""
+def test_cancelled_only_event_before_until_deadline():
     engine = Engine()
-    fired = []
-    engine.schedule(5, fired.append, "first")
-    doomed = engine.schedule(5, fired.append, "doomed")
-    engine.step()  # now = 5, "doomed" is the current-slot leftover
-    doomed.cancel()
-    horizon = engine.horizon
-    # Slot (5 + horizon - 1) & mask == 4: one position behind the cursor.
-    engine.schedule(horizon - 1, fired.append, "far")
-    engine.run()
-    assert fired == ["first", "far"]
-    assert engine.now == 5 + horizon - 1
-    assert engine.pending == 0
-    _assert_wheel_consistent(engine)
-
-
-@pytest.mark.parametrize("engine_cls", [Engine, HeapEngine])
-def test_cancelled_only_event_before_until_deadline(engine_cls):
-    engine = engine_cls()
     fired = []
     engine.schedule(10, fired.append, "early").cancel()
     engine.schedule(100, fired.append, "late")
@@ -215,16 +151,10 @@ def test_cancelled_only_event_before_until_deadline(engine_cls):
     assert engine.now == 100
 
 
-@pytest.mark.parametrize("engine_cls", [Engine, HeapEngine])
-def test_cancel_after_until_bound_unpop(engine_cls):
-    """Cancel an event that was popped and reinserted by an `until` stop.
-
-    The cancelled sentinel before the deadline forces the calendar
-    engine down the one-event cold path, so "blocked" is extracted,
-    found past the deadline, and unpopped to the front of its slot —
-    then cancelled while it is the last event there.
-    """
-    engine = engine_cls()
+def test_cancel_after_until_bound_unpop():
+    """Cancel an event that an `until` stop left queued: the next run
+    discards it without firing or advancing time."""
+    engine = Engine()
     fired = []
     engine.schedule(10, fired.append, "a")
     engine.schedule(60, lambda: None).cancel()
@@ -237,35 +167,11 @@ def test_cancel_after_until_bound_unpop(engine_cls):
     assert fired == ["a"]
     assert engine.now == 50  # drained without firing or advancing
     assert engine.pending == 0
-    if engine_cls is Engine:
-        _assert_wheel_consistent(engine)
-
-
-def test_heap_event_migrated_to_wheel_then_cancelled():
-    """An `until` stop can unpop a far-future heap event into the wheel
-    once time has advanced enough; cancelling it there must not disturb
-    the heap's cancelled-event accounting."""
-    engine = Engine()
-    fired = []
-    engine.schedule(200, fired.append, "wheel")
-    far = engine.schedule(600, fired.append, "far")  # heap resident
-    engine.schedule(300, lambda: None).cancel()  # forces the cold path
-    engine.run(until=400)
-    assert fired == ["wheel"]
-    assert engine.now == 400
-    assert len(engine._heap) == 0  # "far" migrated to the wheel
-    far.cancel()  # last event in its wheel slot
-    assert engine._heap_cancelled == 0  # wheel cancels never count here
-    engine.run()
-    assert fired == ["wheel"]
-    assert engine.now == 400
-    assert engine.pending == 0
-    _assert_wheel_consistent(engine)
 
 
 def test_stop_requeued_tail_entirely_cancelled():
-    """request_stop() mid-batch requeues the tail; if the tail is all
-    cancelled, the next run must release it without firing."""
+    """request_stop() leaves the same-cycle tail queued; if the tail is
+    all cancelled, the next run must discard it without firing."""
     engine = Engine()
     fired = []
     holder = {}
@@ -279,25 +185,22 @@ def test_stop_requeued_tail_entirely_cancelled():
     holder["victim"] = engine.schedule(3, fired.append, "victim")
     engine.run()
     assert fired == ["killer"]
-    assert engine.pending == 1  # the cancelled tail was requeued
-    _assert_wheel_consistent(engine)
+    assert engine.pending == 1  # the cancelled tail is still queued
     engine.run()
     assert fired == ["killer"]
     assert engine.now == 3
     assert engine.pending == 0
-    assert engine._wheel[3 & engine._mask] is None
 
 
 def test_budgeted_batch_skips_cancelled_last_event():
     engine = Engine()
     fired = []
     events = [engine.schedule(4, fired.append, i) for i in range(4)]
-    events[3].cancel()  # last event in the slot
+    events[3].cancel()  # last event at the cycle
     engine.run(max_events=3)  # budget covers exactly the live events
     assert fired == [0, 1, 2]
     assert engine.now == 4
     assert engine.pending == 0
-    _assert_wheel_consistent(engine)
 
 
 def test_budget_exhaustion_requeues_cancelled_tail():
@@ -308,9 +211,8 @@ def test_budget_exhaustion_requeues_cancelled_tail():
     with pytest.raises(SimulationHang):
         engine.run(max_events=1)
     assert fired == [0]
-    _assert_wheel_consistent(engine)
+    assert engine.pending == 3  # the blocked event stays queued
     engine.run()
     assert fired == [0, 1, 3]
     assert engine.now == 4
     assert engine.pending == 0
-    _assert_wheel_consistent(engine)

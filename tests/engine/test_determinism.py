@@ -1,104 +1,112 @@
-"""Golden-order determinism: the calendar-queue engine vs the heap oracle.
+"""Firing order of the event engine, checked against a stated oracle.
 
-The hybrid wheel+heap :class:`Engine` must fire events in an order
-bit-identical to the plain binary-heap :class:`HeapEngine`: global
-``(time, seq)`` order, FIFO within a cycle, cancelled events silently
-skipped, and far-future (heap-resident) events interleaving correctly
-with wheel-resident ones when they land on the same cycle.
+A randomized self-extending schedule exercises every scheduling pattern
+the machine model uses — short delays, zero delays (same-cycle
+continuation), bursts on one cycle, cancellation of pending handles and
+far-future (refresh-scale) delays — and the fired transcript must obey:
 
-Each scenario drives both engines with the *same* deterministic schedule
-(fresh ``random.Random(seed)`` per engine) and compares the full firing
-transcripts.
+* the fired ``(time, seq)`` pairs strictly increase: global time order,
+  FIFO (scheduling order) within a cycle;
+* no cancelled handle ever fires;
+* every live event (one not cancelled while still queued) fires exactly
+  once;
+* ``events_fired`` equals the number of callbacks that ran.
+
+Each schedule is drained three ways — one ``run()``, ``run(until=...)``
+chunks (the snapshot cadence, where a bound leaves the next event
+queued), and ``step()`` — and all three must give the same transcript.
 """
 
 import random
 
 import pytest
 
-from repro.engine import Engine, HeapEngine
+from repro.engine import Engine
 
 
-def _drive(engine_cls, seed, events=3_000):
-    """A randomized self-extending workload; returns the firing transcript.
+def _drive(seed, driver, events=3_000):
+    """Run one randomized schedule.
 
-    Mixes every scheduling pattern the machine model uses: short delays
-    (wheel), zero delays (same-cycle continuation), bursts on one cycle
-    (FIFO), cancellations of pending events, and far-future delays beyond
-    the wheel horizon (refresh-style heap residents).
+    Returns ``(transcript, handles, killed, engine)``: ``killed`` holds
+    the tags cancelled while still queued (cancelling a handle that
+    already fired is a no-op, and such a handle counts as live).
     """
-    engine = engine_cls()
+    engine = Engine()
     rng = random.Random(seed)
-    transcript = []
-    pending = []
-    counter = [0]
+    transcript = []  # (now, seq, tag, cancelled-at-fire) per callback
+    handles = {}
+    pending = []  # tags kept around for later cancellation
+    fired = set()
+    killed = set()
+
+    def schedule(delay):
+        tag = len(handles)
+        handles[tag] = engine.schedule(delay, tick, tag)
+        return tag
 
     def tick(tag):
-        transcript.append((engine.now, tag))
-        if counter[0] >= events:
+        event = handles[tag]
+        transcript.append((engine.now, event.seq, tag, event.cancelled))
+        fired.add(tag)
+        if len(handles) >= events:
             return
         roll = rng.random()
-        if roll < 0.40:  # short delay: wheel path
-            counter[0] += 1
-            engine.schedule(rng.randrange(1, 60), tick, counter[0])
+        if roll < 0.40:  # short delay
+            schedule(rng.randrange(1, 60))
         elif roll < 0.55:  # same-cycle burst: FIFO within one cycle
             for _ in range(rng.randrange(2, 5)):
-                counter[0] += 1
-                engine.schedule(0, tick, counter[0])
+                schedule(0)
         elif roll < 0.70:  # keep a handle around for later cancellation
-            counter[0] += 1
-            pending.append(engine.schedule(rng.randrange(1, 300), tick, counter[0]))
-            counter[0] += 1
-            engine.schedule(1, tick, counter[0])
+            pending.append(schedule(rng.randrange(1, 300)))
+            schedule(1)
         elif roll < 0.85 and pending:  # cancel one pending event
-            pending.pop(rng.randrange(len(pending))).cancel()
-            counter[0] += 1
-            engine.schedule(2, tick, counter[0])
-        else:  # far future: beyond the wheel horizon, heap path
-            counter[0] += 1
-            engine.schedule(rng.randrange(600, 20_000), tick, counter[0])
+            victim = pending.pop(rng.randrange(len(pending)))
+            if victim not in fired:
+                killed.add(victim)
+            handles[victim].cancel()
+            schedule(2)
+        else:  # far future, refresh-scale
+            schedule(rng.randrange(600, 20_000))
 
-    engine.schedule(0, tick, 0)
-    engine.run()
-    return transcript, engine.now, engine.events_fired
+    schedule(0)
+    if driver == "run":
+        engine.run()
+    elif driver == "chunked":
+        chunks = random.Random(seed + 1)
+        while engine.pending:
+            engine.run(until=engine.now + chunks.randrange(1, 700))
+    else:
+        while engine.step():
+            pass
+    return transcript, handles, killed, engine
+
+
+@pytest.mark.parametrize("driver", ["run", "chunked", "step"])
+@pytest.mark.parametrize("seed", [11, 1234, 987654])
+def test_random_schedules_obey_the_oracle(seed, driver):
+    transcript, handles, killed, engine = _drive(seed, driver)
+    keys = [(now, seq) for now, seq, _, _ in transcript]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert not any(cancelled for *_, cancelled in transcript)
+    fired = [tag for _, _, tag, _ in transcript]
+    live = [tag for tag in handles if tag not in killed]
+    assert sorted(fired) == live
+    assert engine.events_fired == len(transcript)
+    assert engine.pending == 0
+    # The schedule really exercised cancellation and same-cycle ties.
+    assert killed
+    assert len({now for now, _ in keys}) < len(keys)
 
 
 @pytest.mark.parametrize("seed", [11, 1234, 987654])
-def test_random_schedules_match_heap_oracle(seed):
-    wheel = _drive(Engine, seed)
-    heap = _drive(HeapEngine, seed)
-    assert wheel == heap
+def test_every_driver_fires_the_same_transcript(seed):
+    transcripts = [_drive(seed, driver)[0] for driver in ("run", "chunked", "step")]
+    assert transcripts[0] == transcripts[1] == transcripts[2]
 
 
-def test_same_cycle_tie_between_heap_and_wheel_breaks_on_seq():
-    """A heap resident and wheel residents on one cycle fire in seq order.
-
-    The far-future event is scheduled first (lower seq, heap path); the
-    same-cycle wheel arrivals are scheduled later (higher seq).  Both
-    engines must run the heap event first.
-    """
-    orders = []
-    for engine_cls in (Engine, HeapEngine):
-        engine = engine_cls()
-        fired = []
-        horizon = 512
-        target = horizon + 100
-        engine.schedule(target, fired.append, "far-first")
-
-        def arm(engine=engine, fired=fired, target=target):
-            # now == target - 10 < target: the new events take the wheel.
-            engine.schedule_at(target, fired.append, "near-1")
-            engine.schedule_at(target, fired.append, "near-2")
-
-        engine.schedule(target - 10, arm)
-        engine.run()
-        orders.append(fired)
-    assert orders[0] == orders[1] == ["far-first", "near-1", "near-2"]
-
-
-@pytest.mark.parametrize("engine_cls", [Engine, HeapEngine])
-def test_far_future_refresh_interleaves_with_short_delays(engine_cls):
+def test_far_future_refresh_interleaves_with_short_delays():
     """Refresh-style periodic far events interleave exactly by (time, seq)."""
-    engine = engine_cls()
+    engine = Engine()
     fired = []
 
     def refresh(n):

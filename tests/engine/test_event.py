@@ -1,5 +1,6 @@
-"""Unit tests for the Event primitive."""
+"""Unit tests for the Event primitive and the order events fire in."""
 
+from repro.engine import Engine
 from repro.engine.event import Event
 
 
@@ -8,17 +9,25 @@ def _noop():
 
 
 def test_ordering_by_time():
-    early = Event(5, 0, _noop, ())
-    late = Event(9, 1, _noop, ())
-    assert early < late
-    assert not late < early
+    """A later-scheduled but earlier-timed event fires first."""
+    engine = Engine()
+    fired = []
+    late = engine.schedule(9, fired.append, "late")
+    early = engine.schedule(5, fired.append, "early")
+    assert (early.time, late.time) == (5, 9)
+    engine.run()
+    assert fired == ["early", "late"]
 
 
 def test_ties_broken_by_sequence_number():
-    first = Event(5, 0, _noop, ())
-    second = Event(5, 1, _noop, ())
-    assert first < second
-    assert not second < first
+    """Same-cycle events carry increasing seqs and fire in that order."""
+    engine = Engine()
+    fired = []
+    first = engine.schedule_at(5, fired.append, "first")
+    second = engine.schedule(5, fired.append, "second")
+    assert first.seq < second.seq
+    engine.run()
+    assert fired == ["first", "second"]
 
 
 def test_cancel_marks_event():

@@ -7,14 +7,11 @@ yet fired (including later same-cycle siblings) must survive, in order,
 for a subsequent run.
 """
 
-import pytest
-
-from repro.engine import Engine, HeapEngine
+from repro.engine import Engine
 
 
-@pytest.mark.parametrize("engine_cls", [Engine, HeapEngine])
-def test_request_stop_halts_after_current_callback(engine_cls):
-    engine = engine_cls()
+def test_request_stop_halts_after_current_callback():
+    engine = Engine()
     fired = []
 
     def stopper():
@@ -29,9 +26,8 @@ def test_request_stop_halts_after_current_callback(engine_cls):
     assert engine.pending == 1
 
 
-@pytest.mark.parametrize("engine_cls", [Engine, HeapEngine])
-def test_same_cycle_siblings_survive_and_fire_fifo_on_resume(engine_cls):
-    engine = engine_cls()
+def test_same_cycle_siblings_survive_and_fire_fifo_on_resume():
+    engine = Engine()
     fired = []
 
     def stopper():
@@ -52,9 +48,8 @@ def test_same_cycle_siblings_survive_and_fire_fifo_on_resume(engine_cls):
     assert engine.now == 5
 
 
-@pytest.mark.parametrize("engine_cls", [Engine, HeapEngine])
-def test_run_clears_a_prior_stop_request_at_entry(engine_cls):
-    engine = engine_cls()
+def test_run_clears_a_prior_stop_request_at_entry():
+    engine = Engine()
     engine.schedule(1, engine.request_stop)
     engine.schedule(2, lambda: None)
     engine.run()
@@ -66,10 +61,9 @@ def test_run_clears_a_prior_stop_request_at_entry(engine_cls):
     assert engine.pending == 0
 
 
-@pytest.mark.parametrize("engine_cls", [Engine, HeapEngine])
-def test_stop_interacts_with_later_scheduling_from_resumed_run(engine_cls):
+def test_stop_interacts_with_later_scheduling_from_resumed_run():
     """Events scheduled after a stop land behind the surviving tail."""
-    engine = engine_cls()
+    engine = Engine()
     fired = []
 
     def stopper():

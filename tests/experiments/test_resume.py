@@ -177,19 +177,16 @@ SAMPLED = "detailed:100,warmup:100,detail_warmup:20,min_intervals:2"
     [(SAMPLED, None), (None, SAMPLED), (SAMPLED, "on")],
 )
 def test_resume_refuses_a_different_sampling_plan(
-    tmp_path, matrix, monkeypatch, written, resumed
+    tmp_path, matrix, written, resumed
 ):
     """A sampled estimate is never handed back as a full-detail result
-    (or the reverse, or an estimate under another plan) — whether the
-    plan arrives as an argument or through ``REPRO_SAMPLE``."""
+    (or the reverse, or an estimate under another plan)."""
     configs, mixes = matrix
     journal = tmp_path / "matrix.journal.jsonl"
-    monkeypatch.setenv("REPRO_SAMPLE", written or "")
     run_matrix(
-        configs, mixes, TINY, workers=1,
+        configs, mixes, TINY, workers=1, sampling=written,
         policy=RunPolicy(journal_path=journal),
     )
-    monkeypatch.delenv("REPRO_SAMPLE")
     with pytest.raises(ValueError, match="different run"):
         run_matrix(
             configs, mixes, TINY, workers=1, sampling=resumed,

@@ -19,7 +19,6 @@ import pytest
 
 from repro.common.errors import SnapshotPreempted
 from repro.cpu.core import Core
-from repro.engine import Engine, HeapEngine
 from repro.snapshot import SnapshotPlan, preemption
 from repro.system import machine as machine_module
 from repro.system.config import config_3d_fast
@@ -67,9 +66,8 @@ def _run(monkeypatch, core_cls, config, benchmarks, seed=7, **kwargs):
 @pytest.mark.parametrize("seed", range(48))
 def test_parking_core_matches_polling_core(seed, monkeypatch):
     """Randomized legal configs x benchmark lists; the seed's low bits
-    walk 1/4 cores x Engine/HeapEngine x checkers off/on."""
+    walk 1/4 cores x checkers off/on."""
     num_cores = 4 if seed & 1 else 1
-    engine_cls = HeapEngine if seed & 2 else Engine
     checkers = "all" if seed & 4 else None
     config = random_system_config(seed, num_cores)
     benchmarks = random_benchmarks(seed, num_cores)
@@ -77,7 +75,7 @@ def test_parking_core_matches_polling_core(seed, monkeypatch):
     def arm(core_cls):
         return _run(
             monkeypatch, core_cls, config, benchmarks, seed=seed,
-            engine=engine_cls(), checkers=checkers,
+            checkers=checkers,
         )
 
     want_result, want_dump, polling = arm(PollingCore)

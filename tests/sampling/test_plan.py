@@ -1,14 +1,8 @@
-"""Unit tests for sampling plans and the CLI/env spec syntax."""
+"""Unit tests for sampling plans and the spec syntax."""
 
 import pytest
 
-from repro.sampling import ENV_SAMPLE, SamplingPlan, parse_sample_spec, plan_from_env
-
-
-def test_env_var_name_is_pinned():
-    # Scripts and CI reference the variable by name; renaming it is a
-    # breaking change.
-    assert ENV_SAMPLE == "REPRO_SAMPLE"
+from repro.sampling import SamplingPlan, parse_sample_spec
 
 
 def test_defaults_validate():
@@ -78,11 +72,3 @@ def test_parse_rejects_missing_colon():
     with pytest.raises(ValueError, match="bad sampling spec"):
         parse_sample_spec("detailed=100")
 
-
-def test_plan_from_env(monkeypatch):
-    monkeypatch.delenv(ENV_SAMPLE, raising=False)
-    assert plan_from_env() is None
-    monkeypatch.setenv(ENV_SAMPLE, "detailed:600")
-    assert plan_from_env() == SamplingPlan(detailed=600)
-    monkeypatch.setenv(ENV_SAMPLE, "on")
-    assert plan_from_env() == SamplingPlan()

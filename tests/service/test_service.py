@@ -234,20 +234,6 @@ def test_unknown_job_raises(tmp_path, fast_policy):
             service.process("job-9999-cafecafecafe")
 
 
-def test_service_simulates_the_spec_not_the_environment(
-    tmp_path, fast_policy, one_cell_spec, monkeypatch
-):
-    """A full-detail spec is simulated in full detail whatever
-    ``REPRO_SAMPLE`` says: otherwise an estimate would be cached under
-    the full-detail key and served from there ever after."""
-    reference, _ = run_sweep(tmp_path / "ref", fast_policy, one_cell_spec)
-    monkeypatch.setenv("REPRO_SAMPLE", "on")
-    result, _ = run_sweep(tmp_path / "svc", fast_policy, one_cell_spec)
-    cell = result.table.result("base", "M1")
-    assert not cell.extra.get("sampled")
-    assert result_fingerprint(result) == result_fingerprint(reference)
-
-
 def test_config_knob_change_misses_cache(tmp_path, fast_policy, one_cell_spec):
     run_sweep(tmp_path, fast_policy, one_cell_spec)
     tweaked = dataclasses.replace(

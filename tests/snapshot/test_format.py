@@ -122,7 +122,7 @@ def test_atomic_write_replaces_not_appends(snap):
     write_snapshot_file(str(snap), {"v": 2}, config_fingerprint=FP)
     _, tree = read_snapshot_file(str(snap))
     assert tree == {"v": 2}
-    leftovers = list(snap.parent.glob(".snapshot-*"))
+    leftovers = list(snap.parent.glob(".*.tmp.*"))
     assert leftovers == []
 
 

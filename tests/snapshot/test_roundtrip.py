@@ -113,6 +113,51 @@ def test_sampled_run_resumes_bit_identically(tmp_path):
     _assert_resumes_bit_identically("sampled", tmp_path)
 
 
+def test_engine_state_v1_is_refused():
+    """Engine state v1 was the timing wheel's (horizon, wheel slots, heap
+    overflow, cancelled-in-heap count); v2 is the heap in heap order,
+    and a v1 tree must fail whole, not half-apply."""
+    from repro.common.errors import SnapshotSchemaError
+
+    config = _small(config_3d_fast())
+    machine = _build(config)
+    machine.engine.schedule(5, machine.engine.request_stop)
+    tree = machine.capture_state()
+    engine = tree["engine"]
+    assert engine["v"] == 2 and len(engine["queue"]) == machine.engine.pending
+    assert not any(key in engine for key in ("horizon", "wheel", "heap"))
+    tree["engine"] = {
+        "v": 1, "horizon": 512, "now": engine["now"], "seq": engine["seq"],
+        "events_fired": engine["events_fired"], "wheel": [[5, engine["queue"]]],
+        "heap": [], "heap_cancelled": 0,
+    }
+    fresh = _build(config)
+    with pytest.raises(SnapshotSchemaError):
+        fresh.restore_state(tree)
+
+
+def test_engine_refuses_capture_from_inside_a_callback():
+    """A snapshot taken mid-run would see a half-fired cycle: refused
+    from run() and step() alike, and allowed again once they return."""
+    from repro.common.errors import SnapshotError
+    from repro.engine import Engine
+
+    engine = Engine()
+    refusals = []
+
+    def capture():
+        with pytest.raises(SnapshotError, match="inside an event callback"):
+            engine.capture_state(ctx=None)
+        refusals.append(engine.now)
+
+    engine.schedule(1, capture)
+    engine.schedule(2, capture)
+    assert engine.step()
+    engine.run()
+    assert refusals == [1, 2]
+    assert engine.capture_state(ctx=None)["queue"] == []
+
+
 def test_core_state_from_before_the_parking_rule_is_refused():
     """Core state v1 carried fused-dispatch backoff counters and no
     parked tally; restoring one must fail whole, not half-apply."""

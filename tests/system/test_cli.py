@@ -196,7 +196,6 @@ def test_check_and_sample_travel_as_arguments_not_environment(
     small = scale_mod.ExperimentScale("smoke", 2_000, 20_000)
     monkeypatch.setitem(scale_mod._SCALES, "smoke", small)
     monkeypatch.delenv("REPRO_CHECK", raising=False)
-    monkeypatch.delenv("REPRO_SAMPLE", raising=False)
     before = dict(os.environ)
     assert main([
         "figure", "4", "--mixes", "M3", "--workers", "1", "--check", "mshr",
@@ -266,7 +265,7 @@ def test_figure7_journal_is_resumed_by_report(capsys, monkeypatch, tmp_path):
         # The reproduced defect: the snapshot driver's `--one bogus` ran
         # zero scenarios, printed nothing and exited 0.
         (["validate", "resume", "--shape", "bogus"], 2, "unknown shape 'bogus'"),
-        (["validate"], 2, "{engines,timing,resume,sampling,fidelity}"),
+        (["validate"], 2, "{timing,resume,sampling,fidelity}"),
         # No --smoke switch overriding the other flags: each is honoured,
         # and the defaults are the old smoke values.
         (["validate", "sampling", "--smoke"], 2, "unrecognized arguments: --smoke"),

@@ -1,10 +1,8 @@
-"""Differential regression tests: engines must be bit-identical.
+"""Differential regression tests: the transcript diff and its tools.
 
-The calendar-queue engine is only a faster implementation of the heap
-engine's contract — same workload, same seed must give the same DRAM
-command transcript and the same stat tables, record for record and
-counter for counter.  These tests are the regression net under every
-future engine optimization.
+Same workload, same seed must give the same DRAM command transcript and
+the same stat tables, record for record and counter for counter; the
+diff localizes the first record where two runs part.
 """
 
 import pytest
@@ -12,7 +10,7 @@ import pytest
 from repro.cli import main
 from repro.system import scale as scale_mod
 from repro.system.config import config_2d, config_3d_fast
-from repro.validate import diff_engines, diff_runs, diff_timing_presets
+from repro.validate import diff_runs, diff_timing_presets, run_traced
 from repro.validate.diff import TracedRun
 from repro.workloads.mixes import MIXES
 
@@ -21,52 +19,33 @@ MIX = MIXES["H1"]
 TINY = scale_mod.ExperimentScale("smoke", WARMUP, MEASURE)
 
 
-@pytest.mark.parametrize("factory", [config_2d, config_3d_fast])
-def test_engines_bit_identical(factory):
-    config = factory()
-    report, lhs, rhs = diff_engines(
+def _traced(config, **kwargs):
+    return run_traced(
         config, list(MIX.benchmarks),
-        warmup=WARMUP, measure=MEASURE, workload_name=MIX.name,
+        warmup=WARMUP, measure=MEASURE, workload_name=MIX.name, **kwargs,
     )
-    assert report.identical, report.format()
-    assert lhs.commands == rhs.commands > 0
-    assert lhs.engine_name == "Engine"
-    assert rhs.engine_name == "HeapEngine"
-    # Identity must hold record-for-record, not just in summary.
-    assert lhs.transcript == rhs.transcript
-    assert lhs.stats == rhs.stats
-    assert "IDENTICAL" in report.format()
 
 
 def test_checkers_do_not_perturb_the_simulation():
     config = config_2d()
-    plain, lhs_plain, _ = diff_engines(
-        config, list(MIX.benchmarks),
-        warmup=WARMUP, measure=MEASURE, workload_name=MIX.name,
-    )
-    checked, lhs_checked, _ = diff_engines(
-        config, list(MIX.benchmarks),
-        warmup=WARMUP, measure=MEASURE, workload_name=MIX.name,
-        checkers="all",
-    )
-    assert plain.identical and checked.identical
-    assert lhs_plain.transcript == lhs_checked.transcript
+    plain = _traced(config)
+    checked = _traced(config, checkers="all")
+    report = diff_runs(plain, checked)
+    assert report.identical, report.format()
+    assert plain.commands > 0
+    assert plain.transcript == checked.transcript
+    assert "IDENTICAL" in report.format()
 
 
 def test_diff_reports_first_divergence():
-    config = config_2d()
-    report, lhs, rhs = diff_engines(
-        config, list(MIX.benchmarks),
-        warmup=WARMUP, measure=MEASURE, workload_name=MIX.name,
-    )
+    lhs = rhs = _traced(config_2d())
     # Fabricate a divergence in the middle of the rhs transcript.
     index = rhs.commands // 2
     broken = list(rhs.transcript)
     broken[index] = broken[index]._replace(data_time=broken[index].data_time + 1)
     mutant = TracedRun(
         label="mutant", config_name=rhs.config_name, workload=rhs.workload,
-        engine_name=rhs.engine_name, transcript=broken, stats=rhs.stats,
-        result=rhs.result,
+        transcript=broken, stats=rhs.stats, result=rhs.result,
     )
     diverged = diff_runs(lhs, mutant)
     assert not diverged.identical
@@ -79,15 +58,10 @@ def test_diff_reports_first_divergence():
 
 
 def test_diff_reports_length_mismatch():
-    config = config_2d()
-    _, lhs, rhs = diff_engines(
-        config, list(MIX.benchmarks),
-        warmup=WARMUP, measure=MEASURE, workload_name=MIX.name,
-    )
+    lhs = rhs = _traced(config_2d())
     short = TracedRun(
         label="short", config_name=rhs.config_name, workload=rhs.workload,
-        engine_name=rhs.engine_name, transcript=rhs.transcript[:-3],
-        stats=rhs.stats, result=rhs.result,
+        transcript=rhs.transcript[:-3], stats=rhs.stats, result=rhs.result,
     )
     report = diff_runs(lhs, short)
     assert not report.transcripts_identical
@@ -111,7 +85,7 @@ def test_timing_presets_diverge():
 
 @pytest.mark.parametrize(
     "tool",
-    ["engines", "timing", "resume", "sampling", "fidelity", "fidelity-failed-cell"],
+    ["timing", "resume", "sampling", "fidelity", "fidelity-failed-cell"],
 )
 def test_validate_tool_exits_1_on_the_wrong_verdict(
     capsys, monkeypatch, tmp_path, tool
@@ -121,7 +95,6 @@ def test_validate_tool_exits_1_on_the_wrong_verdict(
     ``test_diff_reports_first_divergence``)."""
     from types import SimpleNamespace
 
-    from repro.engine.simulator import HeapEngine
     from repro.experiments import faults
     from repro.experiments.catalog import Experiment
     from repro.experiments.fidelity import Band
@@ -131,7 +104,7 @@ def test_validate_tool_exits_1_on_the_wrong_verdict(
 
     def losing_a_command(*args, **kwargs):
         run = run_traced(*args, **kwargs)
-        if isinstance(kwargs.get("engine"), HeapEngine) or kwargs.get("resume_from"):
+        if kwargs.get("resume_from"):
             run.transcript.pop()
         return run
 
@@ -161,7 +134,6 @@ def test_validate_tool_exits_1_on_the_wrong_verdict(
     if tool != "resume":  # whose snapshot cadences need a smoke-long run
         monkeypatch.setitem(scale_mod._SCALES, "smoke", TINY)
     argv = {
-        "engines": ["engines"],
         "timing": ["timing", "--preset-a", "2d", "--preset-b", "2d"],
         "resume": ["resume", "--shape", "plain"],
         "sampling": ["sampling"],
@@ -173,10 +145,3 @@ def test_validate_tool_exits_1_on_the_wrong_verdict(
     if tool == "fidelity-failed-cell":  # nothing written over a failed cell
         assert "cell (3D-fast, H1) failed" in captured.err
         assert not (tmp_path / "FIDELITY.json").exists()
-
-
-def test_validate_engines_passes_on_the_stock_model(capsys, monkeypatch):
-    monkeypatch.setitem(scale_mod._SCALES, "smoke", TINY)
-    assert main(["validate", "engines", "--check"]) == 0
-    out = capsys.readouterr().out
-    assert "IDENTICAL" in out and "validate engines: OK" in out
