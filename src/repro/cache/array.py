@@ -147,22 +147,3 @@ class CacheArray:
     def resident_lines(self) -> int:
         return sum(len(s) for s in self._sets)
 
-    def capture_state(self) -> dict:
-        """Resident lines per set (LRU->MRU order) plus policy metadata."""
-        return {
-            "v": 1,
-            "sets": [list(cache_set.items()) for cache_set in self._sets],
-            "policy": self.policy.capture_state(),
-        }
-
-    def restore_state(self, state: dict) -> None:
-        from ..common.versioning import check_state_version
-
-        check_state_version(state, 1, "CacheArray")
-        sets = state["sets"]
-        if len(sets) != self.num_sets:
-            raise ValueError(
-                f"snapshot has {len(sets)} sets, array has {self.num_sets}"
-            )
-        self._sets = [OrderedDict(entries) for entries in sets]
-        self.policy.restore_state(state["policy"])

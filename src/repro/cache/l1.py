@@ -231,37 +231,3 @@ class L1Cache:
     def miss_rate(self) -> float:
         accesses = self.stats.get("accesses")
         return self.stats.get("misses") / accesses if accesses else 0.0
-
-    # ------------------------------------------------------------------
-    # Snapshot seam
-    # ------------------------------------------------------------------
-    def capture_state(self, ctx) -> dict:
-        return {
-            "v": 1,
-            "array": self.array.capture_state(),
-            "mshr": self.mshr.capture_state(ctx),
-            "prefetcher": (
-                None
-                if self.prefetcher is None
-                else self.prefetcher.capture_state()
-            ),
-            "free_waiters": [
-                ctx.encode_callback(cb) for cb in self._free_waiters
-            ],
-            "fill_dirty": list(self._fill_dirty.items()),
-            "poisoned_lines": list(self._poisoned_lines.items()),
-        }
-
-    def restore_state(self, state: dict, ctx) -> None:
-        from ..common.versioning import check_state_version
-
-        check_state_version(state, 1, "L1Cache")
-        self.array.restore_state(state["array"])
-        self.mshr.restore_state(state["mshr"], ctx)
-        if self.prefetcher is not None:
-            self.prefetcher.restore_state(state["prefetcher"])
-        self._free_waiters = deque(
-            ctx.decode_callback(enc) for enc in state["free_waiters"]
-        )
-        self._fill_dirty = dict(state["fill_dirty"])
-        self._poisoned_lines = dict(state["poisoned_lines"])

@@ -464,54 +464,3 @@ class BankedL2Cache:
     def register_upper_level(self, cache) -> None:
         """Enrol an L1 for inclusion back-invalidation on L2 evictions."""
         self._inclusion_listeners.append(cache)
-
-    # ------------------------------------------------------------------
-    # Snapshot seam
-    # ------------------------------------------------------------------
-    def capture_state(self, ctx) -> dict:
-        """Array, MSHR banks, bank ports and the stall queues.
-
-        The per-core demand-counter caches are not captured: they memoize
-        registry slots that the stats restore re-materializes, and the
-        lazy lookup finds the restored slot by name.
-        """
-        return {
-            "v": 1,
-            "array": self.array.capture_state(),
-            "mshr_files": [f.capture_state(ctx) for f in self.mshr_files],
-            "prefetcher": (
-                None
-                if self.prefetcher is None
-                else self.prefetcher.capture_state()
-            ),
-            "bank_free_at": list(self._bank_free_at),
-            "mshr_waiters": [
-                [ctx.ref_request(r) for r in waiters]
-                for waiters in self._mshr_waiters
-            ],
-            "prefetched_lines": list(self._prefetched_lines.items()),
-            "poisoned_lines": list(self._poisoned_lines.items()),
-        }
-
-    def restore_state(self, state: dict, ctx) -> None:
-        from ..common.versioning import check_state_version
-
-        check_state_version(state, 1, "BankedL2Cache")
-        self.array.restore_state(state["array"])
-        files = state["mshr_files"]
-        if len(files) != len(self.mshr_files):
-            raise ValueError(
-                f"snapshot has {len(files)} MSHR banks, L2 has "
-                f"{len(self.mshr_files)}"
-            )
-        for file, file_state in zip(self.mshr_files, files):
-            file.restore_state(file_state, ctx)
-        if self.prefetcher is not None:
-            self.prefetcher.restore_state(state["prefetcher"])
-        self._bank_free_at = list(state["bank_free_at"])
-        self._mshr_waiters = [
-            deque(ctx.get_request(ref) for ref in waiters)
-            for waiters in state["mshr_waiters"]
-        ]
-        self._prefetched_lines = dict(state["prefetched_lines"])
-        self._poisoned_lines = dict(state["poisoned_lines"])

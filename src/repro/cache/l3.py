@@ -190,26 +190,3 @@ class StackedL3:
         misses = self.stats.get("misses")
         total = hits + misses
         return hits / total if total else 0.0
-
-    # -- snapshot seam ---------------------------------------------------
-    def capture_state(self, ctx) -> dict:
-        return {
-            "v": 1,
-            "array": self.array.capture_state(),
-            "inflight": [
-                (line, [ctx.ref_request(r) for r in waiting])
-                for line, waiting in self._inflight.items()
-            ],
-            "poisoned_lines": list(self._poisoned_lines.items()),
-        }
-
-    def restore_state(self, state: dict, ctx) -> None:
-        from ..common.versioning import check_state_version
-
-        check_state_version(state, 1, "StackedL3")
-        self.array.restore_state(state["array"])
-        self._inflight = {
-            line: [ctx.get_request(ref) for ref in refs]
-            for line, refs in state["inflight"]
-        }
-        self._poisoned_lines = dict(state["poisoned_lines"])

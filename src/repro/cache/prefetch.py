@@ -38,12 +38,6 @@ class NextLinePrefetcher:
         line = addr & ~(self.line_size - 1)
         return [line + self.line_size * i for i in range(1, self.degree + 1)]
 
-    def capture_state(self) -> dict:
-        return {"v": 1}
-
-    def restore_state(self, state: dict) -> None:
-        pass
-
 
 class _StrideEntry:
     __slots__ = ("last_addr", "stride", "confidence")
@@ -102,24 +96,6 @@ class IpStridePrefetcher:
                 candidates.append(target & mask)
         return candidates
 
-    def capture_state(self) -> dict:
-        return {
-            "v": 1,
-            "table": [
-                (slot, entry.last_addr, entry.stride, entry.confidence)
-                for slot, entry in self._table.items()
-            ],
-        }
-
-    def restore_state(self, state: dict) -> None:
-        table: Dict[int, _StrideEntry] = {}
-        for slot, last_addr, stride, confidence in state["table"]:
-            entry = _StrideEntry(last_addr)
-            entry.stride = stride
-            entry.confidence = confidence
-            table[slot] = entry
-        self._table = table
-
 
 class CompositePrefetcher:
     """Fan-in of several prefetchers with de-duplication of candidates."""
@@ -146,18 +122,3 @@ class CompositePrefetcher:
                         merged.append(candidate)
         return merged
 
-    def capture_state(self) -> dict:
-        return {
-            "v": 1,
-            "children": [p.capture_state() for p in self.prefetchers],
-        }
-
-    def restore_state(self, state: dict) -> None:
-        children = state["children"]
-        if len(children) != len(self.prefetchers):
-            raise ValueError(
-                f"snapshot has {len(children)} prefetchers, composite has "
-                f"{len(self.prefetchers)}"
-            )
-        for prefetcher, child in zip(self.prefetchers, children):
-            prefetcher.restore_state(child)

@@ -37,14 +37,6 @@ class LruPolicy:
     def on_evict(self, cache_set, set_idx: int, line: int) -> None:
         pass
 
-    def capture_state(self) -> dict:
-        # All LRU state lives in the set dicts' ordering, which the
-        # cache array captures.
-        return {"v": 1}
-
-    def restore_state(self, state: dict) -> None:
-        pass
-
 
 class RandomPolicy:
     """Uniform random victim selection (deterministic via seed)."""
@@ -69,15 +61,6 @@ class RandomPolicy:
 
     def on_evict(self, cache_set, set_idx: int, line: int) -> None:
         pass
-
-    def capture_state(self) -> dict:
-        # random.Random state is a (version, ints-tuple, gauss) tuple of
-        # plain numbers — already snapshot-safe data.
-        return {"v": 1, "rng": self._rng.getstate()}
-
-    def restore_state(self, state: dict) -> None:
-        version, internal, gauss = state["rng"]
-        self._rng.setstate((version, tuple(internal), gauss))
 
 
 class TreePlruPolicy:
@@ -146,21 +129,6 @@ class TreePlruPolicy:
         way = state[1].pop(line)
         state[2].append(way)
 
-    def capture_state(self) -> dict:
-        return {
-            "v": 1,
-            "sets": [
-                (set_idx, bits, list(ways.items()), list(free))
-                for set_idx, (bits, ways, free) in self._state.items()
-            ],
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self._state = {
-            set_idx: [bits, dict(ways), list(free)]
-            for set_idx, bits, ways, free in state["sets"]
-        }
-
 
 class SrripPolicy:
     """Static RRIP with 2-bit re-reference prediction values.
@@ -195,17 +163,6 @@ class SrripPolicy:
 
     def on_evict(self, cache_set, set_idx: int, line: int) -> None:
         self._set_state(set_idx).pop(line, None)
-
-    def capture_state(self) -> dict:
-        return {
-            "v": 1,
-            "sets": [
-                (set_idx, list(rrpv.items())) for set_idx, rrpv in self._rrpv.items()
-            ],
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self._rrpv = {set_idx: dict(rrpv) for set_idx, rrpv in state["sets"]}
 
 
 def make_policy(name: str, assoc: int, seed: int = 0):

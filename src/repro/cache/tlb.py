@@ -103,14 +103,3 @@ class Tlb:
         total = hits + misses
         return misses / total if total else 0.0
 
-    def capture_state(self) -> dict:
-        """Resident VPNs per set, LRU->MRU (stats captured separately)."""
-        return {"v": 1, "sets": [list(tlb_set) for tlb_set in self._sets]}
-
-    def restore_state(self, state: dict) -> None:
-        from ..common.versioning import check_state_version
-
-        check_state_version(state, 1, "Tlb")
-        self._sets = [
-            OrderedDict((vpn, True) for vpn in vpns) for vpns in state["sets"]
-        ]

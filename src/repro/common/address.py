@@ -68,17 +68,3 @@ class PageAllocator:
             self._next_frame += 1
         return (frame << self._page_shift) | (vaddr & self._offset_mask)
 
-    def capture_state(self) -> dict:
-        """Page table (insertion order preserved) and allocation cursor."""
-        return {
-            "v": 1,
-            "pages": list(self._page_table.items()),
-            "next_frame": self._next_frame,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        from .versioning import check_state_version
-
-        check_state_version(state, 1, "PageAllocator")
-        self._page_table = dict(state["pages"])
-        self._next_frame = state["next_frame"]

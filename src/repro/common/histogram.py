@@ -79,27 +79,6 @@ class LatencyHistogram:
             if self.max_value is None or value > self.max_value:
                 self.max_value = value
 
-    def capture_state(self) -> dict:
-        """Buckets in insertion order plus the scalar aggregates."""
-        return {
-            "v": 1,
-            "buckets": list(self._buckets.items()),
-            "count": self.count,
-            "total": self.total,
-            "min_value": self.min_value,
-            "max_value": self.max_value,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        from .versioning import check_state_version
-
-        check_state_version(state, 1, "LatencyHistogram")
-        self._buckets = dict(state["buckets"])
-        self.count = state["count"]
-        self.total = state["total"]
-        self.min_value = state["min_value"]
-        self.max_value = state["max_value"]
-
     def format(self, label: str = "latency", width: int = 40) -> str:
         """ASCII rendering, one bar per bucket."""
         if self.count == 0:

@@ -122,34 +122,6 @@ class StatGroup:
             key: self._counters[key].value for key in sorted(self._counters)
         }
 
-    def capture_state(self) -> dict:
-        """Counter values (insertion order preserved) and freeze snapshot."""
-        return {
-            "v": 1,
-            "counters": [(key, slot.value) for key, slot in self._counters.items()],
-            "frozen": None if self._frozen is None else list(self._frozen.items()),
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Overwrite counter values in place.
-
-        Components cache :class:`Counter` slot objects at construction,
-        so restore must mutate the existing slots — replacing them would
-        silently disconnect every cached reference.  Counters created at
-        runtime (absent after reconstruction) are created here in the
-        captured insertion order.
-        """
-        from .versioning import check_state_version
-
-        check_state_version(state, 1, f"StatGroup[{self.name}]")
-        for key, value in state["counters"]:
-            slot = self._counters.get(key)
-            if slot is None:
-                slot = Counter()
-                self._counters[key] = slot
-            slot.value = value
-        self._frozen = None if state["frozen"] is None else dict(state["frozen"])
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<StatGroup {self.name!r} {len(self._counters)} counters>"
 
@@ -178,19 +150,3 @@ class StatRegistry:
         """All reported values, nested by group name and sorted."""
         return {name: group.as_dict() for name, group in sorted(self._groups.items())}
 
-    def capture_state(self) -> dict:
-        """Every group's counters, keyed by group name (insertion order)."""
-        return {
-            "v": 1,
-            "groups": [
-                (name, group.capture_state()) for name, group in self._groups.items()
-            ],
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Restore every group in place (creating runtime-added groups)."""
-        from .versioning import check_state_version
-
-        check_state_version(state, 1, "StatRegistry")
-        for name, group_state in state["groups"]:
-            self.group(name).restore_state(group_state)

@@ -633,87 +633,3 @@ class Core:
                     self.on_frozen(self)
                 self.stats.freeze()
         self._refresh_commit_limit()
-
-    # ------------------------------------------------------------------
-    # Snapshot seam
-    # ------------------------------------------------------------------
-    def capture_state(self, ctx) -> dict:
-        """Full core state including the L1, TLB, and trace position.
-
-        ``on_frozen`` is not captured: the machine re-wires it at
-        construction, before restore, exactly as the original run did.
-        """
-        return {
-            "v": 3,
-            "l1": self.l1.capture_state(ctx),
-            "tlb": None if self.tlb is None else self.tlb.capture_state(),
-            "cursor": self._cursor.capture_state(),
-            "icount": self.icount,
-            "committed": self.committed,
-            "outstanding": [ctx.ref_inflight(f) for f in self._outstanding],
-            "next_dispatch_time": self._next_dispatch_time,
-            "last_commit_time": self._last_commit_time,
-            "last_commit_icount": self._last_commit_icount,
-            "dispatch_scheduled": self._dispatch_scheduled,
-            "commit_scheduled": self._commit_scheduled,
-            "rob_blocked": self._rob_blocked,
-            "l1_blocked": self._l1_blocked,
-            "paused": self._paused,
-            "measure_start_icount": self._measure_start_icount,
-            "measure_start_time": self._measure_start_time,
-            "measure_quota": self.measure_quota,
-            "frozen": self.frozen,
-            "frozen_ipc": self.frozen_ipc,
-            "commit_watch": self._commit_watch,
-            "on_commit_watch": (
-                None
-                if self._on_commit_watch is None
-                else ctx.encode_callback(self._on_commit_watch)
-            ),
-            "commit_event": (
-                ctx.ref_event(self._commit_event)
-                if self._commit_scheduled and self._commit_event is not None
-                else None
-            ),
-            "parked_dispatches": self.parked_dispatches,
-        }
-
-    def restore_state(self, state: dict, ctx) -> None:
-        from ..common.versioning import check_state_version
-
-        check_state_version(state, 3, "Core")
-        self.l1.restore_state(state["l1"], ctx)
-        if self.tlb is not None:
-            self.tlb.restore_state(state["tlb"])
-        self._cursor.restore_state(state["cursor"])
-        self.icount = state["icount"]
-        self.committed = state["committed"]
-        self._outstanding = deque(
-            ctx.get_inflight(ref) for ref in state["outstanding"]
-        )
-        self._next_dispatch_time = state["next_dispatch_time"]
-        self._last_commit_time = state["last_commit_time"]
-        self._last_commit_icount = state["last_commit_icount"]
-        self._dispatch_scheduled = state["dispatch_scheduled"]
-        self._commit_scheduled = state["commit_scheduled"]
-        self._rob_blocked = state["rob_blocked"]
-        self._l1_blocked = state["l1_blocked"]
-        self._paused = state["paused"]
-        self._measure_start_icount = state["measure_start_icount"]
-        self._measure_start_time = state["measure_start_time"]
-        self.measure_quota = state["measure_quota"]
-        self.frozen = state["frozen"]
-        self.frozen_ipc = state["frozen_ipc"]
-        self._commit_watch = state["commit_watch"]
-        self._on_commit_watch = (
-            None
-            if state["on_commit_watch"] is None
-            else ctx.decode_callback(state["on_commit_watch"])
-        )
-        self._commit_event = (
-            None
-            if state["commit_event"] is None
-            else ctx.get_event(state["commit_event"])
-        )
-        self.parked_dispatches = state["parked_dispatches"]
-        self._refresh_commit_limit()

@@ -168,11 +168,8 @@ class BatchCursor:
         return self.batch
 
     def capture_state(self) -> dict:
-        return {
-            "v": 1,
-            "batches_advanced": self.batches_advanced,
-            "index": self.index,
-        }
+        """Position as (batches pulled, index within the current one)."""
+        return {"batches_advanced": self.batches_advanced, "index": self.index}
 
     def restore_state(self, state: dict) -> None:
         """Fast-forward a *fresh* cursor to the captured position.
@@ -181,9 +178,6 @@ class BatchCursor:
         the benchmark spec; position is replayed by pulling the same
         number of batches and seating the intra-batch index.
         """
-        from ..common.versioning import check_state_version
-
-        check_state_version(state, 1, "BatchCursor")
         if self.batches_advanced != 0:
             raise ValueError("can only restore a fresh trace cursor")
         target = state["batches_advanced"]

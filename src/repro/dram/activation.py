@@ -45,8 +45,3 @@ class ActivationWindow:
     def recent_activations(self) -> tuple:
         return tuple(self._recent)
 
-    def capture_state(self) -> dict:
-        return {"v": 1, "recent": list(self._recent)}
-
-    def restore_state(self, state: dict) -> None:
-        self._recent = deque(state["recent"], maxlen=self.window)

@@ -149,26 +149,3 @@ class Bank:
             if dropped:
                 self.stats.add("refresh_row_closures", len(dropped))
 
-    def capture_state(self) -> dict:
-        """Ready times, epoch and latched rows.
-
-        The refresh schedule and activation window are shared per rank
-        and captured once by the owning :class:`~repro.dram.rank.Rank`,
-        not per bank.
-        """
-        return {
-            "v": 1,
-            "array_ready": self._array_ready,
-            "bank_ready": self._bank_ready,
-            "epoch": self._epoch,
-            "row_buffers": self.row_buffers.capture_state(),
-        }
-
-    def restore_state(self, state: dict) -> None:
-        from ..common.versioning import check_state_version
-
-        check_state_version(state, 1, "Bank")
-        self._array_ready = state["array_ready"]
-        self._bank_ready = state["bank_ready"]
-        self._epoch = state["epoch"]
-        self.row_buffers.restore_state(state["row_buffers"])

@@ -81,17 +81,3 @@ class DramDevice:
                 summary.append((rank.rank_id, bank_id, bank.open_rows))
         return summary
 
-    def capture_state(self) -> dict:
-        return {"v": 1, "ranks": [rank.capture_state() for rank in self.ranks]}
-
-    def restore_state(self, state: dict) -> None:
-        from ..common.versioning import check_state_version
-
-        check_state_version(state, 1, "DramDevice")
-        ranks = state["ranks"]
-        if len(ranks) != len(self.ranks):
-            raise ValueError(
-                f"snapshot has {len(ranks)} ranks, device has {len(self.ranks)}"
-            )
-        for rank, rank_state in zip(self.ranks, ranks):
-            rank.restore_state(rank_state)

@@ -62,25 +62,3 @@ class Rank:
     def bank(self, bank_id: int) -> Bank:
         return self.banks[bank_id]
 
-    def capture_state(self) -> dict:
-        """Shared refresh/activation state plus every bank's state."""
-        return {
-            "v": 1,
-            "refresh": self.refresh.capture_state(),
-            "activations": self.activations.capture_state(),
-            "banks": [bank.capture_state() for bank in self.banks],
-        }
-
-    def restore_state(self, state: dict) -> None:
-        from ..common.versioning import check_state_version
-
-        check_state_version(state, 1, "Rank")
-        self.refresh.restore_state(state["refresh"])
-        self.activations.restore_state(state["activations"])
-        banks = state["banks"]
-        if len(banks) != len(self.banks):
-            raise ValueError(
-                f"snapshot has {len(banks)} banks, rank has {len(self.banks)}"
-            )
-        for bank, bank_state in zip(self.banks, banks):
-            bank.restore_state(bank_state)

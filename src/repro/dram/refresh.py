@@ -182,34 +182,3 @@ class RefreshSchedule:
                 tail = min(span % refi, self.t_rfc)
                 return blackout0 + full_windows * self.t_rfc + tail
         return 0  # pragma: no cover - unreachable
-
-    # ------------------------------------------------------------------
-    # Checkpoint/restore
-    # ------------------------------------------------------------------
-    def capture_state(self) -> dict:
-        """Cadence regimes: phase, anchor, multiplier and closed history."""
-        return {
-            "v": 1,
-            "t_refi": self.t_refi,
-            "multiplier": self.multiplier,
-            "history": [tuple(regime) for regime in self._history],
-            "phase": self._phase,
-            "anchor": self._anchor,
-            "anchor_epoch": self._anchor_epoch,
-            "anchor_blackout": self._anchor_blackout,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Restore regimes directly (the ``phase`` setter forbids
-        re-phasing after a rate change, so fields are assigned, not
-        driven through the property)."""
-        from ..common.versioning import check_state_version
-
-        check_state_version(state, 1, "RefreshSchedule")
-        self.t_refi = state["t_refi"]
-        self.multiplier = state["multiplier"]
-        self._history = [tuple(regime) for regime in state["history"]]
-        self._phase = state["phase"]
-        self._anchor = state["anchor"]
-        self._anchor_epoch = state["anchor_epoch"]
-        self._anchor_blackout = state["anchor_blackout"]

@@ -67,11 +67,3 @@ class RowBufferCache:
         self._entries.clear()
         return held
 
-    def capture_state(self) -> dict:
-        """Buffered (row, dirty) pairs, LRU->MRU."""
-        return {"v": 1, "entries": list(self._entries.items())}
-
-    def restore_state(self, state: dict) -> None:
-        self._entries = OrderedDict(
-            (row, dirty) for row, dirty in state["entries"]
-        )

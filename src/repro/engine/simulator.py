@@ -16,7 +16,8 @@ the machine still has outstanding work (an MSHR entry or memory-controller
 queue slot whose completion callback was dropped).
 
 ``run``/``step`` must not be re-entered from inside an event callback,
-and :meth:`Engine.capture_state` refuses to run there.
+and a machine snapshot refuses to run there (``_running`` is set for
+the whole drain).
 """
 
 from __future__ import annotations
@@ -26,13 +27,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Any, Callable, List, Optional, Tuple
 
-from ..common.errors import (
-    SimulationDeadlock,
-    SimulationError,
-    SimulationHang,
-    SnapshotError,
-)
-from ..common.versioning import check_state_version
+from ..common.errors import SimulationDeadlock, SimulationError, SimulationHang
 from .event import Event
 
 __all__ = ["Engine", "SimulationDeadlock", "SimulationError", "SimulationHang", "Watchdog"]
@@ -82,7 +77,7 @@ class Engine:
         self._seq = 0
         self._events_fired = 0
         self._stop = False
-        self._running = False  # inside run(): capture_state refuses
+        self._running = False  # inside run(): a snapshot refuses
 
     @property
     def events_fired(self) -> int:
@@ -229,29 +224,3 @@ class Engine:
             message, cycle=self.now, events_fired=fired, queue_depth=self.pending
         )
 
-    def capture_state(self, ctx) -> dict:
-        """Snapshot the queue (every event, cancelled ones included, in
-        heap order), clock and counters; refused from inside a callback."""
-        if self._running:
-            raise SnapshotError(
-                "cannot snapshot the engine from inside an event callback"
-            )
-        return {
-            "v": 2,
-            "now": self.now,
-            "seq": self._seq,
-            "events_fired": self._events_fired,
-            "queue": [ctx.ref_event(event) for _, _, event in self._heap],
-        }
-
-    def restore_state(self, state: dict, ctx) -> None:
-        """Inverse of capture: the list keeps its captured order (a valid
-        heap's order *is* its structure) and each tuple is rebuilt."""
-        check_state_version(state, 2, "Engine")
-        self.now = state["now"]
-        self._seq = state["seq"]
-        self._events_fired = state["events_fired"]
-        events = map(ctx.get_event, state["queue"])
-        self._heap = [(event.time, event.seq, event) for event in events]
-        self._stop = False
-        self._running = False

@@ -92,11 +92,3 @@ class Bus:
             return 0.0
         return min(1.0, self.stats.get("busy_cycles") / elapsed_cycles)
 
-    def capture_state(self) -> dict:
-        return {"v": 1, "free_at": self._free_at}
-
-    def restore_state(self, state: dict) -> None:
-        from ..common.versioning import check_state_version
-
-        check_state_version(state, 1, "Bus")
-        self._free_at = state["free_at"]

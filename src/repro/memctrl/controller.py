@@ -207,46 +207,3 @@ class MemoryController:
             self._c_row_hits.value += 1.0
         else:
             self._c_row_misses.value += 1.0
-
-    # ------------------------------------------------------------------
-    # Snapshot seam
-    # ------------------------------------------------------------------
-    def capture_state(self, ctx) -> dict:
-        """Everything this channel owns: MRQ, device, bus, scheduler,
-        pump state, and the read-latency distribution."""
-        return {
-            "v": 2,
-            "mrq": self.mrq.capture_state(ctx),
-            "device": self.device.capture_state(),
-            "bus": self.bus.capture_state(),
-            "scheduler": self.scheduler.capture_state(),
-            "read_latency": self.read_latency.capture_state(),
-            "next_issue_time": self._next_issue_time,
-            "pump_event": (
-                None
-                if self._pump_event is None
-                else ctx.ref_event(self._pump_event)
-            ),
-            "space_waiters": [
-                ctx.encode_callback(cb) for cb in self._space_waiters
-            ],
-        }
-
-    def restore_state(self, state: dict, ctx) -> None:
-        from ..common.versioning import check_state_version
-
-        check_state_version(state, 2, "MemoryController")
-        self.device.restore_state(state["device"])
-        self.mrq.restore_state(state["mrq"], ctx, self.device)
-        self.bus.restore_state(state["bus"])
-        self.scheduler.restore_state(state["scheduler"])
-        self.read_latency.restore_state(state["read_latency"])
-        self._next_issue_time = state["next_issue_time"]
-        self._pump_event = (
-            None
-            if state["pump_event"] is None
-            else ctx.get_event(state["pump_event"])
-        )
-        self._space_waiters = deque(
-            ctx.decode_callback(enc) for enc in state["space_waiters"]
-        )

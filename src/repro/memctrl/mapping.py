@@ -224,24 +224,3 @@ class BankRemapTable:
 
     def retired_banks(self) -> Tuple[Tuple[int, int], ...]:
         return tuple(sorted(self._retired))
-
-    # -- snapshot seam ---------------------------------------------------
-    def capture_state(self) -> dict:
-        return {"v": 1, "retired": sorted(self._retired)}
-
-    def restore_state(self, state: dict) -> None:
-        from ..common.versioning import check_state_version
-
-        check_state_version(state, 1, "BankRemapTable")
-        retired = {(rank, bank) for rank, bank in state["retired"]}
-        for rank, bank in retired:
-            if not (0 <= rank < self.ranks_per_mc
-                    and 0 <= bank < self.banks_per_rank):
-                raise ValueError(
-                    f"retired bank ({rank}, {bank}) outside table geometry"
-                )
-        self._retired = retired
-        live = [self.banks_per_rank] * self.ranks_per_mc
-        for rank, _ in retired:
-            live[rank] -= 1
-        self._live_per_rank = live

@@ -144,21 +144,3 @@ class MainMemory:
         total = hits + misses
         return hits / total if total else 0.0
 
-    def capture_state(self, ctx) -> dict:
-        return {
-            "v": 1,
-            "controllers": [mc.capture_state(ctx) for mc in self.controllers],
-        }
-
-    def restore_state(self, state: dict, ctx) -> None:
-        from ..common.versioning import check_state_version
-
-        check_state_version(state, 1, "MainMemory")
-        controllers = state["controllers"]
-        if len(controllers) != len(self.controllers):
-            raise ValueError(
-                f"snapshot has {len(controllers)} memory controllers, "
-                f"machine has {len(self.controllers)}"
-            )
-        for mc, mc_state in zip(self.controllers, controllers):
-            mc.restore_state(mc_state, ctx)

@@ -87,28 +87,3 @@ class MemoryRequestQueue:
     def occupancy(self) -> float:
         return len(self._entries) / self.capacity
 
-    def capture_state(self, ctx) -> dict:
-        """Queued entries in arrival order.
-
-        Banks are not captured: bank identity is a pure function of the
-        coordinates and is re-resolved against the restored device.
-        """
-        return {
-            "v": 1,
-            "entries": [
-                (ctx.ref_request(e.request), tuple(e.coords), e.arrival)
-                for e in self._entries
-            ],
-        }
-
-    def restore_state(self, state: dict, ctx, device) -> None:
-        from ..common.versioning import check_state_version
-
-        check_state_version(state, 1, "MemoryRequestQueue")
-        self._entries = []
-        for req_idx, coords_tuple, arrival in state["entries"]:
-            coords = DramCoordinates(*coords_tuple)
-            bank = device.bank(coords.rank, coords.bank)
-            self._entries.append(
-                MrqEntry(ctx.get_request(req_idx), coords, arrival, bank)
-            )

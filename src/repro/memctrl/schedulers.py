@@ -32,14 +32,6 @@ class FcfsScheduler:
     def select(self, ready: List[MrqEntry], device: DramDevice, now: int) -> MrqEntry:
         return min(ready, key=lambda e: e.arrival)
 
-    def capture_state(self) -> dict:
-        return {"v": 1}
-
-    def restore_state(self, state: dict) -> None:
-        from ..common.versioning import check_state_version
-
-        check_state_version(state, 1, "FcfsScheduler")
-
 
 class FrFcfsScheduler:
     """First-ready FCFS: oldest row-buffer *hit* first, else oldest.
@@ -68,14 +60,6 @@ class FrFcfsScheduler:
                     best_hit = entry
         assert oldest is not None
         return best_hit if best_hit is not None else oldest
-
-    def capture_state(self) -> dict:
-        return {"v": 1}
-
-    def restore_state(self, state: dict) -> None:
-        from ..common.versioning import check_state_version
-
-        check_state_version(state, 1, "FrFcfsScheduler")
 
 
 class WriteDrainScheduler:
@@ -113,15 +97,6 @@ class WriteDrainScheduler:
             return self._inner.select(reads, device, now)
         return self._inner.select(writes, device, now)
 
-    def capture_state(self) -> dict:
-        return {"v": 1, "draining": self._draining}
-
-    def restore_state(self, state: dict) -> None:
-        from ..common.versioning import check_state_version
-
-        check_state_version(state, 1, "WriteDrainScheduler")
-        self._draining = state["draining"]
-
 
 class BatchScheduler:
     """Parallelism-aware batching (PAR-BS-lite) for multiprogram fairness.
@@ -154,15 +129,6 @@ class BatchScheduler:
         chosen = self._inner.select(current, device, now)
         self._batch_ids.discard(chosen.request.req_id)
         return chosen
-
-    def capture_state(self) -> dict:
-        return {"v": 1, "batch_ids": sorted(self._batch_ids)}
-
-    def restore_state(self, state: dict) -> None:
-        from ..common.versioning import check_state_version
-
-        check_state_version(state, 1, "BatchScheduler")
-        self._batch_ids = set(state["batch_ids"])
 
 
 def make_scheduler(name: str) -> Scheduler:

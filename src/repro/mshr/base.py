@@ -89,28 +89,6 @@ class MshrFile:
         """
         raise NotImplementedError
 
-    # -- snapshot seam -------------------------------------------------
-    def _capture_base(self) -> dict:
-        """Counters shared by every MSHR organization."""
-        return {
-            "capacity_limit": self.capacity_limit,
-            "occupancy": self.occupancy,
-            "total_probes": self.total_probes,
-            "total_accesses": self.total_accesses,
-        }
-
-    def _restore_base(self, state: dict) -> None:
-        self.capacity_limit = state["capacity_limit"]
-        self.occupancy = state["occupancy"]
-        self.total_probes = state["total_probes"]
-        self.total_accesses = state["total_accesses"]
-
-    def capture_state(self, ctx) -> dict:
-        raise NotImplementedError
-
-    def restore_state(self, state: dict, ctx) -> None:
-        raise NotImplementedError
-
     # -- interface -----------------------------------------------------
     def search(self, line_addr: int) -> Tuple[Optional[MshrEntry], int]:
         """Find the entry for a line: ``(entry or None, probes)``."""

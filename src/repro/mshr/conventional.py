@@ -52,19 +52,3 @@ class ConventionalMshr(MshrFile):
         self.occupancy -= 1
         return 1
 
-    def capture_state(self, ctx) -> dict:
-        state = self._capture_base()
-        state["v"] = 1
-        state["entries"] = [
-            (addr, ctx.ref_entry(entry)) for addr, entry in self._entries.items()
-        ]
-        return state
-
-    def restore_state(self, state: dict, ctx) -> None:
-        from ..common.versioning import check_state_version
-
-        check_state_version(state, 1, "ConventionalMshr")
-        self._restore_base(state)
-        self._entries = {
-            addr: ctx.get_entry(ref) for addr, ref in state["entries"]
-        }

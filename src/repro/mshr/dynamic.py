@@ -104,30 +104,3 @@ class DynamicMshrTuner:
         for file in self.files:
             file.set_capacity_limit(min(limit, file.capacity))
 
-    def capture_state(self) -> dict:
-        """Sampling state machine.  The in-flight phase events live in
-        the engine queue and re-bind to this tuner via bound-method
-        references; per-file ``capacity_limit`` is restored by each
-        file's own seam."""
-        return {
-            "v": 1,
-            "sample_scores": list(self._sample_scores),
-            "sample_index": self._sample_index,
-            "sample_start_committed": self._sample_start_committed,
-            "chosen_limit": self.chosen_limit,
-            "trainings": self.trainings,
-            "selections": list(self.selections),
-            "started": self._started,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        from ..common.versioning import check_state_version
-
-        check_state_version(state, 1, "DynamicMshrTuner")
-        self._sample_scores = list(state["sample_scores"])
-        self._sample_index = state["sample_index"]
-        self._sample_start_committed = state["sample_start_committed"]
-        self.chosen_limit = state["chosen_limit"]
-        self.trainings = state["trainings"]
-        self.selections = list(state["selections"])
-        self._started = state["started"]

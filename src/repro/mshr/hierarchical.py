@@ -84,29 +84,3 @@ class HierarchicalMshr(MshrFile):
             return self._count(2)
         raise KeyError(f"no MSHR entry for line {line_addr:#x}")
 
-    def capture_state(self, ctx) -> dict:
-        state = self._capture_base()
-        state["v"] = 1
-        state["banks"] = [
-            [(addr, ctx.ref_entry(entry)) for addr, entry in bank.items()]
-            for bank in self._banks
-        ]
-        state["shared"] = [
-            (addr, ctx.ref_entry(entry)) for addr, entry in self._shared.items()
-        ]
-        return state
-
-    def restore_state(self, state: dict, ctx) -> None:
-        from ..common.versioning import check_state_version
-
-        check_state_version(state, 1, "HierarchicalMshr")
-        self._restore_base(state)
-        banks = state["banks"]
-        if len(banks) != self.num_banks:
-            raise ValueError(
-                f"snapshot has {len(banks)} banks, MSHR has {self.num_banks}"
-            )
-        self._banks = [
-            {addr: ctx.get_entry(ref) for addr, ref in bank} for bank in banks
-        ]
-        self._shared = {addr: ctx.get_entry(ref) for addr, ref in state["shared"]}

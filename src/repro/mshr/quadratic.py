@@ -82,24 +82,3 @@ class QuadraticMshr(MshrFile):
                 return self._count(probes)
         raise KeyError(f"no MSHR entry for line {line_addr:#x}")
 
-    def capture_state(self, ctx) -> dict:
-        state = self._capture_base()
-        state["v"] = 1
-        state["slots"] = [
-            None if e is None else ctx.ref_entry(e) for e in self._slots
-        ]
-        return state
-
-    def restore_state(self, state: dict, ctx) -> None:
-        from ..common.versioning import check_state_version
-
-        check_state_version(state, 1, "QuadraticMshr")
-        self._restore_base(state)
-        slots = state["slots"]
-        if len(slots) != self.capacity:
-            raise ValueError(
-                f"snapshot has {len(slots)} slots, MSHR has {self.capacity}"
-            )
-        self._slots = [
-            None if ref is None else ctx.get_entry(ref) for ref in slots
-        ]

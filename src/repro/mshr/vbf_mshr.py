@@ -156,30 +156,3 @@ class VbfMshr(MshrFile):
                 return self._count(probes)
         raise KeyError(f"no MSHR entry for line {line_addr:#x}")
 
-    def capture_state(self, ctx) -> dict:
-        state = self._capture_base()
-        state["v"] = 1
-        state["slots"] = [
-            None if e is None else ctx.ref_entry(e) for e in self._slots
-        ]
-        state["vbf_rows"] = list(self.vbf._rows)
-        state["occupied_bits"] = self._occupied_bits
-        return state
-
-    def restore_state(self, state: dict, ctx) -> None:
-        from ..common.versioning import check_state_version
-
-        check_state_version(state, 1, "VbfMshr")
-        self._restore_base(state)
-        slots = state["slots"]
-        rows = state["vbf_rows"]
-        if len(slots) != self.capacity or len(rows) != self.capacity:
-            raise ValueError(
-                f"snapshot shape ({len(slots)} slots, {len(rows)} VBF rows) "
-                f"does not match capacity {self.capacity}"
-            )
-        self._slots = [
-            None if ref is None else ctx.get_entry(ref) for ref in slots
-        ]
-        self.vbf._rows = list(rows)
-        self._occupied_bits = state["occupied_bits"]

@@ -272,7 +272,7 @@ class RasController:
         # RefreshSchedule; broadcast the escalation through the bank
         # observer seam so they re-anchor at the identical boundary.
         for bank_id, bank in enumerate(rank.banks):
-            observers = getattr(bank, "_validate_observers", None)
+            observers = getattr(bank.access, "observers", None)
             if not observers:
                 continue
             for observer in observers:
@@ -289,54 +289,6 @@ class RasController:
         table = self._remap_tables[mc]
         if table.retire(rank_id, bank_id):
             self._c_banks_retired.value += 1.0
-
-    # ------------------------------------------------------------------
-    # Snapshot seam
-    # ------------------------------------------------------------------
-    def capture_state(self) -> dict:
-        """Degradation state.  The injector's keyed-PRNG seed and the
-        ECC scheme are config-derived; escalated refresh multipliers
-        live in each rank's RefreshSchedule (captured with the DRAM
-        device)."""
-        return {
-            "v": 1,
-            "injector": self.injector.capture_state(),
-            "remap_tables": [
-                (mc_id, table.capture_state())
-                for mc_id, table in sorted(self._remap_tables.items())
-            ],
-            "retention_events": [
-                (key, list(events))
-                for key, events in self._retention_events.items()
-            ],
-            "uncorrectable_by_bank": list(
-                self._uncorrectable_by_bank.items()
-            ),
-        }
-
-    def restore_state(self, state: dict) -> None:
-        from ..common.versioning import check_state_version
-        from collections import deque as _deque
-
-        check_state_version(state, 1, "RasController")
-        self.injector.restore_state(state["injector"])
-        tables = dict(state["remap_tables"])
-        if set(tables) != set(self._remap_tables):
-            raise ValueError(
-                "snapshot remap tables cover controllers "
-                f"{sorted(tables)}, machine has "
-                f"{sorted(self._remap_tables)}"
-            )
-        for mc_id, table_state in tables.items():
-            self._remap_tables[mc_id].restore_state(table_state)
-        self._retention_events = {
-            tuple(key): _deque(events)
-            for key, events in state["retention_events"]
-        }
-        self._uncorrectable_by_bank = {
-            tuple(key): count
-            for key, count in state["uncorrectable_by_bank"]
-        }
 
     # ------------------------------------------------------------------
     # Reporting

@@ -188,40 +188,6 @@ class FaultInjector:
         return fail_after
 
     # ------------------------------------------------------------------
-    # Snapshot seam
-    # ------------------------------------------------------------------
-    def capture_state(self) -> dict:
-        """All draw-keying state.  The lazy stuck-channel and hard-fail
-        caches are pure functions of (seed, key) so they *could* be
-        re-derived, but capturing them keeps restore free of draw-order
-        assumptions."""
-        return {
-            "v": 1,
-            "line_state": [
-                (addr, state[0], state[1])
-                for addr, state in self._line_state.items()
-            ],
-            "bank_accesses": list(self._bank_accesses.items()),
-            "stuck_channel": list(self._stuck_channel.items()),
-            "hard_fail_after": list(self._hard_fail_after.items()),
-        }
-
-    def restore_state(self, state: dict) -> None:
-        from ..common.versioning import check_state_version
-
-        check_state_version(state, 1, "FaultInjector")
-        self._line_state = {
-            addr: [gen, reads] for addr, gen, reads in state["line_state"]
-        }
-        self._bank_accesses = {
-            tuple(key): count for key, count in state["bank_accesses"]
-        }
-        self._stuck_channel = dict(state["stuck_channel"])
-        self._hard_fail_after = {
-            tuple(key): after for key, after in state["hard_fail_after"]
-        }
-
-    # ------------------------------------------------------------------
     # Introspection (tests / sampling interplay assertions)
     # ------------------------------------------------------------------
     def tracked_lines(self) -> int:

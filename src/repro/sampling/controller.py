@@ -31,15 +31,15 @@ state machine rather than nested loops, so a whole-machine snapshot can
 capture mid-run progress (stage, interval index, accumulated samples)
 and a restored run re-enters :meth:`~SampledRunController.run` at the
 recorded stage.  The interval callbacks are bound methods of the
-controller — the machine registers it as the ``"sampler"`` component,
-which is what makes the cores' commit watches snapshot-encodable.
+controller (the machine's ``_sampler``), which is what makes the cores'
+commit watches snapshot-encodable.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
-from ..common.errors import SimulationHang, SnapshotConfigMismatch, SnapshotError
+from ..common.errors import SimulationHang, SnapshotError
 from ..engine.simulator import Watchdog
 from .estimate import estimate_mean
 from .plan import SamplingPlan
@@ -89,15 +89,11 @@ class SampledRunController:
         plan: SamplingPlan,
         warmup_instructions: int = 20_000,
         measure_instructions: int = 80_000,
-        max_cycles: int = 500_000_000,
-        max_events: Optional[int] = None,
     ) -> None:
         self.machine = machine
         self.plan = plan
         self.warmup_instructions = warmup_instructions
         self.measure_instructions = measure_instructions
-        self.max_cycles = max_cycles
-        self.max_events = max_events
         self.k = plan.intervals_for(measure_instructions)
         self.stage = "init"
         self.interval = 0
@@ -109,12 +105,20 @@ class SampledRunController:
         self.ends: List[Optional[Tuple]] = []
 
     # ------------------------------------------------------------------
-    def run(self) -> "MachineResult":
+    def run(
+        self,
+        max_cycles: int = 500_000_000,
+        max_events: Optional[int] = None,
+        snapshot=None,
+    ) -> "MachineResult":
+        """Drive the remaining stages; ``max_cycles``/``max_events``
+        bound each engine drive and ``snapshot`` is the machine's
+        :class:`~repro.snapshot.SnapshotPlan` (or ``None``)."""
         machine = self.machine
         if self.stage == "done":
             raise SnapshotError("this sampled run already completed")
         watchdog = Watchdog(
-            max_events=self.max_events,
+            max_events=max_events,
             pending_work=machine.outstanding_requests,
         )
         if self.stage == "init":
@@ -128,21 +132,21 @@ class SampledRunController:
 
         while self.stage in ("detail-warmup", "measure"):
             stage = self.stage
-            machine._drive(watchdog, self.max_cycles, self._stage_done)
+            machine._drive(watchdog, max_cycles, self._stage_done, snapshot)
             if self.waiting:
                 if stage == "detail-warmup":
                     message = (
                         "sampled detail-warmup phase did not finish within "
-                        f"{self.max_cycles} cycles "
+                        f"{max_cycles} cycles "
                         f"(committed: {[c.committed for c in machine.cores]})"
                     )
                 else:
                     message = (
                         f"sampled interval {self.interval} did not finish "
-                        f"within {self.max_cycles} cycles "
+                        f"within {max_cycles} cycles "
                         f"(committed: {[c.committed for c in machine.cores]})"
                     )
-                machine._hang_snapshot()
+                machine._hang_snapshot(snapshot)
                 raise SimulationHang(
                     message,
                     cycle=machine.engine.now,
@@ -156,7 +160,7 @@ class SampledRunController:
 
         # Leave the machine quiescent: checker finish() then sees a
         # conserved system (no in-flight requests).
-        self._do_drain(watchdog)
+        self._do_drain(watchdog, max_cycles, snapshot)
         if machine.checker_set is not None:
             machine.checker_set.finish()
         self.stage = "done"
@@ -207,7 +211,7 @@ class SampledRunController:
         else:
             self._enter_interval()
 
-    def _do_drain(self, watchdog: Watchdog) -> None:
+    def _do_drain(self, watchdog: Watchdog, max_cycles: int, snapshot) -> None:
         """Pause dispatch and run until the whole hierarchy is quiescent.
 
         Mid-run phase switches deliberately do *not* drain —
@@ -227,9 +231,9 @@ class SampledRunController:
                 and machine.outstanding_requests() == 0
             )
 
-        machine._drive(watchdog, self.max_cycles, drained, stop_when=drained)
+        machine._drive(watchdog, max_cycles, drained, snapshot, stop_when=drained)
         if not drained():
-            machine._hang_snapshot()
+            machine._hang_snapshot(snapshot)
             raise SimulationHang(
                 "hierarchy failed to drain before a functional phase "
                 f"(outstanding: {machine.outstanding_requests()})",
@@ -239,8 +243,7 @@ class SampledRunController:
             )
 
     # ------------------------------------------------------------------
-    # Commit-watch callbacks (bound methods — snapshot-encodable via the
-    # machine's "sampler" component registration)
+    # Commit-watch callbacks (bound methods, so snapshot-encodable)
     # ------------------------------------------------------------------
     def _crossed(self, _core) -> None:
         self.waiting -= 1
@@ -324,67 +327,6 @@ class SampledRunController:
         }
         return machine._build_result(core_results, extra)
 
-    # -- snapshot seam ---------------------------------------------------
-    def capture_state(self) -> dict:
-        """Stage machine plus accumulated samples (all plain tuples).
-
-        The per-core commit-watch targets and callbacks live with the
-        cores; only the controller-side progress is captured here.
-        """
-        return {
-            "v": 1,
-            "stage": self.stage,
-            "interval": self.interval,
-            "waiting": self.waiting,
-            "samples": [list(per_core) for per_core in self.samples],
-            "starts": list(self.starts),
-            "ends": list(self.ends),
-            "plan": [
-                self.plan.detailed,
-                self.plan.warmup,
-                self.plan.detail_warmup,
-                self.plan.min_intervals,
-            ],
-            "args": [self.warmup_instructions, self.measure_instructions],
-        }
-
-    def restore_state(self, state: dict) -> None:
-        from ..common.versioning import check_state_version
-
-        check_state_version(state, 1, "SampledRunController")
-        plan_fields = [
-            self.plan.detailed,
-            self.plan.warmup,
-            self.plan.detail_warmup,
-            self.plan.min_intervals,
-        ]
-        if list(state["plan"]) != plan_fields:
-            raise SnapshotConfigMismatch(
-                f"snapshot sampling plan {state['plan']} does not match "
-                f"this run's {plan_fields}"
-            )
-        args = [self.warmup_instructions, self.measure_instructions]
-        if list(state["args"]) != args:
-            raise SnapshotConfigMismatch(
-                f"resumed sampled-run arguments {args} do not match the "
-                f"snapshot's {state['args']}"
-            )
-        if len(state["samples"]) != len(self.machine.cores):
-            raise ValueError(
-                "snapshot sample lists do not match this machine's cores"
-            )
-        self.stage = state["stage"]
-        self.interval = state["interval"]
-        self.waiting = state["waiting"]
-        self.samples = [
-            [tuple(sample) for sample in per_core]
-            for per_core in state["samples"]
-        ]
-        self.starts = [tuple(start) for start in state["starts"]]
-        self.ends = [
-            None if end is None else tuple(end) for end in state["ends"]
-        ]
-
 
 def run_sampled(
     machine: "Machine",
@@ -397,7 +339,7 @@ def run_sampled(
     """Run ``machine`` under ``plan`` and return extrapolated results.
 
     Thin compatibility wrapper over :meth:`Machine.run_sampled`, which
-    owns the controller's component registration.
+    owns the controller.
     """
     return machine.run_sampled(
         plan,

@@ -8,14 +8,15 @@ Three layers:
 * :mod:`~repro.snapshot.format` — the crash-safe file format (magic +
   schema version + config fingerprint + checksummed payload; tmp/fsync/
   rename writes; torn or tampered files are refused, never repaired).
-* :mod:`~repro.snapshot.codec` — the object-graph codec that interns
-  shared-identity objects (requests, MSHR entries, in-flight ROB slots,
-  scheduled events) and encodes callbacks structurally.
+* :mod:`~repro.snapshot.codec` — the state walk: every component's
+  instance fields as plain data, shared objects numbered, callbacks
+  encoded structurally, restored in place onto a freshly built machine
+  (the layout of every walked class is checked first).
 * :class:`repro.system.machine.Machine` — ``snapshot()`` / ``resume()``
   plus the chunked drive loop that takes periodic checkpoints at
   deterministic cycle boundaries (see :class:`SnapshotPlan`).
 
-See ``docs/snapshot.md`` for the format, versioning policy, preemption
+See ``docs/snapshot.md`` for the format, the layout check, preemption
 semantics and what is deliberately *not* captured.
 """
 
@@ -31,8 +32,7 @@ from ..common.errors import (
     SnapshotPreempted,
     SnapshotSchemaError,
 )
-from . import preemption
-from .codec import SnapshotContext
+from . import codec, preemption
 from .format import (
     SCHEMA_VERSION,
     read_snapshot_file,
@@ -77,7 +77,6 @@ class SnapshotPlan:
 __all__ = [
     "SCHEMA_VERSION",
     "SnapshotConfigMismatch",
-    "SnapshotContext",
     "SnapshotError",
     "SnapshotFormatError",
     "SnapshotPlan",

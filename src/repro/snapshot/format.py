@@ -40,10 +40,11 @@ from ..common.errors import (
     SnapshotSchemaError,
 )
 
-#: Bumped whenever the state-tree layout changes incompatibly.  There is
+#: Bumped when the file format or the state walk's encoding changes
+#: (class layouts are checked tree by tree, see :mod:`.codec`).  There is
 #: deliberately no migration machinery: a snapshot is a resume artifact,
 #: not an archive format, and refusing an old one just costs a re-run.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _MAGIC_PREFIX = b"REPRO-SNAPSHOT "
 

@@ -168,29 +168,6 @@ class SramTagStore:
     def resident_lines(self) -> int:
         return self.array.resident_lines
 
-    # -- snapshot seam ---------------------------------------------------
-    def capture_state(self) -> dict:
-        return {
-            "v": 1,
-            "array": self.array.capture_state(),
-            "frame_of": list(self._frame_of.items()),
-            "set_fill": list(self._set_fill),
-        }
-
-    def restore_state(self, state: dict) -> None:
-        from ..common.versioning import check_state_version
-
-        check_state_version(state, 1, "SramTagStore")
-        self.array.restore_state(state["array"])
-        self._frame_of = dict(state["frame_of"])
-        set_fill = state["set_fill"]
-        if len(set_fill) != self.num_sets:
-            raise ValueError(
-                f"snapshot has {len(set_fill)} sets, store has {self.num_sets}"
-            )
-        self._set_fill = list(set_fill)
-
-
 class AlloyTagStore:
     """Alloy-style direct-mapped tags-in-DRAM (TAD lines).
 
@@ -269,27 +246,6 @@ class AlloyTagStore:
     @property
     def resident_lines(self) -> int:
         return sum(1 for tag in self._tags if tag >= 0)
-
-    # -- snapshot seam ---------------------------------------------------
-    def capture_state(self) -> dict:
-        return {
-            "v": 1,
-            "tags": list(self._tags),
-            "dirty": list(self._dirty),
-        }
-
-    def restore_state(self, state: dict) -> None:
-        from ..common.versioning import check_state_version
-
-        check_state_version(state, 1, "AlloyTagStore")
-        tags = state["tags"]
-        if len(tags) != self.num_sets:
-            raise ValueError(
-                f"snapshot has {len(tags)} sets, store has {self.num_sets}"
-            )
-        self._tags = list(tags)
-        self._dirty = bytearray(state["dirty"])
-
 
 class _Fill:
     """In-flight off-chip fetch for one line: who waits, what merged."""
@@ -867,79 +823,6 @@ class StackModeMemory:
                 self._stack.functional_touch(frame, is_write)
                 return
         self._offchip.functional_touch(addr, is_write)
-
-    # -- snapshot seam ---------------------------------------------------
-    def capture_state(self, ctx) -> dict:
-        """Whole-facade state, both memory systems included.
-
-        The cache region geometry (``cache_bytes``) is *state*, not
-        config: the MemCache monitor repartitions at runtime, so restore
-        rebuilds the region at the captured size before seating the tag
-        and predictor contents.
-        """
-        return {
-            "v": 1,
-            "stack": self._stack.capture_state(ctx),
-            "offchip": self._offchip.capture_state(ctx),
-            "mshr": self._mshr.capture_state(ctx),
-            "inflight": [
-                (
-                    line,
-                    [ctx.ref_request(r) for r in fill.waiters],
-                    fill.dirty,
-                    fill.poisoned,
-                    fill.issued,
-                )
-                for line, fill in self._inflight.items()
-            ],
-            "mshr_waitlist": list(self._mshr_waitlist),
-            "poisoned_lines": list(self._poisoned_lines.items()),
-            "pending_partition": self._pending_partition,
-            "cache_fraction": self.cache_fraction,
-            "cache_bytes": self.cache_bytes,
-            "epoch_accesses": self._epoch_accesses,
-            "epoch_hits": self._epoch_hits,
-            "tags": None if self._tags is None else self._tags.capture_state(),
-            "predictor": (
-                None
-                if self._predictor is None
-                else self._predictor.capture_state()
-            ),
-        }
-
-    def restore_state(self, state: dict, ctx) -> None:
-        from ..common.versioning import check_state_version
-
-        check_state_version(state, 1, "StackModeMemory")
-        self._stack.restore_state(state["stack"], ctx)
-        self._offchip.restore_state(state["offchip"], ctx)
-        # Rebuild the region at the captured partition point; the fresh
-        # tag store / predictor are then overwritten with captured
-        # contents (warm_start preloads are clobbered the same way the
-        # original run's history clobbered them).
-        self.cache_fraction = state["cache_fraction"]
-        self._build_region(state["cache_bytes"])
-        if state["tags"] is not None:
-            if self._tags is None:
-                raise ValueError("snapshot has a cache region, facade has none")
-            self._tags.restore_state(state["tags"])
-        if state["predictor"] is not None and self._predictor is not None:
-            self._predictor.restore_state(state["predictor"])
-        self._mshr.restore_state(state["mshr"], ctx)
-        inflight: Dict[int, _Fill] = {}
-        for line, refs, dirty, poisoned, issued in state["inflight"]:
-            fill = _Fill(None)
-            fill.waiters = [ctx.get_request(ref) for ref in refs]
-            fill.dirty = dirty
-            fill.poisoned = poisoned
-            fill.issued = issued
-            inflight[line] = fill
-        self._inflight = inflight
-        self._mshr_waitlist = deque(state["mshr_waitlist"])
-        self._poisoned_lines = dict(state["poisoned_lines"])
-        self._pending_partition = state["pending_partition"]
-        self._epoch_accesses = state["epoch_accesses"]
-        self._epoch_hits = state["epoch_hits"]
 
     # -- diagnostics -----------------------------------------------------
     def hit_rate(self) -> float:

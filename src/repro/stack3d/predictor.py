@@ -34,16 +34,6 @@ class HitMissPredictor:
     def update(self, line: int, pc: int, hit: bool) -> None:
         """Observe the resolved outcome (no-op for stateless kinds)."""
 
-    # -- snapshot seam (stateless kinds share the trivial form) ----------
-    def capture_state(self) -> dict:
-        return {"v": 1}
-
-    def restore_state(self, state: dict) -> None:
-        from ..common.versioning import check_state_version
-
-        check_state_version(state, 1, type(self).__name__)
-
-
 class OraclePredictor(HitMissPredictor):
     """Perfect knowledge: consults the shadow tag truth directly.
 
@@ -120,22 +110,6 @@ class MapIPredictor(HitMissPredictor):
                 self.table[index] = value + 1
         elif value > 0:
             self.table[index] = value - 1
-
-    # -- snapshot seam ---------------------------------------------------
-    def capture_state(self) -> dict:
-        return {"v": 1, "table": list(self.table)}
-
-    def restore_state(self, state: dict) -> None:
-        from ..common.versioning import check_state_version
-
-        check_state_version(state, 1, "MapIPredictor")
-        table = state["table"]
-        if len(table) != self.entries:
-            raise ValueError(
-                f"snapshot has {len(table)} entries, table has {self.entries}"
-            )
-        self.table = list(table)
-
 
 def make_predictor(
     kind: str, truth: Callable[[int], bool]

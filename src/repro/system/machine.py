@@ -10,7 +10,7 @@ keeps executing, and report harmonic-mean IPC plus per-core MPKI.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..common.address import PageAllocator
@@ -379,9 +379,6 @@ class Machine:
             )
             if config.l2_inclusive:
                 self.l2.register_upper_level(l1)
-            # Wired at construction (not at measurement start) so a
-            # restored machine's cores already point at this machine's
-            # freeze hook; Core deliberately does not checkpoint it.
             core.on_frozen = self._snapshot_core
             self.l1s.append(l1)
             self.cores.append(core)
@@ -421,7 +418,6 @@ class Machine:
                 committed_reader=self._total_committed,
             )
 
-        self._l2_snapshot: Dict[int, Dict[str, float]] = {}
         self._core_results: Dict[int, CoreResult] = {}
         self._unfrozen_count = 0
         self._measure_l2_start: Dict[int, Dict[str, float]] = {}
@@ -432,7 +428,6 @@ class Machine:
         self._run_phase = "start"
         self._run_args: Optional[List[int]] = None
         self._warmup_waiting = 0
-        self._snapshot_plan = None
         self._sampler = None
         self._pending_restore: Optional[dict] = None
         self.sample_log: Optional[List[List[tuple]]] = None
@@ -490,14 +485,8 @@ class Machine:
                 primed with :meth:`resume` continues from the recorded
                 phase instead of starting over.
         """
-        self._snapshot_plan = snapshot
         if self._pending_restore is not None:
-            if self._pending_restore.get("sampler") is not None:
-                raise SnapshotError(
-                    "snapshot was taken under a sampled run; resume it "
-                    "with run_sampled() and the same SamplingPlan"
-                )
-            self._apply_restore()
+            self._apply_restore(sampled=False)
         if self._run_phase == "done":
             raise SnapshotError("this machine's run already completed")
         if self._run_phase != "start":
@@ -533,10 +522,11 @@ class Machine:
 
         if self._run_phase == "warmup":
             self._drive(
-                watchdog, max_cycles, lambda: self._warmup_waiting == 0
+                watchdog, max_cycles, lambda: self._warmup_waiting == 0,
+                snapshot,
             )
             if not all(c.committed >= warmup_instructions for c in self.cores):
-                self._hang_snapshot()
+                self._hang_snapshot(snapshot)
                 raise SimulationHang(
                     f"warmup did not finish within {max_cycles} cycles "
                     f"(committed: {[c.committed for c in self.cores]})",
@@ -548,9 +538,11 @@ class Machine:
 
         # _snapshot_core stops the run when the last core freezes, at the
         # same event a stop_when=all-frozen poll would have stopped on.
-        self._drive(watchdog, max_cycles, lambda: self._unfrozen_count == 0)
+        self._drive(
+            watchdog, max_cycles, lambda: self._unfrozen_count == 0, snapshot
+        )
         if not all(core.frozen for core in self.cores):
-            self._hang_snapshot()
+            self._hang_snapshot(snapshot)
             raise SimulationHang(
                 f"measurement did not finish within {max_cycles} cycles "
                 f"(committed: {[c.committed for c in self.cores]})",
@@ -597,31 +589,30 @@ class Machine:
         """
         from ..sampling.controller import SampledRunController
 
-        self._snapshot_plan = snapshot
-        controller = SampledRunController(
-            self,
-            plan,
-            warmup_instructions=warmup_instructions,
-            measure_instructions=measure_instructions,
-            max_cycles=max_cycles,
-            max_events=max_events,
+        controller = self._sampler = SampledRunController(
+            self, plan, warmup_instructions, measure_instructions
         )
-        self._sampler = controller
+        run_args = [warmup_instructions, measure_instructions, *astuple(plan)]
         try:
             if self._pending_restore is not None:
-                if self._pending_restore.get("sampler") is None:
-                    raise SnapshotError(
-                        "snapshot was taken under a full-detail run; "
-                        "resume it with run() instead"
+                self._apply_restore(sampled=True)
+                if self._run_args != run_args:
+                    raise SnapshotConfigMismatch(
+                        f"resumed sampled-run arguments {run_args} do not "
+                        f"match the snapshot's {self._run_args} (quotas and "
+                        "sampling plan are part of the run identity)"
                     )
-                self._apply_restore()
-            return controller.run()
+            else:
+                self._run_args = run_args
+            return controller.run(max_cycles, max_events, snapshot)
         finally:
             self._sampler = None
 
     # -- snapshot/restore ----------------------------------------------
-    def _drive(self, watchdog, max_cycles, finished, stop_when=None) -> None:
-        """Run the engine until ``finished()``, honoring the snapshot plan.
+    def _drive(
+        self, watchdog, max_cycles, finished, plan, stop_when=None
+    ) -> None:
+        """Run the engine until ``finished()``, honoring the snapshot ``plan``.
 
         Without a plan this is a single ``engine.run`` call (identical
         to the pre-snapshot drive).  With one, the run is chunked at
@@ -632,7 +623,6 @@ class Machine:
         writing or resumed run.
         """
         engine = self.engine
-        plan = self._snapshot_plan
         if plan is None:
             if not finished():
                 engine.run(
@@ -648,7 +638,7 @@ class Machine:
             try:
                 engine.run(until=limit, stop_when=stop_when, watchdog=watchdog)
             except (SimulationHang, SimulationDeadlock):
-                self._hang_snapshot()
+                self._hang_snapshot(plan)
                 raise
             if finished() or engine.now >= max_cycles:
                 return
@@ -669,9 +659,8 @@ class Machine:
             if plan.write:
                 self.snapshot(plan.path, meta={"reason": "periodic"})
 
-    def _hang_snapshot(self) -> None:
+    def _hang_snapshot(self, plan) -> None:
         """Best-effort checkpoint before a hang/deadlock propagates."""
-        plan = self._snapshot_plan
         if plan is None or not (plan.write and plan.snapshot_on_hang):
             return
         try:
@@ -701,174 +690,19 @@ class Machine:
             canonical_json(spec).encode("utf-8")
         ).hexdigest()
 
-    def _component_registry(self) -> Dict[str, object]:
-        """Stable path -> object map for snapshot callback encoding.
-
-        Every object whose bound methods can appear in the event queue
-        or on a request callback must be here; paths are derived from
-        the wiring (never from memory addresses) so an identically
-        built machine resolves them to its own objects.
-        """
-        components: Dict[str, object] = {
-            "machine": self,
-            "engine": self.engine,
-            "l2": self.l2,
-            "memory": self.memory,
-        }
-        if self.l3 is not None:
-            components["l3"] = self.l3
-        if self.l4 is not None:
-            components["memory.stack"] = self.l4.stack
-            components["memory.offchip"] = self.l4.offchip
-        for mc in self.memory.controllers:
-            components[f"mc.{mc.mc_id}"] = mc
-        for i, l1 in enumerate(self.l1s):
-            components[f"l1.{i}"] = l1
-        for i, core in enumerate(self.cores):
-            components[f"core.{i}"] = core
-        if self.tuner is not None:
-            components["tuner"] = self.tuner
-        if self.ras is not None:
-            components["ras"] = self.ras
-        if self.checker_set is not None:
-            for checker in self.checker_set:
-                components[f"checker.{checker.name}"] = checker
-        if self._sampler is not None:
-            components["sampler"] = self._sampler
-        return components
-
     def capture_state(self) -> dict:
-        """Whole-machine state tree (see :mod:`repro.snapshot`)."""
-        from ..common import request as request_mod
-        from ..snapshot.codec import SnapshotContext
+        """Whole-machine state tree (see :mod:`repro.snapshot.codec`)."""
+        from ..snapshot.codec import capture
 
-        ctx = SnapshotContext(self._component_registry())
-        state = {
-            "v": 1,
-            "phase": self._run_phase,
-            "run_args": self._run_args,
-            "warmup_waiting": self._warmup_waiting,
-            "unfrozen_count": self._unfrozen_count,
-            "measure_l2_start": [
-                (core_id, sorted(counters.items()))
-                for core_id, counters in sorted(self._measure_l2_start.items())
-            ],
-            "core_results": [
-                (
-                    core_id,
-                    [
-                        r.benchmark,
-                        r.ipc,
-                        r.instructions,
-                        r.cycles,
-                        r.l2_mpki,
-                        r.avg_load_latency,
-                    ],
-                )
-                for core_id, r in sorted(self._core_results.items())
-            ],
-            "request_globals": request_mod.capture_globals(),
-            "allocator": self.allocator.capture_state(),
-            "engine": self.engine.capture_state(ctx),
-            "memory": self.memory.capture_state(ctx),
-            "l3": None if self.l3 is None else self.l3.capture_state(ctx),
-            "l2": self.l2.capture_state(ctx),
-            "l1s": [l1.capture_state(ctx) for l1 in self.l1s],
-            "cores": [core.capture_state(ctx) for core in self.cores],
-            "tuner": None if self.tuner is None else self.tuner.capture_state(),
-            "ras": None if self.ras is None else self.ras.capture_state(),
-            "checkers": (
-                None
-                if self.checker_set is None
-                else [(c.name, c.capture_state()) for c in self.checker_set]
-            ),
-            "sampler": (
-                None if self._sampler is None else self._sampler.capture_state()
-            ),
-            "stats": self.registry.capture_state(),
-        }
-        # Interned-object tables go last: every component has declared
-        # its live requests/entries/events by now.
-        state["objects"] = ctx.capture_tables()
-        return state
+        tree = capture(self)
+        tree["sampled"] = self._sampler is not None
+        return tree
 
     def restore_state(self, state: dict) -> None:
-        """Rebuild live simulation state from :meth:`capture_state`."""
-        from ..common import request as request_mod
-        from ..common.versioning import check_state_version
-        from ..snapshot.codec import SnapshotContext
+        """Rewrite this freshly built machine from :meth:`capture_state`."""
+        from ..snapshot.codec import restore
 
-        check_state_version(state, 1, "Machine")
-        ctx = SnapshotContext(self._component_registry())
-        # Order matters: the request pool's id counter and the stats
-        # registry come first (components hold bound counter slots);
-        # then the interned objects are rebuilt so component seams can
-        # resolve references into them.
-        request_mod.restore_globals(state["request_globals"])
-        self.registry.restore_state(state["stats"])
-        self.allocator.restore_state(state["allocator"])
-        ctx.build_objects(state["objects"])
-        self.engine.restore_state(state["engine"], ctx)
-        self.memory.restore_state(state["memory"], ctx)
-        if self.l3 is not None or state["l3"] is not None:
-            if self.l3 is None or state["l3"] is None:
-                raise SnapshotError("snapshot and machine disagree on L3")
-            self.l3.restore_state(state["l3"], ctx)
-        self.l2.restore_state(state["l2"], ctx)
-        if len(state["l1s"]) != len(self.l1s):
-            raise SnapshotError(
-                f"snapshot has {len(state['l1s'])} L1s, machine has "
-                f"{len(self.l1s)}"
-            )
-        for l1, l1_state in zip(self.l1s, state["l1s"]):
-            l1.restore_state(l1_state, ctx)
-        if len(state["cores"]) != len(self.cores):
-            raise SnapshotError(
-                f"snapshot has {len(state['cores'])} cores, machine has "
-                f"{len(self.cores)}"
-            )
-        for core, core_state in zip(self.cores, state["cores"]):
-            core.restore_state(core_state, ctx)
-        if (self.tuner is None) != (state["tuner"] is None):
-            raise SnapshotError("snapshot and machine disagree on the tuner")
-        if self.tuner is not None:
-            self.tuner.restore_state(state["tuner"])
-        if (self.ras is None) != (state["ras"] is None):
-            raise SnapshotError("snapshot and machine disagree on RAS")
-        if self.ras is not None:
-            self.ras.restore_state(state["ras"])
-        captured_checkers = state["checkers"]
-        if (self.checker_set is None) != (captured_checkers is None):
-            raise SnapshotError("snapshot and machine disagree on checkers")
-        if self.checker_set is not None:
-            captured = dict(captured_checkers)
-            attached = {c.name for c in self.checker_set}
-            if set(captured) != attached:
-                raise SnapshotError(
-                    f"snapshot checkers {sorted(captured)} do not match "
-                    f"attached {sorted(attached)}"
-                )
-            for checker in self.checker_set:
-                checker.restore_state(captured[checker.name])
-        if state["sampler"] is not None:
-            if self._sampler is None:
-                raise SnapshotError(
-                    "snapshot was taken under a sampled run; resume it "
-                    "with run_sampled()"
-                )
-            self._sampler.restore_state(state["sampler"])
-        self._run_phase = state["phase"]
-        self._run_args = state["run_args"]
-        self._warmup_waiting = state["warmup_waiting"]
-        self._unfrozen_count = state["unfrozen_count"]
-        self._measure_l2_start = {
-            core_id: dict(counters)
-            for core_id, counters in state["measure_l2_start"]
-        }
-        self._core_results = {
-            core_id: CoreResult(*fields)
-            for core_id, fields in state["core_results"]
-        }
+        restore(self, state)
 
     def snapshot(self, path: str, meta: Optional[dict] = None) -> None:
         """Write an atomic whole-machine checkpoint to ``path``."""
@@ -906,9 +740,14 @@ class Machine:
         self._pending_restore = tree
         return header
 
-    def _apply_restore(self) -> None:
-        tree = self._pending_restore
-        self._pending_restore = None
+    def _apply_restore(self, sampled: bool = False) -> None:
+        tree, self._pending_restore = self._pending_restore, None
+        if tree.get("sampled") is not sampled:
+            raise SnapshotError(
+                "snapshot was taken under a full-detail run; resume it with run()"
+                if sampled else "snapshot was taken under a sampled run; resume "
+                "it with run_sampled() and the same SamplingPlan"
+            )
         self.restore_state(tree)
 
     def _l2_core_counters(self, core_id: int) -> Dict[str, float]:

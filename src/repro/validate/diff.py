@@ -365,14 +365,22 @@ def resume_shapes(
     ``name -> (config, checkers, sampling plan)``, one per subsystem
     with restore-sensitive state: the plain path, the runtime checkers,
     the sampling controller, a saturated MRQ under miss-heavy traffic,
-    the L4 stacked-cache mode and the RAS scrub/fault machinery.  Built
-    on ``fast`` (default 3D-fast) and, for the checker shape,
-    ``baseline`` (default 2D); tests pass cut-down bases.
+    the three non-memory stack modes (L4 with SRAM tags, L4 with alloy
+    tags-in-DRAM and its hit/miss predictor, the repartitioning
+    MemCache hybrid) and the RAS scrub/fault machinery.  Built on
+    ``fast`` (default 3D-fast) and, for the checker shape, ``baseline``
+    (default 2D); tests pass cut-down bases.
     """
     from ..common.units import KIB
     from ..ras.config import RasConfig
     from ..sampling.plan import SamplingPlan
-    from ..system.config import config_2d, config_3d_fast, config_l4_cache
+    from ..system.config import (
+        config_2d,
+        config_3d_fast,
+        config_l4_alloy,
+        config_l4_cache,
+        config_memcache,
+    )
 
     fast = fast if fast is not None else config_3d_fast()
     baseline = baseline if baseline is not None else config_2d()
@@ -384,6 +392,8 @@ def resume_shapes(
         "sampled": (fast, None, SamplingPlan()),
         "miss-heavy": (miss_heavy, None, None),
         "l4-cache": (config_l4_cache(base=fast), None, None),
+        "l4-alloy": (config_l4_alloy(base=fast), None, None),
+        "memcache": (config_memcache(base=fast), None, None),
         "ras-on": (fast.derive(name="3d-fast-ras", ras=faulty), None, None),
     }
 

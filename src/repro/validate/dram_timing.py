@@ -110,35 +110,6 @@ class ShadowBank:
         """
         self._bank.refresh.set_multiplier(multiplier, now)
 
-    # -- snapshot seam ---------------------------------------------------
-    def capture_state(self) -> dict:
-        """Reference-bank trajectory plus the command history.
-
-        The shadow's private :class:`RefreshSchedule` is captured here
-        (real banks share theirs per rank); the rank-shared shadow
-        :class:`ActivationWindow` is captured once by the checker.
-        """
-        return {
-            "v": 1,
-            "bank": self._bank.capture_state(),
-            "refresh": self._bank.refresh.capture_state(),
-            "prev_act": self._prev_act,
-            "prev_col": self._prev_col,
-            "prev_data": self._prev_data,
-            "accesses": self.accesses,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        from ..common.versioning import check_state_version
-
-        check_state_version(state, 1, "ShadowBank")
-        self._bank.restore_state(state["bank"])
-        self._bank.refresh.restore_state(state["refresh"])
-        self._prev_act = state["prev_act"]
-        self._prev_col = state["prev_col"]
-        self._prev_data = state["prev_data"]
-        self.accesses = state["accesses"]
-
     # ------------------------------------------------------------------
     def _note_commands(self, data_time: int, hit: bool) -> None:
         timing = self.timing
@@ -284,36 +255,3 @@ class DramTimingChecker(Checker):
         self._shadows[(mc_id, rank_id, bank_id)].observe_refresh_escalation(
             multiplier, now
         )
-
-    # -- snapshot seam ---------------------------------------------------
-    def capture_state(self) -> dict:
-        return {
-            "v": 1,
-            "shadows": [
-                (key, shadow.capture_state())
-                for key, shadow in sorted(self._shadows.items())
-            ],
-            "rank_windows": [
-                (key, window.capture_state())
-                for key, window in sorted(self._rank_windows.items())
-            ],
-        }
-
-    def restore_state(self, state: dict) -> None:
-        from ..common.versioning import check_state_version
-
-        check_state_version(state, 1, "DramTimingChecker")
-        shadows = {tuple(key): s for key, s in state["shadows"]}
-        if set(shadows) != set(self._shadows):
-            raise ValueError(
-                "snapshot shadow banks do not match the registered banks"
-            )
-        for key, shadow_state in shadows.items():
-            self._shadows[key].restore_state(shadow_state)
-        windows = {tuple(key): s for key, s in state["rank_windows"]}
-        if set(windows) != set(self._rank_windows):
-            raise ValueError(
-                "snapshot activation windows do not match registered ranks"
-            )
-        for key, window_state in windows.items():
-            self._rank_windows[key].restore_state(window_state)

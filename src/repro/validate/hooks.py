@@ -60,8 +60,13 @@ def resolve_checker_names(spec: CheckerSpec) -> Tuple[str, ...]:
 # Bank seam
 # ----------------------------------------------------------------------
 def _bank_observers(bank, mc_id: int, rank_id: int, bank_id: int) -> List:
-    """The (single) observer list of one bank, wrapping ``access`` once."""
-    observers = getattr(bank, "_validate_observers", None)
+    """The (single) observer list of one bank, wrapping ``access`` once.
+
+    The list hangs off the wrapper (``bank.access.observers``), not the
+    bank: instrumentation is not machine state, so a snapshot walks
+    neither the wrappers nor what they observe into.
+    """
+    observers = bank_observers(bank)
     if observers is not None:
         return observers
     observers = []
@@ -90,10 +95,15 @@ def _bank_observers(bank, mc_id: int, rank_id: int, bank_id: int) -> List:
             if on_touch is not None:
                 on_touch(mc_id, rank_id, bank_id, row, is_write)
 
+    access.observers = observers
     bank.access = access
     bank.functional_touch = functional_touch
-    bank._validate_observers = observers
     return observers
+
+
+def bank_observers(bank) -> Optional[List]:
+    """The observers instrumenting ``bank``, or None if it has none."""
+    return getattr(bank.access, "observers", None)
 
 
 def _controllers_of(target) -> Sequence:

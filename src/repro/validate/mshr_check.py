@@ -169,27 +169,3 @@ class MshrConservationChecker(Checker):
                     constraint="no false negatives",
                     file=self._labels[index],
                 )
-
-    # -- snapshot seam ---------------------------------------------------
-    def capture_state(self) -> dict:
-        return {
-            "v": 1,
-            "shadow": [
-                (index, sorted(lines))
-                for index, lines in sorted(self._shadow.items())
-            ],
-            "operations_checked": self.operations_checked,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        from ..common.versioning import check_state_version
-
-        check_state_version(state, 1, "MshrConservationChecker")
-        shadow = dict(state["shadow"])
-        if set(shadow) != set(self._shadow):
-            raise ValueError(
-                "snapshot MSHR shadow files do not match registered files"
-            )
-        for index, lines in shadow.items():
-            self._shadow[index] = set(lines)
-        self.operations_checked = state["operations_checked"]

@@ -190,30 +190,3 @@ class QueueConservationChecker(Checker):
                     f"mc{mc}: #{rid} {state}" for (mc, rid), state in sample
                 ],
             )
-
-    # -- snapshot seam ---------------------------------------------------
-    def capture_state(self) -> dict:
-        """Lifecycle tracking only.  The retire-chain callbacks live on
-        the requests themselves and serialize as partials of
-        :meth:`_chain_complete`."""
-        return {
-            "v": 1,
-            "state": sorted(self._state.items()),
-            "queued_count": sorted(self._queued_count.items()),
-            "accepts": sorted(self.accepts.items()),
-            "retired": sorted(self.retired.items()),
-        }
-
-    def restore_state(self, state: dict) -> None:
-        from ..common.versioning import check_state_version
-
-        check_state_version(state, 1, "QueueConservationChecker")
-        queued = dict(state["queued_count"])
-        if set(queued) != set(self._controllers):
-            raise ValueError(
-                "snapshot queue checker covers different controllers"
-            )
-        self._state = {tuple(key): s for key, s in state["state"]}
-        self._queued_count = queued
-        self.accepts = dict(state["accepts"])
-        self.retired = dict(state["retired"])

@@ -1,24 +1,43 @@
 """Whole-machine state round-trips, in both directions.
 
 Direction one: a preempted run resumed in a fresh machine must finish
-with the exact result the uninterrupted run produces.  Direction two:
-restoring a snapshot and immediately re-capturing must reproduce the
-snapshot's own state tree — every component's seam is exercised, and a
-field a component forgets to capture (or restores with a default) shows
-up as a tree diff right here, not as a divergence ten thousand cycles
-later.  Nothing below depends on hash ordering, so the suite passes
-under ``PYTHONHASHSEED=random`` (CI runs it that way).
+with the exact result the uninterrupted run produces — over every shape
+of :func:`repro.validate.diff.resume_shapes`, over randomized machines
+that together draw every MSHR organization, replacement policy and
+scheduler, and across processes with different hash seeds.  Direction
+two: restoring a snapshot and immediately re-capturing must reproduce
+the snapshot's own state tree, so a field the state walk drops or
+restores with a default shows up as a tree diff right here, not as a
+divergence ten thousand cycles later.  Nothing below depends on hash
+ordering, so the suite passes under ``PYTHONHASHSEED=random`` (CI runs
+it that way).
 """
+
+import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from repro.common.errors import SnapshotPreempted
+import repro
+from repro.cache.replacement import POLICIES
+from repro.common import request as request_mod
+from repro.common.errors import SnapshotError, SnapshotPreempted, SnapshotSchemaError
 from repro.common.units import MIB
+from repro.mshr.factory import ORGANIZATIONS
+from repro.service.keys import config_to_dict
 from repro.snapshot import SnapshotPlan, preemption
 from repro.snapshot.format import read_snapshot_file
-from repro.system.config import config_2d, config_3d_fast, config_l4_cache
+from repro.system.config import (
+    config_2d,
+    config_3d_fast,
+    config_l4_cache,
+    config_quad_mc,
+)
 from repro.system.machine import Machine
 from repro.validate.diff import diff_resume, resume_shapes
+from tests.strategies import random_benchmarks, random_system_config
 
 MIX = ["gzip", "namd", "mesa", "astar"]  # light, quick to simulate
 WARMUP = 500
@@ -95,59 +114,112 @@ def test_restore_then_recapture_reproduces_the_tree(name, tmp_path):
     assert recaptured == tree
 
 
+def _walk(node):
+    """Every node of a state tree, depth first."""
+    stack = [node]
+    while stack:
+        item = stack.pop()
+        yield item
+        if isinstance(item, (list, tuple)):
+            stack.extend(item)
+        elif isinstance(item, dict):
+            stack.extend(item.keys())
+            stack.extend(item.values())
+
+
 def test_tree_covers_every_wired_component(tmp_path):
-    """Each component the machine registers appears in the state tree."""
+    """Each component the machine wires has its layout in the tree, and
+    no state anywhere carries a per-component version key."""
     config = _small(config_l4_cache(base=config_3d_fast()))
     path = str(tmp_path / "cell.snap")
     _preempt_to_file(config, None, path)
     _, tree = read_snapshot_file(path)
-    machine = _build(config)
-    assert len(tree["cores"]) == len(machine.cores)
-    assert len(tree["l1s"]) == len(machine.l1s)
-    for key in ("engine", "memory", "l2", "stats", "objects",
-                "request_globals", "allocator"):
-        assert tree[key] is not None
+    classes = {qualname for _, qualname, _ in tree["layouts"]}
+    assert {
+        "Machine", "Engine", "StatRegistry", "PageAllocator", "Core",
+        "BatchedTrace", "L1Cache", "BankedL2Cache", "CacheArray",
+        "StackModeMemory", "SramTagStore", "MainMemory", "MemoryController",
+        "MemoryRequestQueue", "DramDevice", "Rank", "Bank", "RefreshSchedule",
+        "Bus", "Counter", "Event",
+    } <= classes
+    assert tree["created"] and tree["request_globals"]
+    assert not any(
+        isinstance(node, dict) and "v" in node for node in _walk(tree)
+    )
 
 
 def test_sampled_run_resumes_bit_identically(tmp_path):
     _assert_resumes_bit_identically("sampled", tmp_path)
 
 
-def test_engine_state_v1_is_refused():
-    """Engine state v1 was the timing wheel's (horizon, wheel slots, heap
-    overflow, cancelled-in-heap count); v2 is the heap in heap order,
-    and a v1 tree must fail whole, not half-apply."""
-    from repro.common.errors import SnapshotSchemaError
+def _layout_index(tree, qualname):
+    return next(
+        index
+        for index, (_, name, _) in enumerate(tree["layouts"])
+        if name == qualname
+    )
 
+
+def _add_field(tree):
+    """The running code sets a field this tree (from before the field
+    existed) lacks: drop one of the L2's fields from its layout and
+    from the L2's values alike."""
+    index = _layout_index(tree, "BankedL2Cache")
+    module, qualname, fields = tree["layouts"][index]
+    dropped = fields.index("latency")
+    tree["layouts"][index] = (module, qualname, fields[:dropped] + fields[dropped + 1:])
+    for node in _walk(tree["root"]):
+        if type(node) is tuple and node[:2] == ("o", index):
+            del node[2][dropped]
+
+
+def _remove_field(tree):
+    """The tree carries a slot the running code no longer has."""
+    index = _layout_index(tree, "Core")
+    module, qualname, fields = tree["layouts"][index]
+    tree["layouts"][index] = (module, qualname, tuple(sorted(fields + ("fuse_fails",))))
+
+
+def _unknown_class(tree):
+    index = _layout_index(tree, "Engine")
+    module, _, fields = tree["layouts"][index]
+    tree["layouts"][index] = (module, "TimingWheelEngine", fields)
+
+
+@pytest.mark.parametrize(
+    "change", [_add_field, _remove_field, _unknown_class],
+    ids=["field-added", "field-removed", "unknown-class"],
+)
+def test_tree_with_a_different_layout_is_refused_whole(change, tmp_path):
+    """A layout that differs from the running code — the check the
+    hand-bumped per-seam versions used to make — fails before a single
+    write reaches the fresh machine."""
     config = _small(config_3d_fast())
-    machine = _build(config)
-    machine.engine.schedule(5, machine.engine.request_stop)
-    tree = machine.capture_state()
-    engine = tree["engine"]
-    assert engine["v"] == 2 and len(engine["queue"]) == machine.engine.pending
-    assert not any(key in engine for key in ("horizon", "wheel", "heap"))
-    tree["engine"] = {
-        "v": 1, "horizon": 512, "now": engine["now"], "seq": engine["seq"],
-        "events_fired": engine["events_fired"], "wheel": [[5, engine["queue"]]],
-        "heap": [], "heap_cancelled": 0,
-    }
+    path = str(tmp_path / "cell.snap")
+    _preempt_to_file(config, None, path)
+    _, tree = read_snapshot_file(path)
+    change(tree)
     fresh = _build(config)
+    stats = fresh.registry.dump()
+    pool = request_mod.capture_globals()
     with pytest.raises(SnapshotSchemaError):
         fresh.restore_state(tree)
+    assert fresh.engine.now == 0 and fresh.engine.pending == 0
+    assert fresh.registry.dump() == stats
+    assert request_mod.capture_globals() == pool
+    assert all(core.trace.cursor().batches_advanced == 0 for core in fresh.cores)
 
 
 def test_engine_refuses_capture_from_inside_a_callback():
     """A snapshot taken mid-run would see a half-fired cycle: refused
     from run() and step() alike, and allowed again once they return."""
-    from repro.common.errors import SnapshotError
-    from repro.engine import Engine
-
-    engine = Engine()
+    machine = _build(_small(config_3d_fast()))
+    engine = machine.engine
     refusals = []
 
     def capture():
         with pytest.raises(SnapshotError, match="inside an event callback"):
-            engine.capture_state(ctx=None)
+            machine.capture_state()
         refusals.append(engine.now)
 
     engine.schedule(1, capture)
@@ -155,75 +227,161 @@ def test_engine_refuses_capture_from_inside_a_callback():
     assert engine.step()
     engine.run()
     assert refusals == [1, 2]
-    assert engine.capture_state(ctx=None)["queue"] == []
-
-
-def test_core_state_from_before_the_parking_rule_is_refused():
-    """Core state v1 carried fused-dispatch backoff counters and no
-    parked tally; restoring one must fail whole, not half-apply."""
-    from repro.common.errors import SnapshotSchemaError
-
-    config = _small(config_3d_fast())
-    machine = _build(config)
     tree = machine.capture_state()
-    assert all(core["v"] == 3 for core in tree["cores"])
-    assert not any("fuse_fails" in core for core in tree["cores"])
-    tree["cores"][0] = dict(tree["cores"][0], v=1, fuse_fails=0, fuse_skip=0)
-    fresh = _build(config)
-    with pytest.raises(SnapshotSchemaError):
-        fresh.restore_state(tree)
+    assert "Event" not in {name for _, name, _ in tree["layouts"]}
 
 
-def test_core_state_v2_is_refused():
-    """Core state v2 carried the row-iterator form's held item and
-    consumption count beside the cursor; v3 has the cursor only, and a
-    v2 tree must fail whole, not half-apply."""
-    from repro.common.errors import SnapshotSchemaError
-
+def test_a_field_no_seam_names_survives_resume(tmp_path):
+    """Every instance field is state: an attribute set on a component
+    after preemption, and a construction value changed mid-run, both
+    come back on the resumed machine."""
     config = _small(config_3d_fast())
-    tree = _build(config).capture_state()
-    assert all(core["v"] == 3 for core in tree["cores"])
-    assert not any(
-        key in core
-        for core in tree["cores"]
-        for key in ("pending_item", "trace_items")
-    )
-    assert all(core["cursor"] is not None for core in tree["cores"])
-    tree["cores"][0] = dict(
-        tree["cores"][0], v=2, pending_item=None, trace_items=0
-    )
+    path = str(tmp_path / "cell.snap")
+    machine = _build(config)
+    preemption.clear()
+    preemption.request_preemption()
+    try:
+        with pytest.raises(SnapshotPreempted):
+            machine.run(
+                WARMUP, MEASURE,
+                snapshot=SnapshotPlan(path=path, every=EVERY, preemptible=True),
+            )
+    finally:
+        preemption.clear()
+    machine.l2.replay_marker = ("set after preemption", 7)
+    machine.cores[0].base_cpi = 0.625
+    machine.snapshot(path)
+
     fresh = _build(config)
-    with pytest.raises(SnapshotSchemaError):
-        fresh.restore_state(tree)
+    fresh.resume(path)
+    fresh._apply_restore()
+    assert fresh.l2.replay_marker == ("set after preemption", 7)
+    assert fresh.cores[0].base_cpi == 0.625
 
 
-def test_controller_state_from_before_the_drain_removal_is_refused():
-    """MemoryController state v1 carried the fused drain's eight
-    backoff/tally keys; restoring one must fail whole, not half-apply."""
-    from repro.common.errors import SnapshotSchemaError
+#: (seed, L2 replacement policy) for randomized machines
+#: (tests/strategies.py): together they draw every MSHR organization,
+#: the dynamic tuner, every replacement policy, both schedulers and the
+#: four-MC machine — the restore-sensitive state none of the fixed
+#: shapes reaches.
+RANDOM_RESUMES = [
+    (20, "plru"), (15, "lru"), (35, "random"), (0, "srrip"), (2, "lru"),
+    (41, "plru"),
+]
 
-    config = _small(config_3d_fast())
-    tree = _build(config).capture_state()
-    controllers = tree["memory"]["controllers"]
-    assert all(mc["v"] == 2 for mc in controllers)
-    assert not any(
-        key.startswith(("fuse", "fs_")) for mc in controllers for key in mc
+
+def _random_machine(seed, policy):
+    config = random_system_config(seed).derive(l2_replacement=policy)
+    return config, random_benchmarks(seed)
+
+
+def test_random_resumes_cover_every_restore_sensitive_draw():
+    configs = [_random_machine(seed, policy)[0] for seed, policy in RANDOM_RESUMES]
+    assert {c.l2_mshr_organization for c in configs} == set(ORGANIZATIONS)
+    assert any(c.l2_mshr_dynamic for c in configs)
+    assert {c.l1_replacement for c in configs} | {
+        c.l2_replacement for c in configs
+    } == set(POLICIES)
+    assert {c.scheduler for c in configs} == {"fr-fcfs", "fcfs"}
+    quad = config_quad_mc()
+    assert any(
+        (c.num_mcs, c.total_ranks) == (quad.num_mcs, quad.total_ranks)
+        for c in configs
     )
-    controllers[0] = dict(
-        controllers[0], v=1, fused_enabled=True, fuse_state=None,
-        fuse_fails=0, fuse_skip=0, fs_windows=0, fs_fused_issues=0,
-        fs_scalar_pumps=0, fuse_breaks=[],
+
+
+@pytest.mark.parametrize(
+    "seed,policy", RANDOM_RESUMES, ids=[f"seed{s}" for s, _ in RANDOM_RESUMES]
+)
+def test_random_machine_resumes_bit_identically(seed, policy, tmp_path):
+    config, benchmarks = _random_machine(seed, policy)
+    report, oracle, stitched = diff_resume(
+        config, benchmarks, warmup=WARMUP, measure=MEASURE, every=EVERY,
+        snapshot_path=str(tmp_path / "cell.snap"), seed=seed,
+        label=f"seed{seed}",
     )
-    fresh = _build(config)
-    with pytest.raises(SnapshotSchemaError):
-        fresh.restore_state(tree)
+    assert report.identical, report.format()
+    assert 0 < stitched.commands == oracle.commands
+
+
+_CHILD = """
+import json, sys
+from dataclasses import asdict
+from repro.common.errors import SnapshotPreempted
+from repro.service.keys import config_from_dict
+from repro.snapshot import SnapshotPlan, preemption
+from repro.system.machine import Machine
+
+mode, config_path, snap, out, warmup, measure, every = sys.argv[1:]
+warmup, measure, every = int(warmup), int(measure), int(every)
+with open(config_path) as handle:
+    spec = json.load(handle)
+machine = Machine(
+    config_from_dict(spec["config"]), spec["mix"], seed=7, workload_name="test"
+)
+if mode == "capture":
+    preemption.request_preemption()
+    try:
+        machine.run(
+            warmup, measure,
+            snapshot=SnapshotPlan(path=snap, every=every, preemptible=True),
+        )
+    except SnapshotPreempted:
+        sys.exit(0)
+    sys.exit("run finished before its first snapshot boundary")
+if mode == "resume":
+    machine.resume(snap)
+result = machine.run(warmup, measure, snapshot=SnapshotPlan(every=every, write=False))
+with open(out, "w") as handle:
+    json.dump(
+        {"result": asdict(result), "stats": machine.registry.dump()},
+        handle, sort_keys=True,
+    )
+"""
+
+CROSS_PROCESS = {
+    "l4-cache": SHAPES["l4-cache"][0],
+    "quad-vbf-dynamic": _small(config_quad_mc()).derive(
+        name="quad-vbf-dyn", l2_mshr_organization="vbf", l2_mshr_dynamic=True
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CROSS_PROCESS))
+def test_resume_in_another_process_matches_an_oracle(name, tmp_path):
+    """Capture under one hash seed, resume under another: result and
+    stat tables equal an uninterrupted run under a third."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(
+        {"config": config_to_dict(CROSS_PROCESS[name]), "mix": MIX}
+    ))
+    snap = str(tmp_path / "cell.snap")
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    pythonpath = os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )
+
+    def child(mode, hash_seed):
+        out = tmp_path / f"{mode}.json"
+        subprocess.run(
+            [sys.executable, "-c", _CHILD, mode, str(spec), snap, str(out),
+             str(WARMUP), str(MEASURE), str(EVERY)],
+            env=dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=pythonpath),
+            check=True,
+        )
+        return out
+
+    child("capture", 1)
+    resumed = child("resume", 2).read_text()
+    oracle = child("oracle", 3).read_text()
+    assert resumed == oracle
 
 
 def test_mid_run_checkpoint_size_stays_under_its_ceiling(tmp_path):
     """Checkpoint cost as a count: the bytes one mid-run snapshot of the
-    figure-4 smoke cell writes (99.6 kB when pinned; it is the state
-    walk and the fsync'd write that a periodic snapshot pays).  A seam
-    that starts capturing regenerable state — trace batches, whole stat
+    figure-4 smoke cell writes (96.2 kB when pinned; it is the state
+    walk and the fsync'd write that a periodic snapshot pays).  A component that
+    starts holding regenerable state — trace batches, whole stat
     histories — lands well past the ceiling."""
     import os
 

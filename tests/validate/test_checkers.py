@@ -16,7 +16,7 @@ from repro.validate import (
     QueueConservationChecker,
     resolve_checker_names,
 )
-from repro.validate.hooks import _wrap_mshr_file
+from repro.validate.hooks import _wrap_mshr_file, bank_observers
 
 TINY = dict(warmup_instructions=300, measure_instructions=1000)
 
@@ -236,7 +236,7 @@ def test_machine_without_checkers_is_uninstrumented():
         assert not hasattr(controller, "_validate_wrapped")
         for rank in controller.device.ranks:
             for bank in rank.banks:
-                assert not hasattr(bank, "_validate_observers")
+                assert bank_observers(bank) is None
     for file in machine.l2_mshr_files:
         assert not hasattr(file, "_validate_wrapped")
 
