@@ -71,10 +71,6 @@ class L1Cache:
         """
         now = self.engine.now
         array = self.array
-        # Read out what the prefetcher needs up front: completing the
-        # request may release it back to the pool (the core's data
-        # callback is its last consumer), after which its fields belong
-        # to the next acquirer.
         addr, pc = request.addr, request.pc
         line = addr & array._align_mask
         self._c_accesses.value += 1.0
@@ -105,7 +101,7 @@ class L1Cache:
         self._c_misses.value += 1.0
         new_entry.merge(request)
         self._fill_dirty[line] = request.is_write
-        fetch = MemoryRequest.acquire(
+        fetch = MemoryRequest(
             line,
             AccessType.READ,
             self.core_id,
@@ -151,14 +147,12 @@ class L1Cache:
                 )
             if victim[1]:
                 self._c_writebacks.value += 1.0
-                # Writebacks carry no response; the completing level fires
-                # the release callback, recycling the object.
-                writeback = MemoryRequest.acquire(
+                # Writebacks carry no response, hence no callback.
+                writeback = MemoryRequest(
                     victim[0],
                     AccessType.WRITEBACK,
                     core_id=self.core_id,
                     created_at=now,
-                    callback=MemoryRequest.release,
                 )
                 if victim_poisoned:
                     writeback.poisoned = True
@@ -174,8 +168,6 @@ class L1Cache:
             waiting.complete(now)
         while self._free_waiters and not self.mshr.is_full:
             self._free_waiters.popleft()()
-        # Our own fetch is spent once its fill has been applied.
-        mem_request.release()
 
     def _train_prefetcher(self, addr: int, pc: int, was_miss: bool) -> None:
         """L1 prefetch (next-line + IP-stride in Table 1) into the L1."""
@@ -195,7 +187,7 @@ class L1Cache:
                 continue
             self.stats.add("prefetches_issued")
             self._fill_dirty[line] = False
-            fetch = MemoryRequest.acquire(
+            fetch = MemoryRequest(
                 line,
                 AccessType.PREFETCH,
                 core_id=self.core_id,

@@ -252,7 +252,7 @@ class BankedL2Cache:
             stall_start = request.annotations.pop("mshr_stall_start", None)
             if stall_start is not None:
                 self._c_mshr_stall_cycles.value += engine.now - stall_start
-        mem_request = MemoryRequest.acquire(
+        mem_request = MemoryRequest(
             line,
             AccessType.READ,
             request.core_id,
@@ -345,8 +345,6 @@ class BankedL2Cache:
         # then — so no waiter can be stranded by skipping this event.
         if self._mshr_waiters[bank_idx]:
             engine.schedule(delay, self._drain_mshr_waiters, bank_idx)
-        # The memory-side fetch has served its purpose.
-        mem_request.release()
 
     def _deliver_fills(self, waiters, at: int) -> None:
         """Complete a run of same-cycle fill waiters in arrival order."""
@@ -369,12 +367,7 @@ class BankedL2Cache:
     # ------------------------------------------------------------------
     def _post_memory_writeback(self, line: int, poisoned: bool = False) -> None:
         self.stats.add("memory_writebacks")
-        wb = MemoryRequest.acquire(
-            line,
-            AccessType.WRITEBACK,
-            created_at=self.engine.now,
-            callback=MemoryRequest.release,
-        )
+        wb = MemoryRequest(line, AccessType.WRITEBACK, created_at=self.engine.now)
         if poisoned:
             wb.poisoned = True
         self._enqueue_memory(wb)
@@ -400,13 +393,12 @@ class BankedL2Cache:
             if entry is not None:
                 continue
             self.stats.add("prefetches_issued")
-            prefetch = MemoryRequest.acquire(
+            prefetch = MemoryRequest(
                 line,
                 AccessType.PREFETCH,
                 core_id=core_id,
                 pc=pc,
                 created_at=self.engine.now,
-                callback=MemoryRequest.release,
             )
             self.access(prefetch)
 

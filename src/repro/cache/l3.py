@@ -116,7 +116,7 @@ class StackedL3:
             self._c_merges.value += 1.0
             return
         self._inflight[line] = [request]
-        fetch = MemoryRequest.acquire(
+        fetch = MemoryRequest(
             line,
             AccessType.READ,
             core_id=request.core_id,
@@ -133,7 +133,6 @@ class StackedL3:
 
     def _fill_from_memory(self, line: int, fetch: MemoryRequest) -> None:
         self._fill(line, poisoned=fetch.poisoned)
-        fetch.release()
 
     def _fill(self, line: int, poisoned: bool = False) -> None:
         now = self.engine.now
@@ -156,11 +155,8 @@ class StackedL3:
             request.complete(now)
 
     def _forward_writeback(self, line: int, poisoned: bool = False) -> None:
-        writeback = MemoryRequest.acquire(
-            line,
-            AccessType.WRITEBACK,
-            created_at=self.engine.now,
-            callback=MemoryRequest.release,
+        writeback = MemoryRequest(
+            line, AccessType.WRITEBACK, created_at=self.engine.now
         )
         if poisoned:
             writeback.poisoned = True

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-import os
 from typing import Any, Callable, Optional
 
 
@@ -27,150 +26,16 @@ class AccessType(enum.Enum):
 
 _request_ids = itertools.count()
 
-#: Free list of released request objects (see :meth:`MemoryRequest.acquire`).
-_pool: list = []
-
-#: When True (``REPRO_CHECK`` set, or :func:`set_pool_check`), completing
-#: or merging a released request raises instead of silently corrupting a
-#: recycled object.
-_pool_check = bool(os.environ.get("REPRO_CHECK"))
-
-# Free-list hygiene accounting, maintained only while pool checking is
-# armed so the unchecked hot path stays two branches shorter.  ``_live``
-# counts requests acquired and not yet released; the other two are
-# monotone totals since the last :func:`reset_leak_stats`.
-_live = 0
-_acquired_total = 0
-_released_total = 0
-
-
-def set_pool_check(enabled: bool) -> None:
-    """Enable/disable reuse-after-release guards on pooled requests."""
-    global _pool_check
-    _pool_check = enabled
-
-
-def pool_size() -> int:
-    """Number of released requests currently available for reuse."""
-    return len(_pool)
-
-
-def leak_stats() -> dict:
-    """Free-list hygiene counters (valid while pool checking is armed)."""
-    return {
-        "live": _live,
-        "acquired": _acquired_total,
-        "released": _released_total,
-        "pooled": len(_pool),
-    }
-
-
-def reset_leak_stats() -> None:
-    """Zero the leak counters (test isolation)."""
-    global _live, _acquired_total, _released_total
-    _live = 0
-    _acquired_total = 0
-    _released_total = 0
-
-
-def live_requests() -> int:
-    """Requests acquired and not yet released since the last reset."""
-    return _live
-
-
-def verify_pool() -> None:
-    """End-of-run pool hygiene assertions (``REPRO_CHECK`` runs only).
-
-    Every pooled object must actually be released with a cleared
-    callback, and the leak counters must be internally consistent —
-    a violation means some component released a request it did not own
-    or resurrected one it had already returned.
-    """
-    for request in _pool:
-        if not request._released:
-            raise AssertionError(
-                f"pooled request {request.req_id} is not marked released"
-            )
-        if request.callback is not None:
-            raise AssertionError(
-                f"pooled request {request.req_id} still holds a callback"
-            )
-    if _live != _acquired_total - _released_total:
-        raise AssertionError(
-            f"request leak counters inconsistent: live={_live}, "
-            f"acquired={_acquired_total}, released={_released_total}"
-        )
-    if _live < 0:
-        raise AssertionError(
-            f"more requests released than acquired (live={_live})"
-        )
-
 
 def capture_globals() -> dict:
-    """Module-global request state for a whole-machine snapshot.
-
-    The pool is captured as an occupancy count only: pooled objects are
-    blank (every field is overwritten on acquire), so identical *count*
-    is sufficient for bit-identical resumed behaviour.
-    """
-    return {
-        "next_request_id": _request_ids.__reduce__()[1][0],
-        "pool_size": len(_pool),
-        "live": _live,
-        "acquired": _acquired_total,
-        "released": _released_total,
-    }
+    """Module-global request state for a whole-machine snapshot."""
+    return {"next_request_id": _request_ids.__reduce__()[1][0]}
 
 
 def restore_globals(state: dict) -> None:
     """Restore module-global request state from a snapshot."""
-    global _request_ids, _live, _acquired_total, _released_total
+    global _request_ids
     _request_ids = itertools.count(state["next_request_id"])
-    _pool.clear()
-    for _ in range(state["pool_size"]):
-        blank = MemoryRequest.__new__(MemoryRequest)
-        blank.req_id = -1
-        blank.addr = 0
-        blank.access = AccessType.READ
-        blank.core_id = 0
-        blank.pc = 0
-        blank.created_at = 0
-        blank.issued_to_dram_at = None
-        blank.completed_at = None
-        blank.callback = None
-        blank.is_write = False
-        blank.row_buffer_hit = None
-        blank.mshr_probes = 0
-        blank.annotations = {}
-        blank.poisoned = False
-        blank._released = True
-        _pool.append(blank)
-    _live = state["live"]
-    _acquired_total = state["acquired"]
-    _released_total = state["released"]
-
-
-def check_live(request: "MemoryRequest", context: str) -> None:
-    """``REPRO_CHECK`` guard: assert a request is still in flight.
-
-    The RAS retry path re-touches a request after its first DRAM access;
-    if the request has already completed (its callback chain may have
-    released it to the pool) a retry would corrupt a recycled object.
-    No-op unless pool checking is armed.
-    """
-    if not _pool_check:
-        return
-    if request._released or request.completed_at is not None:
-        state = "released" if request._released else "completed"
-        raise AssertionError(
-            f"{context}: request {request.req_id} is already {state} "
-            f"(addr={request.addr:#x}, {request.access.value})"
-        )
-
-
-def clear_pool() -> None:
-    """Drop every pooled request (test isolation)."""
-    _pool.clear()
 
 
 class MemoryRequest:
@@ -197,7 +62,6 @@ class MemoryRequest:
         "mshr_probes",
         "annotations",
         "poisoned",
-        "_released",
     )
 
     def __init__(
@@ -228,76 +92,6 @@ class MemoryRequest:
         # controller when ECC detects more errors than it can correct,
         # propagated through fills so the consuming core can machine-check.
         self.poisoned = False
-        self._released = False
-        if _pool_check:
-            global _live, _acquired_total
-            _live += 1
-            _acquired_total += 1
-
-    @classmethod
-    def acquire(
-        cls,
-        addr: int,
-        access: AccessType,
-        core_id: int = 0,
-        pc: int = 0,
-        created_at: int = 0,
-        callback: Optional[Callable[["MemoryRequest"], Any]] = None,
-    ) -> "MemoryRequest":
-        """Construct a request, reusing a released object when available.
-
-        ``req_id`` is always drawn from the global counter — a recycled
-        object is indistinguishable from a fresh one, so pooling cannot
-        change simulated behaviour (bit-identity is covered by the
-        differential harness).
-        """
-        if not _pool:
-            return cls(addr, access, core_id, pc, created_at, callback)
-        if addr < 0:
-            raise ValueError(f"negative address: {addr:#x}")
-        self = _pool.pop()
-        self.req_id = next(_request_ids)
-        self.addr = addr
-        self.access = access
-        self.core_id = core_id
-        self.pc = pc
-        self.created_at = created_at
-        self.issued_to_dram_at = None
-        self.completed_at = None
-        self.callback = callback
-        self.is_write = access.is_write
-        self.row_buffer_hit = None
-        self.mshr_probes = 0
-        # Recycled objects keep their (almost always empty) annotations
-        # dict instead of allocating a fresh one per acquire.
-        ann = self.annotations
-        if ann:
-            ann.clear()
-        self.poisoned = False
-        self._released = False
-        if _pool_check:
-            global _live, _acquired_total
-            _live += 1
-            _acquired_total += 1
-        return self
-
-    def release(self) -> None:
-        """Return this request to the free list.
-
-        Only the owner that created the request — and only after its
-        ``complete()`` callback has run — may release it; no other
-        component may hold a reference afterwards.  Double release is
-        always an error.
-        """
-        if self._released:
-            raise RuntimeError(f"request {self.req_id} released twice")
-        self._released = True
-        self.callback = None
-        _pool.append(self)
-        if _pool_check:
-            global _live, _released_total
-            _live -= 1
-            _released_total += 1
 
     @property
     def latency(self) -> Optional[int]:
@@ -308,11 +102,6 @@ class MemoryRequest:
 
     def complete(self, now: int) -> None:
         """Stamp completion time and fire the callback (once)."""
-        if _pool_check and self._released:
-            raise AssertionError(
-                f"request {self.req_id} used after release "
-                f"(addr={self.addr:#x}, {self.access.value})"
-            )
         if self.completed_at is not None:
             raise RuntimeError(f"request {self.req_id} completed twice")
         self.completed_at = now

@@ -174,7 +174,7 @@ class Core:
         self._commit_event = None
         self._page_shift = allocator._page_shift
         # Inline L1-hit fast path: a verified tag hit dispatches without
-        # acquiring a pooled MemoryRequest (the scalar hit path completes
+        # constructing a MemoryRequest (the scalar hit path completes
         # the request synchronously, so the object is pure overhead).
         # Requires power-of-two set indexing; every mutation and schedule
         # call matches l1.access + _on_data exactly.
@@ -449,8 +449,8 @@ class Core:
             cache_set = array._sets[set_idx]
         if cache_set is not None and line in cache_set:
             # Inline L1 hit: the same mutations, in the same order, as
-            # l1.access + the synchronous _on_data — minus the pooled
-            # request object (pooling is stat-free).
+            # l1.access + the synchronous _on_data — minus the request
+            # object.
             l1._c_accesses.value += 1.0
             array._on_access(cache_set, set_idx, line)
             l1._c_hits.value += 1.0
@@ -466,7 +466,7 @@ class Core:
             outstanding.append(_InFlight(next_icount, is_write, now))
         else:
             inflight = _InFlight(next_icount, is_write, None)
-            request = MemoryRequest.acquire(
+            request = MemoryRequest(
                 paddr,
                 _WRITE if is_write else _READ,
                 self.core_id,
@@ -478,9 +478,6 @@ class Core:
                 self._l1_blocked = True
                 self._c_l1_mshr_stalls.value += 1.0
                 l1.on_mshr_free(self._resume_after_l1)
-                # A rejected request was merged nowhere; recycle it (the
-                # retry acquires a fresh one, same as re-construction did).
-                request.release()
                 return
             outstanding.append(inflight)
             if is_write:
@@ -559,12 +556,8 @@ class Core:
         self._c_loads_completed.value += 1.0
         if request.poisoned and self.ras_monitor is not None:
             # Consuming poisoned data is the machine-check event; under
-            # the "fatal" policy this raises UncorrectableMemoryError
-            # before the request is recycled.
+            # the "fatal" policy this raises UncorrectableMemoryError.
             self.ras_monitor.on_poison_consumed(self.core_id, request)
-        # This callback is the request's last consumer: the hierarchy
-        # only holds it until data delivery.
-        request.release()
         if not self._commit_scheduled:
             self._commit_scheduled = True
             self._commit_event = engine.schedule_at(now, self._commit)

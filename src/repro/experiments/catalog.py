@@ -82,9 +82,10 @@ class Experiment:
         result: for studies with their own metric — builds the result
             from the :class:`ResultTable` in place of
             :class:`ExperimentResult`; needs ``format()`` and ``table``.
-        run: for a study that is no config x mix matrix (Table 2a) —
-            called with ``scale, seed, checkers, sampling`` in place of
-            the matrix run.
+        run: for a study whose cells are not the catalog's mixes
+            (Table 2a: one cell per benchmark) — called with ``scale,
+            seed, workers, policy, checkers, sampling`` in place of the
+            matrix run; ``mixes`` is ignored.
     """
 
     name: str
@@ -395,7 +396,7 @@ def stack_modes_experiment(
 CATALOG: Dict[str, Experiment] = {
     exp.name: exp
     for exp in (
-        # One benchmark per run on one core: no mixes, matrix or journal.
+        # One benchmark per cell on one core; --mixes is ignored.
         # Benchmarks under 5 MPKI get no band: at smoke scale their MPKI
         # is the cold-miss floor (~14), not their stream's.
         Experiment(
@@ -632,7 +633,8 @@ def run_experiment(
         experiment = CATALOG[experiment]
     if experiment.run is not None:
         return experiment.run(
-            scale=scale, seed=seed, checkers=checkers, sampling=sampling
+            scale=scale, seed=seed, workers=workers, policy=policy,
+            checkers=checkers, sampling=sampling,
         )
     if mixes is None:
         mixes = experiment.default_mixes()

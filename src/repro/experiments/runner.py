@@ -557,6 +557,10 @@ def run_matrix(
 
     if checkers is None:
         checkers = os.environ.get(ENV_CHECK) or None
+    if checkers:
+        from ..validate import resolve_checker_names
+
+        resolve_checker_names(checkers)  # fail fast on an unknown checker
     sampling = sampling or None
     parse_sample_spec(sampling)  # fail fast on a malformed spec
 

@@ -16,12 +16,11 @@ from typing import Dict, Optional, Sequence
 
 from ..common.units import MIB
 from ..system.config import config_2d
-from ..system.machine import run_workload
 from ..system.scale import DEFAULT, ExperimentScale
 from ..workloads.benchmarks import BENCHMARKS
-from ..workloads.mixes import MIX_ORDER, MIXES
+from ..workloads.mixes import MIX_ORDER, MIXES, WorkloadMix
 from .report import format_table, with_sampling_note
-from .runner import ResultTable
+from .runner import ResultTable, RunPolicy, run_matrix
 
 
 def single_core_config():
@@ -78,30 +77,23 @@ def run_table2a(
     scale: ExperimentScale = DEFAULT,
     benchmarks: Optional[Sequence[str]] = None,
     seed: int = 42,
+    workers: Optional[int] = None,
+    policy: Optional[RunPolicy] = None,
     checkers: Optional[str] = None,
     sampling: Optional[str] = None,
 ) -> Table2aResult:
     """Measure stand-alone MPKI for each benchmark.
 
-    ``checkers`` / ``sampling`` take the same specs as ``run_matrix``.
+    One cell per benchmark, each its own one-benchmark "mix", through
+    :func:`~repro.experiments.runner.run_matrix`; every other argument
+    is forwarded to it unchanged.
     """
-    from ..sampling.plan import parse_sample_spec
-
     names = list(benchmarks) if benchmarks is not None else sorted(BENCHMARKS)
-    config = single_core_config()
-    plan = parse_sample_spec(sampling)
-    table = ResultTable(configs=[config.name], mixes=names, cells={})
-    for name in names:
-        table.cells[(config.name, name)] = run_workload(
-            config,
-            [name],
-            warmup_instructions=scale.warmup_instructions,
-            measure_instructions=scale.measure_instructions,
-            seed=seed,
-            workload_name=name,
-            checkers=checkers,
-            sampling=plan,
-        )
+    mixes = [WorkloadMix(name, "", (name,), 0.0) for name in names]
+    table = run_matrix(
+        [single_core_config()], mixes, scale, seed=seed, workers=workers,
+        policy=policy, checkers=checkers, sampling=sampling,
+    )
     return Table2aResult(table)
 
 

@@ -44,7 +44,7 @@ from collections import deque
 from typing import Deque, Dict, Tuple
 
 from ..common.errors import UncorrectableMemoryError
-from ..common.request import MemoryRequest, check_live
+from ..common.request import MemoryRequest
 from ..common.stats import StatGroup
 from ..dram.timing import DramTiming
 from ..memctrl.mapping import BankRemapTable, DramCoordinates
@@ -143,7 +143,6 @@ class RasController:
         data_time: int,
     ) -> int:
         """ECC-check one DRAM read; returns the (possibly later) data time."""
-        check_live(request, "ras read pipeline")
         self._c_reads.value += 1.0
         if not self._draws_possible:
             return data_time
@@ -177,7 +176,6 @@ class RasController:
             # checkers replay it like any other command).
             attempt += 1
             self._c_retries.value += 1.0
-            check_live(request, "ras retry path")
             retry_start = data_time + config.retry_backoff * attempt
             data_time, _ = controller.device.access(
                 rank_id, bank_id, coords.row, retry_start, is_write=False

@@ -33,8 +33,8 @@ Attributes a component gained at runtime are restored, not refused.
 Left out: frozen dataclasses (config, DRAM timings, sampling plan —
 pinned by the fingerprint or the run arguments) and closures
 :mod:`repro.validate.hooks` installs, both encoded as "keep the fresh
-value"; :class:`~repro.cpu.trace.BatchCursor` and the request-pool
-globals keep explicit state, because their state is not their fields.
+value"; :class:`~repro.cpu.trace.BatchCursor` and the request-id
+counter keep explicit state, because their state is not their fields.
 
 Encoding (every tuple is a tagged node; ``n`` numbers a node)::
 
@@ -47,8 +47,7 @@ Encoding (every tuple is a tagged node; ``n`` numbers a node)::
     ("o", layout, [E per field]) component (n)   ("r", n) seen before
     ("n", i) run-created object, fields in tree["created"][i]
     ("m", E, name) bound method    ("p", E, (E,), {name: E}) partial
-    ("f", name) whitelisted function   ("x", state) BatchCursor (n)
-    ("k",) keep the fresh machine's value
+    ("x", state) BatchCursor (n)   ("k",) keep the fresh machine's value
 """
 
 from __future__ import annotations
@@ -65,7 +64,6 @@ from typing import Any, Callable, Dict, List, Tuple
 
 from ..common import request as request_mod
 from ..common.errors import SnapshotError, SnapshotFormatError, SnapshotSchemaError
-from ..common.request import MemoryRequest
 from ..cpu.trace import BatchCursor
 
 __all__ = ["CLASSES", "capture", "restore"]
@@ -97,12 +95,6 @@ CLASSES = frozenset({
     ("repro.stack3d.modes", "_Fill"),
     ("repro.system.machine", "CoreResult"),
 })
-
-#: Plain functions that are legal callbacks.
-_STATIC_FUNCS: Dict[str, Callable[..., Any]] = {
-    "MemoryRequest.release": MemoryRequest.release,
-}
-_STATIC_FUNC_NAMES = {id(fn): name for name, fn in _STATIC_FUNCS.items()}
 
 
 def _slot_names(cls: type) -> Tuple[str, ...]:
@@ -258,9 +250,6 @@ class _Capture:
         )
 
     def _function(self, value: types.FunctionType) -> tuple:
-        name = _STATIC_FUNC_NAMES.get(id(value))
-        if name is not None:
-            return ("f", name)
         if value.__module__ == "repro.validate.hooks":
             return _KEEP
         raise SnapshotError(
@@ -333,7 +322,7 @@ _ENCODERS: Dict[type, Callable[[_Capture, Any], Any]] = {
 
 def capture(machine) -> dict:
     """The state tree of ``machine``: layouts, the walk from the machine,
-    the run-created objects and the request-pool globals."""
+    the run-created objects and the request-id counter."""
     if machine.engine._running:
         raise SnapshotError("cannot snapshot the engine from inside an event callback")
     tree = _Capture().tree(machine)
@@ -699,9 +688,6 @@ class _Restore:
         keywords = {k: self.dec(v) for k, v in keywords.items()}
         return functools.partial(func, *args, **keywords)
 
-    def _function(self, node: tuple) -> Any:
-        return _STATIC_FUNCS[node[1]]
-
     def _keep(self, node: tuple) -> Any:
         raise SnapshotError("snapshot keeps a value the fresh machine lacks")
 
@@ -712,7 +698,7 @@ _DECODERS: Dict[str, Callable[[_Restore, tuple], Any]] = {
     "s": _Restore._set, "ba": _Restore._bytearray, "t": _Restore._tuple,
     "nt": _Restore._namedtuple, "e": _Restore._enum, "rng": _Restore._rng,
     "x": _Restore._cursor, "m": _Restore._method, "p": _Restore._partial,
-    "f": _Restore._function, "k": _Restore._keep,
+    "k": _Restore._keep,
 }
 
 

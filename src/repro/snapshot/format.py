@@ -44,7 +44,7 @@ from ..common.errors import (
 #: (class layouts are checked tree by tree, see :mod:`.codec`).  There is
 #: deliberately no migration machinery: a snapshot is a resume artifact,
 #: not an archive format, and refusing an old one just costs a re-run.
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 _MAGIC_PREFIX = b"REPRO-SNAPSHOT "
 

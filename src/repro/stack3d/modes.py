@@ -546,7 +546,7 @@ class StackModeMemory:
             if request.access.is_write:
                 fill.dirty = True
             self._inflight[line] = fill
-            probe = MemoryRequest.acquire(
+            probe = MemoryRequest(
                 tags.tad_addr(line),
                 AccessType.READ,
                 core_id=request.core_id,
@@ -560,7 +560,6 @@ class StackModeMemory:
         return True
 
     def _wasted_read_done(self, line: int, probe: MemoryRequest) -> None:
-        probe.release()
         self._try_issue_fetch(line)
 
     # -- miss machinery --------------------------------------------------
@@ -587,7 +586,7 @@ class StackModeMemory:
         fill.issued = True
         first = fill.waiters[0] if fill.waiters else None
         self._c_offchip_reads.value += 1.0
-        fetch = MemoryRequest.acquire(
+        fetch = MemoryRequest(
             line,
             AccessType.READ,
             core_id=first.core_id if first is not None else 0,
@@ -598,12 +597,10 @@ class StackModeMemory:
         self._send(self._offchip, fetch)
 
     def _fill_from_offchip(self, line: int, fetch: MemoryRequest) -> None:
-        poisoned = fetch.poisoned
-        fetch.release()
         fill = self._inflight.pop(line)
         frame, victim = self._tags.fill(line, dirty=fill.dirty)
         self._c_fills.value += 1.0
-        if poisoned or fill.poisoned:
+        if fetch.poisoned or fill.poisoned:
             self._poisoned_lines[line] = True
         if victim is not None:
             vline, vdirty, vframe = victim
@@ -640,7 +637,7 @@ class StackModeMemory:
     def _evict_dirty(self, vline: int, vframe: int, poisoned: bool) -> None:
         """Victim path: read the line out of the stack, then write it
         back off-chip (the writeback is serialized behind the read)."""
-        probe = MemoryRequest.acquire(
+        probe = MemoryRequest(
             vframe,
             AccessType.READ,
             created_at=self.engine.now,
@@ -651,24 +648,17 @@ class StackModeMemory:
     def _victim_read_done(
         self, vline: int, poisoned: bool, probe: MemoryRequest
     ) -> None:
-        probe.release()
         self._c_offchip_writebacks.value += 1.0
-        writeback = MemoryRequest.acquire(
-            vline,
-            AccessType.WRITEBACK,
-            created_at=self.engine.now,
-            callback=MemoryRequest.release,
+        writeback = MemoryRequest(
+            vline, AccessType.WRITEBACK, created_at=self.engine.now
         )
         if poisoned:
             writeback.poisoned = True
         self._send(self._offchip, writeback)
 
     def _send_stack_write(self, frame: int) -> None:
-        write = MemoryRequest.acquire(
-            frame,
-            AccessType.WRITEBACK,
-            created_at=self.engine.now,
-            callback=MemoryRequest.release,
+        write = MemoryRequest(
+            frame, AccessType.WRITEBACK, created_at=self.engine.now
         )
         self._send(self._stack, write)
 
@@ -698,7 +688,7 @@ class StackModeMemory:
                 addr, partial(self._forward, request, target, addr, False)
             )
             return True
-        proxy = MemoryRequest.acquire(
+        proxy = MemoryRequest(
             addr,
             request.access,
             core_id=request.core_id,
@@ -713,9 +703,7 @@ class StackModeMemory:
         if proxy.poisoned:
             request.poisoned = True
         request.row_buffer_hit = proxy.row_buffer_hit
-        completed = proxy.completed_at
-        proxy.release()
-        request.complete(completed)
+        request.complete(proxy.completed_at)
 
     # -- MemCache reuse monitor -----------------------------------------
     def _note_reuse(self, request: MemoryRequest, line: int) -> None:

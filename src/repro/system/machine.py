@@ -437,13 +437,10 @@ class Machine:
         self.checker_set = None
         self._checker_names: Optional[List[str]] = None
         if checkers:
-            from ..common import request as request_mod
             from ..validate import attach_checkers
 
             self.checker_set = attach_checkers(self, checkers)
             self._checker_names = sorted(c.name for c in self.checker_set)
-            # Checked runs also arm the request-pool reuse guard.
-            request_mod.set_pool_check(True)
 
     # ------------------------------------------------------------------
     def outstanding_requests(self) -> int:
@@ -792,12 +789,6 @@ class Machine:
         )
 
     def _collect(self) -> MachineResult:
-        from ..common import request as request_mod
-
-        # End-of-run pool hygiene: under REPRO_CHECK (or attached
-        # checkers) assert the request free-list balances — every
-        # acquired request was released and pool occupancy adds up.
-        request_mod.verify_pool()
         return self._build_result(
             [self._core_results[i] for i in range(len(self.cores))], {}
         )

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from array import array
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from ..cpu.trace import TRACE_BATCH_SIZE, TraceBatch, TraceItem
 
@@ -593,68 +593,3 @@ def hot_cold_batches(
                 addrs[i] = base + line * 64
         yield TraceBatch(gaps, addrs, writes, pcs)
 
-
-def zipf(
-    base: int,
-    footprint: int,
-    alpha: float = 1.0,
-    gap: int = 5,
-    write_fraction: float = 0.1,
-    seed: int = 6,
-    support: int = 4096,
-) -> Iterator[TraceItem]:
-    """Zipf-distributed line popularity (web/database-like skew).
-
-    Ranks ``support`` lines of the footprint by popularity ~ 1/rank^alpha
-    and samples from that distribution; a small number of hot lines take
-    most accesses while a long tail provides steady misses.
-    """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    lines = max(1, footprint // 64)
-    support = min(support, lines)
-    rng = random.Random(seed)
-    weights = [1.0 / (rank ** alpha) for rank in range(1, support + 1)]
-    cumulative = []
-    total = 0.0
-    for weight in weights:
-        total += weight
-        cumulative.append(total)
-    # Popular ranks map to scattered lines so hotness is not spatial.
-    placement = rng.sample(range(lines), support)
-    import bisect
-
-    while True:
-        draw = rng.random() * total
-        rank = bisect.bisect_left(cumulative, draw)
-        addr = base + placement[min(rank, support - 1)] * 64
-        yield TraceItem(gap, addr, rng.random() < write_fraction, _pc(6, 0))
-
-
-def phased(
-    phases: Sequence[Iterator[TraceItem]],
-    phase_length: int,
-) -> Iterator[TraceItem]:
-    """Alternate between sub-generators every ``phase_length`` items.
-
-    Models program phase behaviour (the reason the paper's dynamic MSHR
-    tuner re-trains periodically): e.g. a streaming phase followed by a
-    pointer-chasing phase, repeating.
-    """
-    if not phases:
-        raise ValueError("need at least one phase")
-    if phase_length < 1:
-        raise ValueError("phase length must be >= 1")
-    while True:
-        for phase in phases:
-            for _ in range(phase_length):
-                yield next(phase)
-
-
-def interleave(traces: Sequence[Iterator[TraceItem]]) -> Iterator[TraceItem]:
-    """Round-robin interleaving of phases (used to mix patterns)."""
-    if not traces:
-        raise ValueError("need at least one trace")
-    while True:
-        for trace in traces:
-            yield next(trace)

@@ -1,23 +1,6 @@
-"""Poison flag lifecycle and the RAS-path use-after-release guards."""
+"""Poison flag lifecycle."""
 
-import pytest
-
-from repro.common.request import (
-    AccessType,
-    MemoryRequest,
-    check_live,
-    clear_pool,
-    pool_size,
-    set_pool_check,
-)
-
-
-@pytest.fixture(autouse=True)
-def _clean_pool():
-    clear_pool()
-    yield
-    set_pool_check(False)
-    clear_pool()
+from repro.common.request import AccessType, MemoryRequest
 
 
 def test_poisoned_defaults_false_and_survives_annotations():
@@ -26,63 +9,3 @@ def test_poisoned_defaults_false_and_survives_annotations():
     req.poisoned = True
     req.complete(now=10)
     assert req.poisoned is True
-
-
-def test_recycled_request_is_not_poisoned():
-    victim = MemoryRequest.acquire(0x1000, AccessType.READ)
-    victim.poisoned = True
-    victim.complete(now=5)
-    victim.release()
-    assert pool_size() == 1
-    fresh = MemoryRequest.acquire(0x2000, AccessType.WRITE)
-    assert fresh is victim  # reused from the free list...
-    assert fresh.poisoned is False  # ...but the poison did not leak
-    assert fresh.completed_at is None
-    assert fresh.addr == 0x2000  # fresh identity was stamped
-
-
-def test_check_live_passes_for_inflight_requests():
-    set_pool_check(True)
-    req = MemoryRequest(0x40, AccessType.READ)
-    check_live(req, "ras read pipeline")  # must not raise
-
-
-def test_check_live_catches_released_request():
-    set_pool_check(True)
-    req = MemoryRequest(0x40, AccessType.READ)
-    req.complete(now=1)
-    req.release()
-    with pytest.raises(AssertionError, match="already released"):
-        check_live(req, "ras retry path")
-
-
-def test_check_live_catches_completed_request():
-    # The RAS retry path must never re-touch a request whose completion
-    # callback already ran: the callback chain may release it to the
-    # pool, and a later retry would then corrupt a recycled object.
-    set_pool_check(True)
-    req = MemoryRequest(0x40, AccessType.READ)
-    req.complete(now=1)
-    with pytest.raises(AssertionError, match="already completed"):
-        check_live(req, "ras retry path")
-
-
-def test_check_live_is_noop_when_disarmed():
-    set_pool_check(False)
-    req = MemoryRequest(0x40, AccessType.READ)
-    req.complete(now=1)
-    req.release()
-    check_live(req, "ras retry path")  # disarmed: no raise
-
-
-def test_retry_style_double_release_raises():
-    # Regression for the retry path: a request released once by its
-    # owner and again by a stale completion must fail loudly even with
-    # pool checking disarmed.
-    set_pool_check(False)
-    req = MemoryRequest.acquire(0x80, AccessType.READ)
-    req.complete(now=2)
-    req.release()
-    with pytest.raises(RuntimeError, match="released twice"):
-        req.release()
-    assert pool_size() == 1  # the double release did not re-enter the pool

@@ -9,8 +9,10 @@ import pytest
 
 import repro
 from repro.common.units import MIB
+from repro.experiments import runner
 from repro.experiments.runner import (
     ResultTable,
+    RunPolicy,
     geometric_mean,
     harmonic_mean,
     run_matrix,
@@ -94,6 +96,28 @@ def test_duplicate_mix_names_rejected():
     )
     with pytest.raises(ValueError, match="duplicate mix names"):
         run_matrix([config], [MIXES["M1"], clone], TINY, workers=1)
+
+
+@pytest.mark.parametrize("via", ["argument", "REPRO_CHECK"])
+def test_unknown_checker_is_refused_before_any_cell(via, tmp_path, monkeypatch):
+    """A bad checker spec fails the call up front, as a bad sampling spec
+    does — it does not fail every cell with the same ValueError."""
+    def simulate(task):
+        raise AssertionError(f"cell {task.scenario()} ran")
+
+    monkeypatch.setattr(runner, "run_cell", simulate)
+    checkers = "no-such-checker"
+    if via == "REPRO_CHECK":
+        monkeypatch.setenv("REPRO_CHECK", checkers)
+        checkers = None
+    journal = tmp_path / "matrix.jsonl"
+    with pytest.raises(ValueError, match="unknown checker 'no-such-checker'"):
+        run_matrix(
+            [_small(config_3d_fast(), "base")], [MIXES["M3"]], TINY,
+            workers=1, checkers=checkers,
+            policy=RunPolicy(journal_path=str(journal)),
+        )
+    assert not journal.exists()
 
 
 def test_importing_experiments_loads_no_process_machinery():

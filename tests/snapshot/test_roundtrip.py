@@ -142,7 +142,8 @@ def test_tree_covers_every_wired_component(tmp_path):
         "MemoryRequestQueue", "DramDevice", "Rank", "Bank", "RefreshSchedule",
         "Bus", "Counter", "Event",
     } <= classes
-    assert tree["created"] and tree["request_globals"]
+    assert tree["created"]
+    assert set(tree["request_globals"]) == {"next_request_id"}
     assert not any(
         isinstance(node, dict) and "v" in node for node in _walk(tree)
     )
@@ -201,13 +202,40 @@ def test_tree_with_a_different_layout_is_refused_whole(change, tmp_path):
     change(tree)
     fresh = _build(config)
     stats = fresh.registry.dump()
-    pool = request_mod.capture_globals()
+    request_ids = request_mod.capture_globals()
     with pytest.raises(SnapshotSchemaError):
         fresh.restore_state(tree)
     assert fresh.engine.now == 0 and fresh.engine.pending == 0
     assert fresh.registry.dump() == stats
-    assert request_mod.capture_globals() == pool
+    assert request_mod.capture_globals() == request_ids
     assert all(core.trace.cursor().batches_advanced == 0 for core in fresh.cores)
+
+
+def test_a_checked_machine_cannot_break_an_unchecked_one():
+    """Building a checked machine while an unchecked run is suspended
+    changes nothing for that run: checking is per machine, never a
+    process-wide switch."""
+    config = _small(config_2d())
+    streams = ["S.all"] * 4  # keeps requests in flight at every boundary
+
+    def build(checkers=None):
+        return Machine(config, streams, seed=7, checkers=checkers)
+
+    oracle = build().run(
+        WARMUP, MEASURE, snapshot=SnapshotPlan(every=EVERY, write=False)
+    )
+    plan = SnapshotPlan(every=EVERY, write=False, preemptible=True)
+    machine = build()
+    preemption.clear()
+    preemption.request_preemption()
+    try:
+        with pytest.raises(SnapshotPreempted):
+            machine.run(WARMUP, MEASURE, snapshot=plan)
+    finally:
+        preemption.clear()
+    assert machine.outstanding_requests() > 0
+    build(checkers="all")
+    assert machine.run(WARMUP, MEASURE, snapshot=plan) == oracle
 
 
 def test_engine_refuses_capture_from_inside_a_callback():

@@ -224,7 +224,6 @@ def _drive(engine, facade, stream, write_every=3, gap=4):
 
     def on_complete(request):
         completed.append(request.addr)
-        request.release()
 
     def issue():
         index = state["next"]
@@ -234,7 +233,7 @@ def _drive(engine, facade, stream, write_every=3, gap=4):
         access = (
             AccessType.WRITE if index % write_every == 0 else AccessType.READ
         )
-        request = MemoryRequest.acquire(
+        request = MemoryRequest(
             addr, access, pc=(addr >> 6) * 4, created_at=engine.now,
             callback=on_complete,
         )

@@ -224,6 +224,34 @@ def test_table2a_honours_check_and_sample(capsys, monkeypatch):
         main(["table", "2a", "--sample", "detailed"])
 
 
+def test_table2a_journal_resumes_without_simulating(capsys, monkeypatch, tmp_path):
+    """``table 2a --journal`` records its cells; adding ``--resume``
+    simulates none of them and prints the same table."""
+    from repro.experiments import table2
+    from repro.system import machine as machine_mod
+    from repro.system import scale as scale_mod
+
+    small = scale_mod.ExperimentScale("smoke", 500, 2_000)
+    monkeypatch.setitem(scale_mod._SCALES, "smoke", small)
+    monkeypatch.setattr(
+        table2, "BENCHMARKS",
+        {name: table2.BENCHMARKS[name] for name in ("namd", "S.copy")},
+    )
+    journal = str(tmp_path / "table2a.journal.jsonl")
+    assert main(["table", "2a", "--scale", "smoke", "--journal", journal]) == 0
+    first = capsys.readouterr().out
+    assert "namd" in first and "S.copy" in first
+
+    def build(*args, **kwargs):
+        raise AssertionError("a cell was simulated again")
+
+    monkeypatch.setattr(machine_mod.Machine, "__init__", build)
+    assert main([
+        "table", "2a", "--scale", "smoke", "--journal", journal, "--resume",
+    ]) == 0
+    assert capsys.readouterr().out == first
+
+
 def test_ablation_choices_are_the_catalogs():
     from repro.experiments.catalog import CATALOG
 

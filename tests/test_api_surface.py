@@ -1,8 +1,12 @@
 """Public API surface checks: everything advertised is importable."""
 
+import ast
 import importlib
+import pathlib
 
 import pytest
+
+import repro
 
 PACKAGES = [
     "repro",
@@ -62,3 +66,30 @@ def test_every_public_module_has_docstring():
         assert module.__doc__, f"{module_name} lacks a module docstring"
         checked += 1
     assert checked > 50  # the whole library really was swept
+
+
+def test_only_the_runner_and_faults_read_the_environment():
+    """``run_matrix`` resolves ``REPRO_PARALLEL`` and ``REPRO_CHECK`` once,
+    the fault injector reads ``REPRO_FAULTS``; no other module consults
+    the environment, so a worker simulates exactly what its task says."""
+    root = pathlib.Path(repro.__file__).parent
+    names = ("environ", "getenv")
+    readers = set()
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute):
+                reads = (
+                    node.attr in names
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "os"
+                )
+            elif isinstance(node, ast.ImportFrom):
+                reads = node.module == "os" and any(
+                    alias.name in names for alias in node.names
+                )
+            else:
+                continue
+            if reads:
+                parts = path.relative_to(root.parent).with_suffix("").parts
+                readers.add(".".join(parts))
+    assert readers == {"repro.experiments.runner", "repro.experiments.faults"}

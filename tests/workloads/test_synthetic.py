@@ -4,7 +4,6 @@ import itertools
 
 import pytest
 
-from repro.cpu.trace import TraceItem
 from repro.workloads import synthetic as syn
 
 
@@ -131,60 +130,6 @@ def test_generators_are_deterministic():
     c = _take(syn.random_uniform(0, 1 << 20, seed=6), 50)
     assert a == b
     assert a != c
-
-
-def test_interleave_round_robin():
-    t1 = iter([TraceItem(0, 1, False, 0)] * 5)
-    t2 = iter([TraceItem(0, 2, False, 0)] * 5)
-    items = _take(syn.interleave([t1, t2]), 4)
-    assert [i.addr for i in items] == [1, 2, 1, 2]
-
-
-def test_interleave_requires_traces():
-    with pytest.raises(ValueError):
-        next(syn.interleave([]))
-
-
-def test_zipf_concentrates_on_hot_lines():
-    items = _take(syn.zipf(0, footprint=1 << 20, alpha=1.2, seed=9), 4000)
-    from collections import Counter
-
-    counts = Counter(i.addr for i in items)
-    top_share = sum(c for _, c in counts.most_common(10)) / len(items)
-    assert top_share > 0.25  # heavy head
-    assert len(counts) > 100  # long tail
-
-
-def test_zipf_alpha_controls_skew():
-    def head_share(alpha):
-        items = _take(syn.zipf(0, 1 << 20, alpha=alpha, seed=9), 3000)
-        from collections import Counter
-
-        counts = Counter(i.addr for i in items)
-        return sum(c for _, c in counts.most_common(5)) / len(items)
-
-    assert head_share(1.5) > head_share(0.6)
-
-
-def test_zipf_stays_in_footprint_and_validates():
-    items = _take(syn.zipf(1 << 30, footprint=4096, seed=1), 200)
-    assert all((1 << 30) <= i.addr < (1 << 30) + 4096 for i in items)
-    with pytest.raises(ValueError):
-        next(syn.zipf(0, 4096, alpha=0.0))
-
-
-def test_phased_switches_generators():
-    a = iter([TraceItem(0, 1, False, 0)] * 100)
-    b = iter([TraceItem(0, 2, False, 0)] * 100)
-    items = _take(syn.phased([a, b], phase_length=3), 9)
-    assert [i.addr for i in items] == [1, 1, 1, 2, 2, 2, 1, 1, 1]
-
-
-def test_phased_validation():
-    with pytest.raises(ValueError):
-        next(syn.phased([], 5))
-    with pytest.raises(ValueError):
-        next(syn.phased([iter([TraceItem(0, 1, False, 0)])], 0))
 
 
 # ---------------------------------------------------------------------------
