@@ -39,8 +39,8 @@ All experiment commands accept ``--scale`` (smoke/default/large),
 ``--cell-timeout SECONDS`` (kill and retry hung cells),
 ``--retries N`` (re-attempt failed cells with exponential backoff),
 ``--journal PATH`` (checkpoint each completed cell), ``--resume``
-(skip cells already in the journal; refuses a journal whose configs
-were edited unless ``--force-resume``) and ``--snapshot-every CYCLES``
+(skip cells already in the journal; refuses a journal written by a
+different run) and ``--snapshot-every CYCLES``
 (periodic whole-machine checkpoints so interrupted cells resume
 mid-run — see ``docs/snapshot.md``).  See ``docs/resilience.md``.
 
@@ -160,7 +160,6 @@ def _policy_from_args(args, journal: Optional[str]) -> Optional[RunPolicy]:
         retries=args.retries,
         journal_path=journal,
         resume=args.resume,
-        force_resume=args.force_resume,
         snapshot_every=args.snapshot_every,
         snapshot_dir=args.snapshot_dir,
     )
@@ -517,11 +516,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--resume", action="store_true",
         help="skip cells already recorded in the journal; failed cells "
         "are re-simulated",
-    )
-    parser.add_argument(
-        "--force-resume", action="store_true",
-        help="resume a journal whose configs were edited since it was "
-        "written (same names, different contents) instead of refusing",
     )
     parser.add_argument(
         "--snapshot-every", type=int, default=None, metavar="CYCLES",

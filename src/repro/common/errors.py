@@ -284,29 +284,6 @@ class SnapshotPreempted(SimulationError):
         self.cycle = cycle
 
 
-class JournalConfigMismatch(SimulationError):
-    """A resumed :class:`CellJournal` was recorded under different configs.
-
-    The journal's signature names the same configs/mixes, but the config
-    *contents* differ from the run being resumed — completed cells in the
-    journal were simulated under an edited config and must not be mixed
-    with fresh ones.  ``--force-resume`` overrides (at the caller's risk).
-    """
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        path: Optional[str] = None,
-        found: Optional[str] = None,
-        expected: Optional[str] = None,
-    ) -> None:
-        super().__init__(message)
-        self.path = path
-        self.found = found
-        self.expected = expected
-
-
 __all__ = [
     "CellFailedError",
     "CellTimeout",
@@ -314,7 +291,6 @@ __all__ = [
     "HardwareFaultError",
     "InjectedFault",
     "InjectedServiceCrash",
-    "JournalConfigMismatch",
     "ServiceOverloadError",
     "SimulationDeadlock",
     "SimulationError",

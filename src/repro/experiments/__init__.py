@@ -5,13 +5,7 @@ from .catalog import CATALOG, Experiment, ExperimentResult, run_experiment
 from .charts import bar, grouped_bars, speedup_chart
 from .fairness import FairnessResult, fairness_study
 from .full_run import run_full_suite
-from .persistence import (
-    CellJournal,
-    config_fingerprint,
-    journal_signature,
-    load_table,
-    save_table,
-)
+from .persistence import CellJournal, load_table, save_table
 from .ras_study import RasStudyResult
 from .stack_modes import StackModesResult
 from .report import format_table
@@ -24,6 +18,7 @@ from .runner import (
     parallelism_from_env,
     run_matrix,
 )
+from .spec import SweepSpec
 from .table2 import Table2aResult, Table2bResult, run_table2a
 
 __all__ = [
@@ -34,8 +29,7 @@ __all__ = [
     "Experiment",
     "ExperimentResult",
     "RunPolicy",
-    "config_fingerprint",
-    "journal_signature",
+    "SweepSpec",
     "parallelism_from_env",
     "analyze",
     "bar",

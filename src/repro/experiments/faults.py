@@ -25,15 +25,15 @@ A fault spec is ``kind:config:mix[:times][:seconds]``:
     must be replaced and the cell retried, from its latest checkpoint
     when snapshots are on), ``hb-delay`` (stall the heartbeat thread for
     ``seconds`` — the worker must be declared hung on silence alone),
-    ``corrupt-snapshot`` / ``truncate-snapshot`` (flip a byte in / halve
-    the cell's on-disk checkpoint before a resume attempt — the loader
+    ``corrupt-snapshot`` / ``truncate-snapshot`` (:func:`damage` the
+    cell's on-disk checkpoint before a resume attempt — the loader
     must refuse it and the cell restart cleanly from zero);
   - in the sweep service (:mod:`repro.service`): ``corrupt-cache`` /
-    ``truncate-cache`` (damage a cache entry just after it is written —
-    the read path must quarantine it and recompute), ``crash-service``
-    (raise :class:`~repro.common.errors.InjectedServiceCrash` after the
-    cell's completion is journaled — a restart must resume
-    bit-identically).
+    ``truncate-cache`` (:func:`damage` a cache entry just after it is
+    written — the read path must quarantine it and recompute),
+    ``crash-service`` (raise
+    :class:`~repro.common.errors.InjectedServiceCrash` after the cell's
+    completion is journaled — a restart must resume bit-identically).
 
 * ``config`` / ``mix`` — cell coordinates; ``*`` matches any.
 * ``times`` — affect attempts ``1..times`` (default 1, so the first retry
@@ -203,6 +203,24 @@ def inject(config: str, mix: str, attempt: int) -> None:
         return
 
 
+def damage(path, how: str) -> None:
+    """Damage a file in place, as the ``corrupt-*``/``truncate-*`` kinds do.
+
+    ``how`` is the kind's prefix: ``corrupt`` flips bit 0 of the byte
+    at ``min(len - 2, len // 2)`` — inside the body, past any preamble;
+    ``truncate`` keeps the first half, a torn write that still reached
+    its name.
+    """
+    with open(path, "rb") as handle:
+        data = bytearray(handle.read())
+    if how == "truncate":
+        del data[len(data) // 2:]
+    elif data:
+        data[min(len(data) - 2, len(data) // 2)] ^= 0x01
+    with open(path, "wb") as handle:
+        handle.write(data)
+
+
 __all__ = [
     "CRASH_EXITCODE",
     "DEFAULT_TIMING_FACTOR",
@@ -211,6 +229,7 @@ __all__ = [
     "KINDS",
     "active_faults",
     "clear",
+    "damage",
     "encode_faults",
     "fault_for",
     "inject",

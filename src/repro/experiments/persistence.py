@@ -17,7 +17,6 @@ Two complementary mechanisms:
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 import os
@@ -25,9 +24,7 @@ from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
 from ..common.durable import write_atomic
-from ..common.errors import JournalConfigMismatch
 from ..system.machine import CoreResult, MachineResult
-from ..system.scale import ExperimentScale
 from .runner import CellFailure, ResultTable
 
 PathLike = Union[str, Path]
@@ -216,64 +213,18 @@ def scan_jsonl(path: PathLike) -> Tuple[list, int]:
 # Incremental cell journal (checkpoint/resume)
 
 
-def config_fingerprint(configs) -> str:
-    """Content hash over a matrix's :class:`SystemConfig` objects.
-
-    The journal signature names configs, but two runs can use the same
-    *names* for edited contents (a tweaked ``l2_size``, a different
-    scheduler).  This fingerprint — sha256 over the canonical JSON of
-    every config's full field set — pins the contents, so a resumed
-    journal cannot silently mix cells simulated under different
-    hardware.
-    """
-    from ..service.keys import canonical_json, config_to_dict
-
-    return hashlib.sha256(
-        canonical_json([config_to_dict(c) for c in configs]).encode("utf-8")
-    ).hexdigest()
-
-
-def journal_signature(
-    configs, mixes, scale: ExperimentScale, seed: int, sampling=None
-) -> dict:
-    """Identity of one matrix: a journal only resumes an identical run.
-
-    ``configs`` accepts :class:`SystemConfig` objects (preferred — the
-    signature then carries a :func:`config_fingerprint` pinning their
-    contents) or plain name strings (legacy; contents unchecked).
-    ``sampling`` (a spec string or plan) adds the normalized plan when
-    sampling is on, so sampled estimates are never resumed as
-    full-detail results or under a different plan; full-detail
-    signatures carry no such key.
-    """
-    names = [c if isinstance(c, str) else c.name for c in configs]
-    signature = {
-        "configs": names,
-        "mixes": list(mixes),
-        "scale": scale.name,
-        "warmup_instructions": scale.warmup_instructions,
-        "measure_instructions": scale.measure_instructions,
-        "seed": seed,
-    }
-    objects = [c for c in configs if not isinstance(c, str)]
-    if objects and len(objects) == len(names):
-        signature["config_fingerprint"] = config_fingerprint(objects)
-    if sampling:
-        from ..service.keys import normalize_sampling
-
-        signature["sampling"] = normalize_sampling(sampling)
-    return signature
-
-
 class CellJournal:
     """Append-only JSONL journal of per-cell outcomes.
 
-    Line 1 is a header carrying the matrix signature; every further line
-    records one completed cell (``kind: result``) or one exhausted-retry
-    failure (``kind: failure``).  Each append is flushed and fsync'd so
-    a kill -9 loses at most the cell in flight; a truncated final line
-    (killed mid-append) is tolerated and ignored on load.  A sweep-service
-    job (:mod:`repro.service.queue`) is one such file.
+    Line 1 is a header carrying the run's signature — the
+    :meth:`~repro.experiments.spec.SweepSpec.signature` of the sweep,
+    whether ``run_matrix`` or the sweep service wrote it; every further
+    line records one completed cell (``kind: result``) or one
+    exhausted-retry failure (``kind: failure``).  Each append is
+    flushed and fsync'd so a kill -9 loses at most the cell in flight; a
+    truncated final line (killed mid-append) is tolerated and ignored on
+    load.  A sweep-service job (:mod:`repro.service.queue`) is one such
+    file.
     """
 
     def __init__(
@@ -298,25 +249,16 @@ class CellJournal:
 
     @classmethod
     def open(
-        cls,
-        path: PathLike,
-        signature: dict,
-        resume: bool = False,
-        force: bool = False,
+        cls, path: PathLike, signature: dict, resume: bool = False
     ) -> "CellJournal":
         """Open a journal for writing.
 
-        With ``resume=True`` an existing journal is validated against
-        ``signature``: a mismatch in matrix shape (config/mix names,
-        scale, seed) raises ``ValueError``, while a signature that
-        matches in shape but differs in ``config_fingerprint`` — the
-        configs were *edited* since the journal was written — raises
-        :class:`~repro.common.errors.JournalConfigMismatch` so stale
-        cells are never silently mixed with fresh ones.  ``force=True``
-        overrides only the fingerprint check (``--force-resume``).
-        On success the journal's completed cells are loaded and
-        appending continues.  Without ``resume`` any existing journal
-        is truncated and restarted.
+        With ``resume=True`` an existing journal must carry exactly
+        ``signature`` — any difference (config contents, mix benchmarks,
+        scale, seed, checkers, sampling) raises ``ValueError`` so cells
+        of another run are never mixed in; on success its completed
+        cells are loaded and appending continues.  Without ``resume``
+        any existing journal is truncated and restarted.
         """
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -331,26 +273,12 @@ class CellJournal:
             return cls(path, [header], handle)
         records, valid_bytes = scan_jsonl(path)
         journal = cls(path, records)
-        recorded = journal.signature
-        if recorded != signature:
-            if not cls._fingerprint_only_mismatch(recorded, signature):
-                raise ValueError(
-                    f"journal {path} was written by a different run "
-                    f"(its signature {recorded!r} does not "
-                    f"match this matrix); delete it or drop --resume"
-                )
-            if not force:
-                raise JournalConfigMismatch(
-                    f"journal {path} names the same matrix "
-                    "(configs/mixes/scale/seed) but its configs "
-                    "had different contents when it was written "
-                    "— a config was edited since; delete the "
-                    "journal or pass --force-resume to mix the "
-                    "old cells in anyway",
-                    path=str(path),
-                    found=recorded.get("config_fingerprint"),
-                    expected=signature.get("config_fingerprint"),
-                )
+        if journal.signature != signature:
+            raise ValueError(
+                f"journal {path} was written by a different run (its "
+                f"header's signature does not match this sweep's); "
+                f"delete it or drop --resume"
+            )
         if path.stat().st_size > valid_bytes:
             # Cut off a torn final record (a crash mid-append): the next
             # append would otherwise glue onto it.
@@ -360,25 +288,6 @@ class CellJournal:
                 os.fsync(tail.fileno())
         journal._handle = open(path, "a")
         return journal
-
-    @staticmethod
-    def _fingerprint_only_mismatch(recorded, expected) -> bool:
-        """True when two signatures differ *only* in config contents.
-
-        Covers an old journal with no fingerprint resumed by a run that
-        supplies one (and vice versa): same shape, unverifiable
-        contents, so the structured refusal (with its ``--force-resume``
-        escape) applies rather than the hard shape mismatch.
-        """
-        if not isinstance(recorded, dict):
-            return False
-
-        def shape(sig: dict) -> dict:
-            return {
-                k: v for k, v in sig.items() if k != "config_fingerprint"
-            }
-
-        return shape(recorded) == shape(expected)
 
     def _parse(self, records) -> None:
         """The one replay: interpret records (torn tail already gone)."""
@@ -421,13 +330,6 @@ class CellJournal:
         """
         path = Path(path)
         return cls(path, scan_jsonl(path)[0])
-
-    @classmethod
-    def load(cls, path: PathLike):
-        """:meth:`read`, returning ``(completed, failed)`` dictionaries
-        keyed by ``(config, mix)``."""
-        journal = cls.read(path)
-        return journal.completed, journal.failed
 
     # -- appending ------------------------------------------------------
 

@@ -42,6 +42,7 @@ from ..system.machine import MachineResult, run_workload
 from ..system.scale import ExperimentScale
 from ..workloads.mixes import MIXES, WorkloadMix
 from . import faults
+from .spec import SweepSpec
 
 
 def geometric_mean(values: Iterable[float]) -> float:
@@ -120,11 +121,9 @@ class RunPolicy(CellPolicy):
         journal_path: append one fsync'd JSON record per completed cell
             here (see :class:`repro.experiments.persistence.CellJournal`).
         resume: skip cells already recorded as successful in the journal;
-            failed or missing cells are re-simulated.
-        force_resume: resume a journal whose configs were *edited* since
-            it was written (same names, different contents) instead of
-            refusing with
-            :class:`~repro.common.errors.JournalConfigMismatch`.
+            failed or missing cells are re-simulated.  Only a journal
+            written by the same :class:`~repro.experiments.spec.SweepSpec`
+            resumes; any other is refused with ``ValueError``.
         snapshot_dir: directory for per-cell snapshot files (default:
             ``<journal_path>.snapshots`` next to the journal, or
             ``results/snapshots`` without one).
@@ -132,7 +131,6 @@ class RunPolicy(CellPolicy):
 
     journal_path: Optional[Union[str, "os.PathLike[str]"]] = None
     resume: bool = False
-    force_resume: bool = False
     snapshot_dir: Optional[Union[str, "os.PathLike[str]"]] = None
 
     def with_journal(self, path) -> "RunPolicy":
@@ -165,11 +163,11 @@ class CellTask:
     """One cell to simulate, plus its retry state.
 
     The one cell record: ``run_matrix`` and the sweep service both build
-    these, :func:`run_cell` simulates one, and the supervisor ships them
-    to its workers.  Everything that decides *what* is simulated is
-    resolved by whoever builds the task — :func:`run_cell` consults no
-    environment variable for it — so the caller's journal signature or
-    cache key describes exactly the run the worker performs.
+    these through :meth:`SweepSpec.tasks`, :func:`run_cell` simulates
+    one, and the supervisor ships them to its workers.  Everything that
+    decides *what* is simulated comes from the spec — :func:`run_cell`
+    consults no environment variable for it — so the journal signature
+    and cell key describe exactly the run the worker performs.
     """
 
     config: SystemConfig
@@ -186,7 +184,8 @@ class CellTask:
     #: :class:`repro.snapshot.SnapshotPlan` when the cell checkpoints
     #: (typed loosely: that package loads only when snapshots are on).
     snapshot: Optional[object] = None
-    #: Content address the sweep service caches the result under.
+    #: The cell's :func:`~repro.experiments.spec.cell_key`: the sweep
+    #: service's cache address and the snapshot file's stem.
     key: str = ""
     attempt: int = 1
     elapsed: float = 0.0
@@ -534,92 +533,49 @@ def run_matrix(
     alongside the speedups; a sampled journal is only resumed under the
     same sampling plan.
 
-    ``REPRO_CHECK`` is read here, once: the cells (and the journal
-    signature) carry the resolved values, and workers never consult the
-    environment for them.
+    ``REPRO_CHECK`` is read here, once, into the run's
+    :class:`~repro.experiments.spec.SweepSpec`: the journal header is
+    its signature, the cells are its tasks, and workers never consult
+    the environment.  A journal resumes only under an identical spec —
+    same config contents, mix benchmarks, scale, seed, checkers and
+    sampling.
     """
-    names = [c.name for c in configs]
-    if len(set(names)) != len(names):
-        raise ValueError(f"duplicate config names in matrix: {names}")
-    mix_names = [m.name for m in mixes]
-    if len(set(mix_names)) != len(mix_names):
-        # Cells are keyed by (config, mix) name everywhere downstream —
-        # the result table, the journal, and the service result cache —
-        # so a duplicated mix name would silently overwrite sibling
-        # cells instead of erroring.
-        raise ValueError(f"duplicate mix names in matrix: {mix_names}")
     policy = RunPolicy() if policy is None else policy
     if policy.resume and policy.journal_path is None:
         raise ValueError("resume=True needs a journal_path to resume from")
     workers = parallelism_from_env() if workers is None else max(1, workers)
     supervised = workers > 1 or policy.cell_timeout is not None
-    from ..sampling.plan import parse_sample_spec
-
     if checkers is None:
-        checkers = os.environ.get(ENV_CHECK) or None
-    if checkers:
-        from ..validate import resolve_checker_names
-
-        resolve_checker_names(checkers)  # fail fast on an unknown checker
-    sampling = sampling or None
-    parse_sample_spec(sampling)  # fail fast on a malformed spec
+        checkers = os.environ.get(ENV_CHECK)
+    spec = SweepSpec(
+        configs, mixes, scale, seed, checkers or None, sampling or None
+    )
 
     snapshot_dir = None
     if policy.snapshot_every is not None:
-        from ..snapshot import SnapshotPlan
-
         if policy.snapshot_dir is not None:
             snapshot_dir = str(policy.snapshot_dir)
         elif policy.journal_path is not None:
             snapshot_dir = f"{policy.journal_path}.snapshots"
         else:
             snapshot_dir = os.path.join("results", "snapshots")
-        os.makedirs(snapshot_dir, exist_ok=True)
-
-    def cell_snapshot(config_name: str, mix_name: str):
-        if snapshot_dir is None:
-            return None
-        safe = f"{config_name}__{mix_name}".replace(os.sep, "-")
-        # Supervised workers honor a SIGUSR1 request to checkpoint and
-        # yield before a timeout or hang kill; nothing sends one to the
-        # in-process loop.
-        return SnapshotPlan(
-            path=os.path.join(snapshot_dir, f"{safe}.snap"),
-            every=policy.snapshot_every,
-            preemptible=supervised,
-        )
-
-    tasks = [
-        CellTask(
-            config=config,
-            mix_name=mix.name,
-            benchmarks=tuple(mix.benchmarks),
-            warmup_instructions=scale.warmup_instructions,
-            measure_instructions=scale.measure_instructions,
-            seed=seed,
-            checkers=checkers,
-            sampling=sampling,
-            snapshot=cell_snapshot(config.name, mix.name),
-        )
-        for config in configs
-        for mix in mixes
-    ]
+    # Supervised workers honor a SIGUSR1 request to checkpoint and yield
+    # before a timeout or hang kill; nothing sends one to the in-process
+    # loop.  Building the tasks rejects a malformed checker or sampling
+    # spec before the journal is touched.
+    tasks = spec.tasks(
+        snapshot_dir=snapshot_dir,
+        snapshot_every=policy.snapshot_every,
+        preemptible=supervised,
+    )
 
     journal = None
     recorder = _Recorder()
     if policy.journal_path is not None:
-        from .persistence import CellJournal, journal_signature
+        from .persistence import CellJournal
 
-        # Config *objects* (not just names) so the signature pins their
-        # contents via a fingerprint — see journal_signature.
-        signature = journal_signature(
-            configs, mix_names, scale, seed, sampling=sampling
-        )
         journal = CellJournal.open(
-            policy.journal_path,
-            signature,
-            resume=policy.resume,
-            force=policy.force_resume,
+            policy.journal_path, spec.signature(), resume=policy.resume
         )
         recorder.journal = journal
         if policy.resume:
@@ -638,8 +594,8 @@ def run_matrix(
         if journal is not None:
             journal.close()
     return ResultTable(
-        configs=names,
-        mixes=mix_names,
+        configs=[c.name for c in spec.configs],
+        mixes=[m.name for m in spec.mixes],
         cells=recorder.cells,
         failures=recorder.failures,
     )

@@ -14,8 +14,7 @@ to bit-identical sweep results.
 """
 
 from .cache import ResultCache
-from .keys import cell_key, cell_payload, canonical_json
-from .queue import JobQueue, SweepJob, SweepSpec
+from .queue import JobQueue, SweepJob
 from .service import ServiceResult, SweepService
 from .supervisor import CellTask, CircuitBreaker, ServicePolicy, WorkerSupervisor
 
@@ -27,10 +26,6 @@ __all__ = [
     "ServicePolicy",
     "ServiceResult",
     "SweepJob",
-    "SweepSpec",
     "SweepService",
     "WorkerSupervisor",
-    "canonical_json",
-    "cell_key",
-    "cell_payload",
 ]

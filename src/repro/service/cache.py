@@ -1,7 +1,7 @@
 """Content-addressed, corruption-detecting result cache.
 
 One file per cell result, stored under the cell's canonical key (see
-:mod:`repro.service.keys`) in a two-level directory fanout
+:mod:`repro.experiments.spec`) in a two-level directory fanout
 (``<root>/<key[:2]>/<key>.json``).  Every entry embeds a SHA-256 of its
 own canonical payload; the read path re-derives it, so a flipped bit, a
 torn write, or a hand-edited file is *detected* rather than served.
@@ -29,8 +29,8 @@ from typing import Dict, Optional, Union
 from ..common.durable import write_atomic
 from ..experiments import faults
 from ..experiments.persistence import _result_from_dict, _result_to_dict
+from ..experiments.spec import canonical_json
 from ..system.machine import MachineResult
-from .keys import canonical_json
 
 PathLike = Union[str, Path]
 
@@ -112,20 +112,10 @@ class ResultCache:
         count_key = (config_name, mix_name)
         attempt = self._write_counts.get(count_key, 0) + 1
         self._write_counts[count_key] = attempt
-        if faults.fault_for(
-            "corrupt-cache", config_name, mix_name, attempt
-        ):
-            data = bytearray(path.read_bytes())
-            # Flip a bit inside the stored result body (deterministic
-            # position, well past the JSON preamble).
-            position = min(len(data) - 2, len(data) // 2)
-            data[position] ^= 0x01
-            path.write_bytes(bytes(data))
-        elif faults.fault_for(
-            "truncate-cache", config_name, mix_name, attempt
-        ):
-            data = path.read_bytes()
-            path.write_bytes(data[: len(data) // 2])
+        for how in ("corrupt", "truncate"):
+            if faults.fault_for(f"{how}-cache", config_name, mix_name, attempt):
+                faults.damage(path, how)
+                return
 
     # -- read path -------------------------------------------------------
 

@@ -13,9 +13,10 @@ from __future__ import annotations
 from pathlib import Path
 from typing import List, Optional
 
+from ..experiments import faults
 from ..experiments.persistence import table_to_dict
+from ..experiments.spec import canonical_json
 from .cache import ResultCache
-from .keys import canonical_json
 from .service import ServiceResult
 
 
@@ -29,10 +30,7 @@ def corrupt_cache_entry(
 ) -> Path:
     """Flip one byte in a stored entry (first entry when no key given)."""
     path = cache.path_for(key) if key else _first_entry(cache)
-    data = bytearray(path.read_bytes())
-    position = min(len(data) - 2, len(data) // 2)
-    data[position] ^= 0x01
-    path.write_bytes(bytes(data))
+    faults.damage(path, "corrupt")
     return path
 
 
@@ -41,8 +39,7 @@ def truncate_cache_entry(
 ) -> Path:
     """Cut a stored entry in half (a torn write that reached the name)."""
     path = cache.path_for(key) if key else _first_entry(cache)
-    data = path.read_bytes()
-    path.write_bytes(data[: len(data) // 2])
+    faults.damage(path, "truncate")
     return path
 
 

@@ -17,7 +17,7 @@ Endpoints::
     GET  /stats             cache/supervisor/breaker/queue counters
 
 A sweep submission is either the full serialized form
-(:meth:`~repro.service.queue.SweepSpec.to_dict`) or the compact form
+(:meth:`~repro.experiments.spec.SweepSpec.to_dict`) or the compact form
 using registered names::
 
     {"configs": ["2d", "3d-fast"], "mixes": ["M1", "M3"],
@@ -36,10 +36,9 @@ from typing import Optional
 from ..common.errors import InjectedServiceCrash, ServiceOverloadError
 from ..experiments.faults import CRASH_EXITCODE
 from ..experiments.persistence import table_to_dict
+from ..experiments.spec import SweepSpec, config_from_dict, scale_from_dict
 from ..system.scale import get_scale
 from ..workloads.mixes import MIXES
-from .keys import config_from_dict, scale_from_dict
-from .queue import SweepSpec
 from .service import ServiceResult, SweepService
 
 #: Seconds a shed client is told to wait before resubmitting.

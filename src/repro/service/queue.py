@@ -3,9 +3,9 @@
 A job is one :class:`~repro.experiments.persistence.CellJournal` file,
 ``<directory>/<job_id>.jsonl``, written and replayed by that class and
 nothing else: its header's signature is the submitted
-:class:`SweepSpec`, and each cell's fate is a ``result`` record (from a
-simulation, or ``attempts == 0`` when the result cache served it) or a
-``failure`` record.  The header is fsync'd before a submission is
+:class:`~repro.experiments.spec.SweepSpec`, and each cell's fate is a
+``result`` record (from a simulation, or ``attempts == 0`` when the
+result cache served it) or a ``failure`` record.  The header is fsync'd before a submission is
 acknowledged, so a service killed at any instant rescans the directory
 and knows exactly which cells of which jobs remain — in-flight sweeps
 survive process death.
@@ -23,119 +23,23 @@ work the service cannot finish.
 
 from __future__ import annotations
 
-import dataclasses
-import json
 import re
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..common.durable import fsync_dir
 from ..common.errors import ServiceOverloadError
 from ..experiments.persistence import CellJournal
+from ..experiments.spec import SweepSpec
 from ..system.config import SystemConfig
-from ..system.scale import ExperimentScale
 from ..workloads.mixes import WorkloadMix
-from .keys import (
-    cell_key,
-    cell_payload,
-    config_from_dict,
-    config_to_dict,
-    scale_from_dict,
-    scale_to_dict,
-    sweep_fingerprint,
-)
 
 PathLike = Union[str, Path]
 
 #: ``job-<seq>-<fingerprint12>.jsonl``; ``seq`` orders the queue.
 _JOB_FILE = re.compile(r"job-(\d+)-[0-9a-f]+\.jsonl")
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """One submitted sweep: the full run_matrix argument set, serializable."""
-
-    configs: Tuple[SystemConfig, ...]
-    mixes: Tuple[WorkloadMix, ...]
-    scale: ExperimentScale
-    seed: int = 42
-    checkers: Optional[str] = None
-    sampling: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "configs", tuple(self.configs))
-        object.__setattr__(self, "mixes", tuple(self.mixes))
-        config_names = [c.name for c in self.configs]
-        if len(set(config_names)) != len(config_names):
-            raise ValueError(f"duplicate config names in sweep: {config_names}")
-        mix_names = [m.name for m in self.mixes]
-        if len(set(mix_names)) != len(mix_names):
-            raise ValueError(f"duplicate mix names in sweep: {mix_names}")
-        if not self.configs or not self.mixes:
-            raise ValueError("a sweep needs at least one config and one mix")
-
-    def cells(self) -> Iterator[Tuple[SystemConfig, WorkloadMix]]:
-        for config in self.configs:
-            for mix in self.mixes:
-                yield config, mix
-
-    def cell_count(self) -> int:
-        return len(self.configs) * len(self.mixes)
-
-    def key_for(self, config: SystemConfig, mix: WorkloadMix) -> str:
-        return cell_key(
-            config, mix.name, mix.benchmarks, self.scale, self.seed,
-            checkers=self.checkers, sampling=self.sampling,
-        )
-
-    def fingerprint(self) -> str:
-        """Content fingerprint of the whole sweep (job naming/dedup)."""
-        return sweep_fingerprint(
-            cell_payload(
-                config, mix.name, mix.benchmarks, self.scale, self.seed,
-                checkers=self.checkers, sampling=self.sampling,
-            )
-            for config, mix in self.cells()
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "configs": [config_to_dict(c) for c in self.configs],
-            "mixes": [dataclasses.asdict(m) for m in self.mixes],
-            "scale": scale_to_dict(self.scale),
-            "seed": self.seed,
-            "checkers": self.checkers,
-            "sampling": self.sampling,
-        }
-
-    def signature(self) -> dict:
-        """The job journal's signature: :meth:`to_dict` in JSON form.
-
-        ``dataclasses.asdict`` keeps tuples, and a replayed header holds
-        lists, so the two are compared after a JSON round trip.
-        """
-        return json.loads(json.dumps(self.to_dict()))
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SweepSpec":
-        return cls(
-            configs=tuple(config_from_dict(c) for c in data["configs"]),
-            mixes=tuple(
-                WorkloadMix(
-                    name=m["name"],
-                    group=m["group"],
-                    benchmarks=tuple(m["benchmarks"]),
-                    paper_hmipc=m["paper_hmipc"],
-                )
-                for m in data["mixes"]
-            ),
-            scale=scale_from_dict(data["scale"]),
-            seed=data["seed"],
-            checkers=data.get("checkers"),
-            sampling=data.get("sampling"),
-        )
 
 
 @dataclass
@@ -266,4 +170,4 @@ class JobQueue:
         return None
 
 
-__all__ = ["JobQueue", "SweepJob", "SweepSpec"]
+__all__ = ["JobQueue", "SweepJob"]

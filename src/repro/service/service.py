@@ -37,9 +37,9 @@ from ..common.errors import InjectedServiceCrash
 from ..experiments import faults
 from ..experiments.persistence import CellJournal
 from ..experiments.runner import CellFailure, ResultTable
-from ..snapshot import SnapshotPlan
+from ..experiments.spec import SweepSpec
 from .cache import ResultCache
-from .queue import JobQueue, SweepJob, SweepSpec
+from .queue import JobQueue, SweepJob
 from .supervisor import (
     CellTask,
     CircuitBreaker,
@@ -167,45 +167,20 @@ class SweepService:
         self.stats_counters["jobs_completed"] += 1
 
     def _run_cells(self, job: SweepJob) -> None:
-        spec = job.spec
         snapshot_dir = None
         if self.policy.snapshot_every is not None:
             snapshot_dir = self.root / "snapshots"
-            snapshot_dir.mkdir(parents=True, exist_ok=True)
         tasks: List[CellTask] = []
-        for config, mix in job.remaining_cells():
-            key = spec.key_for(config, mix)
-            cached = self.cache.get(key)  # corrupt → quarantined + miss
-            if cached is not None:
-                # attempts=0: no simulation was attempted for this job.
-                self._record(job, config.name, mix.name, cached, attempts=0)
-                self.stats_counters["cells_from_cache"] += 1
+        for task in job.spec.tasks(
+            job.remaining_cells(), snapshot_dir, self.policy.snapshot_every
+        ):
+            cached = self.cache.get(task.key)  # corrupt → quarantined + miss
+            if cached is None:
+                tasks.append(task)
                 continue
-            snapshot = None
-            if snapshot_dir is not None:
-                # Keyed by the cell's content hash: a rescheduled or
-                # recovered attempt of the same cell finds its
-                # checkpoint; a different cell never can.  Workers honor
-                # SIGUSR1 preemption.
-                snapshot = SnapshotPlan(
-                    path=str(snapshot_dir / f"{key}.snap"),
-                    every=self.policy.snapshot_every,
-                    preemptible=True,
-                )
-            tasks.append(
-                CellTask(
-                    config=config,
-                    mix_name=mix.name,
-                    benchmarks=tuple(mix.benchmarks),
-                    key=key,
-                    warmup_instructions=spec.scale.warmup_instructions,
-                    measure_instructions=spec.scale.measure_instructions,
-                    seed=spec.seed,
-                    checkers=spec.checkers,
-                    sampling=spec.sampling,
-                    snapshot=snapshot,
-                )
-            )
+            # attempts=0: no simulation was attempted for this job.
+            self._record(job, *task.scenario(), cached, attempts=0)
+            self.stats_counters["cells_from_cache"] += 1
 
         def on_result(task: CellTask, result) -> None:
             # Cache before journal: a crash between the two re-runs the

@@ -164,16 +164,10 @@ def _tamper_snapshot(path: str, config: str, mix: str, attempt: int) -> None:
     """
     if not os.path.exists(path):
         return
-    if faults.fault_for("corrupt-snapshot", config, mix, attempt):
-        data = bytearray(open(path, "rb").read())
-        if data:
-            data[len(data) // 2] ^= 0x01
-            with open(path, "wb") as handle:
-                handle.write(bytes(data))
-    elif faults.fault_for("truncate-snapshot", config, mix, attempt):
-        data = open(path, "rb").read()
-        with open(path, "wb") as handle:
-            handle.write(data[: len(data) // 2])
+    for how in ("corrupt", "truncate"):
+        if faults.fault_for(f"{how}-snapshot", config, mix, attempt):
+            faults.damage(path, how)
+            return
 
 
 def _worker_main(conn, supervisor_conn, heartbeat_interval: float) -> None:

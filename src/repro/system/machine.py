@@ -674,7 +674,7 @@ class Machine:
         files record it and refuse to restore onto a machine with a
         different one.
         """
-        from ..service.keys import canonical_json, config_to_dict
+        from ..experiments.spec import canonical_json, config_to_dict
 
         spec = {
             "config": config_to_dict(self.config),
@@ -841,15 +841,13 @@ def run_workload(
     sampling=None,
     snapshot=None,
     resume_from: Optional[str] = None,
-    force_resume: bool = False,
 ) -> MachineResult:
     """One-call convenience: build a machine and run it.
 
     ``sampling`` accepts a :class:`~repro.sampling.plan.SamplingPlan`
     (or ``None`` for the default full-detail run).  ``snapshot`` accepts a
     :class:`~repro.snapshot.SnapshotPlan`; ``resume_from`` primes the
-    machine from an existing checkpoint before running (``force_resume``
-    skips the config-fingerprint check, never the integrity check).
+    machine from an existing checkpoint before running.
     """
     machine = Machine(
         config,
@@ -859,7 +857,7 @@ def run_workload(
         checkers=checkers,
     )
     if resume_from is not None:
-        machine.resume(resume_from, force=force_resume)
+        machine.resume(resume_from)
     if sampling is not None:
         return machine.run_sampled(
             sampling,

@@ -74,10 +74,11 @@ def test_mce_failure_survives_journal_and_resume(tmp_path, matrix, monkeypatch):
     records = [json.loads(line) for line in journal.read_text().splitlines()]
     kinds = [r["kind"] for r in records]
     assert "failure" in kinds
-    completed, failures = CellJournal.load(journal)
-    assert ("healthy", "H1") in completed
+    replayed = CellJournal.read(journal)
+    assert ("healthy", "H1") in replayed.completed
     assert any(
-        f.error_type == "UncorrectableMemoryError" for f in failures.values()
+        f.error_type == "UncorrectableMemoryError"
+        for f in replayed.failed.values()
     )
 
     # Resume re-simulates only the failed cell; the fault universe is

@@ -5,6 +5,7 @@ and a second invocation with ``resume=True`` re-simulates *only* the
 missing/failed cells — verified by counting ``run_workload`` calls.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -13,8 +14,9 @@ import repro.experiments.runner as runner_module
 from repro.common.units import MIB
 from repro.experiments import faults
 from repro.experiments.faults import FaultSpec
-from repro.experiments.persistence import CellJournal, journal_signature
-from repro.experiments.runner import RunPolicy, run_matrix
+from repro.experiments.persistence import CellJournal
+from repro.experiments.runner import ENV_CHECK, RunPolicy, run_matrix
+from repro.experiments.spec import SweepSpec
 from repro.system.config import config_3d_fast
 from repro.system.scale import ExperimentScale
 from repro.workloads.mixes import MIXES
@@ -125,8 +127,7 @@ def test_interrupted_matrix_resumes_where_it_left_off(
         )
 
     monkeypatch.setattr(runner_module, "run_workload", original)
-    completed, _ = CellJournal.load(journal)
-    assert len(completed) == 2
+    assert len(CellJournal.read(journal).completed) == 2
 
     counted_runs.clear()
     table = run_matrix(
@@ -204,49 +205,83 @@ def test_resume_refuses_a_different_sampling_plan(
     )
 
 
-def test_full_detail_signature_is_unchanged_by_sampling_support(matrix):
-    """Full-detail journals stay byte-identical to (and resumable from)
-    those written before the signature knew about sampling."""
-    configs, mixes = matrix
-    names = [m.name for m in mixes]
-    plain = journal_signature(configs, names, TINY, 42)
-    assert "sampling" not in plain
-    assert journal_signature(configs, names, TINY, 42, sampling=None) == plain
-    sampled = journal_signature(configs, names, TINY, 42, sampling="on")
-    assert sampled["sampling"]["detailed"] == 1200
-    assert {k: v for k, v in sampled.items() if k != "sampling"} == plain
+def _one_change(change, configs, mixes):
+    """``run_matrix`` arguments equal to the journaled run's but for one
+    input — every config and mix keeps its name."""
+    if change == "config-contents":
+        return dict(configs=[configs[0].derive(l2_assoc=8), configs[1]])
+    if change == "mix-benchmarks":
+        four_mcf = dataclasses.replace(mixes[0], benchmarks=("mcf",) * 4)
+        return dict(mixes=[four_mcf, mixes[1]])
+    if change == "checkers":
+        return dict(checkers="all")
+    return dict(sampling=SAMPLED)
 
 
-def test_resume_refuses_edited_config_contents(tmp_path, matrix, counted_runs):
-    """Same config *names*, different contents: structured refusal."""
-    from repro.common.errors import JournalConfigMismatch
-
+@pytest.mark.parametrize(
+    "change", ["config-contents", "mix-benchmarks", "checkers", "sampling"]
+)
+def test_resume_refuses_a_different_run(
+    tmp_path, matrix, counted_runs, monkeypatch, change
+):
+    """A journal resumes only the run that wrote it: change any input
+    that shapes a cell's result and resuming is refused before a single
+    cell is simulated — never answered with the old run's cells."""
+    monkeypatch.delenv(ENV_CHECK, raising=False)
     configs, mixes = matrix
     journal = tmp_path / "matrix.journal.jsonl"
     run_matrix(
         configs, mixes, TINY, workers=1,
         policy=RunPolicy(journal_path=journal),
     )
-    edited = [configs[0].derive(l2_assoc=8), configs[1]]
-    with pytest.raises(JournalConfigMismatch) as excinfo:
+    counted_runs.clear()
+    arguments = dict(configs=configs, mixes=mixes)
+    arguments.update(_one_change(change, configs, mixes))
+    with pytest.raises(ValueError, match="different run"):
         run_matrix(
-            edited, mixes, TINY, workers=1,
+            scale=TINY, workers=1,
+            policy=RunPolicy(journal_path=journal, resume=True),
+            **arguments,
+        )
+    assert counted_runs == []
+
+
+def test_resume_refuses_a_journal_with_an_older_header(
+    tmp_path, matrix, counted_runs
+):
+    """A journal whose header predates the SweepSpec signature (config
+    and mix names plus a config fingerprint) cannot vouch for its mix
+    benchmarks or checkers: it is refused, never resumed."""
+    configs, mixes = matrix
+    journal = tmp_path / "matrix.journal.jsonl"
+    run_matrix(
+        configs, mixes, TINY, workers=1,
+        policy=RunPolicy(journal_path=journal),
+    )
+    lines = journal.read_text().splitlines()
+    header = json.loads(lines[0])
+    header["signature"] = {
+        "configs": [c.name for c in configs],
+        "mixes": [m.name for m in mixes],
+        "scale": TINY.name,
+        "warmup_instructions": TINY.warmup_instructions,
+        "measure_instructions": TINY.measure_instructions,
+        "seed": 42,
+        "config_fingerprint": "0" * 64,
+    }
+    lines[0] = json.dumps(header, sort_keys=True)
+    journal.write_text("\n".join(lines) + "\n")
+    counted_runs.clear()
+    with pytest.raises(ValueError, match="different run"):
+        run_matrix(
+            configs, mixes, TINY, workers=1,
             policy=RunPolicy(journal_path=journal, resume=True),
         )
-    assert excinfo.value.found != excinfo.value.expected
-
-    # --force-resume mixes the old cells in anyway (caller's risk).
-    counted_runs.clear()
-    table = run_matrix(
-        edited, mixes, TINY, workers=1,
-        policy=RunPolicy(journal_path=journal, resume=True,
-                         force_resume=True),
-    )
-    assert counted_runs == [] and len(table.cells) == 4
+    assert counted_runs == []
 
 
 def test_resume_accepts_unchanged_config_contents(tmp_path, matrix):
-    """The fingerprint is deterministic: an identical matrix resumes."""
+    """The signature is deterministic: a rebuilt identical matrix resumes."""
     configs, mixes = matrix
     journal = tmp_path / "matrix.journal.jsonl"
     run_matrix(
@@ -261,37 +296,6 @@ def test_resume_accepts_unchanged_config_contents(tmp_path, matrix):
     assert len(table.cells) == 4 and not table.failures
 
 
-def test_legacy_journal_without_fingerprint_needs_force(tmp_path, matrix):
-    """A pre-fingerprint journal has unverifiable contents: same
-    structured refusal, same --force-resume escape."""
-    from repro.common.errors import JournalConfigMismatch
-
-    configs, mixes = matrix
-    journal = tmp_path / "matrix.journal.jsonl"
-    run_matrix(
-        configs, mixes, TINY, workers=1,
-        policy=RunPolicy(journal_path=journal),
-    )
-    # Strip the fingerprint from the recorded header (legacy journal).
-    lines = journal.read_text().splitlines()
-    header = json.loads(lines[0])
-    del header["signature"]["config_fingerprint"]
-    lines[0] = json.dumps(header, sort_keys=True)
-    journal.write_text("\n".join(lines) + "\n")
-
-    with pytest.raises(JournalConfigMismatch):
-        run_matrix(
-            configs, mixes, TINY, workers=1,
-            policy=RunPolicy(journal_path=journal, resume=True),
-        )
-    table = run_matrix(
-        configs, mixes, TINY, workers=1,
-        policy=RunPolicy(journal_path=journal, resume=True,
-                         force_resume=True),
-    )
-    assert len(table.cells) == 4
-
-
 def test_journal_tolerates_torn_final_line(tmp_path, matrix, counted_runs):
     configs, mixes = matrix
     journal = tmp_path / "matrix.journal.jsonl"
@@ -303,8 +307,8 @@ def test_journal_tolerates_torn_final_line(tmp_path, matrix, counted_runs):
     intact = journal.read_text()
     last = intact.splitlines()[-1]
     journal.write_text(intact + last[: len(last) // 2])
-    completed, _ = CellJournal.load(journal)
-    assert len(completed) == 4  # everything before the torn line survives
+    # Everything before the torn line survives.
+    assert len(CellJournal.read(journal).completed) == 4
 
     counted_runs.clear()
     table = run_matrix(
@@ -333,7 +337,9 @@ def test_resume_truncates_torn_tail_at_every_offset(tmp_path):
             mshr_avg_probes=1.0,
         )
 
-    signature = journal_signature(["base"], ["M1", "M2"], TINY, 42)
+    signature = SweepSpec(
+        [_small("base")], [MIXES["M1"], MIXES["M2"]], TINY
+    ).signature()
     master = tmp_path / "master.jsonl"
     with CellJournal.open(master, signature) as journal:
         journal.record_result("base", "M1", result("M1"))
@@ -347,16 +353,14 @@ def test_resume_truncates_torn_tail_at_every_offset(tmp_path):
         # The trailing newline is the durability marker: every cut
         # inside the last record (even one keeping all of its JSON but
         # not the "\n") loses exactly that record and nothing else.
-        completed, _ = CellJournal.load(torn)
-        assert len(completed) == 1, f"cut at byte {cut}"
+        assert len(CellJournal.read(torn).completed) == 1, f"cut at byte {cut}"
 
         with CellJournal.open(torn, signature, resume=True) as journal:
             journal.record_result("base", "M2", result("M2"))
         records, valid_bytes = scan_jsonl(torn)
         assert valid_bytes == torn.stat().st_size, f"cut at byte {cut}"
         assert len(records) == 3, f"cut at byte {cut}"  # header + M1 + M2
-        completed, _ = CellJournal.load(torn)
-        assert len(completed) == 2, f"cut at byte {cut}"
+        assert len(CellJournal.read(torn).completed) == 2, f"cut at byte {cut}"
 
 
 def test_journal_without_resume_restarts(tmp_path, matrix, counted_runs):
@@ -395,10 +399,7 @@ def test_journal_records_attempts_and_failures(tmp_path, matrix):
     )
     records = [json.loads(line) for line in journal.read_text().splitlines()]
     assert records[0]["kind"] == "header"
-    assert records[0]["signature"] == journal_signature(
-        configs, ["M1", "M3"], TINY, 42
-    )
-    assert "config_fingerprint" in records[0]["signature"]
+    assert records[0]["signature"] == SweepSpec(configs, mixes, TINY).signature()
     by_cell = {
         (r["config"], r["mix"]): r for r in records if r["kind"] == "result"
     }

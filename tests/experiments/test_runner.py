@@ -120,21 +120,46 @@ def test_unknown_checker_is_refused_before_any_cell(via, tmp_path, monkeypatch):
     assert not journal.exists()
 
 
-def test_importing_experiments_loads_no_process_machinery():
-    """Supervision loads with the first matrix that needs processes, so
-    serial users never pay for multiprocessing or the service package."""
-    code = (
-        "import sys, repro.experiments\n"
-        "loaded = {'multiprocessing', 'repro.service'} & set(sys.modules)\n"
+def _assert_loads_no_process_machinery(code: str, *args: str) -> None:
+    """Run ``code`` in a fresh interpreter; fail if it left
+    multiprocessing or the service package in ``sys.modules``."""
+    code += (
+        "\nloaded = {'multiprocessing', 'repro.service'} & set(sys.modules)\n"
         "sys.exit(f'imported eagerly: {sorted(loaded)}' if loaded else 0)"
     )
     src = pathlib.Path(repro.__file__).parents[1]
     subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", code, *args],
         env={**os.environ, "PYTHONPATH": str(src)},
         check=True,
         timeout=60,
     )
+
+
+def test_importing_experiments_loads_no_process_machinery():
+    """Supervision loads with the first matrix that needs processes, so
+    serial users never pay for multiprocessing or the service package."""
+    _assert_loads_no_process_machinery("import sys, repro.experiments")
+
+
+def test_serial_sweep_loads_no_process_machinery(tmp_path):
+    """A serial matrix that journals and checkpoints — the header, the
+    cell keys, every snapshot's fingerprint — still loads neither."""
+    _assert_loads_no_process_machinery(
+        "import os, sys\n"
+        "from repro.experiments import RunPolicy, run_matrix\n"
+        "from repro.system.config import config_2d\n"
+        "from repro.system.scale import ExperimentScale\n"
+        "from repro.workloads.mixes import MIXES\n"
+        "policy = RunPolicy(journal_path=os.path.join(sys.argv[1], 'j.jsonl'),\n"
+        "                   snapshot_every=500)\n"
+        "table = run_matrix([config_2d()], [MIXES['M1']],\n"
+        "                   ExperimentScale('tiny', 300, 1000), workers=1,\n"
+        "                   policy=policy)\n"
+        "assert table.ok('2D', 'M1'), table.failures",
+        str(tmp_path),
+    )
+    assert (tmp_path / "j.jsonl").exists()
 
 
 def test_parallel_workers_match_serial():

@@ -10,7 +10,7 @@ import pytest
 
 from repro.common.units import MIB
 from repro.experiments import faults
-from repro.service.queue import SweepSpec
+from repro.experiments.spec import SweepSpec
 from repro.service.supervisor import ServicePolicy
 from repro.system.config import config_3d_fast
 from repro.system.machine import CoreResult, MachineResult

@@ -10,9 +10,8 @@ import urllib.request
 
 import pytest
 
+from repro.experiments.spec import SweepSpec, scale_to_dict
 from repro.service.http import ServiceServer, parse_sweep_request
-from repro.service.keys import scale_to_dict
-from repro.service.queue import SweepSpec
 from repro.service.service import SweepService
 
 from .conftest import TINY

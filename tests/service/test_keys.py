@@ -19,7 +19,7 @@ import subprocess
 import sys
 
 from repro.ras.config import RasConfig
-from repro.service.keys import (
+from repro.experiments.spec import (
     canonical_json,
     cell_key,
     cell_payload,

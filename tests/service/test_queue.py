@@ -6,7 +6,8 @@ import pytest
 from repro.common.errors import ServiceOverloadError
 from repro.experiments.persistence import CellJournal, scan_jsonl
 from repro.experiments.runner import CellFailure
-from repro.service.queue import JobQueue, SweepSpec
+from repro.experiments.spec import SweepSpec
+from repro.service.queue import JobQueue
 from repro.service.service import SweepService
 from repro.workloads.mixes import MIXES
 

@@ -11,6 +11,7 @@ from repro.common.errors import InjectedServiceCrash, ServiceOverloadError
 from repro.experiments import faults
 from repro.experiments.faults import FaultSpec
 from repro.experiments.persistence import CellJournal, scan_jsonl
+from repro.experiments.spec import SweepSpec
 from repro.service.cache import ResultCache
 from repro.service.chaos import (
     cache_entry_paths,
@@ -18,7 +19,6 @@ from repro.service.chaos import (
     result_fingerprint,
     truncate_cache_entry,
 )
-from repro.service.queue import SweepSpec
 from repro.service.service import SweepService
 
 from .conftest import small_config
@@ -67,7 +67,7 @@ _ABRUPT_EXIT_CHILD = """
 import os, sys
 from repro.common.errors import InjectedServiceCrash
 from repro.experiments.faults import CRASH_EXITCODE
-from repro.service.queue import SweepSpec
+from repro.experiments.spec import SweepSpec
 from repro.service.service import SweepService
 from tests.service.conftest import fast_service_policy, tiny_sweep_spec
 service = SweepService(sys.argv[1], fast_service_policy(workers=1))
@@ -204,14 +204,15 @@ def test_job_file_is_one_cell_journal(
 ):
     """A service job is written in the one journal grammar: a header,
     then one ``result`` per served cell (``attempts == 0`` for a cache
-    hit) — readable by ``CellJournal.load`` like any run_matrix journal."""
+    hit) — readable by ``CellJournal.read`` like any run_matrix journal."""
     run_sweep(tmp_path, fast_policy, one_cell_spec)
     result, stats = run_sweep(tmp_path, fast_policy, tiny_spec)
     path = tmp_path / "jobs" / f"{result.job_id}.jsonl"
     records, _ = scan_jsonl(path)
     assert records[0]["kind"] == "header"
     assert SweepSpec.from_dict(records[0]["signature"]) == tiny_spec
-    completed, failed = CellJournal.load(path)
+    replayed = CellJournal.read(path)
+    completed, failed = replayed.completed, replayed.failed
     counters = stats["service"]
     served = counters["cells_simulated"] + counters["cells_from_cache"]
     assert len(completed) == served == 4 and not failed

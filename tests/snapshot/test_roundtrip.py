@@ -26,7 +26,7 @@ from repro.common import request as request_mod
 from repro.common.errors import SnapshotError, SnapshotPreempted, SnapshotSchemaError
 from repro.common.units import MIB
 from repro.mshr.factory import ORGANIZATIONS
-from repro.service.keys import config_to_dict
+from repro.experiments.spec import config_to_dict
 from repro.snapshot import SnapshotPlan, preemption
 from repro.snapshot.format import read_snapshot_file
 from repro.system.config import (
@@ -336,7 +336,7 @@ _CHILD = """
 import json, sys
 from dataclasses import asdict
 from repro.common.errors import SnapshotPreempted
-from repro.service.keys import config_from_dict
+from repro.experiments.spec import config_from_dict
 from repro.snapshot import SnapshotPlan, preemption
 from repro.system.machine import Machine
 
