@@ -57,9 +57,6 @@ class L1Cache:
         self._free_waiters: Deque[Callable[[], None]] = deque()
         # line -> dirty-on-fill flag for in-flight fetches (RFO tracking).
         self._fill_dirty: Dict[int, bool] = {}
-        # Resident lines filled from poisoned data (repro.ras); empty on
-        # a RAS-less machine, so checks cost one dict-truthiness test.
-        self._poisoned_lines: Dict[int, bool] = {}
 
     def access(self, request: MemoryRequest) -> bool:
         """Attempt an access; False when the L1 MSHR rejects it (stall).
@@ -78,8 +75,6 @@ class L1Cache:
             self._c_hits.value += 1.0
             if request.is_write:
                 array.mark_dirty(line)
-            if self._poisoned_lines and line in self._poisoned_lines:
-                request.poisoned = True
             request.complete(now + self.latency)
             self._train_prefetcher(addr, pc, was_miss=False)
             return True
@@ -127,8 +122,6 @@ class L1Cache:
         dirty = self.array.invalidate(line_addr)
         if dirty is None:
             return False
-        if self._poisoned_lines:
-            self._poisoned_lines.pop(line_addr, None)
         self.stats.add("back_invalidations")
         return dirty
 
@@ -139,31 +132,17 @@ class L1Cache:
         # Any merged store also dirties the line.
         dirty = dirty or any(r.is_write for r in entry.requests)
         victim = self.array.fill(line, dirty=dirty)
-        if victim is not None:
-            victim_poisoned = False
-            if self._poisoned_lines:
-                victim_poisoned = (
-                    self._poisoned_lines.pop(victim[0], None) is not None
-                )
-            if victim[1]:
-                self._c_writebacks.value += 1.0
-                # Writebacks carry no response, hence no callback.
-                writeback = MemoryRequest(
-                    victim[0],
-                    AccessType.WRITEBACK,
-                    core_id=self.core_id,
-                    created_at=now,
-                )
-                if victim_poisoned:
-                    writeback.poisoned = True
-                self.l2.access(writeback)
+        if victim is not None and victim[1]:
+            self._c_writebacks.value += 1.0
+            # Writebacks carry no response, hence no callback.
+            writeback = MemoryRequest(
+                victim[0],
+                AccessType.WRITEBACK,
+                core_id=self.core_id,
+                created_at=now,
+            )
+            self.l2.access(writeback)
         self.mshr.deallocate(line)
-        if mem_request.poisoned:
-            # Poison travels with the line and with every access merged
-            # into this miss; consumption (core commit) decides severity.
-            self._poisoned_lines[line] = True
-            for waiting in entry.requests:
-                waiting.poisoned = True
         for waiting in entry.requests:
             waiting.complete(now)
         while self._free_waiters and not self.mshr.is_full:

@@ -109,10 +109,6 @@ class BankedL2Cache:
         # Lines brought in by prefetch and not yet demanded (for accuracy
         # stats).
         self._prefetched_lines: Dict[int, bool] = {}
-        # Resident lines installed from a poisoned (uncorrectable) memory
-        # fill (repro.ras).  Empty on a RAS-less machine, so every check
-        # below short-circuits on dict truthiness.
-        self._poisoned_lines: Dict[int, bool] = {}
 
     # ------------------------------------------------------------------
     # Address routing
@@ -173,8 +169,6 @@ class BankedL2Cache:
             if hit:
                 self.array.mark_dirty(line)
                 self._c_writeback_hits.value += 1.0
-                if request.poisoned:
-                    self._poisoned_lines[line] = True
             else:
                 # Non-inclusive corner: forward straight to memory.
                 self._c_writeback_misses.value += 1.0
@@ -185,8 +179,6 @@ class BankedL2Cache:
         if hit:
             self._c_hits.value += 1.0
             self._note_prefetch_usefulness(line)
-            if self._poisoned_lines and line in self._poisoned_lines:
-                request.poisoned = True
             if demand:
                 self._train_prefetcher(
                     request.addr, request.pc, request.core_id, was_miss=False
@@ -285,15 +277,10 @@ class BankedL2Cache:
         now = self.engine.now
         line = entry.line_addr
         victim = self.array.fill(line, dirty=False)
-        victim_poisoned = False
         if victim is not None:
             victim_line, victim_dirty = victim
             self._c_evictions.value += 1.0
             self._prefetched_lines.pop(victim_line, None)
-            if self._poisoned_lines:
-                victim_poisoned = (
-                    self._poisoned_lines.pop(victim_line, None) is not None
-                )
             # Inclusion: the L1s must drop their copies; a dirty L1 copy
             # supersedes whatever we held and must reach memory.
             for upper in self._inclusion_listeners:
@@ -301,17 +288,10 @@ class BankedL2Cache:
                     victim_dirty = True
                     self.stats.add("inclusion_dirty_recalls")
             if victim_dirty:
-                self._post_memory_writeback(victim_line, poisoned=victim_poisoned)
+                self._post_memory_writeback(victim_line)
         if entry.is_prefetch:
             self._prefetched_lines[line] = True
             self.stats.add("prefetch_fills")
-        if mem_request.poisoned:
-            # Uncorrectable fill: the installed line is poisoned and so is
-            # every request merged into this miss (MCA-style deferral —
-            # severity is decided at consumption, not delivery).
-            self._poisoned_lines[line] = True
-            for waiting in entry.requests:
-                waiting.poisoned = True
 
         file = self.mshr_files[bank_idx]
         probes = file.deallocate(line)
@@ -365,11 +345,9 @@ class BankedL2Cache:
     # ------------------------------------------------------------------
     # Writebacks and prefetch
     # ------------------------------------------------------------------
-    def _post_memory_writeback(self, line: int, poisoned: bool = False) -> None:
+    def _post_memory_writeback(self, line: int) -> None:
         self.stats.add("memory_writebacks")
         wb = MemoryRequest(line, AccessType.WRITEBACK, created_at=self.engine.now)
-        if poisoned:
-            wb.poisoned = True
         self._enqueue_memory(wb)
 
     def _note_prefetch_usefulness(self, line: int) -> None:

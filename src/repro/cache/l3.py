@@ -55,9 +55,6 @@ class StackedL3:
         self._c_writeback_misses = self.stats.counter("writeback_misses")
         # line -> requests waiting on an in-flight fill from memory.
         self._inflight: Dict[int, List[MemoryRequest]] = {}
-        # Resident lines filled from poisoned data (repro.ras); empty on
-        # a RAS-less machine, so checks cost one dict-truthiness test.
-        self._poisoned_lines: Dict[int, bool] = {}
 
     # -- MainMemory-compatible interface --------------------------------
     @property
@@ -94,18 +91,14 @@ class StackedL3:
             if self.array.lookup(line):
                 self.array.mark_dirty(line)
                 self._c_writeback_hits.value += 1.0
-                if request.poisoned:
-                    self._poisoned_lines[line] = True
             else:
                 self._c_writeback_misses.value += 1.0
-                self._forward_writeback(line, poisoned=request.poisoned)
+                self._forward_writeback(line)
             request.complete(now)
             return
 
         if self.array.lookup(line):
             self._c_hits.value += 1.0
-            if self._poisoned_lines and line in self._poisoned_lines:
-                request.poisoned = True
             request.complete(now)
             return
 
@@ -132,34 +125,18 @@ class StackedL3:
             self.memory.wait_for_space(fetch.addr, partial(self._send, fetch))
 
     def _fill_from_memory(self, line: int, fetch: MemoryRequest) -> None:
-        self._fill(line, poisoned=fetch.poisoned)
-
-    def _fill(self, line: int, poisoned: bool = False) -> None:
         now = self.engine.now
         victim = self.array.fill(line, dirty=False)
-        if victim is not None:
-            victim_poisoned = False
-            if self._poisoned_lines:
-                victim_poisoned = (
-                    self._poisoned_lines.pop(victim[0], None) is not None
-                )
-            if victim[1]:
-                self.stats.add("dirty_evictions")
-                self._forward_writeback(victim[0], poisoned=victim_poisoned)
-        waiting = self._inflight.pop(line)
-        if poisoned:
-            self._poisoned_lines[line] = True
-            for request in waiting:
-                request.poisoned = True
-        for request in waiting:
+        if victim is not None and victim[1]:
+            self.stats.add("dirty_evictions")
+            self._forward_writeback(victim[0])
+        for request in self._inflight.pop(line):
             request.complete(now)
 
-    def _forward_writeback(self, line: int, poisoned: bool = False) -> None:
+    def _forward_writeback(self, line: int) -> None:
         writeback = MemoryRequest(
             line, AccessType.WRITEBACK, created_at=self.engine.now
         )
-        if poisoned:
-            writeback.poisoned = True
         self._send(writeback)
 
     # -- functional-warmup path -----------------------------------------

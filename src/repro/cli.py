@@ -15,7 +15,6 @@ Commands:
 * ``table {2a,2b}``                   — regenerate a table.
 * ``ablation {scheduler,interleave,prefetch,replacement,page_policy,
   mapping,mshr_org}``                 — run a design-choice ablation.
-* ``ras-study``                       — fault rate x ECC sweep (RAS).
 * ``stack-modes``                     — stack usage-mode x capacity
   study (flat memory / L4 cache / MemCache — see docs/stack_modes.md).
 * ``report --output results/``        — regenerate everything.
@@ -27,12 +26,12 @@ Commands:
   ``docs/validation.md``.
 
 The experiment commands (``figure``, ``table``, ``ablation``,
-``ras-study``, ``stack-modes``) are parser entries only: each resolves
-to one name of :data:`repro.experiments.catalog.CATALOG` (``figure 7
---panel dual-mc`` -> ``figure7_dual``) and runs through the one
-``_cmd_experiment``; that name is also what ``report --only`` takes and
-the stem of the default ``--resume`` journal.  ``--check`` / ``--sample``
-are passed down as arguments — the CLI never writes ``os.environ``.
+``stack-modes``) are parser entries only: each resolves to one name of
+:data:`repro.experiments.catalog.CATALOG` (``figure 7 --panel dual-mc``
+-> ``figure7_dual``) and runs through the one ``_cmd_experiment``; that
+name is also what ``report --only`` takes and the stem of the default
+``--resume`` journal.  ``--check`` / ``--sample`` are passed down as
+arguments — the CLI never writes ``os.environ``.
 
 All experiment commands accept ``--scale`` (smoke/default/large),
 ``--mixes`` (comma-separated) and ``--seed``, plus resilience knobs:
@@ -70,7 +69,6 @@ from .experiments import RunPolicy, run_experiment, run_full_suite
 from .experiments.catalog import (
     CATALOG,
     Experiment,
-    ras_study_experiment,
     render,
     stack_modes_experiment,
 )
@@ -313,23 +311,6 @@ def _figure_experiment(args) -> Experiment:
     return CATALOG[f"figure{args.which}"]
 
 
-def _ras_study_experiment(args) -> Experiment:
-    from .experiments.ras_study import DEFAULT_ECCS, DEFAULT_RATES
-    from .ras.config import ECC_SCHEMES
-
-    rates, eccs = DEFAULT_RATES, DEFAULT_ECCS
-    if args.rates:
-        rates = tuple(float(r) for r in args.rates.split(","))
-    if args.ecc:
-        eccs = tuple(e.strip() for e in args.ecc.split(","))
-        unknown = [e for e in eccs if e not in ECC_SCHEMES]
-        if unknown:
-            raise SystemExit(
-                f"unknown ECC scheme(s) {unknown}; choose from {ECC_SCHEMES}"
-            )
-    return ras_study_experiment(rates, eccs)
-
-
 def _stack_modes_experiment(args) -> Experiment:
     from .common.units import MIB
 
@@ -364,19 +345,12 @@ def _cmd_experiment(args) -> int:
         sampling=args.sample,
     )
     print(render(experiment, result), flush=True)
-    # The RAS study's acceptance gate; meaningless over failed cells.
-    gate = getattr(result, "check_monotone", None)
-    violations = gate() if gate and not result.table.failures else []
-    if violations:
-        print("\nMONOTONICITY VIOLATIONS:")
-        for line in violations:
-            print(f"  {line}")
     if getattr(args, "output", None):
         from .experiments import save_table
 
         save_table(result.table, args.output)
         print(f"\nsaved result table to {args.output}")
-    return 1 if violations else 0
+    return 0
 
 
 def _cmd_analyze(args) -> int:
@@ -642,26 +616,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--only", default=None,
                        help="comma-separated experiment names")
     p_rep.set_defaults(func=_cmd_report)
-
-    p_ras = sub.add_parser(
-        "ras-study",
-        help="fault rate x ECC sweep: IPC overhead and error rates",
-    )
-    p_ras.add_argument(
-        "--rates", default=None,
-        help="comma-separated per-read fault rates, ascending "
-        "(default: 0,1e-4,1e-3)",
-    )
-    p_ras.add_argument(
-        "--ecc", default=None,
-        help="comma-separated ECC schemes to sweep (default: none,secded)",
-    )
-    p_ras.add_argument(
-        "--output", default=None, metavar="PATH",
-        help="also save the raw result table as JSON",
-    )
-    _add_common(p_ras)
-    p_ras.set_defaults(func=_cmd_experiment, experiment=_ras_study_experiment)
 
     p_modes = sub.add_parser(
         "stack-modes",

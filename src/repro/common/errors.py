@@ -109,53 +109,6 @@ class ServiceOverloadError(RuntimeError):
     """
 
 
-class HardwareFaultError(SimulationError):
-    """A simulated *hardware* fault the machine could not absorb.
-
-    Distinct from :class:`InjectedFault` (harness-level process faults):
-    this family models in-simulation RAS events — DRAM bit errors, bus
-    stuck-at faults, bank failures — raised by :mod:`repro.ras` when the
-    configured degradation policies run out of headroom (e.g. every
-    spare bank in a rank has been retired).
-    """
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        cycle: Optional[int] = None,
-        component: Optional[str] = None,
-    ) -> None:
-        super().__init__(message)
-        self.cycle = cycle
-        self.component = component
-
-
-class UncorrectableMemoryError(HardwareFaultError):
-    """A poisoned line was consumed and the machine-check policy is fatal.
-
-    Carries the coordinates of the failing access so a
-    :class:`~repro.experiments.runner.CellFailure` post-mortem can
-    localize the fault.  Raised by the RAS monitor at core commit (or at
-    the memory controller when retries exhaust) only under
-    ``machine_check_policy="fatal"``; the default ``"count"`` policy
-    records the event in the ``ras`` statistics group instead.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        cycle: Optional[int] = None,
-        component: Optional[str] = None,
-        addr: Optional[int] = None,
-        core_id: Optional[int] = None,
-    ) -> None:
-        super().__init__(message, cycle=cycle, component=component)
-        self.addr = addr
-        self.core_id = core_id
-
-
 class CheckViolation(SimulationError):
     """A runtime correctness checker found an invariant violation.
 
@@ -288,7 +241,6 @@ __all__ = [
     "CellFailedError",
     "CellTimeout",
     "CheckViolation",
-    "HardwareFaultError",
     "InjectedFault",
     "InjectedServiceCrash",
     "ServiceOverloadError",
@@ -300,6 +252,5 @@ __all__ = [
     "SnapshotFormatError",
     "SnapshotPreempted",
     "SnapshotSchemaError",
-    "UncorrectableMemoryError",
     "WorkerCrash",
 ]

@@ -61,7 +61,6 @@ class MemoryRequest:
         "row_buffer_hit",
         "mshr_probes",
         "annotations",
-        "poisoned",
     )
 
     def __init__(
@@ -88,10 +87,6 @@ class MemoryRequest:
         self.row_buffer_hit: Optional[bool] = None
         self.mshr_probes = 0
         self.annotations: dict = {}
-        # Uncorrectable-data marker (see repro.ras): set by the memory
-        # controller when ECC detects more errors than it can correct,
-        # propagated through fills so the consuming core can machine-check.
-        self.poisoned = False
 
     @property
     def latency(self) -> Optional[int]:

@@ -94,7 +94,6 @@ class Core:
         "on_frozen",
         "_commit_watch",
         "_on_commit_watch",
-        "ras_monitor",
         "_commit_event",
         "_cursor",
         "_page_shift",
@@ -165,9 +164,6 @@ class Core:
         # One-shot commit watch (see watch_commit).
         self._commit_watch: Optional[int] = None
         self._on_commit_watch = None
-        # RAS consumption seam (repro.ras): None on a fault-free machine,
-        # so the data-return path tests one never-true attribute branch.
-        self.ras_monitor = None
 
         # Handle of the pending commit event (valid while
         # _commit_scheduled): the parking rule reads its fire time.
@@ -438,11 +434,7 @@ class Core:
             paddr = (frame << shift) | (addr & allocator._offset_mask)
         l1 = self.l1
         cache_set = None
-        if (
-            self._hit_fast
-            and self.ras_monitor is None
-            and not l1._poisoned_lines
-        ):
+        if self._hit_fast:
             array = l1.array
             line = paddr & array._align_mask
             set_idx = (line >> array._line_shift) & array._set_mask
@@ -554,10 +546,6 @@ class Core:
             request.completed_at - request.created_at
         )
         self._c_loads_completed.value += 1.0
-        if request.poisoned and self.ras_monitor is not None:
-            # Consuming poisoned data is the machine-check event; under
-            # the "fatal" policy this raises UncorrectableMemoryError.
-            self.ras_monitor.on_poison_consumed(self.core_id, request)
         if not self._commit_scheduled:
             self._commit_scheduled = True
             self._commit_event = engine.schedule_at(now, self._commit)

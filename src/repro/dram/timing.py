@@ -38,11 +38,6 @@ class DramTiming:
     # (tFAW).  DDR2-scale defaults.
     t_rrd: int = ns_to_cycles(7.5)
     t_faw: int = ns_to_cycles(37.5)
-    # Extra pipeline cycles per corrected symbol when ECC is enabled
-    # (repro.ras): the correction network sits after the DRAM array, so
-    # this never changes bank-level command legality — only the delivery
-    # time of a corrected read.  Unused (and free) without RAS.
-    t_ecc_correction: int = 2
 
     def __post_init__(self) -> None:
         for field_name in ("t_rcd", "t_cas", "t_rp", "t_ras", "t_wr"):

@@ -6,7 +6,6 @@ from .charts import bar, grouped_bars, speedup_chart
 from .fairness import FairnessResult, fairness_study
 from .full_run import run_full_suite
 from .persistence import CellJournal, load_table, save_table
-from .ras_study import RasStudyResult
 from .stack_modes import StackModesResult
 from .report import format_table
 from .runner import (
@@ -49,7 +48,6 @@ __all__ = [
     "run_full_suite",
     "run_matrix",
     "run_table2a",
-    "RasStudyResult",
     "StackModesResult",
     "save_table",
 ]

@@ -16,8 +16,8 @@ to (``figure 7 --panel dual-mc`` -> ``figure7_dual``, ``ablation
 prefetch`` -> ``ablation_prefetch``).
 
 The studies whose metric is not a speedup table (Table 2's MPKI and
-HMIPC, the RAS error rates, the stack-mode capacity pivot) keep their
-own result classes and name them in ``Experiment.result``.
+HMIPC, the stack-mode capacity pivot) keep their own result classes and
+name them in ``Experiment.result``.
 
 Importing this module builds no :class:`SystemConfig`: ``configs`` is a
 callable, evaluated when the experiment runs.
@@ -44,7 +44,7 @@ from ..system.config import (
 from ..system.scale import DEFAULT, ExperimentScale
 from ..workloads.benchmarks import BENCHMARKS
 from ..workloads.mixes import MIX_ORDER, MIXES, WorkloadMix, mixes_in_groups
-from . import ras_study, stack_modes, table2
+from . import stack_modes, table2
 from .charts import grouped_bars, speedup_chart
 from .fidelity import Band, Expectation, Ordering, claims_note, paper_column
 from .report import format_table, with_sampling_note
@@ -361,22 +361,6 @@ def _ablation(name: str, title: str, variants, **fields: Any) -> Experiment:
     )
 
 
-def ras_study_experiment(
-    rates: Sequence[float] = ras_study.DEFAULT_RATES,
-    eccs: Sequence[str] = ras_study.DEFAULT_ECCS,
-) -> Experiment:
-    """The fault-rate x ECC sweep over the given grid (docs/ras.md)."""
-    return Experiment(
-        name="ras_study",
-        configs=partial(ras_study.build_ras_matrix, rates, eccs),
-        groups=("H",),
-        in_suite=False,
-        result=lambda table: ras_study.RasStudyResult(
-            table, table.mixes, tuple(rates), tuple(eccs)
-        ),
-    )
-
-
 def stack_modes_experiment(
     capacities: Sequence[int] = stack_modes.DEFAULT_CAPACITIES,
 ) -> Experiment:
@@ -602,7 +586,6 @@ CATALOG: Dict[str, Experiment] = {
             # widens the gap.
             expect=(Ordering(("gm 2D", "gm 2D+L3", "gm 3D", "gm 3D-fast", "gm quad-MC")),),
         ),
-        ras_study_experiment(),
         stack_modes_experiment(),
     )
 }

@@ -16,8 +16,8 @@ output — and nothing else — so that:
 * the same cell submitted twice (or by overlapping sweeps) is served
   from the service's cache instead of re-simulated;
 * any change that *would* change the output (a config knob, the seed,
-  the RAS spec, the sampling plan, checkers on/off) changes the key and
-  forces a fresh simulation;
+  the sampling plan, checkers on/off) changes the key and forces a
+  fresh simulation;
 * cosmetic differences (dict field order, tuple-vs-list, a permuted
   benchmark list — core placement is canonical, see
   :class:`repro.system.machine.Machine`) hash identically in every
@@ -39,7 +39,6 @@ import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
-from ..ras.config import RasConfig
 from ..system.config import SystemConfig
 from ..system.scale import ExperimentScale
 from ..workloads.mixes import WorkloadMix
@@ -48,7 +47,8 @@ from ..workloads.mixes import WorkloadMix
 #: unreachable (and are recomputed) instead of being misinterpreted.
 #: v2: SystemConfig grew the stack-mode fields (stack_mode, l4_*,
 #: offchip_*), changing the asdict payload.
-KEY_SCHEMA_VERSION = 2
+#: v3: SystemConfig lost its ``ras`` field.
+KEY_SCHEMA_VERSION = 3
 
 
 def canonical_json(obj) -> str:
@@ -59,16 +59,20 @@ def canonical_json(obj) -> str:
 
 
 def config_to_dict(config: SystemConfig) -> dict:
-    """A ``SystemConfig`` (with nested ``RasConfig``) as a plain dict."""
+    """A ``SystemConfig`` as a plain dict."""
     return dataclasses.asdict(config)
 
 
 def config_from_dict(data: dict) -> SystemConfig:
-    """Inverse of :func:`config_to_dict` (exact round trip)."""
-    data = dict(data)
-    ras = data.get("ras")
-    if ras is not None:
-        data["ras"] = RasConfig(**ras)
+    """Inverse of :func:`config_to_dict` (exact round trip).
+
+    Raises ``ValueError`` naming every key that is not a
+    ``SystemConfig`` field, e.g. a config written by another build.
+    """
+    known = {field.name for field in dataclasses.fields(SystemConfig)}
+    unknown = sorted(set(data) - known)
+    if unknown:
+        raise ValueError(f"unknown SystemConfig fields: {', '.join(unknown)}")
     return SystemConfig(**data)
 
 

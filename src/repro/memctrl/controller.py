@@ -85,9 +85,6 @@ class MemoryController:
         self._next_issue_time = 0
         self._pump_event = None
         self._space_waiters: Deque[Callable[[], None]] = deque()
-        # RAS seam (repro.ras): None on a fault-free machine, so the
-        # request path below takes only never-true attribute branches.
-        self.ras = None
 
     # ------------------------------------------------------------------
     # Enqueue side (called by the L2 miss path / writeback path)
@@ -95,8 +92,6 @@ class MemoryController:
     def enqueue(self, request: MemoryRequest) -> bool:
         """Queue a request; False when the MRQ is full (caller must wait)."""
         coords = self.mapping.decompose(request.addr)
-        if self.ras is not None:
-            coords = self.ras.map_coords(self.mc_id, coords)
         bank = self.device.bank(coords.rank, coords.bank)
         entry = self.mrq.push(request, coords, self.engine.now, bank)
         if entry is None:
@@ -176,8 +171,6 @@ class MemoryController:
                 coords.rank, coords.bank, coords.row, data_arrival, is_write=True
             )
             self._note_row_outcome(request, hit)
-            if self.ras is not None:
-                self.ras.on_write(self, coords, request)
             self.engine.schedule_at(done, request.complete, done)
         else:
             # Reads: command propagates to the device, the bank produces
@@ -190,12 +183,6 @@ class MemoryController:
                 coords.rank, coords.bank, coords.row, cmd_arrival, is_write=False
             )
             self._note_row_outcome(request, hit)
-            if self.ras is not None:
-                # ECC check/correct/retry may delay (or poison) the data
-                # before it crosses the channel back to the MC.
-                data_time = self.ras.on_read(
-                    self, coords, request, cmd_arrival, data_time
-                )
             start, _ = self.bus.transfer(self.line_size, data_time)
             first_beat = start + self.bus.cycles_per_beat + self.bus.wire_latency
             self.read_latency.record(first_beat - entry.arrival)

@@ -18,9 +18,8 @@ routing lines): rank *global* id = mc * ranks_per_mc + local rank.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Set, Tuple
+from typing import NamedTuple
 
-from ..common.errors import HardwareFaultError
 from ..common.units import is_power_of_two, log2int
 
 
@@ -152,75 +151,3 @@ class AddressMapping:
         addr = page << self._page_shift
         addr |= (coords.column << self._line_shift) | column_offset
         return addr
-
-
-class BankRemapTable:
-    """Retired-bank indirection for graceful degradation (:mod:`repro.ras`).
-
-    When a bank accumulates uncorrectable errors past the retirement
-    threshold, the RAS layer retires it here; later requests that decode
-    to a retired bank are steered to the nearest healthy bank in the same
-    rank (``(bank + i) mod banks_per_rank``, first live ``i``).  The
-    lookup re-derives the spare from the retired set each time, so a
-    spare that itself later retires is transparently skipped — no chains
-    of stale forwarding entries to maintain.
-
-    This lives beside :class:`AddressMapping` but is deliberately *not*
-    consulted by :meth:`AddressMapping.decompose`: only the RAS branch of
-    the controller enqueue path calls :meth:`lookup`, so the fault-free
-    decode path carries zero overhead.
-    """
-
-    def __init__(self, ranks_per_mc: int, banks_per_rank: int) -> None:
-        if ranks_per_mc < 1 or banks_per_rank < 1:
-            raise ValueError("remap table needs at least one rank and bank")
-        self.ranks_per_mc = ranks_per_mc
-        self.banks_per_rank = banks_per_rank
-        self._retired: Set[Tuple[int, int]] = set()
-        self._live_per_rank = [banks_per_rank] * ranks_per_mc
-
-    @property
-    def has_retirements(self) -> bool:
-        return bool(self._retired)
-
-    @property
-    def retired_count(self) -> int:
-        return len(self._retired)
-
-    def is_retired(self, rank: int, bank: int) -> bool:
-        return (rank, bank) in self._retired
-
-    def retire(self, rank: int, bank: int) -> bool:
-        """Retire one bank; False if it was already retired.
-
-        Raises :class:`~repro.common.errors.HardwareFaultError` when the
-        retirement would leave the rank with no healthy banks — there is
-        nowhere left to remap, which is an unrecoverable hardware state.
-        """
-        key = (rank, bank)
-        if key in self._retired:
-            return False
-        if self._live_per_rank[rank] <= 1:
-            raise HardwareFaultError(
-                f"cannot retire bank {bank}: rank {rank} would have no "
-                "healthy banks left",
-                component=f"rank{rank}",
-            )
-        self._retired.add(key)
-        self._live_per_rank[rank] -= 1
-        return True
-
-    def lookup(self, rank: int, bank: int) -> Tuple[int, int]:
-        """Healthy (rank, bank) serving this coordinate (identity if live)."""
-        if (rank, bank) not in self._retired:
-            return rank, bank
-        for i in range(1, self.banks_per_rank):
-            spare = (bank + i) % self.banks_per_rank
-            if (rank, spare) not in self._retired:
-                return rank, spare
-        raise HardwareFaultError(  # pragma: no cover - retire() forbids this
-            f"rank {rank} has no healthy banks", component=f"rank{rank}"
-        )
-
-    def retired_banks(self) -> Tuple[Tuple[int, int], ...]:
-        return tuple(sorted(self._retired))

@@ -112,7 +112,9 @@ class JobQueue:
         Order and ids come from each file's parsed ``seq``, not from a
         filename sort (``job-10000`` sorts before ``job-9999``).  A file
         whose header never completed — a crash mid-submit, before the
-        acknowledgement — is not a job and is deleted.
+        acknowledgement — is not a job and is deleted.  A header this
+        build cannot read (e.g. a config field it does not have) raises
+        ``ValueError`` naming the file; the file is left in place.
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
@@ -127,9 +129,11 @@ class JobQueue:
             if journal.signature is None:
                 path.unlink()
                 continue
-            job = SweepJob(
-                path.stem, SweepSpec.from_dict(journal.signature), journal
-            )
+            try:
+                spec = SweepSpec.from_dict(journal.signature)
+            except ValueError as exc:
+                raise ValueError(f"job file {path}: {exc}") from exc
+            job = SweepJob(path.stem, spec, journal)
             job.recovered = (
                 0 < job.pending_cell_count() < job.spec.cell_count()
             )

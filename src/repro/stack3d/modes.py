@@ -6,7 +6,7 @@ is often more valuable as a large L4 DRAM cache in front of off-chip
 DRAM, or as a runtime-partitioned hybrid.  :class:`StackModeMemory`
 makes those scenarios runnable behind the exact interface the L2 already
 speaks (``enqueue`` / ``wait_for_space`` / ``mapping`` / functional
-warmup), so the rest of the hierarchy — MSHRs, checkers, RAS, sampling —
+warmup), so the rest of the hierarchy — MSHRs, checkers, sampling —
 is unchanged:
 
 * ``memory``   — the facade is *not constructed*; the machine is
@@ -36,11 +36,6 @@ Design constraints inherited from the rest of the repo:
   waitlist drained on every deallocate, and all internal sends retry
   through ``wait_for_space`` chains.  ``occupancy()`` feeds the
   machine's watchdog/drain probes.
-* **RAS in every mode.**  Poisoned off-chip fills mark the cached line;
-  hits propagate the poison; evictions carry it back off-chip.  The
-  direct segment and the stack arrays themselves are protected by the
-  normal per-controller RAS pipeline (the facade exposes *all*
-  controllers, so ``attach_ras``/checkers instrument both systems).
 """
 
 from __future__ import annotations
@@ -250,12 +245,11 @@ class AlloyTagStore:
 class _Fill:
     """In-flight off-chip fetch for one line: who waits, what merged."""
 
-    __slots__ = ("waiters", "dirty", "poisoned", "issued")
+    __slots__ = ("waiters", "dirty", "issued")
 
     def __init__(self, first: Optional[MemoryRequest]) -> None:
         self.waiters: List[MemoryRequest] = [first] if first is not None else []
         self.dirty = False
-        self.poisoned = False
         self.issued = False
 
 
@@ -334,7 +328,6 @@ class StackModeMemory:
         self._mshr = make_mshr("conventional", mshr_entries, line_size)
         self._inflight: Dict[int, _Fill] = {}
         self._mshr_waitlist: Deque[int] = deque()
-        self._poisoned_lines: Dict[int, bool] = {}
         self._pending_partition: Optional[int] = None
 
         self.cache_fraction = cache_fraction
@@ -387,7 +380,7 @@ class StackModeMemory:
 
     @property
     def controllers(self):
-        """Every MC of both systems (checkers/RAS instrument them all)."""
+        """Every MC of both systems (checkers instrument them all)."""
         return list(self._stack.controllers) + list(self._offchip.controllers)
 
     @property
@@ -468,16 +461,11 @@ class StackModeMemory:
                     return False
                 tags.mark_dirty(line)
                 self._c_writeback_hits.value += 1.0
-                if request.poisoned:
-                    self._poisoned_lines[line] = True
                 return True
             fill = self._inflight.get(line)
             if fill is not None:
-                # Merges with the in-flight fetch: the line will land
-                # dirty (and maybe poisoned).
+                # Merges with the in-flight fetch: the line will land dirty.
                 fill.dirty = True
-                if request.poisoned:
-                    fill.poisoned = True
                 self._c_merges.value += 1.0
                 request.complete(self.engine.now)
                 return True
@@ -508,8 +496,6 @@ class StackModeMemory:
             self._c_hits.value += 1.0
             if request.access.is_write:
                 tags.mark_dirty(line)
-            if self._poisoned_lines and line in self._poisoned_lines:
-                request.poisoned = True
             return True
         self._c_misses.value += 1.0
         self._begin_fill(line, request)
@@ -534,8 +520,6 @@ class StackModeMemory:
             if request.access.is_write:
                 tags.mark_dirty(line)
             frame = tags.lookup(line)
-            if self._poisoned_lines and line in self._poisoned_lines:
-                request.poisoned = True
             return self._forward(request, self._stack, frame, True)
         self._c_misses.value += 1.0
         if predicted_hit:
@@ -600,25 +584,15 @@ class StackModeMemory:
         fill = self._inflight.pop(line)
         frame, victim = self._tags.fill(line, dirty=fill.dirty)
         self._c_fills.value += 1.0
-        if fetch.poisoned or fill.poisoned:
-            self._poisoned_lines[line] = True
         if victim is not None:
             vline, vdirty, vframe = victim
-            victim_poisoned = False
-            if self._poisoned_lines:
-                victim_poisoned = (
-                    self._poisoned_lines.pop(vline, None) is not None
-                )
             if vdirty:
                 self._c_dirty_evictions.value += 1.0
-                self._evict_dirty(vline, vframe, victim_poisoned)
+                self._evict_dirty(vline, vframe)
         # The fill itself writes the line into the stack array.
         self._send_stack_write(frame)
         now = self.engine.now
-        line_poisoned = bool(self._poisoned_lines) and line in self._poisoned_lines
         for request in fill.waiters:
-            if line_poisoned:
-                request.poisoned = True
             request.complete(now)
         self._mshr.deallocate(line)
         self._drain_mshr_waitlist()
@@ -634,26 +608,22 @@ class StackModeMemory:
                 return
             self._issue_fetch(line)
 
-    def _evict_dirty(self, vline: int, vframe: int, poisoned: bool) -> None:
+    def _evict_dirty(self, vline: int, vframe: int) -> None:
         """Victim path: read the line out of the stack, then write it
         back off-chip (the writeback is serialized behind the read)."""
         probe = MemoryRequest(
             vframe,
             AccessType.READ,
             created_at=self.engine.now,
-            callback=partial(self._victim_read_done, vline, poisoned),
+            callback=partial(self._victim_read_done, vline),
         )
         self._send(self._stack, probe)
 
-    def _victim_read_done(
-        self, vline: int, poisoned: bool, probe: MemoryRequest
-    ) -> None:
+    def _victim_read_done(self, vline: int, probe: MemoryRequest) -> None:
         self._c_offchip_writebacks.value += 1.0
         writeback = MemoryRequest(
             vline, AccessType.WRITEBACK, created_at=self.engine.now
         )
-        if poisoned:
-            writeback.poisoned = True
         self._send(self._offchip, writeback)
 
     def _send_stack_write(self, frame: int) -> None:
@@ -700,8 +670,6 @@ class StackModeMemory:
         return True
 
     def _proxy_done(self, request: MemoryRequest, proxy: MemoryRequest) -> None:
-        if proxy.poisoned:
-            request.poisoned = True
         request.row_buffer_hit = proxy.row_buffer_hit
         request.complete(proxy.completed_at)
 
@@ -744,13 +712,9 @@ class StackModeMemory:
         self._pending_partition = None
         if self._tags is not None:
             for line, dirty, frame in list(self._tags.entries()):
-                poisoned = False
-                if self._poisoned_lines:
-                    poisoned = self._poisoned_lines.pop(line, None) is not None
                 if dirty:
                     self._c_flushed.value += 1.0
-                    self._evict_dirty(line, frame, poisoned)
-        self._poisoned_lines.clear()
+                    self._evict_dirty(line, frame)
         self._c_repartitions.value += 1.0
         self._build_region(new_bytes)
 
@@ -763,7 +727,7 @@ class StackModeMemory:
         functionally from off-chip and fill the shadow tags (dirty
         victims flow back).  The predictor is deliberately *not*
         trained (functional volume must never move detailed-keyed
-        state — same contract as RAS, see tests/sampling)."""
+        state)."""
         line = line & self._line_mask
         if line < self.direct_bytes:
             self._stack.functional_fetch(line, core_id=core_id, pc=pc)

@@ -91,21 +91,6 @@ class StackThermalModel:
         return self.max_dram_temperature() <= limit_c
 
 
-def retention_acceleration_factor(max_dram_temp_c: float) -> float:
-    """Multiplier on the DRAM retention-error rate at a given temperature.
-
-    Retention time roughly halves per ~10 C (the same physics behind
-    :func:`refresh_period_for_temperature`), so the rate at which cells
-    leak below the sense threshold between refreshes roughly doubles.
-    At or below the 85 C rated limit the factor is 1.0 — the baseline
-    fault rates in :class:`repro.ras.config.RasConfig` are specified at
-    the rated temperature.
-    """
-    if max_dram_temp_c <= DRAM_THERMAL_LIMIT_C:
-        return 1.0
-    return 2.0 ** ((max_dram_temp_c - DRAM_THERMAL_LIMIT_C) / 10.0)
-
-
 def refresh_period_for_temperature(max_dram_temp_c: float) -> float:
     """Retention-safe refresh period (ms) at a given DRAM temperature.
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..common.units import GIB, KIB, MIB
-from ..ras.config import RasConfig
 
 #: DRAM timing presets accepted by ``dram_timing``.
 TIMING_PRESETS = ("2d", "3d-commodity", "true-3d")
@@ -141,11 +140,6 @@ class SystemConfig:
     line_size: int = 64
     page_size: int = 4096
     dram_capacity: int = 8 * GIB
-
-    # RAS subsystem (repro.ras): fault injection, ECC, degradation.
-    # None (the default) builds a machine with no RAS hooks at all —
-    # the request path is byte-for-byte the fault-free simulator.
-    ras: Optional[RasConfig] = None
 
     def __post_init__(self) -> None:
         if self.dram_timing not in TIMING_PRESETS:

@@ -155,20 +155,8 @@ class Machine:
         placed_benchmarks = [benchmarks[i] for i in placement]
         self.engine = Engine()
         self.registry = StatRegistry()
-        dram_capacity = config.dram_capacity
-        ras_enabled = config.ras is not None and config.ras.enabled
-        if ras_enabled:
-            # ECC check bits are stored in the same arrays they protect:
-            # the machine genuinely has fewer usable pages.
-            from ..ras import get_scheme
-
-            overhead = get_scheme(config.ras.ecc).storage_overhead
-            if overhead:
-                page = config.page_size
-                usable = int(dram_capacity * (1.0 - overhead))
-                dram_capacity = max(page, (usable // page) * page)
         self.allocator = PageAllocator(
-            page_size=config.page_size, capacity_bytes=dram_capacity
+            page_size=config.page_size, capacity_bytes=config.dram_capacity
         )
 
         self.memory = MainMemory(
@@ -383,32 +371,6 @@ class Machine:
             self.l1s.append(l1)
             self.cores.append(core)
         self._benchmarks = placed_benchmarks
-
-        # RAS subsystem: fault injection + ECC + degradation, seeded per
-        # (experiment seed, config name) so every sweep cell draws an
-        # independent but process-stable fault universe.
-        self.ras = None
-        if ras_enabled:
-            from ..ras import attach_ras
-            from ..ras.prng import hash64, stable_label_hash
-            from ..stack3d.thermal import (
-                default_stack,
-                retention_acceleration_factor,
-            )
-
-            thermal_factor = 1.0
-            if config.ras.thermal_scaling and config.memory_bus != "fsb":
-                # Stacked DRAM sits above the cores; retention errors
-                # accelerate with the stack's worst-case temperature.
-                thermal_factor = retention_acceleration_factor(
-                    default_stack().max_dram_temperature()
-                )
-            self.ras = attach_ras(
-                self,
-                config.ras,
-                hash64(seed, stable_label_hash(config.name)),
-                thermal_factor=thermal_factor,
-            )
 
         self.tuner: Optional[DynamicMshrTuner] = None
         if config.l2_mshr_dynamic:
@@ -812,8 +774,6 @@ class Machine:
             "dram_dynamic_nj_per_access": energy.nj_per_access,
             "dram_avg_power_mw": energy.avg_power_mw,
         }
-        if self.ras is not None:
-            merged_extra.update(self.ras.result_extra())
         if self.l4 is not None:
             merged_extra.update(self.l4.result_extra())
             merged_extra["l4_tag_shave_bytes"] = float(self._l4_tag_shave)

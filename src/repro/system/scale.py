@@ -2,9 +2,10 @@
 
 The paper warms 500 M instructions and measures 100 M per program on a
 compiled simulator; a pure-Python model cannot do that, so experiments
-run at a configurable scale.  Relative results (speedups, crossovers)
-stabilize at far shorter windows because the synthetic workloads are
-statistically stationary — there are no program phases to sample across.
+run at a configurable scale.  Relative results still depend on the
+warm-up: on H1 with ``2MC-8R``, the 4RB/1RB speedup is 1.035 after a
+10 k-instruction warm-up and 1.703 after 600 k (full detail), because a
+short warm-up leaves the 12 MiB L2 cold.
 """
 
 from __future__ import annotations

@@ -367,12 +367,11 @@ def resume_shapes(
     the sampling controller, a saturated MRQ under miss-heavy traffic,
     the three non-memory stack modes (L4 with SRAM tags, L4 with alloy
     tags-in-DRAM and its hit/miss predictor, the repartitioning
-    MemCache hybrid) and the RAS scrub/fault machinery.  Built on
+    MemCache hybrid).  Built on
     ``fast`` (default 3D-fast) and, for the checker shape, ``baseline``
     (default 2D); tests pass cut-down bases.
     """
     from ..common.units import KIB
-    from ..ras.config import RasConfig
     from ..sampling.plan import SamplingPlan
     from ..system.config import (
         config_2d,
@@ -385,7 +384,6 @@ def resume_shapes(
     fast = fast if fast is not None else config_3d_fast()
     baseline = baseline if baseline is not None else config_2d()
     miss_heavy = fast.derive(name="3d-fast-mh", l2_size=64 * KIB, l2_assoc=8)
-    faulty = RasConfig(enabled=True, transient_rate=1e-4, retention_rate=1e-4)
     return {
         "plain": (fast, None, None),
         "checkers": (baseline, "all", None),
@@ -394,7 +392,6 @@ def resume_shapes(
         "l4-cache": (config_l4_cache(base=fast), None, None),
         "l4-alloy": (config_l4_alloy(base=fast), None, None),
         "memcache": (config_memcache(base=fast), None, None),
-        "ras-on": (fast.derive(name="3d-fast-ras", ras=faulty), None, None),
     }
 
 

@@ -98,18 +98,6 @@ class ShadowBank:
         """
         self._bank.functional_touch(row, is_write)
 
-    def observe_refresh_escalation(self, multiplier: int, now: int) -> None:
-        """Mirror a RAS refresh-rate escalation onto the reference bank.
-
-        The real banks of a rank share one
-        :class:`~repro.dram.refresh.RefreshSchedule`; each shadow owns a
-        private copy, so the escalation must be broadcast here with the
-        same ``(multiplier, now)`` to re-anchor at the identical window
-        boundary — otherwise every post-escalation access diverges on
-        refresh blackouts.
-        """
-        self._bank.refresh.set_multiplier(multiplier, now)
-
     # ------------------------------------------------------------------
     def _note_commands(self, data_time: int, hit: bool) -> None:
         timing = self.timing
@@ -247,11 +235,4 @@ class DramTimingChecker(Checker):
     ) -> None:
         self._shadows[(mc_id, rank_id, bank_id)].observe_functional(
             row, is_write
-        )
-
-    def on_refresh_escalation(
-        self, mc_id: int, rank_id: int, bank_id: int, multiplier: int, now: int
-    ) -> None:
-        self._shadows[(mc_id, rank_id, bank_id)].observe_refresh_escalation(
-            multiplier, now
         )

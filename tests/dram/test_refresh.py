@@ -33,7 +33,10 @@ def test_second_window():
 def test_phase_shifts_windows():
     s = _schedule(phase=1000)
     assert s.earliest_available(0) == 0  # before the first window
+    assert s.epoch(999) == -1
+    assert s.blackout_cycles_until(1000) == 0
     assert s.earliest_available(1000) == 1000 + s.t_rfc
+    assert s.epoch(1000) == 0
 
 
 def test_epoch_increments_each_interval():
@@ -68,7 +71,9 @@ def test_interval_must_exceed_blackout():
 def test_property_result_is_outside_blackout_and_not_early(time, phase):
     s = _schedule(phase=phase)
     available = s.earliest_available(time)
-    assert available >= time
+    assert time <= available <= time + s.t_rfc
+    # The answer is itself available (no livelock chasing windows).
+    assert s.earliest_available(available) == available
     # The returned time is genuinely outside any blackout window.
     if available >= s.phase:
         offset = (available - s.phase) % s.t_refi

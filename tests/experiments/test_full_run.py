@@ -61,10 +61,10 @@ def test_suite_order_is_catalog_order(monkeypatch):
     reports = run_full_suite(progress=False)
     suite = [name for name, exp in CATALOG.items() if exp.in_suite]
     assert ran == list(reports) == suite
-    assert len(suite) == 17 and "ras_study" not in suite
+    assert len(suite) == 17 and "stack_modes" not in suite
     # --only picks from the whole catalog, still in catalog order.
-    reports = run_full_suite(only=["ras_study", "figure4"], progress=False)
-    assert list(reports) == ["figure4", "ras_study"]
+    reports = run_full_suite(only=["stack_modes", "figure4"], progress=False)
+    assert list(reports) == ["figure4", "stack_modes"]
 
 
 def test_failed_experiment_is_recorded_and_the_suite_goes_on(monkeypatch):

@@ -8,8 +8,7 @@ flow through the L4 *shadow* tag state (``functional_fetch`` /
 detailed interval after a skip sees a cache that missed the entire
 warmup and every checker invariant about residency is fiction.  The
 mirror constraint: the functional path must NOT touch timing-side
-state (the hit/miss predictor, the L4 counters), exactly as RAS
-warmup must not roll the fault PRNG (``test_ras_sampling.py``).
+state (the hit/miss predictor, the L4 counters).
 """
 
 from repro.common.units import MIB

@@ -7,18 +7,16 @@ Two halves, both load-bearing:
   a permuted benchmark list (canonical core placement makes a mix a
   multiset, see ``tests/integration/test_golden.py``);
 * *sensitivity* — keys MUST change for anything that changes simulation
-  output: any config knob, the RAS spec, checkers on/off, the sampling
+  output: any config knob, checkers on/off, the sampling
   plan, the seed, the instruction budgets, and the config/mix names
   (embedded in the stored result).
 """
 
-import dataclasses
 import json
 import os
 import subprocess
 import sys
 
-from repro.ras.config import RasConfig
 from repro.experiments.spec import (
     canonical_json,
     cell_key,
@@ -26,6 +24,7 @@ from repro.experiments.spec import (
     config_from_dict,
     config_to_dict,
 )
+from repro.system.config import config_memcache
 from repro.system.scale import ExperimentScale
 from repro.workloads.mixes import MIXES
 
@@ -152,7 +151,8 @@ def test_key_changes_with_config_knobs():
 
 
 def test_key_changes_with_config_name():
-    """The RAS PRNG seeds from the config *name*: renames must miss."""
+    """``MachineResult.config_name`` is part of the cached result: a
+    renamed config must miss, or the hit would carry the old name."""
     assert key(config=small_config("renamed")) != key()
 
 
@@ -184,15 +184,8 @@ def test_key_changes_with_sampling():
     assert key(sampling="detailed:600,warmup:2000") != key(sampling="on")
 
 
-def test_key_changes_with_ras_config():
-    quiet = dataclasses.replace(BASE, ras=RasConfig(transient_rate=1e-4))
-    noisy = dataclasses.replace(BASE, ras=RasConfig(transient_rate=1e-3))
-    assert key(config=quiet) != key()
-    assert key(config=quiet) != key(config=noisy)
-
-
-def test_config_dict_round_trip_with_ras():
-    config = dataclasses.replace(BASE, ras=RasConfig(transient_rate=1e-4))
+def test_config_dict_round_trip_with_stack_mode():
+    config = config_memcache(base=BASE)
     assert config_from_dict(config_to_dict(config)) == config
     assert key(config=config_from_dict(config_to_dict(config))) == key(
         config=config

@@ -180,6 +180,20 @@ def test_order_and_ids_follow_parsed_seq_not_filename(tmp_path, one_cell_spec):
     assert queue.submit(one_cell_spec).startswith("job-10001-")
 
 
+def test_open_refuses_a_job_from_another_build(tmp_path, one_cell_spec):
+    """A job header whose config carries a field this build lacks is
+    refused with one ValueError naming the field and the file, and the
+    file is left in place."""
+    signature = one_cell_spec.signature()
+    signature["configs"][0]["retired_knob"] = None
+    path = tmp_path / f"job-0001-{one_cell_spec.fingerprint()}.jsonl"
+    CellJournal.open(path, signature).close()
+    with pytest.raises(ValueError, match="retired_knob") as excinfo:
+        JobQueue.open(tmp_path)
+    assert str(path) in str(excinfo.value)
+    assert path.exists()
+
+
 @pytest.mark.parametrize("keep", [0, 0.5], ids=["empty", "half-header"])
 def test_torn_header_is_no_job_and_keeps_later_seqs(tmp_path, tiny_spec, keep):
     """A crash mid-submit (before the ack) leaves a file that is no job:

@@ -153,10 +153,9 @@ def test_figure_with_journal_and_resume(capsys, monkeypatch, tmp_path):
         (["figure", "4"], "3D-wide"),
         (["table", "2b"], "2D"),
         (["ablation", "scheduler"], "fcfs"),
-        (["ras-study", "--rates", "0,0.001", "--ecc", "none"], "3D/none@0.001"),
         (["stack-modes", "--capacities", "32"], "L4-alloy-32M"),
     ],
-    ids=["figure4", "table2b", "ablation", "ras-study", "stack-modes"],
+    ids=["figure4", "table2b", "ablation", "stack-modes"],
 )
 def test_figure_with_injected_failure_degrades(
     capsys, monkeypatch, command, failing_config

@@ -114,33 +114,6 @@ def test_line_interleave_machine_builds_shared_bus():
     machine.run(warmup_instructions=200, measure_instructions=500)
 
 
-def test_fault_free_machine_does_not_import_ras_machinery():
-    """``SystemConfig`` needs ``ras.config`` only; the controller,
-    injector, ECC and PRNG modules load when a RAS controller is built.
-    Checked in a fresh interpreter — this process has long since
-    imported them for other tests."""
-    import os
-    import subprocess
-    import sys
-
-    import repro
-
-    code = (
-        "import sys\n"
-        "import repro\n"
-        "from repro import Machine, config_2d\n"
-        "Machine(config_2d(), ['S.copy'] * 4, seed=1, workload_name='w')\n"
-        "print(sorted(m for m in sys.modules if m.startswith('repro.ras')))\n"
-    )
-    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, check=True,
-        capture_output=True, text=True, timeout=120,
-    )
-    assert out.stdout.strip() == "['repro.ras', 'repro.ras.config']"
-
-
 def _one_address(pulled):
     """Endless single-address trace that counts the items it hands out."""
     from repro.cpu.trace import TraceItem
