@@ -39,7 +39,7 @@ class CacheArray:
         self.assoc = assoc
         self.line_size = line_size
         self.num_sets = size_bytes // (assoc * line_size)
-        self.policy = make_policy(policy, assoc, seed)
+        self.policy = make_policy(policy, seed)
         self._line_shift = log2int(line_size)
         # Precomputed masks: align is a single AND, and power-of-two set
         # counts (the common case) index with shift-and-mask.

@@ -49,7 +49,6 @@ class BankedL2Cache:
         page_size: int = 4096,
         prefetcher: Optional[CompositePrefetcher] = None,
         request_bus: Optional[Bus] = None,
-        mshr_latency_enabled: bool = True,
     ) -> None:
         if interleave not in ("page", "line"):
             raise ValueError("interleave must be 'page' or 'line'")
@@ -98,7 +97,6 @@ class BankedL2Cache:
         self._single_mshr_file = len(self.mshr_files) == 1
         self.prefetcher = prefetcher
         self.request_bus = request_bus
-        self.mshr_latency_enabled = mshr_latency_enabled
         self._bank_free_at: List[int] = [0] * num_banks
         self._mshr_waiters: List[Deque[MemoryRequest]] = [
             deque() for _ in self.mshr_files
@@ -252,8 +250,7 @@ class BankedL2Cache:
             engine.now,
             partial(self._fill, new_entry, bank_idx),
         )
-        delay = probes if self.mshr_latency_enabled else 1
-        engine.schedule(delay, self._send_to_memory, mem_request)
+        engine.schedule(probes, self._send_to_memory, mem_request)
 
     def _send_to_memory(self, mem_request: MemoryRequest) -> None:
         if self.request_bus is not None:
@@ -293,9 +290,8 @@ class BankedL2Cache:
             self._prefetched_lines[line] = True
             self.stats.add("prefetch_fills")
 
-        file = self.mshr_files[bank_idx]
-        probes = file.deallocate(line)
-        delay = probes if self.mshr_latency_enabled else 1
+        # One cycle per deallocation probe.
+        delay = self.mshr_files[bank_idx].deallocate(line)
 
         engine = self.engine
         schedule_at = engine.schedule_at
@@ -334,13 +330,10 @@ class BankedL2Cache:
     def _drain_mshr_waiters(self, bank_idx: int) -> None:
         waiters = self._mshr_waiters[bank_idx]
         file = self.mshr_files[bank_idx]
+        # Every organization's ``allocate`` refuses only when the file
+        # ``is_full``, so a popped waiter is never re-queued here.
         while waiters and not file.is_full:
-            request = waiters.popleft()
-            self._mshr_path(request)
-            # _mshr_path may have re-queued it (e.g. hierarchical bank
-            # conflict); stop to preserve order and avoid spinning.
-            if waiters and waiters[-1] is request:
-                break
+            self._mshr_path(waiters.popleft())
 
     # ------------------------------------------------------------------
     # Writebacks and prefetch

@@ -15,9 +15,8 @@ import random
 from collections import OrderedDict
 from typing import Dict
 
-from ..common.units import is_power_of_two
-
-POLICIES = ("lru", "random", "plru", "srrip")
+#: Policy names accepted in configs (``SystemConfig.l2_replacement``).
+POLICIES = ("lru", "random", "srrip")
 
 
 class LruPolicy:
@@ -63,73 +62,6 @@ class RandomPolicy:
         pass
 
 
-class TreePlruPolicy:
-    """Tree pseudo-LRU: one bit per internal node of a binary way tree.
-
-    Requires power-of-two associativity.  Each access flips the path
-    bits away from the accessed way; the victim is found by following
-    the bits.
-    """
-
-    name = "plru"
-
-    def __init__(self, assoc: int) -> None:
-        if not is_power_of_two(assoc):
-            raise ValueError("tree-PLRU needs power-of-two associativity")
-        self.assoc = assoc
-        self._levels = assoc.bit_length() - 1
-        # Per-set: (tree bits int, line -> way, free way stack)
-        self._state: Dict[int, list] = {}
-
-    def _set_state(self, set_idx: int):
-        state = self._state.get(set_idx)
-        if state is None:
-            state = [0, {}, list(range(self.assoc - 1, -1, -1))]
-            self._state[set_idx] = state
-        return state
-
-    def _touch(self, state, way: int) -> None:
-        """Point every node on the path *away* from ``way``."""
-        bits, node = state[0], 1
-        for level in range(self._levels - 1, -1, -1):
-            direction = (way >> level) & 1
-            # Bit semantics: 0 -> victim path goes left, 1 -> right.
-            if direction == 0:
-                bits |= 1 << node  # we went left; point victim right
-            else:
-                bits &= ~(1 << node)
-            node = (node << 1) | direction
-        state[0] = bits
-
-    def on_access(self, cache_set, set_idx: int, line: int) -> None:
-        state = self._set_state(set_idx)
-        way = state[1].get(line)
-        if way is not None:
-            self._touch(state, way)
-
-    def on_fill(self, cache_set, set_idx: int, line: int) -> None:
-        state = self._set_state(set_idx)
-        way = state[2].pop()
-        state[1][line] = way
-        self._touch(state, way)
-
-    def choose_victim(self, cache_set, set_idx: int) -> int:
-        state = self._set_state(set_idx)
-        bits, node, way = state[0], 1, 0
-        for _ in range(self._levels):
-            direction = (bits >> node) & 1
-            way = (way << 1) | direction
-            node = (node << 1) | direction
-        by_way = {w: line for line, w in state[1].items()}
-        # The PLRU way must be resident when the set is full.
-        return by_way[way]
-
-    def on_evict(self, cache_set, set_idx: int, line: int) -> None:
-        state = self._set_state(set_idx)
-        way = state[1].pop(line)
-        state[2].append(way)
-
-
 class SrripPolicy:
     """Static RRIP with 2-bit re-reference prediction values.
 
@@ -165,14 +97,12 @@ class SrripPolicy:
         self._set_state(set_idx).pop(line, None)
 
 
-def make_policy(name: str, assoc: int, seed: int = 0):
+def make_policy(name: str, seed: int = 0):
     """Replacement-policy factory used by cache configuration."""
     if name == "lru":
         return LruPolicy()
     if name == "random":
         return RandomPolicy(seed)
-    if name == "plru":
-        return TreePlruPolicy(assoc)
     if name == "srrip":
         return SrripPolicy()
     raise ValueError(f"unknown replacement policy {name!r}; known: {POLICIES}")

@@ -18,7 +18,6 @@ Commands:
 * ``stack-modes``                     — stack usage-mode x capacity
   study (flat memory / L4 cache / MemCache — see docs/stack_modes.md).
 * ``report --output results/``        — regenerate everything.
-* ``fairness --config quad-mc``       — solo-vs-mixed fairness metrics.
 * ``validate {timing,resume,sampling}`` — run one differential of
   :mod:`repro.validate.diff` (or the sampling accuracy gate) on a
   config/mix/scale of your choosing; ``validate fidelity`` measures
@@ -373,19 +372,6 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _cmd_fairness(args) -> int:
-    from .experiments.fairness import fairness_study
-
-    result = fairness_study(
-        CONFIGS[args.config](),
-        MIXES[args.mix],
-        scale=get_scale(args.scale),
-        seed=args.seed,
-    )
-    print(result.format())
-    return 0
-
-
 def _cmd_report(args) -> int:
     journal_dir = None
     if args.resume or args.journal is not None:
@@ -563,12 +549,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cell_args(p_ana, "3d-fast")
     _add_check_flag(p_ana)
     p_ana.set_defaults(func=_cmd_analyze)
-
-    p_fair = sub.add_parser(
-        "fairness", help="fairness metrics for one mix (solo vs mixed)"
-    )
-    _add_cell_args(p_fair, "quad-mc")
-    p_fair.set_defaults(func=_cmd_fairness)
 
     p_val = sub.add_parser(
         "validate",

@@ -20,6 +20,9 @@ from .refresh import RefreshSchedule
 from .rowbuffer import RowBufferCache
 from .timing import DramTiming
 
+#: Row-buffer page policies accepted in configs (``dram_page_policy``).
+PAGE_POLICIES = ("open", "closed")
+
 
 class Bank:
     """One DRAM bank: a bitcell array plus a row-buffer cache."""
@@ -34,7 +37,7 @@ class Bank:
         activations: Optional[ActivationWindow] = None,
         page_policy: str = "open",
     ) -> None:
-        if page_policy not in ("open", "closed"):
+        if page_policy not in PAGE_POLICIES:
             raise ValueError(f"unknown page policy {page_policy!r}")
         self.timing = timing
         self.refresh = refresh

@@ -3,7 +3,6 @@
 from .analysis import BottleneckReport, analyze, compare_reports
 from .catalog import CATALOG, Experiment, ExperimentResult, run_experiment
 from .charts import bar, grouped_bars, speedup_chart
-from .fairness import FairnessResult, fairness_study
 from .full_run import run_full_suite
 from .persistence import CellJournal, load_table, save_table
 from .stack_modes import StackModesResult
@@ -33,8 +32,6 @@ __all__ = [
     "analyze",
     "bar",
     "compare_reports",
-    "FairnessResult",
-    "fairness_study",
     "grouped_bars",
     "speedup_chart",
     "ResultTable",

@@ -48,7 +48,9 @@ from ..workloads.mixes import WorkloadMix
 #: v2: SystemConfig grew the stack-mode fields (stack_mode, l4_*,
 #: offchip_*), changing the asdict payload.
 #: v3: SystemConfig lost its ``ras`` field.
-KEY_SCHEMA_VERSION = 3
+#: v4: SystemConfig lost its L1 replacement, L2 inclusion and MSHR
+#: probe-latency switches (always LRU, inclusive, probes timed).
+KEY_SCHEMA_VERSION = 4
 
 
 def canonical_json(obj) -> str:

@@ -22,6 +22,9 @@ from typing import NamedTuple
 
 from ..common.units import is_power_of_two, log2int
 
+#: Interleaving schemes accepted in configs (``dram_mapping_scheme``).
+MAPPING_SCHEMES = ("page", "xor")
+
 
 class DramCoordinates(NamedTuple):
     """Where one physical address lives in the DRAM array.
@@ -69,7 +72,7 @@ class AddressMapping:
             raise ValueError("page size must be a power of two")
         if not is_power_of_two(line_size) or line_size > page_size:
             raise ValueError("line size must be a power of two <= page size")
-        if scheme not in ("page", "xor"):
+        if scheme not in MAPPING_SCHEMES:
             raise ValueError(f"unknown interleaving scheme {scheme!r}")
         if scheme == "xor" and not is_power_of_two(banks_per_rank):
             raise ValueError("xor interleaving needs power-of-two banks")

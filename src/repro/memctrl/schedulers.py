@@ -98,47 +98,16 @@ class WriteDrainScheduler:
         return self._inner.select(writes, device, now)
 
 
-class BatchScheduler:
-    """Parallelism-aware batching (PAR-BS-lite) for multiprogram fairness.
-
-    FR-FCFS can starve random-access programs behind streaming ones
-    (streams always have a row hit ready).  Batching bounds that: the
-    scheduler snapshots the currently-queued requests as a *batch* and
-    serves the whole batch (row hits first within it) before admitting
-    newer requests.  No request waits for more than one batch of others.
-    """
-
-    name = "batch"
-
-    def __init__(self, max_batch: int = 16) -> None:
-        if max_batch < 1:
-            raise ValueError("batch size must be >= 1")
-        self.max_batch = max_batch
-        self._batch_ids: set = set()
-        self._inner = FrFcfsScheduler()
-
-    def select(self, ready: List[MrqEntry], device: DramDevice, now: int) -> MrqEntry:
-        current = [e for e in ready if e.request.req_id in self._batch_ids]
-        if not current:
-            # Batch exhausted (or first call): form a new one from the
-            # oldest queued requests.
-            ordered = sorted(ready, key=lambda e: e.arrival)
-            batch = ordered[: self.max_batch]
-            self._batch_ids = {e.request.req_id for e in batch}
-            current = batch
-        chosen = self._inner.select(current, device, now)
-        self._batch_ids.discard(chosen.request.req_id)
-        return chosen
+#: Scheduler names accepted in configs (``SystemConfig.scheduler``).
+SCHEDULERS = ("fcfs", "fr-fcfs", "frfcfs-writedrain")
 
 
 def make_scheduler(name: str) -> Scheduler:
-    """Scheduler factory: "fcfs" | "fr-fcfs" | "frfcfs-writedrain" | "batch"."""
+    """Scheduler factory: one of :data:`SCHEDULERS`."""
     if name == "fcfs":
         return FcfsScheduler()
     if name == "fr-fcfs":
         return FrFcfsScheduler()
     if name == "frfcfs-writedrain":
         return WriteDrainScheduler()
-    if name == "batch":
-        return BatchScheduler()
-    raise ValueError(f"unknown scheduler {name!r}")
+    raise ValueError(f"unknown scheduler {name!r}; expected one of {SCHEDULERS}")

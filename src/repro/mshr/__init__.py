@@ -5,8 +5,6 @@ from .conventional import ConventionalMshr
 from .direct_mapped import DirectMappedMshr
 from .dynamic import CAPACITY_FRACTIONS, DynamicMshrTuner
 from .factory import ORGANIZATIONS, make_mshr
-from .hierarchical import HierarchicalMshr
-from .quadratic import QuadraticMshr
 from .vbf_mshr import VbfMshr
 from .vector_bloom_filter import VectorBloomFilter
 
@@ -15,11 +13,9 @@ __all__ = [
     "ConventionalMshr",
     "DirectMappedMshr",
     "DynamicMshrTuner",
-    "HierarchicalMshr",
     "MshrEntry",
     "MshrFile",
     "ORGANIZATIONS",
-    "QuadraticMshr",
     "VbfMshr",
     "VectorBloomFilter",
     "make_mshr",

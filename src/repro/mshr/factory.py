@@ -5,45 +5,20 @@ from __future__ import annotations
 from .base import MshrFile
 from .conventional import ConventionalMshr
 from .direct_mapped import DirectMappedMshr
-from .hierarchical import HierarchicalMshr
-from .quadratic import QuadraticMshr
 from .vbf_mshr import VbfMshr
 
 #: Registry of organization names accepted in configs.
-ORGANIZATIONS = (
-    "conventional",
-    "direct-mapped",
-    "quadratic",
-    "vbf",
-    "hierarchical",
-)
+ORGANIZATIONS = ("conventional", "direct-mapped", "vbf")
 
 
 def make_mshr(organization: str, capacity: int, line_size: int = 64) -> MshrFile:
-    """Build one MSHR bank of the named organization.
-
-    ``hierarchical`` splits the capacity into four small banks plus a
-    shared pool of the same aggregate size as one bank (a representative
-    Tuck-style split).
-    """
+    """Build one MSHR bank of the named organization."""
     if organization == "conventional":
         return ConventionalMshr(capacity)
     if organization == "direct-mapped":
         return DirectMappedMshr(capacity, line_size=line_size)
-    if organization == "quadratic":
-        return QuadraticMshr(capacity, line_size=line_size)
     if organization == "vbf":
         return VbfMshr(capacity, line_size=line_size)
-    if organization == "hierarchical":
-        num_banks = 4 if capacity >= 8 else 1
-        bank_capacity = max(1, capacity // (num_banks + 1))
-        shared = capacity - bank_capacity * num_banks
-        return HierarchicalMshr(
-            bank_capacity=bank_capacity,
-            num_banks=num_banks,
-            shared_capacity=max(1, shared),
-            line_size=line_size,
-        )
     raise ValueError(
         f"unknown MSHR organization {organization!r}; expected one of {ORGANIZATIONS}"
     )

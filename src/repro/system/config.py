@@ -11,7 +11,12 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Optional
 
+from ..cache.replacement import POLICIES
 from ..common.units import GIB, KIB, MIB
+from ..dram.bank import PAGE_POLICIES
+from ..memctrl.mapping import MAPPING_SCHEMES
+from ..memctrl.schedulers import SCHEDULERS
+from ..mshr.factory import ORGANIZATIONS
 
 #: DRAM timing presets accepted by ``dram_timing``.
 TIMING_PRESETS = ("2d", "3d-commodity", "true-3d")
@@ -52,7 +57,6 @@ class SystemConfig:
     l1_latency: int = 3
     l1_mshr_entries: int = 8
     l1_prefetch: bool = True
-    l1_replacement: str = "lru"
 
     # Data TLB (Table 1: 64-entry, 4-way; walk cost ~= one L2 access
     # plus change, since walks usually hit on-chip)
@@ -69,7 +73,6 @@ class SystemConfig:
     l2_interleave: str = "page"  # "page" (streamlined) | "line" (ablation)
     l2_prefetch: bool = True
     l2_replacement: str = "lru"
-    l2_inclusive: bool = True  # back-invalidate L1 copies on L2 eviction
 
     # Optional stacked L3 between the L2 and main memory (the paper's
     # "stack more cache instead" alternative; off in every paper config)
@@ -86,7 +89,6 @@ class SystemConfig:
     l2_mshr_per_bank: int = 8
     l2_mshr_banked: bool = True  # one bank per MC when True
     l2_mshr_dynamic: bool = False
-    l2_mshr_latency: bool = True  # model probe latency
 
     # Main memory organization
     dram_timing: str = "2d"
@@ -142,12 +144,21 @@ class SystemConfig:
     dram_capacity: int = 8 * GIB
 
     def __post_init__(self) -> None:
-        if self.dram_timing not in TIMING_PRESETS:
-            raise ValueError(
-                f"dram_timing {self.dram_timing!r} not in {TIMING_PRESETS}"
-            )
-        if self.memory_bus not in BUS_PRESETS:
-            raise ValueError(f"memory_bus {self.memory_bus!r} not in {BUS_PRESETS}")
+        for field, known in (
+            ("dram_timing", TIMING_PRESETS),
+            ("memory_bus", BUS_PRESETS),
+            ("l2_replacement", POLICIES),
+            ("l2_mshr_organization", ORGANIZATIONS),
+            ("scheduler", SCHEDULERS),
+            ("dram_page_policy", PAGE_POLICIES),
+            ("dram_mapping_scheme", MAPPING_SCHEMES),
+            ("stack_mode", STACK_MODES),
+            ("l4_tags", L4_TAG_ORGS),
+            ("l4_predictor", L4_PREDICTORS),
+        ):
+            value = getattr(self, field)
+            if value not in known:
+                raise ValueError(f"{field} {value!r} not in {known}")
         if self.l2_interleave not in ("page", "line"):
             raise ValueError("l2_interleave must be 'page' or 'line'")
         if self.total_ranks % self.num_mcs:
@@ -156,16 +167,6 @@ class SystemConfig:
             raise ValueError("mrq_capacity must divide evenly across MCs")
         if self.l2_mshr_per_bank < 1:
             raise ValueError("need at least one L2 MSHR entry per bank")
-        if self.stack_mode not in STACK_MODES:
-            raise ValueError(
-                f"stack_mode {self.stack_mode!r} not in {STACK_MODES}"
-            )
-        if self.l4_tags not in L4_TAG_ORGS:
-            raise ValueError(f"l4_tags {self.l4_tags!r} not in {L4_TAG_ORGS}")
-        if self.l4_predictor not in L4_PREDICTORS:
-            raise ValueError(
-                f"l4_predictor {self.l4_predictor!r} not in {L4_PREDICTORS}"
-            )
         if self.stack_mode != "memory":
             if self.l4_tags == "dram" and self.l4_assoc != 1:
                 raise ValueError(

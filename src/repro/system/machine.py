@@ -310,7 +310,6 @@ class Machine:
             page_size=config.page_size,
             prefetcher=l2_prefetcher,
             request_bus=request_bus,
-            mshr_latency_enabled=config.l2_mshr_latency,
         )
 
         self.cores: List[Core] = []
@@ -328,13 +327,7 @@ class Machine:
             l1 = L1Cache(
                 self.engine,
                 core_id,
-                CacheArray(
-                    config.l1_size,
-                    config.l1_assoc,
-                    config.line_size,
-                    policy=config.l1_replacement,
-                    seed=core_id,
-                ),
+                CacheArray(config.l1_size, config.l1_assoc, config.line_size),
                 ConventionalMshr(config.l1_mshr_entries),
                 self.l2,
                 registry=self.registry,
@@ -365,8 +358,7 @@ class Machine:
                 base_cpi=spec.base_cpi,
                 tlb=tlb,
             )
-            if config.l2_inclusive:
-                self.l2.register_upper_level(l1)
+            self.l2.register_upper_level(l1)
             core.on_frozen = self._snapshot_core
             self.l1s.append(l1)
             self.cores.append(core)

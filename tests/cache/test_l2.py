@@ -19,7 +19,6 @@ def _l2(
     num_banks=4,
     interleave="page",
     prefetcher=None,
-    mshr_latency=True,
 ):
     memory = memory if memory is not None else FakeMemory(engine)
     mshr_files = mshr_files if mshr_files is not None else [ConventionalMshr(8)]
@@ -33,7 +32,6 @@ def _l2(
         latency=9,
         routing_latency=2,
         prefetcher=prefetcher,
-        mshr_latency_enabled=mshr_latency,
     )
     return l2, memory
 
@@ -230,28 +228,32 @@ def test_mrq_full_retries(engine):
     assert l2.mshr_occupancy() == 0
 
 
-def test_vbf_probe_latency_delays_memory_issue(engine):
-    """With probe latency on, VBF search cost precedes the memory send."""
-    fast_engine = engine
-    memory_fast = FakeMemory(fast_engine)
-    l2_fast, _ = _l2(
-        fast_engine, memory=memory_fast,
-        mshr_files=[VbfMshr(8)], mshr_latency=False,
-    )
+def test_vbf_probe_latency_delays_memory_issue():
+    """Each MSHR probe of a miss costs one cycle before the memory send:
+    a search that walks past same-home entries issues later by exactly
+    its extra probes."""
     from repro.engine import Engine
 
-    slow_engine = Engine()
-    memory_slow = FakeMemory(slow_engine)
-    l2_slow, _ = _l2(
-        slow_engine, memory=memory_slow,
-        mshr_files=[VbfMshr(8)], mshr_latency=True,
-    )
-    l2_fast.access(make_read(0x1000))
-    l2_slow.access(make_read(0x1000))
-    fast_engine.run()
-    slow_engine.run()
-    assert len(memory_fast.queued) == len(memory_slow.queued) == 1
-    assert memory_slow.queued[0].created_at >= memory_fast.queued[0].created_at
+    def issue(preload):
+        engine = Engine()
+        memory = FakeMemory(engine)
+        file = VbfMshr(8)
+        for line in preload:
+            file.allocate(line)
+        l2, _ = _l2(engine, memory=memory, mshr_files=[file])
+        sent_at = []
+        enqueue = memory.enqueue
+        memory.enqueue = lambda req: sent_at.append(engine.now) or enqueue(req)
+        probes = file.total_probes
+        l2.access(make_read(0x1000))
+        engine.run()
+        return sent_at[0], file.total_probes - probes
+
+    clean_at, clean_probes = issue([])
+    # 0x3000 and 0x5000 share 0x1000's home slot in an 8-entry file.
+    busy_at, busy_probes = issue([0x3000, 0x5000])
+    assert busy_probes > clean_probes
+    assert busy_at - clean_at == busy_probes - clean_probes
 
 
 def test_validation():

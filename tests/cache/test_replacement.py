@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cache.array import CacheArray
-from repro.cache.replacement import POLICIES, TreePlruPolicy, make_policy
+from repro.cache.replacement import POLICIES, make_policy
 
 
 def _array(policy, assoc=4, sets=2):
@@ -52,20 +52,6 @@ def test_lru_is_the_default_and_evicts_least_recent():
     assert array.fill(128) == (64, False)
 
 
-def test_plru_never_evicts_most_recent():
-    array = _array("plru", assoc=4, sets=1)
-    for n in range(4):
-        array.fill(n * 64)
-    array.lookup(3 * 64)  # most recently used
-    victim = array.fill(4 * 64)
-    assert victim[0] != 3 * 64
-
-
-def test_plru_requires_power_of_two_assoc():
-    with pytest.raises(ValueError):
-        TreePlruPolicy(3)
-
-
 def test_srrip_resists_scans():
     """A hot line survives a one-pass scan that would flush LRU."""
     hot = 0
@@ -100,4 +86,4 @@ def test_random_is_deterministic_per_seed():
 
 def test_unknown_policy_raises():
     with pytest.raises(ValueError, match="lru"):
-        make_policy("belady", 4)
+        make_policy("belady")

@@ -21,9 +21,9 @@ import pytest
 from repro.cpu.trace import TraceItem, batch_iter
 from repro.system.config import config_2d
 from repro.system.machine import Machine
-from repro.validate import missheavy
 from repro.workloads.benchmarks import BENCHMARKS, BenchmarkSpec
 from repro.workloads.mixes import MIXES
+from tests import missheavy
 
 _WARMUP = 1_000
 _MEASURE = 4_000

@@ -5,7 +5,6 @@ import pytest
 from repro.mshr.conventional import ConventionalMshr
 from repro.mshr.direct_mapped import DirectMappedMshr
 from repro.mshr.factory import ORGANIZATIONS, make_mshr
-from repro.mshr.hierarchical import HierarchicalMshr
 from repro.mshr.vbf_mshr import VbfMshr
 
 
@@ -15,7 +14,6 @@ from repro.mshr.vbf_mshr import VbfMshr
         ("conventional", ConventionalMshr),
         ("direct-mapped", DirectMappedMshr),
         ("vbf", VbfMshr),
-        ("hierarchical", HierarchicalMshr),
     ],
 )
 def test_factory_builds_each_organization(name, cls):
@@ -27,12 +25,6 @@ def test_factory_builds_each_organization(name, cls):
 @pytest.mark.parametrize("name", ["conventional", "direct-mapped", "vbf"])
 def test_capacity_respected(name):
     assert make_mshr(name, 32).capacity == 32
-
-
-def test_hierarchical_small_capacity_single_bank():
-    mshr = make_mshr("hierarchical", 4)
-    assert isinstance(mshr, HierarchicalMshr)
-    assert mshr.num_banks == 1
 
 
 def test_unknown_organization_raises_with_known_names():

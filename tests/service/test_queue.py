@@ -194,6 +194,22 @@ def test_open_refuses_a_job_from_another_build(tmp_path, one_cell_spec):
     assert path.exists()
 
 
+def test_open_refuses_a_job_naming_a_deleted_organization(
+    tmp_path, one_cell_spec
+):
+    """A job whose config names an MSHR organization this build no
+    longer has is refused when the queue opens, not queued to fail in
+    every cell."""
+    signature = one_cell_spec.signature()
+    signature["configs"][0]["l2_mshr_organization"] = "quadratic"
+    path = tmp_path / f"job-0001-{one_cell_spec.fingerprint()}.jsonl"
+    CellJournal.open(path, signature).close()
+    with pytest.raises(ValueError, match="'quadratic'") as excinfo:
+        JobQueue.open(tmp_path)
+    assert str(path) in str(excinfo.value)
+    assert path.exists()
+
+
 @pytest.mark.parametrize("keep", [0, 0.5], ids=["empty", "half-header"])
 def test_torn_header_is_no_job_and_keeps_later_seqs(tmp_path, tiny_spec, keep):
     """A crash mid-submit (before the ack) leaves a file that is no job:

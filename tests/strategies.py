@@ -171,6 +171,8 @@ HIT_BOUND_BENCHMARKS = (
 def random_system_config(seed: int, num_cores: int = 4):
     """A legal machine: a paper preset with core/cache/MHA/DRAM knobs
     re-drawn, small enough in every dimension to simulate in a blink."""
+    from repro.memctrl.schedulers import SCHEDULERS
+    from repro.mshr.factory import ORGANIZATIONS
     from repro.system import config as presets
 
     rng = random.Random(seed ^ 0x5C0F)
@@ -190,21 +192,17 @@ def random_system_config(seed: int, num_cores: int = 4):
         l1_assoc=l1_assoc,
         l1_mshr_entries=rng.choice((1, 2, 8)),
         l1_prefetch=rng.random() < 0.7,
-        l1_replacement=rng.choice(("lru", "lru", "random", "srrip")),
         dtlb_enabled=rng.random() < 0.8,
         dtlb_entries=rng.choice((16, 64)),
         dtlb_walk_penalty=rng.choice((10, 30)),
         l2_size=l2_size,
         l2_assoc=l2_assoc,
         l2_prefetch=rng.random() < 0.7,
-        l2_mshr_organization=rng.choice(
-            ("conventional", "direct-mapped", "quadratic", "vbf",
-             "hierarchical")
-        ),
+        l2_mshr_organization=rng.choice(ORGANIZATIONS),
         l2_mshr_per_bank=rng.choice((2, 8, 32)),
         l2_mshr_dynamic=rng.random() < 0.3,
         row_buffer_entries=rng.choice((1, 4)),
-        scheduler=rng.choice(("fr-fcfs", "fr-fcfs", "fcfs")),
+        scheduler=rng.choice(SCHEDULERS),
         dram_page_policy=rng.choice(("open", "open", "closed")),
         dram_mapping_scheme=rng.choice(("page", "xor")),
         dram_capacity=256 << 20,

@@ -121,16 +121,6 @@ def test_analyze_command(capsys, monkeypatch):
     assert "HMIPC" in out
 
 
-def test_fairness_command(capsys, monkeypatch):
-    from repro.system import scale as scale_mod
-
-    tiny = scale_mod.ExperimentScale("smoke", 300, 1000)
-    monkeypatch.setitem(scale_mod._SCALES, "smoke", tiny)
-    assert main(["fairness", "--config", "3d-fast", "--mix", "M3"]) == 0
-    out = capsys.readouterr().out
-    assert "weighted speedup" in out
-
-
 def test_figure_with_journal_and_resume(capsys, monkeypatch, tmp_path):
     from repro.system import scale as scale_mod
 

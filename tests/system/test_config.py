@@ -87,6 +87,18 @@ def test_validation(changes):
         config_2d().derive(**changes)
 
 
+@pytest.mark.parametrize(
+    "field",
+    ["scheduler", "l2_mshr_organization", "l2_replacement",
+     "dram_page_policy", "dram_mapping_scheme"],
+)
+def test_unknown_policy_name_is_refused_on_construction(field):
+    """A misspelt or retired name fails when the config is built, naming
+    the field, not later in every cell that builds a machine from it."""
+    with pytest.raises(ValueError, match=f"^{field} 'retired' not in"):
+        config_2d().derive(**{field: "retired"})
+
+
 def test_config_is_frozen():
     config = config_2d()
     with pytest.raises(Exception):

@@ -118,7 +118,7 @@ def test_mshr_leak_reported_on_drain():
         checker.assert_drained()  # ...but not after a drained workload
 
 
-@pytest.mark.parametrize("organization", ["conventional", "direct-mapped", "vbf", "quadratic"])
+@pytest.mark.parametrize("organization", ["conventional", "direct-mapped", "vbf"])
 def test_mshr_checker_clean_across_organizations(organization):
     checker, file = _wrapped_file(organization, capacity=8)
     lines = [i * 0x40 for i in range(12)]

@@ -30,7 +30,6 @@ GOLDEN = {
     "conventional": (266, 34, 247, 266, 1079, 1079),
     "direct-mapped": (266, 34, 247, 266, 1079, 3896),
     "vbf": (266, 34, 247, 266, 1079, 1576),
-    "quadratic": (266, 34, 247, 266, 1079, 3945),
     "dynamic": (277, 23, 262, 277, 1116, 1116),
 }
 
