@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import partial
-from typing import Callable, Deque, Dict, Optional
+from typing import Any, Callable, Deque, Dict, Optional
 
 from ..common.request import AccessType, MemoryRequest
 from ..common.stats import StatRegistry
@@ -57,34 +57,43 @@ class L1Cache:
         self._free_waiters: Deque[Callable[[], None]] = deque()
         # line -> dirty-on-fill flag for in-flight fetches (RFO tracking).
         self._fill_dirty: Dict[int, bool] = {}
+        #: ``on_data(record, completed_at)``: the owning core's completion
+        #: callback, wired once when the core is built.
+        self.on_data: Optional[Callable[[Any, int], None]] = None
 
-    def access(self, request: MemoryRequest) -> bool:
-        """Attempt an access; False when the L1 MSHR rejects it (stall).
+    def access(self, addr: int, pc: int, is_write: bool, record: Any) -> bool:
+        """Attempt a demand access; False when the L1 MSHR rejects it (stall).
 
-        On acceptance the request's callback fires when the load data is
-        available (stores complete at tag time — the store buffer hides
-        their latency from commit, though they still consume MSHRs and
-        generate fills).
+        ``record`` is the core's in-flight op; the L1 only hands it back.
+        On acceptance ``on_data(record, completed_at)`` fires when the
+        data is available: within this call for a hit (``completed_at``
+        is ``now + latency``), at the fill for a miss.  Stores are handed
+        back the same way — the store buffer hides their latency from
+        commit, though they still consume MSHRs and generate fills.
         """
         now = self.engine.now
         array = self.array
-        addr, pc = request.addr, request.pc
         line = addr & array._align_mask
         self._c_accesses.value += 1.0
-        if array.lookup(line):
+        set_idx = line >> array._line_shift
+        mask = array._set_mask
+        set_idx = set_idx & mask if mask is not None else set_idx % array.num_sets
+        cache_set = array._sets[set_idx]
+        if line in cache_set:
             self._c_hits.value += 1.0
-            if request.is_write:
-                array.mark_dirty(line)
-            request.complete(now + self.latency)
-            self._train_prefetcher(addr, pc, was_miss=False)
+            if is_write:
+                cache_set[line] = True
+            array._on_access(cache_set, set_idx, line)
+            self.on_data(record, now + self.latency)
+            self._train_prefetcher(addr, pc, False)
             return True
 
         # Miss path.
         entry, _ = self.mshr.search(line)
         if entry is not None:
             self._c_secondary_misses.value += 1.0
-            entry.merge(request)
-            if request.is_write:
+            entry.merge(record)
+            if is_write:
                 self._fill_dirty[line] = True
             return True
 
@@ -94,8 +103,8 @@ class L1Cache:
             return False
 
         self._c_misses.value += 1.0
-        new_entry.merge(request)
-        self._fill_dirty[line] = request.is_write
+        new_entry.merge(record)
+        self._fill_dirty[line] = is_write
         fetch = MemoryRequest(
             line,
             AccessType.READ,
@@ -128,9 +137,8 @@ class L1Cache:
     def _fill(self, entry, mem_request: MemoryRequest) -> None:
         now = self.engine.now
         line = entry.line_addr
+        # Set by the allocating access and by every merged store.
         dirty = self._fill_dirty.pop(line, False)
-        # Any merged store also dirties the line.
-        dirty = dirty or any(r.is_write for r in entry.requests)
         victim = self.array.fill(line, dirty=dirty)
         if victim is not None and victim[1]:
             self._c_writebacks.value += 1.0
@@ -143,8 +151,9 @@ class L1Cache:
             )
             self.l2.access(writeback)
         self.mshr.deallocate(line)
-        for waiting in entry.requests:
-            waiting.complete(now)
+        on_data = self.on_data
+        for record in entry.requests:
+            on_data(record, now)
         while self._free_waiters and not self.mshr.is_full:
             self._free_waiters.popleft()()
 

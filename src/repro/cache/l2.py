@@ -231,17 +231,17 @@ class BankedL2Cache:
         probes += alloc_probes
         if new_entry is None:
             self._c_mshr_stalls.value += 1.0
-            request.annotations["mshr_stall_start"] = self.engine.now
+            request.mshr_stall_start = self.engine.now
             self._mshr_waiters[bank_idx].append(request)
             return
 
         new_entry.merge(request)
         new_entry.is_prefetch = request.access is AccessType.PREFETCH
         engine = self.engine
-        if request.annotations:
-            stall_start = request.annotations.pop("mshr_stall_start", None)
-            if stall_start is not None:
-                self._c_mshr_stall_cycles.value += engine.now - stall_start
+        stall_start = request.mshr_stall_start
+        if stall_start is not None:
+            request.mshr_stall_start = None
+            self._c_mshr_stall_cycles.value += engine.now - stall_start
         mem_request = MemoryRequest(
             line,
             AccessType.READ,

@@ -41,8 +41,10 @@ def restore_globals(state: dict) -> None:
 class MemoryRequest:
     """A single cache-line-granularity memory request.
 
-    One object is threaded through the whole hierarchy (L1 -> L2 -> MSHR ->
-    MC -> DRAM) so each level can stamp timing information onto it.
+    One object is threaded through the shared hierarchy (L2 -> MSHR -> MC
+    -> DRAM) so each level can stamp timing information onto it.  A core's
+    own reference never becomes one: the L1 holds the core's in-flight
+    record and builds a request only for a line it sends to the L2.
     ``callback`` is invoked exactly once, with the request, when the data
     is available at the requesting level.
     """
@@ -54,13 +56,11 @@ class MemoryRequest:
         "core_id",
         "pc",
         "created_at",
-        "issued_to_dram_at",
         "completed_at",
         "callback",
         "is_write",
         "row_buffer_hit",
-        "mshr_probes",
-        "annotations",
+        "mshr_stall_start",
     )
 
     def __init__(
@@ -80,13 +80,13 @@ class MemoryRequest:
         self.core_id = core_id
         self.pc = pc
         self.created_at = created_at
-        self.issued_to_dram_at: Optional[int] = None
         self.completed_at: Optional[int] = None
         self.callback = callback
         self.is_write = access.is_write
         self.row_buffer_hit: Optional[bool] = None
-        self.mshr_probes = 0
-        self.annotations: dict = {}
+        #: Cycle an L2 MSHR bank last refused this request an entry;
+        #: cleared when an entry is allocated for it.
+        self.mshr_stall_start: Optional[int] = None
 
     @property
     def latency(self) -> Optional[int]:

@@ -23,19 +23,14 @@ continues to contend for the shared L2, MSHRs and memory.
 from __future__ import annotations
 
 from collections import deque
-from functools import partial
 from math import ceil
 from typing import Deque, Optional
 
 from ..common.address import PageAllocator
-from ..common.request import AccessType, MemoryRequest
 from ..common.stats import StatRegistry
 from ..engine.simulator import Engine
 from ..cache.l1 import L1Cache
 from .trace import BatchedTrace, Trace, as_batched
-
-_READ = AccessType.READ
-_WRITE = AccessType.WRITE
 
 #: ``_commit_limit`` when neither a commit watch nor a measurement quota
 #: is pending: beyond any reachable instruction count.
@@ -43,14 +38,20 @@ _NO_LIMIT = 1 << 62
 
 
 class _InFlight:
-    """One dispatched memory op awaiting commit."""
+    """One dispatched memory op awaiting commit.
 
-    __slots__ = ("icount", "is_write", "completed_time")
+    The same object is the L1's waiter: ``L1Cache.access`` merges it
+    into an MSHR entry on a miss and hands it back to ``Core._on_data``
+    when the data arrives, so a reference that stays in the L1 builds
+    no request.
+    """
 
-    def __init__(self, icount: int, is_write: bool, completed_time: Optional[int]):
+    __slots__ = ("icount", "dispatched_at", "completed_time")
+
+    def __init__(self, icount: int, dispatched_at: int):
         self.icount = icount
-        self.is_write = is_write
-        self.completed_time = completed_time
+        self.dispatched_at = dispatched_at
+        self.completed_time: Optional[int] = None
 
 
 class Core:
@@ -94,10 +95,9 @@ class Core:
         "on_frozen",
         "_commit_watch",
         "_on_commit_watch",
-        "_commit_event",
+        "_commit_at",
         "_cursor",
         "_page_shift",
-        "_hit_fast",
         "_commit_limit",
         "parked_dispatches",
     )
@@ -123,6 +123,8 @@ class Core:
         self.core_id = core_id
         self.trace = trace
         self.l1 = l1
+        # The L1 completes this core's ops through one callback.
+        l1.on_data = self._on_data
         self.allocator = allocator
         registry = registry if registry is not None else StatRegistry()
         self.stats = registry.group(f"core{core_id}")
@@ -165,18 +167,10 @@ class Core:
         self._commit_watch: Optional[int] = None
         self._on_commit_watch = None
 
-        # Handle of the pending commit event (valid while
-        # _commit_scheduled): the parking rule reads its fire time.
-        self._commit_event = None
+        # Cycle of the pending commit event (valid while
+        # _commit_scheduled): the parking rule reads it.
+        self._commit_at = 0
         self._page_shift = allocator._page_shift
-        # Inline L1-hit fast path: a verified tag hit dispatches without
-        # constructing a MemoryRequest (the scalar hit path completes
-        # the request synchronously, so the object is pure overhead).
-        # Requires power-of-two set indexing; every mutation and schedule
-        # call matches l1.access + _on_data exactly.
-        self._hit_fast = (
-            isinstance(l1, L1Cache) and l1.array._set_mask is not None
-        )
         # Smallest committed instruction count at which _commit has a
         # watch or quota to act on (see _refresh_commit_limit).
         self._commit_limit = _NO_LIMIT
@@ -432,55 +426,20 @@ class Core:
             paddr = allocator.translate(addr)
         else:
             paddr = (frame << shift) | (addr & allocator._offset_mask)
-        l1 = self.l1
-        cache_set = None
-        if self._hit_fast:
-            array = l1.array
-            line = paddr & array._align_mask
-            set_idx = (line >> array._line_shift) & array._set_mask
-            cache_set = array._sets[set_idx]
-        if cache_set is not None and line in cache_set:
-            # Inline L1 hit: the same mutations, in the same order, as
-            # l1.access + the synchronous _on_data — minus the request
-            # object.
-            l1._c_accesses.value += 1.0
-            array._on_access(cache_set, set_idx, line)
-            l1._c_hits.value += 1.0
-            if is_write:
-                cache_set[line] = True
-                array._on_access(cache_set, set_idx, line)
-            self._c_load_latency_sum.value += l1.latency
-            self._c_loads_completed.value += 1.0
+        record = _InFlight(next_icount, now)
+        if not self.l1.access(paddr, pc, is_write, record):
+            self._l1_blocked = True
+            self._c_l1_mshr_stalls.value += 1.0
+            self.l1.on_mshr_free(self._resume_after_l1)
+            return
+        outstanding.append(record)
+        if is_write:
+            # Stores commit from the store buffer without waiting for data.
+            record.completed_time = now
             if not self._commit_scheduled:
                 self._commit_scheduled = True
-                self._commit_event = engine.schedule_at(now, self._commit)
-            l1._train_prefetcher(paddr, pc, False)
-            outstanding.append(_InFlight(next_icount, is_write, now))
-        else:
-            inflight = _InFlight(next_icount, is_write, None)
-            request = MemoryRequest(
-                paddr,
-                _WRITE if is_write else _READ,
-                self.core_id,
-                pc,
-                now,
-                partial(self._on_data, inflight),
-            )
-            if not l1.access(request):
-                self._l1_blocked = True
-                self._c_l1_mshr_stalls.value += 1.0
-                l1.on_mshr_free(self._resume_after_l1)
-                return
-            outstanding.append(inflight)
-            if is_write:
-                # Stores commit from the store buffer without waiting
-                # for data.
-                inflight.completed_time = now
-                if not self._commit_scheduled:
-                    self._commit_scheduled = True
-                    self._commit_event = engine.schedule_at(
-                        now, self._commit
-                    )
+                self._commit_at = now
+                engine.schedule_at(now, self._commit)
 
         cursor.index = i + 1
         self.icount = next_icount
@@ -492,7 +451,7 @@ class Core:
             return
         if (
             self._commit_scheduled
-            and self._commit_event.time > next_time
+            and self._commit_at > next_time
             and self._park_next(next_icount - outstanding[0].icount)
         ):
             return
@@ -535,20 +494,17 @@ class Core:
         self._l1_blocked = False
         self._schedule_dispatch(self.engine.now)
 
-    def _on_data(self, inflight: _InFlight, request: MemoryRequest) -> None:
-        engine = self.engine
-        now = engine.now
-        if inflight.completed_time is None:
-            inflight.completed_time = now
-        # completed_at was just stamped by complete(); the subtraction is
-        # the latency property without the call.
-        self._c_load_latency_sum.value += (
-            request.completed_at - request.created_at
-        )
+    def _on_data(self, record: _InFlight, completed_at: int) -> None:
+        """The L1's completion of ``record``: data usable at ``completed_at``."""
+        now = self.engine.now
+        if record.completed_time is None:
+            record.completed_time = now
+        self._c_load_latency_sum.value += completed_at - record.dispatched_at
         self._c_loads_completed.value += 1.0
         if not self._commit_scheduled:
             self._commit_scheduled = True
-            self._commit_event = engine.schedule_at(now, self._commit)
+            self._commit_at = now
+            self.engine.schedule_at(now, self._commit)
 
     # ------------------------------------------------------------------
     # Commit
@@ -573,9 +529,8 @@ class Core:
             if now < target:
                 if not self._commit_scheduled:
                     self._commit_scheduled = True
-                    self._commit_event = self.engine.schedule_at(
-                        target, self._commit
-                    )
+                    self._commit_at = target
+                    self.engine.schedule_at(target, self._commit)
                 return
             outstanding.popleft()
             self._last_commit_time = lct = target

@@ -1,6 +1,5 @@
 """Discrete-event simulation engine (integer cycle time)."""
 
-from .event import Event
 from .simulator import (
     Engine,
     SimulationDeadlock,
@@ -11,7 +10,6 @@ from .simulator import (
 
 __all__ = [
     "Engine",
-    "Event",
     "SimulationDeadlock",
     "SimulationError",
     "SimulationHang",

@@ -4,11 +4,14 @@ One :class:`Engine` instance drives a whole simulated machine.  Time is an
 integer number of CPU cycles (3.333 GHz in the paper's configuration; the
 engine itself is unit-agnostic).
 
-The queue is a binary heap of ``(time, seq, event)`` tuples.  ``seq`` is
-unique, so ordering is one C-level tuple compare that never reaches the
-event: global ``(time, seq)`` order, FIFO within a cycle.  Cancellation
-is lazy: a cancelled event is discarded when it reaches the top, without
-advancing time or counting against any budget.
+The queue is a binary heap of plain ``(time, seq, fn, args)`` tuples,
+one allocation per scheduled callback.  ``seq`` is unique, so ordering
+is one C-level tuple compare that never reaches ``fn``: global
+``(time, seq)`` order, FIFO within a cycle.  ``schedule`` returns the
+``seq`` as the event's handle.  Cancellation is lazy:
+:meth:`Engine.cancel` marks the handle, and a marked entry is discarded
+when it reaches the top, without advancing time or counting against
+any budget.
 
 ``Engine.run`` accepts an optional :class:`Watchdog` that bounds a run by
 event and cycle budgets and detects *deadlock*: the queue draining while
@@ -25,16 +28,11 @@ from __future__ import annotations
 import gc
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Set, Tuple
 
 from ..common.errors import SimulationDeadlock, SimulationError, SimulationHang
-from .event import Event
 
 __all__ = ["Engine", "SimulationDeadlock", "SimulationError", "SimulationHang", "Watchdog"]
-
-# Bypasses Event.__init__ on the schedule fast path; plain attribute
-# stores on the fresh instance are measurably cheaper than the call.
-_NEW_EVENT = Event.__new__
 
 
 @dataclass
@@ -63,18 +61,23 @@ class Engine:
 
     Components schedule callbacks with :meth:`schedule` (relative delay)
     or :meth:`schedule_at` (absolute cycle); :meth:`run` drains them.
+    Both return an integer handle for :meth:`cancel`.
     """
 
     # Every hot path reads engine state (`now` above all); slot storage
     # turns those per-event dict probes into index loads.
-    __slots__ = ("_heap", "now", "_seq", "_events_fired", "_stop", "_running")
+    __slots__ = (
+        "_heap", "now", "_seq", "_cancelled", "_events_fired", "_stop", "_running"
+    )
 
     def __init__(self) -> None:
-        self._heap: List[Tuple[int, int, Event]] = []
+        self._heap: List[Tuple[int, int, Callable[..., Any], Tuple[Any, ...]]] = []
         # Current cycle: a plain attribute because hot paths read it
         # constantly; read-only outside the engine.
         self.now = 0
         self._seq = 0
+        # Handles of queued entries to discard instead of firing.
+        self._cancelled: Set[int] = set()
         self._events_fired = 0
         self._stop = False
         self._running = False  # inside run(): a snapshot refuses
@@ -89,36 +92,35 @@ class Engine:
         """Number of events still queued (including cancelled ones)."""
         return len(self._heap)
 
-    def schedule(self, delay: int, fn: Callable[..., Any], *args: Any) -> Event:
+    def schedule(self, delay: int, fn: Callable[..., Any], *args: Any) -> int:
         """Schedule ``fn(*args)`` to run ``delay`` cycles from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay} cycles in the past")
-        event = _NEW_EVENT(Event)
-        event.time = time = int(self.now + delay)
-        event.seq = seq = self._seq
+        seq = self._seq
         self._seq = seq + 1
-        event.fn = fn
-        event.args = args
-        event.cancelled = False
-        heappush(self._heap, (time, seq, event))
-        return event
+        heappush(self._heap, (int(self.now + delay), seq, fn, args))
+        return seq
 
-    def schedule_at(self, time: int, fn: Callable[..., Any], *args: Any) -> Event:
+    def schedule_at(self, time: int, fn: Callable[..., Any], *args: Any) -> int:
         """Schedule ``fn(*args)`` at absolute cycle ``time``."""
         time = int(time)
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule at cycle {time}; current time is {self.now}"
             )
-        event = _NEW_EVENT(Event)
-        event.time = time
-        event.seq = seq = self._seq
+        seq = self._seq
         self._seq = seq + 1
-        event.fn = fn
-        event.args = args
-        event.cancelled = False
-        heappush(self._heap, (time, seq, event))
-        return event
+        heappush(self._heap, (time, seq, fn, args))
+        return seq
+
+    def cancel(self, handle: int) -> None:
+        """Discard the queued entry ``handle`` instead of firing it.
+
+        Only a handle still queued may be cancelled: the mark is dropped
+        when its entry leaves the heap, so a handle that already fired
+        would stay marked for good.
+        """
+        self._cancelled.add(handle)
 
     def request_stop(self) -> None:
         """Stop the active :meth:`run` once the current callback returns:
@@ -161,6 +163,7 @@ class Engine:
         limit = min(bounds) if bounds else float("inf")
         self._stop = False
         heap = self._heap
+        cancelled = self._cancelled
         # The fired counter lives in a local for the drain and is written
         # back on every exit; budgets count from this run's start.
         start = fired = self._events_fired
@@ -174,19 +177,20 @@ class Engine:
         self._running = True
         try:
             while heap:
-                time, seq, event = heappop(heap)
-                if event.cancelled:
+                time, seq, fn, args = heappop(heap)
+                if cancelled and seq in cancelled:
+                    cancelled.remove(seq)
                     continue
                 if time > limit or fired == stop_at:
                     # A bound is hit: the event stays queued for a later run.
-                    heappush(heap, (time, seq, event))
+                    heappush(heap, (time, seq, fn, args))
                     if until is not None and time > until:
                         self.now = until
                         return
                     raise self._hang(time, max_cycles, budget, fired - start)
                 self.now = time
                 fired += 1
-                event.fn(*event.args)
+                fn(*args)
                 if self._stop or (stop_when is not None and stop_when()):
                     return
         finally:

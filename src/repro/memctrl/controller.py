@@ -56,8 +56,8 @@ class MemoryController:
         self.scheduler = scheduler
         self.mapping = mapping
         self.mrq = MemoryRequestQueue(queue_capacity)
-        # Stateless schedulers pick the sole ready entry trivially; the
-        # stateful ones (write-drain, batch) must see every call.
+        # Stateless schedulers pick the sole ready entry trivially; a
+        # stateful one (write-drain) must see every call.
         self._scheduler_single_trivial = getattr(
             scheduler, "single_trivial", False
         )
@@ -83,7 +83,10 @@ class MemoryController:
         self._c_row_misses = self.stats.counter("row_misses")
         self.line_size = mapping.line_size
         self._next_issue_time = 0
-        self._pump_event = None
+        # The one pending pump event: its cycle (None when none is
+        # queued) and its engine handle, for cancelling an earlier wake.
+        self._pump_at: Optional[int] = None
+        self._pump_handle = 0
         self._space_waiters: Deque[Callable[[], None]] = deque()
 
     # ------------------------------------------------------------------
@@ -111,14 +114,15 @@ class MemoryController:
     # ------------------------------------------------------------------
     def _schedule_pump(self, at: int) -> None:
         at = max(at, self._next_issue_time)
-        if self._pump_event is not None:
-            if self._pump_event.time <= at:
+        if self._pump_at is not None:
+            if self._pump_at <= at:
                 return
-            self._pump_event.cancel()
-        self._pump_event = self.engine.schedule_at(at, self._pump)
+            self.engine.cancel(self._pump_handle)
+        self._pump_at = at
+        self._pump_handle = self.engine.schedule_at(at, self._pump)
 
     def _pump(self) -> None:
-        self._pump_event = None
+        self._pump_at = None
         now = self.engine.now
         if now < self._next_issue_time:
             self._schedule_pump(self._next_issue_time)
@@ -158,7 +162,6 @@ class MemoryController:
         """Issue one entry and schedule its completion event."""
         request = entry.request
         coords = entry.coords
-        request.issued_to_dram_at = now
         self._c_issued.value += 1.0
         self._c_queue_wait_cycles.value += now - entry.arrival
         if request.is_write:

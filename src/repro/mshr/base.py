@@ -18,7 +18,11 @@ from ..common.request import MemoryRequest
 
 
 class MshrEntry:
-    """Bookkeeping for one outstanding line miss."""
+    """Bookkeeping for one outstanding line miss.
+
+    ``requests`` holds the waiters: memory requests in the L2, the
+    core's in-flight records in an L1 (which only hands them back).
+    """
 
     __slots__ = ("line_addr", "requests", "issued", "is_prefetch")
 

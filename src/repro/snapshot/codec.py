@@ -88,7 +88,6 @@ CLASSES = frozenset({
     ("repro.common.request", "MemoryRequest"),
     ("repro.common.stats", "Counter"),
     ("repro.cpu.core", "_InFlight"),
-    ("repro.engine.event", "Event"),
     ("repro.memctrl.mapping", "DramCoordinates"),
     ("repro.memctrl.queue", "MrqEntry"),
     ("repro.mshr.base", "MshrEntry"),

@@ -3,69 +3,75 @@
 from repro.cache.array import CacheArray
 from repro.cache.l1 import L1Cache
 from repro.cache.prefetch import CompositePrefetcher, NextLinePrefetcher
-from repro.common.request import AccessType, MemoryRequest
+from repro.common.request import AccessType
 from repro.mshr.conventional import ConventionalMshr
 
-from .conftest import FakeL2, make_read
+from .conftest import FakeL2
 
 
 def _l1(engine, l2=None, mshr_entries=8, prefetcher=None, latency=3):
+    """An L1 whose completions land in ``l1.done`` as ``(record, at)``."""
     l2 = l2 if l2 is not None else FakeL2(engine)
-    return (
-        L1Cache(
-            engine,
-            core_id=0,
-            array=CacheArray(4 * 1024, 4, 64),
-            mshr=ConventionalMshr(mshr_entries),
-            l2=l2,
-            latency=latency,
-            prefetcher=prefetcher,
-        ),
-        l2,
+    l1 = L1Cache(
+        engine,
+        core_id=0,
+        array=CacheArray(4 * 1024, 4, 64),
+        mshr=ConventionalMshr(mshr_entries),
+        l2=l2,
+        latency=latency,
+        prefetcher=prefetcher,
     )
+    l1.done = []
+    l1.on_data = lambda record, completed_at: l1.done.append((record, completed_at))
+    return l1, l2
+
+
+def _read(l1, addr, record="load"):
+    return l1.access(addr, 0, False, record)
+
+
+def _write(l1, addr, record="store"):
+    return l1.access(addr, 0, True, record)
 
 
 def test_hit_completes_after_latency(engine):
     l1, l2 = _l1(engine)
     l1.array.fill(0x100)
-    done = []
-    assert l1.access(make_read(0x100, callback=done.append))
+    assert _read(l1, 0x100)
     engine.run()
-    assert done[0].completed_at == 3
+    assert l1.done == [("load", 3)]
     assert not l2.requests
 
 
 def test_miss_fetches_line_from_l2(engine):
     l1, l2 = _l1(engine)
-    done = []
-    assert l1.access(make_read(0x123, callback=done.append))
+    assert _read(l1, 0x123)
     engine.run()
     assert len(l2.requests) == 1
     fetch = l2.requests[0]
     assert fetch.addr == 0x100  # line-aligned
     assert fetch.access is AccessType.READ
-    assert not done
+    assert not l1.done
     l2.complete_next()
-    assert done and done[0].completed_at == engine.now
+    assert l1.done == [("load", engine.now)]
     # The line is now resident.
     assert l1.array.probe(0x100)
 
 
 def test_secondary_miss_merges(engine):
     l1, l2 = _l1(engine)
-    done = []
-    l1.access(make_read(0x100, callback=done.append))
-    l1.access(make_read(0x108, callback=done.append))
+    _read(l1, 0x100, "first")
+    _read(l1, 0x108, "second")
     engine.run()
     assert len(l2.requests) == 1  # merged, single fetch
     l2.complete_next()
-    assert len(done) == 2
+    assert [record for record, _ in l1.done] == ["first", "second"]
 
 
 def test_mshr_full_rejects_and_wakes(engine):
     l1, l2 = _l1(engine, mshr_entries=1)
-    assert l1.access(make_read(0x1000))
-    assert not l1.access(make_read(0x2000))
+    assert _read(l1, 0x1000)
+    assert not _read(l1, 0x2000)
     woken = []
     l1.on_mshr_free(lambda: woken.append(engine.now))
     engine.run()
@@ -75,8 +81,7 @@ def test_mshr_full_rejects_and_wakes(engine):
 
 def test_write_miss_is_rfo_and_dirties_line(engine):
     l1, l2 = _l1(engine)
-    store = MemoryRequest(0x200, AccessType.WRITE)
-    assert l1.access(store)
+    assert _write(l1, 0x200)
     engine.run()
     assert l2.requests[0].access is AccessType.READ  # fetch-for-ownership
     l2.complete_next()
@@ -85,10 +90,20 @@ def test_write_miss_is_rfo_and_dirties_line(engine):
     assert victim is True  # dirty
 
 
+def test_store_merged_into_a_load_miss_dirties_the_fill(engine):
+    l1, l2 = _l1(engine)
+    _read(l1, 0x300)
+    _write(l1, 0x308)  # secondary miss on the same line
+    engine.run()
+    l2.complete_next()
+    assert [record for record, _ in l1.done] == ["load", "store"]
+    assert l1.array.invalidate(0x300) is True
+
+
 def test_write_hit_marks_dirty(engine):
     l1, _ = _l1(engine)
     l1.array.fill(0x100)
-    assert l1.access(MemoryRequest(0x108, AccessType.WRITE))
+    assert _write(l1, 0x108)
     assert l1.array.invalidate(0x100) is True
 
 
@@ -97,10 +112,10 @@ def test_dirty_eviction_sends_writeback_to_l2(engine):
     array = l1.array  # 4 KiB, 4-way, 16 sets: set 0 holds lines k*1024
     # Fill set 0 with dirty lines, then force an eviction via a fetch.
     for i in range(4):
-        l1.access(MemoryRequest(i * 1024, AccessType.WRITE))
+        _write(l1, i * 1024)
         engine.run()
         l2.complete_next()
-    l1.access(make_read(4 * 1024))
+    _read(l1, 4 * 1024)
     engine.run()
     l2.complete_next()  # completes the fetch; eviction happens at fill
     writebacks = [r for r in l2.requests if r.access is AccessType.WRITEBACK]
@@ -111,8 +126,8 @@ def test_dirty_eviction_sends_writeback_to_l2(engine):
 def test_miss_rate(engine):
     l1, l2 = _l1(engine)
     l1.array.fill(0x0)
-    l1.access(make_read(0x0))
-    l1.access(make_read(0x1000))
+    _read(l1, 0x0)
+    _read(l1, 0x1000)
     engine.run()
     assert l1.miss_rate() == 0.5
 
@@ -120,7 +135,7 @@ def test_miss_rate(engine):
 def test_l1_prefetcher_issues_prefetch_fetches(engine):
     prefetcher = CompositePrefetcher([NextLinePrefetcher(64)])
     l1, l2 = _l1(engine, prefetcher=prefetcher)
-    l1.access(make_read(0x1000))
+    _read(l1, 0x1000)
     engine.run()
     kinds = [r.access for r in l2.requests]
     assert AccessType.PREFETCH in kinds
@@ -130,15 +145,14 @@ def test_l1_prefetcher_issues_prefetch_fetches(engine):
 def test_prefetch_fill_does_not_complete_demand(engine):
     prefetcher = CompositePrefetcher([NextLinePrefetcher(64)])
     l1, l2 = _l1(engine, prefetcher=prefetcher)
-    done = []
-    l1.access(make_read(0x1000, callback=done.append))
+    _read(l1, 0x1000)
     engine.run()
     # Complete the prefetch (second request) first.
     prefetch = [r for r in l2.requests if r.access is AccessType.PREFETCH][0]
     l2.requests.remove(prefetch)
     prefetch.complete(engine.now)
-    assert not done
+    assert not l1.done
     l2.complete_next()
-    assert done
+    assert l1.done
     # The prefetched line is resident for a later access.
     assert l1.array.probe(0x1040)

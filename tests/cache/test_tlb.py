@@ -74,8 +74,8 @@ def test_core_pays_walk_penalty_once_per_page():
         def __init__(self, engine):
             self.engine = engine
 
-        def access(self, request):
-            self.engine.schedule(2, request.complete, self.engine.now + 2)
+        def access(self, addr, pc, is_write, record):
+            self.engine.schedule(2, self.on_data, record, self.engine.now + 2)
             return True
 
         def on_mshr_free(self, callback):

@@ -1,15 +1,15 @@
-"""Edge-case tests for request objects and annotations."""
+"""Edge-case tests for request objects and their per-request fields."""
 
 import pytest
 
 from repro.common.request import AccessType, MemoryRequest
 
 
-def test_annotations_are_per_request():
+def test_mshr_stall_start_is_per_request():
     a = MemoryRequest(0, AccessType.READ)
     b = MemoryRequest(0, AccessType.READ)
-    a.annotations["k"] = 1
-    assert "k" not in b.annotations
+    a.mshr_stall_start = 7
+    assert b.mshr_stall_start is None
 
 
 def test_callback_exception_leaves_request_completed():
@@ -23,13 +23,6 @@ def test_callback_exception_leaves_request_completed():
     # A second complete still raises (the first one counted).
     with pytest.raises(RuntimeError, match="completed twice"):
         request.complete(6)
-
-
-def test_mshr_probe_counter_field():
-    request = MemoryRequest(0, AccessType.READ)
-    assert request.mshr_probes == 0
-    request.mshr_probes += 3
-    assert request.mshr_probes == 3
 
 
 def test_zero_latency_completion():

@@ -21,13 +21,14 @@ class FakeL1:
         self.accesses = []
         self._waiters = deque()
 
-    def access(self, request):
+    def access(self, addr, pc, is_write, record):
         if self.reject_remaining > 0:
             self.reject_remaining -= 1
             return False
-        self.accesses.append(request)
+        self.accesses.append(record)
         done = self.engine.now + self.latency
-        self.engine.schedule(self.latency, request.complete, done)
+        # on_data is the core's callback, wired when the core is built.
+        self.engine.schedule(self.latency, self.on_data, record, done)
         return True
 
     def on_mshr_free(self, callback):

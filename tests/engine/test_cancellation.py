@@ -12,7 +12,7 @@ from repro.engine import Engine, SimulationHang
 
 def test_cancelled_events_never_advance_now_in_step():
     engine = Engine()
-    engine.schedule(5, lambda: None).cancel()
+    engine.cancel(engine.schedule(5, lambda: None))
     engine.schedule(10, lambda: None)
     assert engine.step() is True  # fires the live event at t=10 directly
     assert engine.now == 10
@@ -22,7 +22,7 @@ def test_cancelled_events_never_advance_now_in_step():
 def test_all_cancelled_queue_drains_without_time_motion():
     engine = Engine()
     for delay in (3, 7, 7, 900):
-        engine.schedule(delay, lambda: None).cancel()
+        engine.cancel(engine.schedule(delay, lambda: None))
     assert engine.step() is False
     assert engine.now == 0
     assert engine.events_fired == 0
@@ -33,9 +33,9 @@ def test_all_cancelled_queue_drains_without_time_motion():
 def test_cancelled_events_never_advance_now_in_run():
     engine = Engine()
     times = []
-    engine.schedule(4, lambda: None).cancel()
+    engine.cancel(engine.schedule(4, lambda: None))
     engine.schedule(8, lambda: times.append(engine.now))
-    engine.schedule(6, lambda: None).cancel()
+    engine.cancel(engine.schedule(6, lambda: None))
     engine.run()
     assert times == [8]
     assert engine.now == 8
@@ -48,7 +48,7 @@ def test_cancelled_events_do_not_consume_budget():
     for i in range(10):
         event = engine.schedule(1 + i, fired.append, i)
         if i % 2:
-            event.cancel()
+            engine.cancel(event)
     engine.run(max_events=5)  # exactly the 5 live events
     assert fired == [0, 2, 4, 6, 8]
 
@@ -58,9 +58,9 @@ def test_cancelled_same_cycle_siblings_are_skipped_in_batch():
     engine = Engine()
     fired = []
     events = [engine.schedule(5, fired.append, i) for i in range(6)]
-    events[0].cancel()
-    events[3].cancel()
-    events[5].cancel()
+    engine.cancel(events[0])
+    engine.cancel(events[3])
+    engine.cancel(events[5])
     engine.run()
     assert fired == [1, 2, 4]
     assert engine.now == 5
@@ -74,7 +74,7 @@ def test_cancel_from_inside_same_cycle_batch():
 
     def killer():
         fired.append("killer")
-        holder["victim"].cancel()
+        engine.cancel(holder["victim"])
 
     engine.schedule(3, killer)
     holder["victim"] = engine.schedule(3, fired.append, "victim")
@@ -94,7 +94,7 @@ def test_cancel_last_event_in_current_cycle_slot_after_step():
     leftover = engine.schedule(5, fired.append, "b")
     assert engine.step() is True  # fires "a"; "b" stays queued
     assert engine.now == 5
-    leftover.cancel()  # now the last event at the current cycle
+    engine.cancel(leftover)  # now the last event at the current cycle
     assert engine.step() is False
     assert engine.now == 5
     assert fired == ["a"]
@@ -107,7 +107,7 @@ def test_cancel_current_cycle_leftover_then_run_to_later_event():
     engine.schedule(5, fired.append, "a")
     leftover = engine.schedule(5, fired.append, "b")
     engine.step()
-    leftover.cancel()
+    engine.cancel(leftover)
     engine.schedule(20, fired.append, "c")  # cycle 25
     engine.run()
     assert fired == ["a", "c"]
@@ -128,7 +128,7 @@ def test_cancel_event_spawned_into_current_cycle_during_batch():
 
     def killer():
         fired.append("killer")
-        holder["victim"].cancel()
+        engine.cancel(holder["victim"])
 
     engine.schedule(3, spawner)
     engine.schedule(3, killer)
@@ -141,7 +141,7 @@ def test_cancel_event_spawned_into_current_cycle_during_batch():
 def test_cancelled_only_event_before_until_deadline():
     engine = Engine()
     fired = []
-    engine.schedule(10, fired.append, "early").cancel()
+    engine.cancel(engine.schedule(10, fired.append, "early"))
     engine.schedule(100, fired.append, "late")
     engine.run(until=50)
     assert fired == []
@@ -157,12 +157,12 @@ def test_cancel_after_until_bound_unpop():
     engine = Engine()
     fired = []
     engine.schedule(10, fired.append, "a")
-    engine.schedule(60, lambda: None).cancel()
+    engine.cancel(engine.schedule(60, lambda: None))
     blocked = engine.schedule(100, fired.append, "blocked")
     engine.run(until=50)
     assert fired == ["a"]
     assert engine.now == 50
-    blocked.cancel()
+    engine.cancel(blocked)
     engine.run()
     assert fired == ["a"]
     assert engine.now == 50  # drained without firing or advancing
@@ -178,7 +178,7 @@ def test_stop_requeued_tail_entirely_cancelled():
 
     def killer():
         fired.append("killer")
-        holder["victim"].cancel()
+        engine.cancel(holder["victim"])
         engine.request_stop()
 
     engine.schedule(3, killer)
@@ -196,7 +196,7 @@ def test_budgeted_batch_skips_cancelled_last_event():
     engine = Engine()
     fired = []
     events = [engine.schedule(4, fired.append, i) for i in range(4)]
-    events[3].cancel()  # last event at the cycle
+    engine.cancel(events[3])  # last event at the cycle
     engine.run(max_events=3)  # budget covers exactly the live events
     assert fired == [0, 1, 2]
     assert engine.now == 4
@@ -207,7 +207,7 @@ def test_budget_exhaustion_requeues_cancelled_tail():
     engine = Engine()
     fired = []
     events = [engine.schedule(4, fired.append, i) for i in range(4)]
-    events[2].cancel()
+    engine.cancel(events[2])
     with pytest.raises(SimulationHang):
         engine.run(max_events=1)
     assert fired == [0]

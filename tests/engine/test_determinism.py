@@ -28,8 +28,9 @@ def _drive(seed, driver, events=3_000):
     """Run one randomized schedule.
 
     Returns ``(transcript, handles, killed, engine)``: ``killed`` holds
-    the tags cancelled while still queued (cancelling a handle that
-    already fired is a no-op, and such a handle counts as live).
+    the tags cancelled while still queued (``Engine.cancel`` takes only
+    a queued handle, so a victim that already fired is left alone and
+    counts as live).
     """
     engine = Engine()
     rng = random.Random(seed)
@@ -45,8 +46,7 @@ def _drive(seed, driver, events=3_000):
         return tag
 
     def tick(tag):
-        event = handles[tag]
-        transcript.append((engine.now, event.seq, tag, event.cancelled))
+        transcript.append((engine.now, handles[tag], tag, tag in killed))
         fired.add(tag)
         if len(handles) >= events:
             return
@@ -63,7 +63,7 @@ def _drive(seed, driver, events=3_000):
             victim = pending.pop(rng.randrange(len(pending)))
             if victim not in fired:
                 killed.add(victim)
-            handles[victim].cancel()
+                engine.cancel(handles[victim])
             schedule(2)
         else:  # far future, refresh-scale
             schedule(rng.randrange(600, 20_000))

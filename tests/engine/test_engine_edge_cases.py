@@ -11,7 +11,7 @@ def test_cancel_from_within_a_callback():
     later = engine.schedule(10, fired.append, "later")
 
     def canceller():
-        later.cancel()
+        engine.cancel(later)
         fired.append("canceller")
 
     engine.schedule(5, canceller)
@@ -45,7 +45,7 @@ def test_reschedule_same_callback_many_times():
 
     events = [engine.schedule(1, tick) for _ in range(100)]
     for event in events[::2]:
-        event.cancel()
+        engine.cancel(event)
     engine.run()
     assert count[0] == 50
 

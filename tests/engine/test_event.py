@@ -1,7 +1,6 @@
-"""Unit tests for the Event primitive and the order events fire in."""
+"""Heap entries, handles, and the order events fire in."""
 
 from repro.engine import Engine
-from repro.engine.event import Event
 
 
 def _noop():
@@ -12,32 +11,39 @@ def test_ordering_by_time():
     """A later-scheduled but earlier-timed event fires first."""
     engine = Engine()
     fired = []
-    late = engine.schedule(9, fired.append, "late")
-    early = engine.schedule(5, fired.append, "early")
-    assert (early.time, late.time) == (5, 9)
+    engine.schedule(9, fired.append, "late")
+    engine.schedule(5, fired.append, "early")
+    assert sorted(time for time, *_ in engine._heap) == [5, 9]
     engine.run()
     assert fired == ["early", "late"]
 
 
 def test_ties_broken_by_sequence_number():
-    """Same-cycle events carry increasing seqs and fire in that order."""
+    """Same-cycle events get increasing handles and fire in that order."""
     engine = Engine()
     fired = []
     first = engine.schedule_at(5, fired.append, "first")
     second = engine.schedule(5, fired.append, "second")
-    assert first.seq < second.seq
+    assert first < second
     engine.run()
     assert fired == ["first", "second"]
 
 
 def test_cancel_marks_event():
-    event = Event(0, 0, _noop, ())
-    assert not event.cancelled
-    event.cancel()
-    assert event.cancelled
+    """Cancelling marks the handle; the entry stays queued until it is
+    popped, then it is discarded and the mark dropped."""
+    engine = Engine()
+    handle = engine.schedule(3, _noop)
+    engine.cancel(handle)
+    assert engine._cancelled == {handle}
+    assert engine.pending == 1
+    engine.run()
+    assert engine.events_fired == 0
+    assert not engine._cancelled and engine.pending == 0
 
 
 def test_event_carries_args():
-    event = Event(3, 0, _noop, (1, "x"))
-    assert event.args == (1, "x")
-    assert event.time == 3
+    """An entry is a plain ``(time, seq, fn, args)`` tuple."""
+    engine = Engine()
+    handle = engine.schedule(3, _noop, 1, "x")
+    assert engine._heap == [(3, handle, _noop, (1, "x"))]

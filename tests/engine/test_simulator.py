@@ -44,7 +44,7 @@ def test_cancelled_event_does_not_fire():
     fired = []
     event = engine.schedule(5, fired.append, "no")
     engine.schedule(6, fired.append, "yes")
-    event.cancel()
+    engine.cancel(event)
     engine.run()
     assert fired == ["yes"]
 

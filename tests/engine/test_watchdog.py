@@ -45,7 +45,7 @@ def test_cancelled_events_do_not_count_against_budget():
     fired = []
     events = [engine.schedule(t, fired.append, t) for t in range(6)]
     for event in events[:3]:
-        event.cancel()
+        engine.cancel(event)
     engine.run(max_events=3)  # only the 3 live events count
     assert fired == [3, 4, 5]
     assert engine.events_fired == 3
@@ -55,7 +55,7 @@ def test_run_and_step_account_identically():
     run_engine, step_engine = Engine(), Engine()
     for engine in (run_engine, step_engine):
         kept = [engine.schedule(t, lambda: None) for t in range(5)]
-        kept[2].cancel()
+        engine.cancel(kept[2])
     run_engine.run()
     while step_engine.step():
         pass

@@ -126,6 +126,41 @@ def test_full_machine_conserves_and_drains():
         assert 0 <= file.occupancy <= file.capacity
 
 
+def test_requests_are_built_only_below_the_l1():
+    """A core reference builds no request: the request-id counter moves
+    once per line an L1 sends to the L2 (fetch, writeback, prefetch) and
+    once per line the L2 sends to memory (MSHR allocation, writeback,
+    prefetch) — never for an L1 hit, a secondary miss or a rejected
+    access, which the core's in-flight record serves."""
+    from repro.common import request as request_mod
+    from repro.common.units import MIB
+    from repro.system.config import config_quad_mc
+    from repro.system.machine import Machine
+
+    config = config_quad_mc().derive(
+        l2_size=1 * MIB, l2_assoc=16, dram_capacity=64 * MIB
+    )
+    machine = Machine(config, ["qsort", "S.all", "mcf", "gzip"], seed=7)
+    start = request_mod.capture_globals()["next_request_id"]
+    machine.run(warmup_instructions=1_000, measure_instructions=4_000)
+    created = request_mod.capture_globals()["next_request_id"] - start
+
+    l1 = [cache.stats.get for cache in machine.l1s]
+    l2 = machine.l2.stats.get
+    waiting = sum(len(queue) for queue in machine.l2._mshr_waiters)
+    below_l1 = sum(
+        get("misses") + get("writebacks") + get("prefetches_issued") for get in l1
+    )
+    below_l2 = (
+        l2("misses") - l2("mshr_merges") - waiting  # MSHR allocations
+        + l2("memory_writebacks") + l2("prefetches_issued")
+    )
+    assert created == below_l1 + below_l2
+    # Every kind of reference that stays in the L1 occurred.
+    for key in ("hits", "secondary_misses", "mshr_rejects"):
+        assert sum(get(key) for get in l1) > 0, key
+
+
 @pytest.mark.parametrize("organization", ["conventional", "vbf", "direct-mapped"])
 def test_mshr_stall_wakeups_are_never_lost(organization):
     """A single-entry MSHR with many waiters must drain them all."""

@@ -36,6 +36,20 @@ def _read(addr, cb=None):
     return MemoryRequest(addr, AccessType.READ, callback=cb)
 
 
+def _record_issues(mc):
+    """Record the cycle the controller issues each request at, keyed by
+    request, by wrapping its ``_issue``."""
+    issued = {}
+    issue = mc._issue
+
+    def recording_issue(entry, now):
+        issued[entry.request] = now
+        issue(entry, now)
+
+    mc._issue = recording_issue
+    return issued
+
+
 def test_read_miss_latency_components():
     engine = Engine()
     mc = _mc(engine)
@@ -104,9 +118,6 @@ def test_quantum_paces_command_issue():
     mc.enqueue(_read(0x0000))
     mc.enqueue(_read(0x1000))
     engine.run()
-    issues = sorted(
-        r.issued_to_dram_at for r in []
-    )  # requests are internal; use stats instead
     assert mc.stats.get("issued") == 2
 
 
@@ -114,11 +125,12 @@ def test_issue_times_respect_quantum():
     engine = Engine()
     quantum = 8
     mc = _mc(engine, quantum=quantum)
+    issued = _record_issues(mc)
     reqs = [_read(0x0000), _read(0x1000)]
     for r in reqs:
         mc.enqueue(r)
     engine.run()
-    assert reqs[1].issued_to_dram_at - reqs[0].issued_to_dram_at >= quantum
+    assert issued[reqs[1]] - issued[reqs[0]] >= quantum
 
 
 def test_bank_conflict_keeps_request_queued():
@@ -128,10 +140,11 @@ def test_bank_conflict_keeps_request_queued():
     a, b = _read(0x0000), _read(0x4000 * 2)  # page 0 and page 8 -> both bank 0
     mapping = mc.mapping
     assert mapping.decompose(a.addr).bank == mapping.decompose(b.addr).bank
+    issued = _record_issues(mc)
     mc.enqueue(a)
     mc.enqueue(b)
     engine.run()
-    assert b.issued_to_dram_at > a.issued_to_dram_at
+    assert issued[b] > issued[a]
     assert b.completed_at > a.completed_at
 
 
@@ -159,17 +172,20 @@ def test_rejects_bad_quantum():
 def _assert_pump_wakeup(engine, mc):
     """What the pump must have left behind after any one event."""
     entries = mc.mrq.entries
-    pump = mc._pump_event
+    pump_at = mc._pump_at
     if not entries:
         # Queue drained: no wake-up event is left behind.
-        assert pump is None
+        assert pump_at is None
         return
-    assert pump is not None and not pump.cancelled, "lost wake-up"
+    assert pump_at is not None, "lost wake-up"
+    # The handle is queued, live, at the cycle the controller recorded.
+    queued = [time for time, seq, *_ in engine._heap if seq == mc._pump_handle]
+    assert queued == [pump_at] and mc._pump_handle not in engine._cancelled
     now = engine.now
-    if pump.time > now and now >= mc._next_issue_time:
+    if pump_at > now and now >= mc._next_issue_time:
         # The issue gap has elapsed and the pump is still asleep, so
         # every bank is busy — and it wakes exactly when the first frees.
-        assert pump.time == min(e.bank.earliest_start(now) for e in entries)
+        assert pump_at == min(e.bank.earliest_start(now) for e in entries)
 
 
 @pytest.mark.parametrize("scheduler_cls", [FrFcfsScheduler, FcfsScheduler])
@@ -188,6 +204,7 @@ def test_pump_deep_bursts_keep_cadence_and_refresh(
         SimpleNamespace(controllers=[mc], config=None), "dram-timing,queue"
     )
     rng = random.Random(seed)
+    issued = _record_issues(mc)
     done = []
     straddled = 0
     for burst in range(12):
@@ -212,16 +229,16 @@ def test_pump_deep_bursts_keep_cadence_and_refresh(
             _assert_pump_wakeup(engine, mc)
         assert engine.now >= blackout
         straddled += any(
-            r.issued_to_dram_at >= blackout + refresh.t_rfc for r in requests
+            issued[r] >= blackout + refresh.t_rfc for r in requests
         )
-        issue_times = sorted(r.issued_to_dram_at for r in requests)
+        issue_times = sorted(issued[r] for r in requests)
         for earlier, later in zip(issue_times, issue_times[1:]):
             assert later - earlier >= max(quantum, overhead)
         for request in requests:
             # The pump never issues to a rank that is refreshing.
             rank = mc.device.ranks[mc.mapping.decompose(request.addr).rank]
-            issued = request.issued_to_dram_at
-            assert rank.refresh.earliest_available(issued) == issued
+            at = issued[request]
+            assert rank.refresh.earliest_available(at) == at
     assert len(done) == 12 * 16
     assert straddled, "no burst ran across a refresh blackout"
     checkers.assert_drained()
@@ -234,14 +251,15 @@ def test_pump_sleeps_until_the_first_bank_frees():
     # Same bank, different rows: after the first issue every queued
     # entry's bank is busy.
     first, second = _read(0x0000), _read(0x4000 * 2)
+    issued = _record_issues(mc)
     mc.enqueue(first)
     mc.enqueue(second)
     assert engine.step()  # pump @0 issues `first`
     assert engine.step()  # pump @1 finds nothing ready
-    assert engine.now == 1 and first.issued_to_dram_at == 0
+    assert engine.now == 1 and issued[first] == 0
     wake = mc.mrq.entries[0].bank.earliest_start(1)
     assert wake > 1
-    assert mc._pump_event.time == wake
+    assert mc._pump_at == wake
     engine.run()
-    assert second.issued_to_dram_at == wake
-    assert mc._pump_event is None and engine.pending == 0
+    assert issued[second] == wake
+    assert mc._pump_at is None and engine.pending == 0

@@ -29,7 +29,8 @@ from repro.memctrl.schedulers import SCHEDULERS
 from repro.mshr.factory import ORGANIZATIONS
 from repro.experiments.spec import config_to_dict
 from repro.snapshot import SnapshotPlan, preemption
-from repro.snapshot.format import read_snapshot_file
+from repro.snapshot import format as format_mod
+from repro.snapshot.format import read_snapshot_file, write_snapshot_file
 from repro.system.config import (
     config_2d,
     config_3d_fast,
@@ -141,8 +142,16 @@ def test_tree_covers_every_wired_component(tmp_path):
         "BatchedTrace", "L1Cache", "BankedL2Cache", "CacheArray",
         "StackModeMemory", "SramTagStore", "MainMemory", "MemoryController",
         "MemoryRequestQueue", "DramDevice", "Rank", "Bank", "RefreshSchedule",
-        "Bus", "Counter", "Event",
+        "Bus", "Counter",
     } <= classes
+    # The engine queue holds plain (time, seq, fn, args) tuples.
+    engine = tree["layouts"][_layout_index(tree, "Engine")]
+    heap = next(
+        node[2][engine[2].index("_heap")]
+        for node in _walk(tree["root"])
+        if type(node) is tuple and node[:2] == ("o", _layout_index(tree, "Engine"))
+    )
+    assert heap and all(entry[0] == "t" and len(entry[1]) == 4 for entry in heap)
     assert tree["created"]
     assert set(tree["request_globals"]) == {"next_request_id"}
     assert not any(
@@ -210,6 +219,40 @@ def test_tree_with_a_different_layout_is_refused_whole(change, tmp_path):
     assert fresh.registry.dump() == stats
     assert request_mod.capture_globals() == request_ids
     assert all(core.trace.cursor().batches_advanced == 0 for core in fresh.cores)
+
+
+def test_a_snapshot_in_the_previous_layout_is_refused(tmp_path, monkeypatch):
+    """Schema 3 kept an ``Event`` object per queued callback and a
+    ``Core._commit_event`` handle: its file is refused by the schema
+    marker, and its layouts on their own would be refused too."""
+    config = _small(config_3d_fast())
+    path = str(tmp_path / "cell.snap")
+    _preempt_to_file(config, None, path)
+    header, tree = read_snapshot_file(path)
+    for qualname, gone, added in (
+        ("Core", {"_commit_at"}, {"_commit_event", "_hit_fast"}),
+        ("Engine", {"_cancelled"}, set()),
+    ):
+        index = _layout_index(tree, qualname)
+        module, _, fields = tree["layouts"][index]
+        fields = tuple(sorted(set(fields) - gone | added))
+        tree["layouts"][index] = (module, qualname, fields)
+    tree["layouts"].append(
+        ("repro.engine.event", "Event", ("args", "cancelled", "fn", "seq", "time"))
+    )
+    old = str(tmp_path / "schema3.snap")
+    with monkeypatch.context() as patch:
+        patch.setattr(format_mod, "SCHEMA_VERSION", 3)
+        write_snapshot_file(
+            old, tree, config_fingerprint=header["config_fingerprint"]
+        )
+    with pytest.raises(SnapshotSchemaError) as refused:
+        read_snapshot_file(old)
+    assert (refused.value.found, refused.value.expected) == (3, 4)
+    fresh = _build(config)
+    with pytest.raises(SnapshotSchemaError):
+        fresh.restore_state(tree)
+    assert fresh.engine.now == 0 and fresh.engine.pending == 0
 
 
 def test_a_checked_machine_cannot_break_an_unchecked_one():
