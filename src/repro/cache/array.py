@@ -137,12 +137,6 @@ class CacheArray:
         self._on_evict(cache_set, set_idx, line)
         return dirty
 
-    def lines(self):
-        """Iterate ``(line, dirty)`` over every resident line (LRU->MRU
-        within each set) — used for flush/scrub sweeps."""
-        for cache_set in self._sets:
-            yield from cache_set.items()
-
     @property
     def resident_lines(self) -> int:
         return sum(len(s) for s in self._sets)

@@ -15,8 +15,6 @@ Commands:
 * ``table {2a,2b}``                   — regenerate a table.
 * ``ablation {scheduler,interleave,prefetch,replacement,page_policy,
   mapping,mshr_org}``                 — run a design-choice ablation.
-* ``stack-modes``                     — stack usage-mode x capacity
-  study (flat memory / L4 cache / MemCache — see docs/stack_modes.md).
 * ``report --output results/``        — regenerate everything.
 * ``validate {timing,resume,sampling}`` — run one differential of
   :mod:`repro.validate.diff` (or the sampling accuracy gate) on a
@@ -24,8 +22,8 @@ Commands:
   every paper claim of the catalog into ``FIDELITY.json``.  See
   ``docs/validation.md``.
 
-The experiment commands (``figure``, ``table``, ``ablation``,
-``stack-modes``) are parser entries only: each resolves to one name of
+The experiment commands (``figure``, ``table``, ``ablation``) are
+parser entries only: each resolves to one name of
 :data:`repro.experiments.catalog.CATALOG` (``figure 7 --panel dual-mc``
 -> ``figure7_dual``) and runs through the one ``_cmd_experiment``; that
 name is also what ``report --only`` takes and the stem of the default
@@ -65,12 +63,7 @@ from typing import Callable, Dict, Optional, Sequence
 
 from .common.errors import CheckViolation
 from .experiments import RunPolicy, run_experiment, run_full_suite
-from .experiments.catalog import (
-    CATALOG,
-    Experiment,
-    render,
-    stack_modes_experiment,
-)
+from .experiments.catalog import CATALOG, Experiment, render
 from .system.config import (
     SystemConfig,
     config_2d,
@@ -78,9 +71,7 @@ from .system.config import (
     config_3d_fast,
     config_3d_wide,
     config_dual_mc,
-    config_l4_alloy,
     config_l4_cache,
-    config_memcache,
     config_quad_mc,
 )
 from .system.machine import run_workload
@@ -96,8 +87,6 @@ CONFIGS: Dict[str, Callable[[], SystemConfig]] = {
     "dual-mc": config_dual_mc,
     "quad-mc": config_quad_mc,
     "l4-cache": config_l4_cache,
-    "l4-alloy": config_l4_alloy,
-    "memcache": config_memcache,
 }
 
 
@@ -310,21 +299,10 @@ def _figure_experiment(args) -> Experiment:
     return CATALOG[f"figure{args.which}"]
 
 
-def _stack_modes_experiment(args) -> Experiment:
-    from .common.units import MIB
-
-    if not args.capacities:
-        return CATALOG["stack_modes"]
-    return stack_modes_experiment(
-        tuple(int(float(c) * MIB) for c in args.capacities.split(","))
-    )
-
-
 def _cmd_experiment(args) -> int:
     """Every experiment subcommand: resolve the catalog entry, run, render.
 
-    ``args.experiment`` maps the parsed arguments to a catalog entry
-    (re-parameterized by the subcommand's own flags, if it has any).
+    ``args.experiment`` maps the parsed arguments to a catalog entry.
     A degraded run still renders what it can and exits 0.
     """
     experiment = args.experiment(args)
@@ -344,11 +322,6 @@ def _cmd_experiment(args) -> int:
         sampling=args.sample,
     )
     print(render(experiment, result), flush=True)
-    if getattr(args, "output", None):
-        from .experiments import save_table
-
-        save_table(result.table, args.output)
-        print(f"\nsaved result table to {args.output}")
     return 0
 
 
@@ -596,24 +569,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--only", default=None,
                        help="comma-separated experiment names")
     p_rep.set_defaults(func=_cmd_report)
-
-    p_modes = sub.add_parser(
-        "stack-modes",
-        help="stack usage-mode study: flat memory vs L4 cache vs MemCache "
-        "across stack capacities",
-    )
-    p_modes.add_argument(
-        "--capacities", default=None,
-        help="comma-separated stack capacities in MiB (default: 32,64,128)",
-    )
-    p_modes.add_argument(
-        "--output", default=None, metavar="PATH",
-        help="also save the raw result table as JSON",
-    )
-    _add_common(p_modes)
-    p_modes.set_defaults(
-        func=_cmd_experiment, experiment=_stack_modes_experiment
-    )
 
     p_srv = sub.add_parser(
         "serve",

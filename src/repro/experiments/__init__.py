@@ -5,7 +5,6 @@ from .catalog import CATALOG, Experiment, ExperimentResult, run_experiment
 from .charts import bar, grouped_bars, speedup_chart
 from .full_run import run_full_suite
 from .persistence import CellJournal, load_table, save_table
-from .stack_modes import StackModesResult
 from .report import format_table
 from .runner import (
     CellFailure,
@@ -45,6 +44,5 @@ __all__ = [
     "run_full_suite",
     "run_matrix",
     "run_table2a",
-    "StackModesResult",
     "save_table",
 ]

@@ -16,8 +16,8 @@ to (``figure 7 --panel dual-mc`` -> ``figure7_dual``, ``ablation
 prefetch`` -> ``ablation_prefetch``).
 
 The studies whose metric is not a speedup table (Table 2's MPKI and
-HMIPC, the stack-mode capacity pivot) keep their own result classes and
-name them in ``Experiment.result``.
+HMIPC) keep their own result classes and name them in
+``Experiment.result``.
 
 Importing this module builds no :class:`SystemConfig`: ``configs`` is a
 callable, evaluated when the experiment runs.
@@ -26,7 +26,6 @@ callable, evaluated when the experiment runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..common.errors import CellFailedError
@@ -38,13 +37,14 @@ from ..system.config import (
     config_3d_fast,
     config_3d_wide,
     config_dual_mc,
+    config_l4_cache,
     config_quad_mc,
     with_mshr,
 )
 from ..system.scale import DEFAULT, ExperimentScale
 from ..workloads.benchmarks import BENCHMARKS
 from ..workloads.mixes import MIX_ORDER, MIXES, WorkloadMix, mixes_in_groups
-from . import stack_modes, table2
+from . import table2
 from .charts import grouped_bars, speedup_chart
 from .fidelity import Band, Expectation, Ordering, claims_note, paper_column
 from .report import format_table, with_sampling_note
@@ -78,7 +78,6 @@ class Experiment:
             :class:`~repro.experiments.fidelity.Ordering` data; they
             make the report's note, the GM-row layout's "paper" column
             and this entry's ``FIDELITY.json`` rows.
-        in_suite: whether ``repro report`` runs it by default.
         result: for studies with their own metric — builds the result
             from the :class:`ResultTable` in place of
             :class:`ExperimentResult`; needs ``format()`` and ``table``.
@@ -98,7 +97,6 @@ class Experiment:
     column: str = "GM speedup"
     show_probes: bool = False
     expect: Tuple[Expectation, ...] = ()
-    in_suite: bool = True
     result: Optional[Callable[..., Any]] = None
     run: Optional[Callable[..., Any]] = None
 
@@ -361,21 +359,6 @@ def _ablation(name: str, title: str, variants, **fields: Any) -> Experiment:
     )
 
 
-def stack_modes_experiment(
-    capacities: Sequence[int] = stack_modes.DEFAULT_CAPACITIES,
-) -> Experiment:
-    """The stack usage-mode x capacity sweep (docs/stack_modes.md)."""
-    return Experiment(
-        name="stack_modes",
-        configs=partial(stack_modes.build_mode_matrix, capacities),
-        groups=HEADLINE_GROUPS,
-        in_suite=False,
-        result=lambda table: stack_modes.StackModesResult(
-            table, list(capacities), table.mixes
-        ),
-    )
-
-
 #: Every experiment by name, in ``repro report`` order.
 CATALOG: Dict[str, Experiment] = {
     exp.name: exp
@@ -569,7 +552,9 @@ CATALOG: Dict[str, Experiment] = {
             ),
         ),
         # The paper's Section 6 ranking as an experiment: "2D+L3" spends
-        # the stack on a 64 MiB L3 with the DRAM still off-chip.
+        # the stack on a 64 MiB L3 with the DRAM still off-chip, and
+        # "L4-sram-64M" spends the 3D-fast stack on a 64 MiB L4 in front
+        # of the off-chip channel.
         Experiment(
             name="study_stack",
             title="Study: spend the 3D stack on cache vs memory "
@@ -577,6 +562,7 @@ CATALOG: Dict[str, Experiment] = {
             configs=lambda: [
                 config_2d(),
                 config_2d().derive(name="2D+L3", l3_enabled=True, l3_size=64 * MIB),
+                config_l4_cache(),
                 config_3d(),
                 config_3d_fast(),
                 config_quad_mc().derive(name="quad-MC"),
@@ -584,9 +570,12 @@ CATALOG: Dict[str, Experiment] = {
             groups=HEADLINE_GROUPS,
             # Stacked cache < any stacked memory; re-architected memory
             # widens the gap.
-            expect=(Ordering(("gm 2D", "gm 2D+L3", "gm 3D", "gm 3D-fast", "gm quad-MC")),),
+            expect=(
+                Ordering(("gm 2D", "gm 2D+L3", "gm 3D", "gm 3D-fast", "gm quad-MC")),
+                # Stacked memory beats the same stack spent as an L4.
+                Ordering(("gm 2D", "gm L4-sram-64M", "gm 3D-fast")),
+            ),
         ),
-        stack_modes_experiment(),
     )
 }
 

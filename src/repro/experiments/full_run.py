@@ -39,8 +39,8 @@ def run_full_suite(
     and the suite goes on to the next one.
 
     Args:
-        only: restrict to these catalog names (default: every entry
-            with ``in_suite``); run in catalog order either way.
+        only: restrict to these catalog names (default: every
+            entry); run in catalog order either way.
         output_dir: when set, write each report to ``<name>.txt`` there.
         policy: resilience knobs (timeouts/retries/resume) applied to
             every matrix in the suite.
@@ -49,7 +49,7 @@ def run_full_suite(
         checkers, sampling: forwarded to every experiment.
     """
     if only is None:
-        names = [name for name, exp in CATALOG.items() if exp.in_suite]
+        names = list(CATALOG)
     else:
         unknown = set(only) - set(CATALOG)
         if unknown:

@@ -37,6 +37,27 @@ _READABLE_VERSIONS = (1, 2)
 #: Version written into journal headers.
 _JOURNAL_VERSION = 1
 
+_ABSENT = object()
+
+
+def _differences(ours, theirs, path: str = "signature") -> list:
+    """Paths at which two JSON trees differ, in sorted-key order."""
+    if isinstance(ours, dict) and isinstance(theirs, dict):
+        return [
+            found
+            for key in sorted(set(ours) | set(theirs))
+            for found in _differences(
+                ours.get(key, _ABSENT), theirs.get(key, _ABSENT), f"{path}.{key}"
+            )
+        ]
+    if isinstance(ours, list) and isinstance(theirs, list) and len(ours) == len(theirs):
+        return [
+            found
+            for index, pair in enumerate(zip(ours, theirs))
+            for found in _differences(*pair, f"{path}[{index}]")
+        ]
+    return [] if ours == theirs else [path]
+
 
 def _result_to_dict(result: MachineResult) -> dict:
     return {
@@ -255,10 +276,11 @@ class CellJournal:
 
         With ``resume=True`` an existing journal must carry exactly
         ``signature`` — any difference (config contents, mix benchmarks,
-        scale, seed, checkers, sampling) raises ``ValueError`` so cells
-        of another run are never mixed in; on success its completed
-        cells are loaded and appending continues.  Without ``resume``
-        any existing journal is truncated and restarted.
+        scale, seed, checkers, sampling) raises ``ValueError`` naming
+        where the two differ, so cells of another run are never mixed
+        in; on success its completed cells are loaded and appending
+        continues.  Without ``resume`` any existing journal is truncated
+        and restarted.
         """
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -274,9 +296,13 @@ class CellJournal:
         records, valid_bytes = scan_jsonl(path)
         journal = cls(path, records)
         if journal.signature != signature:
+            differ = _differences(journal.signature, signature)
+            shown = ", ".join(differ[:4])
+            if len(differ) > 4:
+                shown += f" and {len(differ) - 4} more"
             raise ValueError(
                 f"journal {path} was written by a different run (its "
-                f"header's signature does not match this sweep's); "
+                f"header's signature differs at {shown}); "
                 f"delete it or drop --resume"
             )
         if path.stat().st_size > valid_bytes:

@@ -50,7 +50,10 @@ from ..workloads.mixes import WorkloadMix
 #: v3: SystemConfig lost its ``ras`` field.
 #: v4: SystemConfig lost its L1 replacement, L2 inclusion and MSHR
 #: probe-latency switches (always LRU, inclusive, probes timed).
-KEY_SCHEMA_VERSION = 4
+#: v5: SystemConfig lost the alloy/MemCache L4 fields (l4_tags,
+#: l4_predictor, l4_cache_fraction, the repartition knobs) and the
+#: one-valued off-chip/L4 MSHR sizes (offchip_*, l4_mshr_entries).
+KEY_SCHEMA_VERSION = 5
 
 
 def canonical_json(obj) -> str:

@@ -1,24 +1,8 @@
 """3D integration modelling: TSVs, die geometry, density, thermal, and
-the stack's usage modes (flat memory / L4 cache / MemCache)."""
+the stack's usage as flat memory or as an L4 cache."""
 
 from .geometry import DramDensity, StackPlan, TsvSpec, plan_stack
-from .modes import (
-    AlloyTagStore,
-    SramTagStore,
-    StackModeMemory,
-    partition_quantum,
-    quantize_cache_bytes,
-    sram_tag_bytes,
-)
-from .predictor import (
-    PREDICTOR_KINDS,
-    AlwaysHitPredictor,
-    AlwaysMissPredictor,
-    HitMissPredictor,
-    MapIPredictor,
-    OraclePredictor,
-    make_predictor,
-)
+from .modes import SramTagStore, StackModeMemory, sram_tag_bytes
 from .thermal import (
     DRAM_THERMAL_LIMIT_C,
     StackThermalModel,
@@ -29,14 +13,7 @@ from .thermal import (
 
 __all__ = [
     "DRAM_THERMAL_LIMIT_C",
-    "PREDICTOR_KINDS",
-    "AlloyTagStore",
-    "AlwaysHitPredictor",
-    "AlwaysMissPredictor",
     "DramDensity",
-    "HitMissPredictor",
-    "MapIPredictor",
-    "OraclePredictor",
     "SramTagStore",
     "StackModeMemory",
     "StackPlan",
@@ -44,10 +21,7 @@ __all__ = [
     "ThermalLayer",
     "TsvSpec",
     "default_stack",
-    "make_predictor",
-    "partition_quantum",
     "plan_stack",
-    "quantize_cache_bytes",
     "refresh_period_for_temperature",
     "sram_tag_bytes",
 ]

@@ -26,18 +26,9 @@ BUS_PRESETS = ("fsb", "tsv8", "tsv64")
 
 #: What the 3D stack *is* (see :mod:`repro.stack3d.modes`):
 #: ``memory`` — flat OS-visible memory (the paper's model, and the
-#: bit-identical default); ``cache`` — an L4 DRAM cache in front of
-#: off-chip DRAM; ``memcache`` — a runtime-partitioned hybrid.
-STACK_MODES = ("memory", "cache", "memcache")
-
-#: L4 tag organizations: ``sram`` (tags on the processor die, with a
-#: real SRAM capacity cost charged against the L2) or ``dram``
-#: (alloy-style direct-mapped tags-and-data lines in the stack itself,
-#: fronted by a hit/miss predictor).
-L4_TAG_ORGS = ("sram", "dram")
-
-#: Hit/miss predictor kinds for the ``dram`` tag organization.
-L4_PREDICTORS = ("oracle", "always-hit", "always-miss", "map-i")
+#: bit-identical default); ``cache`` — an L4 DRAM cache with SRAM tags
+#: in front of off-chip DRAM.
+STACK_MODES = ("memory", "cache")
 
 
 @dataclass(frozen=True)
@@ -108,35 +99,16 @@ class SystemConfig:
     mc_transaction_overhead: int = 12
 
     # Stack mode (repro.stack3d.modes): what the 3D stack is used as.
-    # "memory" leaves the machine byte-for-byte the paper's model; the
-    # other modes put an off-chip DRAM system behind the stack and run
-    # the stack as an L4 cache ("cache") or a partitioned hybrid
-    # ("memcache" — ``l4_cache_fraction`` of the stack is cache, the
-    # rest a fast flat "direct segment" at the bottom of the physical
-    # address space).
+    # "memory" leaves the machine byte-for-byte the paper's model;
+    # "cache" puts an off-chip DRAM system (the 2D baseline's DDR2
+    # channel over the FSB) behind the stack and runs the stack as an
+    # L4 cache with tags in SRAM.
     stack_mode: str = "memory"
     l4_capacity: int = 64 * MIB
-    l4_tags: str = "sram"  # "sram" | "dram" (alloy TAD lines)
-    l4_assoc: int = 8  # must be 1 when l4_tags == "dram"
+    l4_assoc: int = 8
     l4_tag_latency: int = 2  # SRAM tag lookup cycles (0 = same-cycle)
     l4_sram_tag_cost: bool = True  # shave L2 capacity for SRAM tags
-    l4_predictor: str = "map-i"  # used only by the "dram" organization
-    l4_mshr_entries: int = 16
     l4_warm_start: bool = False  # preload tags resident-clean (equivalence tests)
-    l4_cache_fraction: float = 1.0  # memcache: fraction of stack run as cache
-    # MemCache reuse monitor: every ``l4_repartition_epoch`` cache-side
-    # demand accesses, move the partition by ``l4_partition_step``
-    # toward cache (high reuse) or flat memory (low reuse), clamped to
-    # [l4_fraction_min, l4_fraction_max].  0 disables repartitioning.
-    l4_repartition_epoch: int = 0
-    l4_partition_step: float = 0.25
-    l4_fraction_min: float = 0.0
-    l4_fraction_max: float = 1.0
-    # Off-chip DRAM system behind the stack (cache/memcache modes only);
-    # modelled as the 2D baseline's channel (DDR2 over the FSB).
-    offchip_num_mcs: int = 1
-    offchip_total_ranks: int = 8
-    offchip_mrq_capacity: int = 32
 
     # Address constants
     line_size: int = 64
@@ -153,8 +125,6 @@ class SystemConfig:
             ("dram_page_policy", PAGE_POLICIES),
             ("dram_mapping_scheme", MAPPING_SCHEMES),
             ("stack_mode", STACK_MODES),
-            ("l4_tags", L4_TAG_ORGS),
-            ("l4_predictor", L4_PREDICTORS),
         ):
             value = getattr(self, field)
             if value not in known:
@@ -168,29 +138,11 @@ class SystemConfig:
         if self.l2_mshr_per_bank < 1:
             raise ValueError("need at least one L2 MSHR entry per bank")
         if self.stack_mode != "memory":
-            if self.l4_tags == "dram" and self.l4_assoc != 1:
-                raise ValueError(
-                    "tags-in-DRAM (alloy) L4 is direct-mapped: l4_assoc must be 1"
-                )
             if self.l4_assoc < 1 or self.l4_tag_latency < 0:
                 raise ValueError("l4_assoc must be >= 1, l4_tag_latency >= 0")
-            if self.l4_capacity < self.l4_assoc * self.line_size:
-                raise ValueError("l4_capacity smaller than one cache set")
-            if not 0.0 <= self.l4_cache_fraction <= 1.0:
-                raise ValueError("l4_cache_fraction must be in [0, 1]")
-            if not (
-                0.0
-                <= self.l4_fraction_min
-                <= self.l4_fraction_max
-                <= 1.0
-            ):
-                raise ValueError("need 0 <= l4_fraction_min <= l4_fraction_max <= 1")
-            if self.l4_mshr_entries < 1:
-                raise ValueError("need at least one L4 MSHR entry")
-            if self.offchip_total_ranks % self.offchip_num_mcs:
-                raise ValueError("offchip ranks must divide evenly across MCs")
-            if self.offchip_mrq_capacity % self.offchip_num_mcs:
-                raise ValueError("offchip MRQ must divide evenly across MCs")
+            set_bytes = self.l4_assoc * self.line_size
+            if self.l4_capacity < set_bytes or self.l4_capacity % set_bytes:
+                raise ValueError("l4_capacity must be a whole number of cache sets")
 
     def derive(self, **changes) -> "SystemConfig":
         """``dataclasses.replace`` with a shorter name."""
@@ -289,7 +241,7 @@ def with_mshr(
 
 
 # ----------------------------------------------------------------------
-# Stack modes (repro.stack3d.modes): cache / memory / MemCache hybrid
+# Stack as an L4 cache (repro.stack3d.modes)
 # ----------------------------------------------------------------------
 
 def config_l4_cache(
@@ -306,49 +258,5 @@ def config_l4_cache(
         name=f"L4-sram-{capacity // MIB}M",
         stack_mode="cache",
         l4_capacity=capacity,
-        l4_tags="sram",
     )
 
-
-def config_l4_alloy(
-    capacity: int = 64 * MIB, base: Optional[SystemConfig] = None
-) -> SystemConfig:
-    """L4 DRAM cache with alloy-style tags-in-DRAM (direct-mapped TADs).
-
-    No SRAM tag cost; instead every predicted hit reads a tag-and-data
-    line from the stack and a mispredict pays a serialized off-chip
-    access, so the MAP-I hit/miss predictor carries the design.
-    """
-    base = base if base is not None else config_3d_fast()
-    return base.derive(
-        name=f"L4-alloy-{capacity // MIB}M",
-        stack_mode="cache",
-        l4_capacity=capacity,
-        l4_tags="dram",
-        l4_assoc=1,
-        l4_predictor="map-i",
-    )
-
-
-def config_memcache(
-    capacity: int = 64 * MIB,
-    cache_fraction: float = 0.5,
-    base: Optional[SystemConfig] = None,
-) -> SystemConfig:
-    """MemCache hybrid: part cache, part flat memory, repartitioned.
-
-    The observed-reuse monitor moves the boundary every epoch; the
-    degenerate fractions 0.0/1.0 reproduce the pure memory/cache modes
-    exactly (pinned by ``tests/stack3d/test_mode_equivalence.py``).
-    """
-    base = base if base is not None else config_3d_fast()
-    return base.derive(
-        name=f"MemCache-{capacity // MIB}M",
-        stack_mode="memcache",
-        l4_capacity=capacity,
-        l4_tags="sram",
-        l4_cache_fraction=cache_fraction,
-        l4_repartition_epoch=4096,
-        l4_fraction_min=0.25,
-        l4_fraction_max=1.0,
-    )

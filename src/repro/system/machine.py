@@ -178,16 +178,17 @@ class Machine:
             page_policy=config.dram_page_policy,
         )
 
-        # Stack modes (repro.stack3d.modes): in "cache"/"memcache" the
+        # Stack as an L4 (repro.stack3d.modes): in "cache" mode the
         # stack built above becomes an L4 in front of a commodity
-        # off-chip channel, behind the same MainMemory interface.  In
+        # off-chip channel — the 2D baseline's one MC, 8 ranks and
+        # 32-entry MRQ — behind the same MainMemory interface.  In
         # "memory" mode this block is skipped entirely — zero new
         # objects, stat groups, or branches on the request path (gated
         # bit-for-bit by ``tests/stack3d/test_mode_equivalence.py``).
         self.l4 = None
         self._l4_tag_shave = 0
         l2_size = config.l2_size
-        if config.stack_mode != "memory":
+        if config.stack_mode == "cache":
             from ..stack3d.modes import StackModeMemory, sram_tag_bytes
 
             def _offchip_bus(name: str) -> Bus:
@@ -198,11 +199,11 @@ class Machine:
                 ddr2_commodity(),
                 bus_factory=_offchip_bus,
                 registry=self.registry,
-                num_mcs=config.offchip_num_mcs,
-                total_ranks=config.offchip_total_ranks,
+                num_mcs=1,
+                total_ranks=8,
                 banks_per_rank=config.banks_per_rank,
                 row_buffer_entries=1,
-                aggregate_queue_capacity=config.offchip_mrq_capacity,
+                aggregate_queue_capacity=32,
                 scheduler=config.scheduler,
                 mc_quantum=2,
                 mc_transaction_overhead=12,
@@ -222,32 +223,20 @@ class Machine:
                 self.memory,
                 offchip,
                 self.registry,
-                mode=config.stack_mode,
                 capacity=config.l4_capacity,
-                cache_fraction=config.l4_cache_fraction,
-                tags=config.l4_tags,
                 assoc=config.l4_assoc,
                 tag_latency=config.l4_tag_latency,
-                predictor=config.l4_predictor,
-                mshr_entries=config.l4_mshr_entries,
+                mshr_entries=16,
                 warm_start=config.l4_warm_start,
-                repartition_epoch=config.l4_repartition_epoch,
-                partition_step=config.l4_partition_step,
-                fraction_min=config.l4_fraction_min,
-                fraction_max=config.l4_fraction_max,
                 line_size=config.line_size,
             )
             self.memory = self.l4
-            if (
-                config.l4_tags == "sram"
-                and config.l4_sram_tag_cost
-                and self.l4.cache_bytes
-            ):
+            if config.l4_sram_tag_cost:
                 # SRAM tags are not free: the directory's bytes come out
                 # of the L2 (down to at most half of it, whole sets).
                 quantum = config.l2_assoc * config.line_size
                 shave = min(
-                    sram_tag_bytes(self.l4.cache_bytes, config.line_size),
+                    sram_tag_bytes(config.l4_capacity, config.line_size),
                     l2_size // 2,
                 )
                 l2_size = max(quantum, ((l2_size - shave) // quantum) * quantum)

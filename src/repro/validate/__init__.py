@@ -30,7 +30,6 @@ from .base import Checker, CheckerSet
 from .diff import (
     DiffReport,
     TracedRun,
-    diff_modes,
     diff_resume,
     diff_runs,
     diff_timing_presets,
@@ -57,7 +56,6 @@ __all__ = [
     "TracedRun",
     "TranscriptRecorder",
     "attach_checkers",
-    "diff_modes",
     "diff_resume",
     "diff_runs",
     "diff_timing_presets",

@@ -13,8 +13,6 @@ localizes a behaviour change to a cycle and a bank.
 * :func:`diff_resume` interrupts the run instead: preempted at a
   snapshot boundary and resumed in a fresh machine, it must be
   **identical** to the uninterrupted run.
-* :func:`diff_modes` must report **identical** — memory mode against
-  the stack-mode facade configured as a pass-through.
 
 ``python -m repro validate {timing,resume}`` prints these reports for a
 chosen config/mix/scale (:mod:`repro.validate.tools`).
@@ -235,11 +233,10 @@ def filter_run(
     *,
     max_mc: Optional[int] = None,
     drop_stat_prefixes: Sequence[str] = (),
-    label: Optional[str] = None,
 ) -> TracedRun:
     """Project a traced run onto a sub-system before diffing.
 
-    Used by the stack-mode equivalence checks: a non-memory mode adds an
+    Used by the stack-mode equivalence check: cache mode adds an
     off-chip channel (MC ids >= the stack's ``num_mcs``) and new stat
     groups (``l4``, ``offchip.*``), but its *stack* traffic is the part
     a memory-mode run must be compared against.  ``max_mc`` keeps only
@@ -255,7 +252,7 @@ def filter_run(
         if not any(group.startswith(p) for p in drop_stat_prefixes)
     }
     return TracedRun(
-        label=label or f"{run.label}[filtered]",
+        label=f"{run.label}[filtered]",
         config_name=run.config_name,
         workload=run.workload,
         transcript=transcript,
@@ -264,66 +261,8 @@ def filter_run(
     )
 
 
-#: Stat-group prefixes that exist only in non-memory stack modes.
+#: Stat-group prefixes that exist only in cache mode.
 MODE_ONLY_STAT_PREFIXES: Tuple[str, ...] = ("l4", "offchip.")
-
-
-def diff_modes(
-    config: SystemConfig,
-    benchmarks: Sequence[str],
-    *,
-    warmup: int,
-    measure: int,
-    seed: int = 42,
-    workload_name: str = "",
-    checkers=None,
-) -> Tuple[DiffReport, TracedRun, TracedRun]:
-    """Memory mode vs the all-direct MemCache degenerate configuration.
-
-    The rhs runs ``memcache`` with ``l4_cache_fraction=0.0`` over the
-    full DRAM capacity: no cache region exists, so the facade's only
-    job is to pass every original request straight through to the stack
-    — synchronously, with zero events of its own.  Its stack transcript
-    and every pre-existing stat group must be bit-identical to memory
-    mode; the only new information allowed is the ``l4``/``offchip.*``
-    groups (and the off-chip channel must carry zero commands).
-    """
-    lhs = run_traced(
-        config, benchmarks, warmup=warmup, measure=measure, seed=seed,
-        workload_name=workload_name, checkers=checkers,
-        label=f"{config.name}/memory",
-    )
-    identity = config.derive(
-        name=f"{config.name}-l4id",
-        stack_mode="memcache",
-        l4_capacity=config.dram_capacity,
-        l4_cache_fraction=0.0,
-        l4_repartition_epoch=0,
-        l4_sram_tag_cost=False,
-    )
-    rhs = run_traced(
-        identity, benchmarks, warmup=warmup, measure=measure, seed=seed,
-        workload_name=workload_name, checkers=checkers,
-        label=f"{config.name}/memcache-direct",
-    )
-    rhs_view = filter_run(
-        rhs,
-        max_mc=config.num_mcs,
-        drop_stat_prefixes=MODE_ONLY_STAT_PREFIXES,
-        label=rhs.label,
-    )
-    report = diff_runs(lhs, rhs_view)
-    # The projection must not have hidden real divergence: the identity
-    # configuration may never touch the off-chip channel.
-    offchip = [r for r in rhs.transcript if r.mc >= config.num_mcs]
-    if offchip:
-        report.first_divergence = report.first_divergence or 0
-        report.lhs_record = report.lhs_record or None
-        report.rhs_record = report.rhs_record or offchip[0]
-        report.stat_diffs.append(
-            ("offchip", "commands", 0.0, float(len(offchip)))
-        )
-    return report, lhs, rhs
 
 
 def diff_timing_presets(
@@ -364,22 +303,14 @@ def resume_shapes(
 
     ``name -> (config, checkers, sampling plan)``, one per subsystem
     with restore-sensitive state: the plain path, the runtime checkers,
-    the sampling controller, a saturated MRQ under miss-heavy traffic,
-    the three non-memory stack modes (L4 with SRAM tags, L4 with alloy
-    tags-in-DRAM and its hit/miss predictor, the repartitioning
-    MemCache hybrid).  Built on
+    the sampling controller, a saturated MRQ under miss-heavy traffic
+    and the stack as an L4 cache.  Built on
     ``fast`` (default 3D-fast) and, for the checker shape, ``baseline``
     (default 2D); tests pass cut-down bases.
     """
     from ..common.units import KIB
     from ..sampling.plan import SamplingPlan
-    from ..system.config import (
-        config_2d,
-        config_3d_fast,
-        config_l4_alloy,
-        config_l4_cache,
-        config_memcache,
-    )
+    from ..system.config import config_2d, config_3d_fast, config_l4_cache
 
     fast = fast if fast is not None else config_3d_fast()
     baseline = baseline if baseline is not None else config_2d()
@@ -390,8 +321,6 @@ def resume_shapes(
         "sampled": (fast, None, SamplingPlan()),
         "miss-heavy": (miss_heavy, None, None),
         "l4-cache": (config_l4_cache(base=fast), None, None),
-        "l4-alloy": (config_l4_alloy(base=fast), None, None),
-        "memcache": (config_memcache(base=fast), None, None),
     }
 
 

@@ -14,12 +14,7 @@ from repro.experiments.catalog import CATALOG
 from repro.memctrl.mapping import MAPPING_SCHEMES
 from repro.memctrl.schedulers import SCHEDULERS
 from repro.mshr.factory import ORGANIZATIONS
-from repro.system.config import (
-    BUS_PRESETS,
-    L4_TAG_ORGS,
-    STACK_MODES,
-    TIMING_PRESETS,
-)
+from repro.system.config import BUS_PRESETS, STACK_MODES, TIMING_PRESETS
 
 REGISTRIES = {
     "l2_mshr_organization": ORGANIZATIONS,
@@ -28,7 +23,6 @@ REGISTRIES = {
     "dram_timing": TIMING_PRESETS,
     "memory_bus": BUS_PRESETS,
     "stack_mode": STACK_MODES,
-    "l4_tags": L4_TAG_ORGS,
     "dram_page_policy": PAGE_POLICIES,
     "dram_mapping_scheme": MAPPING_SCHEMES,
 }

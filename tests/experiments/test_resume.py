@@ -237,13 +237,21 @@ def test_resume_refuses_a_different_run(
     counted_runs.clear()
     arguments = dict(configs=configs, mixes=mixes)
     arguments.update(_one_change(change, configs, mixes))
-    with pytest.raises(ValueError, match="different run"):
+    with pytest.raises(ValueError, match="different run") as refused:
         run_matrix(
             scale=TINY, workers=1,
             policy=RunPolicy(journal_path=journal, resume=True),
             **arguments,
         )
     assert counted_runs == []
+    # The refusal names what differs.
+    named = {
+        "config-contents": "signature.configs[0].l2_assoc",
+        "mix-benchmarks": "signature.mixes[0].benchmarks",
+        "checkers": "signature.checkers",
+        "sampling": "signature.sampling",
+    }[change]
+    assert f"differs at {named}" in str(refused.value)
 
 
 def test_resume_refuses_a_journal_with_an_older_header(

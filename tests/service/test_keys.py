@@ -24,7 +24,7 @@ from repro.experiments.spec import (
     config_from_dict,
     config_to_dict,
 )
-from repro.system.config import config_memcache
+from repro.system.config import config_l4_cache
 from repro.system.scale import ExperimentScale
 from repro.workloads.mixes import MIXES
 
@@ -185,7 +185,7 @@ def test_key_changes_with_sampling():
 
 
 def test_config_dict_round_trip_with_stack_mode():
-    config = config_memcache(base=BASE)
+    config = config_l4_cache(base=BASE)
     assert config_from_dict(config_to_dict(config)) == config
     assert key(config=config_from_dict(config_to_dict(config))) == key(
         config=config

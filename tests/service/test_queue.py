@@ -197,17 +197,22 @@ def test_open_refuses_a_job_from_another_build(tmp_path, one_cell_spec):
 def test_open_refuses_a_job_naming_a_deleted_organization(
     tmp_path, one_cell_spec
 ):
-    """A job whose config names an MSHR organization this build no
-    longer has is refused when the queue opens, not queued to fail in
-    every cell."""
-    signature = one_cell_spec.signature()
-    signature["configs"][0]["l2_mshr_organization"] = "quadratic"
-    path = tmp_path / f"job-0001-{one_cell_spec.fingerprint()}.jsonl"
-    CellJournal.open(path, signature).close()
-    with pytest.raises(ValueError, match="'quadratic'") as excinfo:
-        JobQueue.open(tmp_path)
-    assert str(path) in str(excinfo.value)
-    assert path.exists()
+    """A job whose config names an MSHR organization, or carries a
+    config field, this build no longer has is refused when the queue
+    opens, not queued to fail in every cell."""
+    for root, field, value, named in (
+        (tmp_path / "org", "l2_mshr_organization", "quadratic", "'quadratic'"),
+        (tmp_path / "field", "l4_tags", "sram", "l4_tags"),
+    ):
+        root.mkdir()
+        signature = one_cell_spec.signature()
+        signature["configs"][0][field] = value
+        path = root / f"job-0001-{one_cell_spec.fingerprint()}.jsonl"
+        CellJournal.open(path, signature).close()
+        with pytest.raises(ValueError, match=named) as excinfo:
+            JobQueue.open(root)
+        assert str(path) in str(excinfo.value)
+        assert path.exists()
 
 
 @pytest.mark.parametrize("keep", [0, 0.5], ids=["empty", "half-header"])

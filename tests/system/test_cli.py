@@ -143,9 +143,8 @@ def test_figure_with_journal_and_resume(capsys, monkeypatch, tmp_path):
         (["figure", "4"], "3D-wide"),
         (["table", "2b"], "2D"),
         (["ablation", "scheduler"], "fcfs"),
-        (["stack-modes", "--capacities", "32"], "L4-alloy-32M"),
     ],
-    ids=["figure4", "table2b", "ablation", "stack-modes"],
+    ids=["figure4", "table2b", "ablation"],
 )
 def test_figure_with_injected_failure_degrades(
     capsys, monkeypatch, command, failing_config
