@@ -1,8 +1,7 @@
 """Set-associative cache tag/state array (contents only, no timing).
 
 Timing lives in the L1/L2 controller classes; this array tracks which
-lines are resident, their dirty bits, and victim selection through a
-pluggable replacement policy (LRU by default, per Table 1).
+lines are resident, their dirty bits, and LRU victim selection (Table 1).
 Lines are identified by their aligned physical address.
 """
 
@@ -12,7 +11,6 @@ from collections import OrderedDict
 from typing import Optional, Tuple
 
 from ..common.units import is_power_of_two, log2int
-from .replacement import make_policy
 
 
 class CacheArray:
@@ -23,8 +21,6 @@ class CacheArray:
         size_bytes: int,
         assoc: int,
         line_size: int = 64,
-        policy: str = "lru",
-        seed: int = 0,
     ) -> None:
         if size_bytes <= 0 or assoc <= 0:
             raise ValueError("size and associativity must be positive")
@@ -39,7 +35,6 @@ class CacheArray:
         self.assoc = assoc
         self.line_size = line_size
         self.num_sets = size_bytes // (assoc * line_size)
-        self.policy = make_policy(policy, seed)
         self._line_shift = log2int(line_size)
         # Precomputed masks: align is a single AND, and power-of-two set
         # counts (the common case) index with shift-and-mask.
@@ -47,13 +42,9 @@ class CacheArray:
         self._set_mask = (
             self.num_sets - 1 if is_power_of_two(self.num_sets) else None
         )
-        # Bound policy hooks: one attribute load instead of two per access.
-        self._on_access = self.policy.on_access
-        self._on_fill = self.policy.on_fill
-        self._on_evict = self.policy.on_evict
-        self._choose_victim = self.policy.choose_victim
-        # One OrderedDict per set, mapping line address -> dirty flag.
-        # The dict's order is owned by the policy (LRU keeps it LRU->MRU).
+        # One OrderedDict per set, mapping line address -> dirty flag,
+        # kept in LRU -> MRU order: a hit or refill moves the line to the
+        # end, a fill appends, and the victim is the first line.
         self._sets = [OrderedDict() for _ in range(self.num_sets)]
 
     def set_index(self, line_addr: int) -> int:
@@ -67,10 +58,9 @@ class CacheArray:
     def lookup(self, addr: int) -> bool:
         """Hit test with replacement-state update (a real access)."""
         line = addr & self._align_mask
-        index = self.set_index(line)
-        cache_set = self._sets[index]
+        cache_set = self._sets[self.set_index(line)]
         if line in cache_set:
-            self._on_access(cache_set, index, line)
+            cache_set.move_to_end(line)
             return True
         return False
 
@@ -82,12 +72,11 @@ class CacheArray:
         -access call overhead dominates.  Returns True on a hit.
         """
         line = addr & self._align_mask
-        index = self.set_index(line)
-        cache_set = self._sets[index]
+        cache_set = self._sets[self.set_index(line)]
         if line in cache_set:
             if dirty:
                 cache_set[line] = True
-            self._on_access(cache_set, index, line)
+            cache_set.move_to_end(line)
             return True
         return False
 
@@ -99,43 +88,32 @@ class CacheArray:
     def fill(self, addr: int, dirty: bool = False) -> Optional[Tuple[int, bool]]:
         """Insert a line; returns the evicted ``(line, dirty)`` if any."""
         line = addr & self._align_mask
-        set_idx = self.set_index(line)
-        cache_set = self._sets[set_idx]
+        cache_set = self._sets[self.set_index(line)]
         if line in cache_set:
             # Refill of a resident line (e.g. racing prefetch): just
-            # merge the dirty bit and touch replacement state.
+            # merge the dirty bit and make the line MRU.
             cache_set[line] = cache_set[line] or dirty
-            self._on_access(cache_set, set_idx, line)
+            cache_set.move_to_end(line)
             return None
         victim: Optional[Tuple[int, bool]] = None
         if len(cache_set) >= self.assoc:
-            victim_line = self._choose_victim(cache_set, set_idx)
-            victim = (victim_line, cache_set.pop(victim_line))
-            self._on_evict(cache_set, set_idx, victim_line)
+            victim = cache_set.popitem(last=False)  # the LRU line
         cache_set[line] = dirty
-        self._on_fill(cache_set, set_idx, line)
         return victim
 
     def mark_dirty(self, addr: int) -> None:
         """Set the dirty bit of a resident line (write hit)."""
         line = addr & self._align_mask
-        set_idx = self.set_index(line)
-        cache_set = self._sets[set_idx]
+        cache_set = self._sets[self.set_index(line)]
         if line not in cache_set:
             raise KeyError(f"line {line:#x} not resident")
         cache_set[line] = True
-        self._on_access(cache_set, set_idx, line)
+        cache_set.move_to_end(line)
 
     def invalidate(self, addr: int) -> Optional[bool]:
         """Drop a line; returns its dirty bit, or None if absent."""
         line = addr & self._align_mask
-        set_idx = self.set_index(line)
-        cache_set = self._sets[set_idx]
-        if line not in cache_set:
-            return None
-        dirty = cache_set.pop(line)
-        self._on_evict(cache_set, set_idx, line)
-        return dirty
+        return self._sets[self.set_index(line)].pop(line, None)
 
     @property
     def resident_lines(self) -> int:

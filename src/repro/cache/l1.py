@@ -83,7 +83,7 @@ class L1Cache:
             self._c_hits.value += 1.0
             if is_write:
                 cache_set[line] = True
-            array._on_access(cache_set, set_idx, line)
+            cache_set.move_to_end(line)
             self.on_data(record, now + self.latency)
             self._train_prefetcher(addr, pc, False)
             return True

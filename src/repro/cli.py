@@ -13,8 +13,8 @@ Commands:
   rate, queue wait, MRQ occupancy) and each core's parked-dispatch tally.
 * ``figure {4,6a,6b,7,9}``            — regenerate a figure.
 * ``table {2a,2b}``                   — regenerate a table.
-* ``ablation {scheduler,interleave,prefetch,replacement,page_policy,
-  mapping,mshr_org}``                 — run a design-choice ablation.
+* ``ablation {scheduler,interleave,prefetch,mshr_org}`` — run a
+  design-choice ablation.
 * ``report --output results/``        — regenerate everything.
 * ``validate {timing,resume,sampling}`` — run one differential of
   :mod:`repro.validate.diff` (or the sampling accuracy gate) on a

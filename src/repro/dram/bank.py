@@ -20,10 +20,6 @@ from .refresh import RefreshSchedule
 from .rowbuffer import RowBufferCache
 from .timing import DramTiming
 
-#: Row-buffer page policies accepted in configs (``dram_page_policy``).
-PAGE_POLICIES = ("open", "closed")
-
-
 class Bank:
     """One DRAM bank: a bitcell array plus a row-buffer cache."""
 
@@ -35,10 +31,7 @@ class Bank:
         stats: Optional[StatGroup] = None,
         name: str = "bank",
         activations: Optional[ActivationWindow] = None,
-        page_policy: str = "open",
     ) -> None:
-        if page_policy not in PAGE_POLICIES:
-            raise ValueError(f"unknown page policy {page_policy!r}")
         self.timing = timing
         self.refresh = refresh
         # Shared per-rank tRRD/tFAW governor (private one when absent,
@@ -46,10 +39,7 @@ class Bank:
         self.activations = (
             activations if activations is not None else ActivationWindow(timing)
         )
-        # "open" keeps rows latched in the row-buffer cache for reuse;
-        # "closed" auto-precharges after every access (no retention, no
-        # conflict penalty -- every access pays exactly tRCD + tCAS).
-        self.page_policy = page_policy
+        # Open-page: rows stay latched in the row-buffer cache for reuse.
         self.row_buffers = RowBufferCache(row_buffer_entries)
         self.stats = stats if stats is not None else StatGroup(name)
         # Bound counter slots: access() runs once per DRAM command, so a
@@ -89,16 +79,6 @@ class Bank:
         begin = self.earliest_start(start)
         self._maybe_cross_refresh_epoch(begin)
 
-        if self.page_policy == "closed":
-            act_start = max(begin, self._array_ready)
-            act_start = self.activations.earliest_activate(act_start)
-            self.activations.record(act_start)
-            data_time = act_start + self.timing.t_rcd + self.timing.t_cas
-            self._array_ready = act_start + self.timing.t_rc
-            self._bank_ready = data_time
-            self._c_row_misses.value += 1.0
-            return data_time, False
-
         if self.row_buffers.lookup(row):
             data_time = begin + self.timing.t_cas
             if is_write:
@@ -133,11 +113,8 @@ class Bank:
 
         Mirrors the row-buffer transitions of :meth:`access` — MRU
         promotion on a hit, activation (with eviction) on a miss — but
-        touches no timing state and no statistics.  Closed-page banks
-        retain nothing, so this is a no-op there.
+        touches no timing state and no statistics.
         """
-        if self.page_policy == "closed":
-            return
         if self.row_buffers.lookup(row):
             if is_write:
                 self.row_buffers.touch_dirty(row)

@@ -26,7 +26,6 @@ class DramDevice:
         row_buffer_entries: int = 1,
         registry: Optional[StatRegistry] = None,
         first_rank_id: int = 0,
-        page_policy: str = "open",
         stat_prefix: str = "",
     ) -> None:
         if num_ranks < 1:
@@ -39,7 +38,6 @@ class DramDevice:
                 num_banks=banks_per_rank,
                 row_buffer_entries=row_buffer_entries,
                 registry=registry,
-                page_policy=page_policy,
                 stat_prefix=stat_prefix,
             )
             for i in range(num_ranks)

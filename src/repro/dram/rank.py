@@ -26,7 +26,6 @@ class Rank:
         row_buffer_entries: int = 1,
         registry: Optional[StatRegistry] = None,
         refresh_phase: Optional[int] = None,
-        page_policy: str = "open",
         stat_prefix: str = "",
     ) -> None:
         if num_banks < 1:
@@ -51,7 +50,6 @@ class Rank:
                     stats=stats,
                     name=name,
                     activations=self.activations,
-                    page_policy=page_policy,
                 )
             )
 

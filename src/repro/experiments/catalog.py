@@ -508,28 +508,6 @@ CATALOG: Dict[str, Experiment] = {
             # Prefetching costs on the bandwidth-saturated H/VH mixes.
             expect=(Band("gm prefetch-off", 1.0, 1.3),),
         ),
-        _ablation(
-            "replacement", "L2 replacement policy (over LRU)",
-            [
-                ("lru", {}),
-                ("random", {"l2_replacement": "random"}),
-                ("srrip", {"l2_replacement": "srrip"}),
-            ],
-        ),
-        _ablation(
-            "page_policy", "DRAM page policy (over open-page)",
-            [
-                ("open-page", {}),
-                ("closed-page", {"dram_page_policy": "closed"}),
-            ],
-        ),
-        _ablation(
-            "mapping", "DRAM address interleaving (over plain page)",
-            [
-                ("modulo", {}),
-                ("xor-permuted", {"dram_mapping_scheme": "xor"}),
-            ],
-        ),
         # At the 8x point; the probes/access column is the paper's
         # headline argument for the VBF over plain linear probing.
         _ablation(

@@ -53,7 +53,10 @@ from ..workloads.mixes import WorkloadMix
 #: v5: SystemConfig lost the alloy/MemCache L4 fields (l4_tags,
 #: l4_predictor, l4_cache_fraction, the repartition knobs) and the
 #: one-valued off-chip/L4 MSHR sizes (offchip_*, l4_mshr_entries).
-KEY_SCHEMA_VERSION = 5
+#: v6: SystemConfig lost its L2 replacement, DRAM page-policy,
+#: interleaving-scheme and L2 MSHR banking switches (always LRU,
+#: open-page, modulo-interleaved, one L2 MSHR file per MC).
+KEY_SCHEMA_VERSION = 6
 
 
 def canonical_json(obj) -> str:

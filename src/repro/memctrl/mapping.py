@@ -22,9 +22,6 @@ from typing import NamedTuple
 
 from ..common.units import is_power_of_two, log2int
 
-#: Interleaving schemes accepted in configs (``dram_mapping_scheme``).
-MAPPING_SCHEMES = ("page", "xor")
-
 
 class DramCoordinates(NamedTuple):
     """Where one physical address lives in the DRAM array.
@@ -51,16 +48,7 @@ class AddressMapping:
         banks_per_rank: int = 8,
         page_size: int = 4096,
         line_size: int = 64,
-        scheme: str = "page",
     ) -> None:
-        """``scheme``:
-
-        * ``"page"`` — plain modulo interleaving (the default above).
-        * ``"xor"``  — permutation-based interleaving: the bank index is
-          XORed with the low row bits, so strided patterns whose period
-          aliases with the bank count still spread across banks
-          (requires power-of-two banks).
-        """
         for name, value in (
             ("num_mcs", num_mcs),
             ("ranks_per_mc", ranks_per_mc),
@@ -72,11 +60,6 @@ class AddressMapping:
             raise ValueError("page size must be a power of two")
         if not is_power_of_two(line_size) or line_size > page_size:
             raise ValueError("line size must be a power of two <= page size")
-        if scheme not in MAPPING_SCHEMES:
-            raise ValueError(f"unknown interleaving scheme {scheme!r}")
-        if scheme == "xor" and not is_power_of_two(banks_per_rank):
-            raise ValueError("xor interleaving needs power-of-two banks")
-        self.scheme = scheme
         self.num_mcs = num_mcs
         self.ranks_per_mc = ranks_per_mc
         self.banks_per_rank = banks_per_rank
@@ -128,8 +111,6 @@ class AddressMapping:
             bank = (page >> self._bank_shift) & self._bank_mask
             rank = (page >> self._rank_shift) & self._rank_mask
             row = page >> self._row_shift
-            if self.scheme == "xor":
-                bank ^= row & self._bank_mask
             return DramCoordinates(mc, rank, bank, row, column)
         column = (addr & (self.page_size - 1)) >> self._line_shift
         mc = page % self.num_mcs
@@ -138,18 +119,13 @@ class AddressMapping:
         page //= self.banks_per_rank
         rank = page % self.ranks_per_mc
         row = page // self.ranks_per_mc
-        if self.scheme == "xor":
-            bank ^= row % self.banks_per_rank
         return DramCoordinates(mc=mc, rank=rank, bank=bank, row=row, column=column)
 
     def compose(self, coords: DramCoordinates, column_offset: int = 0) -> int:
         """Inverse of :meth:`decompose` (used by tests for bijectivity)."""
-        bank = coords.bank
-        if self.scheme == "xor":
-            bank ^= coords.row % self.banks_per_rank
         page = coords.row
         page = page * self.ranks_per_mc + coords.rank
-        page = page * self.banks_per_rank + bank
+        page = page * self.banks_per_rank + coords.bank
         page = page * self.num_mcs + coords.mc
         addr = page << self._page_shift
         addr |= (coords.column << self._line_shift) | column_offset

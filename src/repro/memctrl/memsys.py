@@ -39,8 +39,6 @@ class MainMemory:
         mc_transaction_overhead: int = 0,
         page_size: int = 4096,
         line_size: int = 64,
-        mapping_scheme: str = "page",
-        page_policy: str = "open",
         first_mc_id: int = 0,
         stat_prefix: str = "",
     ) -> None:
@@ -70,7 +68,6 @@ class MainMemory:
             banks_per_rank=banks_per_rank,
             page_size=page_size,
             line_size=line_size,
-            scheme=mapping_scheme,
         )
         per_mc_queue = aggregate_queue_capacity // num_mcs
         self.controllers: List[MemoryController] = []
@@ -83,7 +80,6 @@ class MainMemory:
                 row_buffer_entries=row_buffer_entries,
                 registry=self.registry,
                 first_rank_id=local_mc * ranks_per_mc,
-                page_policy=page_policy,
                 stat_prefix=stat_prefix,
             )
             bus = bus_factory(f"{stat_prefix}mc{mc_id}.bus")

@@ -11,10 +11,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Optional
 
-from ..cache.replacement import POLICIES
 from ..common.units import GIB, KIB, MIB
-from ..dram.bank import PAGE_POLICIES
-from ..memctrl.mapping import MAPPING_SCHEMES
 from ..memctrl.schedulers import SCHEDULERS
 from ..mshr.factory import ORGANIZATIONS
 
@@ -63,7 +60,6 @@ class SystemConfig:
     l2_latency: int = 9
     l2_interleave: str = "page"  # "page" (streamlined) | "line" (ablation)
     l2_prefetch: bool = True
-    l2_replacement: str = "lru"
 
     # Optional stacked L3 between the L2 and main memory (the paper's
     # "stack more cache instead" alternative; off in every paper config)
@@ -78,7 +74,6 @@ class SystemConfig:
     # total and a quad-MC machine has 8 per bank.
     l2_mshr_organization: str = "conventional"
     l2_mshr_per_bank: int = 8
-    l2_mshr_banked: bool = True  # one bank per MC when True
     l2_mshr_dynamic: bool = False
 
     # Main memory organization
@@ -90,8 +85,6 @@ class SystemConfig:
     row_buffer_entries: int = 1
     mrq_capacity: int = 32  # aggregate across MCs
     scheduler: str = "fr-fcfs"
-    dram_page_policy: str = "open"  # "open" (paper) | "closed" (auto-PRE)
-    dram_mapping_scheme: str = "page"  # "page" (paper) | "xor" (permuted)
     mc_quantum: int = 2  # MC clocked at FSB speed in the 2D baseline
     # Per-channel transaction handling occupancy (arbitration + command
     # sequencing + completion bookkeeping).  The paper's Section 4.1 gains
@@ -119,11 +112,8 @@ class SystemConfig:
         for field, known in (
             ("dram_timing", TIMING_PRESETS),
             ("memory_bus", BUS_PRESETS),
-            ("l2_replacement", POLICIES),
             ("l2_mshr_organization", ORGANIZATIONS),
             ("scheduler", SCHEDULERS),
-            ("dram_page_policy", PAGE_POLICIES),
-            ("dram_mapping_scheme", MAPPING_SCHEMES),
             ("stack_mode", STACK_MODES),
         ):
             value = getattr(self, field)

@@ -174,8 +174,6 @@ class Machine:
             mc_transaction_overhead=config.mc_transaction_overhead,
             page_size=config.page_size,
             line_size=config.line_size,
-            mapping_scheme=config.dram_mapping_scheme,
-            page_policy=config.dram_page_policy,
         )
 
         # Stack as an L4 (repro.stack3d.modes): in "cache" mode the
@@ -209,8 +207,6 @@ class Machine:
                 mc_transaction_overhead=12,
                 page_size=config.page_size,
                 line_size=config.line_size,
-                mapping_scheme=config.dram_mapping_scheme,
-                page_policy=config.dram_page_policy,
                 # Globally unique MC ids and "offchip."-prefixed stat
                 # groups: transcripts and checkers stay unambiguous, and the
                 # stack power model (bank prefix "dram.") keeps counting
@@ -244,14 +240,13 @@ class Machine:
 
         # L2 MSHR banks: one per MC in the streamlined organization,
         # each with the configured per-bank capacity.
-        num_mshr_banks = config.num_mcs if config.l2_mshr_banked else 1
         self.l2_mshr_files = [
             make_mshr(
                 config.l2_mshr_organization,
                 config.l2_mshr_per_bank,
                 config.line_size,
             )
-            for _ in range(num_mshr_banks)
+            for _ in range(config.num_mcs)
         ]
 
         l2_prefetcher = None
@@ -284,12 +279,7 @@ class Machine:
             l2_backend = self.l3
         self.l2 = BankedL2Cache(
             self.engine,
-            CacheArray(
-                l2_size,
-                config.l2_assoc,
-                config.line_size,
-                policy=config.l2_replacement,
-            ),
+            CacheArray(l2_size, config.l2_assoc, config.line_size),
             l2_backend,
             self.l2_mshr_files,
             registry=self.registry,

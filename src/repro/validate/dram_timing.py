@@ -51,7 +51,6 @@ class ShadowBank:
         timing: DramTiming,
         refresh_phase: int = 0,
         row_buffer_entries: int = 1,
-        page_policy: str = "open",
         activations: Optional[ActivationWindow] = None,
         label: str = "bank",
     ) -> None:
@@ -63,7 +62,6 @@ class ShadowBank:
             row_buffer_entries=row_buffer_entries,
             name=f"shadow.{label}",
             activations=activations,
-            page_policy=page_policy,
         )
         self._dirty_evictions = self._bank.stats.counter("dirty_evictions")
         # Reconstructed command history for constraint naming.
@@ -207,7 +205,6 @@ class DramTimingChecker(Checker):
             bank.timing,
             refresh_phase=bank.refresh.phase,
             row_buffer_entries=bank.row_buffers.num_entries,
-            page_policy=bank.page_policy,
             activations=window,
             label=f"mc{mc_id}.rank{rank_id}.bank{bank_id}",
         )

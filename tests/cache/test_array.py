@@ -35,6 +35,26 @@ def test_lru_eviction_within_set():
     assert victim == (1 * 64, False)
 
 
+def test_capacity_invariant():
+    array = _tiny(assoc=4, sets=2)
+    for n in range(64):
+        line = n * 64
+        if not array.lookup(line):
+            array.fill(line)
+        assert array.resident_lines <= 8
+
+
+def test_victim_is_resident_and_frees_room():
+    array = _tiny(assoc=2, sets=1)
+    array.fill(0 * 64)
+    array.fill(1 * 64)
+    victim = array.fill(2 * 64)
+    assert victim is not None
+    assert victim[0] in (0, 64)
+    assert array.probe(2 * 64)
+    assert array.resident_lines == 2
+
+
 def test_dirty_victim_reported():
     array = _tiny(assoc=1, sets=1)
     array.fill(0)
@@ -71,6 +91,14 @@ def test_invalidate():
     array.fill(0x40)
     assert array.invalidate(0x40) is False
     assert not array.lookup(0x40)
+
+
+def test_invalidate_then_refill():
+    array = _tiny(assoc=2, sets=1)
+    array.fill(0)
+    array.fill(64)
+    array.invalidate(0)
+    assert array.fill(128) is None  # room freed, no eviction needed
 
 
 def test_sets_are_independent():

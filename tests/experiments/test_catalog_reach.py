@@ -8,10 +8,7 @@ configs only — no simulation runs.
 
 import pytest
 
-from repro.cache.replacement import POLICIES
-from repro.dram.bank import PAGE_POLICIES
 from repro.experiments.catalog import CATALOG
-from repro.memctrl.mapping import MAPPING_SCHEMES
 from repro.memctrl.schedulers import SCHEDULERS
 from repro.mshr.factory import ORGANIZATIONS
 from repro.system.config import BUS_PRESETS, STACK_MODES, TIMING_PRESETS
@@ -19,12 +16,9 @@ from repro.system.config import BUS_PRESETS, STACK_MODES, TIMING_PRESETS
 REGISTRIES = {
     "l2_mshr_organization": ORGANIZATIONS,
     "scheduler": SCHEDULERS,
-    "l2_replacement": POLICIES,
     "dram_timing": TIMING_PRESETS,
     "memory_bus": BUS_PRESETS,
     "stack_mode": STACK_MODES,
-    "dram_page_policy": PAGE_POLICIES,
-    "dram_mapping_scheme": MAPPING_SCHEMES,
 }
 
 

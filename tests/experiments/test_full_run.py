@@ -60,7 +60,7 @@ def test_suite_order_is_catalog_order(monkeypatch):
     monkeypatch.setattr(full_run, "run_experiment", fake_run)
     reports = run_full_suite(progress=False)
     assert ran == list(reports) == list(CATALOG)
-    assert len(CATALOG) == 17
+    assert len(CATALOG) == 14
     # --only keeps catalog order, not the order given.
     reports = run_full_suite(only=["study_stack", "figure4"], progress=False)
     assert list(reports) == ["figure4", "study_stack"]

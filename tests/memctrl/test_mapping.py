@@ -75,33 +75,3 @@ def test_property_decompose_compose_roundtrip(addr, num_mcs, ranks, banks):
     rebuilt = mapping.compose(coords, column_offset=addr & 63)
     assert rebuilt == addr
 
-
-def test_xor_scheme_is_bijective():
-    mapping = AddressMapping(num_mcs=2, ranks_per_mc=4, banks_per_rank=8,
-                             scheme="xor")
-    for addr in range(0, 1 << 22, 4096):
-        coords = mapping.decompose(addr)
-        assert mapping.compose(coords) == addr
-
-
-def test_xor_scheme_breaks_bank_aliasing():
-    """A stride that always lands in bank 0 under modulo interleaving
-    spreads across banks under XOR permutation."""
-    plain = AddressMapping(banks_per_rank=8)
-    xor = AddressMapping(banks_per_rank=8, scheme="xor")
-    stride = 8 * 4096  # one page per bank period -> constant bank
-    addrs = [i * stride for i in range(64)]
-    plain_banks = {plain.decompose(a).bank for a in addrs}
-    xor_banks = {xor.decompose(a).bank for a in addrs}
-    assert len(plain_banks) == 1
-    assert len(xor_banks) > 4
-
-
-def test_xor_requires_power_of_two_banks():
-    with pytest.raises(ValueError):
-        AddressMapping(banks_per_rank=6, scheme="xor")
-
-
-def test_unknown_scheme_rejected():
-    with pytest.raises(ValueError):
-        AddressMapping(scheme="hilbert")

@@ -3,12 +3,12 @@
 Direction one: a preempted run resumed in a fresh machine must finish
 with the exact result the uninterrupted run produces — over every shape
 of :func:`repro.validate.diff.resume_shapes`, over randomized machines
-that together draw every MSHR organization, replacement policy and
-scheduler, and across processes with different hash seeds.  Direction
-two: restoring a snapshot and immediately re-capturing must reproduce
-the snapshot's own state tree, so a field the state walk drops or
-restores with a default shows up as a tree diff right here, not as a
-divergence ten thousand cycles later.  Nothing below depends on hash
+that together draw every MSHR organization and scheduler, and across
+processes with different hash seeds.  Direction two: restoring a
+snapshot and immediately re-capturing must reproduce the snapshot's own
+state tree, so a field the state walk drops or restores with a default
+shows up as a tree diff right here, not as a divergence ten thousand
+cycles later.  Nothing below depends on hash
 ordering, so the suite passes under ``PYTHONHASHSEED=random`` (CI runs
 it that way).
 """
@@ -21,7 +21,6 @@ import sys
 import pytest
 
 import repro
-from repro.cache.replacement import POLICIES
 from repro.common import request as request_mod
 from repro.common.errors import SnapshotError, SnapshotPreempted, SnapshotSchemaError
 from repro.common.units import MIB
@@ -331,27 +330,18 @@ def test_a_field_no_seam_names_survives_resume(tmp_path):
     assert fresh.cores[0].base_cpi == 0.625
 
 
-#: (seed, L2 replacement policy) for randomized machines
-#: (tests/strategies.py): together they draw every MSHR organization,
-#: the dynamic tuner, every replacement policy, every scheduler (the
+#: Seeds of randomized machines (tests/strategies.py): together they
+#: draw every MSHR organization, the dynamic tuner, every scheduler (the
 #: write-drain one keeps its drain mode across a restore) and the
 #: four-MC machine — the restore-sensitive state none of the fixed
 #: shapes reaches.
-RANDOM_RESUMES = [
-    (15, "lru"), (35, "random"), (0, "srrip"), (2, "lru"), (9, "random"),
-]
-
-
-def _random_machine(seed, policy):
-    config = random_system_config(seed).derive(l2_replacement=policy)
-    return config, random_benchmarks(seed)
+RANDOM_RESUMES = [15, 35, 0, 2, 9]
 
 
 def test_random_resumes_cover_every_restore_sensitive_draw():
-    configs = [_random_machine(seed, policy)[0] for seed, policy in RANDOM_RESUMES]
+    configs = [random_system_config(seed) for seed in RANDOM_RESUMES]
     assert {c.l2_mshr_organization for c in configs} == set(ORGANIZATIONS)
     assert any(c.l2_mshr_dynamic for c in configs)
-    assert {c.l2_replacement for c in configs} == set(POLICIES)
     assert {c.scheduler for c in configs} == set(SCHEDULERS)
     quad = config_quad_mc()
     assert any(
@@ -361,12 +351,12 @@ def test_random_resumes_cover_every_restore_sensitive_draw():
 
 
 @pytest.mark.parametrize(
-    "seed,policy", RANDOM_RESUMES, ids=[f"seed{s}" for s, _ in RANDOM_RESUMES]
+    "seed", RANDOM_RESUMES, ids=[f"seed{s}" for s in RANDOM_RESUMES]
 )
-def test_random_machine_resumes_bit_identically(seed, policy, tmp_path):
-    config, benchmarks = _random_machine(seed, policy)
+def test_random_machine_resumes_bit_identically(seed, tmp_path):
     report, oracle, stitched = diff_resume(
-        config, benchmarks, warmup=WARMUP, measure=MEASURE, every=EVERY,
+        random_system_config(seed), random_benchmarks(seed),
+        warmup=WARMUP, measure=MEASURE, every=EVERY,
         snapshot_path=str(tmp_path / "cell.snap"), seed=seed,
         label=f"seed{seed}",
     )

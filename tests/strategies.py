@@ -203,8 +203,6 @@ def random_system_config(seed: int, num_cores: int = 4):
         l2_mshr_dynamic=rng.random() < 0.3,
         row_buffer_entries=rng.choice((1, 4)),
         scheduler=rng.choice(SCHEDULERS),
-        dram_page_policy=rng.choice(("open", "open", "closed")),
-        dram_mapping_scheme=rng.choice(("page", "xor")),
         dram_capacity=256 << 20,
     )
 

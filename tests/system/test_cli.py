@@ -251,7 +251,7 @@ def test_ablation_choices_are_the_catalogs():
     assert [f"ablation_{choice}" for choice in which.choices] == [
         name for name in CATALOG if name.startswith("ablation_")
     ]
-    assert "page_policy" in which.choices and "mshr_org" in which.choices
+    assert "scheduler" in which.choices and "mshr_org" in which.choices
 
 
 def test_figure7_journal_is_resumed_by_report(capsys, monkeypatch, tmp_path):

@@ -89,8 +89,7 @@ def test_validation(changes):
 
 @pytest.mark.parametrize(
     "field",
-    ["scheduler", "l2_mshr_organization", "l2_replacement",
-     "dram_page_policy", "dram_mapping_scheme"],
+    ["scheduler", "l2_mshr_organization"],
 )
 def test_unknown_policy_name_is_refused_on_construction(field):
     """A misspelt or retired name fails when the config is built, naming

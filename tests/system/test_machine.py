@@ -82,12 +82,6 @@ def test_dynamic_tuner_attached_and_running():
     assert machine.tuner.trainings >= 1
 
 
-def test_unbanked_mshr_is_single_file():
-    config = _small(config_quad_mc()).derive(l2_mshr_banked=False)
-    machine = Machine(config, FAST_MIX)
-    assert len(machine.l2_mshr_files) == 1
-
-
 def test_max_cycles_guard_raises():
     machine = Machine(_small(config_2d()), ["S.all"] * 4)
     with pytest.raises(SimulationError):
