@@ -7,7 +7,6 @@ Lines are identified by their aligned physical address.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Optional, Tuple
 
 from ..common.units import is_power_of_two, log2int
@@ -42,10 +41,11 @@ class CacheArray:
         self._set_mask = (
             self.num_sets - 1 if is_power_of_two(self.num_sets) else None
         )
-        # One OrderedDict per set, mapping line address -> dirty flag,
-        # kept in LRU -> MRU order: a hit or refill moves the line to the
-        # end, a fill appends, and the victim is the first line.
-        self._sets = [OrderedDict() for _ in range(self.num_sets)]
+        # One plain dict per set, mapping line address -> dirty flag, kept
+        # in LRU -> MRU insertion order: a hit or refill re-inserts the
+        # line (``d[k] = d.pop(k)``), a fill appends, and the victim is
+        # the first key (host memory per line: docs/performance.md).
+        self._sets = [{} for _ in range(self.num_sets)]
 
     def set_index(self, line_addr: int) -> int:
         if self._set_mask is not None:
@@ -60,7 +60,7 @@ class CacheArray:
         line = addr & self._align_mask
         cache_set = self._sets[self.set_index(line)]
         if line in cache_set:
-            cache_set.move_to_end(line)
+            cache_set[line] = cache_set.pop(line)
             return True
         return False
 
@@ -74,9 +74,7 @@ class CacheArray:
         line = addr & self._align_mask
         cache_set = self._sets[self.set_index(line)]
         if line in cache_set:
-            if dirty:
-                cache_set[line] = True
-            cache_set.move_to_end(line)
+            cache_set[line] = cache_set.pop(line) or dirty
             return True
         return False
 
@@ -92,12 +90,12 @@ class CacheArray:
         if line in cache_set:
             # Refill of a resident line (e.g. racing prefetch): just
             # merge the dirty bit and make the line MRU.
-            cache_set[line] = cache_set[line] or dirty
-            cache_set.move_to_end(line)
+            cache_set[line] = cache_set.pop(line) or dirty
             return None
         victim: Optional[Tuple[int, bool]] = None
         if len(cache_set) >= self.assoc:
-            victim = cache_set.popitem(last=False)  # the LRU line
+            lru = next(iter(cache_set))
+            victim = (lru, cache_set.pop(lru))
         cache_set[line] = dirty
         return victim
 
@@ -107,8 +105,8 @@ class CacheArray:
         cache_set = self._sets[self.set_index(line)]
         if line not in cache_set:
             raise KeyError(f"line {line:#x} not resident")
+        del cache_set[line]
         cache_set[line] = True
-        cache_set.move_to_end(line)
 
     def invalidate(self, addr: int) -> Optional[bool]:
         """Drop a line; returns its dirty bit, or None if absent."""

@@ -81,9 +81,7 @@ class L1Cache:
         cache_set = array._sets[set_idx]
         if line in cache_set:
             self._c_hits.value += 1.0
-            if is_write:
-                cache_set[line] = True
-            cache_set.move_to_end(line)
+            cache_set[line] = cache_set.pop(line) or is_write  # CacheArray.touch
             self.on_data(record, now + self.latency)
             self._train_prefetcher(addr, pc, False)
             return True

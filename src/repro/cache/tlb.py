@@ -8,7 +8,6 @@ DTLB: 64-entry, 4-way set-associative.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Optional
 
 from ..common.stats import StatGroup
@@ -41,7 +40,8 @@ class Tlb:
         self._set_mask = (
             self.num_sets - 1 if is_power_of_two(self.num_sets) else None
         )
-        self._sets = [OrderedDict() for _ in range(self.num_sets)]
+        # One dict per set, vpn -> True, in LRU -> MRU insertion order.
+        self._sets = [{} for _ in range(self.num_sets)]
         self.stats = stats if stats is not None else StatGroup(name)
         # Bound counter slots: access() runs once per dispatched memory op.
         self._c_hits = self.stats.counter("hits")
@@ -57,12 +57,12 @@ class Tlb:
             set_idx = vpn % self.num_sets
         tlb_set = self._sets[set_idx]
         if vpn in tlb_set:
-            tlb_set.move_to_end(vpn)
+            tlb_set[vpn] = tlb_set.pop(vpn)
             self._c_hits.value += 1.0
             return 0
         self._c_misses.value += 1.0
         if len(tlb_set) >= self.assoc:
-            tlb_set.popitem(last=False)
+            del tlb_set[next(iter(tlb_set))]
         tlb_set[vpn] = True
         return self.walk_penalty
 
@@ -81,10 +81,10 @@ class Tlb:
             set_idx = vpn % self.num_sets
         tlb_set = self._sets[set_idx]
         if vpn in tlb_set:
-            tlb_set.move_to_end(vpn)
+            tlb_set[vpn] = tlb_set.pop(vpn)
             return
         if len(tlb_set) >= self.assoc:
-            tlb_set.popitem(last=False)
+            del tlb_set[next(iter(tlb_set))]
         tlb_set[vpn] = True
 
     def contains(self, vaddr: int) -> bool:

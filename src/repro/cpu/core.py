@@ -400,13 +400,13 @@ class Core:
                 vpn = addr >> tlb._page_shift
                 tlb_set = tlb._sets[vpn & mask]
                 if vpn in tlb_set:
-                    tlb_set.move_to_end(vpn)
+                    tlb_set[vpn] = tlb_set.pop(vpn)
                     tlb._c_hits.value += 1.0
                     walk_penalty = 0
                 else:
                     tlb._c_misses.value += 1.0
                     if len(tlb_set) >= tlb.assoc:
-                        tlb_set.popitem(last=False)
+                        del tlb_set[next(iter(tlb_set))]
                     tlb_set[vpn] = True
                     walk_penalty = tlb.walk_penalty
             else:

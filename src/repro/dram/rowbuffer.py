@@ -8,15 +8,15 @@ accessing the main memory array."
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 
 class RowBufferCache:
     """LRU cache of open rows for a single DRAM bank.
 
-    Entries map row-id -> dirty flag.  ``OrderedDict`` order is LRU ->
-    MRU.  This structure only tracks *contents*; all timing lives in
+    Entries map row-id -> dirty flag in a plain dict whose insertion
+    order is LRU -> MRU: a hit re-inserts the row, the victim is the
+    first key.  This structure only tracks *contents*; all timing lives in
     :class:`repro.dram.bank.Bank`.
     """
 
@@ -24,7 +24,7 @@ class RowBufferCache:
         if num_entries < 1:
             raise ValueError("a bank needs at least one row buffer entry")
         self.num_entries = num_entries
-        self._entries: "OrderedDict[int, bool]" = OrderedDict()
+        self._entries: Dict[int, bool] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -39,8 +39,9 @@ class RowBufferCache:
 
     def lookup(self, row: int) -> bool:
         """True (and a MRU promotion) when ``row`` is buffered."""
-        if row in self._entries:
-            self._entries.move_to_end(row)
+        entries = self._entries
+        if row in entries:
+            entries[row] = entries.pop(row)
             return True
         return False
 
@@ -48,8 +49,8 @@ class RowBufferCache:
         """Mark a buffered row dirty (a write hit)."""
         if row not in self._entries:
             raise KeyError(f"row {row} is not buffered")
+        del self._entries[row]
         self._entries[row] = True
-        self._entries.move_to_end(row)
 
     def insert(self, row: int, dirty: bool = False) -> Optional[Tuple[int, bool]]:
         """Buffer ``row``; returns the evicted ``(row, dirty)`` if any."""
@@ -57,7 +58,8 @@ class RowBufferCache:
             raise ValueError(f"row {row} is already buffered")
         evicted: Optional[Tuple[int, bool]] = None
         if len(self._entries) >= self.num_entries:
-            evicted = self._entries.popitem(last=False)
+            lru = next(iter(self._entries))
+            evicted = (lru, self._entries.pop(lru))
         self._entries[row] = dirty
         return evicted
 

@@ -39,8 +39,8 @@ counter keep explicit state, because their state is not their fields.
 Encoding (every tuple is a tagged node; ``n`` numbers a node)::
 
     None bool int float str bytes  itself     [E, ...] list (n)
-    {K: E} dict (n)        ("od", {K: E}) OrderedDict (n)
-    ("ods", lengths, keys, values) list of OrderedDicts it alone holds (n)
+    {K: E} dict (n)        ("ds", lengths, keys, values) list of dicts
+    of plain data it alone holds, each dict in insertion order (n)
     ("q", [E], maxlen) deque (n)   ("s", [E]) set (n)   ("ba", b) bytearray (n)
     ("t", (E,)) tuple      ("nt", class, (E,)) namedtuple
     ("e", class, name) enum        ("rng", state) random.Random (n)
@@ -58,7 +58,7 @@ import functools
 import random
 import sys
 import types
-from collections import OrderedDict, deque
+from collections import deque
 from itertools import chain, islice
 from typing import Any, Callable, Dict, List, Tuple
 
@@ -178,28 +178,24 @@ class _Capture:
         self._number(value)
         if (
             value
-            and type(value[0]) is OrderedDict
-            and set(map(type, value)) == {OrderedDict}
+            and type(value[0]) is dict
+            and set(map(type, value)) == {dict}
             # Held by this list alone: its reference plus the call's.
             and set(map(sys.getrefcount, value)) == {2}
         ):
-            # Such sets of plain data (cache and TLB sets) pack into three
-            # flat lists instead of a numbered node per set.
+            # Such dicts of plain data (cache and TLB sets) pack into
+            # three flat lists instead of a numbered node per dict.
             keys = list(chain.from_iterable(value))
-            values = list(chain.from_iterable(map(OrderedDict.values, value)))
+            values = list(chain.from_iterable(map(dict.values, value)))
             if _PRIMS.issuperset(map(type, keys)) and _PRIMS.issuperset(
                 map(type, values)
             ):
-                return ("ods", list(map(len, value)), keys, values)
+                return ("ds", list(map(len, value)), keys, values)
         return self._items(value)
 
     def _dict(self, value: dict) -> dict:
         self._number(value)
         return self._map(value)
-
-    def _ordered(self, value: OrderedDict) -> tuple:
-        self._number(value)
-        return ("od", self._map(value))
 
     def _deque(self, value: deque) -> tuple:
         self._number(value)
@@ -306,7 +302,6 @@ def _classify(kind: type) -> Callable[[_Capture, Any], Any]:
 _ENCODERS: Dict[type, Callable[[_Capture, Any], Any]] = {
     list: _Capture._list,
     dict: _Capture._dict,
-    OrderedDict: _Capture._ordered,
     deque: _Capture._deque,
     set: _Capture._set,
     bytearray: _Capture._bytearray,
@@ -369,7 +364,7 @@ def _assign(obj: Any, values: Dict[str, Any]) -> None:
         setattr(obj, name, value)
 
 
-def _refill(target, items) -> None:  # dict, OrderedDict, set, deque
+def _refill(target, items) -> None:  # dict, set, deque
     target.clear()
     (target.extend if type(target) is deque else target.update)(items)
 
@@ -378,7 +373,7 @@ def _replace(target, items) -> None:  # list, bytearray
     target[:] = items
 
 
-def _refill_each(sets, contents) -> None:  # a packed list of OrderedDicts
+def _refill_each(sets, contents) -> None:  # a packed list of dicts
     for mapping, items in zip(sets, contents):
         _refill(mapping, items)
 
@@ -386,7 +381,7 @@ def _refill_each(sets, contents) -> None:  # a packed list of OrderedDicts
 #: Tags of numbered nodes and the fresh type each binds to (``object``:
 #: the node's layout class).
 _NUMBERED: Dict[str, type] = {
-    "o": object, "od": OrderedDict, "ods": list, "q": deque, "s": set,
+    "o": object, "ds": list, "q": deque, "s": set,
     "ba": bytearray, "rng": random.Random, "x": BatchCursor,
 }
 
@@ -489,8 +484,6 @@ class _Restore:
             (self._visit_items if type(node) is list else self._visit_map)(node, obj)
         elif tag == "o":
             self._visit_fields(self.layouts[node[1]][1], node[2], obj)
-        elif tag == "od":
-            self._visit_map(node[1], obj)
         elif tag in ("q", "s"):
             self._visit_items(node[1], obj if tag == "q" else None)
 
@@ -626,21 +619,18 @@ class _Restore:
             self.created[index] = obj
         return obj
 
-    def _ordered(self, node: tuple) -> Any:
-        return self._put(_refill, *self._target(node, OrderedDict), self._map(node[1]))
-
-    def _ordered_list(self, node: tuple) -> Any:
+    def _dict_list(self, node: tuple) -> Any:
         target, fresh = self._target(node, list)
         _, lengths, keys, values = node
         pairs = zip(keys, values)
         contents = [list(islice(pairs, length)) for length in lengths]
         if fresh and len(target) == len(lengths) and all(
-            type(mapping) is OrderedDict for mapping in target
+            type(mapping) is dict for mapping in target
         ):
             # The fresh sets stay; only their contents are rewritten.
             self.writes.append((_refill_each, target, contents))
             return target
-        return self._put(_replace, target, fresh, list(map(OrderedDict, contents)))
+        return self._put(_replace, target, fresh, list(map(dict, contents)))
 
     def _deque(self, node: tuple) -> Any:
         _, nodes, maxlen = node
@@ -693,7 +683,7 @@ class _Restore:
 
 _DECODERS: Dict[str, Callable[[_Restore, tuple], Any]] = {
     "o": _Restore._object, "r": _Restore._ref, "n": _Restore._created_ref,
-    "od": _Restore._ordered, "ods": _Restore._ordered_list, "q": _Restore._deque,
+    "ds": _Restore._dict_list, "q": _Restore._deque,
     "s": _Restore._set, "ba": _Restore._bytearray, "t": _Restore._tuple,
     "nt": _Restore._namedtuple, "e": _Restore._enum, "rng": _Restore._rng,
     "x": _Restore._cursor, "m": _Restore._method, "p": _Restore._partial,

@@ -1,5 +1,9 @@
 """Unit tests for the L1 data cache (against a fake L2)."""
 
+import random
+
+import pytest
+
 from repro.cache.array import CacheArray
 from repro.cache.l1 import L1Cache
 from repro.cache.prefetch import CompositePrefetcher, NextLinePrefetcher
@@ -156,3 +160,26 @@ def test_prefetch_fill_does_not_complete_demand(engine):
     assert l1.done
     # The prefetched line is resident for a later access.
     assert l1.array.probe(0x1040)
+
+
+@pytest.mark.parametrize("sets", [16, 3], ids=["mask", "modulo"])
+def test_hit_path_leaves_the_array_as_touch_would(engine, sets):
+    """The hit path inlined in ``L1Cache.access`` updates the set exactly
+    as ``CacheArray.touch`` does: same dirty merge, same LRU order."""
+    l1, l2 = _l1(engine)
+    l1.array = CacheArray(sets * 4 * 64, 4, 64)
+    reference = CacheArray(sets * 4 * 64, 4, 64)
+    lines = [n * 64 for n in range(sets * 4)]
+    for line in lines:
+        l1.array.fill(line)
+        reference.fill(line)
+    rng = random.Random(5)
+    for _ in range(400):
+        addr = rng.choice(lines) + rng.randrange(64)
+        is_write = rng.random() < 0.3
+        assert l1.access(addr, 0, is_write, "op")
+        assert reference.touch(addr, dirty=is_write)
+        assert [list(s.items()) for s in l1.array._sets] == [
+            list(s.items()) for s in reference._sets
+        ]
+    assert not l2.requests

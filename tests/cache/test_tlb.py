@@ -1,8 +1,15 @@
 """Unit tests for the DTLB."""
 
+import itertools
+import random
+
 import pytest
 
 from repro.cache.tlb import Tlb
+from repro.common.address import PageAllocator
+from repro.cpu.core import Core
+from repro.cpu.trace import TraceItem
+from repro.engine import Engine
 
 
 def test_first_touch_misses_then_hits():
@@ -61,42 +68,67 @@ def test_validation(kwargs):
         Tlb(**kwargs)
 
 
+class InstantL1:
+    """An L1 that hits every access in two cycles."""
+
+    def __init__(self, engine):
+        self.engine = engine
+
+    def access(self, addr, pc, is_write, record):
+        self.engine.schedule(2, self.on_data, record, self.engine.now + 2)
+        return True
+
+    def on_mshr_free(self, callback):
+        raise AssertionError("never rejects")
+
+
+def _run_core(tlb, trace, instructions=4_000):
+    """Run one core over ``trace`` behind ``tlb`` until it has measured
+    ``instructions``; returns the core."""
+    engine = Engine()
+    core = Core(engine, 0, trace, InstantL1(engine), PageAllocator(), tlb=tlb)
+    core.start()
+    core.begin_measurement(instructions)
+    engine.run(stop_when=lambda: core.frozen, until=10_000_000)
+    return core
+
+
 def test_core_pays_walk_penalty_once_per_page():
     """A page-local burst pays one walk; page changes pay again."""
-    import itertools
-
-    from repro.common.address import PageAllocator
-    from repro.cpu.core import Core
-    from repro.cpu.trace import TraceItem
-    from repro.engine import Engine
-
-    class InstantL1:
-        def __init__(self, engine):
-            self.engine = engine
-
-        def access(self, addr, pc, is_write, record):
-            self.engine.schedule(2, self.on_data, record, self.engine.now + 2)
-            return True
-
-        def on_mshr_free(self, callback):
-            raise AssertionError("never rejects")
 
     def run(walk_penalty):
-        engine = Engine()
-        tlb = Tlb(walk_penalty=walk_penalty)
         trace = (
             TraceItem(3, (i % 512) * 4096 + (i // 512) * 8, False, 0)
             for i in itertools.count()
         )  # one access per page: maximal TLB pressure over 512 pages
-        core = Core(
-            engine, 0, trace, InstantL1(engine), PageAllocator(), tlb=tlb
-        )
-        core.start()
-        core.begin_measurement(4_000)
-        engine.run(stop_when=lambda: core.frozen, until=10_000_000)
+        core = _run_core(Tlb(walk_penalty=walk_penalty), trace)
         return core.frozen_ipc, core.stats.value("tlb_walk_cycles")
 
     slow_ipc, slow_walks = run(walk_penalty=50)
     fast_ipc, fast_walks = run(walk_penalty=1)
     assert slow_walks > fast_walks
     assert slow_ipc < fast_ipc
+
+
+def test_dispatch_updates_the_tlb_as_access_would():
+    """The TLB lookup inlined in ``Core._dispatch`` leaves every set's
+    LRU order and the hit/miss counters exactly as ``Tlb.access`` does.
+    Without a set mask the core calls ``Tlb.access`` itself, so the two
+    runs differ only in which copy of the lookup ran."""
+
+    def run(inline):
+        rng = random.Random(3)
+        trace = (
+            TraceItem(rng.randrange(4), rng.randrange(24) * 4096 + 8, False, 0)
+            for _ in itertools.count()
+        )  # 24 pages over 16 entries: hits, misses and evictions
+        tlb = Tlb(entries=16, assoc=4, walk_penalty=7)
+        if not inline:
+            tlb._set_mask = None  # 4 sets: modulo indexes as the mask does
+        core = _run_core(tlb, trace)
+        sets = [list(tlb_set.items()) for tlb_set in tlb._sets]
+        return sets, tlb.stats.as_dict(), core.stats.as_dict()
+
+    inlined, called = run(inline=True), run(inline=False)
+    assert inlined[1]["hits"] > 0 and inlined[1]["misses"] > 0
+    assert inlined == called

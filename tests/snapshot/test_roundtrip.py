@@ -17,6 +17,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import OrderedDict
 
 import pytest
 
@@ -247,11 +248,81 @@ def test_a_snapshot_in_the_previous_layout_is_refused(tmp_path, monkeypatch):
         )
     with pytest.raises(SnapshotSchemaError) as refused:
         read_snapshot_file(old)
-    assert (refused.value.found, refused.value.expected) == (3, 4)
+    assert (refused.value.found, refused.value.expected) == (3, 5)
     fresh = _build(config)
     with pytest.raises(SnapshotSchemaError):
         fresh.restore_state(tree)
     assert fresh.engine.now == 0 and fresh.engine.pending == 0
+
+
+def _as_schema_4(node):
+    """``node`` with each packed list of dict sets retagged ``"ods"``,
+    schema 4's tag for a packed list of ``OrderedDict`` sets."""
+    if type(node) is tuple:
+        items = tuple(map(_as_schema_4, node))
+        return ("ods",) + items[1:] if node[:1] == ("ds",) else items
+    if type(node) is list:
+        return list(map(_as_schema_4, node))
+    if type(node) is dict:
+        return {_as_schema_4(k): _as_schema_4(v) for k, v in node.items()}
+    return node
+
+
+def test_a_snapshot_in_schema_4_is_refused(tmp_path, monkeypatch):
+    """Schema 4 packed cache and TLB sets as ``OrderedDict`` nodes: its
+    file is refused by the schema marker, and its tree on its own is
+    refused too, leaving the machine untouched."""
+    config = _small(config_3d_fast())
+    path = str(tmp_path / "cell.snap")
+    _preempt_to_file(config, None, path)
+    header, tree = read_snapshot_file(path)
+    tree = {key: _as_schema_4(value) for key, value in tree.items()}
+    assert any(
+        type(node) is tuple and node[:1] == ("ods",) for node in _walk(tree["root"])
+    )
+    old = str(tmp_path / "schema4.snap")
+    with monkeypatch.context() as patch:
+        patch.setattr(format_mod, "SCHEMA_VERSION", 4)
+        write_snapshot_file(
+            old, tree, config_fingerprint=header["config_fingerprint"]
+        )
+    with pytest.raises(SnapshotSchemaError) as refused:
+        read_snapshot_file(old)
+    assert (refused.value.found, refused.value.expected) == (4, 5)
+    fresh = _build(config)
+    with pytest.raises(SnapshotError):
+        fresh.restore_state(tree)
+    assert fresh.engine.now == 0 and fresh.engine.pending == 0
+
+
+def test_cache_and_tlb_sets_pack_into_one_node_per_array(tmp_path):
+    """Every set list of a cache array or TLB is one flat ``"ds"`` node
+    (lengths, keys, values), not a numbered node per set."""
+    config = _small(config_l4_cache(base=config_3d_fast()))
+    path = str(tmp_path / "cell.snap")
+    _preempt_to_file(config, None, path)
+    _, tree = read_snapshot_file(path)
+    for qualname in ("CacheArray", "Tlb"):
+        index = _layout_index(tree, qualname)
+        field = tree["layouts"][index][2].index("_sets")
+        nodes = [
+            node[2][field]
+            for node in _walk(tree["root"])
+            if type(node) is tuple and node[:2] == ("o", index)
+        ]
+        assert nodes and all(node[0] == "ds" for node in nodes), qualname
+        for _, lengths, keys, values in nodes:
+            assert len(keys) == len(values) == sum(lengths)
+        assert any(sum(node[1]) for node in nodes), qualname
+
+
+def test_an_ordered_dict_in_the_machine_is_refused():
+    """No machine state holds an ``OrderedDict``; one that appears is
+    refused by name rather than silently encoded as a plain dict."""
+    machine = _build(_small(config_2d()))
+    machine.l2.stray = OrderedDict(a=1)
+    with pytest.raises(SnapshotError, match="cannot snapshot a OrderedDict"):
+        machine.capture_state()
 
 
 def test_a_checked_machine_cannot_break_an_unchecked_one():
