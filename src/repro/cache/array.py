@@ -7,7 +7,7 @@ Lines are identified by their aligned physical address.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..common.units import is_power_of_two, log2int
 
@@ -44,8 +44,9 @@ class CacheArray:
         # One plain dict per set, mapping line address -> dirty flag, kept
         # in LRU -> MRU insertion order: a hit or refill re-inserts the
         # line (``d[k] = d.pop(k)``), a fill appends, and the victim is
-        # the first key (host memory per line: docs/performance.md).
-        self._sets = [{} for _ in range(self.num_sets)]
+        # the first key (host memory per line: docs/performance.md).  A
+        # set's dict is built by its first fill; ``None`` is an empty set.
+        self._sets: List[Optional[Dict[int, bool]]] = [None] * self.num_sets
 
     def set_index(self, line_addr: int) -> int:
         if self._set_mask is not None:
@@ -59,7 +60,7 @@ class CacheArray:
         """Hit test with replacement-state update (a real access)."""
         line = addr & self._align_mask
         cache_set = self._sets[self.set_index(line)]
-        if line in cache_set:
+        if cache_set is not None and line in cache_set:
             cache_set[line] = cache_set.pop(line)
             return True
         return False
@@ -73,7 +74,7 @@ class CacheArray:
         """
         line = addr & self._align_mask
         cache_set = self._sets[self.set_index(line)]
-        if line in cache_set:
+        if cache_set is not None and line in cache_set:
             cache_set[line] = cache_set.pop(line) or dirty
             return True
         return False
@@ -81,12 +82,17 @@ class CacheArray:
     def probe(self, addr: int) -> bool:
         """Hit test without disturbing replacement state (prefetch filters)."""
         line = addr & self._align_mask
-        return line in self._sets[self.set_index(line)]
+        cache_set = self._sets[self.set_index(line)]
+        return cache_set is not None and line in cache_set
 
     def fill(self, addr: int, dirty: bool = False) -> Optional[Tuple[int, bool]]:
         """Insert a line; returns the evicted ``(line, dirty)`` if any."""
         line = addr & self._align_mask
-        cache_set = self._sets[self.set_index(line)]
+        set_idx = self.set_index(line)
+        cache_set = self._sets[set_idx]
+        if cache_set is None:
+            self._sets[set_idx] = {line: dirty}
+            return None
         if line in cache_set:
             # Refill of a resident line (e.g. racing prefetch): just
             # merge the dirty bit and make the line MRU.
@@ -103,7 +109,7 @@ class CacheArray:
         """Set the dirty bit of a resident line (write hit)."""
         line = addr & self._align_mask
         cache_set = self._sets[self.set_index(line)]
-        if line not in cache_set:
+        if cache_set is None or line not in cache_set:
             raise KeyError(f"line {line:#x} not resident")
         del cache_set[line]
         cache_set[line] = True
@@ -111,9 +117,10 @@ class CacheArray:
     def invalidate(self, addr: int) -> Optional[bool]:
         """Drop a line; returns its dirty bit, or None if absent."""
         line = addr & self._align_mask
-        return self._sets[self.set_index(line)].pop(line, None)
+        cache_set = self._sets[self.set_index(line)]
+        return None if cache_set is None else cache_set.pop(line, None)
 
     @property
     def resident_lines(self) -> int:
-        return sum(len(s) for s in self._sets)
+        return sum(map(len, filter(None, self._sets)))
 

@@ -79,7 +79,7 @@ class L1Cache:
         mask = array._set_mask
         set_idx = set_idx & mask if mask is not None else set_idx % array.num_sets
         cache_set = array._sets[set_idx]
-        if line in cache_set:
+        if cache_set is not None and line in cache_set:
             self._c_hits.value += 1.0
             cache_set[line] = cache_set.pop(line) or is_write  # CacheArray.touch
             self.on_data(record, now + self.latency)

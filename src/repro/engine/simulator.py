@@ -170,7 +170,8 @@ class Engine:
         stop_at = -1 if budget is None else start + max(budget, 0)
         # Pause the cyclic collector for the drain: everything the loop
         # allocates dies by reference counting, so gen-0 passes only
-        # re-walk young survivors.  Restored, never force-enabled.
+        # re-walk young survivors.  Restored, never force-enabled.  A
+        # finished machine is cyclic garbage; ``run_workload`` collects it.
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()

@@ -40,7 +40,8 @@ Encoding (every tuple is a tagged node; ``n`` numbers a node)::
 
     None bool int float str bytes  itself     [E, ...] list (n)
     {K: E} dict (n)        ("ds", lengths, keys, values) list of dicts
-    of plain data it alone holds, each dict in insertion order (n)
+    of plain data it alone holds, each dict in insertion order, a None
+    slot (a cache set not yet built) as length 0 (n)
     ("q", [E], maxlen) deque (n)   ("s", [E]) set (n)   ("ba", b) bytearray (n)
     ("t", (E,)) tuple      ("nt", class, (E,)) namedtuple
     ("e", class, name) enum        ("rng", state) random.Random (n)
@@ -176,21 +177,25 @@ class _Capture:
     # -- per-type encoders ---------------------------------------------
     def _list(self, value: list) -> Any:
         self._number(value)
-        if (
-            value
-            and type(value[0]) is dict
-            and set(map(type, value)) == {dict}
-            # Held by this list alone: its reference plus the call's.
-            and set(map(sys.getrefcount, value)) == {2}
-        ):
-            # Such dicts of plain data (cache and TLB sets) pack into
-            # three flat lists instead of a numbered node per dict.
-            keys = list(chain.from_iterable(value))
-            values = list(chain.from_iterable(map(dict.values, value)))
-            if _PRIMS.issuperset(map(type, keys)) and _PRIMS.issuperset(
-                map(type, values)
+        if value and (value[0] is None or type(value[0]) is dict):
+            built = [d for d in value if d is not None]
+            if (
+                built
+                and set(map(type, built)) == {dict}
+                # Held by this list alone: its reference, ``built``'s
+                # and the call's.
+                and set(map(sys.getrefcount, built)) == {3}
             ):
-                return ("ds", list(map(len, value)), keys, values)
+                # Such dicts of plain data (cache and TLB sets) pack into
+                # three flat lists instead of a numbered node per dict; a
+                # cache set not built yet (``None``) packs as length 0.
+                keys = list(chain.from_iterable(built))
+                values = list(chain.from_iterable(map(dict.values, built)))
+                if _PRIMS.issuperset(map(type, keys)) and _PRIMS.issuperset(
+                    map(type, values)
+                ):
+                    lengths = [0 if d is None else len(d) for d in value]
+                    return ("ds", lengths, keys, values)
         return self._items(value)
 
     def _dict(self, value: dict) -> dict:
@@ -374,8 +379,12 @@ def _replace(target, items) -> None:  # list, bytearray
 
 
 def _refill_each(sets, contents) -> None:  # a packed list of dicts
-    for mapping, items in zip(sets, contents):
-        _refill(mapping, items)
+    for index, items in enumerate(contents):
+        mapping = sets[index]
+        if mapping is not None:
+            _refill(mapping, items)
+        elif items:  # an unbuilt set stays unbuilt until it has contents
+            sets[index] = dict(items)
 
 
 #: Tags of numbered nodes and the fresh type each binds to (``object``:
@@ -625,7 +634,7 @@ class _Restore:
         pairs = zip(keys, values)
         contents = [list(islice(pairs, length)) for length in lengths]
         if fresh and len(target) == len(lengths) and all(
-            type(mapping) is dict for mapping in target
+            mapping is None or type(mapping) is dict for mapping in target
         ):
             # The fresh sets stay; only their contents are rewritten.
             self.writes.append((_refill_each, target, contents))

@@ -67,7 +67,6 @@ class SramTagStore:
         self.line_size = line_size
         self.num_sets = self.array.num_sets
         self._frame_of: Dict[int, int] = {}
-        self._set_fill: List[int] = [0] * self.num_sets
 
     def probe(self, line: int) -> bool:
         return self.array.probe(line)
@@ -92,15 +91,16 @@ class SramTagStore:
         if self.array.probe(line):  # racing refill: merge dirty only
             self.array.fill(line, dirty)
             return self.frame_addr(line), None
-        set_idx = self.array.set_index(line)
         victim = self.array.fill(line, dirty)
         if victim is not None:
             vline, vdirty = victim
             frame = self._frame_of.pop(vline)
             victim_info = (vline, vdirty, frame * self.line_size)
         else:
-            frame = set_idx * self.assoc + self._set_fill[set_idx]
-            self._set_fill[set_idx] += 1
+            # Nothing invalidates this array, so until a set's first
+            # eviction its lines are its fills so far, the new one last.
+            set_idx = self.array.set_index(line)
+            frame = set_idx * self.assoc + len(self.array._sets[set_idx]) - 1
             victim_info = None
         self._frame_of[line] = frame
         return frame * self.line_size, victim_info

@@ -9,6 +9,7 @@ keeps executing, and report harmonic-mean IPC plus per-core MPKI.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 from dataclasses import astuple, dataclass, field
 from typing import Dict, List, Optional, Sequence
@@ -773,7 +774,7 @@ def run_workload(
     snapshot=None,
     resume_from: Optional[str] = None,
 ) -> MachineResult:
-    """One-call convenience: build a machine and run it.
+    """One-call convenience: build a machine, run it and free it.
 
     ``sampling`` accepts a :class:`~repro.sampling.plan.SamplingPlan`
     (or ``None`` for the default full-detail run).  ``snapshot`` accepts a
@@ -790,12 +791,20 @@ def run_workload(
     if resume_from is not None:
         machine.resume(resume_from)
     if sampling is not None:
-        return machine.run_sampled(
+        result = machine.run_sampled(
             sampling,
             warmup_instructions,
             measure_instructions,
             snapshot=snapshot,
         )
-    return machine.run(
-        warmup_instructions, measure_instructions, snapshot=snapshot
-    )
+    else:
+        result = machine.run(
+            warmup_instructions, measure_instructions, snapshot=snapshot
+        )
+    # A machine is full of reference cycles and ``Engine.run`` pauses the
+    # cyclic collector while it drains, so a dropped machine would wait
+    # for a rare full collection, holding its caches, while the next
+    # cell builds its own (docs/performance.md, "Cell lifecycle").
+    del machine
+    gc.collect()
+    return result

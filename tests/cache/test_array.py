@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.array import CacheArray
+from repro.common.units import MIB
 
 
 def _tiny(assoc=2, sets=4):
@@ -154,15 +155,17 @@ _OPS = st.tuples(
 @given(
     assoc=st.sampled_from([1, 2, 12, 24]),
     sets=st.sampled_from([1, 3, 4]),
+    full=st.booleans(),
     ops=st.lists(_OPS, max_size=300),
 )
-def test_property_matches_lru_reference_model(assoc, sets, ops):
+def test_property_matches_lru_reference_model(assoc, sets, full, ops):
     """Every operation returns what a list-per-set LRU reference returns,
     and leaves each set holding the same ``(line, dirty)`` pairs in the
-    same least- to most-recently-used order."""
+    same least- to most-recently-used order — from a full array, and
+    from a fresh one whose sets are not built yet."""
     array = _tiny(assoc=assoc, sets=sets)
     reference = [[] for _ in range(sets)]  # per set: [line, dirty], LRU first
-    for n in range(sets * assoc):  # start full, so most operations hit
+    for n in range(sets * assoc if full else 0):  # full: most operations hit
         array.fill(n * 64, dirty=n % 3 == 0)
         reference[n % sets].append([n * 64, n % 3 == 0])
     lines = 2 * sets * assoc  # half resident: hits and victims alike
@@ -205,7 +208,7 @@ def test_property_matches_lru_reference_model(assoc, sets, ops):
             assert array.invalidate(addr) == (None if way is None else way[1])
             if way is not None:
                 ways.remove(way)
-        assert [list(map(list, s.items())) for s in array._sets] == reference
+        assert [list(map(list, (s or {}).items())) for s in array._sets] == reference
     assert array.resident_lines == sum(map(len, reference))
 
 
@@ -228,3 +231,36 @@ def test_host_memory_per_resident_line():
     # fill() stores the aligned address it computes, a new int per line.
     keys = sum(sys.getsizeof(line) for s in array._sets for line in s)
     assert (traced - keys) / (sets * ways) <= 64
+
+
+def test_a_fresh_array_builds_no_set():
+    """A 64 MiB, 8-way array (the L4's tag store, 131,072 sets) holds one
+    list slot per set until the set's first fill: about 1 MiB, against
+    about 9.1 MiB when every set's dict was built up front."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        array = CacheArray(64 * MIB, 8, 64)
+        traced = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert array.num_sets == 131_072
+    assert traced <= 1.5 * MIB
+
+
+def test_only_a_fill_builds_a_set():
+    """Every operation but ``fill`` reads a never-filled set as empty and
+    leaves it unbuilt."""
+    array = _tiny(assoc=2, sets=4)
+    line = 1 * 64  # set 1
+    assert not array.lookup(line)
+    assert not array.touch(line, dirty=True)
+    assert not array.probe(line)
+    assert array.invalidate(line) is None
+    with pytest.raises(KeyError):
+        array.mark_dirty(line)
+    assert array._sets == [None] * 4
+    assert array.resident_lines == 0
+    assert array.fill(line, dirty=True) is None
+    assert array._sets == [None, {line: True}, None, None]
+    assert array.resident_lines == 1

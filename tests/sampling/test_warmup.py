@@ -11,7 +11,7 @@ from repro.workloads.mixes import MIXES
 
 
 def _lines(array: CacheArray) -> int:
-    return sum(len(s) for s in array._sets)
+    return array.resident_lines
 
 
 # ----------------------------------------------------------------------

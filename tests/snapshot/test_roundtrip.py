@@ -316,6 +316,75 @@ def test_cache_and_tlb_sets_pack_into_one_node_per_array(tmp_path):
         assert any(sum(node[1]) for node in nodes), qualname
 
 
+def _l4_set_lengths(tree):
+    """The L4 tag array's ``"ds"`` lengths: its set list is the long one."""
+    index = _layout_index(tree, "CacheArray")
+    field = tree["layouts"][index][2].index("_sets")
+    return max(
+        (
+            node[2][field][1]
+            for node in _walk(tree["root"])
+            if type(node) is tuple and node[:2] == ("o", index)
+        ),
+        key=len,
+    )
+
+
+def test_an_l4_with_most_sets_unbuilt_resumes_bit_identically(tmp_path):
+    """Mid-run the L4 tag store has built few of its 131,072 sets: each
+    unbuilt one packs as length 0, stays unbuilt on the resumed machine,
+    and the resumed run ends exactly as the uninterrupted one."""
+    config = SHAPES["l4-cache"][0]
+    path = str(tmp_path / "cell.snap")
+    _preempt_to_file(config, None, path)
+    _, tree = read_snapshot_file(path)
+    lengths = _l4_set_lengths(tree)
+    assert len(lengths) == 131_072
+    assert 0 < len(lengths) - lengths.count(0) < len(lengths) // 100
+
+    fresh = _build(config)
+    fresh.resume(path)
+    fresh._apply_restore()
+    sets = fresh.l4._tags.array._sets
+    assert [0 if s is None else len(s) for s in sets] == lengths
+    assert sets.count(None) == lengths.count(0)
+    assert fresh.capture_state() == tree
+
+    _assert_resumes_bit_identically("l4-cache", tmp_path / "resume")
+
+
+def test_a_snapshot_with_every_set_built_still_resumes(tmp_path):
+    """Before sets were built on first fill, a machine held a dict for
+    every set and the L4 tag store a per-set fill count (``_set_fill``).
+    A snapshot of such a machine restores, and its run ends exactly as
+    the uninterrupted one."""
+    config = SHAPES["l4-cache"][0]
+    path = str(tmp_path / "cell.snap")
+    machine = _build(config)
+    preemption.clear()
+    preemption.request_preemption()
+    try:
+        with pytest.raises(SnapshotPreempted):
+            machine.run(
+                WARMUP, MEASURE,
+                snapshot=SnapshotPlan(path=path, every=EVERY, preemptible=True),
+            )
+    finally:
+        preemption.clear()
+    tags = machine.l4._tags
+    # Nothing evicted yet: a set's fill count is its size.
+    tags._set_fill = [0 if s is None else len(s) for s in tags.array._sets]
+    arrays = [tags.array, machine.l2.array] + [l1.array for l1 in machine.l1s]
+    for array in arrays:
+        array._sets[:] = [{} if s is None else s for s in array._sets]
+    machine.snapshot(path)
+
+    oracle = _build(config).run(WARMUP, MEASURE)
+    resumed = _build(config)
+    resumed.resume(path)
+    assert resumed.run(WARMUP, MEASURE) == oracle
+
+
 def test_an_ordered_dict_in_the_machine_is_refused():
     """No machine state holds an ``OrderedDict``; one that appears is
     refused by name rather than silently encoded as a plain dict."""
