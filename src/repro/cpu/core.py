@@ -15,9 +15,11 @@ performance and drops the rest of the microarchitecture:
   execution-core effects (dependencies, branch mispredictions) that the
   per-benchmark workload specs calibrate.
 
-The paper's measurement methodology is reproduced: statistics freeze when
-a core commits its instruction quota, but the core keeps executing so it
-continues to contend for the shared L2, MSHRs and memory.
+A one-shot commit watch (:meth:`Core.watch_commit`) is the core's one
+milestone: the run driver (:mod:`repro.system.run`) ends every warm-up
+and measured window on it, and at a full-detail run's quota freezes the
+core's statistics while the core keeps executing, so it continues to
+contend for the shared L2, MSHRs and memory (the paper's methodology).
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from ..engine.simulator import Engine
 from ..cache.l1 import L1Cache
 from .trace import BatchedTrace, Trace, as_batched
 
-#: ``_commit_limit`` when neither a commit watch nor a measurement quota
-#: is pending: beyond any reachable instruction count.
+#: ``_commit_limit`` when no commit watch is pending: beyond any
+#: reachable instruction count.
 _NO_LIMIT = 1 << 62
 
 
@@ -87,13 +89,6 @@ class Core:
         "_rob_blocked",
         "_l1_blocked",
         "_paused",
-        "_measure_start_icount",
-        "_measure_start_time",
-        "measure_quota",
-        "frozen",
-        "frozen_ipc",
-        "on_frozen",
-        "_commit_watch",
         "_on_commit_watch",
         "_commit_at",
         "_cursor",
@@ -154,25 +149,15 @@ class Core:
         self._l1_blocked = False
         self._paused = False
 
-        # Measurement window (the paper's freeze-but-keep-running).
-        self._measure_start_icount: Optional[int] = None
-        self._measure_start_time: Optional[int] = None
-        self.measure_quota: Optional[int] = None
-        self.frozen = False
-        self.frozen_ipc: Optional[float] = None
-        # Invoked once when the measurement quota is reached (the machine
-        # uses it to snapshot shared-structure statistics per core).
-        self.on_frozen = None
         # One-shot commit watch (see watch_commit).
-        self._commit_watch: Optional[int] = None
         self._on_commit_watch = None
 
         # Cycle of the pending commit event (valid while
         # _commit_scheduled): the parking rule reads it.
         self._commit_at = 0
         self._page_shift = allocator._page_shift
-        # Smallest committed instruction count at which _commit has a
-        # watch or quota to act on (see _refresh_commit_limit).
+        # Threshold of the pending commit watch: below it _commit is
+        # pure pacing.
         self._commit_limit = _NO_LIMIT
         #: Dispatch events saved by the parking rule (_park_next).  A
         #: plain tally, deliberately not a registry counter, so stat
@@ -204,50 +189,19 @@ class Core:
         """Begin fetching the trace (call once, at time 0 or later)."""
         self._schedule_dispatch(self.engine.now)
 
-    def begin_measurement(self, quota: int) -> None:
-        """Start the measured window: IPC counts from this instant."""
-        if quota < 1:
-            raise ValueError("quota must be >= 1")
-        self._measure_start_icount = self.committed
-        self._measure_start_time = self.engine.now
-        self.measure_quota = quota
-        self.frozen = False
-        self.frozen_ipc = None
-        self._refresh_commit_limit()
-
     def watch_commit(self, threshold: int, callback) -> None:
         """Invoke ``callback(self)`` once when ``committed`` reaches ``threshold``.
 
         Fires immediately if the threshold is already met, otherwise from
-        inside the commit event that crosses it.  The machine uses this to
-        end the warmup phase without polling a predicate on every event.
+        inside the commit event that crosses it.  The run driver ends each
+        warm-up and measured window this way, without polling a predicate
+        on every event.  Setting a watch replaces a pending one.
         """
         if self.committed >= threshold:
             callback(self)
         else:
-            self._commit_watch = threshold
+            self._commit_limit = threshold
             self._on_commit_watch = callback
-            self._refresh_commit_limit()
-
-    def _refresh_commit_limit(self) -> None:
-        """Recompute the committed count below which _commit is pure pacing.
-
-        The minimum of the one-shot watch threshold and the instruction
-        at which the measurement quota is met; call after changing
-        either.
-        """
-        limit = _NO_LIMIT if self._commit_watch is None else self._commit_watch
-        if (
-            not self.frozen
-            and self.measure_quota is not None
-            and self._measure_start_icount is not None
-        ):
-            limit = min(limit, self._measure_start_icount + self.measure_quota)
-        self._commit_limit = limit
-
-    @property
-    def measurement_done(self) -> bool:
-        return self.frozen
 
     # ------------------------------------------------------------------
     # Sampled simulation (phase switching)
@@ -260,17 +214,10 @@ class Core:
     def pause(self) -> None:
         """Stop dispatching new work; in-flight ops keep committing.
 
-        The sampling controller pauses every core, runs the engine until
-        the hierarchy drains, fast-forwards functionally, then resumes.
+        The run driver pauses every core once, for the final drain of a
+        sampled run, and runs the engine until the hierarchy is quiescent.
         """
         self._paused = True
-
-    def resume(self) -> None:
-        """Re-enable dispatch after a functional-warmup phase."""
-        if not self._paused:
-            return
-        self._paused = False
-        self._schedule_dispatch(self.engine.now)
 
     def skip_ahead(self, instructions: int) -> int:
         """Functionally execute at least ``instructions`` instructions.
@@ -330,20 +277,6 @@ class Core:
         if not self._paused:
             self._schedule_dispatch(now)
         return self.icount - start
-
-    @property
-    def ipc(self) -> float:
-        """Committed IPC over the measurement window (live or frozen)."""
-        if self.frozen_ipc is not None:
-            return self.frozen_ipc
-        if self._measure_start_time is None:
-            start_i, start_t = 0, 0
-        else:
-            start_i, start_t = self._measure_start_icount, self._measure_start_time
-        elapsed = self.engine.now - start_t
-        if elapsed <= 0:
-            return 0.0
-        return (self.committed - start_i) / elapsed
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -537,35 +470,15 @@ class Core:
             self._last_commit_icount = lci = icount
             self.committed = icount
             if icount >= self._commit_limit:
-                self._commit_milestones()
+                self._fire_commit_watch()
             if self._rob_blocked:
                 self._rob_blocked = False
                 if not self._dispatch_scheduled:
                     self._dispatch_scheduled = True
                     self.engine.schedule_at(now, self._dispatch)
 
-    def _commit_milestones(self) -> None:
-        """Fire the commit watch and/or freeze at the measurement quota."""
-        if (
-            self._commit_watch is not None
-            and self.committed >= self._commit_watch
-        ):
-            self._commit_watch = None
-            callback, self._on_commit_watch = self._on_commit_watch, None
-            callback(self)
-        if (
-            not self.frozen
-            and self.measure_quota is not None
-            and self._measure_start_icount is not None
-        ):
-            done = self.committed - self._measure_start_icount
-            if done >= self.measure_quota:
-                self.frozen = True
-                elapsed = self.engine.now - (self._measure_start_time or 0)
-                self.frozen_ipc = done / elapsed if elapsed > 0 else 0.0
-                self.stats.set("measured_instructions", done)
-                self.stats.set("measured_cycles", elapsed)
-                if self.on_frozen is not None:
-                    self.on_frozen(self)
-                self.stats.freeze()
-        self._refresh_commit_limit()
+    def _fire_commit_watch(self) -> None:
+        """Disarm the watch, then call it (it may set the next one)."""
+        self._commit_limit = _NO_LIMIT
+        callback, self._on_commit_watch = self._on_commit_watch, None
+        callback(self)

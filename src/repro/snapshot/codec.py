@@ -93,7 +93,6 @@ CLASSES = frozenset({
     ("repro.memctrl.queue", "MrqEntry"),
     ("repro.mshr.base", "MshrEntry"),
     ("repro.stack3d.modes", "_Fill"),
-    ("repro.system.machine", "CoreResult"),
 })
 
 

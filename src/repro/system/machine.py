@@ -1,10 +1,12 @@
 """Machine assembly and simulation driving.
 
 ``Machine`` wires a :class:`~repro.system.config.SystemConfig` and a list
-of benchmark names into a complete simulated system, then runs the
-paper's methodology: warm up, start the measurement window on every
-core, freeze each core's statistics at its instruction quota while it
-keeps executing, and report harmonic-mean IPC plus per-core MPKI.
+of benchmark names into a complete simulated system.  :meth:`Machine.run`
+runs the paper's methodology — warm up, then freeze each core's
+statistics at its instruction quota while it keeps executing — or, given
+a sampling plan, the sampled schedule; both are the one schedule of
+:mod:`repro.system.run`.  Results are harmonic-mean IPC plus per-core
+MPKI.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from ..mshr.factory import make_mshr
 from ..mshr.conventional import ConventionalMshr
 from ..workloads.benchmarks import get_benchmark
 from .config import SystemConfig
+from .run import RunDriver
 
 #: Per-core virtual address spacing; generators stay far below this.
 CORE_VA_STRIDE = 1 << 40
@@ -339,7 +342,6 @@ class Machine:
                 tlb=tlb,
             )
             self.l2.register_upper_level(l1)
-            core.on_frozen = self._snapshot_core
             self.l1s.append(l1)
             self.cores.append(core)
         self._benchmarks = placed_benchmarks
@@ -352,17 +354,9 @@ class Machine:
                 committed_reader=self._total_committed,
             )
 
-        self._core_results: Dict[int, CoreResult] = {}
-        self._unfrozen_count = 0
-        self._measure_l2_start: Dict[int, Dict[str, float]] = {}
-
-        # Run-phase state, all of it checkpointed: "start" (nothing
-        # driven yet) -> "warmup" -> "measure" -> "done".  A restored
-        # machine re-enters run() and picks up at the recorded phase.
-        self._run_phase = "start"
-        self._run_args: Optional[List[int]] = None
-        self._warmup_waiting = 0
-        self._sampler = None
+        # Run state, all of it checkpointed (repro.system.run): a
+        # restored machine re-enters run() at the recorded stage.
+        self._driver = RunDriver(self)
         self._pending_restore: Optional[dict] = None
         self.sample_log: Optional[List[List[tuple]]] = None
 
@@ -400,13 +394,14 @@ class Machine:
         max_cycles: int = 500_000_000,
         max_events: Optional[int] = None,
         snapshot=None,
+        sampling=None,
     ) -> MachineResult:
         """Warm up, measure, and collect results (paper methodology).
 
         Args:
-            max_cycles: cycle ceiling per phase; exceeding it raises
+            max_cycles: cycle ceiling per stage; exceeding it raises
                 :class:`~repro.common.errors.SimulationHang`.
-            max_events: optional event budget per phase (watchdog against
+            max_events: optional event budget per stage (watchdog against
                 runaway simulations that keep scheduling work without
                 committing instructions).
             snapshot: optional :class:`~repro.snapshot.SnapshotPlan`;
@@ -414,130 +409,39 @@ class Machine:
                 of ``plan.every`` cycles (and polls for cooperative
                 preemption if the plan is preemptible).  A machine
                 primed with :meth:`resume` continues from the recorded
-                phase instead of starting over.
+                stage instead of starting over.
+            sampling: optional :class:`~repro.sampling.plan.SamplingPlan`.
+                The run then alternates functional skips and detailed
+                windows instead of simulating every instruction in
+                detail; results are estimates with confidence intervals
+                recorded in ``MachineResult.extra`` (``sample_*`` keys).
+
+        A machine runs once: a second call after the run completed
+        raises :class:`~repro.common.errors.SnapshotError`, and one that
+        continues an unfinished run (after a restore or a preemption)
+        must repeat its quotas and plan.
         """
+        if measure_instructions < 1:
+            raise ValueError("measure_instructions must be >= 1")
+        args = [warmup_instructions, measure_instructions]
+        if sampling is not None:
+            args += astuple(sampling)
+        driver = self._driver
         if self._pending_restore is not None:
-            self._apply_restore(sampled=False)
-        if self._run_phase == "done":
+            tree, self._pending_restore = self._pending_restore, None
+            self.restore_state(tree)
+        if driver.stage == "done":
             raise SnapshotError("this machine's run already completed")
-        if self._run_phase != "start":
-            resumed_args = [warmup_instructions, measure_instructions]
-            if self._run_args != resumed_args:
-                raise SnapshotConfigMismatch(
-                    f"resumed run arguments {resumed_args} do not match "
-                    f"the snapshot's {self._run_args} "
-                    "(warmup/measure quotas are part of the run identity)"
-                )
-        else:
-            self._run_args = [warmup_instructions, measure_instructions]
-
-        watchdog = Watchdog(
-            max_events=max_events, pending_work=self.outstanding_requests
-        )
-        if self._run_phase == "start":
-            for core in self.cores:
-                core.start()
-            if self.tuner is not None:
-                self.tuner.start()
-            if warmup_instructions > 0:
-                # Each core reports crossing the warmup quota from inside
-                # its own commit event; the last one stops the run.  This
-                # costs the drain loop no per-event predicate call and
-                # stops at exactly the event a stop_when poll would have.
-                self._run_phase = "warmup"
-                self._warmup_waiting = len(self.cores)
-                for core in self.cores:
-                    core.watch_commit(warmup_instructions, self._warmed_up)
-            else:
-                self._begin_measurement(measure_instructions)
-
-        if self._run_phase == "warmup":
-            self._drive(
-                watchdog, max_cycles, lambda: self._warmup_waiting == 0,
-                snapshot,
+        if driver.stage == "start":
+            driver.args = args
+        elif driver.args != args:
+            raise SnapshotConfigMismatch(
+                f"resumed run arguments {args} do not match the snapshot's "
+                f"{driver.args} (quotas and sampling plan are part of the "
+                "run identity)"
             )
-            if not all(c.committed >= warmup_instructions for c in self.cores):
-                self._hang_snapshot(snapshot)
-                raise SimulationHang(
-                    f"warmup did not finish within {max_cycles} cycles "
-                    f"(committed: {[c.committed for c in self.cores]})",
-                    cycle=self.engine.now,
-                    events_fired=self.engine.events_fired,
-                    queue_depth=self.engine.pending,
-                )
-            self._begin_measurement(measure_instructions)
-
-        # _snapshot_core stops the run when the last core freezes, at the
-        # same event a stop_when=all-frozen poll would have stopped on.
-        self._drive(
-            watchdog, max_cycles, lambda: self._unfrozen_count == 0, snapshot
-        )
-        if not all(core.frozen for core in self.cores):
-            self._hang_snapshot(snapshot)
-            raise SimulationHang(
-                f"measurement did not finish within {max_cycles} cycles "
-                f"(committed: {[c.committed for c in self.cores]})",
-                cycle=self.engine.now,
-                events_fired=self.engine.events_fired,
-                queue_depth=self.engine.pending,
-            )
-        if self.checker_set is not None:
-            self.checker_set.finish()
-        self._run_phase = "done"
-        return self._collect()
-
-    def _warmed_up(self, _core: Core) -> None:
-        self._warmup_waiting -= 1
-        if not self._warmup_waiting:
-            self.engine.request_stop()
-
-    def _begin_measurement(self, measure_instructions: int) -> None:
-        self._run_phase = "measure"
-        self._unfrozen_count = len(self.cores)
-        for core in self.cores:
-            core.begin_measurement(measure_instructions)
-        self._measure_l2_start = {
-            core.core_id: self._l2_core_counters(core.core_id)
-            for core in self.cores
-        }
-
-    def run_sampled(
-        self,
-        plan,
-        warmup_instructions: int = 20_000,
-        measure_instructions: int = 80_000,
-        max_cycles: int = 500_000_000,
-        max_events: Optional[int] = None,
-        snapshot=None,
-    ) -> MachineResult:
-        """Run under a :class:`~repro.sampling.plan.SamplingPlan`.
-
-        Alternates functional-warmup and detailed phases instead of
-        simulating every instruction in detail; results are estimates
-        with confidence intervals recorded in ``MachineResult.extra``
-        (``sample_*`` keys).  See :mod:`repro.sampling`.  ``snapshot``
-        works exactly as in :meth:`run`.
-        """
-        from ..sampling.controller import SampledRunController
-
-        controller = self._sampler = SampledRunController(
-            self, plan, warmup_instructions, measure_instructions
-        )
-        run_args = [warmup_instructions, measure_instructions, *astuple(plan)]
-        try:
-            if self._pending_restore is not None:
-                self._apply_restore(sampled=True)
-                if self._run_args != run_args:
-                    raise SnapshotConfigMismatch(
-                        f"resumed sampled-run arguments {run_args} do not "
-                        f"match the snapshot's {self._run_args} (quotas and "
-                        "sampling plan are part of the run identity)"
-                    )
-            else:
-                self._run_args = run_args
-            return controller.run(max_cycles, max_events, snapshot)
-        finally:
-            self._sampler = None
+        driver.plan = sampling
+        return driver.run(max_cycles, max_events, snapshot)
 
     # -- snapshot/restore ----------------------------------------------
     def _drive(
@@ -575,7 +479,7 @@ class Machine:
                 return
             if engine.pending == 0 or engine.now <= before:
                 # Queue exhausted (or no progress possible) with work
-                # unfinished; the caller's phase check reports the hang.
+                # unfinished; the driver's stage check reports the hang.
                 return
             if plan.preemptible and preempt_requested():
                 cycle = engine.now
@@ -583,7 +487,7 @@ class Machine:
                     self.snapshot(plan.path, meta={"reason": "preempt"})
                 raise SnapshotPreempted(
                     f"run preempted at cycle {cycle} "
-                    f"(phase {self._run_phase})",
+                    f"(stage {self._driver.stage})",
                     path=plan.path,
                     cycle=cycle,
                 )
@@ -625,9 +529,7 @@ class Machine:
         """Whole-machine state tree (see :mod:`repro.snapshot.codec`)."""
         from ..snapshot.codec import capture
 
-        tree = capture(self)
-        tree["sampled"] = self._sampler is not None
-        return tree
+        return capture(self)
 
     def restore_state(self, state: dict) -> None:
         """Rewrite this freshly built machine from :meth:`capture_state`."""
@@ -642,7 +544,7 @@ class Machine:
         tree = self.capture_state()
         file_meta = {
             "cycle": self.engine.now,
-            "phase": self._run_phase,
+            "stage": self._driver.stage,
             "config": self.config.name,
             "workload": self.workload_name,
         }
@@ -657,10 +559,10 @@ class Machine:
 
         Verifies the file's integrity and config fingerprint (``force``
         skips only the fingerprint check, never the checksum), then
-        defers the actual state application to the next :meth:`run` /
-        :meth:`run_sampled` call — sampled runs need their controller
-        constructed before callbacks can be decoded.  Returns the
-        snapshot header (cycle/phase/meta) for logging.
+        defers the actual state application to the next :meth:`run`
+        call, which also checks the run arguments against the
+        snapshot's.  Returns the snapshot header (cycle/stage/meta) for
+        logging.
         """
         from ..snapshot.format import read_snapshot_file
 
@@ -670,42 +572,6 @@ class Machine:
         )
         self._pending_restore = tree
         return header
-
-    def _apply_restore(self, sampled: bool = False) -> None:
-        tree, self._pending_restore = self._pending_restore, None
-        if tree.get("sampled") is not sampled:
-            raise SnapshotError(
-                "snapshot was taken under a full-detail run; resume it with run()"
-                if sampled else "snapshot was taken under a sampled run; resume "
-                "it with run_sampled() and the same SamplingPlan"
-            )
-        self.restore_state(tree)
-
-    def _l2_core_counters(self, core_id: int) -> Dict[str, float]:
-        return {
-            "demand_accesses": self.l2.stats.get(f"core{core_id}_demand_accesses"),
-            "demand_misses": self.l2.stats.get(f"core{core_id}_demand_misses"),
-        }
-
-    def _snapshot_core(self, core: Core) -> None:
-        start = self._measure_l2_start[core.core_id]
-        now = self._l2_core_counters(core.core_id)
-        misses = now["demand_misses"] - start["demand_misses"]
-        instructions = core.stats.get("measured_instructions")
-        mpki = 1000.0 * misses / instructions if instructions else 0.0
-        loads = core.stats.get("loads_completed")
-        latency_sum = core.stats.get("load_latency_sum")
-        self._core_results[core.core_id] = CoreResult(
-            benchmark=self._benchmarks[core.core_id],
-            ipc=core.frozen_ipc or 0.0,
-            instructions=instructions,
-            cycles=core.stats.get("measured_cycles"),
-            l2_mpki=mpki,
-            avg_load_latency=(latency_sum / loads) if loads else 0.0,
-        )
-        self._unfrozen_count -= 1
-        if not self._unfrozen_count:
-            self.engine.request_stop()
 
     def energy_report(self):
         """DRAM energy estimate over the whole simulation so far."""
@@ -722,21 +588,16 @@ class Machine:
             refresh_interval=timing.refresh_interval,
         )
 
-    def _collect(self) -> MachineResult:
-        return self._build_result(
-            [self._core_results[i] for i in range(len(self.cores))], {}
-        )
-
     def _build_result(
         self, cores: List[CoreResult], extra: Dict[str, float]
     ) -> MachineResult:
         """Assemble a :class:`MachineResult` around per-core results.
 
-        Shared by the full-detail collection path and the sampling
-        controller (which supplies extrapolated core results plus its
-        ``sample_*`` error annotations in ``extra``).  ``cores`` arrives
-        in physical slot order (canonical placement) and is reported in
-        the order the caller listed the benchmarks.
+        The run driver supplies the per-core results (a sampled run's
+        are extrapolated, with its ``sample_*`` error annotations in
+        ``extra``).  ``cores`` arrives in physical slot order (canonical
+        placement) and is reported in the order the caller listed the
+        benchmarks.
         """
         cores = [cores[slot] for slot in self._slot_of_request]
         total_probes = sum(f.total_probes for f in self.l2_mshr_files)
@@ -790,17 +651,12 @@ def run_workload(
     )
     if resume_from is not None:
         machine.resume(resume_from)
-    if sampling is not None:
-        result = machine.run_sampled(
-            sampling,
-            warmup_instructions,
-            measure_instructions,
-            snapshot=snapshot,
-        )
-    else:
-        result = machine.run(
-            warmup_instructions, measure_instructions, snapshot=snapshot
-        )
+    result = machine.run(
+        warmup_instructions,
+        measure_instructions,
+        snapshot=snapshot,
+        sampling=sampling,
+    )
     # A machine is full of reference cycles and ``Engine.run`` pauses the
     # cyclic collector while it drains, so a dropped machine would wait
     # for a rare full collection, holding its caches, while the next

@@ -80,12 +80,9 @@ def run_traced(
     recorder = TranscriptRecorder()
     instrument_banks(machine, recorder)
     try:
-        if sampling is not None:
-            result = machine.run_sampled(
-                sampling, warmup, measure, snapshot=snapshot
-            )
-        else:
-            result = machine.run(warmup, measure, snapshot=snapshot)
+        result = machine.run(
+            warmup, measure, snapshot=snapshot, sampling=sampling
+        )
     except SnapshotPreempted as exc:
         exc.records = recorder.records
         raise
@@ -303,7 +300,7 @@ def resume_shapes(
 
     ``name -> (config, checkers, sampling plan)``, one per subsystem
     with restore-sensitive state: the plain path, the runtime checkers,
-    the sampling controller, a saturated MRQ under miss-heavy traffic
+    the sampled schedule, a saturated MRQ under miss-heavy traffic
     and the stack as an L4 cache.  Built on
     ``fast`` (default 3D-fast) and, for the checker shape, ``baseline``
     (default 2D); tests pass cut-down bases.

@@ -83,14 +83,14 @@ class InstantL1:
 
 
 def _run_core(tlb, trace, instructions=4_000):
-    """Run one core over ``trace`` behind ``tlb`` until it has measured
-    ``instructions``; returns the core."""
+    """Run one core over ``trace`` behind ``tlb`` until it has committed
+    ``instructions``; returns the core and its IPC over that window."""
     engine = Engine()
     core = Core(engine, 0, trace, InstantL1(engine), PageAllocator(), tlb=tlb)
     core.start()
-    core.begin_measurement(instructions)
-    engine.run(stop_when=lambda: core.frozen, until=10_000_000)
-    return core
+    core.watch_commit(instructions, lambda c: engine.request_stop())
+    engine.run(until=10_000_000)
+    return core, core.committed / engine.now
 
 
 def test_core_pays_walk_penalty_once_per_page():
@@ -101,8 +101,8 @@ def test_core_pays_walk_penalty_once_per_page():
             TraceItem(3, (i % 512) * 4096 + (i // 512) * 8, False, 0)
             for i in itertools.count()
         )  # one access per page: maximal TLB pressure over 512 pages
-        core = _run_core(Tlb(walk_penalty=walk_penalty), trace)
-        return core.frozen_ipc, core.stats.value("tlb_walk_cycles")
+        core, ipc = _run_core(Tlb(walk_penalty=walk_penalty), trace)
+        return ipc, core.stats.value("tlb_walk_cycles")
 
     slow_ipc, slow_walks = run(walk_penalty=50)
     fast_ipc, fast_walks = run(walk_penalty=1)
@@ -125,7 +125,7 @@ def test_dispatch_updates_the_tlb_as_access_would():
         tlb = Tlb(entries=16, assoc=4, walk_penalty=7)
         if not inline:
             tlb._set_mask = None  # 4 sets: modulo indexes as the mask does
-        core = _run_core(tlb, trace)
+        core, _ = _run_core(tlb, trace)
         sets = [list(tlb_set.items()) for tlb_set in tlb._sets]
         return sets, tlb.stats.as_dict(), core.stats.as_dict()
 

@@ -51,15 +51,37 @@ def _uniform_trace(gap, count=10_000, stride=64, write=False):
     )
 
 
+def _measure(engine, core, quota, on_end=None, **run_kwargs):
+    """Run until ``core`` commits ``quota`` more instructions, ending the
+    window on a commit watch as the run driver does; returns the
+    window's (instructions, cycles), or None if it did not end."""
+    start_icount, start_time = core.committed, engine.now
+    window = []
+
+    def ended(c):
+        window.append((c.committed - start_icount, engine.now - start_time))
+        if on_end is not None:
+            on_end(c)
+        engine.request_stop()
+
+    core.watch_commit(start_icount + quota, ended)
+    engine.run(**run_kwargs)
+    return window[0] if window else None
+
+
+def _ipc(window):
+    instructions, cycles = window
+    return instructions / cycles
+
+
 def test_ipc_paced_by_base_cpi_when_memory_is_fast():
     engine = Engine()
     core, _ = _core(engine, _uniform_trace(gap=9), base_cpi=0.5)
     core.start()
-    core.begin_measurement(10_000)
-    engine.run(stop_when=lambda: core.frozen)
+    window = _measure(engine, core, 10_000)
     # Memory latency (5 cycles) is negligible at gap 9; commit pacing at
     # 0.5 CPI dominates -> IPC ~2.
-    assert core.frozen_ipc == pytest.approx(2.0, rel=0.05)
+    assert _ipc(window) == pytest.approx(2.0, rel=0.05)
 
 
 def test_higher_base_cpi_lowers_ipc():
@@ -68,9 +90,7 @@ def test_higher_base_cpi_lowers_ipc():
         engine = Engine()
         core, _ = _core(engine, _uniform_trace(gap=9), base_cpi=cpi)
         core.start()
-        core.begin_measurement(5_000)
-        engine.run(stop_when=lambda: core.frozen)
-        results.append(core.frozen_ipc)
+        results.append(_ipc(_measure(engine, core, 5_000)))
     assert results[0] > 1.5 * results[1]
 
 
@@ -82,9 +102,7 @@ def test_slow_memory_lowers_ipc():
             engine, _uniform_trace(gap=9), l1=FakeL1(engine, latency=latency)
         )
         core.start()
-        core.begin_measurement(5_000)
-        engine.run(stop_when=lambda: core.frozen)
-        results.append(core.frozen_ipc)
+        results.append(_ipc(_measure(engine, core, 5_000)))
     assert results[1] < results[0] / 2
 
 
@@ -107,8 +125,7 @@ def test_stores_do_not_block_commit():
         engine, _uniform_trace(gap=9, write=True), l1=l1, rob=32
     )
     core.start()
-    core.begin_measurement(2_000)
-    engine.run(until=10_000, stop_when=lambda: core.frozen)
+    _measure(engine, core, 2_000, until=10_000)
     # Stores commit from the store buffer; progress continues.
     assert core.committed >= 2_000
 
@@ -118,58 +135,44 @@ def test_l1_rejection_stalls_then_resumes():
     l1 = FakeL1(engine, latency=5, reject_first=3)
     core, _ = _core(engine, _uniform_trace(gap=9), l1=l1)
     core.start()
-    core.begin_measurement(1_000)
-    engine.run(stop_when=lambda: core.frozen)
-    assert core.frozen
+    assert _measure(engine, core, 1_000) is not None
     assert core.stats.get("l1_mshr_stalls") == 3
 
 
 def test_freeze_keeps_core_running():
+    """Statistics frozen from the commit watch (the run driver's
+    full-detail quota) leave the core executing."""
     engine = Engine()
     core, l1 = _core(engine, _uniform_trace(gap=9))
     core.start()
-    core.begin_measurement(1_000)
-    engine.run(stop_when=lambda: core.frozen)
+    _measure(engine, core, 1_000, on_end=lambda c: c.stats.freeze())
     frozen_at = core.committed
-    frozen_ipc = core.frozen_ipc
     engine.run(until=engine.now + 2_000)
     assert core.committed > frozen_at  # still executing
-    assert core.frozen_ipc == frozen_ipc  # stats frozen
     assert core.stats.value("dispatched_refs") < core.stats.get(
         "dispatched_refs"
     )
 
 
-def test_on_frozen_hook_fires_once():
-    engine = Engine()
-    core, _ = _core(engine, _uniform_trace(gap=9))
-    calls = []
-    core.on_frozen = calls.append
-    core.start()
-    core.begin_measurement(500)
-    engine.run(until=50_000)
-    assert calls == [core]
-
-
 def test_measured_counters():
-    engine = Engine()
-    core, _ = _core(engine, _uniform_trace(gap=9))
-    core.start()
-    core.begin_measurement(1_000)
-    engine.run(stop_when=lambda: core.frozen)
-    instrs = core.stats.value("measured_instructions")
-    cycles = core.stats.value("measured_cycles")
+    """A full-detail run freezes each core's statistics at its quota
+    with the window's instruction and cycle counts, and reports exactly
+    those (IPC = instructions / cycles, both integers)."""
+    from repro.common.units import MIB
+    from repro.system.config import config_2d
+    from repro.system.machine import Machine
+
+    config = config_2d().derive(num_cores=1, l2_size=1 * MIB, l2_assoc=16)
+    machine = Machine(config, ["gzip"])
+    core = machine.run(500, 1_000).cores[0]
+    stats = machine.cores[0].stats
+    instrs = stats.value("measured_instructions")
+    cycles = stats.value("measured_cycles")
+    assert stats.is_frozen
     assert instrs >= 1_000
-    assert core.frozen_ipc == pytest.approx(instrs / cycles)
-
-
-def test_ipc_live_before_freeze():
-    engine = Engine()
-    core, _ = _core(engine, _uniform_trace(gap=9))
-    core.start()
-    core.begin_measurement(100_000)
-    engine.run(until=1_000)
-    assert 0 < core.ipc <= 4
+    assert (core.instructions, core.cycles) == (instrs, cycles)
+    assert type(core.instructions) is int and type(core.cycles) is int
+    assert core.ipc == instrs / cycles
 
 
 def test_validation():
@@ -178,9 +181,6 @@ def test_validation():
         Core(engine, 0, iter([]), FakeL1(engine), PageAllocator(), width=0)
     with pytest.raises(ValueError):
         Core(engine, 0, iter([]), FakeL1(engine), PageAllocator(), base_cpi=0)
-    core, _ = _core(engine, _uniform_trace(gap=1))
-    with pytest.raises(ValueError):
-        core.begin_measurement(0)
 
 
 def test_watch_commit_fires_at_threshold():
@@ -200,6 +200,10 @@ def test_watch_commit_fires_at_threshold():
     # Fires from inside the commit event that crosses the threshold —
     # at-or-just-past it (one commit batch is at most `width` wide).
     assert 500 <= committed_at_fire < 500 + core.width
+    # One-shot: the core runs on past the threshold, the watch stays quiet.
+    engine.run(until=engine.now + 5_000)
+    assert core.committed > committed_at_fire + 1_000
+    assert len(seen) == 1
 
 
 def test_watch_commit_fires_immediately_when_already_past():

@@ -72,8 +72,7 @@ def test_sampled_run_warms_shadow_tags():
     mix = MIXES["H1"]
     machine = Machine(_config(), list(mix.benchmarks), seed=42,
                       workload_name=mix.name)
-    machine.run_sampled(PLAN, warmup_instructions=2000,
-                        measure_instructions=8000)
+    machine.run(2000, 8000, sampling=PLAN)
     # By the end of a sampled run the shadow directory holds the
     # workload's resident set — proof the functional skips routed
     # through the L4 rather than around it.
@@ -92,8 +91,7 @@ def test_checked_cache_mode_run_reads_and_writes_off_chip():
     )
     machine = Machine(config, list(mix.benchmarks), seed=42,
                       workload_name=mix.name, checkers="all")
-    machine.run_sampled(PLAN, warmup_instructions=100_000,
-                        measure_instructions=8000)
+    machine.run(100_000, 8000, sampling=PLAN)
     l4 = dict(machine.l4.stats.items())
     assert l4["offchip_reads"] > 0
     assert l4["dirty_evictions"] > 0

@@ -61,8 +61,7 @@ def test_sampled_machine_ends_drained():
     machine = Machine(
         config_2d(), list(mix.benchmarks), seed=42, workload_name=mix.name
     )
-    machine.run_sampled(PLAN, warmup_instructions=2000,
-                        measure_instructions=8000)
+    machine.run(2000, 8000, sampling=PLAN)
     assert machine.outstanding_requests() == 0
     assert len(machine.sample_log) == len(machine.cores)
     for per_core in machine.sample_log:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.cache.array import CacheArray
 from repro.cache.tlb import Tlb
-from repro.sampling.controller import _functional_skip
+from repro.system.run import _functional_skip
 from repro.system.config import config_2d
 from repro.system.machine import Machine
 from repro.workloads.mixes import MIXES

@@ -7,6 +7,7 @@ import pytest
 
 from repro.common.errors import SnapshotConfigMismatch, SnapshotPreempted
 from repro.common.units import MIB
+from repro.sampling import SamplingPlan
 from repro.snapshot import SnapshotPlan, preemption
 from repro.snapshot.format import read_snapshot_header
 from repro.system.config import config_3d_fast
@@ -82,6 +83,31 @@ def test_resume_refuses_a_different_machine(tmp_path):
     # force skips only the fingerprint check, never the checksum.
     header = other.resume(path, force=True)
     assert header["meta"]["cycle"] > 0
+
+
+@pytest.mark.parametrize(
+    "snapshot_mode, resume_mode",
+    [("sampled", "full"), ("full", "sampled")],
+    ids=["sampled-snapshot-full-resume", "full-snapshot-sampled-resume"],
+)
+def test_resume_refuses_the_other_run_mode(snapshot_mode, resume_mode, tmp_path):
+    """The sampling plan is part of the run identity: a snapshot resumed
+    under the other mode is refused, before any stage runs."""
+    plan = SamplingPlan(detailed=300, warmup=600, detail_warmup=100,
+                        min_intervals=4)
+    modes = {"sampled": plan, "full": None}
+    path = str(tmp_path / "cell.snap")
+    preemption.request_preemption()
+    with pytest.raises(SnapshotPreempted):
+        _machine().run(
+            500, 2000, sampling=modes[snapshot_mode],
+            snapshot=SnapshotPlan(path=path, every=1000, preemptible=True),
+        )
+    preemption.clear()
+    resumed = _machine()
+    resumed.resume(path)
+    with pytest.raises(SnapshotConfigMismatch, match="run identity"):
+        resumed.run(500, 2000, sampling=modes[resume_mode])
 
 
 def test_oracle_plans_write_nothing(tmp_path):

@@ -109,8 +109,7 @@ def test_restore_then_recapture_reproduces_the_tree(name, tmp_path):
     assert header["meta"]["cycle"] == exc.cycle
 
     machine = _build(config, checkers)
-    machine.resume(path)
-    machine._apply_restore()
+    machine.restore_state(tree)
     assert machine.engine.now == exc.cycle
     recaptured = machine.capture_state()
     assert recaptured == tree
@@ -248,7 +247,7 @@ def test_a_snapshot_in_the_previous_layout_is_refused(tmp_path, monkeypatch):
         )
     with pytest.raises(SnapshotSchemaError) as refused:
         read_snapshot_file(old)
-    assert (refused.value.found, refused.value.expected) == (3, 5)
+    assert (refused.value.found, refused.value.expected) == (3, 6)
     fresh = _build(config)
     with pytest.raises(SnapshotSchemaError):
         fresh.restore_state(tree)
@@ -288,9 +287,48 @@ def test_a_snapshot_in_schema_4_is_refused(tmp_path, monkeypatch):
         )
     with pytest.raises(SnapshotSchemaError) as refused:
         read_snapshot_file(old)
-    assert (refused.value.found, refused.value.expected) == (4, 5)
+    assert (refused.value.found, refused.value.expected) == (4, 6)
     fresh = _build(config)
     with pytest.raises(SnapshotError):
+        fresh.restore_state(tree)
+    assert fresh.engine.now == 0 and fresh.engine.pending == 0
+
+
+def test_a_snapshot_in_schema_5_is_refused(tmp_path, monkeypatch):
+    """Schema 5 kept two run loops' state — a ``"sampled"`` tree key,
+    the machine's own phase fields and the core's measurement-quota
+    slots: its file is refused by the schema marker, and its layouts on
+    their own would be refused too."""
+    config = _small(config_3d_fast())
+    path = str(tmp_path / "cell.snap")
+    _preempt_to_file(config, None, path)
+    header, tree = read_snapshot_file(path)
+    tree["sampled"] = False
+    for qualname, gone, added in (
+        ("Core", set(), {
+            "_commit_watch", "_measure_start_icount", "_measure_start_time",
+            "frozen", "frozen_ipc", "measure_quota", "on_frozen",
+        }),
+        ("Machine", {"_driver"}, {
+            "_core_results", "_measure_l2_start", "_run_args", "_run_phase",
+            "_sampler", "_unfrozen_count", "_warmup_waiting",
+        }),
+    ):
+        index = _layout_index(tree, qualname)
+        module, _, fields = tree["layouts"][index]
+        fields = tuple(sorted(set(fields) - gone | added))
+        tree["layouts"][index] = (module, qualname, fields)
+    old = str(tmp_path / "schema5.snap")
+    with monkeypatch.context() as patch:
+        patch.setattr(format_mod, "SCHEMA_VERSION", 5)
+        write_snapshot_file(
+            old, tree, config_fingerprint=header["config_fingerprint"]
+        )
+    with pytest.raises(SnapshotSchemaError) as refused:
+        read_snapshot_file(old)
+    assert (refused.value.found, refused.value.expected) == (5, 6)
+    fresh = _build(config)
+    with pytest.raises(SnapshotSchemaError):
         fresh.restore_state(tree)
     assert fresh.engine.now == 0 and fresh.engine.pending == 0
 
@@ -343,8 +381,7 @@ def test_an_l4_with_most_sets_unbuilt_resumes_bit_identically(tmp_path):
     assert 0 < len(lengths) - lengths.count(0) < len(lengths) // 100
 
     fresh = _build(config)
-    fresh.resume(path)
-    fresh._apply_restore()
+    fresh.restore_state(tree)
     sets = fresh.l4._tags.array._sets
     assert [0 if s is None else len(s) for s in sets] == lengths
     assert sets.count(None) == lengths.count(0)
@@ -464,8 +501,7 @@ def test_a_field_no_seam_names_survives_resume(tmp_path):
     machine.snapshot(path)
 
     fresh = _build(config)
-    fresh.resume(path)
-    fresh._apply_restore()
+    fresh.restore_state(read_snapshot_file(path)[1])
     assert fresh.l2.replay_marker == ("set after preemption", 7)
     assert fresh.cores[0].base_cpi == 0.625
 

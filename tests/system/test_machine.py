@@ -142,9 +142,41 @@ def test_swapped_trace_feeds_skip_ahead_and_dispatch_from_one_source():
     machine = Machine(config_2d(), ["S.all", "gzip", "mcf", "qsort"])
     core = machine.cores[0]
     core.trace = _one_address(pulled)
-    machine.run_sampled(SamplingPlan(), 2_000, 8_000)
+    machine.run(2_000, 8_000, sampling=SamplingPlan())
     cursor = core.trace.cursor()
     consumed = (cursor.batches_advanced - 1) * TRACE_BATCH_SIZE + cursor.index
     assert consumed > 2_000
     assert core.icount == consumed * 4  # gap 3 + the op
     assert pulled[0] == cursor.batches_advanced * TRACE_BATCH_SIZE
+
+
+#: A short sampling plan: 4 intervals of 100 + 50 + 200 instructions.
+_PLAN_ARGS = dict(detailed=200, warmup=100, detail_warmup=50, min_intervals=4)
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [(False, False), (False, True), (True, False), (True, True)],
+    ids=["full-then-full", "full-then-sampled", "sampled-then-full",
+         "sampled-then-sampled"],
+)
+def test_a_finished_machine_refuses_a_second_run(first, second):
+    """A machine runs once: a second run in either mode is refused by
+    name, and refusing it simulates nothing."""
+    from repro.common.errors import SnapshotError
+    from repro.sampling.plan import SamplingPlan
+
+    plan = SamplingPlan(**_PLAN_ARGS)
+    machine = Machine(_small(config_2d()), FAST_MIX)
+    machine.run(500, 1_000, sampling=plan if first else None)
+    fired, now = machine.engine.events_fired, machine.engine.now
+    with pytest.raises(SnapshotError, match="already completed"):
+        machine.run(500, 1_000, sampling=plan if second else None)
+    assert (machine.engine.events_fired, machine.engine.now) == (fired, now)
+
+
+def test_measure_quota_must_be_positive():
+    machine = Machine(_small(config_2d()), FAST_MIX)
+    with pytest.raises(ValueError, match="measure_instructions"):
+        machine.run(500, 0)
+    assert machine.engine.events_fired == 0

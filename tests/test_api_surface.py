@@ -22,6 +22,9 @@ PACKAGES = [
     "repro.stack3d",
     "repro.system",
     "repro.experiments",
+    "repro.sampling",
+    "repro.snapshot",
+    "repro.validate",
     "repro.service",
 ]
 

@@ -195,10 +195,10 @@ def test_replayed_trace_drives_a_core(tmp_path):
     )
     core = Core(engine, 0, read_trace(path, loop=True), l1, PageAllocator())
     core.start()
-    core.begin_measurement(1_000)
-    engine.run(stop_when=lambda: core.frozen, until=10_000_000)
-    assert core.frozen
-    assert core.frozen_ipc > 0
+    core.watch_commit(1_000, lambda c: engine.request_stop())
+    engine.run(until=10_000_000)
+    assert core.committed >= 1_000
+    assert core.committed / engine.now > 0
 
 
 # ----------------------------------------------------------------------
