@@ -56,7 +56,9 @@ from ..workloads.mixes import WorkloadMix
 #: v6: SystemConfig lost its L2 replacement, DRAM page-policy,
 #: interleaving-scheme and L2 MSHR banking switches (always LRU,
 #: open-page, modulo-interleaved, one L2 MSHR file per MC).
-KEY_SCHEMA_VERSION = 6
+#: v7: a full-detail result's ``avg_load_latency`` covers the measured
+#: window only (before, warm-up loads were averaged in).
+KEY_SCHEMA_VERSION = 7
 
 
 def canonical_json(obj) -> str:

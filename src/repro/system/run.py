@@ -305,8 +305,6 @@ class RunDriver:
             cycles = sum(s[_CYCLES] for s in per_interval)
             if plan is None:
                 ipc = instructions / cycles if cycles else 0.0
-                end = self.ends[idx]
-                loads, latency = end[_LOADS], end[_LOAD_LATENCY]
             else:
                 est = estimate_mean([
                     s[_CYCLES] / s[_INSTRUCTIONS]
@@ -316,8 +314,8 @@ class RunDriver:
                 rel_cis.append(est.rel_ci95)
                 ipc = (1.0 / est.mean) if est.mean else 0.0
                 instructions, cycles = float(instructions), float(cycles)
-                loads = sum(s[_LOADS] for s in per_interval)
-                latency = sum(s[_LOAD_LATENCY] for s in per_interval)
+            loads = sum(s[_LOADS] for s in per_interval)
+            latency = sum(s[_LOAD_LATENCY] for s in per_interval)
             misses = sum(s[_L2_MISSES] for s in per_interval)
             core_results.append(
                 CoreResult(

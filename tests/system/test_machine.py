@@ -180,3 +180,35 @@ def test_measure_quota_must_be_positive():
     with pytest.raises(ValueError, match="measure_instructions"):
         machine.run(500, 0)
     assert machine.engine.events_fired == 0
+
+
+def test_full_detail_load_latency_covers_the_measured_window(monkeypatch):
+    """``avg_load_latency`` averages the loads completed inside each
+    core's measured window; the warm-up's cold misses stay out of it."""
+    from repro.system.run import RunDriver
+
+    at_start = {}
+    begin = RunDriver._begin_measure
+
+    def begin_recording(driver):
+        begin(driver)
+        for core in driver.machine.cores:
+            at_start[core.core_id] = (
+                core.stats.get("loads_completed"),
+                core.stats.get("load_latency_sum"),
+            )
+
+    monkeypatch.setattr(RunDriver, "_begin_measure", begin_recording)
+    machine = Machine(_small(config_2d()), FAST_MIX, seed=42)
+    reported = {c.benchmark: c.avg_load_latency for c in machine.run(1_000, 4_000).cores}
+    for slot, core in enumerate(machine.cores):
+        loads, latency = at_start[slot]
+        # Frozen at the core's quota: the window's end.
+        end_loads = core.stats.value("loads_completed")
+        end_latency = core.stats.value("load_latency_sum")
+        window = (end_latency - latency) / (end_loads - loads)
+        assert reported[machine._benchmarks[slot]] == window
+    gzip = machine._benchmarks.index("gzip")
+    stats = machine.cores[gzip].stats
+    whole_run = stats.value("load_latency_sum") / stats.value("loads_completed")
+    assert reported["gzip"] < 0.75 * whole_run
