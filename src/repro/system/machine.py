@@ -37,7 +37,7 @@ from ..common.errors import (
     SnapshotError,
     SnapshotPreempted,
 )
-from ..engine.simulator import Engine, Watchdog
+from ..engine.simulator import Engine
 from ..interconnect.bus import Bus
 from ..interconnect.links import offchip_fsb, tsv_bus
 from ..memctrl.memsys import MainMemory
@@ -399,11 +399,13 @@ class Machine:
         """Warm up, measure, and collect results (paper methodology).
 
         Args:
-            max_cycles: cycle ceiling per stage; exceeding it raises
+            max_cycles: absolute simulated-cycle ceiling; a stage not
+                finished by then raises
                 :class:`~repro.common.errors.SimulationHang`.
-            max_events: optional event budget per stage (watchdog against
-                runaway simulations that keep scheduling work without
-                committing instructions).
+            max_events: optional event budget per engine drive (a stage,
+                or one snapshot chunk of it): a watchdog against runaway
+                simulations that keep scheduling work without committing
+                instructions.
             snapshot: optional :class:`~repro.snapshot.SnapshotPlan`;
                 when set, the run checkpoints at every absolute multiple
                 of ``plan.every`` cycles (and polls for cooperative

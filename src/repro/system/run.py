@@ -46,7 +46,6 @@ from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from ..common.errors import SimulationHang
 from ..engine.simulator import Watchdog
-from ..sampling.estimate import estimate_mean
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .machine import Machine, MachineResult
@@ -306,6 +305,9 @@ class RunDriver:
             if plan is None:
                 ipc = instructions / cycles if cycles else 0.0
             else:
+                # Imported here: a full-detail run never loads repro.sampling.
+                from ..sampling.estimate import estimate_mean
+
                 est = estimate_mean([
                     s[_CYCLES] / s[_INSTRUCTIONS]
                     for s in per_interval
