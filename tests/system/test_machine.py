@@ -150,10 +150,6 @@ def test_swapped_trace_feeds_skip_ahead_and_dispatch_from_one_source():
     assert pulled[0] == cursor.batches_advanced * TRACE_BATCH_SIZE
 
 
-#: A short sampling plan: 4 intervals of 100 + 50 + 200 instructions.
-_PLAN_ARGS = dict(detailed=200, warmup=100, detail_warmup=50, min_intervals=4)
-
-
 @pytest.mark.parametrize(
     "first, second",
     [(False, False), (False, True), (True, False), (True, True)],
@@ -166,7 +162,9 @@ def test_a_finished_machine_refuses_a_second_run(first, second):
     from repro.common.errors import SnapshotError
     from repro.sampling.plan import SamplingPlan
 
-    plan = SamplingPlan(**_PLAN_ARGS)
+    # Four intervals of 100 skipped + 50 warm-up + 200 measured.
+    plan = SamplingPlan(detailed=200, warmup=100, detail_warmup=50,
+                        min_intervals=4)
     machine = Machine(_small(config_2d()), FAST_MIX)
     machine.run(500, 1_000, sampling=plan if first else None)
     fired, now = machine.engine.events_fired, machine.engine.now
