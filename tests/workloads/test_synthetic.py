@@ -5,6 +5,11 @@ import itertools
 import pytest
 
 from repro.workloads import synthetic as syn
+from tests.workloads import row_reference
+
+
+def _producer(pattern):
+    return getattr(syn, pattern + "_batches")
 
 
 def _take(trace, n):
@@ -136,49 +141,100 @@ def test_generators_are_deterministic():
 # Native columnar producers: the same item stream as the row generator.
 # ---------------------------------------------------------------------------
 
+
+def _whole(group):
+    """Batch length of a producer that rounds to whole groups of items."""
+    return lambda size: max(1, size // group) * group
+
+
+#: id -> (pattern, kwargs, seeded, promised batch length or None).  A
+#: ``None`` length is a producer whose batch lengths vary (stream_all's
+#: rotation segments); its batches are only checked to be non-empty.
 _PRODUCER_PAIRS = {
     "hot_cold": (
-        syn.hot_cold, syn.hot_cold_batches,
+        "hot_cold",
         dict(hot_bytes=16 * 1024, cold_bytes=1 << 28, cold_fraction=0.04,
              gap=9),
+        True, _whole(1),
     ),
     "hot_cold-one-line-regions": (
         # randrange(1) still draws one bit per call; so must the batches.
-        syn.hot_cold, syn.hot_cold_batches,
+        "hot_cold",
         dict(hot_bytes=64, cold_bytes=64, cold_fraction=0.5, gap=3,
              write_fraction=0.5),
+        True, _whole(1),
     ),
     "random_uniform-rmw": (
-        syn.random_uniform, syn.random_uniform_batches,
-        dict(footprint=1 << 26, gap=2, rmw=True),
+        "random_uniform", dict(footprint=1 << 26, gap=2, rmw=True),
+        True, _whole(1),
     ),
     "random_uniform": (
-        syn.random_uniform, syn.random_uniform_batches,
+        "random_uniform",
         dict(footprint=1 << 26, gap=26, write_fraction=0.15),
+        True, _whole(1),
     ),
     "random_uniform-odd-footprint": (
-        syn.random_uniform, syn.random_uniform_batches,
+        "random_uniform",
         dict(footprint=64 * 1000, gap=1, write_fraction=0.5),
+        True, _whole(1),
+    ),
+    "stream_kernel-1r1w": (
+        # 37 elements: sweeps wrap inside a batch.
+        "stream_kernel",
+        dict(array_bytes=8 * 37, reads_per_element=1, writes_per_element=1,
+             gap=2),
+        False, _whole(2),
+    ),
+    "stream_kernel-2r1w": (
+        "stream_kernel",
+        dict(array_bytes=8 * 37, reads_per_element=2, writes_per_element=1),
+        False, _whole(3),
+    ),
+    "stream_all": (
+        # Rotation segments of 10/10/15/15 items: partial batches are
+        # carried over to each kernel's next turn.
+        "stream_all", dict(array_bytes=8 * 5, gap=1), False, None,
+    ),
+    "sequential_scan-writes": (
+        # A stride that does not divide the footprint, and writes drawn.
+        "sequential_scan",
+        dict(footprint=1000, stride=48, gap=5, write_fraction=0.3),
+        True, _whole(1),
+    ),
+    "pointer_chase-writes": (
+        # 100 lines under a 128 modulus: rejected LCG states, and writes.
+        "pointer_chase",
+        dict(footprint=64 * 100, gap=3, write_fraction=0.25),
+        True, _whole(1),
+    ),
+    "strided-ragged-rounds": (
+        "strided",
+        dict(footprint=3 * 1000, stride=48, gap=4, write_fraction=0.3,
+             num_streams=3),
+        True, _whole(3),
     ),
 }
 
 
-@pytest.mark.parametrize("batch_size", [1, 7, 1024])
+@pytest.mark.parametrize("batch_size", [1, 2, 7, 1024])
 @pytest.mark.parametrize("seed", [1, 42, 2008])
 @pytest.mark.parametrize("pair", sorted(_PRODUCER_PAIRS))
 def test_native_producer_matches_row_generator(pair, seed, batch_size):
-    rows_fn, batches_fn, kwargs = _PRODUCER_PAIRS[pair]
-    want = 3 * batch_size
-    rows = _take(rows_fn(0x4000, seed=seed, **kwargs), want)
+    pattern, kwargs, seeded, length = _PRODUCER_PAIRS[pair]
+    if seeded:
+        kwargs = dict(kwargs, seed=seed)
+    want = 3 * batch_size + 100
+    rows = _take(getattr(row_reference, pattern)(0x4000, **kwargs), want)
     native = []
-    for batch in batches_fn(
-        0x4000, seed=seed, batch_size=batch_size, **kwargs
-    ):
-        assert len(batch) == batch_size
+    for batch in _producer(pattern)(0x4000, batch_size=batch_size, **kwargs):
+        if length is None:
+            assert len(batch) >= 1
+        else:
+            assert len(batch) == length(batch_size)
         native.extend(batch)
         if len(native) >= want:
             break
-    assert native == rows
+    assert native[:want] == rows
 
 
 def test_hot_cold_batches_validation():
