@@ -23,6 +23,8 @@ PACKAGES = [
     "repro.stack3d",
     "repro.system",
     "repro.experiments",
+    "repro.sampling",
+    "repro.snapshot",
     "repro.validate",
     "repro.service",
 ]

@@ -1,6 +1,6 @@
 """Trace-driven core model."""
 
 from .core import Core
-from .trace import Trace, TraceItem, instructions_per_item
+from .trace import Trace, TraceItem
 
-__all__ = ["Core", "Trace", "TraceItem", "instructions_per_item"]
+__all__ = ["Core", "Trace", "TraceItem"]

@@ -1,28 +1,29 @@
 """Trace item and columnar trace-batch types consumed by the core model.
 
-Workload generators yield an endless stream of :class:`TraceItem`; the
-core model executes them against the cache hierarchy.  ``gap`` is the
-number of non-memory instructions preceding this memory operation, so
+A trace is an endless (or finite) stream of memory operations that the
+core model executes against the cache hierarchy.  ``gap`` is the number
+of non-memory instructions preceding each memory operation, so
 cumulative instruction counts (and therefore IPC and MPKI denominators)
 are reconstructed exactly.
 
-Generators *produce* either form; the core *consumes* one:
+A trace comes in one of two forms; the core *consumes* one:
 
+* **Columnar form** — :class:`TraceBatch`, a structure-of-arrays chunk
+  (``array('q')``/``array('b')`` columns for gap/addr/pc/is_write): what
+  the synthetic producers of :mod:`repro.workloads.synthetic`, and so
+  every Table-2 benchmark, yield.
 * **Row form** — :class:`TraceItem`, one NamedTuple per memory op: what
   a hand-written generator or :func:`~repro.workloads.tracefile.
-  read_trace` yields.
-* **Columnar form** — :class:`TraceBatch`, a structure-of-arrays chunk
-  (``array('q')``/``array('b')`` columns for gap/addr/pc/is_write).
+  read_trace` yields.  :func:`batch_iter` chunks it into batches.
 
-:func:`as_batched` turns anything into a :class:`BatchedTrace` (row-form
-input is chunked by :func:`batch_iter`), and the core reads its
-:class:`BatchCursor` column-direct — there is no row-form consumer.
+:func:`as_batched` turns either into a :class:`BatchedTrace`, and the
+core reads its :class:`BatchCursor` column-direct — there is no
+row-form consumer.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import deque
 from itertools import islice
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -40,7 +41,7 @@ class TraceItem(NamedTuple):
     pc: int  # instruction pointer of the memory op (for stride prefetch)
 
 
-#: Type alias for what generators produce.
+#: Type alias for a row-form trace.
 Trace = Iterator[TraceItem]
 
 
@@ -90,45 +91,6 @@ class TraceBatch:
         return sum(self.gaps) + self.length
 
 
-class _BatchIter:
-    """Iterator form of :func:`batch_iter` with a cooperative skip.
-
-    Snapshot fast-forward discards every batch before the captured
-    position; :meth:`skip_batches` consumes the underlying items
-    without packing them into :class:`TraceBatch` columns, which is
-    the bulk of this adapter's per-batch cost.
-    """
-
-    __slots__ = ("_it", "_size")
-
-    def __init__(self, trace: Iterable[TraceItem], size: int) -> None:
-        self._it = iter(trace)
-        self._size = size
-
-    def __iter__(self) -> "_BatchIter":
-        return self
-
-    def __next__(self) -> TraceBatch:
-        chunk = list(islice(self._it, self._size))
-        if not chunk:
-            raise StopIteration
-        return TraceBatch(
-            array("q", [item[0] for item in chunk]),
-            array("q", [item[1] for item in chunk]),
-            array("b", [1 if item[2] else 0 for item in chunk]),
-            array("q", [item[3] for item in chunk]),
-        )
-
-    def skip_batches(self, count: int) -> None:
-        """Drop ``count`` whole batches without materializing them.
-
-        Only valid when every skipped batch is full — guaranteed for
-        any position a cursor actually reached, because a partial
-        batch can only be the last one a finite trace yields.
-        """
-        deque(islice(self._it, count * self._size), maxlen=0)
-
-
 def batch_iter(
     trace: Iterable[TraceItem], size: int = TRACE_BATCH_SIZE
 ) -> Iterator[TraceBatch]:
@@ -136,11 +98,22 @@ def batch_iter(
 
     The adapter between per-item generators and the core's cursor:
     finite traces end with a final partial batch; endless traces chunk
-    forever.
+    forever.  A snapshot resume replays it batch by batch like any
+    other source.
     """
     if size < 1:
         raise ValueError("batch size must be >= 1")
-    return _BatchIter(trace, size)
+    items = iter(trace)
+    while True:
+        chunk = list(islice(items, size))
+        if not chunk:
+            return
+        yield TraceBatch(
+            array("q", [item[0] for item in chunk]),
+            array("q", [item[1] for item in chunk]),
+            array("b", [1 if item[2] else 0 for item in chunk]),
+            array("q", [item[3] for item in chunk]),
+        )
 
 
 class BatchCursor:
@@ -181,14 +154,6 @@ class BatchCursor:
         if self.batches_advanced != 0:
             raise ValueError("can only restore a fresh trace cursor")
         target = state["batches_advanced"]
-        # Everything before the final batch is discarded anyway; a
-        # cooperating source consumes those items without packing them
-        # into columns.  Only the batch the cursor actually sits in
-        # must be materialized.
-        skip = getattr(self._source, "skip_batches", None)
-        if skip is not None and target > 1:
-            skip(target - 1)
-            self.batches_advanced = target - 1
         while self.batches_advanced < target:
             self.advance_batch()
         self.index = state["index"]
@@ -217,24 +182,3 @@ def as_batched(
     if isinstance(trace, BatchedTrace):
         return trace
     return BatchedTrace(batch_iter(trace, size))
-
-
-def instructions_per_item(trace_sample: Iterable) -> float:
-    """Average instructions represented per trace item (gap + the op).
-
-    Accepts any iterable of :class:`TraceItem` and/or :class:`TraceBatch`
-    (batches count each contained item) and computes the mean in one
-    pass.
-    """
-    total = 0
-    count = 0
-    for entry in trace_sample:
-        if isinstance(entry, TraceBatch):
-            total += entry.instructions
-            count += entry.length
-        else:
-            total += entry.gap + 1
-            count += 1
-    if count == 0:
-        return 0.0
-    return total / count

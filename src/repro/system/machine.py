@@ -317,9 +317,7 @@ class Machine:
                 latency=config.l1_latency,
                 prefetcher=l1_prefetcher,
             )
-            trace = spec.batched_trace(
-                core_id * CORE_VA_STRIDE, seed + core_id
-            )
+            trace = spec.trace(core_id * CORE_VA_STRIDE, seed + core_id)
             tlb = None
             if config.dtlb_enabled:
                 tlb = Tlb(

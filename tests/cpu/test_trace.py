@@ -8,7 +8,6 @@ from repro.cpu.trace import (
     TraceItem,
     as_batched,
     batch_iter,
-    instructions_per_item,
 )
 
 ITEMS = [
@@ -26,30 +25,6 @@ def test_trace_item_fields():
     assert item.addr == 0x1000
     assert item.is_write
     assert item.pc == 0x400
-
-
-def test_instructions_per_item():
-    sample = [TraceItem(0, 0, False, 0), TraceItem(4, 0, False, 0)]
-    # (0+1 + 4+1) / 2
-    assert instructions_per_item(sample) == 3.0
-    assert instructions_per_item([]) == 0.0
-
-
-def test_instructions_per_item_accepts_any_iterable():
-    # A generator (single-pass iterable) must work — the one-pass
-    # contract means no len() or second traversal.
-    gen = (TraceItem(g, 0, False, 0) for g in (1, 3))
-    assert instructions_per_item(gen) == 3.0
-
-
-def test_instructions_per_item_counts_batches():
-    batch = batch_iter(ITEMS, size=len(ITEMS)).__next__()
-    expected = sum(i.gap + 1 for i in ITEMS) / len(ITEMS)
-    assert instructions_per_item([batch]) == expected
-    # Mixed row items and batches accumulate into one mean.
-    mixed = [ITEMS[0], batch]
-    total = (ITEMS[0].gap + 1) + sum(i.gap + 1 for i in ITEMS)
-    assert instructions_per_item(mixed) == total / (1 + len(ITEMS))
 
 
 def test_trace_batch_columns_and_row_views():

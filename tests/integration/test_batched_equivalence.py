@@ -1,19 +1,23 @@
-"""Producer equivalence: native columns == ``batch_iter(row generator)``.
+"""Batch-boundary equivalence: where a trace is cut into batches must
+not change what the machine does.
 
 A core executes one trace form — ``TraceBatch`` columns read through a
-cursor — but the columns come from two kinds of producer: a benchmark's
-native ``batch_factory`` and the ``batch_iter`` adapter chunking its
-row generator (what an ad-hoc generator or ``read_trace`` goes
-through).  The row generators are the oracle: for every input below the
-machine is run once on the registered producer and once with each
-benchmark re-fed from its row generator at a ragged batch size, and the
-``MachineResult``, the complete stat dump and the number of events
-fired must be equal.  Batch sizes (1, 2, odd, huge against 37) put the
+cursor — and the columns come from two kinds of producer: a Table-2
+benchmark's columnar producer, and the ``batch_iter`` adapter chunking
+a row-form generator (what an ad-hoc generator or ``read_trace`` goes
+through).  For every input below the machine is run once on the
+registered producer and once with each benchmark's items re-chunked by
+``batch_iter`` at a ragged batch size, and the ``MachineResult``, the
+complete stat dump and the number of events fired must be equal.
+Batch sizes (1, 2, odd, huge, the producers' 1024 against 37) put the
 batch boundaries in different places on the two arms, so an op that
-stalls, parks or is skipped across a boundary is covered too.
+stalls, parks or is skipped across a boundary is covered too.  That
+the items themselves are the reference generators' is pinned by
+``tests/workloads/test_synthetic.py`` and ``test_benchmarks.py``.
 """
 
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -39,15 +43,15 @@ def _run(config, names, seed):
 
 
 def _run_both(config, names, seed=7):
-    """(registered producers, the same benchmarks fed from their rows)."""
+    """(registered producers, the same items re-chunked at _RAGGED)."""
     registered = _run(config, names, seed)
     specs = {name: BENCHMARKS[name] for name in names}
     try:
         for name, spec in specs.items():
             BENCHMARKS[name] = dataclasses.replace(
                 spec,
-                batch_factory=lambda base, seed, _rows=spec.factory: (
-                    batch_iter(_rows(base, seed), _RAGGED)
+                factory=lambda base, seed, _f=spec.factory: batch_iter(
+                    itertools.chain.from_iterable(_f(base, seed)), _RAGGED
                 ),
             )
         return registered, _run(config, names, seed)
@@ -55,9 +59,9 @@ def _run_both(config, names, seed=7):
         BENCHMARKS.update(specs)
 
 
-def _assert_identical(registered, row_fed):
+def _assert_identical(registered, rechunked):
     (got_result, got_dump, got), (want_result, want_dump, want) = (
-        registered, row_fed
+        registered, rechunked
     )
     assert got_result == want_result
     assert got_dump == want_dump
@@ -101,16 +105,15 @@ def random_benchmark(request):
     name = f"_randmix_s{seed}_b{batch_size}"
     items = _random_items(seed)
 
-    def factory(base, _seed):
+    def rows(base):
         while True:
             for gap, addr, w, pc in items:
                 yield TraceItem(gap, base + addr, bool(w), pc)
 
     BENCHMARKS[name] = BenchmarkSpec(
-        name, "Micro", 0.0, factory, base_cpi=0.5,
-        batch_factory=lambda base, seed: batch_iter(
-            factory(base, seed), size=batch_size
-        ),
+        name, "Micro", 0.0,
+        lambda base, _seed: batch_iter(rows(base), size=batch_size),
+        base_cpi=0.5,
     )
     yield name
     BENCHMARKS.pop(name, None)
@@ -124,35 +127,29 @@ def random_benchmark(request):
 )
 def test_random_mix_stats_bit_identical(random_benchmark):
     config = config_2d().derive(name="2D-1c", num_cores=1)
-    registered, row_fed = _run_both(config, [random_benchmark])
-    _assert_identical(registered, row_fed)
+    registered, rechunked = _run_both(config, [random_benchmark])
+    _assert_identical(registered, rechunked)
     # A mostly-hit mix must exercise the parking rule.
     assert sum(core.parked_dispatches for core in registered[2].cores) > 0
 
 
 def test_native_producer_matches_batch_iter_adapter():
-    """A generator's native columnar stream must equal the adapter's.
+    """A producer's columns must equal the adapter's, column for column.
 
-    The synthetic generators produce TraceBatch columns directly; the
-    guarantee is that this is purely a faster construction of the same
-    items the row-form generator yields.
+    The synthetic producers build TraceBatch columns directly; the
+    guarantee is that this is purely a faster construction of the
+    batches ``batch_iter`` would cut from the row-form reference
+    generator, down to the columns' array types.
     """
-    import itertools
-
     from repro.workloads import synthetic as syn
+    from tests.workloads import row_reference
 
-    rows = list(itertools.islice(
-        syn.sequential_scan(0x4000, footprint=4096, stride=64, gap=1,
-                            seed=3),
-        1_500,
-    ))
-    native = []
-    for batch in syn.sequential_scan_batches(
-            0x4000, footprint=4096, stride=64, gap=1, seed=3):
-        native.extend(batch)
-        if len(native) >= 1_500:
-            break
-    assert native[:1_500] == rows
+    kwargs = dict(footprint=4096, stride=64, gap=1, seed=3)
+    native = syn.sequential_scan(0x4000, **kwargs)
+    adapted = batch_iter(row_reference.sequential_scan(0x4000, **kwargs))
+    for got, want in itertools.islice(zip(native, adapted), 3):
+        for column in ("gaps", "addrs", "writes", "pcs"):
+            assert getattr(got, column) == getattr(want, column)
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +200,8 @@ def miss_heavy_benchmark(request):
 )
 def test_miss_heavy_stats_bit_identical(miss_heavy_benchmark):
     kind, name = miss_heavy_benchmark
-    registered, row_fed = _run_both(_miss_heavy_config(), [name])
-    _assert_identical(registered, row_fed)
+    registered, rechunked = _run_both(_miss_heavy_config(), [name])
+    _assert_identical(registered, rechunked)
     if kind == "streaming":
         # The saturated-MRQ case must really be DRAM-bound, otherwise
         # this differential never leaves the L2.
@@ -238,8 +235,8 @@ def test_miss_heavy_multicore_mixed_kinds_bit_identical():
 
 
 def test_multicore_mix_stats_bit_identical():
-    """The stock 4-core H1 mix: every Table-2 native producer against
-    its row generator, end to end."""
+    """The stock 4-core H1 mix: its Table-2 producers against the same
+    items re-chunked, end to end."""
     _assert_identical(*_run_both(
         config_2d(), list(MIXES["H1"].benchmarks), seed=42
     ))

@@ -110,14 +110,14 @@ def ragged_benchmark():
         for _ in range(2_000)
     ]
 
-    def factory(base, _seed):
+    def rows(base):
         while True:
             for gap, addr, is_write, pc in items:
                 yield TraceItem(gap, base + addr, is_write, pc)
 
     BENCHMARKS["_ragged"] = BenchmarkSpec(
-        "_ragged", "Micro", 0.0, factory,
-        batch_factory=lambda base, seed: batch_iter(factory(base, seed), 7),
+        "_ragged", "Micro", 0.0,
+        lambda base, _seed: batch_iter(rows(base), 7),
     )
     yield "_ragged"
     del BENCHMARKS["_ragged"]
@@ -166,14 +166,14 @@ def test_finite_trace_ends_no_earlier_when_the_rule_peeks(monkeypatch):
     raises StopIteration from the same dispatch event it always did."""
     from repro.cpu.trace import TraceItem, batch_iter
 
-    def factory(base, _seed):
+    def rows(base):
         # A single hot line: all hits, ROB-limited, so the rule is
         # peeking when the items run out.
-        return iter([TraceItem(9, base, False, 0x400) for _ in range(300)])
+        return [TraceItem(9, base, False, 0x400) for _ in range(300)]
 
     BENCHMARKS["_finite"] = BenchmarkSpec(
-        "_finite", "Micro", 0.0, factory,
-        batch_factory=lambda base, seed: batch_iter(factory(base, seed), 64),
+        "_finite", "Micro", 0.0,
+        lambda base, _seed: batch_iter(rows(base), 64),
     )
     try:
         config = config_3d_fast().derive(name="finite", num_cores=1)

@@ -1,8 +1,8 @@
 """Miss-heavy synthetic workloads for the trace-producer differential.
 
 The DRAM-bound inputs of ``tests/integration/test_batched_equivalence.py``
-(native columns vs ``batch_iter`` over the row generator): deep MRQs,
-blocked cores, refresh interaction.  Each mix stresses one part of the
+(the same items at two batch sizes): deep MRQs, blocked cores, refresh
+interaction.  Each mix stresses one part of the
 memory controller's pump and the bank timing under it:
 
 ``streaming``
@@ -20,7 +20,7 @@ memory controller's pump and the bank timing under it:
     running into refresh blackouts.
 
 Each mix is registered as a looping finite item list (same idiom as the
-randomized equivalence property tests), with a ``batch_factory`` at a
+randomized equivalence property tests), chunked by ``batch_iter`` at a
 caller-chosen batch size so batch-boundary behaviour is covered too.
 Use :func:`register_miss_heavy` / :func:`unregister` around runs.
 """
@@ -125,17 +125,16 @@ def register_miss_heavy(kind: str, seed: int, batch_size: int) -> str:
         )
     items = builder(seed)
 
-    def factory(base, _seed, _items=items):
+    def rows(base):
         while True:
-            for gap, addr, is_write, pc in _items:
+            for gap, addr, is_write, pc in items:
                 yield TraceItem(gap, base + addr, bool(is_write), pc)
 
     name = benchmark_name(kind, seed, batch_size)
     BENCHMARKS[name] = BenchmarkSpec(
-        name, "MissHeavy", 0.0, factory, base_cpi=0.5,
-        batch_factory=lambda base, seed, _f=factory: batch_iter(
-            _f(base, seed), size=batch_size
-        ),
+        name, "MissHeavy", 0.0,
+        lambda base, _seed: batch_iter(rows(base), size=batch_size),
+        base_cpi=0.5,
     )
     return name
 

@@ -39,6 +39,7 @@ from repro.system.config import (
 )
 from repro.system.machine import Machine
 from repro.validate.diff import diff_resume, resume_shapes
+from tests import missheavy
 from tests.strategies import random_benchmarks, random_system_config
 
 MIX = ["gzip", "namd", "mesa", "astar"]  # light, quick to simulate
@@ -160,6 +161,35 @@ def test_tree_covers_every_wired_component(tmp_path):
 
 def test_sampled_run_resumes_bit_identically(tmp_path):
     _assert_resumes_bit_identically("sampled", tmp_path)
+
+
+def test_batch_iter_fed_run_resumes_bit_identically(tmp_path):
+    """A trace chunked by ``batch_iter`` resumes by replaying batches.
+
+    The resumed cursor pulls every batch before its captured position
+    again from a fresh adapter, so position and items must line up.
+    """
+    name = missheavy.register_miss_heavy("streaming", 3, batch_size=7)
+    path = tmp_path / "cell.snap"
+    try:
+        config = _small(config_3d_fast()).derive(name="1c-mh", num_cores=1)
+        report, oracle, stitched = diff_resume(
+            config, [name], warmup=WARMUP, measure=MEASURE, every=EVERY,
+            snapshot_path=str(path), seed=7, workload_name="test",
+            label="batch-iter",
+        )
+    finally:
+        missheavy.unregister(name)
+    assert report.identical, report.format()
+    assert 0 < stitched.commands == oracle.commands
+    # Preempted past the first batch, so the resume replayed whole
+    # batches before seating the one the cursor sits in.
+    _, tree = read_snapshot_file(str(path))
+    (position,) = [
+        node["batches_advanced"] for node in _walk(tree["root"])
+        if isinstance(node, dict) and "batches_advanced" in node
+    ]
+    assert position > 1
 
 
 def _layout_index(tree, qualname):

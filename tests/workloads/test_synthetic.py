@@ -1,4 +1,4 @@
-"""Unit tests for the synthetic trace generators."""
+"""Unit tests for the synthetic trace producers."""
 
 import itertools
 
@@ -8,17 +8,19 @@ from repro.workloads import synthetic as syn
 from tests.workloads import row_reference
 
 
-def _producer(pattern):
-    return getattr(syn, pattern + "_batches")
-
-
 def _take(trace, n):
+    """The first ``n`` items of a row-form trace."""
     return list(itertools.islice(trace, n))
 
 
+def _items(batches, n):
+    """The first ``n`` items of a producer's batches."""
+    return _take(itertools.chain.from_iterable(batches), n)
+
+
 def test_stream_copy_pattern():
-    items = _take(syn.stream_kernel(0, array_bytes=1024, reads_per_element=1,
-                                    writes_per_element=1, element_size=8), 8)
+    items = _items(syn.stream_kernel(0, array_bytes=1024, reads_per_element=1,
+                                     writes_per_element=1, element_size=8), 8)
     # Alternating read/write, lockstep over two arrays.
     assert [i.is_write for i in items] == [False, True] * 4
     assert items[0].addr == 0 and items[1].addr == 1024
@@ -27,8 +29,8 @@ def test_stream_copy_pattern():
 
 def test_stream_arrays_are_disjoint():
     base = 1 << 20
-    items = _take(syn.stream_kernel(base, array_bytes=4096,
-                                    reads_per_element=2, writes_per_element=1), 300)
+    items = _items(syn.stream_kernel(base, array_bytes=4096,
+                                     reads_per_element=2, writes_per_element=1), 300)
     reads = {i.addr for i in items if not i.is_write}
     writes = {i.addr for i in items if i.is_write}
     assert all(base <= a < base + 8192 for a in reads)
@@ -36,13 +38,13 @@ def test_stream_arrays_are_disjoint():
 
 
 def test_stream_wraps_after_full_sweep():
-    items = _take(syn.stream_kernel(0, array_bytes=64, reads_per_element=1,
-                                    writes_per_element=0, element_size=8), 16)
+    items = _items(syn.stream_kernel(0, array_bytes=64, reads_per_element=1,
+                                     writes_per_element=0, element_size=8), 16)
     assert items[8].addr == items[0].addr
 
 
 def test_stream_all_rotates_kernels():
-    items = _take(syn.stream_all(0, array_bytes=512), 4000)
+    items = _items(syn.stream_all(0, array_bytes=512), 4000)
     # All four kernel regions get touched.
     regions = {i.addr // (4 * 512) for i in items}
     assert len(regions) >= 4
@@ -54,38 +56,38 @@ def test_stream_validation():
 
 
 def test_sequential_scan_strides_and_wraps():
-    items = _take(syn.sequential_scan(0, footprint=256, stride=64, gap=5), 6)
+    items = _items(syn.sequential_scan(0, footprint=256, stride=64, gap=5), 6)
     assert [i.addr for i in items] == [0, 64, 128, 192, 0, 64]
     assert all(i.gap == 5 for i in items)
 
 
 def test_random_uniform_stays_in_footprint():
-    items = _take(syn.random_uniform(1 << 30, footprint=4096, seed=7), 500)
+    items = _items(syn.random_uniform(1 << 30, footprint=4096, seed=7), 500)
     assert all((1 << 30) <= i.addr < (1 << 30) + 4096 for i in items)
 
 
 def test_random_uniform_rmw_pairs():
-    items = _take(syn.random_uniform(0, footprint=1 << 20, rmw=True, seed=7), 10)
+    items = _items(syn.random_uniform(0, footprint=1 << 20, rmw=True, seed=7), 10)
     for read, write in zip(items[::2], items[1::2]):
         assert not read.is_write and write.is_write
         assert read.addr == write.addr
 
 
 def test_pointer_chase_visits_lines_without_repeats_within_pass():
-    items = _take(syn.pointer_chase(0, footprint=64 * 64, gap=1, seed=3), 64)
+    items = _items(syn.pointer_chase(0, footprint=64 * 64, gap=1, seed=3), 64)
     lines = [i.addr // 64 for i in items]
     assert len(set(lines)) == len(lines)  # full-period LCG: no repeats
     assert all(0 <= l < 64 for l in lines)
 
 
 def test_pointer_chase_is_not_sequential():
-    items = _take(syn.pointer_chase(0, footprint=1 << 20, gap=1, seed=3), 100)
+    items = _items(syn.pointer_chase(0, footprint=1 << 20, gap=1, seed=3), 100)
     deltas = {items[k + 1].addr - items[k].addr for k in range(99)}
     assert len(deltas) > 10  # nothing stride-predictable
 
 
 def test_strided_single_stream():
-    items = _take(
+    items = _items(
         syn.strided(0, footprint=1 << 20, stride=128, gap=7, num_streams=1), 4
     )
     assert [i.addr for i in items] == [0, 128, 256, 384]
@@ -93,7 +95,7 @@ def test_strided_single_stream():
 
 
 def test_strided_multi_stream_round_robins_disjoint_regions():
-    items = _take(
+    items = _items(
         syn.strided(0, footprint=3 << 20, stride=64, gap=7, num_streams=3), 6
     )
     region = 1 << 20
@@ -103,7 +105,7 @@ def test_strided_multi_stream_round_robins_disjoint_regions():
 
 
 def test_strided_streams_have_distinct_pcs():
-    items = _take(
+    items = _items(
         syn.strided(0, footprint=3 << 20, stride=64, gap=7, num_streams=3), 3
     )
     assert len({i.pc for i in items}) == 3  # trainable per-stream strides
@@ -115,7 +117,7 @@ def test_strided_validation():
 
 
 def test_hot_cold_fractions():
-    items = _take(
+    items = _items(
         syn.hot_cold(0, hot_bytes=4096, cold_bytes=1 << 20,
                      cold_fraction=0.25, seed=11),
         4000,
@@ -130,9 +132,9 @@ def test_hot_cold_validation():
 
 
 def test_generators_are_deterministic():
-    a = _take(syn.random_uniform(0, 1 << 20, seed=5), 50)
-    b = _take(syn.random_uniform(0, 1 << 20, seed=5), 50)
-    c = _take(syn.random_uniform(0, 1 << 20, seed=6), 50)
+    a = _items(syn.random_uniform(0, 1 << 20, seed=5), 50)
+    b = _items(syn.random_uniform(0, 1 << 20, seed=5), 50)
+    c = _items(syn.random_uniform(0, 1 << 20, seed=6), 50)
     assert a == b
     assert a != c
 
@@ -226,7 +228,7 @@ def test_native_producer_matches_row_generator(pair, seed, batch_size):
     want = 3 * batch_size + 100
     rows = _take(getattr(row_reference, pattern)(0x4000, **kwargs), want)
     native = []
-    for batch in _producer(pattern)(0x4000, batch_size=batch_size, **kwargs):
+    for batch in getattr(syn, pattern)(0x4000, batch_size=batch_size, **kwargs):
         if length is None:
             assert len(batch) >= 1
         else:
@@ -239,4 +241,4 @@ def test_native_producer_matches_row_generator(pair, seed, batch_size):
 
 def test_hot_cold_batches_validation():
     with pytest.raises(ValueError):
-        next(syn.hot_cold_batches(0, 1024, 1024, cold_fraction=-0.1))
+        next(syn.hot_cold(0, 1024, 1024, cold_fraction=-0.1))

@@ -21,6 +21,14 @@ ITEMS = [
 ]
 
 
+def _stream(array_bytes=4096, reads=1):
+    """A Stream kernel's items, its batches chained."""
+    return itertools.chain.from_iterable(syn.stream_kernel(
+        0, array_bytes=array_bytes, reads_per_element=reads,
+        writes_per_element=1,
+    ))
+
+
 def test_roundtrip(tmp_path):
     path = tmp_path / "trace.txt"
     assert write_trace(ITEMS, path) == 3
@@ -37,14 +45,10 @@ def test_gzip_roundtrip(tmp_path):
 
 def test_capture_from_generator(tmp_path):
     path = tmp_path / "stream.trace"
-    generator = syn.stream_kernel(0, array_bytes=4096,
-                                  reads_per_element=1, writes_per_element=1)
-    assert capture(generator, 50, path) == 50
+    assert capture(_stream(), 50, path) == 50
     assert trace_length(path) == 50
     replayed = list(read_trace(path))
-    fresh = list(itertools.islice(
-        syn.stream_kernel(0, array_bytes=4096,
-                          reads_per_element=1, writes_per_element=1), 50))
+    fresh = list(itertools.islice(_stream(), 50))
     assert replayed == fresh
 
 
@@ -179,7 +183,12 @@ def test_replayed_trace_drives_a_core(tmp_path):
     from repro.mshr.conventional import ConventionalMshr
 
     path = tmp_path / "replay.trace"
-    capture(syn.sequential_scan(0, footprint=1 << 20, gap=4), 500, path)
+    capture(
+        itertools.chain.from_iterable(
+            syn.sequential_scan(0, footprint=1 << 20, gap=4)
+        ),
+        500, path,
+    )
 
     class InstantL2:
         def __init__(self, engine):
@@ -261,10 +270,8 @@ def test_read_trace_batches_feeds_batched_machine(tmp_path):
     """A captured file replayed in columnar form is a valid batch source."""
     from repro.cpu.trace import BatchedTrace
 
-    generator = syn.stream_kernel(0, array_bytes=4096,
-                                  reads_per_element=1, writes_per_element=1)
     path = tmp_path / "stream.trace"
-    capture(generator, 200, path)
+    capture(_stream(), 200, path)
     cursor = BatchedTrace(read_trace_batches(path, batch_size=64)).cursor()
     items = []
     while len(items) < 200:
@@ -280,10 +287,8 @@ def test_read_trace_batches_throughput(tmp_path):
     timer noise on shared CI hosts)."""
     import time
 
-    generator = syn.stream_kernel(0, array_bytes=1 << 20,
-                                  reads_per_element=2, writes_per_element=1)
     path = tmp_path / "big.trace"
-    n = capture(generator, 20_000, path)
+    n = capture(_stream(array_bytes=1 << 20, reads=2), 20_000, path)
 
     def consume_rows():
         count = 0
