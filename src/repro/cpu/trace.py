@@ -98,8 +98,7 @@ def batch_iter(
 
     The adapter between per-item generators and the core's cursor:
     finite traces end with a final partial batch; endless traces chunk
-    forever.  A snapshot resume replays it batch by batch like any
-    other source.
+    forever.
     """
     if size < 1:
         raise ValueError("batch size must be >= 1")
