@@ -35,12 +35,8 @@ class CacheArray:
         self.line_size = line_size
         self.num_sets = size_bytes // (assoc * line_size)
         self._line_shift = log2int(line_size)
-        # Precomputed masks: align is a single AND, and power-of-two set
-        # counts (the common case) index with shift-and-mask.
+        # Precomputed mask: align is a single AND.
         self._align_mask = ~(line_size - 1)
-        self._set_mask = (
-            self.num_sets - 1 if is_power_of_two(self.num_sets) else None
-        )
         # One plain dict per set, mapping line address -> dirty flag, kept
         # in LRU -> MRU insertion order: a hit or refill re-inserts the
         # line (``d[k] = d.pop(k)``), a fill appends, and the victim is
@@ -49,8 +45,6 @@ class CacheArray:
         self._sets: List[Optional[Dict[int, bool]]] = [None] * self.num_sets
 
     def set_index(self, line_addr: int) -> int:
-        if self._set_mask is not None:
-            return (line_addr >> self._line_shift) & self._set_mask
         return (line_addr >> self._line_shift) % self.num_sets
 
     def align(self, addr: int) -> int:

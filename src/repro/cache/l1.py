@@ -75,10 +75,7 @@ class L1Cache:
         array = self.array
         line = addr & array._align_mask
         self._c_accesses.value += 1.0
-        set_idx = line >> array._line_shift
-        mask = array._set_mask
-        set_idx = set_idx & mask if mask is not None else set_idx % array.num_sets
-        cache_set = array._sets[set_idx]
+        cache_set = array._sets[(line >> array._line_shift) % array.num_sets]
         if cache_set is not None and line in cache_set:
             self._c_hits.value += 1.0
             cache_set[line] = cache_set.pop(line) or is_write  # CacheArray.touch

@@ -54,6 +54,11 @@ class BankedL2Cache:
             raise ValueError("interleave must be 'page' or 'line'")
         if num_banks < 1 or latency < 1 or bank_occupancy < 1:
             raise ValueError("num_banks, latency, bank_occupancy must be >= 1")
+        if len(mshr_files) not in (1, memory.num_mcs):
+            raise ValueError(
+                f"{len(mshr_files)} MSHR files: need one, or one per memory "
+                f"controller ({memory.num_mcs})"
+            )
         self.engine = engine
         self.array = array
         self.memory = memory
@@ -83,17 +88,13 @@ class BankedL2Cache:
         self.line_size = array.line_size
         self._line_shift = log2int(self.line_size)
         self._page_shift = log2int(page_size)
-        # Bank routing precomputed to a shift (+ mask when the bank count
-        # is a power of two): one expression per access instead of string
-        # comparisons and modulo arithmetic.
+        # Bank routing precomputed to a shift: one expression per access
+        # instead of a string comparison.
         self._bank_shift = (
             self._page_shift if interleave == "page" else self._line_shift
         )
-        self._bank_mask = (
-            num_banks - 1 if num_banks & (num_banks - 1) == 0 else None
-        )
         # MSHR-bank routing resolved once: the single-file case (every
-        # streamlined configuration) skips the per-access length checks.
+        # single-MC configuration) needs no MC index per access.
         self._single_mshr_file = len(self.mshr_files) == 1
         self.prefetcher = prefetcher
         self.request_bus = request_bus
@@ -113,17 +114,14 @@ class BankedL2Cache:
     # ------------------------------------------------------------------
     def bank_index(self, addr: int) -> int:
         """Which L2 bank serves ``addr`` (Section 4.1's interleaving)."""
-        if self._bank_mask is not None:
-            return (addr >> self._bank_shift) & self._bank_mask
         return (addr >> self._bank_shift) % self.num_banks
 
     def mshr_bank_index(self, addr: int) -> int:
-        """MSHR banking mirrors the memory-controller interleaving."""
-        if len(self.mshr_files) == 1:
+        """MSHR banking mirrors the memory-controller interleaving: one
+        file serves every line, else each MC's lines have their own."""
+        if self._single_mshr_file:
             return 0
-        if len(self.mshr_files) == self.memory.num_mcs:
-            return self.memory.mapping.mc_index(addr)
-        return (addr >> self._page_shift) % len(self.mshr_files)
+        return self.memory.mapping.mc_index(addr)
 
     # ------------------------------------------------------------------
     # Front door
@@ -135,12 +133,7 @@ class BankedL2Cache:
         at the L2 edge; WRITEBACKs are posted and complete at tag time.
         """
         engine = self.engine
-        addr = request.addr
-        mask = self._bank_mask
-        if mask is not None:
-            bank = (addr >> self._bank_shift) & mask
-        else:
-            bank = (addr >> self._bank_shift) % self.num_banks
+        bank = (request.addr >> self._bank_shift) % self.num_banks
         arrival = engine.now + self.routing_latency
         free_at = self._bank_free_at[bank]
         start = arrival if arrival > free_at else free_at

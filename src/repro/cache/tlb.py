@@ -37,9 +37,6 @@ class Tlb:
         self.num_sets = entries // assoc
         self.walk_penalty = walk_penalty
         self._page_shift = log2int(page_size)
-        self._set_mask = (
-            self.num_sets - 1 if is_power_of_two(self.num_sets) else None
-        )
         # One dict per set, vpn -> True, in LRU -> MRU insertion order.
         self._sets = [{} for _ in range(self.num_sets)]
         self.stats = stats if stats is not None else StatGroup(name)
@@ -51,11 +48,7 @@ class Tlb:
         """Translate-latency for this access: 0 on a hit, walk penalty on
         a miss (the entry is filled)."""
         vpn = vaddr >> self._page_shift
-        if self._set_mask is not None:
-            set_idx = vpn & self._set_mask
-        else:
-            set_idx = vpn % self.num_sets
-        tlb_set = self._sets[set_idx]
+        tlb_set = self._sets[vpn % self.num_sets]
         if vpn in tlb_set:
             tlb_set[vpn] = tlb_set.pop(vpn)
             self._c_hits.value += 1.0
@@ -75,11 +68,7 @@ class Tlb:
         measured hit/miss statistics.
         """
         vpn = vaddr >> self._page_shift
-        if self._set_mask is not None:
-            set_idx = vpn & self._set_mask
-        else:
-            set_idx = vpn % self.num_sets
-        tlb_set = self._sets[set_idx]
+        tlb_set = self._sets[vpn % self.num_sets]
         if vpn in tlb_set:
             tlb_set[vpn] = tlb_set.pop(vpn)
             return

@@ -326,24 +326,19 @@ class Core:
 
         tlb = self.tlb
         if tlb is not None:
-            # Inlined Tlb.access (same mutations, same stat order); the
-            # method remains the path for non-power-of-two set counts.
-            mask = tlb._set_mask
-            if mask is not None:
-                vpn = addr >> tlb._page_shift
-                tlb_set = tlb._sets[vpn & mask]
-                if vpn in tlb_set:
-                    tlb_set[vpn] = tlb_set.pop(vpn)
-                    tlb._c_hits.value += 1.0
-                    walk_penalty = 0
-                else:
-                    tlb._c_misses.value += 1.0
-                    if len(tlb_set) >= tlb.assoc:
-                        del tlb_set[next(iter(tlb_set))]
-                    tlb_set[vpn] = True
-                    walk_penalty = tlb.walk_penalty
+            # Inlined Tlb.access (same mutations, same stat order).
+            vpn = addr >> tlb._page_shift
+            tlb_set = tlb._sets[vpn % tlb.num_sets]
+            if vpn in tlb_set:
+                tlb_set[vpn] = tlb_set.pop(vpn)
+                tlb._c_hits.value += 1.0
+                walk_penalty = 0
             else:
-                walk_penalty = tlb.access(addr)
+                tlb._c_misses.value += 1.0
+                if len(tlb_set) >= tlb.assoc:
+                    del tlb_set[next(iter(tlb_set))]
+                tlb_set[vpn] = True
+                walk_penalty = tlb.walk_penalty
             if walk_penalty:
                 self._next_dispatch_time = now + walk_penalty
                 self._c_tlb_walk_cycles.value += walk_penalty

@@ -85,11 +85,6 @@ class TraceBatch:
         for i in range(self.length):
             yield TraceItem(gaps[i], addrs[i], bool(writes[i]), pcs[i])
 
-    @property
-    def instructions(self) -> int:
-        """Total instructions this batch represents (gaps + the ops)."""
-        return sum(self.gaps) + self.length
-
 
 def batch_iter(
     trace: Iterable[TraceItem], size: int = TRACE_BATCH_SIZE

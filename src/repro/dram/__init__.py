@@ -1,23 +1,20 @@
-"""DRAM device models: timing, banks, row-buffer caches, ranks, refresh."""
+"""DRAM device models: timing, banks, row-buffer caches, refresh."""
 
-from .bank import Bank
-from .device import DramDevice
+from .bank import Bank, build_banks
 from .power import DramEnergyParams, DramPowerModel, EnergyReport, compare_energy
-from .rank import Rank
 from .refresh import RefreshSchedule
 from .rowbuffer import RowBufferCache
 from .timing import DramTiming, ddr2_commodity, stacked_commodity, true_3d
 
 __all__ = [
     "Bank",
-    "DramDevice",
     "DramEnergyParams",
     "DramPowerModel",
     "DramTiming",
     "EnergyReport",
-    "Rank",
     "RefreshSchedule",
     "RowBufferCache",
+    "build_banks",
     "compare_energy",
     "ddr2_commodity",
     "stacked_commodity",

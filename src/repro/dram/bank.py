@@ -12,13 +12,14 @@ of the event count.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
-from ..common.stats import StatGroup
+from ..common.stats import StatGroup, StatRegistry
 from .activation import ActivationWindow
 from .refresh import RefreshSchedule
 from .rowbuffer import RowBufferCache
 from .timing import DramTiming
+
 
 class Bank:
     """One DRAM bank: a bitcell array plus a row-buffer cache."""
@@ -129,3 +130,39 @@ class Bank:
             if dropped:
                 self.stats.add("refresh_row_closures", len(dropped))
 
+
+def build_banks(
+    timing: DramTiming,
+    num_ranks: int,
+    banks_per_rank: int,
+    row_buffer_entries: int = 1,
+    registry: Optional[StatRegistry] = None,
+    first_rank_id: int = 0,
+    stat_prefix: str = "",
+) -> List[List[Bank]]:
+    """One memory channel's banks as a ``[rank][bank]`` grid.
+
+    The banks of a rank share one refresh schedule (all-bank refresh, as
+    on the DDR2 parts the paper models) and one tRRD/tFAW activation
+    window.  Ranks are numbered globally from ``first_rank_id``: the
+    global id staggers each rank's refresh phase across the refresh
+    interval and names its banks' stat groups
+    (``{stat_prefix}dram.rank{id}.bank{b}``).
+    """
+    if num_ranks < 1 or banks_per_rank < 1:
+        raise ValueError("need at least one rank and one bank per rank")
+    grid = []
+    for rank_id in range(first_rank_id, first_rank_id + num_ranks):
+        refresh = RefreshSchedule(
+            timing, phase=(rank_id * 977) % max(1, timing.refresh_interval)
+        )
+        activations = ActivationWindow(timing)
+        banks = []
+        for bank_id in range(banks_per_rank):
+            name = f"{stat_prefix}dram.rank{rank_id}.bank{bank_id}"
+            stats = registry.group(name) if registry is not None else None
+            banks.append(
+                Bank(timing, refresh, row_buffer_entries, stats, name, activations)
+            )
+        grid.append(banks)
+    return grid

@@ -141,7 +141,6 @@ class Engine:
         self,
         until: Optional[int] = None,
         stop_when: Optional[Callable[[], bool]] = None,
-        max_events: Optional[int] = None,
         watchdog: Optional[Watchdog] = None,
     ) -> None:
         """Drain the event queue.
@@ -151,14 +150,12 @@ class Engine:
                 time is advanced to ``until`` when the deadline is reached.
             stop_when: predicate checked after every event; prefer
                 :meth:`request_stop` from a callback.
-            max_events: shorthand for ``Watchdog(max_events=...)``.
             watchdog: event/cycle budgets and deadlock detection for this
-                run; combines with ``max_events`` (tighter budget wins).
+                run.
         """
         watchdog = watchdog or Watchdog()
-        max_cycles, pending_work = watchdog.max_cycles, watchdog.pending_work
-        budgets = [b for b in (max_events, watchdog.max_events) if b is not None]
-        budget = min(budgets) if budgets else None
+        budget, max_cycles = watchdog.max_events, watchdog.max_cycles
+        pending_work = watchdog.pending_work
         bounds = [b for b in (until, max_cycles) if b is not None]
         limit = min(bounds) if bounds else float("inf")
         self._stop = False

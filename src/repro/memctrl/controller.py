@@ -2,7 +2,11 @@
 
 Each :class:`MemoryController` owns a bounded request queue, a scheduler,
 a command/data channel (a :class:`~repro.interconnect.bus.Bus`), and the
-:class:`~repro.dram.device.DramDevice` holding its ranks.
+banks of its ranks as one ``banks[rank][bank]`` grid (local rank ids;
+:func:`~repro.dram.bank.build_banks`).  :meth:`MemoryController.enqueue`
+resolves a request's :class:`~repro.dram.bank.Bank` once, onto its
+:class:`~repro.memctrl.queue.MrqEntry`; the pump, the scheduler and the
+issue all reach DRAM through that bank.
 
 Issue model: the controller issues at most one DRAM command per
 ``quantum`` cycles (the MC clock — 2 CPU cycles when the MC runs at FSB
@@ -16,12 +20,12 @@ MSHR study depends on.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Optional
+from typing import Callable, Deque, List, Optional
 
 from ..common.histogram import LatencyHistogram
 from ..common.request import MemoryRequest
 from ..common.stats import StatGroup
-from ..dram.device import DramDevice
+from ..dram.bank import Bank
 from ..engine.simulator import Engine
 from ..interconnect.bus import Bus
 from .mapping import AddressMapping
@@ -36,7 +40,7 @@ class MemoryController:
         self,
         mc_id: int,
         engine: Engine,
-        device: DramDevice,
+        banks: List[List[Bank]],
         bus: Bus,
         scheduler: Scheduler,
         mapping: AddressMapping,
@@ -51,7 +55,7 @@ class MemoryController:
             raise ValueError("transaction overhead cannot be negative")
         self.mc_id = mc_id
         self.engine = engine
-        self.device = device
+        self.banks = banks
         self.bus = bus
         self.scheduler = scheduler
         self.mapping = mapping
@@ -95,7 +99,7 @@ class MemoryController:
     def enqueue(self, request: MemoryRequest) -> bool:
         """Queue a request; False when the MRQ is full (caller must wait)."""
         coords = self.mapping.decompose(request.addr)
-        bank = self.device.bank(coords.rank, coords.bank)
+        bank = self.banks[coords.rank][coords.bank]
         entry = self.mrq.push(request, coords, self.engine.now, bank)
         if entry is None:
             self._c_mrq_rejections.value += 1.0
@@ -145,7 +149,7 @@ class MemoryController:
         if len(ready) == 1 and self._scheduler_single_trivial:
             entry = ready[0]
         else:
-            entry = self.scheduler.select(ready, self.device, now)
+            entry = self.scheduler.select(ready)
         self.mrq.remove(entry)
         self._issue(entry, now)
         self._next_issue_time = now + self._issue_gap
@@ -161,7 +165,6 @@ class MemoryController:
     def _issue(self, entry: MrqEntry, now: int) -> None:
         """Issue one entry and schedule its completion event."""
         request = entry.request
-        coords = entry.coords
         self._c_issued.value += 1.0
         self._c_queue_wait_cycles.value += now - entry.arrival
         if request.is_write:
@@ -170,9 +173,7 @@ class MemoryController:
             # the bank has accepted the data (write-recovery is handled
             # inside the bank's ready times).
             _, data_arrival = self.bus.transfer(self.line_size, now)
-            done, hit = self.device.access(
-                coords.rank, coords.bank, coords.row, data_arrival, is_write=True
-            )
+            done, hit = entry.bank.access(data_arrival, entry.coords.row, True)
             self._note_row_outcome(request, hit)
             self.engine.schedule_at(done, request.complete, done)
         else:
@@ -182,9 +183,7 @@ class MemoryController:
             # unblocks after the first beat, while the bus stays occupied
             # for the full line transfer.
             cmd_arrival = now + self.bus.wire_latency
-            data_time, hit = self.device.access(
-                coords.rank, coords.bank, coords.row, cmd_arrival, is_write=False
-            )
+            data_time, hit = entry.bank.access(cmd_arrival, entry.coords.row, False)
             self._note_row_outcome(request, hit)
             start, _ = self.bus.transfer(self.line_size, data_time)
             first_beat = start + self.bus.cycles_per_beat + self.bus.wire_latency

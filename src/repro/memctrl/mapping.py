@@ -68,27 +68,6 @@ class AddressMapping:
         self._page_shift = log2int(page_size)
         self._line_shift = log2int(line_size)
         self._column_mask = (page_size - 1) >> self._line_shift
-        # Shift-and-mask decomposition, precomputed when every divisor is
-        # a power of two (the common configurations).  The page number is
-        # consumed low-bits-first in mc -> bank -> rank -> row order, so
-        # the shifts accumulate left to right.
-        if (
-            is_power_of_two(num_mcs)
-            and is_power_of_two(banks_per_rank)
-            and is_power_of_two(ranks_per_mc)
-        ):
-            mc_bits = log2int(num_mcs)
-            bank_bits = log2int(banks_per_rank)
-            rank_bits = log2int(ranks_per_mc)
-            self._mc_mask = num_mcs - 1
-            self._bank_shift = mc_bits
-            self._bank_mask = banks_per_rank - 1
-            self._rank_shift = mc_bits + bank_bits
-            self._rank_mask = ranks_per_mc - 1
-            self._row_shift = mc_bits + bank_bits + rank_bits
-            self._pow2 = True
-        else:
-            self._pow2 = False
 
     @property
     def total_ranks(self) -> int:
@@ -103,23 +82,16 @@ class AddressMapping:
         return (addr >> self._page_shift) % self.num_mcs
 
     def decompose(self, addr: int) -> DramCoordinates:
-        """Full coordinates of ``addr``."""
+        """Full coordinates of ``addr`` (the module docstring's formula)."""
         page = addr >> self._page_shift
-        if self._pow2:
-            column = (addr >> self._line_shift) & self._column_mask
-            mc = page & self._mc_mask
-            bank = (page >> self._bank_shift) & self._bank_mask
-            rank = (page >> self._rank_shift) & self._rank_mask
-            row = page >> self._row_shift
-            return DramCoordinates(mc, rank, bank, row, column)
-        column = (addr & (self.page_size - 1)) >> self._line_shift
+        column = (addr >> self._line_shift) & self._column_mask
         mc = page % self.num_mcs
         page //= self.num_mcs
         bank = page % self.banks_per_rank
         page //= self.banks_per_rank
-        rank = page % self.ranks_per_mc
-        row = page // self.ranks_per_mc
-        return DramCoordinates(mc=mc, rank=rank, bank=bank, row=row, column=column)
+        return DramCoordinates(
+            mc, page % self.ranks_per_mc, bank, page // self.ranks_per_mc, column
+        )
 
     def compose(self, coords: DramCoordinates, column_offset: int = 0) -> int:
         """Inverse of :meth:`decompose` (used by tests for bijectivity)."""

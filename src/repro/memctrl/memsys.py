@@ -1,8 +1,10 @@
 """The full main-memory system: one or more memory controllers.
 
 ``MainMemory`` instantiates ``num_mcs`` controllers, each with a private
-channel (bus) and a disjoint set of ranks, per Figure 5.  The aggregate
-MRQ capacity (32 in the paper) is divided evenly among controllers.
+channel (bus) and a disjoint set of ranks, per Figure 5: controller
+``m`` owns global ranks ``m * ranks_per_mc`` onwards, as its
+``banks[rank][bank]`` grid.  The aggregate MRQ capacity (32 in the
+paper) is divided evenly among controllers.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from typing import Callable, List, Optional
 
 from ..common.request import MemoryRequest
 from ..common.stats import StatRegistry
-from ..dram.device import DramDevice
+from ..dram.bank import build_banks
 from ..dram.timing import DramTiming
 from ..engine.simulator import Engine
 from ..interconnect.bus import Bus
@@ -73,7 +75,7 @@ class MainMemory:
         self.controllers: List[MemoryController] = []
         for local_mc in range(num_mcs):
             mc_id = first_mc_id + local_mc
-            device = DramDevice(
+            banks = build_banks(
                 timing,
                 num_ranks=ranks_per_mc,
                 banks_per_rank=banks_per_rank,
@@ -87,7 +89,7 @@ class MainMemory:
                 MemoryController(
                     mc_id=mc_id,
                     engine=engine,
-                    device=device,
+                    banks=banks,
                     bus=bus,
                     scheduler=make_scheduler(scheduler),
                     mapping=self.mapping,
@@ -122,7 +124,7 @@ class MainMemory:
     def functional_touch(self, addr: int, is_write: bool) -> None:
         """Update the target bank's open-row state without timing/stats."""
         coords = self.mapping.decompose(addr)
-        bank = self.controllers[coords.mc].device.bank(coords.rank, coords.bank)
+        bank = self.controllers[coords.mc].banks[coords.rank][coords.bank]
         bank.functional_touch(coords.row, is_write)
 
     def functional_fetch(self, line: int, core_id: int = 0, pc: int = 0) -> None:

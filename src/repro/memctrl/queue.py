@@ -13,15 +13,16 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..common.request import MemoryRequest
+from ..dram.bank import Bank
 from .mapping import DramCoordinates
 
 
 class MrqEntry:
     """One queued memory request plus its decoded DRAM coordinates.
 
-    ``bank`` caches the :class:`~repro.dram.bank.Bank` object the
-    coordinates resolve to — bank identity is fixed for the entry's
-    lifetime, and the controller's ready-scan probes it every pump.
+    ``bank`` is the :class:`~repro.dram.bank.Bank` the coordinates
+    resolve to, fixed for the entry's lifetime: the controller's ready
+    scan, the scheduler and the issue all reach DRAM through it.
     """
 
     __slots__ = ("request", "coords", "arrival", "bank")
@@ -31,7 +32,7 @@ class MrqEntry:
         request: MemoryRequest,
         coords: DramCoordinates,
         arrival: int,
-        bank=None,
+        bank: Bank,
     ):
         self.request = request
         self.coords = coords
@@ -72,7 +73,7 @@ class MemoryRequestQueue:
         request: MemoryRequest,
         coords: DramCoordinates,
         now: int,
-        bank=None,
+        bank: Bank,
     ) -> Optional[MrqEntry]:
         """Append a request; returns None (rejected) when full."""
         if self.is_full:

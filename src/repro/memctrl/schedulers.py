@@ -10,14 +10,13 @@ from __future__ import annotations
 
 from typing import List, Protocol
 
-from ..dram.device import DramDevice
 from .queue import MrqEntry
 
 
 class Scheduler(Protocol):
     """Picks which ready MRQ entry to issue next."""
 
-    def select(self, ready: List[MrqEntry], device: DramDevice, now: int) -> MrqEntry:
+    def select(self, ready: List[MrqEntry]) -> MrqEntry:
         """Choose one entry from ``ready`` (never empty)."""
         ...  # pragma: no cover - protocol definition
 
@@ -29,7 +28,7 @@ class FcfsScheduler:
     #: Stateless: picking the sole ready entry needs no scheduler call.
     single_trivial = True
 
-    def select(self, ready: List[MrqEntry], device: DramDevice, now: int) -> MrqEntry:
+    def select(self, ready: List[MrqEntry]) -> MrqEntry:
         return min(ready, key=lambda e: e.arrival)
 
 
@@ -45,17 +44,13 @@ class FrFcfsScheduler:
     #: Stateless: picking the sole ready entry needs no scheduler call.
     single_trivial = True
 
-    def select(self, ready: List[MrqEntry], device: DramDevice, now: int) -> MrqEntry:
+    def select(self, ready: List[MrqEntry]) -> MrqEntry:
         best_hit: MrqEntry | None = None
         oldest: MrqEntry | None = None
         for entry in ready:
             if oldest is None or entry.arrival < oldest.arrival:
                 oldest = entry
-            bank = entry.bank
-            if bank is None:
-                coords = entry.coords
-                bank = device.bank(coords.rank, coords.bank)
-            if bank.is_row_open(entry.coords.row):
+            if entry.bank.is_row_open(entry.coords.row):
                 if best_hit is None or entry.arrival < best_hit.arrival:
                     best_hit = entry
         assert oldest is not None
@@ -83,7 +78,7 @@ class WriteDrainScheduler:
         self._draining = False
         self._inner = FrFcfsScheduler()
 
-    def select(self, ready: List[MrqEntry], device: DramDevice, now: int) -> MrqEntry:
+    def select(self, ready: List[MrqEntry]) -> MrqEntry:
         reads = [e for e in ready if not e.request.is_write]
         writes = [e for e in ready if e.request.is_write]
         if self._draining:
@@ -92,10 +87,10 @@ class WriteDrainScheduler:
         elif len(writes) >= self.high_watermark:
             self._draining = True
         if self._draining and writes:
-            return self._inner.select(writes, device, now)
+            return self._inner.select(writes)
         if reads:
-            return self._inner.select(reads, device, now)
-        return self._inner.select(writes, device, now)
+            return self._inner.select(reads)
+        return self._inner.select(writes)
 
 
 #: Scheduler names accepted in configs (``SystemConfig.scheduler``).

@@ -42,9 +42,9 @@ Encoding (every tuple is a tagged node; ``n`` numbers a node)::
     {K: E} dict (n)        ("ds", lengths, keys, values) list of dicts
     of plain data it alone holds, each dict in insertion order, a None
     slot (a cache set not yet built) as length 0 (n)
-    ("q", [E], maxlen) deque (n)   ("s", [E]) set (n)   ("ba", b) bytearray (n)
+    ("q", [E], maxlen) deque (n)   ("s", [E]) set (n)
     ("t", (E,)) tuple      ("nt", class, (E,)) namedtuple
-    ("e", class, name) enum        ("rng", state) random.Random (n)
+    ("e", class, name) enum
     ("o", layout, [E per field]) component (n)   ("r", n) seen before
     ("n", i) run-created object, fields in tree["created"][i]
     ("m", E, name) bound method    ("p", E, (E,), {name: E}) partial
@@ -56,7 +56,6 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
-import random
 import sys
 import types
 from collections import deque
@@ -215,10 +214,6 @@ class _Capture:
             pass
         return ("s", self._items(value))
 
-    def _bytearray(self, value: bytearray) -> tuple:
-        self._number(value)
-        return ("ba", bytes(value))
-
     def _tuple(self, value: tuple) -> tuple:
         return ("t", tuple(self._items(value)))
 
@@ -227,10 +222,6 @@ class _Capture:
 
     def _enum(self, value: enum.Enum) -> tuple:
         return ("e", _class_key(type(value)), value.name)
-
-    def _rng(self, value: random.Random) -> tuple:
-        self._number(value)
-        return ("rng", value.getstate())
 
     def _cursor(self, value: BatchCursor) -> tuple:
         self._number(value)
@@ -308,9 +299,7 @@ _ENCODERS: Dict[type, Callable[[_Capture, Any], Any]] = {
     dict: _Capture._dict,
     deque: _Capture._deque,
     set: _Capture._set,
-    bytearray: _Capture._bytearray,
     tuple: _Capture._tuple,
-    random.Random: _Capture._rng,
     BatchCursor: _Capture._cursor,
     types.MethodType: _Capture._method,
     functools.partial: _Capture._partial,
@@ -373,7 +362,7 @@ def _refill(target, items) -> None:  # dict, set, deque
     (target.extend if type(target) is deque else target.update)(items)
 
 
-def _replace(target, items) -> None:  # list, bytearray
+def _replace(target, items) -> None:  # list
     target[:] = items
 
 
@@ -389,8 +378,7 @@ def _refill_each(sets, contents) -> None:  # a packed list of dicts
 #: Tags of numbered nodes and the fresh type each binds to (``object``:
 #: the node's layout class).
 _NUMBERED: Dict[str, type] = {
-    "o": object, "ds": list, "q": deque, "s": set,
-    "ba": bytearray, "rng": random.Random, "x": BatchCursor,
+    "o": object, "ds": list, "q": deque, "s": set, "x": BatchCursor,
 }
 
 
@@ -648,13 +636,6 @@ class _Restore:
     def _set(self, node: tuple) -> Any:
         return self._put(_refill, *self._target(node, set), self._items(node[1]))
 
-    def _bytearray(self, node: tuple) -> Any:
-        return self._put(_replace, *self._target(node, bytearray), node[1])
-
-    def _rng(self, node: tuple) -> Any:
-        rng, fresh = self._target(node, random.Random)
-        return self._put(random.Random.setstate, rng, fresh, node[1])
-
     def _cursor(self, node: tuple) -> Any:
         def refuse():
             raise SnapshotError("snapshot holds a trace cursor the fresh machine lacks")
@@ -692,8 +673,8 @@ class _Restore:
 _DECODERS: Dict[str, Callable[[_Restore, tuple], Any]] = {
     "o": _Restore._object, "r": _Restore._ref, "n": _Restore._created_ref,
     "ds": _Restore._dict_list, "q": _Restore._deque,
-    "s": _Restore._set, "ba": _Restore._bytearray, "t": _Restore._tuple,
-    "nt": _Restore._namedtuple, "e": _Restore._enum, "rng": _Restore._rng,
+    "s": _Restore._set, "t": _Restore._tuple,
+    "nt": _Restore._namedtuple, "e": _Restore._enum,
     "x": _Restore._cursor, "m": _Restore._method, "p": _Restore._partial,
     "k": _Restore._keep,
 }

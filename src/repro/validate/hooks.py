@@ -121,8 +121,8 @@ def instrument_banks(target, *observers) -> int:
     """
     count = 0
     for controller in _controllers_of(target):
-        for rank_id, rank in enumerate(controller.device.ranks):
-            for bank_id, bank in enumerate(rank.banks):
+        for rank_id, rank in enumerate(controller.banks):
+            for bank_id, bank in enumerate(rank):
                 bank_observers = _bank_observers(
                     bank, controller.mc_id, rank_id, bank_id
                 )
@@ -204,8 +204,8 @@ def attach_checkers(machine, checkers: CheckerSpec = "all") -> CheckerSet:
         if name == "dram-timing":
             timing_checker = DramTimingChecker()
             for controller in _controllers_of(machine):
-                for rank_id, rank in enumerate(controller.device.ranks):
-                    for bank_id, bank in enumerate(rank.banks):
+                for rank_id, rank in enumerate(controller.banks):
+                    for bank_id, bank in enumerate(rank):
                         timing_checker.register_bank(
                             controller.mc_id, rank_id, bank_id, bank
                         )
@@ -241,6 +241,6 @@ def _apply_timing_fault(machine) -> None:
         return
     factor = spec.timing_factor
     for controller in _controllers_of(machine):
-        for rank in controller.device.ranks:
-            for bank in rank.banks:
+        for rank in controller.banks:
+            for bank in rank:
                 bank.timing = bank.timing.scaled(factor)

@@ -167,6 +167,18 @@ def test_mshr_banks_align_with_mcs(engine):
     assert files[1].occupancy == 1
 
 
+def test_mshr_files_are_one_or_one_per_mc(engine):
+    """MSHR routing has two rules: one file for every line, or one file
+    per memory controller.  Any other file count is refused."""
+    memory = FakeMemory(engine, num_mcs=2)
+    for count in (0, 3, 4):
+        with pytest.raises(ValueError, match="MSHR files"):
+            _l2(engine, memory=memory,
+                mshr_files=[ConventionalMshr(4) for _ in range(count)])
+    single, _ = _l2(engine, memory=memory)
+    assert {single.mshr_bank_index(page * 4096) for page in range(4)} == {0}
+
+
 def test_per_core_demand_stats(engine):
     l2, memory = _l2(engine)
     l2.access(make_read(0x1000, core_id=2))

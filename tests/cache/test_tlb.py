@@ -112,23 +112,31 @@ def test_core_pays_walk_penalty_once_per_page():
 
 def test_dispatch_updates_the_tlb_as_access_would():
     """The TLB lookup inlined in ``Core._dispatch`` leaves every set's
-    LRU order and the hit/miss counters exactly as ``Tlb.access`` does.
-    Without a set mask the core calls ``Tlb.access`` itself, so the two
-    runs differ only in which copy of the lookup ran."""
+    LRU order, the hit/miss counters and the walk cycles exactly as
+    ``Tlb.access`` leaves them for the same lookups, whether the set
+    count is a power of two or not."""
+    for entries in (16, 24):  # 4 sets, 6 sets
+        looked_up = []
 
-    def run(inline):
+        class LoggedSet(dict):
+            def __contains__(self, vpn):
+                looked_up.append(vpn)
+                return super().__contains__(vpn)
+
         rng = random.Random(3)
         trace = (
-            TraceItem(rng.randrange(4), rng.randrange(24) * 4096 + 8, False, 0)
+            TraceItem(rng.randrange(4), rng.randrange(36) * 4096 + 8, False, 0)
             for _ in itertools.count()
-        )  # 24 pages over 16 entries: hits, misses and evictions
-        tlb = Tlb(entries=16, assoc=4, walk_penalty=7)
-        if not inline:
-            tlb._set_mask = None  # 4 sets: modulo indexes as the mask does
+        )  # 36 pages over the entries: hits, misses and evictions
+        tlb = Tlb(entries=entries, assoc=4, walk_penalty=7)
+        tlb._sets = [LoggedSet() for _ in tlb._sets]
         core, _ = _run_core(tlb, trace)
-        sets = [list(tlb_set.items()) for tlb_set in tlb._sets]
-        return sets, tlb.stats.as_dict(), core.stats.as_dict()
-
-    inlined, called = run(inline=True), run(inline=False)
-    assert inlined[1]["hits"] > 0 and inlined[1]["misses"] > 0
-    assert inlined == called
+        reference = Tlb(entries=entries, assoc=4, walk_penalty=7)
+        walk_cycles = sum(reference.access(vpn * 4096) for vpn in looked_up)
+        stats = tlb.stats.as_dict()
+        assert stats["hits"] > 0 and stats["misses"] > 0
+        assert stats == reference.stats.as_dict()
+        assert [list(d.items()) for d in tlb._sets] == [
+            list(d.items()) for d in reference._sets
+        ]
+        assert core.stats.value("tlb_walk_cycles") == walk_cycles

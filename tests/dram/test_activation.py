@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.dram import build_banks
 from repro.dram.activation import ActivationWindow
 from repro.dram.bank import Bank
-from repro.dram.rank import Rank
 from repro.dram.refresh import RefreshSchedule
 from repro.dram.timing import ddr2_commodity, true_3d
 
@@ -52,13 +52,14 @@ def test_true_3d_constraints_scaled():
 
 
 def test_banks_in_a_rank_share_the_governor():
-    rank = Rank(0, ddr2_commodity(), num_banks=4, refresh_phase=10**9)
-    assert all(b.activations is rank.activations for b in rank.banks)
-    timing = rank.timing
-    # Miss in bank 0 then immediately in bank 1: the second ACT is
-    # delayed by tRRD relative to the first.
-    t0, _ = rank.bank(0).access(0, row=1, is_write=False)
-    t1, _ = rank.bank(1).access(0, row=1, is_write=False)
+    timing = ddr2_commodity()
+    (rank,) = build_banks(timing, num_ranks=1, banks_per_rank=4)
+    assert all(b.activations is rank[0].activations for b in rank)
+    # Miss in bank 0 then immediately in bank 1, clear of any refresh
+    # blackout: the second ACT is delayed by tRRD relative to the first.
+    start = timing.refresh_interval // 2
+    t0, _ = rank[0].access(start, row=1, is_write=False)
+    t1, _ = rank[1].access(start, row=1, is_write=False)
     assert t1 - t0 >= timing.t_rrd
 
 

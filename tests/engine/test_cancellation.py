@@ -7,7 +7,7 @@ the fired counter, or event budgets.
 
 import pytest
 
-from repro.engine import Engine, SimulationHang
+from repro.engine import Engine, SimulationHang, Watchdog
 
 
 def test_cancelled_events_never_advance_now_in_step():
@@ -49,7 +49,7 @@ def test_cancelled_events_do_not_consume_budget():
         event = engine.schedule(1 + i, fired.append, i)
         if i % 2:
             engine.cancel(event)
-    engine.run(max_events=5)  # exactly the 5 live events
+    engine.run(watchdog=Watchdog(max_events=5))  # exactly the 5 live events
     assert fired == [0, 2, 4, 6, 8]
 
 
@@ -197,7 +197,7 @@ def test_budgeted_batch_skips_cancelled_last_event():
     fired = []
     events = [engine.schedule(4, fired.append, i) for i in range(4)]
     engine.cancel(events[3])  # last event at the cycle
-    engine.run(max_events=3)  # budget covers exactly the live events
+    engine.run(watchdog=Watchdog(max_events=3))  # budget covers exactly the live events
     assert fired == [0, 1, 2]
     assert engine.now == 4
     assert engine.pending == 0
@@ -209,7 +209,7 @@ def test_budget_exhaustion_requeues_cancelled_tail():
     events = [engine.schedule(4, fired.append, i) for i in range(4)]
     engine.cancel(events[2])
     with pytest.raises(SimulationHang):
-        engine.run(max_events=1)
+        engine.run(watchdog=Watchdog(max_events=1))
     assert fired == [0]
     assert engine.pending == 3  # the blocked event stays queued
     engine.run()

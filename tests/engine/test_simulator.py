@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine import Engine, SimulationError
+from repro.engine import Engine, SimulationError, Watchdog
 
 
 def test_time_starts_at_zero():
@@ -86,7 +86,7 @@ def test_max_events_guard():
 
     engine.schedule(0, reschedule)
     with pytest.raises(SimulationError):
-        engine.run(max_events=100)
+        engine.run(watchdog=Watchdog(max_events=100))
 
 
 def test_events_scheduled_during_run_fire():

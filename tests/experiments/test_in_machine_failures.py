@@ -39,16 +39,16 @@ def _fail_dram_after(machine, count):
     """Make the machine's ``count + 1``-th DRAM access raise."""
     calls = itertools.count(1)
     for controller in machine.memory.controllers:
-        device = controller.device
+        for bank in itertools.chain.from_iterable(controller.banks):
 
-        def access(rank_id, bank_id, row, start, is_write, _real=device.access):
-            if next(calls) > count:
-                raise CheckViolation(
-                    f"bank fault after {count} DRAM accesses", cycle=start
-                )
-            return _real(rank_id, bank_id, row, start, is_write)
+            def access(start, row, is_write, _real=bank.access):
+                if next(calls) > count:
+                    raise CheckViolation(
+                        f"bank fault after {count} DRAM accesses", cycle=start
+                    )
+                return _real(start, row, is_write)
 
-        device.access = access
+            bank.access = access
 
 
 @pytest.fixture()

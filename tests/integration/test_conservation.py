@@ -16,7 +16,7 @@ from repro.cache.array import CacheArray
 from repro.cache.l2 import BankedL2Cache
 from repro.common.request import AccessType, MemoryRequest
 from repro.dram.timing import ddr2_commodity
-from repro.engine import Engine
+from repro.engine import Engine, Watchdog
 from repro.interconnect.links import tsv_bus
 from repro.memctrl.memsys import MainMemory
 from repro.mshr.conventional import ConventionalMshr
@@ -60,7 +60,7 @@ def test_memory_system_completes_every_request(seed, num_requests):
             queue.pop(0)
 
     feed()
-    engine.run(max_events=2_000_000)
+    engine.run(watchdog=Watchdog(max_events=2_000_000))
     assert len(completed) == num_requests
     assert {r.req_id for r in completed} == {r.req_id for r in pending}
     assert all(r.completed_at is not None for r in pending)
@@ -100,7 +100,7 @@ def test_l2_drains_under_tiny_mshr_and_mrq(seed, mshr_entries, num_requests):
             created_at=engine.now, callback=completed.append,
         )
         l2.access(request)
-    engine.run(max_events=2_000_000)
+    engine.run(watchdog=Watchdog(max_events=2_000_000))
     assert len(completed) == num_requests
     assert l2.mshr_occupancy() == 0
     assert all(not w for w in l2._mshr_waiters)
@@ -189,5 +189,5 @@ def test_mshr_stall_wakeups_are_never_lost(organization):
                 created_at=0, callback=completed.append,
             )
         )
-    engine.run(max_events=2_000_000)
+    engine.run(watchdog=Watchdog(max_events=2_000_000))
     assert len(completed) == 20

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.common.request import AccessType, MemoryRequest
-from repro.dram.device import DramDevice
+from repro.dram import build_banks
 from repro.dram.timing import ddr2_commodity
 from repro.engine import Engine
 from repro.interconnect.bus import Bus
@@ -19,14 +19,15 @@ from repro.validate import attach_checkers
 def _mc(engine, queue_capacity=32, quantum=1, wire=0, width=64,
         scheduler=None, overhead=0, refresh=False):
     mapping = AddressMapping(num_mcs=1, ranks_per_mc=2, banks_per_rank=2)
-    device = DramDevice(ddr2_commodity(), num_ranks=2, banks_per_rank=2)
+    banks = build_banks(ddr2_commodity(), num_ranks=2, banks_per_rank=2)
     if not refresh:
-        # Stagger all refresh far away so latency math below is exact.
-        for rank in device.ranks:
-            rank.refresh.phase = 10**9
+        # Stagger all refresh far away so latency math below is exact
+        # (a rank's banks share one schedule).
+        for rank in banks:
+            rank[0].refresh.phase = 10**9
     bus = Bus(width_bytes=width, cycles_per_beat=1, wire_latency=wire)
     return MemoryController(
-        0, engine, device, bus, scheduler or FrFcfsScheduler(), mapping,
+        0, engine, banks, bus, scheduler or FrFcfsScheduler(), mapping,
         queue_capacity=queue_capacity, quantum=quantum,
         transaction_overhead=overhead,
     )
@@ -210,7 +211,7 @@ def test_pump_deep_bursts_keep_cadence_and_refresh(
     for burst in range(12):
         # Start each burst just ahead of one rank's next refresh
         # blackout so its issues straddle the window.
-        refresh = mc.device.ranks[burst % 2].refresh
+        refresh = mc.banks[burst % 2][0].refresh
         windows = (engine.now - refresh.phase) // refresh.t_refi + 1
         blackout = refresh.phase + windows * refresh.t_refi
         start = max(engine.now, blackout - rng.randrange(0, 60))
@@ -236,9 +237,9 @@ def test_pump_deep_bursts_keep_cadence_and_refresh(
             assert later - earlier >= max(quantum, overhead)
         for request in requests:
             # The pump never issues to a rank that is refreshing.
-            rank = mc.device.ranks[mc.mapping.decompose(request.addr).rank]
+            rank = mc.banks[mc.mapping.decompose(request.addr).rank]
             at = issued[request]
-            assert rank.refresh.earliest_available(at) == at
+            assert rank[0].refresh.earliest_available(at) == at
     assert len(done) == 12 * 16
     assert straddled, "no burst ran across a refresh blackout"
     checkers.assert_drained()

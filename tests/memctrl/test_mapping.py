@@ -1,5 +1,7 @@
 """Unit and property tests for page-interleaved address mapping."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -75,3 +77,28 @@ def test_property_decompose_compose_roundtrip(addr, num_mcs, ranks, banks):
     rebuilt = mapping.compose(coords, column_offset=addr & 63)
     assert rebuilt == addr
 
+
+
+@pytest.mark.parametrize("num_mcs", [1, 2, 3, 4])
+def test_decompose_is_the_documented_modulo_formula(num_mcs):
+    """``decompose`` is the module docstring's formula, and ``compose``
+    inverts it, on power-of-two and other geometries alike."""
+    rng = random.Random(num_mcs)
+    for ranks in (1, 2, 3, 4):
+        for banks in (4, 6, 8):
+            mapping = AddressMapping(
+                num_mcs=num_mcs, ranks_per_mc=ranks, banks_per_rank=banks
+            )
+            for _ in range(200):
+                addr = rng.randrange(2**38)
+                page = addr >> 12
+                assert tuple(mapping.decompose(addr)) == (
+                    page % num_mcs,
+                    page // (num_mcs * banks) % ranks,
+                    page // num_mcs % banks,
+                    page // (num_mcs * banks * ranks),
+                    (addr & 4095) // 64,
+                )
+                coords = mapping.decompose(addr)
+                assert mapping.compose(coords, addr & 63) == addr
+                assert mapping.mc_index(addr) == coords.mc

@@ -36,10 +36,10 @@ def test_requests_route_by_page():
 
 def test_ranks_are_partitioned_with_global_ids():
     _, memory = _memory(num_mcs=2, total_ranks=8)
-    ids_mc0 = [r.rank_id for r in memory.controllers[0].device.ranks]
-    ids_mc1 = [r.rank_id for r in memory.controllers[1].device.ranks]
-    assert ids_mc0 == [0, 1, 2, 3]
-    assert ids_mc1 == [4, 5, 6, 7]
+    names_mc0 = [rank[0].name for rank in memory.controllers[0].banks]
+    names_mc1 = [rank[0].name for rank in memory.controllers[1].banks]
+    assert names_mc0 == [f"dram.rank{r}.bank0" for r in (0, 1, 2, 3)]
+    assert names_mc1 == [f"dram.rank{r}.bank0" for r in (4, 5, 6, 7)]
 
 
 def test_end_to_end_completion():

@@ -15,6 +15,7 @@ it that way).
 
 import json
 import os
+import random
 import subprocess
 import sys
 from collections import OrderedDict
@@ -141,7 +142,7 @@ def test_tree_covers_every_wired_component(tmp_path):
         "Machine", "Engine", "StatRegistry", "PageAllocator", "Core",
         "BatchedTrace", "L1Cache", "BankedL2Cache", "CacheArray",
         "StackModeMemory", "SramTagStore", "MainMemory", "MemoryController",
-        "MemoryRequestQueue", "DramDevice", "Rank", "Bank", "RefreshSchedule",
+        "MemoryRequestQueue", "Bank", "RefreshSchedule", "ActivationWindow",
         "Bus", "Counter",
     } <= classes
     # The engine queue holds plain (time, seq, fn, args) tuples.
@@ -277,7 +278,7 @@ def test_a_snapshot_in_the_previous_layout_is_refused(tmp_path, monkeypatch):
         )
     with pytest.raises(SnapshotSchemaError) as refused:
         read_snapshot_file(old)
-    assert (refused.value.found, refused.value.expected) == (3, 6)
+    assert (refused.value.found, refused.value.expected) == (3, 7)
     fresh = _build(config)
     with pytest.raises(SnapshotSchemaError):
         fresh.restore_state(tree)
@@ -317,7 +318,7 @@ def test_a_snapshot_in_schema_4_is_refused(tmp_path, monkeypatch):
         )
     with pytest.raises(SnapshotSchemaError) as refused:
         read_snapshot_file(old)
-    assert (refused.value.found, refused.value.expected) == (4, 6)
+    assert (refused.value.found, refused.value.expected) == (4, 7)
     fresh = _build(config)
     with pytest.raises(SnapshotError):
         fresh.restore_state(tree)
@@ -356,7 +357,39 @@ def test_a_snapshot_in_schema_5_is_refused(tmp_path, monkeypatch):
         )
     with pytest.raises(SnapshotSchemaError) as refused:
         read_snapshot_file(old)
-    assert (refused.value.found, refused.value.expected) == (5, 6)
+    assert (refused.value.found, refused.value.expected) == (5, 7)
+    fresh = _build(config)
+    with pytest.raises(SnapshotSchemaError):
+        fresh.restore_state(tree)
+    assert fresh.engine.now == 0 and fresh.engine.pending == 0
+
+
+def test_a_snapshot_in_schema_6_is_refused(tmp_path, monkeypatch):
+    """Schema 6 reached a controller's banks through a ``DramDevice``
+    and its ``Rank`` objects: its file is refused by the schema marker,
+    and its layouts on their own would be refused too."""
+    config = _small(config_3d_fast())
+    path = str(tmp_path / "cell.snap")
+    _preempt_to_file(config, None, path)
+    header, tree = read_snapshot_file(path)
+    index = _layout_index(tree, "MemoryController")
+    module, qualname, fields = tree["layouts"][index]
+    fields = tuple(sorted(set(fields) - {"banks"} | {"device"}))
+    tree["layouts"][index] = (module, qualname, fields)
+    tree["layouts"] += [
+        ("repro.dram.device", "DramDevice", ("_bank_grid", "ranks", "timing")),
+        ("repro.dram.rank", "Rank",
+         ("activations", "banks", "rank_id", "refresh", "timing")),
+    ]
+    old = str(tmp_path / "schema6.snap")
+    with monkeypatch.context() as patch:
+        patch.setattr(format_mod, "SCHEMA_VERSION", 6)
+        write_snapshot_file(
+            old, tree, config_fingerprint=header["config_fingerprint"]
+        )
+    with pytest.raises(SnapshotSchemaError) as refused:
+        read_snapshot_file(old)
+    assert (refused.value.found, refused.value.expected) == (6, 7)
     fresh = _build(config)
     with pytest.raises(SnapshotSchemaError):
         fresh.restore_state(tree)
@@ -458,6 +491,18 @@ def test_an_ordered_dict_in_the_machine_is_refused():
     machine = _build(_small(config_2d()))
     machine.l2.stray = OrderedDict(a=1)
     with pytest.raises(SnapshotError, match="cannot snapshot a OrderedDict"):
+        machine.capture_state()
+
+
+@pytest.mark.parametrize("stray", [random.Random(1), bytearray(b"ab")])
+def test_a_random_generator_in_the_machine_is_refused(stray):
+    """No machine state holds a ``random.Random`` or a ``bytearray``, and
+    the codec has no kind for either: one that appears is refused by
+    name."""
+    machine = _build(_small(config_2d()))
+    machine.l2.stray = stray
+    name = type(stray).__qualname__
+    with pytest.raises(SnapshotError, match=f"cannot snapshot a {name}"):
         machine.capture_state()
 
 

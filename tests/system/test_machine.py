@@ -31,6 +31,27 @@ def test_run_produces_per_core_results():
     assert result.total_cycles > 0
 
 
+def test_a_non_power_of_two_dram_geometry_runs_checked():
+    """3 MCs, 12 ranks, 6 banks per rank and a 30-entry MRQ: no count is
+    a power of two, and the run completes under every checker with
+    traffic on every controller."""
+    config = _small(config_quad_mc()).derive(
+        name="3MC-12R-6B", num_mcs=3, total_ranks=12, banks_per_rank=6,
+        mrq_capacity=30,
+    )
+    machine = Machine(config, ["S.all", "mcf", "gzip", "astar"], checkers="all")
+    result = machine.run(warmup_instructions=500, measure_instructions=3000)
+    assert all(core.ipc > 0 for core in result.cores)
+    assert len(machine.memory.controllers) == 3
+    assert len(machine.l2_mshr_files) == 3
+    for controller in machine.memory.controllers:
+        assert [len(rank) for rank in controller.banks] == [6] * 4
+        assert controller.mrq.capacity == 10
+        assert controller.stats.get("issued") > 0
+    assert machine.checker_set["dram-timing"].accesses_checked > 0
+    assert machine.checker_set["mshr"].operations_checked > 0
+
+
 def test_hmipc_is_harmonic_mean():
     result = run_workload(
         _small(config_3d_fast()), FAST_MIX,

@@ -35,8 +35,8 @@ def _simulate_one_read(config, second_to_same_row=False):
     )
     # Park refreshes far away so the isolated read is clean.
     for mc in memory.controllers:
-        for rank in mc.device.ranks:
-            rank.refresh.phase = 10**9
+        for rank in mc.banks:
+            rank[0].refresh.phase = 10**9  # shared by the rank's banks
 
     first = MemoryRequest(0x0, AccessType.READ, created_at=0)
     memory.enqueue(first)

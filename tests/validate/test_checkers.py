@@ -234,8 +234,8 @@ def test_machine_without_checkers_is_uninstrumented():
     assert machine.checker_set is None
     for controller in machine.memory.controllers:
         assert not hasattr(controller, "_validate_wrapped")
-        for rank in controller.device.ranks:
-            for bank in rank.banks:
+        for rank in controller.banks:
+            for bank in rank:
                 assert bank_observers(bank) is None
     for file in machine.l2_mshr_files:
         assert not hasattr(file, "_validate_wrapped")
