@@ -6,6 +6,11 @@ allocate in a small L1 MSHR file (8 entries in Table 1); when it is full
 the access is rejected and the core stalls until an entry frees — this
 is the backpressure path that lets faster memory expose the L2 MHA as
 the next bottleneck (Section 5).
+
+:meth:`L1Cache.access` reports its outcome by return value: ``STALL``
+(falsy), ``MISS`` (truthy; the data arrives later through ``on_data``)
+or ``HIT`` (complete now, nothing is called back).  A caller that only
+tests truth treats a hit as an accepted access.
 """
 
 from __future__ import annotations
@@ -21,6 +26,11 @@ from ..mshr.base import MshrFile
 from .array import CacheArray
 from .l2 import BankedL2Cache
 from .prefetch import CompositePrefetcher
+
+#: :meth:`L1Cache.access` outcomes.
+STALL = 0
+MISS = 1
+HIT = 2
 
 
 class L1Cache:
@@ -54,24 +64,29 @@ class L1Cache:
         self._c_writebacks = self.stats.counter("writebacks")
         self.latency = latency
         self.prefetcher = prefetcher
+        # The one call a demand hit makes into the prefetcher (None: a
+        # hit trains nothing).
+        self._hit_observer = (
+            prefetcher.hit_observer if prefetcher is not None else None
+        )
         self._free_waiters: Deque[Callable[[], None]] = deque()
         # line -> dirty-on-fill flag for in-flight fetches (RFO tracking).
         self._fill_dirty: Dict[int, bool] = {}
-        #: ``on_data(record, completed_at)``: the owning core's completion
+        #: ``on_data(record, completed_at)``: the owning core's fill
         #: callback, wired once when the core is built.
         self.on_data: Optional[Callable[[Any, int], None]] = None
 
-    def access(self, addr: int, pc: int, is_write: bool, record: Any) -> bool:
-        """Attempt a demand access; False when the L1 MSHR rejects it (stall).
+    def access(self, addr: int, pc: int, is_write: bool, record: Any) -> int:
+        """Attempt a demand access: ``HIT``, ``MISS`` or ``STALL``.
 
-        ``record`` is the core's in-flight op; the L1 only hands it back.
-        On acceptance ``on_data(record, completed_at)`` fires when the
-        data is available: within this call for a hit (``completed_at``
-        is ``now + latency``), at the fill for a miss.  Stores are handed
-        back the same way — the store buffer hides their latency from
-        commit, though they still consume MSHRs and generate fills.
+        ``HIT``: the data is usable ``latency`` cycles from now and the
+        caller completes ``record`` itself.  ``MISS``: ``record`` (the
+        core's in-flight op; the L1 only holds it) joins an MSHR entry and
+        the fill hands it back through ``on_data(record, completed_at)``.
+        ``STALL`` (falsy): the L1 MSHR file is full.  Stores take the same
+        paths — the store buffer hides their latency from commit, though
+        they still consume MSHRs and generate fills.
         """
-        now = self.engine.now
         array = self.array
         line = addr & array._align_mask
         self._c_accesses.value += 1.0
@@ -79,9 +94,12 @@ class L1Cache:
         if cache_set is not None and line in cache_set:
             self._c_hits.value += 1.0
             cache_set[line] = cache_set.pop(line) or is_write  # CacheArray.touch
-            self.on_data(record, now + self.latency)
-            self._train_prefetcher(addr, pc, False)
-            return True
+            observe = self._hit_observer
+            if observe is not None:
+                candidates = observe(addr, pc, False)
+                if candidates:
+                    self._prefetch(candidates, pc)
+            return HIT
 
         # Miss path.
         entry, _ = self.mshr.search(line)
@@ -90,12 +108,12 @@ class L1Cache:
             entry.merge(record)
             if is_write:
                 self._fill_dirty[line] = True
-            return True
+            return MISS
 
         new_entry, _ = self.mshr.allocate(line)
         if new_entry is None:
             self._c_mshr_rejects.value += 1.0
-            return False
+            return STALL
 
         self._c_misses.value += 1.0
         new_entry.merge(record)
@@ -105,12 +123,15 @@ class L1Cache:
             AccessType.READ,
             self.core_id,
             pc,
-            now,
+            self.engine.now,
             partial(self._fill, new_entry),
         )
         self.engine.schedule(self.latency, self.l2.access, fetch)
-        self._train_prefetcher(addr, pc, was_miss=True)
-        return True
+        if self.prefetcher is not None:
+            candidates = self.prefetcher.observe(addr, pc, True)
+            if candidates:
+                self._prefetch(candidates, pc)
+        return MISS
 
     def on_mshr_free(self, callback: Callable[[], None]) -> None:
         """One-shot notification when an MSHR entry deallocates."""
@@ -152,13 +173,13 @@ class L1Cache:
         while self._free_waiters and not self.mshr.is_full:
             self._free_waiters.popleft()()
 
-    def _train_prefetcher(self, addr: int, pc: int, was_miss: bool) -> None:
-        """L1 prefetch (next-line + IP-stride in Table 1) into the L1."""
-        if self.prefetcher is None:
-            return
-        candidates = self.prefetcher.observe(addr, pc, was_miss)
-        if not candidates:
-            return
+    def _prefetch(self, candidates, pc: int) -> None:
+        """L1 prefetch (next-line + IP-stride in Table 1) into the L1.
+
+        A line already resident or in flight is skipped; that includes a
+        line named twice in ``candidates`` (a hit's candidates come from
+        one prefetcher, without the composite's de-duplication).
+        """
         for candidate in candidates:
             line = self.array.align(candidate)
             if self.array.probe(line) or self.mshr.is_full:

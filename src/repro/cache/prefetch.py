@@ -9,12 +9,13 @@ nothing, so "no candidates" is the shared empty tuple :data:`NO_CANDIDATES`
 (test the result for truth; do not compare it with ``[]``).  A class
 whose ``observe`` neither trains nor emits on a hit says so with
 ``trains_on_hits = False`` (absent means it does) and
-:class:`CompositePrefetcher` leaves it out of the hit path.
+:class:`CompositePrefetcher` leaves it out of the hit path: its
+``hit_observer`` is the one call a demand hit makes.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 #: What ``observe`` returns when it suggests nothing (allocation-free).
 NO_CANDIDATES: Sequence[int] = ()
@@ -98,15 +99,30 @@ class IpStridePrefetcher:
 
 
 class CompositePrefetcher:
-    """Fan-in of several prefetchers with de-duplication of candidates."""
+    """Fan-in of several prefetchers with de-duplication of candidates.
+
+    ``hit_observer`` is what a demand hit calls, fixed at construction
+    like the fan-in itself: ``None`` when no member trains on hits, the
+    one member's own ``observe`` when exactly one does (the next-line +
+    IP-stride pair of Table 1), else this composite's :meth:`observe`.
+    With a single member nothing is merged, so its candidates are not
+    de-duplicated; the caller's issue filter must drop a repeated line.
+    """
 
     def __init__(self, prefetchers: Optional[List[object]] = None) -> None:
         self.prefetchers = list(prefetchers or [])
         # The members a demand hit has to reach (the rest are no-ops on
-        # hits); fixed at construction, like the fan-in itself.
+        # hits).
         self._hit_trained = [
             p for p in self.prefetchers if getattr(p, "trains_on_hits", True)
         ]
+        self.hit_observer: Optional[Callable[[int, int, bool], Sequence[int]]]
+        if not self._hit_trained:
+            self.hit_observer = None
+        elif len(self._hit_trained) == 1:
+            self.hit_observer = self._hit_trained[0].observe
+        else:
+            self.hit_observer = self.observe
 
     def observe(self, addr: int, pc: int, was_miss: bool) -> Sequence[int]:
         merged: Sequence[int] = NO_CANDIDATES

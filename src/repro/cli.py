@@ -10,7 +10,8 @@ Commands:
 * ``profile run --config 2d --mix H1`` — run one workload (or
   ``figure4``) in-process under cProfile and print the top hotspots
   plus, for ``run``, one line per memory controller (issues, row-hit
-  rate, queue wait, MRQ occupancy) and each core's parked-dispatch tally.
+  rate, queue wait, MRQ occupancy), each core's parked-dispatch tally
+  and one line per event callback (events per kinstr, µs per event).
 * ``figure {4,6a,6b,7,9}``            — regenerate a figure.
 * ``table {2a,2b}``                   — regenerate a table.
 * ``ablation {scheduler,interleave,prefetch,mshr_org}`` — run a
@@ -230,6 +231,47 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _print_callback_table(profiler, machine, kinstr: float) -> None:
+    """One line per callback the engine fired, from the profile's caller
+    table: events, events per ``kinstr`` and inclusive us per event.
+
+    An event is a call whose caller is ``Engine.run``.  Builtins (the
+    heap operations), the engine module's own code (a comprehension, the
+    ``step`` predicate) and the watchdog's ``pending_work`` probe are not
+    events.
+    """
+    import os
+    import pstats
+
+    from .engine.simulator import Engine
+
+    def key(function):
+        code = function.__code__
+        return (code.co_filename, code.co_firstlineno, code.co_name)
+
+    run, probe = key(Engine.run), key(type(machine).outstanding_requests)
+    rows = []
+    for func, (_, _, _, _, callers) in pstats.Stats(profiler).stats.items():
+        edge = callers.get(run)
+        if edge is not None and func[0] not in ("~", run[0]) and func != probe:
+            rows.append((func, edge[1], edge[3]))
+    total = sum(inclusive for _, _, inclusive in rows) or 1.0
+    print(
+        f"\nevent callbacks ({machine.engine.events_fired} events fired, "
+        f"{kinstr:g} kinstr requested; us are inclusive, under the "
+        "profiler):"
+    )
+    print(f"  {'share':>6} {'events':>9} {'per kinstr':>10} {'us/event':>8}  callback")
+    for (filename, line, name), events, inclusive in sorted(
+        rows, key=lambda row: -row[2]
+    ):
+        print(
+            f"  {inclusive / total:6.1%} {events:9d} {events / kinstr:10.1f} "
+            f"{inclusive * 1e6 / events:8.2f}  "
+            f"{os.path.basename(filename)}:{line}({name})"
+        )
+
+
 def _cmd_profile(args) -> int:
     import cProfile
     import pstats
@@ -278,6 +320,14 @@ def _cmd_profile(args) -> int:
                 f"{core.stats.get('rob_stalls'):.0f} ROB stalls, "
                 f"{core.stats.get('dispatched_refs'):.0f} refs dispatched"
             )
+        # The ledger's per-kinstr base: the requested budget of all cores.
+        _print_callback_table(
+            profiler,
+            machine,
+            len(machine.cores)
+            * (scale.warmup_instructions + scale.measure_instructions)
+            / 1000,
+        )
     else:
         profiler.enable()
         run_experiment(
@@ -489,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof = sub.add_parser(
         "profile",
         help="run one experiment in-process under cProfile: top hotspots "
-        "plus per-controller and per-core tallies",
+        "plus per-controller, per-core and per-callback tallies",
     )
     p_prof.add_argument("experiment", choices=["run", "figure4"])
     _add_cell_args(

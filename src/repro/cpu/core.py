@@ -15,6 +15,13 @@ performance and drops the rest of the microarchitecture:
   execution-core effects (dependencies, branch mispredictions) that the
   per-benchmark workload specs calibrate.
 
+The core pushes its own per-reference events (the next dispatch, the
+dispatch a commit unblocks, a commit at the cycle an op completes, the
+paced commit) straight onto the engine heap as ``(time, seq, fn, ())``
+with the engine's next ``seq``: each time is ``>= now`` by
+construction, so the check :meth:`~repro.engine.Engine.schedule_at`
+makes for every other component would never fire here.
+
 A one-shot commit watch (:meth:`Core.watch_commit`) is the core's one
 milestone: the run driver (:mod:`repro.system.run`) ends every warm-up
 and measured window on it, and at a full-detail run's quota freezes the
@@ -25,13 +32,14 @@ contend for the shared L2, MSHRs and memory (the paper's methodology).
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappush
 from math import ceil
 from typing import Deque, Optional
 
 from ..common.address import PageAllocator
 from ..common.stats import StatRegistry
 from ..engine.simulator import Engine
-from ..cache.l1 import L1Cache
+from ..cache.l1 import HIT, L1Cache
 from .trace import BatchedTrace, Trace, as_batched
 
 #: ``_commit_limit`` when no commit watch is pending: beyond any
@@ -44,8 +52,8 @@ class _InFlight:
 
     The same object is the L1's waiter: ``L1Cache.access`` merges it
     into an MSHR entry on a miss and hands it back to ``Core._on_data``
-    when the data arrives, so a reference that stays in the L1 builds
-    no request.
+    when the data arrives; a hit the core completes in ``_dispatch``.
+    So a reference that stays in the L1 builds no request.
     """
 
     __slots__ = ("icount", "dispatched_at", "completed_time")
@@ -118,7 +126,7 @@ class Core:
         self.core_id = core_id
         self.trace = trace
         self.l1 = l1
-        # The L1 completes this core's ops through one callback.
+        # The L1 hands this core's missed ops back through one callback.
         l1.on_data = self._on_data
         self.allocator = allocator
         registry = registry if registry is not None else StatRegistry()
@@ -355,19 +363,29 @@ class Core:
         else:
             paddr = (frame << shift) | (addr & allocator._offset_mask)
         record = _InFlight(next_icount, now)
-        if not self.l1.access(paddr, pc, is_write, record):
+        l1 = self.l1
+        outcome = l1.access(paddr, pc, is_write, record)
+        if not outcome:
             self._l1_blocked = True
             self._c_l1_mshr_stalls.value += 1.0
-            self.l1.on_mshr_free(self._resume_after_l1)
+            l1.on_mshr_free(self._resume_after_l1)
             return
         outstanding.append(record)
-        if is_write:
-            # Stores commit from the store buffer without waiting for data.
+        hit = outcome == HIT
+        if hit or is_write:
+            # A hit completes here (what _on_data does for a fill: the
+            # data is usable l1.latency cycles from now); a store commits
+            # from the store buffer without waiting for data.
             record.completed_time = now
+            if hit:
+                self._c_load_latency_sum.value += l1.latency
+                self._c_loads_completed.value += 1.0
             if not self._commit_scheduled:
                 self._commit_scheduled = True
                 self._commit_at = now
-                engine.schedule_at(now, self._commit)
+                seq = engine._seq
+                engine._seq = seq + 1
+                heappush(engine._heap, (now, seq, self._commit, ()))
 
         cursor.index = i + 1
         self.icount = next_icount
@@ -385,7 +403,9 @@ class Core:
             return
         # next_time is strictly in the future, so no now-clamp.
         self._dispatch_scheduled = True
-        engine.schedule_at(next_time, self._dispatch)
+        seq = engine._seq
+        engine._seq = seq + 1
+        heappush(engine._heap, (next_time, seq, self._dispatch, ()))
 
     def _park_next(self, window: int) -> bool:
         """Park the next op now when its dispatch event could only stall.
@@ -423,7 +443,7 @@ class Core:
         self._schedule_dispatch(self.engine.now)
 
     def _on_data(self, record: _InFlight, completed_at: int) -> None:
-        """The L1's completion of ``record``: data usable at ``completed_at``."""
+        """The L1's fill of ``record``'s line: data usable at ``completed_at``."""
         now = self.engine.now
         if record.completed_time is None:
             record.completed_time = now
@@ -439,7 +459,8 @@ class Core:
     # ------------------------------------------------------------------
     def _commit(self) -> None:
         self._commit_scheduled = False
-        now = self.engine.now
+        engine = self.engine
+        now = engine.now
         outstanding = self._outstanding
         base_cpi = self.base_cpi
         lct = self._last_commit_time
@@ -458,7 +479,9 @@ class Core:
                 if not self._commit_scheduled:
                     self._commit_scheduled = True
                     self._commit_at = target
-                    self.engine.schedule_at(target, self._commit)
+                    seq = engine._seq
+                    engine._seq = seq + 1
+                    heappush(engine._heap, (target, seq, self._commit, ()))
                 return
             outstanding.popleft()
             self._last_commit_time = lct = target
@@ -470,7 +493,9 @@ class Core:
                 self._rob_blocked = False
                 if not self._dispatch_scheduled:
                     self._dispatch_scheduled = True
-                    self.engine.schedule_at(now, self._dispatch)
+                    seq = engine._seq
+                    engine._seq = seq + 1
+                    heappush(engine._heap, (now, seq, self._dispatch, ()))
 
     def _fire_commit_watch(self) -> None:
         """Disarm the watch, then call it (it may set the next one)."""

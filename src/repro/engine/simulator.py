@@ -13,6 +13,12 @@ is one C-level tuple compare that never reaches ``fn``: global
 when it reaches the top, without advancing time or counting against
 any budget.
 
+``schedule``/``schedule_at`` are the checked entry points (no time in
+the past).  :class:`~repro.cpu.core.Core` pushes its own per-reference
+events onto ``_heap`` with the next ``seq``, at times ``>= now`` by
+construction; nothing else touches the heap.  Times are ints from the
+caller: neither entry point coerces.
+
 ``Engine.run`` accepts an optional :class:`Watchdog` that bounds a run by
 event and cycle budgets and detects *deadlock*: the queue draining while
 the machine still has outstanding work (an MSHR entry or memory-controller
@@ -98,12 +104,11 @@ class Engine:
             raise SimulationError(f"cannot schedule {delay} cycles in the past")
         seq = self._seq
         self._seq = seq + 1
-        heappush(self._heap, (int(self.now + delay), seq, fn, args))
+        heappush(self._heap, (self.now + delay, seq, fn, args))
         return seq
 
     def schedule_at(self, time: int, fn: Callable[..., Any], *args: Any) -> int:
         """Schedule ``fn(*args)`` at absolute cycle ``time``."""
-        time = int(time)
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule at cycle {time}; current time is {self.now}"

@@ -5,8 +5,12 @@ import random
 import pytest
 
 from repro.cache.array import CacheArray
-from repro.cache.l1 import L1Cache
-from repro.cache.prefetch import CompositePrefetcher, NextLinePrefetcher
+from repro.cache.l1 import HIT, MISS, L1Cache
+from repro.cache.prefetch import (
+    CompositePrefetcher,
+    IpStridePrefetcher,
+    NextLinePrefetcher,
+)
 from repro.common.request import AccessType
 from repro.mshr.conventional import ConventionalMshr
 
@@ -39,12 +43,18 @@ def _write(l1, addr, record="store"):
 
 
 def test_hit_completes_after_latency(engine):
+    """A hit completes by return value: ``HIT``, with nothing called
+    back and nothing scheduled; the caller counts ``latency`` cycles
+    (``Core._dispatch`` does).  A miss is ``MISS`` and calls back."""
     l1, l2 = _l1(engine)
     l1.array.fill(0x100)
-    assert _read(l1, 0x100)
+    assert _read(l1, 0x100) == HIT
+    assert l1.latency == 3
+    assert engine.pending == 0
     engine.run()
-    assert l1.done == [("load", 3)]
+    assert l1.done == []
     assert not l2.requests
+    assert _read(l1, 0x1000) == MISS
 
 
 def test_miss_fetches_line_from_l2(engine):
@@ -160,6 +170,28 @@ def test_prefetch_fill_does_not_complete_demand(engine):
     assert l1.done
     # The prefetched line is resident for a later access.
     assert l1.array.probe(0x1040)
+
+
+def test_a_hit_naming_one_new_line_twice_issues_one_prefetch(engine):
+    """A hit trains the IP-stride table directly, without the
+    composite's de-duplication.  At a stride of 8 B and degree 2, a hit
+    at offset 56 names the next line twice; the L1's in-flight filter
+    (``mshr.contains``) drops the second."""
+    prefetcher = CompositePrefetcher(
+        [NextLinePrefetcher(64), IpStridePrefetcher(64, degree=2)]
+    )
+    assert prefetcher.hit_observer == prefetcher.prefetchers[1].observe
+    l1, l2 = _l1(engine, prefetcher=prefetcher)
+    l1.array.fill(0x1000)
+    for addr in (0x1020, 0x1028, 0x1030):  # train: fill, stride, confirm
+        assert _read(l1, addr) == HIT
+    assert not l2.requests and l1.mshr.occupancy == 0
+    assert _read(l1, 0x1038) == HIT  # predicts 0x1040 and 0x1048
+    assert l1.mshr.occupancy == 1 and l1.mshr.contains(0x1040)
+    assert l1.stats.get("prefetches_issued") == 1
+    assert [(r.addr, r.access) for r in l2.requests] == [
+        (0x1040, AccessType.PREFETCH)
+    ]
 
 
 @pytest.mark.parametrize("sets", [16, 3], ids=["mask", "modulo"])

@@ -107,3 +107,15 @@ def test_composite_hit_path_skips_miss_only_members_and_dedups():
     assert composite.observe(0x80, pc, False) == [0xC0, 0x100]
     # A miss reaches all three: next-line's 0x100 merges with the strides'.
     assert composite.observe(0xC0, pc, True) == [0x100, 0x140]
+
+
+def test_hit_observer_is_computed_once_from_the_hit_trained_members():
+    """None without a hit-trained member, the member's own ``observe``
+    with one (no merge on the hit path), the composite's de-duplicating
+    ``observe`` with several."""
+    assert CompositePrefetcher([NextLinePrefetcher(64)]).hit_observer is None
+    stride = IpStridePrefetcher(64)
+    one = CompositePrefetcher([NextLinePrefetcher(64), stride])
+    assert one.hit_observer == stride.observe
+    several = CompositePrefetcher([stride, IpStridePrefetcher(64)])
+    assert several.hit_observer == several.observe

@@ -8,16 +8,28 @@ If you changed the model ON PURPOSE, re-pin: run the printed command and
 update the constants — and say so in your commit message.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from repro.common.units import MIB
 from repro.system.config import config_2d, config_3d_fast
-from repro.system.machine import run_workload
+from repro.system.machine import Machine, run_workload
+from repro.workloads.mixes import MIXES
+
+#: The golden mix, and M1's four benchmarks (a hit-bound point).
+MIX = ["S.copy", "mcf", "gzip", "milc"]
+M1 = list(MIXES["M1"].benchmarks)
+
+
+def _derive(config):
+    return config.derive(l2_size=1 * MIB, l2_assoc=16, dram_capacity=64 * MIB)
 
 
 def _run(config, benchmarks):
     return run_workload(
-        config.derive(l2_size=1 * MIB, l2_assoc=16, dram_capacity=64 * MIB),
+        _derive(config),
         benchmarks,
         warmup_instructions=1_000,
         measure_instructions=4_000,
@@ -25,28 +37,84 @@ def _run(config, benchmarks):
     )
 
 
+def _pins(config, benchmarks):
+    """``(hmipc, engine.events_fired, sha256 of the canonical JSON of
+    registry.dump())`` of the same run as :func:`_run`."""
+    machine = Machine(_derive(config), benchmarks, seed=42)
+    result = machine.run(warmup_instructions=1_000, measure_instructions=4_000)
+    dump = json.dumps(machine.registry.dump(), sort_keys=True, separators=(",", ":"))
+    return (
+        result.hmipc,
+        machine.engine.events_fired,
+        hashlib.sha256(dump.encode()).hexdigest(),
+    )
+
+
 # Re-pin with:
 #   python -c "from tests.integration.test_golden import show; show()"
 # Last re-pin: canonical core placement (benchmark instances are
 # assigned to slots in sorted order, so a mix is a multiset — see
-# Machine.__init__).
+# Machine.__init__).  The event counts and registry digests pin the
+# event order too: a speed-only change that reorders same-cycle events
+# can leave HMIPC in place and still move them.
 GOLDEN_2D_HMIPC = 0.20015846288262218
+GOLDEN_2D_EVENTS = 30151
+GOLDEN_2D_REGISTRY_SHA256 = "829adcc3eefa84f2234613e4d6f797e5396086b989023328835ffb5e20c193f2"
 GOLDEN_3DFAST_HMIPC = 0.45431550105189666
+GOLDEN_3DFAST_EVENTS = 28961
+GOLDEN_3DFAST_REGISTRY_SHA256 = "e6a42d7a19973a3cd9bfd63048935363f046eb526c5a32d861ba257f468b64a0"
+GOLDEN_3DFAST_M1_HMIPC = 0.8613168271939103
+GOLDEN_3DFAST_M1_EVENTS = 11516
+GOLDEN_3DFAST_M1_REGISTRY_SHA256 = "beeacf7e2617d122eb4fecb5fc628fbd217389164d8bfddaad6caddb32939b3a"
+
+POINTS = {
+    "2d": (config_2d, MIX),
+    "3d_fast": (config_3d_fast, MIX),
+    "3d_fast_m1": (config_3d_fast, M1),
+}
 
 
 def show():  # pragma: no cover - re-pinning helper
-    print("2D     :", _run(config_2d(), ["S.copy", "mcf", "gzip", "milc"]).hmipc)
-    print("3D-fast:", _run(config_3d_fast(), ["S.copy", "mcf", "gzip", "milc"]).hmipc)
+    for prefix, key in (
+        ("GOLDEN_2D", "2d"), ("GOLDEN_3DFAST", "3d_fast"),
+        ("GOLDEN_3DFAST_M1", "3d_fast_m1"),
+    ):
+        config, benchmarks = POINTS[key]
+        hmipc, events, digest = _pins(config(), benchmarks)
+        print(f"{prefix}_HMIPC = {hmipc!r}")
+        print(f"{prefix}_EVENTS = {events}")
+        print(f'{prefix}_REGISTRY_SHA256 = "{digest}"')
+
+
+def _check(key, hmipc, events, digest):
+    config, benchmarks = POINTS[key]
+    got = _pins(config(), benchmarks)
+    assert got[0] == pytest.approx(hmipc, rel=1e-12)
+    assert got[1:] == (events, digest)
 
 
 def test_golden_2d():
-    result = _run(config_2d(), ["S.copy", "mcf", "gzip", "milc"])
-    assert result.hmipc == pytest.approx(GOLDEN_2D_HMIPC, rel=1e-12)
+    _check(
+        "2d", GOLDEN_2D_HMIPC, GOLDEN_2D_EVENTS, GOLDEN_2D_REGISTRY_SHA256
+    )
 
 
 def test_golden_3d_fast():
-    result = _run(config_3d_fast(), ["S.copy", "mcf", "gzip", "milc"])
-    assert result.hmipc == pytest.approx(GOLDEN_3DFAST_HMIPC, rel=1e-12)
+    _check(
+        "3d_fast",
+        GOLDEN_3DFAST_HMIPC,
+        GOLDEN_3DFAST_EVENTS,
+        GOLDEN_3DFAST_REGISTRY_SHA256,
+    )
+
+
+def test_golden_3d_fast_hit_bound_m1():
+    _check(
+        "3d_fast_m1",
+        GOLDEN_3DFAST_M1_HMIPC,
+        GOLDEN_3DFAST_M1_EVENTS,
+        GOLDEN_3DFAST_M1_REGISTRY_SHA256,
+    )
 
 
 def test_golden_run_is_reproducible_within_session():

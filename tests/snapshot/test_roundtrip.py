@@ -278,7 +278,7 @@ def test_a_snapshot_in_the_previous_layout_is_refused(tmp_path, monkeypatch):
         )
     with pytest.raises(SnapshotSchemaError) as refused:
         read_snapshot_file(old)
-    assert (refused.value.found, refused.value.expected) == (3, 7)
+    assert (refused.value.found, refused.value.expected) == (3, 8)
     fresh = _build(config)
     with pytest.raises(SnapshotSchemaError):
         fresh.restore_state(tree)
@@ -318,7 +318,7 @@ def test_a_snapshot_in_schema_4_is_refused(tmp_path, monkeypatch):
         )
     with pytest.raises(SnapshotSchemaError) as refused:
         read_snapshot_file(old)
-    assert (refused.value.found, refused.value.expected) == (4, 7)
+    assert (refused.value.found, refused.value.expected) == (4, 8)
     fresh = _build(config)
     with pytest.raises(SnapshotError):
         fresh.restore_state(tree)
@@ -357,7 +357,7 @@ def test_a_snapshot_in_schema_5_is_refused(tmp_path, monkeypatch):
         )
     with pytest.raises(SnapshotSchemaError) as refused:
         read_snapshot_file(old)
-    assert (refused.value.found, refused.value.expected) == (5, 7)
+    assert (refused.value.found, refused.value.expected) == (5, 8)
     fresh = _build(config)
     with pytest.raises(SnapshotSchemaError):
         fresh.restore_state(tree)
@@ -389,7 +389,39 @@ def test_a_snapshot_in_schema_6_is_refused(tmp_path, monkeypatch):
         )
     with pytest.raises(SnapshotSchemaError) as refused:
         read_snapshot_file(old)
-    assert (refused.value.found, refused.value.expected) == (6, 7)
+    assert (refused.value.found, refused.value.expected) == (6, 8)
+    fresh = _build(config)
+    with pytest.raises(SnapshotSchemaError):
+        fresh.restore_state(tree)
+    assert fresh.engine.now == 0 and fresh.engine.pending == 0
+
+
+def test_a_snapshot_in_schema_7_is_refused(tmp_path, monkeypatch):
+    """Schema 7 predates the hit path's prefetch observer, which
+    ``CompositePrefetcher`` computes once (``hit_observer``) and the L1
+    copies: its file is refused by the schema marker, and a tree without
+    the composite's field is refused on its own too, leaving the machine
+    untouched."""
+    config = _small(config_3d_fast())
+    path = str(tmp_path / "cell.snap")
+    _preempt_to_file(config, None, path)
+    header, tree = read_snapshot_file(path)
+    index = _layout_index(tree, "CompositePrefetcher")
+    module, qualname, fields = tree["layouts"][index]
+    dropped = fields.index("hit_observer")
+    tree["layouts"][index] = (module, qualname, fields[:dropped] + fields[dropped + 1:])
+    for node in _walk(tree["root"]):
+        if type(node) is tuple and node[:2] == ("o", index):
+            del node[2][dropped]
+    old = str(tmp_path / "schema7.snap")
+    with monkeypatch.context() as patch:
+        patch.setattr(format_mod, "SCHEMA_VERSION", 7)
+        write_snapshot_file(
+            old, tree, config_fingerprint=header["config_fingerprint"]
+        )
+    with pytest.raises(SnapshotSchemaError) as refused:
+        read_snapshot_file(old)
+    assert (refused.value.found, refused.value.expected) == (7, 8)
     fresh = _build(config)
     with pytest.raises(SnapshotSchemaError):
         fresh.restore_state(tree)

@@ -58,6 +58,34 @@ def test_profile_run_reports_each_memory_controller(capsys, monkeypatch):
     assert "parked" in out
 
 
+def test_profile_run_callback_table_counts_every_event(capsys, monkeypatch):
+    """The per-callback table's event counts, read from the profile's
+    caller table, sum to the engine's ``events_fired`` on a full-detail
+    run, and the rows are sorted by share."""
+    import re
+
+    from repro.system import scale as scale_mod
+
+    tiny = scale_mod.ExperimentScale("smoke", 300, 1000)
+    monkeypatch.setitem(scale_mod._SCALES, "smoke", tiny)
+    assert main(
+        ["profile", "run", "--config", "3d-fast", "--mix", "M1", "--top", "1"]
+    ) == 0
+    out = capsys.readouterr().out
+    fired = int(re.search(r"^event callbacks \((\d+) events fired", out, re.M)[1])
+    rows = re.findall(
+        r"^  +(\d+\.\d)% +(\d+) +\d+\.\d +\d+\.\d\d  (\S+\.py:\d+\(\w+\))$",
+        out, re.MULTILINE,
+    )
+    names = {name for _, _, name in rows}
+    assert any("(_dispatch)" in name for name in names)
+    assert any("(_commit)" in name for name in names)
+    assert len(names) == len(rows)
+    assert sum(int(events) for _, events, _ in rows) == fired > 0
+    shares = [float(share) for share, _, _ in rows]
+    assert shares == sorted(shares, reverse=True)
+
+
 def test_figure4_via_cli(capsys, monkeypatch):
     from repro.system import scale as scale_mod
 
