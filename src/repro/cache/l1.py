@@ -25,7 +25,7 @@ from ..engine.simulator import Engine
 from ..mshr.base import MshrFile
 from .array import CacheArray
 from .l2 import BankedL2Cache
-from .prefetch import CompositePrefetcher
+from .prefetch import Prefetcher
 
 #: :meth:`L1Cache.access` outcomes.
 STALL = 0
@@ -45,7 +45,7 @@ class L1Cache:
         l2: BankedL2Cache,
         registry: Optional[StatRegistry] = None,
         latency: int = 3,
-        prefetcher: Optional[CompositePrefetcher] = None,
+        prefetcher: Optional[Prefetcher] = None,
     ) -> None:
         self.engine = engine
         self.core_id = core_id
@@ -63,12 +63,11 @@ class L1Cache:
         self._c_mshr_rejects = self.stats.counter("mshr_rejects")
         self._c_writebacks = self.stats.counter("writebacks")
         self.latency = latency
+        # Read only by a snapshot restore, which binds the prefetcher at
+        # this path (the receiver of a bound method is not a path).
         self.prefetcher = prefetcher
-        # The one call a demand hit makes into the prefetcher (None: a
-        # hit trains nothing).
-        self._hit_observer = (
-            prefetcher.hit_observer if prefetcher is not None else None
-        )
+        # The one call a demand access makes into the prefetcher.
+        self._observe = prefetcher.observe if prefetcher is not None else None
         self._free_waiters: Deque[Callable[[], None]] = deque()
         # line -> dirty-on-fill flag for in-flight fetches (RFO tracking).
         self._fill_dirty: Dict[int, bool] = {}
@@ -94,7 +93,7 @@ class L1Cache:
         if cache_set is not None and line in cache_set:
             self._c_hits.value += 1.0
             cache_set[line] = cache_set.pop(line) or is_write  # CacheArray.touch
-            observe = self._hit_observer
+            observe = self._observe
             if observe is not None:
                 candidates = observe(addr, pc, False)
                 if candidates:
@@ -127,8 +126,9 @@ class L1Cache:
             partial(self._fill, new_entry),
         )
         self.engine.schedule(self.latency, self.l2.access, fetch)
-        if self.prefetcher is not None:
-            candidates = self.prefetcher.observe(addr, pc, True)
+        observe = self._observe
+        if observe is not None:
+            candidates = observe(addr, pc, True)
             if candidates:
                 self._prefetch(candidates, pc)
         return MISS
@@ -176,12 +176,10 @@ class L1Cache:
     def _prefetch(self, candidates, pc: int) -> None:
         """L1 prefetch (next-line + IP-stride in Table 1) into the L1.
 
-        A line already resident or in flight is skipped; that includes a
-        line named twice in ``candidates`` (a hit's candidates come from
-        one prefetcher, without the composite's de-duplication).
+        ``candidates`` are line addresses, each named once; a line
+        already resident or in flight is skipped.
         """
-        for candidate in candidates:
-            line = self.array.align(candidate)
+        for line in candidates:
             if self.array.probe(line) or self.mshr.is_full:
                 continue
             if self.mshr.contains(line):
@@ -204,7 +202,7 @@ class L1Cache:
     # ------------------------------------------------------------------
     # Functional-warmup path
     # ------------------------------------------------------------------
-    def functional_access(self, addr: int, pc: int, is_write: bool) -> None:
+    def functional_access(self, addr: int, is_write: bool) -> None:
         """Warm this L1 (and everything below) for one reference.
 
         Same demand tag/LRU/dirty transitions as the detailed path, but
@@ -219,7 +217,7 @@ class L1Cache:
         if self.array.touch(addr, dirty=is_write):
             return
         line = self.array.align(addr)
-        self.l2.functional_fetch(line, core_id=self.core_id, pc=pc)
+        self.l2.functional_fetch(line)
         victim = self.array.fill(line, dirty=is_write)
         if victim is not None and victim[1]:
             self.l2.functional_writeback(victim[0])

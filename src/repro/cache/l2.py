@@ -28,7 +28,7 @@ from ..interconnect.bus import Bus
 from ..memctrl.memsys import MainMemory
 from ..mshr.base import MshrEntry, MshrFile
 from .array import CacheArray
-from .prefetch import CompositePrefetcher
+from .prefetch import Prefetcher
 
 
 class BankedL2Cache:
@@ -47,7 +47,7 @@ class BankedL2Cache:
         bank_occupancy: int = 2,
         routing_latency: int = 2,
         page_size: int = 4096,
-        prefetcher: Optional[CompositePrefetcher] = None,
+        prefetcher: Optional[Prefetcher] = None,
         request_bus: Optional[Bus] = None,
     ) -> None:
         if interleave not in ("page", "line"):
@@ -345,9 +345,7 @@ class BankedL2Cache:
     ) -> None:
         if self.prefetcher is None:
             return
-        candidates = self.prefetcher.observe(addr, pc, was_miss)
-        for candidate in candidates:
-            line = self.array.align(candidate)
+        for line in self.prefetcher.observe(addr, pc, was_miss):
             if self.array.probe(line):
                 continue
             bank_idx = self.mshr_bank_index(line)
@@ -369,7 +367,7 @@ class BankedL2Cache:
     # ------------------------------------------------------------------
     # Functional-warmup path
     # ------------------------------------------------------------------
-    def functional_fetch(self, line: int, core_id: int = 0, pc: int = 0) -> None:
+    def functional_fetch(self, line: int) -> None:
         """Warm tags/LRU for one demanded line; no events, no stats.
 
         State transitions mirror the detailed demand-miss path: backend
@@ -381,7 +379,7 @@ class BankedL2Cache:
         if self.array.touch(line):
             return
         line = self.array.align(line)
-        self.memory.functional_fetch(line, core_id=core_id, pc=pc)
+        self.memory.functional_fetch(line)
         self._functional_fill(line)
 
     def functional_writeback(self, line: int) -> None:

@@ -5,8 +5,8 @@ low-hanging fruit that industry would pick first, and argues that
 re-architected stacked *memory* beats it.  This module makes that
 comparison runnable: a large SRAM/DRAM cache on the stack, presented to
 the L2 through the same interface as :class:`~repro.memctrl.memsys.MainMemory`
-(``enqueue`` / ``wait_for_space`` / ``mapping``), so the rest of the
-hierarchy is unchanged.
+(``enqueue`` / ``mapping``; ``enqueue`` never refuses, so the L2 never
+waits for space), so the rest of the hierarchy is unchanged.
 
 Model: a banked tag+data array with a fixed access latency.  In-flight
 misses to the same line merge; there is no MSHR cap (the structure is
@@ -17,7 +17,7 @@ outstanding-miss limiter, as in the real design.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from ..common.request import AccessType, MemoryRequest
 from ..common.stats import StatRegistry
@@ -65,21 +65,10 @@ class StackedL3:
     def num_mcs(self) -> int:
         return self.memory.num_mcs
 
-    @property
-    def line_size(self) -> int:
-        return self.memory.line_size
-
     def enqueue(self, request: MemoryRequest) -> bool:
         """Accept a request from the L2 (never exerts backpressure)."""
         self.engine.schedule(self.latency, self._tag_check, request)
         return True
-
-    def wait_for_space(self, addr: int, callback: Callable[[], None]) -> None:
-        # Never full, but honour the interface: release the waiter.
-        self.engine.schedule(1, callback)
-
-    def row_hit_rate(self) -> float:  # parity with MainMemory diagnostics
-        return self.memory.row_hit_rate()
 
     # -- internals -------------------------------------------------------
     def _tag_check(self, request: MemoryRequest) -> None:
@@ -140,12 +129,12 @@ class StackedL3:
         self._send(writeback)
 
     # -- functional-warmup path -----------------------------------------
-    def functional_fetch(self, line: int, core_id: int = 0, pc: int = 0) -> None:
+    def functional_fetch(self, line: int) -> None:
         """Warm the L3 array for one fetched line; no timing, no stats."""
         line = self.array.align(line)
         if self.array.lookup(line):
             return
-        self.memory.functional_fetch(line, core_id=core_id, pc=pc)
+        self.memory.functional_fetch(line)
         victim = self.array.fill(line, dirty=False)
         if victim is not None and victim[1]:
             self.memory.functional_writeback(victim[0])

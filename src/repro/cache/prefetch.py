@@ -1,43 +1,28 @@
-"""Prefetchers from Table 1: next-line and IP-based stride.
+"""The prefetcher from Table 1: next-line plus IP-based stride.
 
-A prefetcher observes demand accesses (address + PC + hit/miss) and
-suggests candidate line addresses.  The owning cache filters candidates
-against its own contents/MSHRs and injects PREFETCH requests.
+One :class:`Prefetcher` serves a cache (each L1, and the shared L2).  It
+observes demand accesses (address + PC + hit/miss) and suggests
+line-aligned candidate addresses, each line at most once; the owning
+cache filters them against its own contents/MSHRs and injects PREFETCH
+requests.
 
 ``observe`` runs once per demand access, and almost every call suggests
 nothing, so "no candidates" is the shared empty tuple :data:`NO_CANDIDATES`
-(test the result for truth; do not compare it with ``[]``).  A class
-whose ``observe`` neither trains nor emits on a hit says so with
-``trains_on_hits = False`` (absent means it does) and
-:class:`CompositePrefetcher` leaves it out of the hit path: its
-``hit_observer`` is the one call a demand hit makes.
+(test the result for truth; do not compare it with ``[]``).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, Sequence
 
 #: What ``observe`` returns when it suggests nothing (allocation-free).
 NO_CANDIDATES: Sequence[int] = ()
 
-
-class NextLinePrefetcher:
-    """On a demand miss, fetch the next sequential line(s)."""
-
-    def __init__(self, line_size: int = 64, degree: int = 1) -> None:
-        if degree < 1:
-            raise ValueError("degree must be >= 1")
-        self.line_size = line_size
-        self.degree = degree
-
-    #: Stateless, and silent on hits.
-    trains_on_hits = False
-
-    def observe(self, addr: int, pc: int, was_miss: bool) -> Sequence[int]:
-        if not was_miss:
-            return NO_CANDIDATES
-        line = addr & ~(self.line_size - 1)
-        return [line + self.line_size * i for i in range(1, self.degree + 1)]
+#: Table 1's IP-stride parameters: PC-indexed table entries, confirmations
+#: of one stride before it fires, and strides fetched ahead once it does.
+STRIDE_TABLE_SIZE = 256
+STRIDE_THRESHOLD = 2
+STRIDE_DEGREE = 2
 
 
 class _StrideEntry:
@@ -49,92 +34,50 @@ class _StrideEntry:
         self.confidence = 0
 
 
-class IpStridePrefetcher:
-    """Classic per-PC stride detector (Intel's "IP-based stride", ref [9]).
+class Prefetcher:
+    """Table 1's prefetcher: next-line on misses, IP-stride on every access.
 
-    A table indexed by PC tracks the last address and detected stride;
-    after ``threshold`` consecutive confirmations it prefetches
-    ``degree`` strides ahead.
+    The stride detector is Intel's "IP-based stride" (ref [9]): a table
+    indexed by PC tracks the last address and detected stride;
+    after :data:`STRIDE_THRESHOLD` consecutive confirmations it
+    prefetches :data:`STRIDE_DEGREE` strides ahead.  A miss suggests the
+    next line first, then the stride targets; a hit, the stride targets
+    only.  A stride under the line size can name one line twice: it is
+    suggested once.
     """
 
-    def __init__(
-        self,
-        line_size: int = 64,
-        table_size: int = 256,
-        threshold: int = 2,
-        degree: int = 2,
-    ) -> None:
-        if table_size < 1 or threshold < 1 or degree < 1:
-            raise ValueError("table_size, threshold and degree must be >= 1")
+    def __init__(self, line_size: int = 64) -> None:
         self.line_size = line_size
-        self.table_size = table_size
-        self.threshold = threshold
-        self.degree = degree
         self._table: Dict[int, _StrideEntry] = {}
 
     def observe(self, addr: int, pc: int, was_miss: bool) -> Sequence[int]:
-        slot = pc % self.table_size
+        # Every L1 hit lands here, so the stride update stays inline.
+        line_size = self.line_size
+        mask = ~(line_size - 1)
+        candidates = [(addr & mask) + line_size] if was_miss else NO_CANDIDATES
+        slot = pc % STRIDE_TABLE_SIZE
         entry = self._table.get(slot)
         if entry is None:
             self._table[slot] = _StrideEntry(addr)
-            return NO_CANDIDATES
+            return candidates
         stride = addr - entry.last_addr
         entry.last_addr = addr
         if stride == 0 or stride != entry.stride:
             entry.stride = stride
             entry.confidence = 0
-            return NO_CANDIDATES
-        threshold = self.threshold
-        if entry.confidence + 1 < threshold:
+            return candidates
+        if entry.confidence + 1 < STRIDE_THRESHOLD:
             entry.confidence += 1
-            return NO_CANDIDATES
-        entry.confidence = threshold
-        candidates = []
-        mask = ~(self.line_size - 1)
-        for i in range(1, self.degree + 1):
+            return candidates
+        entry.confidence = STRIDE_THRESHOLD
+        if not candidates:
+            candidates = []
+        for i in range(1, STRIDE_DEGREE + 1):
             target = addr + stride * i
+            # A handful of lines at most: a list scan de-duplicates
+            # without building a set.
             if target >= 0:
-                candidates.append(target & mask)
+                line = target & mask
+                if line not in candidates:
+                    candidates.append(line)
         return candidates
-
-
-class CompositePrefetcher:
-    """Fan-in of several prefetchers with de-duplication of candidates.
-
-    ``hit_observer`` is what a demand hit calls, fixed at construction
-    like the fan-in itself: ``None`` when no member trains on hits, the
-    one member's own ``observe`` when exactly one does (the next-line +
-    IP-stride pair of Table 1), else this composite's :meth:`observe`.
-    With a single member nothing is merged, so its candidates are not
-    de-duplicated; the caller's issue filter must drop a repeated line.
-    """
-
-    def __init__(self, prefetchers: Optional[List[object]] = None) -> None:
-        self.prefetchers = list(prefetchers or [])
-        # The members a demand hit has to reach (the rest are no-ops on
-        # hits).
-        self._hit_trained = [
-            p for p in self.prefetchers if getattr(p, "trains_on_hits", True)
-        ]
-        self.hit_observer: Optional[Callable[[int, int, bool], Sequence[int]]]
-        if not self._hit_trained:
-            self.hit_observer = None
-        elif len(self._hit_trained) == 1:
-            self.hit_observer = self._hit_trained[0].observe
-        else:
-            self.hit_observer = self.observe
-
-    def observe(self, addr: int, pc: int, was_miss: bool) -> Sequence[int]:
-        merged: Sequence[int] = NO_CANDIDATES
-        for prefetcher in self.prefetchers if was_miss else self._hit_trained:
-            candidates = prefetcher.observe(addr, pc, was_miss)
-            if candidates:
-                if not merged:
-                    merged = []
-                # A handful of lines at most: a list scan de-duplicates
-                # without building a set.
-                for candidate in candidates:
-                    if candidate not in merged:
-                        merged.append(candidate)
-        return merged
-

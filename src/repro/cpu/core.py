@@ -257,16 +257,14 @@ class Core:
             if batch is None or i >= batch.length:
                 batch = cursor.advance_batch()
                 i = 0
-            gaps, addrs, writes, pcs = (
-                batch.gaps, batch.addrs, batch.writes, batch.pcs
-            )
+            gaps, addrs, writes = batch.gaps, batch.addrs, batch.writes
             length = batch.length
             while i < length and icount < target:
                 icount += gaps[i] + 1
                 addr = addrs[i]
                 if tlb_touch is not None:
                     tlb_touch(addr)
-                functional_access(translate(addr), pcs[i], writes[i] != 0)
+                functional_access(translate(addr), writes[i] != 0)
                 i += 1
         cursor.index = i
         self.icount = icount

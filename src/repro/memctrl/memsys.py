@@ -104,10 +104,6 @@ class MainMemory:
     def num_mcs(self) -> int:
         return len(self.controllers)
 
-    @property
-    def line_size(self) -> int:
-        return self.mapping.line_size
-
     def controller_for(self, addr: int) -> MemoryController:
         """The MC owning ``addr`` under page interleaving."""
         return self.controllers[self.mapping.mc_index(addr)]
@@ -127,7 +123,7 @@ class MainMemory:
         bank = self.controllers[coords.mc].banks[coords.rank][coords.bank]
         bank.functional_touch(coords.row, is_write)
 
-    def functional_fetch(self, line: int, core_id: int = 0, pc: int = 0) -> None:
+    def functional_fetch(self, line: int) -> None:
         """Functional read reaching DRAM (L2/L3 miss during warmup)."""
         self.functional_touch(line, is_write=False)
 

@@ -24,12 +24,11 @@ class MshrEntry:
     core's in-flight records in an L1 (which only hands them back).
     """
 
-    __slots__ = ("line_addr", "requests", "issued", "is_prefetch")
+    __slots__ = ("line_addr", "requests", "is_prefetch")
 
     def __init__(self, line_addr: int) -> None:
         self.line_addr = line_addr
         self.requests: List[MemoryRequest] = []
-        self.issued = False
         self.is_prefetch = False
 
     def merge(self, request: MemoryRequest) -> None:

@@ -192,10 +192,6 @@ class StackModeMemory:
         return self._stack.num_mcs
 
     @property
-    def line_size(self) -> int:
-        return self._stack.line_size
-
-    @property
     def controllers(self):
         """Every MC of both systems (checkers instrument them all)."""
         return list(self._stack.controllers) + list(self._offchip.controllers)
@@ -399,7 +395,7 @@ class StackModeMemory:
         request.complete(proxy.completed_at)
 
     # -- functional-warmup path -----------------------------------------
-    def functional_fetch(self, line: int, core_id: int = 0, pc: int = 0) -> None:
+    def functional_fetch(self, line: int) -> None:
         """Warm L4 shadow state for one fetched line; no events/stats.
 
         Mirrors the detailed demand path: hits touch the frame's stack
@@ -410,7 +406,7 @@ class StackModeMemory:
         if frame is not None:
             self._stack.functional_touch(frame, is_write=False)
             return
-        self._offchip.functional_fetch(line, core_id=core_id, pc=pc)
+        self._offchip.functional_fetch(line)
         frame, victim = self._tags.fill(line, dirty=False)
         if victim is not None:
             vline, vdirty, vframe = victim
@@ -427,14 +423,6 @@ class StackModeMemory:
             self._stack.functional_touch(frame, is_write=True)
             return
         self._offchip.functional_writeback(line)
-
-    def functional_touch(self, addr: int, is_write: bool) -> None:
-        """Open-row-state-only touch (MainMemory interface parity)."""
-        frame = self._tags.lookup(addr & self._line_mask)
-        if frame is not None:
-            self._stack.functional_touch(frame, is_write)
-            return
-        self._offchip.functional_touch(addr, is_write)
 
     # -- diagnostics -----------------------------------------------------
     def hit_rate(self) -> float:

@@ -21,11 +21,7 @@ from ..common.stats import StatRegistry
 from ..cache.array import CacheArray
 from ..cache.l1 import L1Cache
 from ..cache.l2 import BankedL2Cache
-from ..cache.prefetch import (
-    CompositePrefetcher,
-    IpStridePrefetcher,
-    NextLinePrefetcher,
-)
+from ..cache.prefetch import Prefetcher
 from ..cache.l3 import StackedL3
 from ..cache.tlb import Tlb
 from ..cpu.core import Core
@@ -253,14 +249,7 @@ class Machine:
             for _ in range(config.num_mcs)
         ]
 
-        l2_prefetcher = None
-        if config.l2_prefetch:
-            l2_prefetcher = CompositePrefetcher(
-                [
-                    NextLinePrefetcher(config.line_size),
-                    IpStridePrefetcher(config.line_size),
-                ]
-            )
+        l2_prefetcher = Prefetcher(config.line_size) if config.l2_prefetch else None
         request_bus = None
         if config.l2_interleave == "line":
             # Conventional banking: a single shared bus between all L2
@@ -299,14 +288,9 @@ class Machine:
         self.l1s: List[L1Cache] = []
         for core_id, benchmark_name in enumerate(placed_benchmarks):
             spec = get_benchmark(benchmark_name)
-            l1_prefetcher = None
-            if config.l1_prefetch:
-                l1_prefetcher = CompositePrefetcher(
-                    [
-                        NextLinePrefetcher(config.line_size),
-                        IpStridePrefetcher(config.line_size),
-                    ]
-                )
+            l1_prefetcher = (
+                Prefetcher(config.line_size) if config.l1_prefetch else None
+            )
             l1 = L1Cache(
                 self.engine,
                 core_id,

@@ -52,10 +52,6 @@ class FakeMemory:
     def num_mcs(self):
         return self.mapping.num_mcs
 
-    @property
-    def line_size(self):
-        return 64
-
     def enqueue(self, request):
         if len(self.queued) >= self.capacity:
             return False

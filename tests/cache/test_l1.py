@@ -6,11 +6,7 @@ import pytest
 
 from repro.cache.array import CacheArray
 from repro.cache.l1 import HIT, MISS, L1Cache
-from repro.cache.prefetch import (
-    CompositePrefetcher,
-    IpStridePrefetcher,
-    NextLinePrefetcher,
-)
+from repro.cache.prefetch import Prefetcher
 from repro.common.request import AccessType
 from repro.mshr.conventional import ConventionalMshr
 
@@ -147,7 +143,7 @@ def test_miss_rate(engine):
 
 
 def test_l1_prefetcher_issues_prefetch_fetches(engine):
-    prefetcher = CompositePrefetcher([NextLinePrefetcher(64)])
+    prefetcher = Prefetcher(64)
     l1, l2 = _l1(engine, prefetcher=prefetcher)
     _read(l1, 0x1000)
     engine.run()
@@ -157,7 +153,7 @@ def test_l1_prefetcher_issues_prefetch_fetches(engine):
 
 
 def test_prefetch_fill_does_not_complete_demand(engine):
-    prefetcher = CompositePrefetcher([NextLinePrefetcher(64)])
+    prefetcher = Prefetcher(64)
     l1, l2 = _l1(engine, prefetcher=prefetcher)
     _read(l1, 0x1000)
     engine.run()
@@ -173,15 +169,10 @@ def test_prefetch_fill_does_not_complete_demand(engine):
 
 
 def test_a_hit_naming_one_new_line_twice_issues_one_prefetch(engine):
-    """A hit trains the IP-stride table directly, without the
-    composite's de-duplication.  At a stride of 8 B and degree 2, a hit
-    at offset 56 names the next line twice; the L1's in-flight filter
-    (``mshr.contains``) drops the second."""
-    prefetcher = CompositePrefetcher(
-        [NextLinePrefetcher(64), IpStridePrefetcher(64, degree=2)]
-    )
-    assert prefetcher.hit_observer == prefetcher.prefetchers[1].observe
-    l1, l2 = _l1(engine, prefetcher=prefetcher)
+    """A hit trains the IP-stride table.  At a stride of 8 B and degree
+    2, a hit at offset 56 predicts two addresses in the next line; the
+    prefetcher names that line once and the L1 fetches it once."""
+    l1, l2 = _l1(engine, prefetcher=Prefetcher(64))
     l1.array.fill(0x1000)
     for addr in (0x1020, 0x1028, 0x1030):  # train: fill, stride, confirm
         assert _read(l1, addr) == HIT

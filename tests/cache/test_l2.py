@@ -4,7 +4,7 @@ import pytest
 
 from repro.cache.array import CacheArray
 from repro.cache.l2 import BankedL2Cache
-from repro.cache.prefetch import CompositePrefetcher, NextLinePrefetcher
+from repro.cache.prefetch import Prefetcher
 from repro.common.request import AccessType, MemoryRequest
 from repro.mshr.conventional import ConventionalMshr
 from repro.mshr.vbf_mshr import VbfMshr
@@ -193,7 +193,7 @@ def test_per_core_demand_stats(engine):
 
 
 def test_prefetcher_issues_and_tracks_usefulness(engine):
-    prefetcher = CompositePrefetcher([NextLinePrefetcher(64)])
+    prefetcher = Prefetcher(64)
     l2, memory = _l2(engine, prefetcher=prefetcher)
     l2.access(make_read(0x5000))
     engine.run()
@@ -211,7 +211,7 @@ def test_prefetcher_issues_and_tracks_usefulness(engine):
 
 
 def test_demand_merging_into_prefetch_entry(engine):
-    prefetcher = CompositePrefetcher([NextLinePrefetcher(64)])
+    prefetcher = Prefetcher(64)
     l2, memory = _l2(engine, prefetcher=prefetcher)
     l2.access(make_read(0x5000))
     engine.run()

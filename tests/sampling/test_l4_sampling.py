@@ -4,7 +4,7 @@ tags sound without training the timing model.
 A sampled cache-mode run skips most instructions functionally; those
 skipped accesses still move architectural memory state, so they must
 flow through the L4 *shadow* tag state (``functional_fetch`` /
-``functional_writeback`` / ``functional_touch``) — otherwise the first
+``functional_writeback``) — otherwise the first
 detailed interval after a skip sees a cache that missed the entire
 warmup and every checker invariant about residency is fiction.  The
 mirror constraint: the functional path must NOT touch timing-side
@@ -60,7 +60,6 @@ def test_functional_warmup_fills_shadow_tags_not_timing_state():
     for i in range(2_000):
         addr = 64 * (i % 256)
         facade.functional_fetch(addr)
-        facade.functional_touch(addr, is_write=False)
         if i % 5 == 0:
             facade.functional_writeback(addr)
 

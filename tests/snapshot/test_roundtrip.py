@@ -278,7 +278,7 @@ def test_a_snapshot_in_the_previous_layout_is_refused(tmp_path, monkeypatch):
         )
     with pytest.raises(SnapshotSchemaError) as refused:
         read_snapshot_file(old)
-    assert (refused.value.found, refused.value.expected) == (3, 8)
+    assert (refused.value.found, refused.value.expected) == (3, 9)
     fresh = _build(config)
     with pytest.raises(SnapshotSchemaError):
         fresh.restore_state(tree)
@@ -318,7 +318,7 @@ def test_a_snapshot_in_schema_4_is_refused(tmp_path, monkeypatch):
         )
     with pytest.raises(SnapshotSchemaError) as refused:
         read_snapshot_file(old)
-    assert (refused.value.found, refused.value.expected) == (4, 8)
+    assert (refused.value.found, refused.value.expected) == (4, 9)
     fresh = _build(config)
     with pytest.raises(SnapshotError):
         fresh.restore_state(tree)
@@ -357,7 +357,7 @@ def test_a_snapshot_in_schema_5_is_refused(tmp_path, monkeypatch):
         )
     with pytest.raises(SnapshotSchemaError) as refused:
         read_snapshot_file(old)
-    assert (refused.value.found, refused.value.expected) == (5, 8)
+    assert (refused.value.found, refused.value.expected) == (5, 9)
     fresh = _build(config)
     with pytest.raises(SnapshotSchemaError):
         fresh.restore_state(tree)
@@ -389,7 +389,38 @@ def test_a_snapshot_in_schema_6_is_refused(tmp_path, monkeypatch):
         )
     with pytest.raises(SnapshotSchemaError) as refused:
         read_snapshot_file(old)
-    assert (refused.value.found, refused.value.expected) == (6, 8)
+    assert (refused.value.found, refused.value.expected) == (6, 9)
+    fresh = _build(config)
+    with pytest.raises(SnapshotSchemaError):
+        fresh.restore_state(tree)
+    assert fresh.engine.now == 0 and fresh.engine.pending == 0
+
+
+def _as_older_prefetch_layouts(tree, composite_fields, l1_gone, l1_added):
+    """``tree``'s layouts as a build with ``CompositePrefetcher`` wrote
+    them: the prefetcher under that class's name and fields, the L1's
+    fields without ``l1_gone`` and with ``l1_added``."""
+    index = _layout_index(tree, "Prefetcher")
+    module, _, _ = tree["layouts"][index]
+    tree["layouts"][index] = (module, "CompositePrefetcher", composite_fields)
+    index = _layout_index(tree, "L1Cache")
+    module, qualname, fields = tree["layouts"][index]
+    fields = tuple(sorted(set(fields) - l1_gone | l1_added))
+    tree["layouts"][index] = (module, qualname, fields)
+
+
+def _refused_as_schema(tmp_path, monkeypatch, config, header, tree, schema):
+    """Written under ``schema``, the file is refused by its marker, and
+    the tree on its own is refused too, leaving the machine untouched."""
+    old = str(tmp_path / f"schema{schema}.snap")
+    with monkeypatch.context() as patch:
+        patch.setattr(format_mod, "SCHEMA_VERSION", schema)
+        write_snapshot_file(
+            old, tree, config_fingerprint=header["config_fingerprint"]
+        )
+    with pytest.raises(SnapshotSchemaError) as refused:
+        read_snapshot_file(old)
+    assert (refused.value.found, refused.value.expected) == (schema, 9)
     fresh = _build(config)
     with pytest.raises(SnapshotSchemaError):
         fresh.restore_state(tree)
@@ -397,35 +428,37 @@ def test_a_snapshot_in_schema_6_is_refused(tmp_path, monkeypatch):
 
 
 def test_a_snapshot_in_schema_7_is_refused(tmp_path, monkeypatch):
-    """Schema 7 predates the hit path's prefetch observer, which
-    ``CompositePrefetcher`` computes once (``hit_observer``) and the L1
-    copies: its file is refused by the schema marker, and a tree without
-    the composite's field is refused on its own too, leaving the machine
-    untouched."""
+    """Schema 7 predates the hit path's prefetch observer: the L1 held
+    a ``CompositePrefetcher`` in its ``prefetcher`` field and nothing
+    else.  Its file and its layouts are refused."""
     config = _small(config_3d_fast())
     path = str(tmp_path / "cell.snap")
     _preempt_to_file(config, None, path)
     header, tree = read_snapshot_file(path)
-    index = _layout_index(tree, "CompositePrefetcher")
+    _as_older_prefetch_layouts(
+        tree, ("_hit_trained", "prefetchers"), {"_observe"}, set()
+    )
+    _refused_as_schema(tmp_path, monkeypatch, config, header, tree, 7)
+
+
+def test_a_snapshot_in_schema_8_is_refused(tmp_path, monkeypatch):
+    """Schema 8 built the prefetcher as a ``CompositePrefetcher`` whose
+    ``hit_observer`` the L1 copied, and kept an ``MshrEntry.issued``
+    slot: its file and its layouts are refused."""
+    config = _small(config_3d_fast())
+    path = str(tmp_path / "cell.snap")
+    _preempt_to_file(config, None, path)
+    header, tree = read_snapshot_file(path)
+    _as_older_prefetch_layouts(
+        tree,
+        ("_hit_trained", "hit_observer", "prefetchers"),
+        {"_observe"},
+        {"_hit_observer"},
+    )
+    index = _layout_index(tree, "MshrEntry")
     module, qualname, fields = tree["layouts"][index]
-    dropped = fields.index("hit_observer")
-    tree["layouts"][index] = (module, qualname, fields[:dropped] + fields[dropped + 1:])
-    for node in _walk(tree["root"]):
-        if type(node) is tuple and node[:2] == ("o", index):
-            del node[2][dropped]
-    old = str(tmp_path / "schema7.snap")
-    with monkeypatch.context() as patch:
-        patch.setattr(format_mod, "SCHEMA_VERSION", 7)
-        write_snapshot_file(
-            old, tree, config_fingerprint=header["config_fingerprint"]
-        )
-    with pytest.raises(SnapshotSchemaError) as refused:
-        read_snapshot_file(old)
-    assert (refused.value.found, refused.value.expected) == (7, 8)
-    fresh = _build(config)
-    with pytest.raises(SnapshotSchemaError):
-        fresh.restore_state(tree)
-    assert fresh.engine.now == 0 and fresh.engine.pending == 0
+    tree["layouts"][index] = (module, qualname, fields + ("issued",))
+    _refused_as_schema(tmp_path, monkeypatch, config, header, tree, 8)
 
 
 def test_cache_and_tlb_sets_pack_into_one_node_per_array(tmp_path):
