@@ -15,6 +15,11 @@ from ..common.units import is_power_of_two, log2int
 class CacheArray:
     """Tag store: ``num_sets`` sets of ``assoc`` ways."""
 
+    __slots__ = (
+        "size_bytes", "assoc", "line_size", "num_sets", "_line_shift",
+        "_align_mask", "_sets",
+    )
+
     def __init__(
         self,
         size_bytes: int,

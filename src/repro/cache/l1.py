@@ -36,6 +36,13 @@ HIT = 2
 class L1Cache:
     """One core's L1D: tag array + MSHR file + L2 port."""
 
+    __slots__ = (
+        "engine", "core_id", "array", "mshr", "l2", "stats", "_c_accesses",
+        "_c_hits", "_c_misses", "_c_secondary_misses", "_c_mshr_rejects",
+        "_c_writebacks", "latency", "_observe", "_free_waiters", "_fill_dirty",
+        "on_data",
+    )
+
     def __init__(
         self,
         engine: Engine,
@@ -63,9 +70,6 @@ class L1Cache:
         self._c_mshr_rejects = self.stats.counter("mshr_rejects")
         self._c_writebacks = self.stats.counter("writebacks")
         self.latency = latency
-        # Read only by a snapshot restore, which binds the prefetcher at
-        # this path (the receiver of a bound method is not a path).
-        self.prefetcher = prefetcher
         # The one call a demand access makes into the prefetcher.
         self._observe = prefetcher.observe if prefetcher is not None else None
         self._free_waiters: Deque[Callable[[], None]] = deque()

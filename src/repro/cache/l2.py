@@ -34,6 +34,20 @@ from .prefetch import Prefetcher
 class BankedL2Cache:
     """Shared L2: banked tag arrays + banked MSHRs + memory interface."""
 
+    # 34 fields: past CPython 3.11's 30-key limit an unslotted instance
+    # keeps them in a plain dict from construction.
+    __slots__ = (
+        "engine", "array", "memory", "mshr_files", "stats", "_c_accesses",
+        "_c_hits", "_c_misses", "_c_writeback_hits", "_c_writeback_misses",
+        "_c_prefetch_misses", "_c_prefetch_partial_hits", "_c_mshr_merges",
+        "_c_mshr_stalls", "_c_mshr_stall_cycles", "_c_evictions",
+        "_core_demand_accesses", "_core_demand_misses", "num_banks",
+        "interleave", "latency", "bank_occupancy", "routing_latency",
+        "line_size", "_line_shift", "_page_shift", "_bank_shift",
+        "_single_mshr_file", "prefetcher", "request_bus", "_bank_free_at",
+        "_mshr_waiters", "_inclusion_listeners", "_prefetched_lines",
+    )
+
     def __init__(
         self,
         engine: Engine,

@@ -29,6 +29,12 @@ from .array import CacheArray
 class StackedL3:
     """A stacked last-level cache in front of main memory."""
 
+    __slots__ = (
+        "engine", "array", "memory", "latency", "stats", "_c_accesses",
+        "_c_hits", "_c_misses", "_c_merges", "_c_writeback_hits",
+        "_c_writeback_misses", "_inflight",
+    )
+
     def __init__(
         self,
         engine: Engine,

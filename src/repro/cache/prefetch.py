@@ -46,6 +46,8 @@ class Prefetcher:
     suggested once.
     """
 
+    __slots__ = ("line_size", "_table")
+
     def __init__(self, line_size: int = 64) -> None:
         self.line_size = line_size
         self._table: Dict[int, _StrideEntry] = {}

@@ -17,6 +17,11 @@ from ..common.units import is_power_of_two, log2int
 class Tlb:
     """Set-associative TLB over virtual page numbers (LRU per set)."""
 
+    __slots__ = (
+        "entries", "assoc", "num_sets", "walk_penalty", "_page_shift", "_sets",
+        "stats", "_c_hits", "_c_misses",
+    )
+
     def __init__(
         self,
         entries: int = 64,

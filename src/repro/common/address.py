@@ -34,6 +34,11 @@ class PageAllocator:
     allocator reproduces multiprogrammed first-touch interleaving.
     """
 
+    __slots__ = (
+        "page_size", "_page_shift", "_offset_mask", "_capacity_pages",
+        "_page_table", "_next_frame",
+    )
+
     def __init__(self, page_size: int = 4096, capacity_bytes: int = 0) -> None:
         if not is_power_of_two(page_size):
             raise ValueError(f"page size must be a power of two, got {page_size}")

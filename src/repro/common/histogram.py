@@ -14,6 +14,8 @@ from typing import Dict, List, Tuple
 class LatencyHistogram:
     """Power-of-two bucketed histogram over non-negative integers."""
 
+    __slots__ = ("_buckets", "count", "total", "min_value", "max_value")
+
     def __init__(self) -> None:
         self._buckets: Dict[int, int] = {}
         self.count = 0

@@ -41,6 +41,8 @@ class Counter:
 class StatGroup:
     """A named bag of numeric counters with optional freezing."""
 
+    __slots__ = ("name", "_counters", "_frozen")
+
     def __init__(self, name: str) -> None:
         self.name = name
         self._counters: Dict[str, Counter] = {}
@@ -128,6 +130,8 @@ class StatGroup:
 
 class StatRegistry:
     """All stat groups for one simulated machine."""
+
+    __slots__ = ("_groups",)
 
     def __init__(self) -> None:
         self._groups: Dict[str, StatGroup] = {}

@@ -17,6 +17,8 @@ from .timing import DramTiming
 class ActivationWindow:
     """Tracks recent activations of one rank and gates new ones."""
 
+    __slots__ = ("t_rrd", "t_faw", "window", "_recent")
+
     def __init__(self, timing: DramTiming, window: int = 4) -> None:
         if window < 1:
             raise ValueError("activation window must hold at least one ACT")

@@ -24,6 +24,15 @@ from .timing import DramTiming
 class Bank:
     """One DRAM bank: a bitcell array plus a row-buffer cache."""
 
+    # "__dict__" holds only the per-instance method wrappers that
+    # repro.validate.hooks installs; the snapshot walk reads the other
+    # slots and never that dict.
+    __slots__ = (
+        "timing", "refresh", "activations", "row_buffers", "stats",
+        "_c_row_hits", "_c_row_misses", "_c_dirty_evictions", "name",
+        "_array_ready", "_bank_ready", "_epoch", "__dict__",
+    )
+
     def __init__(
         self,
         timing: DramTiming,

@@ -22,6 +22,8 @@ class RefreshSchedule:
     blackout before ``phase``.
     """
 
+    __slots__ = ("t_refi", "t_rfc", "phase")
+
     def __init__(self, timing: DramTiming, phase: int = 0) -> None:
         self.t_refi = timing.refresh_interval
         self.t_rfc = timing.t_rfc

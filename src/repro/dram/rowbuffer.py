@@ -20,6 +20,8 @@ class RowBufferCache:
     :class:`repro.dram.bank.Bank`.
     """
 
+    __slots__ = ("num_entries", "_entries")
+
     def __init__(self, num_entries: int = 1) -> None:
         if num_entries < 1:
             raise ValueError("a bank needs at least one row buffer entry")

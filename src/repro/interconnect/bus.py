@@ -22,6 +22,12 @@ from ..common.stats import StatGroup
 class Bus:
     """A shared bus with fixed width, beat time, and propagation delay."""
 
+    __slots__ = (
+        "width_bytes", "cycles_per_beat", "wire_latency", "name", "stats",
+        "_c_transfers", "_c_busy_cycles", "_c_bytes", "_c_queue_cycles",
+        "_free_at",
+    )
+
     def __init__(
         self,
         width_bytes: int,

@@ -36,6 +36,19 @@ from .schedulers import Scheduler
 class MemoryController:
     """One memory channel: MRQ + scheduler + bus + DRAM ranks."""
 
+    # "__dict__" holds only the per-instance method wrappers that
+    # repro.validate.hooks installs; the snapshot walk reads the other
+    # slots and never that dict.
+    __slots__ = (
+        "mc_id", "engine", "banks", "bus", "scheduler", "mapping", "mrq",
+        "_scheduler_single_trivial", "quantum", "transaction_overhead",
+        "_issue_gap", "read_latency", "stats", "_c_mrq_accepts",
+        "_c_mrq_rejections", "_c_mrq_occupancy_sum", "_c_issued",
+        "_c_queue_wait_cycles", "_c_row_hits", "_c_row_misses", "line_size",
+        "_next_issue_time", "_pump_at", "_pump_handle", "_space_waiters",
+        "__dict__",
+    )
+
     def __init__(
         self,
         mc_id: int,

@@ -41,6 +41,11 @@ class DramCoordinates(NamedTuple):
 class AddressMapping:
     """Page-interleaved address decomposition."""
 
+    __slots__ = (
+        "num_mcs", "ranks_per_mc", "banks_per_rank", "page_size", "line_size",
+        "_page_shift", "_line_shift", "_column_mask",
+    )
+
     def __init__(
         self,
         num_mcs: int = 1,

@@ -25,6 +25,8 @@ from .schedulers import make_scheduler
 class MainMemory:
     """Facade over every memory controller and DRAM rank in the machine."""
 
+    __slots__ = ("engine", "registry", "mapping", "controllers")
+
     def __init__(
         self,
         engine: Engine,

@@ -46,6 +46,8 @@ class MrqEntry:
 class MemoryRequestQueue:
     """Bounded FIFO-ordered pool the scheduler picks from."""
 
+    __slots__ = ("capacity", "_entries")
+
     def __init__(self, capacity: int = 32) -> None:
         if capacity < 1:
             raise ValueError("MRQ capacity must be >= 1")

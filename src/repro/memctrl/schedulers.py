@@ -24,6 +24,8 @@ class Scheduler(Protocol):
 class FcfsScheduler:
     """First-come-first-serve: always the oldest ready request."""
 
+    __slots__ = ()
+
     name = "fcfs"
     #: Stateless: picking the sole ready entry needs no scheduler call.
     single_trivial = True
@@ -39,6 +41,8 @@ class FrFcfsScheduler:
     multi-entry row-buffer caches automatically widen the set of hits the
     scheduler can exploit.
     """
+
+    __slots__ = ()
 
     name = "fr-fcfs"
     #: Stateless: picking the sole ready entry needs no scheduler call.
@@ -67,6 +71,8 @@ class WriteDrainScheduler:
     them in a burst down to a low watermark — the standard technique to
     avoid wasting row-buffer locality on interleaved write turnarounds.
     """
+
+    __slots__ = ("high_watermark", "low_watermark", "_draining", "_inner")
 
     name = "frfcfs-writedrain"
 

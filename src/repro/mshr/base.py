@@ -48,6 +48,14 @@ class MshrFile:
     once occupancy reaches the limit even if physical slots remain.
     """
 
+    # "__dict__" holds only the per-instance method wrappers that
+    # repro.validate.hooks installs; the snapshot walk reads the other
+    # slots and never that dict.
+    __slots__ = (
+        "capacity", "capacity_limit", "occupancy", "total_probes",
+        "total_accesses", "__dict__",
+    )
+
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
             raise ValueError("MSHR capacity must be >= 1")

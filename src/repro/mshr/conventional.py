@@ -18,6 +18,8 @@ from .base import MshrEntry, MshrFile
 class ConventionalMshr(MshrFile):
     """Fully-associative, single-cycle MSHR file."""
 
+    __slots__ = ("_entries",)
+
     def __init__(self, capacity: int) -> None:
         super().__init__(capacity)
         self._entries: Dict[int, MshrEntry] = {}

@@ -24,6 +24,8 @@ from .base import MshrEntry, MshrFile
 class DirectMappedMshr(MshrFile):
     """Open-addressing MSHR with plain linear probing."""
 
+    __slots__ = ("_shift", "_slots")
+
     def __init__(self, capacity: int, line_size: int = 64) -> None:
         super().__init__(capacity)
         self._shift = log2int(line_size)

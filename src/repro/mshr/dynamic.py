@@ -31,6 +31,12 @@ class DynamicMshrTuner:
         epoch_cycles: length of the committed phase between trainings.
     """
 
+    __slots__ = (
+        "engine", "files", "committed_reader", "sample_cycles", "epoch_cycles",
+        "_limits", "_sample_scores", "_sample_index", "_sample_start_committed",
+        "chosen_limit", "trainings", "selections", "_started",
+    )
+
     def __init__(
         self,
         engine: Engine,

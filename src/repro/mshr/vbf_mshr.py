@@ -34,6 +34,8 @@ from .vector_bloom_filter import VectorBloomFilter
 class VbfMshr(MshrFile):
     """Direct-mapped MSHR + VBF search filter."""
 
+    __slots__ = ("_shift", "_slots", "vbf", "_occupied_bits", "_full_mask")
+
     def __init__(self, capacity: int, line_size: int = 64) -> None:
         super().__init__(capacity)
         self._shift = log2int(line_size)

@@ -26,6 +26,8 @@ class VectorBloomFilter:
     O(1)-ish single-int operations.
     """
 
+    __slots__ = ("num_entries", "_rows")
+
     def __init__(self, num_entries: int) -> None:
         if num_entries < 1:
             raise ValueError("VBF needs at least one entry")

@@ -1,10 +1,14 @@
 """The state walk behind whole-machine snapshots.
 
 :func:`capture` starts at a :class:`~repro.system.machine.Machine` and
-visits every object's instance fields (``vars()`` and ``__slots__``, in
-sorted order), encoding each value as plain data, so the payload is a
+visits every object's fields — the ``__slots__`` its class declares, in
+sorted order — encoding each value as plain data, so the payload is a
 tree of builtins that :mod:`repro.snapshot.format`'s restricted
-unpickler loads without resolving a single global.  :func:`restore`
+unpickler loads without resolving a single global.  A class with any
+MRO entry that declares no ``__slots__`` is refused by name: model
+state lives in declared slots, and the walk never reads an instance
+``__dict__`` (reading one turns a component's attribute storage into a
+plain dict for the rest of the process).  :func:`restore`
 walks the tree over a *freshly built* machine and rewrites it in place.
 
 Identity.  One :class:`~repro.common.request.MemoryRequest` may sit in
@@ -24,17 +28,18 @@ one explicit class table, :data:`CLASSES`; the capture visits them
 after every component, so their fields never hide a component's path.
 
 Layout.  The tree records the field names of every walked class.  An
-unknown class, a ``__slots__`` class whose slots differ, or a component
-that sets a field the tree lacks is refused with
-:class:`~repro.common.errors.SnapshotSchemaError` — before any state is
-applied, because every write to the fresh machine is collected first.
-Attributes a component gained at runtime are restored, not refused.
+unknown class or one whose slots differ from the recorded fields is
+refused with :class:`~repro.common.errors.SnapshotSchemaError` — before
+any state is applied, because every write to the fresh machine is
+collected first.
 
 Left out: frozen dataclasses (config, DRAM timings, sampling plan —
-pinned by the fingerprint or the run arguments) and closures
-:mod:`repro.validate.hooks` installs, both encoded as "keep the fresh
-value"; :class:`~repro.cpu.trace.BatchCursor` and the request-id
-counter keep explicit state, because their state is not their fields.
+pinned by the fingerprint or the run arguments), encoded as "keep the
+fresh value", and the explicit ``__dict__`` slot that
+:mod:`repro.validate.hooks` fills with per-instance method wrappers
+(instrumentation, not state); :class:`~repro.cpu.trace.BatchCursor` and
+the request-id counter keep explicit state, because their state is not
+their fields.
 
 Encoding (every tuple is a tagged node; ``n`` numbers a node)::
 
@@ -95,21 +100,32 @@ CLASSES = frozenset({
 })
 
 
+#: Sorted declared slot names per class.
+_FIELDS: Dict[type, Tuple[str, ...]] = {}
+
+
 def _slot_names(cls: type) -> Tuple[str, ...]:
+    """``cls``'s fields: every slot its MRO declares, sorted; a class
+    with an MRO entry that declares no ``__slots__`` is refused."""
+    fields = _FIELDS.get(cls)
+    if fields is not None:
+        return fields
     names = set()
-    for klass in cls.__mro__:
-        slots = klass.__dict__.get("__slots__", ())
+    for klass in cls.__mro__[:-1]:  # all but object
+        slots = klass.__dict__.get("__slots__")
+        if slots is None:
+            raise SnapshotError(
+                f"cannot snapshot a {cls.__qualname__}: {klass.__qualname__} "
+                "declares no __slots__ (model state lives in declared slots)"
+            )
         names.update((slots,) if isinstance(slots, str) else slots)
-    return tuple(sorted(names - {"__dict__", "__weakref__"}))
+    fields = _FIELDS[cls] = tuple(sorted(names - {"__dict__", "__weakref__"}))
+    return fields
 
 
 # ----------------------------------------------------------------------
 # capture
 # ----------------------------------------------------------------------
-#: Sorted field names per (class, instance attribute names).
-_FIELDS: Dict[Tuple[type, Any], Tuple[str, ...]] = {}
-
-
 class _Capture:
     def __init__(self) -> None:
         self.numbers: Dict[int, int] = {}  # id(object or container) -> n
@@ -142,12 +158,7 @@ class _Capture:
 
     def _fields(self, obj: Any) -> Tuple[int, list]:
         kind = type(obj)
-        attrs = getattr(obj, "__dict__", None)
-        key = (kind, None if attrs is None else tuple(attrs))
-        fields = _FIELDS.get(key)
-        if fields is None:
-            fields = set(_slot_names(kind)).union(attrs or ())
-            fields = _FIELDS[key] = tuple(sorted(fields))
+        fields = _FIELDS.get(kind) or _slot_names(kind)
         entry = (kind.__module__, kind.__qualname__, fields)
         layout = self.layouts.setdefault(entry, len(self.layouts))
         return layout, self._items([getattr(obj, name) for name in fields])
@@ -240,8 +251,6 @@ class _Capture:
         )
 
     def _function(self, value: types.FunctionType) -> tuple:
-        if value.__module__ == "repro.validate.hooks":
-            return _KEEP
         raise SnapshotError(
             f"cannot snapshot function {value.__qualname__!r}: event and "
             "request callbacks must be bound methods or partials of them, "
@@ -337,18 +346,17 @@ def _resolve(key, among=None) -> type:
     return found
 
 
-def _resolve_layouts(entries) -> List[Tuple[type, Tuple[str, ...], frozenset]]:
-    """Each layout's class, checked where the code pins a layout
-    statically (``__slots__``)."""
+def _resolve_layouts(entries) -> List[Tuple[type, Tuple[str, ...]]]:
+    """Each layout's class, checked against the slots it declares."""
     layouts = []
     for module, qualname, fields in entries:
         cls, fields = _resolve((module, qualname)), tuple(fields)
-        if not cls.__dictoffset__ and fields != _slot_names(cls):
+        if fields != _slot_names(cls):
             raise SnapshotSchemaError(
                 f"snapshot layout of {qualname} is {list(fields)}, this build "
                 f"has {list(_slot_names(cls))}"
             )
-        layouts.append((cls, fields, frozenset(fields)))
+        layouts.append((cls, fields))
     return layouts
 
 
@@ -450,7 +458,10 @@ class _Restore:
         elif tag == "nt":
             self._visit_items(node[2], None)
         elif tag == "m":
-            self._visit(node[1], _ABSENT)
+            # The receiver binds where the fresh machine holds the same
+            # method: an object reached only through one binds in place.
+            receiver = live.__self__ if type(live) is types.MethodType else _ABSENT
+            self._visit(node[1], receiver)
         elif tag == "p":
             self._visit(node[1], _ABSENT)
             self._visit_items(node[2], None)
@@ -567,17 +578,11 @@ class _Restore:
         }
 
     def _fill(self, obj: Any, layout, values: list, fresh: bool) -> None:
-        cls, fields, fieldset = layout
+        cls, fields = layout
         if len(values) != len(fields):
             raise SnapshotFormatError(
                 f"{cls.__qualname__} state has {len(values)} values for "
                 f"{len(fields)} fields"
-            )
-        attrs = getattr(obj, "__dict__", None) if fresh else None
-        if attrs is not None and not fieldset.issuperset(attrs):
-            raise SnapshotSchemaError(
-                f"snapshot {cls.__qualname__} lacks field(s) "
-                f"{sorted(set(attrs) - fieldset)} that this build sets"
             )
         decoded = {}
         for name, value in zip(fields, values):

@@ -59,6 +59,8 @@ class SramTagStore:
     line ``L``'s frame address is ``L mod cache_bytes``.
     """
 
+    __slots__ = ("array", "assoc", "line_size", "num_sets", "_frame_of")
+
     def __init__(self, cache_bytes: int, assoc: int, line_size: int) -> None:
         from ..cache.array import CacheArray
 
@@ -136,6 +138,14 @@ class _Fill:
 # ----------------------------------------------------------------------
 class StackModeMemory:
     """The stacked L4 + off-chip DRAM behind the MainMemory interface."""
+
+    __slots__ = (
+        "engine", "_stack", "_offchip", "_line_mask", "_tag_latency", "stats",
+        "_c_accesses", "_c_hits", "_c_misses", "_c_merges", "_c_writeback_hits",
+        "_c_writeback_misses", "_c_fills", "_c_dirty_evictions",
+        "_c_offchip_reads", "_c_offchip_writebacks", "_c_mshr_stalls", "_mshr",
+        "_inflight", "_mshr_waitlist", "_tags", "_sync",
+    )
 
     def __init__(
         self,

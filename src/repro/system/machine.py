@@ -110,6 +110,14 @@ class MachineResult:
 class Machine:
     """A fully wired simulated system."""
 
+    __slots__ = (
+        "config", "workload_name", "_requested_benchmarks", "_seed",
+        "_slot_of_request", "engine", "registry", "allocator", "memory", "l4",
+        "_l4_tag_shave", "l2_mshr_files", "l3", "l2", "cores", "l1s",
+        "_benchmarks", "tuner", "_driver", "_pending_restore", "sample_log",
+        "checker_set", "_checker_names",
+    )
+
     def __init__(
         self,
         config: SystemConfig,

@@ -86,6 +86,11 @@ class RunDriver:
     fields and the cores' commit watches mutually consistent.
     """
 
+    __slots__ = (
+        "machine", "args", "plan", "stage", "interval", "waiting", "samples",
+        "starts", "ends",
+    )
+
     def __init__(self, machine: "Machine") -> None:
         self.machine = machine
         #: The run identity, ``[warmup, measure, *astuple(plan)]``; a

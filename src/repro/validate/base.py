@@ -18,6 +18,8 @@ from ..common.errors import CheckViolation
 class Checker:
     """Base class: a named invariant checker with an end-of-run hook."""
 
+    __slots__ = ()
+
     #: Registry name; subclasses override.
     name = "checker"
 
@@ -55,6 +57,8 @@ class Checker:
 
 class CheckerSet:
     """The checkers attached to one machine, driven as a unit."""
+
+    __slots__ = ("checkers",)
 
     def __init__(self, checkers: List[Checker]) -> None:
         self.checkers = list(checkers)

@@ -46,6 +46,11 @@ class ShadowBank:
     against the legal timeline.
     """
 
+    __slots__ = (
+        "timing", "label", "_bank", "_dirty_evictions", "_prev_act",
+        "_prev_col", "_prev_data", "accesses",
+    )
+
     def __init__(
         self,
         timing: DramTiming,
@@ -176,6 +181,8 @@ class ShadowBank:
 
 class DramTimingChecker(Checker):
     """Timing legality across every bank of a machine's memory system."""
+
+    __slots__ = ("_shadows", "_rank_windows")
 
     name = "dram-timing"
 

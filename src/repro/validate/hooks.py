@@ -7,7 +7,10 @@ methods* of an already-wired machine — ``Bank.access``,
 ``MshrFile.search/allocate/deallocate``,
 ``MemoryController.enqueue/_issue`` — so instrumented objects pay for
 observation and un-instrumented objects are byte-for-byte the code that
-production sweeps run.
+production sweeps run.  ``Bank``, the MSHR files and
+``MemoryController`` declare a ``"__dict__"`` slot for these wrappers
+alone; their state stays in declared slots, which the snapshot walk
+reads.
 
 Each bank carries a single observer list shared by every consumer
 (timing checker, transcript recorder), so attaching both wraps the

@@ -25,6 +25,8 @@ from .base import Checker
 class MshrConservationChecker(Checker):
     """Conservation and membership invariants over a set of MSHR files."""
 
+    __slots__ = ("_files", "_labels", "_shadow", "operations_checked")
+
     name = "mshr"
 
     def __init__(self) -> None:

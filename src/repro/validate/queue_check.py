@@ -35,6 +35,8 @@ ISSUED = "issued"
 class QueueConservationChecker(Checker):
     """Every accepted request retires exactly once, via the MRQ."""
 
+    __slots__ = ("_controllers", "_state", "_queued_count", "accepts", "retired")
+
     name = "queue"
 
     def __init__(self) -> None:

@@ -332,10 +332,11 @@ def test_interrupted_cell_resumes_mid_cell(
 ):
     """An interrupted supervised cell costs the work since its last
     checkpoint, not the cell, and the result is identical either way."""
-    # Sized (~0.6 s here) so that 0.3 s in, the first 10k-cycle
-    # checkpoint exists and the cell is far from finished.
+    # Sized (~0.6 s on a 2-core Xeon under CPython 3.11) so that 0.3 s
+    # in, the first 10k-cycle checkpoint exists and the cell is far from
+    # finished.
     configs, mixes = [config_3d_fast()], [MIXES["M1"]]
-    scale = ExperimentScale("chaos", 2_000, 80_000)
+    scale = ExperimentScale("chaos", 2_000, 160_000)
     undisturbed = run_matrix(configs, mixes, scale, workers=1)
 
     attempts = []

@@ -278,7 +278,7 @@ def test_a_snapshot_in_the_previous_layout_is_refused(tmp_path, monkeypatch):
         )
     with pytest.raises(SnapshotSchemaError) as refused:
         read_snapshot_file(old)
-    assert (refused.value.found, refused.value.expected) == (3, 9)
+    assert (refused.value.found, refused.value.expected) == (3, 10)
     fresh = _build(config)
     with pytest.raises(SnapshotSchemaError):
         fresh.restore_state(tree)
@@ -318,7 +318,7 @@ def test_a_snapshot_in_schema_4_is_refused(tmp_path, monkeypatch):
         )
     with pytest.raises(SnapshotSchemaError) as refused:
         read_snapshot_file(old)
-    assert (refused.value.found, refused.value.expected) == (4, 9)
+    assert (refused.value.found, refused.value.expected) == (4, 10)
     fresh = _build(config)
     with pytest.raises(SnapshotError):
         fresh.restore_state(tree)
@@ -357,7 +357,7 @@ def test_a_snapshot_in_schema_5_is_refused(tmp_path, monkeypatch):
         )
     with pytest.raises(SnapshotSchemaError) as refused:
         read_snapshot_file(old)
-    assert (refused.value.found, refused.value.expected) == (5, 9)
+    assert (refused.value.found, refused.value.expected) == (5, 10)
     fresh = _build(config)
     with pytest.raises(SnapshotSchemaError):
         fresh.restore_state(tree)
@@ -389,7 +389,7 @@ def test_a_snapshot_in_schema_6_is_refused(tmp_path, monkeypatch):
         )
     with pytest.raises(SnapshotSchemaError) as refused:
         read_snapshot_file(old)
-    assert (refused.value.found, refused.value.expected) == (6, 9)
+    assert (refused.value.found, refused.value.expected) == (6, 10)
     fresh = _build(config)
     with pytest.raises(SnapshotSchemaError):
         fresh.restore_state(tree)
@@ -420,7 +420,7 @@ def _refused_as_schema(tmp_path, monkeypatch, config, header, tree, schema):
         )
     with pytest.raises(SnapshotSchemaError) as refused:
         read_snapshot_file(old)
-    assert (refused.value.found, refused.value.expected) == (schema, 9)
+    assert (refused.value.found, refused.value.expected) == (schema, 10)
     fresh = _build(config)
     with pytest.raises(SnapshotSchemaError):
         fresh.restore_state(tree)
@@ -459,6 +459,25 @@ def test_a_snapshot_in_schema_8_is_refused(tmp_path, monkeypatch):
     module, qualname, fields = tree["layouts"][index]
     tree["layouts"][index] = (module, qualname, fields + ("issued",))
     _refused_as_schema(tmp_path, monkeypatch, config, header, tree, 8)
+
+
+def test_a_snapshot_in_schema_9_is_refused(tmp_path, monkeypatch):
+    """Schema 9 read instance dicts, not declared slots, and kept an
+    ``L1Cache.prefetcher`` field that only the restore read: its file
+    and its layouts are refused."""
+    config = _small(config_3d_fast())
+    path = str(tmp_path / "cell.snap")
+    _preempt_to_file(config, None, path)
+    header, tree = read_snapshot_file(path)
+    index = _layout_index(tree, "L1Cache")
+    module, qualname, fields = tree["layouts"][index]
+    fields = tuple(sorted(fields + ("prefetcher",)))
+    tree["layouts"][index] = (module, qualname, fields)
+    at = fields.index("prefetcher")
+    for node in _walk(tree["root"]):
+        if type(node) is tuple and node[:2] == ("o", index):
+            node[2].insert(at, None)
+    _refused_as_schema(tmp_path, monkeypatch, config, header, tree, 9)
 
 
 def test_cache_and_tlb_sets_pack_into_one_node_per_array(tmp_path):
@@ -520,9 +539,8 @@ def test_an_l4_with_most_sets_unbuilt_resumes_bit_identically(tmp_path):
 
 def test_a_snapshot_with_every_set_built_still_resumes(tmp_path):
     """Before sets were built on first fill, a machine held a dict for
-    every set and the L4 tag store a per-set fill count (``_set_fill``).
-    A snapshot of such a machine restores, and its run ends exactly as
-    the uninterrupted one."""
+    every set.  A snapshot of such a machine restores, and its run ends
+    exactly as the uninterrupted one."""
     config = SHAPES["l4-cache"][0]
     path = str(tmp_path / "cell.snap")
     machine = _build(config)
@@ -536,10 +554,8 @@ def test_a_snapshot_with_every_set_built_still_resumes(tmp_path):
             )
     finally:
         preemption.clear()
-    tags = machine.l4._tags
-    # Nothing evicted yet: a set's fill count is its size.
-    tags._set_fill = [0 if s is None else len(s) for s in tags.array._sets]
-    arrays = [tags.array, machine.l2.array] + [l1.array for l1 in machine.l1s]
+    arrays = [machine.l4._tags.array, machine.l2.array]
+    arrays += [l1.array for l1 in machine.l1s]
     for array in arrays:
         array._sets[:] = [{} if s is None else s for s in array._sets]
     machine.snapshot(path)
@@ -551,10 +567,11 @@ def test_a_snapshot_with_every_set_built_still_resumes(tmp_path):
 
 
 def test_an_ordered_dict_in_the_machine_is_refused():
-    """No machine state holds an ``OrderedDict``; one that appears is
-    refused by name rather than silently encoded as a plain dict."""
+    """No machine state holds an ``OrderedDict``; one that appears in a
+    container field is refused by name rather than silently encoded as
+    a plain dict."""
     machine = _build(_small(config_2d()))
-    machine.l2.stray = OrderedDict(a=1)
+    machine.l2._inclusion_listeners.append(OrderedDict(a=1))
     with pytest.raises(SnapshotError, match="cannot snapshot a OrderedDict"):
         machine.capture_state()
 
@@ -562,10 +579,10 @@ def test_an_ordered_dict_in_the_machine_is_refused():
 @pytest.mark.parametrize("stray", [random.Random(1), bytearray(b"ab")])
 def test_a_random_generator_in_the_machine_is_refused(stray):
     """No machine state holds a ``random.Random`` or a ``bytearray``, and
-    the codec has no kind for either: one that appears is refused by
-    name."""
+    the codec has no kind for either: one that appears in a container
+    field is refused by name."""
     machine = _build(_small(config_2d()))
-    machine.l2.stray = stray
+    machine.l2._inclusion_listeners.append(stray)
     name = type(stray).__qualname__
     with pytest.raises(SnapshotError, match=f"cannot snapshot a {name}"):
         machine.capture_state()
@@ -620,9 +637,9 @@ def test_engine_refuses_capture_from_inside_a_callback():
 
 
 def test_a_field_no_seam_names_survives_resume(tmp_path):
-    """Every instance field is state: an attribute set on a component
-    after preemption, and a construction value changed mid-run, both
-    come back on the resumed machine."""
+    """Every declared field is state: fields no seam names, changed on
+    a component after preemption — the L2's bank occupancy and a core's
+    construction-time CPI — both come back on the resumed machine."""
     config = _small(config_3d_fast())
     path = str(tmp_path / "cell.snap")
     machine = _build(config)
@@ -636,13 +653,14 @@ def test_a_field_no_seam_names_survives_resume(tmp_path):
             )
     finally:
         preemption.clear()
-    machine.l2.replay_marker = ("set after preemption", 7)
+    assert machine.l2.bank_occupancy != 5
+    machine.l2.bank_occupancy = 5
     machine.cores[0].base_cpi = 0.625
     machine.snapshot(path)
 
     fresh = _build(config)
     fresh.restore_state(read_snapshot_file(path)[1])
-    assert fresh.l2.replay_marker == ("set after preemption", 7)
+    assert fresh.l2.bank_occupancy == 5
     assert fresh.cores[0].base_cpi == 0.625
 
 
