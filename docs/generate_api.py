@@ -26,7 +26,6 @@ PACKAGES = [
     "repro.sampling",
     "repro.snapshot",
     "repro.validate",
-    "repro.service",
 ]
 
 
@@ -53,7 +52,7 @@ def main() -> None:
         "One entry per public symbol of each subpackage's `__all__`.",
         "Narrative guides: [modeling](modeling.md), [workloads](workloads.md),",
         "[extending](extending.md), [resilience](resilience.md) (watchdogs,",
-        "retries, checkpoint/resume), [service](service.md) (`repro serve`).",
+        "retries, checkpoint/resume).",
         "",
     ]
     for package_name in PACKAGES:

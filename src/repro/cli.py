@@ -445,35 +445,6 @@ def _cmd_validate(args) -> int:
     return getattr(tools, args.tool)(**options)
 
 
-def _cmd_serve(args) -> int:
-    from .service.http import ServiceServer
-    from .service.service import SweepService
-    from .service.supervisor import ServicePolicy
-
-    policy = ServicePolicy(
-        workers=args.workers or 2,
-        heartbeat_timeout=args.heartbeat_timeout,
-        cell_timeout=args.cell_timeout,
-        retries=args.retries,
-        max_pending_cells=args.max_pending_cells,
-        breaker_threshold=args.breaker_threshold,
-        breaker_cooldown=args.breaker_cooldown,
-        snapshot_every=args.snapshot_every,
-    )
-    service = SweepService(args.root, policy)
-    server = ServiceServer(
-        service, host=args.host, port=args.port, quiet=not args.verbose
-    )
-    print(f"sweep service listening on {server.url} (root: {args.root})")
-    print("endpoints: POST /sweeps, GET /sweeps/<id>, "
-          "GET /sweeps/<id>/result, GET /healthz, GET /stats")
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        print("\nshutting down")
-    return 0
-
-
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scale", default="smoke",
                         choices=["smoke", "default", "large"])
@@ -619,43 +590,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--only", default=None,
                        help="comma-separated experiment names")
     p_rep.set_defaults(func=_cmd_report)
-
-    p_srv = sub.add_parser(
-        "serve",
-        help="run the resilient sweep service (durable queue + result cache)",
-    )
-    p_srv.add_argument(
-        "--root", default="results/service",
-        help="state directory: job journals + result cache",
-    )
-    p_srv.add_argument("--host", default="127.0.0.1")
-    p_srv.add_argument("--port", type=int, default=8642)
-    p_srv.add_argument("--workers", type=int, default=None,
-                       help="persistent supervised worker processes")
-    p_srv.add_argument("--heartbeat-timeout", type=float, default=15.0,
-                       help="seconds of worker silence before it is "
-                       "declared hung and recycled")
-    p_srv.add_argument("--cell-timeout", type=float, default=None,
-                       metavar="SECONDS",
-                       help="wall-clock budget per cell attempt")
-    p_srv.add_argument("--retries", type=int, default=1,
-                       help="extra attempts per failed cell")
-    p_srv.add_argument("--max-pending-cells", type=int, default=4096,
-                       help="admission bound: submissions past this many "
-                       "pending cells get 503")
-    p_srv.add_argument("--breaker-threshold", type=int, default=3,
-                       help="consecutive failures that trip a scenario's "
-                       "circuit breaker")
-    p_srv.add_argument("--breaker-cooldown", type=float, default=30.0,
-                       help="seconds an open breaker sheds load")
-    p_srv.add_argument("--snapshot-every", type=int, default=None,
-                       metavar="CYCLES",
-                       help="checkpoint each cell every CYCLES cycles; "
-                       "preempted/killed workers are rescheduled from "
-                       "their latest snapshot")
-    p_srv.add_argument("--verbose", action="store_true",
-                       help="log every HTTP request")
-    p_srv.set_defaults(func=_cmd_serve)
 
     p_abl = sub.add_parser("ablation", help="run a design-choice ablation")
     p_abl.add_argument(

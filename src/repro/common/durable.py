@@ -1,11 +1,10 @@
 """Durable file writes: the one temp-file + fsync + rename discipline.
 
-Result tables, service cache entries and snapshot files are all replaced
-whole with :func:`write_atomic`: a crash mid-write leaves either the old
-file or the new one, never a torn mix, and once it returns the new
-contents *and* the directory entry pointing at them survive a power
-loss.  :func:`fsync_dir` is the second half on its own, for a file
-created some other way (a journal opened for appending).
+Result tables and snapshot files are both replaced whole with
+:func:`write_atomic`: a crash mid-write leaves either the old file or
+the new one, never a torn mix, and once it returns the new contents
+*and* the directory entry pointing at them survive a power loss.
+:func:`fsync_dir` is that last step, the directory fsync.
 """
 
 from __future__ import annotations

@@ -89,26 +89,6 @@ class InjectedFault(SimulationError):
     """Raised by the fault-injection hooks (testing the resilience layer)."""
 
 
-class InjectedServiceCrash(InjectedFault):
-    """An injected whole-service crash (``crash-service`` chaos fault).
-
-    Raised by the sweep service *after* the triggering step has been
-    journaled, so the chaos harness can verify that a service killed at
-    any point resumes to a bit-identical result.  Tests catch it and
-    reopen the service in-process; the validate script lets it take the
-    subprocess down.
-    """
-
-
-class ServiceOverloadError(RuntimeError):
-    """Sweep submission rejected by admission control (queue full).
-
-    The bounded job queue sheds load at the front door instead of
-    accepting work it cannot finish; the HTTP front end maps this to
-    ``503 Service Unavailable`` with a Retry-After hint.
-    """
-
-
 class CheckViolation(SimulationError):
     """A runtime correctness checker found an invariant violation.
 
@@ -226,7 +206,7 @@ class SnapshotPreempted(SimulationError):
     """A run was suspended at a snapshot boundary on external request.
 
     Raised by the machine drive loop after the checkpoint has been
-    durably written, so the caller (a preempted service worker) knows the
+    durably written, so the caller (a preempted supervised worker) knows the
     on-disk snapshot is complete and the cell can be rescheduled to
     resume from it.  Not a :class:`SnapshotError`: nothing failed.
     """
@@ -242,8 +222,6 @@ __all__ = [
     "CellTimeout",
     "CheckViolation",
     "InjectedFault",
-    "InjectedServiceCrash",
-    "ServiceOverloadError",
     "SimulationDeadlock",
     "SimulationError",
     "SimulationHang",

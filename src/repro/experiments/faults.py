@@ -1,6 +1,6 @@
 """Deterministic fault injection for testing the resilience layers.
 
-The retry, timeout, resume, cache-verification and restart paths only
+The retry, timeout, resume and checkpoint-verification paths only
 matter when something actually fails — which healthy code never does in
 CI.  This module lets tests and the CI chaos gates inject failures into
 specific matrix cells, deterministically keyed on ``(config name, mix
@@ -20,20 +20,14 @@ A fault spec is ``kind:config:mix[:times][:seconds]``:
     DRAM array timings of a checker-enabled run so banks answer faster
     than the protocol allows — the timing checker must catch it
     (``seconds`` in ``(0, 1)`` is the shrink factor, else 0.5);
-  - in a supervised worker (:mod:`repro.service.supervisor`):
+  - in a supervised worker (:mod:`repro.experiments.supervisor`):
     ``kill-worker`` (SIGKILL the worker ``seconds`` into the cell — it
     must be replaced and the cell retried, from its latest checkpoint
     when snapshots are on), ``hb-delay`` (stall the heartbeat thread for
     ``seconds`` — the worker must be declared hung on silence alone),
     ``corrupt-snapshot`` / ``truncate-snapshot`` (:func:`damage` the
     cell's on-disk checkpoint before a resume attempt — the loader
-    must refuse it and the cell restart cleanly from zero);
-  - in the sweep service (:mod:`repro.service`): ``corrupt-cache`` /
-    ``truncate-cache`` (:func:`damage` a cache entry just after it is
-    written — the read path must quarantine it and recompute),
-    ``crash-service`` (raise
-    :class:`~repro.common.errors.InjectedServiceCrash` after the cell's
-    completion is journaled — a restart must resume bit-identically).
+    must refuse it and the cell restart cleanly from zero).
 
 * ``config`` / ``mix`` — cell coordinates; ``*`` matches any.
 * ``times`` — affect attempts ``1..times`` (default 1, so the first retry
@@ -65,9 +59,6 @@ KINDS = CELL_START_KINDS + (
     "hb-delay",
     "corrupt-snapshot",
     "truncate-snapshot",
-    "corrupt-cache",
-    "truncate-cache",
-    "crash-service",
 )
 
 #: ``seconds`` when a spec leaves it out (0 for every other kind).
@@ -204,7 +195,7 @@ def inject(config: str, mix: str, attempt: int) -> None:
 
 
 def damage(path, how: str) -> None:
-    """Damage a file in place, as the ``corrupt-*``/``truncate-*`` kinds do.
+    """Damage a file in place, as the ``*-snapshot`` kinds do.
 
     ``how`` is the kind's prefix: ``corrupt`` flips bit 0 of the byte
     at ``min(len - 2, len // 2)`` — inside the body, past any preamble;

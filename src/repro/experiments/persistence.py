@@ -238,14 +238,12 @@ class CellJournal:
     """Append-only JSONL journal of per-cell outcomes.
 
     Line 1 is a header carrying the run's signature — the
-    :meth:`~repro.experiments.spec.SweepSpec.signature` of the sweep,
-    whether ``run_matrix`` or the sweep service wrote it; every further
-    line records one completed cell (``kind: result``) or one
-    exhausted-retry failure (``kind: failure``).  Each append is
-    flushed and fsync'd so a kill -9 loses at most the cell in flight; a
-    truncated final line (killed mid-append) is tolerated and ignored on
-    load.  A sweep-service job (:mod:`repro.service.queue`) is one such
-    file.
+    :meth:`~repro.experiments.spec.SweepSpec.signature` of the sweep
+    ``run_matrix`` ran; every further line records one completed cell
+    (``kind: result``, with the attempts it took) or one exhausted-retry
+    failure (``kind: failure``).  Each append is flushed and fsync'd so
+    a kill -9 loses at most the cell in flight; a truncated final line
+    (killed mid-append) is tolerated and ignored on load.
     """
 
     def __init__(
@@ -262,8 +260,6 @@ class CellJournal:
         self.completed: Dict[Tuple[str, str], MachineResult] = {}
         #: Exhausted-retry failures (a later result for the cell clears it).
         self.failed: Dict[Tuple[str, str], CellFailure] = {}
-        #: Simulation attempts behind each completed cell.
-        self.attempts: Dict[Tuple[str, str], int] = {}
         self._parse(records)
 
     # -- construction ---------------------------------------------------
@@ -336,15 +332,13 @@ class CellJournal:
                 self._note_result(
                     record["config"], record["mix"],
                     _result_from_dict(record["result"]),
-                    record.get("attempts", 1),
                 )
             elif kind == "failure":
                 failure = _failure_from_dict(record["failure"])
                 self.failed[(failure.config, failure.mix)] = failure
 
-    def _note_result(self, config, mix, result, attempts) -> None:
+    def _note_result(self, config, mix, result) -> None:
         self.completed[(config, mix)] = result
-        self.attempts[(config, mix)] = attempts
         self.failed.pop((config, mix), None)
 
     @classmethod
@@ -373,7 +367,7 @@ class CellJournal:
                 "result": _result_to_dict(result),
             },
         )
-        self._note_result(config, mix, result, attempts)
+        self._note_result(config, mix, result)
 
     def record_failure(self, failure: CellFailure) -> None:
         """Record a cell that failed after all retries (re-run on resume)."""

@@ -10,12 +10,12 @@ to survive partial failure rather than abort on it:
 
 * with ``workers > 1`` or a ``cell_timeout``, cells run on the
   supervised worker processes of
-  :class:`repro.service.supervisor.WorkerSupervisor` — the executor the
-  sweep service uses — so a crashed, hung (silent heartbeat) or
-  timed-out worker is killed and replaced without taking the matrix
-  down; otherwise cells run in this process, one after another;
+  :class:`repro.experiments.supervisor.WorkerSupervisor`, so a crashed,
+  hung (silent heartbeat) or timed-out worker is killed and replaced
+  without taking the matrix down; otherwise cells run in this process,
+  one after another;
 * failed attempts are retried with exponential backoff, up to
-  :attr:`CellPolicy.retries` extra attempts;
+  :attr:`RunPolicy.retries` extra attempts;
 * a cell that still fails becomes a recorded :class:`CellFailure` in
   ``ResultTable.failures`` instead of an exception — healthy cells keep
   their results;
@@ -33,7 +33,7 @@ import math
 import os
 import time
 import traceback
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..common.errors import CellFailedError
@@ -64,19 +64,14 @@ def harmonic_mean(values: Iterable[float]) -> float:
 
 
 @dataclass(frozen=True)
-class CellPolicy:
-    """How one cell is executed reliably: the knobs every executor shares.
-
-    :class:`RunPolicy` (one ``run_matrix`` call) and
-    :class:`repro.service.supervisor.ServicePolicy` (the long-running
-    sweep service) extend this with their own fields and defaults.
+class RunPolicy:
+    """Resilience knobs for one ``run_matrix`` invocation.
 
     Attributes:
         cell_timeout: wall-clock seconds per cell *attempt*; exceeding it
             kills the worker and counts as a failed attempt.  Timeouts
-            need a worker process to kill, so under ``run_matrix``
-            setting this selects the supervised path even for
-            ``workers=1``.
+            need a worker process to kill, so setting this selects the
+            supervised path even for ``workers=1``.
         retries: extra attempts after the first failure (total attempts
             is ``retries + 1``).
         backoff_base / backoff_max: exponential backoff between attempts
@@ -88,6 +83,15 @@ class CellPolicy:
             its latest snapshot instead of re-simulating from zero.  A
             corrupt or mismatched snapshot is refused and the cell
             restarts clean.
+        journal_path: append one fsync'd JSON record per completed cell
+            here (see :class:`repro.experiments.persistence.CellJournal`).
+        resume: skip cells already recorded as successful in the journal;
+            failed or missing cells are re-simulated.  Only a journal
+            written by the same :class:`~repro.experiments.spec.SweepSpec`
+            resumes; any other is refused with ``ValueError``.
+        snapshot_dir: directory for per-cell snapshot files (default:
+            ``<journal_path>.snapshots`` next to the journal, or
+            ``results/snapshots`` without one).
     """
 
     cell_timeout: Optional[float] = None
@@ -95,6 +99,9 @@ class CellPolicy:
     backoff_base: float = 0.25
     backoff_max: float = 8.0
     snapshot_every: Optional[int] = None
+    journal_path: Optional[Union[str, "os.PathLike[str]"]] = None
+    resume: bool = False
+    snapshot_dir: Optional[Union[str, "os.PathLike[str]"]] = None
 
     def __post_init__(self) -> None:
         if self.retries < 0:
@@ -111,27 +118,6 @@ class CellPolicy:
     def backoff_delay(self, attempt: int) -> float:
         """Seconds to wait after failed attempt number ``attempt``."""
         return min(self.backoff_max, self.backoff_base * 2 ** (attempt - 1))
-
-
-@dataclass(frozen=True)
-class RunPolicy(CellPolicy):
-    """Resilience knobs for one ``run_matrix`` invocation.
-
-    Attributes (beyond :class:`CellPolicy`):
-        journal_path: append one fsync'd JSON record per completed cell
-            here (see :class:`repro.experiments.persistence.CellJournal`).
-        resume: skip cells already recorded as successful in the journal;
-            failed or missing cells are re-simulated.  Only a journal
-            written by the same :class:`~repro.experiments.spec.SweepSpec`
-            resumes; any other is refused with ``ValueError``.
-        snapshot_dir: directory for per-cell snapshot files (default:
-            ``<journal_path>.snapshots`` next to the journal, or
-            ``results/snapshots`` without one).
-    """
-
-    journal_path: Optional[Union[str, "os.PathLike[str]"]] = None
-    resume: bool = False
-    snapshot_dir: Optional[Union[str, "os.PathLike[str]"]] = None
 
     def with_journal(self, path) -> "RunPolicy":
         """Copy of this policy journaling to ``path``."""
@@ -162,12 +148,12 @@ class CellFailure:
 class CellTask:
     """One cell to simulate, plus its retry state.
 
-    The one cell record: ``run_matrix`` and the sweep service both build
-    these through :meth:`SweepSpec.tasks`, :func:`run_cell` simulates
-    one, and the supervisor ships them to its workers.  Everything that
-    decides *what* is simulated comes from the spec — :func:`run_cell`
-    consults no environment variable for it — so the journal signature
-    and cell key describe exactly the run the worker performs.
+    The one cell record: ``run_matrix`` builds these through
+    :meth:`SweepSpec.tasks`, :func:`run_cell` simulates one, and the
+    supervisor ships them to its workers.  Everything that decides
+    *what* is simulated comes from the spec — :func:`run_cell` consults
+    no environment variable for it — so the journal signature and cell
+    key describe exactly the run the worker performs.
     """
 
     config: SystemConfig
@@ -182,11 +168,10 @@ class CellTask:
     #: Sampling spec (see :mod:`repro.sampling`); ``None`` = full detail.
     sampling: Optional[str] = None
     #: :class:`repro.snapshot.SnapshotPlan` when the cell checkpoints
-    #: (typed loosely: that package loads only when snapshots are on).
+    #: (typed loosely: that package loads only when snapshots are on);
+    #: its file is named after the cell's
+    #: :func:`~repro.experiments.spec.cell_key`.
     snapshot: Optional[object] = None
-    #: The cell's :func:`~repro.experiments.spec.cell_key`: the sweep
-    #: service's cache address and the snapshot file's stem.
-    key: str = ""
     attempt: int = 1
     elapsed: float = 0.0
     ready_at: float = 0.0
@@ -480,19 +465,18 @@ def _run_serial(
 def _run_supervised(
     tasks: List[CellTask], workers: int, policy: RunPolicy, recorder: _Recorder
 ) -> None:
-    """Execution on supervised worker processes (the service's executor).
+    """Execution on supervised worker processes.
 
-    A matrix owns its supervisor for the duration of the call and hands
-    it no circuit breaker: every cell it was asked to run is attempted
-    ``retries + 1`` times.  Whatever ends the call — completion, Ctrl-C,
-    a journal write error — no worker process outlives it.
+    A matrix owns its supervisor for the duration of the call: every
+    cell it was asked to run is attempted up to ``retries + 1`` times.
+    Whatever ends the call — completion, Ctrl-C, a journal write error
+    — no worker process outlives it.
     """
     # Imported here so that importing (and serially running) experiments
-    # never pays for multiprocessing or the service package.
-    from ..service.supervisor import ServicePolicy, WorkerSupervisor
+    # never pays for multiprocessing or the supervisor.
+    from .supervisor import WorkerSupervisor
 
-    shared = {f.name: getattr(policy, f.name) for f in fields(CellPolicy)}
-    supervisor = WorkerSupervisor(ServicePolicy(workers=workers, **shared))
+    supervisor = WorkerSupervisor(policy, workers)
     try:
         supervisor.run(tasks, recorder.record_result, recorder.record_failure)
     finally:

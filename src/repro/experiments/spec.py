@@ -1,23 +1,21 @@
 """One sweep, one identity: :class:`SweepSpec` and its cell keys.
 
 A :class:`SweepSpec` is the full ``run_matrix`` argument set — configs,
-mixes, scale, seed, checkers, sampling — in serializable form, and the
-one description of a sweep both executors share: ``run_matrix`` writes
-its :meth:`~SweepSpec.signature` as the journal header and the sweep
-service (:mod:`repro.service`) as each job's; both build their
-:class:`~repro.experiments.runner.CellTask` lists through
-:meth:`SweepSpec.tasks`, so every task carries its :func:`cell_key` and
-checkpoints to ``<snapshot dir>/<cell key>.snap``.
+mixes, scale, seed, checkers, sampling — in serializable form:
+``run_matrix`` writes its :meth:`~SweepSpec.signature` as the journal
+header and builds its :class:`~repro.experiments.runner.CellTask` list
+through :meth:`SweepSpec.tasks`, so every task checkpoints to
+``<snapshot dir>/<cell key>.snap``.
 
 A *cell* is one (configuration, workload, scale, seed) simulation.  Its
 key is a canonical SHA-256 of everything that affects the simulation's
 output — and nothing else — so that:
 
-* the same cell submitted twice (or by overlapping sweeps) is served
-  from the service's cache instead of re-simulated;
+* a re-attempt of the same cell (by a retry, a resumed sweep or another
+  process) finds its checkpoint;
 * any change that *would* change the output (a config knob, the seed,
-  the sampling plan, checkers on/off) changes the key and forces a
-  fresh simulation;
+  the sampling plan, checkers on/off) changes the key, so a different
+  cell never resumes from that checkpoint;
 * cosmetic differences (dict field order, tuple-vs-list, a permuted
   benchmark list — core placement is canonical, see
   :class:`repro.system.machine.Machine`) hash identically in every
@@ -25,9 +23,8 @@ output — and nothing else — so that:
 
 The scale's *name* is deliberately excluded: two scales with the same
 instruction budgets run the same simulation.  The config and mix
-*names* are deliberately included: they are embedded in the stored
-``MachineResult`` (and key the result table), so serving a cached
-result under a different name would mislabel it.
+*names* are deliberately included: they are embedded in the
+``MachineResult`` (and key the result table).
 """
 
 from __future__ import annotations
@@ -37,13 +34,13 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 from ..system.config import SystemConfig
 from ..system.scale import ExperimentScale
 from ..workloads.mixes import WorkloadMix
 
-#: Bump when the key payload layout changes — old cache entries become
+#: Bump when the key payload layout changes — old checkpoints become
 #: unreachable (and are recomputed) instead of being misinterpreted.
 #: v2: SystemConfig grew the stack-mode fields (stack_mode, l4_*,
 #: offchip_*), changing the asdict payload.
@@ -95,21 +92,12 @@ def scale_to_dict(scale: ExperimentScale) -> dict:
     }
 
 
-def scale_from_dict(data: dict) -> ExperimentScale:
-    """Inverse of :func:`scale_to_dict`."""
-    return ExperimentScale(
-        name=data["name"],
-        warmup_instructions=data["warmup_instructions"],
-        measure_instructions=data["measure_instructions"],
-    )
-
-
 def normalize_checkers(checkers) -> Optional[list]:
     """Canonical checker list: ``None`` when off, sorted names when on.
 
     ``"all"``, a comma-separated string, or an iterable of names all
     normalize to the same expanded list (so ``"all"`` and
-    ``"dram-timing,mshr,queue"`` share cache entries).
+    ``"dram-timing,mshr,queue"`` share a cell key).
     """
     if not checkers:
         return None
@@ -184,15 +172,6 @@ def cell_key(
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
 
-def sweep_fingerprint(payloads: Iterable[dict]) -> str:
-    """A stable fingerprint over a sweep's cell payloads (job naming)."""
-    digest = hashlib.sha256()
-    for payload in payloads:
-        digest.update(canonical_json(payload).encode("utf-8"))
-        digest.update(b"\n")
-    return digest.hexdigest()[:12]
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     """One sweep: the full run_matrix argument set, serializable."""
@@ -208,8 +187,8 @@ class SweepSpec:
         object.__setattr__(self, "configs", tuple(self.configs))
         object.__setattr__(self, "mixes", tuple(self.mixes))
         # Cells are keyed by (config, mix) name everywhere downstream —
-        # the result table, the journal, and the service result cache —
-        # so a duplicated name would silently overwrite sibling cells.
+        # the result table and the journal — so a duplicated name would
+        # silently overwrite sibling cells.
         config_names = [c.name for c in self.configs]
         if len(set(config_names)) != len(config_names):
             raise ValueError(f"duplicate config names in sweep: {config_names}")
@@ -224,17 +203,13 @@ class SweepSpec:
             for mix in self.mixes:
                 yield config, mix
 
-    def cell_count(self) -> int:
-        return len(self.configs) * len(self.mixes)
-
     def tasks(
         self,
-        cells: Optional[Iterable[Tuple[SystemConfig, WorkloadMix]]] = None,
         snapshot_dir: Optional[str] = None,
         snapshot_every: Optional[int] = None,
         preemptible: bool = True,
     ) -> list:
-        """One keyed :class:`CellTask` per cell (default: every cell).
+        """One :class:`CellTask` per cell.
 
         Building the keys resolves the checker and sampling specs, so
         a malformed one fails here, before anything is simulated.  With
@@ -252,7 +227,7 @@ class SweepSpec:
 
             os.makedirs(snapshot_dir, exist_ok=True)
         tasks = []
-        for config, mix in self.cells() if cells is None else cells:
+        for config, mix in self.cells():
             key = cell_key(
                 config, mix.name, mix.benchmarks, self.scale, self.seed,
                 checkers=self.checkers, sampling=self.sampling,
@@ -275,20 +250,9 @@ class SweepSpec:
                     checkers=self.checkers,
                     sampling=self.sampling,
                     snapshot=snapshot,
-                    key=key,
                 )
             )
         return tasks
-
-    def fingerprint(self) -> str:
-        """Content fingerprint of the whole sweep (job naming/dedup)."""
-        return sweep_fingerprint(
-            cell_payload(
-                config, mix.name, mix.benchmarks, self.scale, self.seed,
-                checkers=self.checkers, sampling=self.sampling,
-            )
-            for config, mix in self.cells()
-        )
 
     def to_dict(self) -> dict:
         return {
@@ -308,25 +272,6 @@ class SweepSpec:
         """
         return json.loads(json.dumps(self.to_dict()))
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "SweepSpec":
-        return cls(
-            configs=tuple(config_from_dict(c) for c in data["configs"]),
-            mixes=tuple(
-                WorkloadMix(
-                    name=m["name"],
-                    group=m["group"],
-                    benchmarks=tuple(m["benchmarks"]),
-                    paper_hmipc=m["paper_hmipc"],
-                )
-                for m in data["mixes"]
-            ),
-            scale=scale_from_dict(data["scale"]),
-            seed=data["seed"],
-            checkers=data.get("checkers"),
-            sampling=data.get("sampling"),
-        )
-
 
 __all__ = [
     "KEY_SCHEMA_VERSION",
@@ -338,7 +283,5 @@ __all__ = [
     "config_to_dict",
     "normalize_checkers",
     "normalize_sampling",
-    "scale_from_dict",
     "scale_to_dict",
-    "sweep_fingerprint",
 ]

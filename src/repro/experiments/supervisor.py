@@ -1,25 +1,24 @@
-"""Supervised worker processes: the one executor of matrix cells.
+"""Supervised worker processes: ``run_matrix``'s process executor.
 
-Both ``run_matrix`` (when it needs processes: ``workers > 1`` or a
-``cell_timeout``) and the sweep service run their cells here.  A
-:class:`WorkerSupervisor` keeps a small pool of *persistent* worker
-processes and supervises them:
+``run_matrix`` runs its cells here whenever it needs processes
+(``workers > 1`` or a ``cell_timeout``), importing this module only
+then.  A :class:`WorkerSupervisor` keeps a small pool of *persistent*
+worker processes for the call and supervises them:
 
 * every worker runs a heartbeat thread beside the simulation; the
   supervisor declares a worker hung when heartbeats stop for longer
-  than ``ServicePolicy.heartbeat_timeout`` — catching livelocks that
-  never trip a wall-clock cell timeout — and SIGKILLs + replaces it;
+  than :data:`HEARTBEAT_TIMEOUT` — catching livelocks that never trip
+  a wall-clock cell timeout — and SIGKILLs + replaces it;
 * worker death (crash, OOM-kill, chaos SIGKILL) is observed directly
   via pipe EOF / process sentinel and the worker is respawned; the cell
   it was running is retried with backoff up to ``retries`` times, then
   recorded as a :class:`~repro.experiments.runner.CellFailure`;
 * a worker doomed by a timeout or a silent heartbeat whose cell takes
   snapshots is first asked (SIGUSR1) to checkpoint and yield, so the
-  retry resumes mid-cell;
-* when its owner hands it a :class:`CircuitBreaker` (the sweep service
-  does, a matrix does not), a scenario that failed ``threshold`` times
-  in a row is shed fast — no worker occupied, no timeout paid — until
-  the cooldown elapses and a half-open probe is allowed.
+  retry resumes mid-cell.
+
+Every cell it is given is attempted up to ``retries + 1`` times; none
+is ever shed.
 
 Chaos hooks (see :mod:`repro.experiments.faults`): ``kill-worker``
 SIGKILLs the worker mid-cell; ``hb-delay`` stalls only the heartbeat
@@ -37,101 +36,24 @@ import signal
 import threading
 import time
 import traceback
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from multiprocessing.connection import wait as _connection_wait
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from ..common.errors import SnapshotPreempted
-from ..experiments import faults
-from ..experiments.runner import CellFailure, CellPolicy, CellTask, run_cell
 from ..snapshot import preemption
+from . import faults
+from .runner import CellFailure, CellTask, RunPolicy, run_cell
 
 
-@dataclass(frozen=True)
-class ServicePolicy(CellPolicy):
-    """Supervision and service knobs on top of :class:`CellPolicy`."""
-
-    #: Extra attempts per cell after the first.
-    retries: int = 1
-    #: Exponential backoff between attempts of the same cell.
-    backoff_base: float = 0.05
-    backoff_max: float = 2.0
-    #: Persistent worker processes.
-    workers: int = 2
-    #: Seconds between worker heartbeats.
-    heartbeat_interval: float = 0.1
-    #: Heartbeat silence after which a busy worker is declared hung.
-    heartbeat_timeout: float = 15.0
-    #: Admission bound: total pending cells across queued jobs.
-    max_pending_cells: int = 4096
-    #: Consecutive failures of one (config, mix) that trip its breaker.
-    breaker_threshold: int = 3
-    #: Seconds an open breaker sheds load before allowing a probe.
-    breaker_cooldown: float = 30.0
-    #: Seconds a doomed worker (hung heartbeat, cell timeout) gets to
-    #: honor a SIGUSR1 preemption request — checkpointing at the next
-    #: snapshot boundary — before the SIGKILL falls.
-    preempt_grace: float = 3.0
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.heartbeat_timeout <= self.heartbeat_interval:
-            raise ValueError(
-                "heartbeat_timeout must exceed heartbeat_interval "
-                f"({self.heartbeat_timeout} <= {self.heartbeat_interval})"
-            )
-        if self.breaker_threshold < 1:
-            raise ValueError(
-                f"breaker_threshold must be >= 1, got {self.breaker_threshold}"
-            )
-
-
-class CircuitBreaker:
-    """Per-scenario failure breaker: closed → open → half-open → closed."""
-
-    def __init__(self, threshold: int, cooldown: float) -> None:
-        self.threshold = threshold
-        self.cooldown = cooldown
-        self._consecutive: Dict[Tuple[str, str], int] = {}
-        self._opened_at: Dict[Tuple[str, str], float] = {}
-        self.trips = 0
-
-    def state(self, key: Tuple[str, str]) -> str:
-        opened = self._opened_at.get(key)
-        if opened is None:
-            return "closed"
-        if time.monotonic() - opened >= self.cooldown:
-            return "half-open"
-        return "open"
-
-    def allow(self, key: Tuple[str, str]) -> bool:
-        """May this scenario be attempted now?  (Half-open lets one probe.)"""
-        return self.state(key) != "open"
-
-    def record_success(self, key: Tuple[str, str]) -> None:
-        self._consecutive.pop(key, None)
-        self._opened_at.pop(key, None)
-
-    def record_failure(self, key: Tuple[str, str]) -> None:
-        count = self._consecutive.get(key, 0) + 1
-        self._consecutive[key] = count
-        if count >= self.threshold:
-            if key not in self._opened_at:
-                self.trips += 1
-            # (Re)open: a failed half-open probe restarts the cooldown.
-            self._opened_at[key] = time.monotonic()
-
-    def snapshot(self) -> dict:
-        return {
-            "trips": self.trips,
-            "open": sorted(
-                f"{c}/{m}"
-                for (c, m) in self._opened_at
-                if self.state((c, m)) != "closed"
-            ),
-        }
+#: Seconds between worker heartbeats.
+HEARTBEAT_INTERVAL = 0.1
+#: Heartbeat silence after which a busy worker is declared hung.
+HEARTBEAT_TIMEOUT = 15.0
+#: Seconds a doomed worker (hung heartbeat, cell timeout) gets to honor
+#: a SIGUSR1 preemption request — checkpointing at the next snapshot
+#: boundary — before the SIGKILL falls.
+PREEMPT_GRACE = 3.0
 
 
 # ----------------------------------------------------------------------
@@ -172,12 +94,11 @@ def _tamper_snapshot(path: str, config: str, mix: str, attempt: int) -> None:
 
 def _worker_main(conn, supervisor_conn, heartbeat_interval: float) -> None:
     """Persistent worker: heartbeat thread + one cell at a time."""
-    if supervisor_conn is not None:
-        # Forked workers inherit the supervisor's end of the pipe; close
-        # our copy so an abruptly dead supervisor (os._exit) EOFs us —
-        # otherwise our own inherited write end keeps recv() blocked
-        # forever and the orphaned worker never exits.
-        supervisor_conn.close()
+    # Forked workers inherit the supervisor's end of the pipe; close our
+    # copy so an abruptly dead supervisor (os._exit) EOFs us — otherwise
+    # our own inherited write end keeps recv() blocked forever and the
+    # orphaned worker never exits.
+    supervisor_conn.close()
     # SIGUSR1 from the supervisor asks us to checkpoint at the next
     # snapshot boundary and yield the cell (graceful preemption).
     preemption.install_handler()
@@ -253,19 +174,21 @@ class _Worker:
 
 
 class WorkerSupervisor:
-    """Runs cell tasks on supervised persistent workers.
+    """Runs cell tasks on up to ``workers`` supervised persistent workers.
 
-    ``breaker`` is the admission policy of a long-running owner (the
-    sweep service); without one no task is ever shed.
+    ``policy`` supplies the cell timeout and the retry/backoff budget.
     """
 
-    def __init__(
-        self,
-        policy: Optional[ServicePolicy] = None,
-        breaker: Optional[CircuitBreaker] = None,
-    ) -> None:
-        self.policy = policy or ServicePolicy()
-        self.breaker = breaker
+    def __init__(self, policy: RunPolicy, workers: int) -> None:
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
+        if HEARTBEAT_TIMEOUT <= HEARTBEAT_INTERVAL:
+            raise ValueError(
+                "HEARTBEAT_TIMEOUT must exceed HEARTBEAT_INTERVAL "
+                f"({HEARTBEAT_TIMEOUT} <= {HEARTBEAT_INTERVAL})"
+            )
+        self.policy = policy
+        self.max_workers = workers
         self._ctx = multiprocessing.get_context()
         self._workers: List[_Worker] = []
         self.stats: Dict[str, int] = {
@@ -284,7 +207,7 @@ class WorkerSupervisor:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         process = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, parent_conn, self.policy.heartbeat_interval),
+            args=(child_conn, parent_conn, HEARTBEAT_INTERVAL),
             daemon=True,
         )
         process.start()
@@ -333,22 +256,14 @@ class WorkerSupervisor:
         tasks: List[CellTask],
         on_result: Callable[[CellTask, object], None],
         on_failure: Callable[[CellTask, CellFailure], None],
-        on_shed: Optional[Callable[[CellTask, CellFailure], None]] = None,
     ) -> None:
         """Drive ``tasks`` to completion, invoking callbacks as cells land.
 
         Callbacks run in this thread, between supervision steps, so they
-        may journal/cache without locking against the supervisor.  Tasks
-        whose scenario breaker is open are shed immediately via
-        ``on_shed`` (``on_failure`` when not given).
+        may journal without locking against the supervisor.
         """
         policy = self.policy
-        shed = on_shed or on_failure
-        pending: List[CellTask] = []
-        for task in tasks:
-            if self._shed(task, shed):
-                continue
-            pending.append(task)
+        pending: List[CellTask] = list(tasks)
 
         while pending or any(w.busy is not None for w in self._workers):
             now = time.monotonic()
@@ -363,13 +278,10 @@ class WorkerSupervisor:
                     (w for w in self._workers if w.busy is None), None
                 )
                 if worker is None:
-                    if len(self._workers) >= policy.workers:
+                    if len(self._workers) >= self.max_workers:
                         break
                     worker = self._spawn_worker()
                 pending.remove(task)
-                if self._shed(task, shed):
-                    # Breaker tripped by a sibling attempt since queuing.
-                    continue
                 try:
                     worker.conn.send(("run", task))
                 except (BrokenPipeError, OSError):
@@ -394,7 +306,7 @@ class WorkerSupervisor:
             # Sleep until the earliest of: message, heartbeat deadline,
             # cell timeout, or a backoff window expiring.
             deadlines = [
-                w.last_heartbeat + policy.heartbeat_timeout for w in busy
+                w.last_heartbeat + HEARTBEAT_TIMEOUT for w in busy
             ]
             if policy.cell_timeout is not None:
                 deadlines.extend(
@@ -416,7 +328,7 @@ class WorkerSupervisor:
 
             now = time.monotonic()
             for worker in [w for w in self._workers if w.busy is not None]:
-                if now - worker.last_heartbeat >= policy.heartbeat_timeout:
+                if now - worker.last_heartbeat >= HEARTBEAT_TIMEOUT:
                     self._worker_hung(
                         worker, now, pending, on_result, on_failure
                     )
@@ -430,24 +342,10 @@ class WorkerSupervisor:
 
     # -- event handlers --------------------------------------------------
 
-    def _shed(self, task, shed) -> bool:
-        """Shed ``task`` without an attempt when its breaker is open."""
-        if self.breaker is None or self.breaker.allow(task.scenario()):
-            return False
-        failure = task.failed(
-            "CircuitOpen",
-            f"scenario ({task.config.name}, {task.mix_name}) circuit "
-            "breaker is open; cell shed without an attempt",
-        )
-        shed(task, replace(failure, attempts=0))
-        return True
-
     def _succeeded(self, worker, now, on_result, result) -> None:
         task = worker.busy
         worker.busy = None
         task.elapsed += now - worker.started
-        if self.breaker is not None:
-            self.breaker.record_success(task.scenario())
         on_result(task, result)
 
     def _drain(self, worker, now, pending, on_result, on_failure) -> None:
@@ -480,8 +378,7 @@ class WorkerSupervisor:
         """A worker yielded its cell at a snapshot boundary.
 
         The checkpoint is already durable, so the cell is rescheduled to
-        resume from it — nothing failed, no retry budget is burned and
-        the scenario's breaker does not move.
+        resume from it — nothing failed and no retry budget is burned.
         """
         task = worker.busy
         worker.busy = None
@@ -514,7 +411,7 @@ class WorkerSupervisor:
     def _try_preempt(self, worker, pending, on_result) -> bool:
         """Ask a doomed worker to checkpoint before the SIGKILL falls.
 
-        Sends SIGUSR1 and waits up to ``preempt_grace`` seconds for the
+        Sends SIGUSR1 and waits up to :data:`PREEMPT_GRACE` seconds for the
         worker to reach a snapshot boundary, write its checkpoint, and
         yield the cell.  Returns ``True`` when the cell was handled
         (preempted-and-requeued, or it finished in the window) so the
@@ -532,7 +429,7 @@ class WorkerSupervisor:
             os.kill(pid, signal.SIGUSR1)
         except (ProcessLookupError, OSError):
             return False
-        deadline = time.monotonic() + self.policy.preempt_grace
+        deadline = time.monotonic() + PREEMPT_GRACE
         while time.monotonic() < deadline:
             try:
                 if not worker.conn.poll(0.05):
@@ -573,7 +470,7 @@ class WorkerSupervisor:
             task,
             "WorkerHang",
             f"no heartbeat for {silence:.1f}s "
-            f"(timeout {self.policy.heartbeat_timeout:g}s); worker killed",
+            f"(timeout {HEARTBEAT_TIMEOUT:g}s); worker killed",
             "",
             pending,
             on_failure,
@@ -603,8 +500,6 @@ class WorkerSupervisor:
     def _retry_or_fail(
         self, task, error_type, message, tb, pending, on_failure
     ) -> None:
-        if self.breaker is not None:
-            self.breaker.record_failure(task.scenario())
         if task.attempt <= self.policy.retries:
             delay = self.policy.backoff_delay(task.attempt)
             task.attempt += 1
@@ -616,8 +511,8 @@ class WorkerSupervisor:
 
 
 __all__ = [
-    "CellTask",
-    "CircuitBreaker",
-    "ServicePolicy",
+    "HEARTBEAT_INTERVAL",
+    "HEARTBEAT_TIMEOUT",
+    "PREEMPT_GRACE",
     "WorkerSupervisor",
 ]

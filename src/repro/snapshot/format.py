@@ -18,8 +18,8 @@ A snapshot file is::
   snapshot cannot execute code on load — it can only fail its checksum.
 
 Durability: writes go through :func:`~repro.common.durable.write_atomic`
-(the results-file and ResultCache discipline: same-directory temp file,
-fsync, rename, directory fsync).  A crash mid-write leaves either the
+(the results-file discipline: same-directory temp file, fsync, rename,
+directory fsync).  A crash mid-write leaves either the
 old snapshot or none; a torn tail in a partially synced file is caught
 by the length and checksum checks and refused, never silently resumed.
 """

@@ -154,7 +154,7 @@ class Machine:
         # k-th occurrence of a repeated benchmark is a stable identity);
         # per-slot trace seeds and VA bases therefore depend only on the
         # multiset.  Two permutations of the same mix simulate
-        # identically and share one service-cache entry; results are
+        # identically and share one cell key; results are
         # still reported in the caller's order (see _build_result).
         placement = sorted(range(len(benchmarks)), key=lambda i: (benchmarks[i], i))
         self._slot_of_request = [0] * len(benchmarks)

@@ -52,20 +52,10 @@ def test_results_cache_and_snapshot_writers_sync_their_directory(
 ):
     from repro.experiments.persistence import save_table
     from repro.experiments.runner import ResultTable
-    from repro.service.cache import ResultCache
     from repro.snapshot.format import write_snapshot_file
-    from repro.system.machine import CoreResult, MachineResult
 
     save_table(ResultTable(configs=[], mixes=[], cells={}), tmp_path / "table.json")
-    result = MachineResult(
-        config_name="c", workload="w",
-        cores=[CoreResult("gzip", 1.0, 10.0, 10.0, 0.0)],
-        total_cycles=10, l2_stats={}, dram_row_hit_rate=0.0, mshr_avg_probes=0.0,
-    )
-    entry = ResultCache(tmp_path / "cache").put("ab" * 32, result)
     write_snapshot_file(
         str(tmp_path / "snaps" / "cell.snap"), {"v": 1}, config_fingerprint="f"
     )
-    assert synced_dirs == [
-        str(tmp_path), str(entry.parent), str(tmp_path / "snaps")
-    ]
+    assert synced_dirs == [str(tmp_path), str(tmp_path / "snaps")]

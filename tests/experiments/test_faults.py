@@ -94,8 +94,8 @@ def test_matching_wildcards_and_attempts():
 
 
 def test_inject_raises_only_for_matching_cell():
-    # A matching fault of a kind that fires elsewhere (worker, cache,
-    # service) neither fires at cell start nor shadows one that does.
+    # A matching fault of a kind that fires elsewhere (in a worker or
+    # the model) neither fires at cell start nor shadows one that does.
     faults.install(FaultSpec("kill-worker", times=-1), FaultSpec("raise", "base", "M1"))
     faults.inject("base", "M3", 1)  # no-op
     with pytest.raises(InjectedFault):
@@ -240,8 +240,8 @@ def test_hang_timeout_then_retry_succeeds(matrix):
 
 
 def test_matrix_never_sheds_a_cell(matrix):
-    """The circuit breaker is the sweep service's admission policy: a
-    matrix attempts every cell it was asked to run, ``retries + 1`` times."""
+    """A matrix attempts every cell it was asked to run, ``retries + 1``
+    times."""
     configs, _ = matrix
     faults.install(FaultSpec("raise", "base", "M1", times=-1))
     table = run_matrix(
@@ -256,7 +256,7 @@ def test_matrix_never_sheds_a_cell(matrix):
 
 def test_interrupted_matrix_leaves_no_worker_process(matrix, monkeypatch):
     """Ctrl-C (here: out of the result callback) must not leak workers."""
-    from repro.service.supervisor import WorkerSupervisor
+    from repro.experiments.supervisor import WorkerSupervisor
 
     configs, mixes = matrix
     pids = []
@@ -296,31 +296,17 @@ def test_interrupted_matrix_leaves_no_worker_process(matrix, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "specs, policy, resumes",
+    "interrupt, damage, resumes",
     [
         # SIGKILLed mid-simulation: the retry continues from the latest
         # periodic checkpoint ...
-        ([FaultSpec("kill-worker", seconds=0.3)], dict(retries=1), True),
+        ("kill", None, True),
         # ... unless that checkpoint is damaged: refused, clean restart.
-        (
-            [
-                FaultSpec("kill-worker", seconds=0.3),
-                FaultSpec("corrupt-snapshot", times=-1),
-            ],
-            dict(retries=1),
-            False,
-        ),
-        (
-            [
-                FaultSpec("kill-worker", seconds=0.3),
-                FaultSpec("truncate-snapshot", times=-1),
-            ],
-            dict(retries=1),
-            False,
-        ),
+        ("kill", "corrupt-snapshot", False),
+        ("kill", "truncate-snapshot", False),
         # Overrunning its budget: asked to checkpoint and yield before
         # the kill, which costs no retry, so none is needed to finish.
-        ([], dict(retries=0, cell_timeout=0.3), True),
+        ("timeout", None, True),
     ],
     ids=[
         "killed", "killed+corrupt-snapshot", "killed+truncate-snapshot",
@@ -328,16 +314,18 @@ def test_interrupted_matrix_leaves_no_worker_process(matrix, monkeypatch):
     ],
 )
 def test_interrupted_cell_resumes_mid_cell(
-    tmp_path, monkeypatch, specs, policy, resumes
+    tmp_path, monkeypatch, interrupt, damage, resumes
 ):
     """An interrupted supervised cell costs the work since its last
     checkpoint, not the cell, and the result is identical either way."""
-    # Sized (~0.6 s on a 2-core Xeon under CPython 3.11) so that 0.3 s
-    # in, the first 10k-cycle checkpoint exists and the cell is far from
-    # finished.
     configs, mixes = [config_3d_fast()], [MIXES["M1"]]
     scale = ExperimentScale("chaos", 2_000, 160_000)
+    started = time.monotonic()
     undisturbed = run_matrix(configs, mixes, scale, workers=1)
+    # The kill or the timeout lands half an undisturbed cell in, on any
+    # host: the checkpointing worker is slower still, so its first
+    # 10k-cycle checkpoint exists by then and the cell is far from done.
+    mid_cell = (time.monotonic() - started) / 2
 
     attempts = []
     record_result = runner_module._Recorder.record_result
@@ -347,6 +335,14 @@ def test_interrupted_cell_resumes_mid_cell(
         record_result(self, task, result)
 
     monkeypatch.setattr(runner_module._Recorder, "record_result", recording)
+    specs = []
+    if interrupt == "kill":
+        specs.append(FaultSpec("kill-worker", seconds=mid_cell))
+        policy = dict(retries=1)
+    else:
+        policy = dict(retries=0, cell_timeout=mid_cell)
+    if damage is not None:
+        specs.append(FaultSpec(damage, times=-1))
     faults.install(*specs)
     table = run_matrix(
         configs, mixes, scale, workers=2,

@@ -1,4 +1,4 @@
-"""Cache-key canonicalization: the contract the whole service rests on.
+"""Cell-key canonicalization: a cell's key names its checkpoint file.
 
 Two halves, both load-bearing:
 
@@ -9,13 +9,15 @@ Two halves, both load-bearing:
 * *sensitivity* — keys MUST change for anything that changes simulation
   output: any config knob, checkers on/off, the sampling
   plan, the seed, the instruction budgets, and the config/mix names
-  (embedded in the stored result).
+  (embedded in the result).
 """
 
 import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 from repro.experiments.spec import (
     canonical_json,
@@ -59,7 +61,7 @@ def test_key_stable_across_process_boundaries():
     program = (
         f"import sys; sys.path.insert(0, {str(src_dir)!r}); "
         f"sys.path.insert(0, {str(tests_dir)!r})\n"
-        "from service.test_keys import key\n"
+        "from experiments.test_keys import key\n"
         "print(key())\n"
     )
     env = dict(os.environ)
@@ -82,7 +84,7 @@ def test_key_ignores_dict_field_order():
 
 
 def test_key_ignores_benchmark_order():
-    """Permuted mixes are the same multiset → the same cached cell."""
+    """Permuted mixes are the same multiset → the same cell."""
     benchmarks = list(M1.benchmarks)
     permuted = benchmarks[::-1]
     assert permuted != benchmarks  # the permutation is real
@@ -110,7 +112,7 @@ def test_key_ignores_scale_name():
 
 
 def test_checker_spellings_normalize():
-    """``all`` and the explicit full list share one cache entry."""
+    """``all`` and the explicit full list share one cell key."""
     from repro.validate import CHECKER_NAMES
 
     explicit = ",".join(CHECKER_NAMES)
@@ -120,7 +122,7 @@ def test_checker_spellings_normalize():
 
 
 def test_sampling_spellings_normalize():
-    """``on`` and the default plan spelled out share one cache entry."""
+    """``on`` and the default plan spelled out share one cell key."""
     from repro.sampling.plan import SamplingPlan
 
     default = SamplingPlan()
@@ -151,8 +153,8 @@ def test_key_changes_with_config_knobs():
 
 
 def test_key_changes_with_config_name():
-    """``MachineResult.config_name`` is part of the cached result: a
-    renamed config must miss, or the hit would carry the old name."""
+    """``MachineResult.config_name`` is part of the result: a renamed
+    config must not resume the old name's checkpoint."""
     assert key(config=small_config("renamed")) != key()
 
 
@@ -190,3 +192,6 @@ def test_config_dict_round_trip_with_stack_mode():
     assert key(config=config_from_dict(config_to_dict(config))) == key(
         config=config
     )
+    # A dict written by a build with another field set is refused by name.
+    with pytest.raises(ValueError, match="retired_knob"):
+        config_from_dict({**config_to_dict(config), "retired_knob": None})

@@ -87,9 +87,9 @@ def test_duplicate_config_names_rejected():
 
 
 def test_duplicate_mix_names_rejected():
-    """Cells are keyed by (config, mix) name in the table, journal, and
-    result cache — duplicated mix names must fail fast, not silently
-    overwrite sibling cells."""
+    """Cells are keyed by (config, mix) name in the table and the journal
+    — duplicated mix names must fail fast, not silently overwrite sibling
+    cells."""
     config = _small(config_3d_fast(), "base")
     clone = WorkloadMix(
         "M1", "M", ("applu", "h264", "astar", "vortex"), 1.0
@@ -122,9 +122,10 @@ def test_unknown_checker_is_refused_before_any_cell(via, tmp_path, monkeypatch):
 
 def _assert_loads_no_process_machinery(code: str, *args: str) -> None:
     """Run ``code`` in a fresh interpreter; fail if it left
-    multiprocessing or the service package in ``sys.modules``."""
+    multiprocessing or the worker supervisor in ``sys.modules``."""
     code += (
-        "\nloaded = {'multiprocessing', 'repro.service'} & set(sys.modules)\n"
+        "\nloaded = {'multiprocessing', 'repro.experiments.supervisor'}"
+        " & set(sys.modules)\n"
         "sys.exit(f'imported eagerly: {sorted(loaded)}' if loaded else 0)"
     )
     src = pathlib.Path(repro.__file__).parents[1]
@@ -138,7 +139,7 @@ def _assert_loads_no_process_machinery(code: str, *args: str) -> None:
 
 def test_importing_experiments_loads_no_process_machinery():
     """Supervision loads with the first matrix that needs processes, so
-    serial users never pay for multiprocessing or the service package."""
+    serial users never pay for multiprocessing or the supervisor."""
     _assert_loads_no_process_machinery("import sys, repro.experiments")
 
 

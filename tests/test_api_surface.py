@@ -25,7 +25,6 @@ PACKAGES = [
     "repro.sampling",
     "repro.snapshot",
     "repro.validate",
-    "repro.service",
 ]
 
 
