@@ -16,20 +16,19 @@ Commands:
 * ``table {2a,2b}``                   — regenerate a table.
 * ``ablation {scheduler,interleave,prefetch,mshr_org}`` — run a
   design-choice ablation.
-* ``report --output results/``        — regenerate everything.
 * ``validate {timing,resume,sampling}`` — run one differential of
   :mod:`repro.validate.diff` (or the sampling accuracy gate) on a
-  config/mix/scale of your choosing; ``validate fidelity`` measures
-  every paper claim of the catalog into ``FIDELITY.json``.  See
-  ``docs/validation.md``.
+  config/mix/scale of your choosing; ``validate fidelity`` runs the
+  whole catalog, prints every table and figure and measures every paper
+  claim into ``FIDELITY.json``.  See ``docs/validation.md``.
 
 The experiment commands (``figure``, ``table``, ``ablation``) are
 parser entries only: each resolves to one name of
 :data:`repro.experiments.catalog.CATALOG` (``figure 7 --panel dual-mc``
 -> ``figure7_dual``) and runs through the one ``_cmd_experiment``; that
-name is also what ``report --only`` takes and the stem of the default
-``--resume`` journal.  ``--check`` / ``--sample`` are passed down as
-arguments — the CLI never writes ``os.environ``.
+name is also the stem of the default ``--resume`` journal.  ``--check``
+/ ``--sample`` are passed down as arguments — the CLI never writes
+``os.environ``.
 
 All experiment commands accept ``--scale`` (smoke/default/large),
 ``--mixes`` (comma-separated) and ``--seed``, plus resilience knobs:
@@ -51,9 +50,9 @@ replace full-detail simulation with SMARTS-style sampled simulation
 (alternating functional warmup and detailed measurement intervals).
 ``--sample`` alone uses the tuned default plan; a spec such as
 ``detailed:1200,warmup:4650`` overrides individual knobs.  Results are
-estimates with confidence intervals (``sample_*`` keys in saved
-tables).  See the "Sampled simulation" section of
-``docs/performance.md``.
+estimates with confidence intervals (``sample_*`` keys in each cell's
+``extra``, journalled with it).  See the "Sampled simulation" section
+of ``docs/performance.md``.
 """
 
 from __future__ import annotations
@@ -63,7 +62,7 @@ import sys
 from typing import Callable, Dict, Optional, Sequence
 
 from .common.errors import CheckViolation
-from .experiments import RunPolicy, run_experiment, run_full_suite
+from .experiments import RunPolicy, run_experiment
 from .experiments.catalog import CATALOG, Experiment, render
 from .system.config import (
     SystemConfig,
@@ -395,30 +394,6 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _cmd_report(args) -> int:
-    journal_dir = None
-    if args.resume or args.journal is not None:
-        # --journal names a *directory* for report runs (one journal
-        # per experiment inside it).
-        journal_dir = args.journal or args.output or "results"
-    reports = run_full_suite(
-        scale=get_scale(args.scale),
-        mixes=_mixes_arg(args.mixes),
-        seed=args.seed,
-        workers=args.workers,
-        output_dir=args.output,
-        only=args.only.split(",") if args.only else None,
-        policy=_policy_from_args(args, None),
-        journal_dir=journal_dir,
-        checkers=args.check,
-        sampling=args.sample,
-    )
-    for name, text in reports.items():
-        print(f"\n===== {name} =====")
-        print(text)
-    return 0
-
-
 def _resume_shape(name: str) -> str:
     """``--shape`` choices, read (and ``repro.validate`` imported) only
     when the flag is given, not by every command's parser build."""
@@ -574,22 +549,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_smp.add_argument("--spec", default=None, metavar="SPEC",
                        help="sampling spec (default: the tuned default plan)")
     p_fid = tools.add_parser(
-        "fidelity", help="measure every paper claim of the catalog into "
-        "that scale's column of FIDELITY.json and regenerate "
-        "EXPERIMENTS.md's tables: a row outside its band fails",
+        "fidelity", help="run the whole catalog, print every table and "
+        "figure, measure every paper claim into that scale's column of "
+        "FIDELITY.json and regenerate EXPERIMENTS.md's tables: a failed "
+        "cell or a row outside its band fails",
     )
     p_fid.add_argument("--scale", default="smoke", choices=["smoke", "default"])
     p_val.set_defaults(func=_cmd_validate)
-
-    p_rep = sub.add_parser(
-        "report", help="regenerate every table/figure/ablation"
-    )
-    _add_common(p_rep)
-    p_rep.add_argument("--output", default=None,
-                       help="directory to write <name>.txt reports into")
-    p_rep.add_argument("--only", default=None,
-                       help="comma-separated experiment names")
-    p_rep.set_defaults(func=_cmd_report)
 
     p_abl = sub.add_parser("ablation", help="run a design-choice ablation")
     p_abl.add_argument(

@@ -2,9 +2,7 @@
 
 from .analysis import BottleneckReport, analyze, compare_reports
 from .catalog import CATALOG, Experiment, ExperimentResult, run_experiment
-from .charts import bar, grouped_bars, speedup_chart
-from .full_run import run_full_suite
-from .persistence import CellJournal, load_table, save_table
+from .persistence import CellJournal
 from .report import format_table
 from .runner import (
     CellFailure,
@@ -29,20 +27,14 @@ __all__ = [
     "SweepSpec",
     "parallelism_from_env",
     "analyze",
-    "bar",
     "compare_reports",
-    "grouped_bars",
-    "speedup_chart",
     "ResultTable",
     "Table2aResult",
     "Table2bResult",
     "format_table",
     "geometric_mean",
     "harmonic_mean",
-    "load_table",
     "run_experiment",
-    "run_full_suite",
     "run_matrix",
     "run_table2a",
-    "save_table",
 ]

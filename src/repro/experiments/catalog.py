@@ -5,15 +5,15 @@ workload-mix) matrix reduced to speedups or %-improvements over one
 baseline column, reported per mix plus GM footers (Figures 4, 7, 9) or
 as one GM per configuration (Figure 6, the ablations, the stack study).
 An :class:`Experiment` declares one such matrix; :data:`CATALOG` lists
-them in ``repro report`` order; :func:`run_experiment` runs any of them
-through :func:`~repro.experiments.runner.run_matrix` and returns the one
+them in the order ``repro validate fidelity`` runs and prints them;
+:func:`run_experiment` runs any of them through
+:func:`~repro.experiments.runner.run_matrix` and returns the one
 :class:`ExperimentResult`.
 
-The catalog name is the experiment's only name: it is what ``repro
-report --only`` takes, the stem of ``<name>.txt`` and of the default
-``results/<name>.journal.jsonl``, and what the CLI subcommands resolve
-to (``figure 7 --panel dual-mc`` -> ``figure7_dual``, ``ablation
-prefetch`` -> ``ablation_prefetch``).
+The catalog name is the experiment's only name: it is the stem of the
+default ``results/<name>.journal.jsonl``, and what the CLI subcommands
+resolve to (``figure 7 --panel dual-mc`` -> ``figure7_dual``,
+``ablation prefetch`` -> ``ablation_prefetch``).
 
 The studies whose metric is not a speedup table (Table 2's MPKI and
 HMIPC) keep their own result classes and name them in
@@ -45,9 +45,8 @@ from ..system.scale import DEFAULT, ExperimentScale
 from ..workloads.benchmarks import BENCHMARKS
 from ..workloads.mixes import MIX_ORDER, MIXES, WorkloadMix, mixes_in_groups
 from . import table2
-from .charts import grouped_bars, speedup_chart
 from .fidelity import Band, Expectation, Ordering, claims_note, paper_column
-from .report import format_table, with_sampling_note
+from .report import format_table
 from .runner import ResultTable, RunPolicy, run_matrix
 
 #: The mix groups the paper's headline geometric means are taken over.
@@ -62,8 +61,8 @@ class Experiment:
         name: the catalog name (see module docstring).
         configs: returns the matrix's configurations; names are unique
             and the first one is the baseline every value is relative to.
-        title: heading of the report and of the chart (studies with
-            their own ``result`` class print their own).
+        title: heading of the report (studies with their own
+            ``result`` class print their own).
         groups: mix groups run when no mixes are given (empty: all
             twelve mixes in the paper's order).
         per_mix: layout — True reports one row per mix plus GM(H,VH) /
@@ -167,24 +166,7 @@ class ExperimentResult:
             rows,
             columns,
             value_format="{:+.1f}" if exp.percent else "{:.3f}",
-            note=with_sampling_note("", self.table),
-        )
-
-    def chart(self, width: int = 40) -> str:
-        """ASCII bars in the paper's figure layout."""
-        exp = self.experiment
-        if exp.per_mix:
-            groups = self.table.mixes
-            variants = [c for c in self.table.configs if c != self.baseline]
-            series = {c: [self.value(c, m) for m in groups] for c in variants}
-        else:
-            groups = [f"GM({','.join(exp.groups) or 'all'})"]
-            series = {c: [self.gm(c)] for c in self.shown}
-        if not exp.percent:
-            return speedup_chart(exp.title, groups, series, width=width)
-        clamped = {c: [max(0.0, v) for v in vs] for c, vs in series.items()}
-        return grouped_bars(
-            exp.title, groups, clamped, width=width, value_format="{:+.1f}"
+            note=self.table.sampling_note(),
         )
 
 
@@ -359,7 +341,7 @@ def _ablation(name: str, title: str, variants, **fields: Any) -> Experiment:
     )
 
 
-#: Every experiment by name, in ``repro report`` order.
+#: Every experiment by name, in the order ``repro validate fidelity`` runs them.
 CATALOG: Dict[str, Experiment] = {
     exp.name: exp
     for exp in (

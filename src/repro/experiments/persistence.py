@@ -1,18 +1,12 @@
-"""JSON persistence for experiment results.
+"""JSON persistence for experiment results: the cell journal.
 
-Full default-scale sweeps take tens of minutes; saving the raw
-``ResultTable`` lets analysis (speedups, GMs, new cuts of the data)
-re-run instantly without re-simulating.
-
-Two complementary mechanisms:
-
-* :func:`save_table`/:func:`load_table` — a complete table as one JSON
-  document, written with :func:`~repro.common.durable.write_atomic` so
-  an interrupt mid-save never corrupts an existing results file.
-* :class:`CellJournal` — an incremental JSONL journal appended (and
-  fsync'd) one record per *completed cell* while a matrix is running,
-  so an interrupted sweep can resume and skip finished cells
-  (``RunPolicy(journal_path=..., resume=True)``).
+:class:`CellJournal` is the one on-disk result format: an incremental
+JSONL journal appended (and fsync'd) one record per *completed cell*
+(its ``MachineResult``) or exhausted-retry failure (its
+``CellFailure``) while a matrix is running, so an interrupted sweep can
+resume and skip finished cells (``RunPolicy(journal_path=...,
+resume=True)``), and a finished one can be re-analysed without
+re-simulating (:meth:`CellJournal.read`).
 """
 
 from __future__ import annotations
@@ -23,16 +17,10 @@ import os
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
-from ..common.durable import write_atomic
 from ..system.machine import CoreResult, MachineResult
-from .runner import CellFailure, ResultTable
+from .runner import CellFailure
 
 PathLike = Union[str, Path]
-
-#: Version written by :func:`save_table`.
-_FORMAT_VERSION = 2
-#: Versions :func:`load_table` understands (v1 files predate ``failures``).
-_READABLE_VERSIONS = (1, 2)
 
 #: Version written into journal headers.
 _JOURNAL_VERSION = 1
@@ -117,62 +105,6 @@ def _failure_from_dict(data: dict) -> CellFailure:
         attempts=data.get("attempts", 1),
         elapsed=data.get("elapsed", 0.0),
     )
-
-
-def table_to_dict(table: ResultTable) -> dict:
-    """The one wire form of a table (results file and HTTP API)."""
-    return {
-        "configs": table.configs,
-        "mixes": table.mixes,
-        "cells": [
-            {
-                "config": config,
-                "mix": mix,
-                "result": _result_to_dict(result),
-            }
-            for (config, mix), result in sorted(table.cells.items())
-        ],
-        "failures": [
-            _failure_to_dict(failure)
-            for _, failure in sorted(table.failures.items())
-        ],
-    }
-
-
-def table_from_dict(payload: dict) -> ResultTable:
-    """Inverse of :func:`table_to_dict` (``failures`` optional)."""
-    return ResultTable(
-        configs=list(payload["configs"]),
-        mixes=list(payload["mixes"]),
-        cells={
-            (cell["config"], cell["mix"]): _result_from_dict(cell["result"])
-            for cell in payload["cells"]
-        },
-        failures={
-            (record["config"], record["mix"]): _failure_from_dict(record)
-            for record in payload.get("failures", [])
-        },
-    )
-
-
-def save_table(table: ResultTable, path: PathLike) -> None:
-    """Write a result table to a JSON file (atomically)."""
-    payload = {"format_version": _FORMAT_VERSION, **table_to_dict(table)}
-    write_atomic(path, json.dumps(payload, indent=2, sort_keys=True))
-
-
-def load_table(path: PathLike) -> ResultTable:
-    """Read a result table back; raises on unknown format versions."""
-    payload = json.loads(Path(path).read_text())
-    version = payload.get("format_version")
-    if version not in _READABLE_VERSIONS:
-        readable = "/".join(str(v) for v in _READABLE_VERSIONS)
-        raise ValueError(
-            f"result file {path} has format version {version}; "
-            f"this library reads versions {readable} — "
-            "it was probably written by a newer release"
-        )
-    return table_from_dict(payload)
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,7 @@ from ..system.config import config_2d
 from ..system.scale import DEFAULT, ExperimentScale
 from ..workloads.benchmarks import BENCHMARKS
 from ..workloads.mixes import MIX_ORDER, MIXES, WorkloadMix
-from .report import format_table, with_sampling_note
+from .report import format_table
 from .runner import ResultTable, RunPolicy, run_matrix
 
 
@@ -69,7 +69,7 @@ class Table2aResult:
                 "measured": [mpki[n] for n in names],
             },
             value_format="{:.1f}",
-            note=with_sampling_note("", self.table),
+            note=self.table.sampling_note(),
         )
 
 
@@ -112,5 +112,5 @@ class Table2bResult:
                 "paper": [MIXES[n].paper_hmipc for n in names],
                 "measured": [self.table.hmipc("2D", n) for n in names],
             },
-            note=with_sampling_note("", self.table),
+            note=self.table.sampling_note(),
         )

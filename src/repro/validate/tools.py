@@ -3,7 +3,8 @@
 The exactness *gates* are tier-1 tests (docs/validation.md has the
 table); these point the same differentials at a config, mix and scale
 of the user's choosing, plus the one comparison too long for tier-1
-(:func:`sampling`) and the paper-claim measurement (:func:`fidelity`).
+(:func:`sampling`) and the whole-catalog run that measures the paper's
+claims (:func:`fidelity`).
 Each prints its report and returns the exit code: 1, with a ``FAIL:``
 line per violated expectation on stderr, when the differential does not
 come out the way the tool exists to show.
@@ -20,7 +21,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from ..experiments import fidelity as claims
-from ..experiments.catalog import CATALOG, run_experiment
+from ..experiments.catalog import CATALOG, render, run_experiment
 from ..sampling.plan import SamplingPlan, parse_sample_spec
 from ..workloads.mixes import MIXES
 from .diff import diff_resume, diff_timing_presets, resume_shapes
@@ -129,23 +130,23 @@ def sampling(mix, scale, seed, spec: Optional[str] = None) -> int:
 
 
 def fidelity(scale) -> int:
-    """Every catalog claim (``Experiment.expect``) measured at ``scale``
-    (smoke: the gate mixes; default: each entry's own) into that column
-    of ``FIDELITY.json`` and EXPERIMENTS.md's tables, in the working
-    directory.  Fails on a failed cell (writing nothing) or on a row
+    """The whole catalog at ``scale`` (smoke: the gate mixes; default:
+    each entry's own), each entry's report printed as it finishes and
+    its claims (``Experiment.expect``) measured into that column of
+    ``FIDELITY.json`` and EXPERIMENTS.md's tables, in the working
+    directory.  A degraded entry prints what it can and the run goes
+    on; it fails on any failed cell (writing nothing) or on a row
     outside its band in either column."""
     measured, failures = {}, []
     for experiment in CATALOG.values():
-        if not experiment.expect:
-            continue
         mixes = None
         if scale.name == "smoke":
             mixes = [
                 MIXES[m] for m in claims.GATE_MIXES
                 if not experiment.groups or MIXES[m].group in experiment.groups
             ]
-        print(f"{experiment.name} ({scale.name} scale)", flush=True)
         result = run_experiment(experiment, scale, mixes)
+        print(f"{render(experiment, result)}\n", flush=True)
         failures += [f.describe() for f in result.table.failures.values()]
         measured.update(claims.measure(experiment, result.table))
     if failures:

@@ -1,4 +1,4 @@
-"""The one durable-write helper and the writers that go through it."""
+"""The one durable-write helper and the snapshot writer that goes through it."""
 
 import os
 
@@ -47,15 +47,10 @@ def test_failed_write_keeps_the_old_file(tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
 
 
-def test_results_cache_and_snapshot_writers_sync_their_directory(
-    tmp_path, synced_dirs
-):
-    from repro.experiments.persistence import save_table
-    from repro.experiments.runner import ResultTable
+def test_snapshot_writer_syncs_its_directory(tmp_path, synced_dirs):
     from repro.snapshot.format import write_snapshot_file
 
-    save_table(ResultTable(configs=[], mixes=[], cells={}), tmp_path / "table.json")
     write_snapshot_file(
         str(tmp_path / "snaps" / "cell.snap"), {"v": 1}, config_fingerprint="f"
     )
-    assert synced_dirs == [str(tmp_path), str(tmp_path / "snaps")]
+    assert synced_dirs == [str(tmp_path / "snaps")]

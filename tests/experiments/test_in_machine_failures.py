@@ -4,8 +4,8 @@ structured cell failure.
 Every ``REPRO_FAULTS`` kind fires at cell start or in the supervised
 worker; here the "dying" cell's machine raises ``CheckViolation`` from a
 DRAM access after it has already simulated for a while, and the
-experiment runner must record it as a ``CellFailure`` that journals,
-persists and resumes like any harness-level failure.
+experiment runner must record it as a ``CellFailure`` that journals
+and resumes like any harness-level failure.
 """
 
 import itertools
@@ -16,7 +16,7 @@ import pytest
 import repro.experiments.runner as runner_module
 from repro.common.errors import CheckViolation
 from repro.common.units import MIB
-from repro.experiments.persistence import CellJournal, load_table, save_table
+from repro.experiments.persistence import CellJournal
 from repro.experiments.runner import RunPolicy, run_matrix
 from repro.system.config import config_3d_fast
 from repro.system.machine import Machine
@@ -118,11 +118,13 @@ def test_in_machine_failure_survives_journal_and_resume(
 
 def test_in_machine_failure_survives_table_persistence(tmp_path, matrix):
     configs, mixes = matrix
-    table = run_matrix(configs, mixes, TINY, workers=1)
-    path = tmp_path / "table.json"
-    save_table(table, path)
-    loaded = load_table(path)
-    failure = loaded.failure("dying", "H1")
-    assert failure is not None
-    assert failure.error_type == "CheckViolation"
-    assert loaded.ok("healthy", "H1")
+    path = tmp_path / "matrix.journal.jsonl"
+    table = run_matrix(
+        configs, mixes, TINY, workers=1, policy=RunPolicy(journal_path=path)
+    )
+    # Every field of the failure (traceback, attempts, elapsed) and of
+    # the healthy cell's result reads back from the journal.
+    loaded = CellJournal.read(path)
+    assert list(loaded.failed) == [("dying", "H1")]
+    assert loaded.failed == table.failures
+    assert loaded.completed == table.cells

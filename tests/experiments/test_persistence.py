@@ -1,11 +1,9 @@
-"""Unit tests for result persistence."""
-
-import json
+"""Unit tests for result persistence: the cell journal round-trip."""
 
 import pytest
 
-from repro.experiments.persistence import load_table, save_table
-from repro.experiments.runner import ResultTable, run_matrix
+from repro.experiments.persistence import CellJournal
+from repro.experiments.runner import CellFailure, run_matrix
 from repro.system.config import config_3d_fast
 from repro.system.scale import ExperimentScale
 from repro.workloads.mixes import MIXES
@@ -24,13 +22,14 @@ def table():
 
 
 def test_roundtrip_preserves_everything(tmp_path, table):
-    path = tmp_path / "results.json"
-    save_table(table, path)
-    loaded = load_table(path)
-    assert loaded.configs == table.configs
-    assert loaded.mixes == table.mixes
+    path = tmp_path / "results.journal.jsonl"
     original = table.result("small", "M3")
-    restored = loaded.result("small", "M3")
+    with CellJournal.open(path, {"run": "roundtrip"}) as journal:
+        journal.record_result("small", "M3", original)
+    loaded = CellJournal.read(path)
+    assert loaded.signature == {"run": "roundtrip"}
+    assert list(loaded.completed) == [("small", "M3")]
+    restored = loaded.completed[("small", "M3")]
     assert restored.hmipc == pytest.approx(original.hmipc)
     assert restored.total_cycles == original.total_cycles
     assert restored.dram_row_hit_rate == original.dram_row_hit_rate
@@ -38,89 +37,28 @@ def test_roundtrip_preserves_everything(tmp_path, table):
         c.benchmark for c in original.cores
     ]
     assert restored.extra == original.extra
-
-
-def test_loaded_table_supports_analysis(tmp_path, table):
-    path = tmp_path / "results.json"
-    save_table(table, path)
-    loaded = load_table(path)
-    assert loaded.speedup("small", "M3", "small") == pytest.approx(1.0)
-
-
-def test_version_check(tmp_path, table):
-    path = tmp_path / "results.json"
-    save_table(table, path)
-    payload = json.loads(path.read_text())
-    payload["format_version"] = 99
-    path.write_text(json.dumps(payload))
-    with pytest.raises(ValueError, match="version"):
-        load_table(path)
-
-
-def test_file_is_stable_json(tmp_path, table):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    save_table(table, a)
-    save_table(table, b)
-    assert a.read_text() == b.read_text()  # deterministic serialization
-
-
-def test_save_leaves_no_temp_files(tmp_path, table):
-    path = tmp_path / "results.json"
-    save_table(table, path)
-    save_table(table, path)  # overwrite goes through the same temp path
-    assert [p.name for p in tmp_path.iterdir()] == ["results.json"]
-
-
-def test_version_1_files_still_load(tmp_path, table):
-    """Files written before the failures field (v1) remain readable."""
-    path = tmp_path / "results.json"
-    save_table(table, path)
-    payload = json.loads(path.read_text())
-    payload["format_version"] = 1
-    del payload["failures"]
-    path.write_text(json.dumps(payload))
-    loaded = load_table(path)
-    assert loaded.failures == {}
-    assert loaded.result("small", "M3").hmipc == pytest.approx(
-        table.result("small", "M3").hmipc
-    )
-
-
-def test_future_version_rejected_with_clear_error(tmp_path, table):
-    path = tmp_path / "results.json"
-    save_table(table, path)
-    payload = json.loads(path.read_text())
-    payload["format_version"] = 99
-    path.write_text(json.dumps(payload))
-    with pytest.raises(ValueError, match="newer release"):
-        load_table(path)
+    assert restored == original
 
 
 def test_failures_roundtrip(tmp_path, table):
-    from repro.experiments.runner import CellFailure, ResultTable
-
-    with_failure = ResultTable(
-        configs=table.configs + ["broken"],
-        mixes=table.mixes,
-        cells=dict(table.cells),
-        failures={
-            ("broken", "M3"): CellFailure(
-                config="broken",
-                mix="M3",
-                error_type="CellTimeout",
-                message="attempt 2 exceeded the 30s wall-clock budget",
-                traceback="",
-                attempts=2,
-                elapsed=61.5,
-            )
-        },
+    failure = CellFailure(
+        config="broken",
+        mix="M3",
+        error_type="CellTimeout",
+        message="attempt 2 exceeded the 30s wall-clock budget",
+        traceback="",
+        attempts=2,
+        elapsed=61.5,
     )
-    path = tmp_path / "results.json"
-    save_table(with_failure, path)
-    loaded = load_table(path)
-    failure = loaded.failure("broken", "M3")
-    assert failure.error_type == "CellTimeout"
-    assert failure.attempts == 2
-    assert failure.elapsed == pytest.approx(61.5)
-    assert not loaded.ok("broken", "M3")
-    assert loaded.ok("small", "M3")
+    path = tmp_path / "results.journal.jsonl"
+    with CellJournal.open(path, {"run": "failures"}) as journal:
+        journal.record_result("small", "M3", table.result("small", "M3"))
+        journal.record_failure(failure)
+    loaded = CellJournal.read(path)
+    restored = loaded.failed[("broken", "M3")]
+    assert restored.error_type == "CellTimeout"
+    assert restored.attempts == 2
+    assert restored.elapsed == pytest.approx(61.5)
+    assert restored == failure
+    assert ("broken", "M3") not in loaded.completed
+    assert ("small", "M3") not in loaded.failed

@@ -11,6 +11,8 @@ catalog's matrices on the gate mixes), so they cost no simulation of
 their own.
 """
 
+import contextlib
+import io
 import shutil
 from pathlib import Path
 
@@ -18,8 +20,9 @@ import pytest
 
 from repro.cli import main
 from repro.experiments import fidelity
+from repro.experiments.catalog import CATALOG, render
 from repro.experiments.fidelity import Band
-from repro.experiments.runner import run_matrix
+from repro.experiments.runner import CellFailure, ResultTable, run_matrix
 from repro.system.config import config_2d, config_quad_mc
 from repro.system.scale import SMOKE
 from repro.validate import tools
@@ -30,37 +33,87 @@ GENERATED = ("FIDELITY.json", "EXPERIMENTS.md")
 HV = ("H", "VH")
 
 
-@pytest.fixture(scope="module")
-def smoke(tmp_path_factory):
-    """``validate fidelity --scale smoke`` in a copy of the generated
-    files: ``(exit code, its directory, {entry: ResultTable})``."""
-    workdir = tmp_path_factory.mktemp("fidelity")
+def _copy_generated(workdir):
     for name in GENERATED:
         shutil.copy(REPO_ROOT / name, workdir / name)
-    tables, run = {}, tools.run_experiment
-
-    def recording(experiment, *args, **kwargs):
-        result = run(experiment, *args, **kwargs)
-        tables[experiment.name] = result.table
-        return result
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.chdir(workdir)
-        # ~160 cells, ~67 s serial on a 2-core host; two workers: ~58 s.
-        mp.setenv("REPRO_PARALLEL", "2")
-        mp.setattr(tools, "run_experiment", recording)
-        code = main(["validate", "fidelity", "--scale", "smoke"])
-    return code, workdir, tables
 
 
-def test_smoke_column_regenerates_byte_identical(smoke):
-    code, workdir, _ = smoke
-    assert code == 0
+def _assert_generated_unchanged(workdir):
     for name in GENERATED:
         assert (workdir / name).read_bytes() == (REPO_ROOT / name).read_bytes(), (
             f"{name} drifted: re-run `python -m repro validate fidelity "
             f"--scale smoke` (and --scale default) and commit the result"
         )
+
+
+@pytest.fixture(scope="module")
+def smoke(tmp_path_factory):
+    """``validate fidelity --scale smoke`` in a copy of the generated
+    files: ``(exit code, its directory, {entry: ResultTable}, stdout,
+    {entry: result})``."""
+    workdir = tmp_path_factory.mktemp("fidelity")
+    _copy_generated(workdir)
+    results, run = {}, tools.run_experiment
+
+    def recording(experiment, *args, **kwargs):
+        results[experiment.name] = run(experiment, *args, **kwargs)
+        return results[experiment.name]
+
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
+        mp.chdir(workdir)
+        # ~160 cells, ~67 s serial on a 2-core host; two workers: ~58 s.
+        mp.setenv("REPRO_PARALLEL", "2")
+        mp.setattr(tools, "run_experiment", recording)
+        code = main(["validate", "fidelity", "--scale", "smoke"])
+    tables = {name: result.table for name, result in results.items()}
+    return code, workdir, tables, out.getvalue(), results
+
+
+def test_smoke_column_regenerates_byte_identical(smoke):
+    code, workdir = smoke[:2]
+    assert code == 0
+    _assert_generated_unchanged(workdir)
+
+
+def test_fidelity_prints_every_entry_in_catalog_order(smoke):
+    """The one whole-catalog run is also the report: every entry's
+    rendered tables and claims, in catalog order, then the verdict."""
+    out, results = smoke[3:]
+    assert list(results) == list(CATALOG)
+    reports = "".join(f"{render(CATALOG[name], results[name])}\n\n" for name in CATALOG)
+    assert out == reports + "validate fidelity: OK\n"
+
+
+def test_fidelity_goes_on_past_a_failed_cell_and_writes_nothing(
+    tmp_path, monkeypatch, capsys
+):
+    """Stubbed entries, no simulation: the one with a failed cell
+    renders "report incomplete", the run goes on to the next entry,
+    and exits 1 with both generated files untouched."""
+    failure = CellFailure("3D", "H1", "InjectedFault", "boom", "", 1, 0.0)
+
+    class Stub:
+        def __init__(self, name):
+            failed = {("3D", "H1"): failure} if name == "figure4" else {}
+            self.name, self.table = name, ResultTable([], [], {}, failed)
+
+        def format(self):
+            for cell in self.table.failures:
+                self.table.result(*cell)  # raises CellFailedError
+            return f"stub {self.name}"
+
+    _copy_generated(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(tools, "run_experiment", lambda e, *args: Stub(e.name))
+    assert main(["validate", "fidelity", "--scale", "smoke"]) == 1
+    out, err = capsys.readouterr()
+    heads = [line.split(" — ")[0] for line in out.splitlines()
+             if line.startswith(("stub ", "report incomplete"))]
+    assert heads == ["report incomplete" if name == "figure4" else f"stub {name}"
+                     for name in CATALOG]
+    assert f"FAIL: {failure.describe()}" in err
+    _assert_generated_unchanged(tmp_path)
 
 
 def test_figure4_ordering_holds_on_memory_intensive_mixes(smoke):

@@ -105,9 +105,11 @@ def test_table2b_via_cli(capsys, monkeypatch):
     assert "Table 2(b)" in capsys.readouterr().out
 
 
-def test_parser_rejects_unknown_command():
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["teleport"])
+def test_parser_rejects_unknown_command(capsys):
+    for command in ("teleport", "report"):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command])
+        assert f"invalid choice: '{command}'" in capsys.readouterr().err
 
 
 def test_parser_rejects_unknown_config():
@@ -282,25 +284,27 @@ def test_ablation_choices_are_the_catalogs():
     assert "scheduler" in which.choices and "mshr_org" in which.choices
 
 
-def test_figure7_journal_is_resumed_by_report(capsys, monkeypatch, tmp_path):
-    """One name per experiment: both commands journal to the same file."""
+def test_figure7_resume_reprints_from_its_journal(capsys, monkeypatch, tmp_path):
+    """``--resume`` alone journals to ``results/<catalog name>``; the
+    second run simulates nothing and prints the same text."""
     from repro.experiments import runner
     from repro.system import scale as scale_mod
 
     tiny = scale_mod.ExperimentScale("smoke", 300, 1000)
     monkeypatch.setitem(scale_mod._SCALES, "smoke", tiny)
     monkeypatch.chdir(tmp_path)
-    common = ["--mixes", "M3", "--workers", "1", "--resume"]
-    assert main(["figure", "7", "--panel", "dual-mc"] + common) == 0
+    argv = ["figure", "7", "--panel", "dual-mc", "--mixes", "M3",
+            "--workers", "1", "--resume"]
+    assert main(argv) == 0
     assert (tmp_path / "results" / "figure7_dual.journal.jsonl").exists()
-    figure = capsys.readouterr().out.strip()
+    figure = capsys.readouterr().out
 
     def no_simulation(task):
         raise AssertionError(f"re-simulated {task.scenario()}")
 
     monkeypatch.setattr(runner, "run_cell", no_simulation)
-    assert main(["report", "--only", "figure7_dual"] + common) == 0
-    assert figure in capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == figure
 
 
 @pytest.mark.parametrize(
