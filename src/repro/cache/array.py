@@ -50,6 +50,7 @@ class CacheArray:
         self._sets: List[Optional[Dict[int, bool]]] = [None] * self.num_sets
 
     def set_index(self, line_addr: int) -> int:
+        # The methods below compute this inline: one frame per access.
         return (line_addr >> self._line_shift) % self.num_sets
 
     def align(self, addr: int) -> int:
@@ -58,7 +59,7 @@ class CacheArray:
     def lookup(self, addr: int) -> bool:
         """Hit test with replacement-state update (a real access)."""
         line = addr & self._align_mask
-        cache_set = self._sets[self.set_index(line)]
+        cache_set = self._sets[(line >> self._line_shift) % self.num_sets]
         if cache_set is not None and line in cache_set:
             cache_set[line] = cache_set.pop(line)
             return True
@@ -72,7 +73,7 @@ class CacheArray:
         -access call overhead dominates.  Returns True on a hit.
         """
         line = addr & self._align_mask
-        cache_set = self._sets[self.set_index(line)]
+        cache_set = self._sets[(line >> self._line_shift) % self.num_sets]
         if cache_set is not None and line in cache_set:
             cache_set[line] = cache_set.pop(line) or dirty
             return True
@@ -81,13 +82,13 @@ class CacheArray:
     def probe(self, addr: int) -> bool:
         """Hit test without disturbing replacement state (prefetch filters)."""
         line = addr & self._align_mask
-        cache_set = self._sets[self.set_index(line)]
+        cache_set = self._sets[(line >> self._line_shift) % self.num_sets]
         return cache_set is not None and line in cache_set
 
     def fill(self, addr: int, dirty: bool = False) -> Optional[Tuple[int, bool]]:
         """Insert a line; returns the evicted ``(line, dirty)`` if any."""
         line = addr & self._align_mask
-        set_idx = self.set_index(line)
+        set_idx = (line >> self._line_shift) % self.num_sets
         cache_set = self._sets[set_idx]
         if cache_set is None:
             self._sets[set_idx] = {line: dirty}
@@ -107,7 +108,7 @@ class CacheArray:
     def mark_dirty(self, addr: int) -> None:
         """Set the dirty bit of a resident line (write hit)."""
         line = addr & self._align_mask
-        cache_set = self._sets[self.set_index(line)]
+        cache_set = self._sets[(line >> self._line_shift) % self.num_sets]
         if cache_set is None or line not in cache_set:
             raise KeyError(f"line {line:#x} not resident")
         del cache_set[line]
@@ -116,7 +117,7 @@ class CacheArray:
     def invalidate(self, addr: int) -> Optional[bool]:
         """Drop a line; returns its dirty bit, or None if absent."""
         line = addr & self._align_mask
-        cache_set = self._sets[self.set_index(line)]
+        cache_set = self._sets[(line >> self._line_shift) % self.num_sets]
         return None if cache_set is None else cache_set.pop(line, None)
 
     @property

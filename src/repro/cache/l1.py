@@ -5,7 +5,11 @@ read-for-ownership to the L2 and marks the line dirty on fill.  Misses
 allocate in a small L1 MSHR file (8 entries in Table 1); when it is full
 the access is rejected and the core stalls until an entry frees — this
 is the backpressure path that lets faster memory expose the L2 MHA as
-the next bottleneck (Section 5).
+the next bottleneck (Section 5).  The file is a plain dict of line
+address to :class:`~repro.mshr.base.MshrEntry`, capped at
+``mshr_entries``: Table 1's L1 MSHR is the single-cycle fully
+associative organization, so a lookup is one dict probe and nothing
+reads a probe count.
 
 :meth:`L1Cache.access` reports its outcome by return value: ``STALL``
 (falsy), ``MISS`` (truthy; the data arrives later through ``on_data``)
@@ -22,7 +26,7 @@ from typing import Any, Callable, Deque, Dict, Optional
 from ..common.request import AccessType, MemoryRequest
 from ..common.stats import StatRegistry
 from ..engine.simulator import Engine
-from ..mshr.base import MshrFile
+from ..mshr.base import MshrEntry
 from .array import CacheArray
 from .l2 import BankedL2Cache
 from .prefetch import Prefetcher
@@ -37,10 +41,10 @@ class L1Cache:
     """One core's L1D: tag array + MSHR file + L2 port."""
 
     __slots__ = (
-        "engine", "core_id", "array", "mshr", "l2", "stats", "_c_accesses",
-        "_c_hits", "_c_misses", "_c_secondary_misses", "_c_mshr_rejects",
-        "_c_writebacks", "latency", "_observe", "_free_waiters", "_fill_dirty",
-        "on_data",
+        "engine", "core_id", "array", "mshr", "mshr_entries", "l2", "stats",
+        "_c_accesses", "_c_hits", "_c_misses", "_c_secondary_misses",
+        "_c_mshr_rejects", "_c_writebacks", "latency", "_observe",
+        "_free_waiters", "_fill_dirty", "on_data",
     )
 
     def __init__(
@@ -48,16 +52,20 @@ class L1Cache:
         engine: Engine,
         core_id: int,
         array: CacheArray,
-        mshr: MshrFile,
+        mshr_entries: int,
         l2: BankedL2Cache,
         registry: Optional[StatRegistry] = None,
         latency: int = 3,
         prefetcher: Optional[Prefetcher] = None,
     ) -> None:
+        if mshr_entries < 1:
+            raise ValueError("MSHR capacity must be >= 1")
         self.engine = engine
         self.core_id = core_id
         self.array = array
-        self.mshr = mshr
+        #: The MSHR file: line address -> entry, at most ``mshr_entries``.
+        self.mshr: Dict[int, MshrEntry] = {}
+        self.mshr_entries = mshr_entries
         self.l2 = l2
         registry = registry if registry is not None else StatRegistry()
         self.stats = registry.group(f"l1.core{core_id}")
@@ -105,21 +113,21 @@ class L1Cache:
             return HIT
 
         # Miss path.
-        entry, _ = self.mshr.search(line)
+        mshr = self.mshr
+        entry = mshr.get(line)
         if entry is not None:
             self._c_secondary_misses.value += 1.0
-            entry.merge(record)
+            entry.requests.append(record)
             if is_write:
                 self._fill_dirty[line] = True
             return MISS
-
-        new_entry, _ = self.mshr.allocate(line)
-        if new_entry is None:
+        if len(mshr) >= self.mshr_entries:
             self._c_mshr_rejects.value += 1.0
             return STALL
 
         self._c_misses.value += 1.0
-        new_entry.merge(record)
+        new_entry = mshr[line] = MshrEntry(line)
+        new_entry.requests.append(record)
         self._fill_dirty[line] = is_write
         fetch = MemoryRequest(
             line,
@@ -170,27 +178,32 @@ class L1Cache:
                 created_at=now,
             )
             self.l2.access(writeback)
-        self.mshr.deallocate(line)
+        mshr = self.mshr
+        del mshr[line]
         on_data = self.on_data
         for record in entry.requests:
             on_data(record, now)
-        while self._free_waiters and not self.mshr.is_full:
-            self._free_waiters.popleft()()
+        waiters = self._free_waiters
+        while waiters and len(mshr) < self.mshr_entries:
+            waiters.popleft()()
 
     def _prefetch(self, candidates, pc: int) -> None:
         """L1 prefetch (next-line + IP-stride in Table 1) into the L1.
 
         ``candidates`` are line addresses, each named once; a line
-        already resident or in flight is skipped.
+        already resident or in flight is skipped, and a full MSHR file
+        issues nothing more.
         """
+        mshr = self.mshr
+        array = self.array
+        sets = array._sets
         for line in candidates:
-            if self.array.probe(line) or self.mshr.is_full:
+            if len(mshr) >= self.mshr_entries:
+                return
+            cache_set = sets[(line >> array._line_shift) % array.num_sets]
+            if (cache_set is not None and line in cache_set) or line in mshr:
                 continue
-            if self.mshr.contains(line):
-                continue
-            entry, _ = self.mshr.allocate(line)
-            if entry is None:
-                continue
+            entry = mshr[line] = MshrEntry(line)
             self.stats.add("prefetches_issued")
             self._fill_dirty[line] = False
             fetch = MemoryRequest(

@@ -44,7 +44,7 @@ class BankedL2Cache:
         "_core_demand_accesses", "_core_demand_misses", "num_banks",
         "interleave", "latency", "bank_occupancy", "routing_latency",
         "line_size", "_line_shift", "_page_shift", "_bank_shift",
-        "_single_mshr_file", "prefetcher", "request_bus", "_bank_free_at",
+        "_mshr_shift", "prefetcher", "request_bus", "_bank_free_at",
         "_mshr_waiters", "_inclusion_listeners", "_prefetched_lines",
     )
 
@@ -107,9 +107,14 @@ class BankedL2Cache:
         self._bank_shift = (
             self._page_shift if interleave == "page" else self._line_shift
         )
-        # MSHR-bank routing resolved once: the single-file case (every
-        # single-MC configuration) needs no MC index per access.
-        self._single_mshr_file = len(self.mshr_files) == 1
+        # MSHR banking mirrors the memory-controller interleaving: one
+        # file serves every line, else each MC's lines have their own.
+        # Either way the file is ``(addr >> _mshr_shift) % len(files)``
+        # (always 0 for one file), the memory mapping's page interleave.
+        self._mshr_shift = (
+            0 if len(self.mshr_files) == 1
+            else log2int(memory.mapping.page_size)
+        )
         self.prefetcher = prefetcher
         self.request_bus = request_bus
         self._bank_free_at: List[int] = [0] * num_banks
@@ -129,13 +134,6 @@ class BankedL2Cache:
     def bank_index(self, addr: int) -> int:
         """Which L2 bank serves ``addr`` (Section 4.1's interleaving)."""
         return (addr >> self._bank_shift) % self.num_banks
-
-    def mshr_bank_index(self, addr: int) -> int:
-        """MSHR banking mirrors the memory-controller interleaving: one
-        file serves every line, else each MC's lines have their own."""
-        if self._single_mshr_file:
-            return 0
-        return self.memory.mapping.mc_index(addr)
 
     # ------------------------------------------------------------------
     # Front door
@@ -165,14 +163,21 @@ class BankedL2Cache:
         access = request.access
         demand = access.is_demand
         if demand:
-            self._core_demand_counter(
-                self._core_demand_accesses, "accesses", request.core_id
-            ).value += 1.0
-        hit = array.lookup(line)
+            slot = self._core_demand_accesses.get(request.core_id)
+            if slot is None:
+                slot = self._core_demand_counter(
+                    self._core_demand_accesses, "accesses", request.core_id
+                )
+            slot.value += 1.0
+        # CacheArray.lookup, inline: a hit becomes MRU.
+        cache_set = array._sets[(line >> array._line_shift) % array.num_sets]
+        hit = cache_set is not None and line in cache_set
+        if hit:
+            cache_set[line] = cache_set.pop(line)
 
         if access is AccessType.WRITEBACK:
             if hit:
-                self.array.mark_dirty(line)
+                cache_set[line] = True  # CacheArray.mark_dirty: already MRU
                 self._c_writeback_hits.value += 1.0
             else:
                 # Non-inclusive corner: forward straight to memory.
@@ -183,8 +188,9 @@ class BankedL2Cache:
 
         if hit:
             self._c_hits.value += 1.0
-            self._note_prefetch_usefulness(line)
-            if demand:
+            if self._prefetched_lines.pop(line, None) is not None:
+                self.stats.add("prefetch_useful")
+            if demand and self.prefetcher is not None:
                 self._train_prefetcher(
                     request.addr, request.pc, request.core_id, was_miss=False
                 )
@@ -193,22 +199,24 @@ class BankedL2Cache:
 
         self._c_misses.value += 1.0
         if demand:
-            self._core_demand_counter(
-                self._core_demand_misses, "misses", request.core_id
-            ).value += 1.0
-            self._train_prefetcher(
-                request.addr, request.pc, request.core_id, was_miss=True
-            )
+            slot = self._core_demand_misses.get(request.core_id)
+            if slot is None:
+                slot = self._core_demand_counter(
+                    self._core_demand_misses, "misses", request.core_id
+                )
+            slot.value += 1.0
+            if self.prefetcher is not None:
+                self._train_prefetcher(
+                    request.addr, request.pc, request.core_id, was_miss=True
+                )
         elif access is AccessType.PREFETCH:
             self._c_prefetch_misses.value += 1.0
         self._mshr_path(request, line)
 
     def _core_demand_counter(self, cache, kind, core_id):
-        """Cached per-core demand counter (key ``core<N>_demand_<kind>``)."""
-        slot = cache.get(core_id)
-        if slot is None:
-            slot = self.stats.counter(f"core{core_id}_demand_{kind}")
-            cache[core_id] = slot
+        """A core's first demand ``kind``: its counter (key
+        ``core<N>_demand_<kind>``), cached by core id."""
+        slot = cache[core_id] = self.stats.counter(f"core{core_id}_demand_{kind}")
         return slot
 
     def _mshr_path(
@@ -217,15 +225,13 @@ class BankedL2Cache:
         """Search/allocate the MSHR bank; stall the request when full."""
         if line is None:
             line = request.addr & self.array._align_mask
-        if self._single_mshr_file:
-            bank_idx = 0
-        else:
-            bank_idx = self.mshr_bank_index(request.addr)
-        file = self.mshr_files[bank_idx]
+        files = self.mshr_files
+        bank_idx = (request.addr >> self._mshr_shift) % len(files)
+        file = files[bank_idx]
 
         entry, probes = file.search(line)
         if entry is not None:
-            entry.merge(request)
+            entry.requests.append(request)
             if request.access.is_demand and entry.is_prefetch:
                 # A demand merged into a prefetch entry: the prefetch was
                 # timely enough to hide part of the miss.
@@ -242,7 +248,7 @@ class BankedL2Cache:
             self._mshr_waiters[bank_idx].append(request)
             return
 
-        new_entry.merge(request)
+        new_entry.requests.append(request)
         new_entry.is_prefetch = request.access is AccessType.PREFETCH
         engine = self.engine
         stall_start = request.mshr_stall_start
@@ -257,16 +263,18 @@ class BankedL2Cache:
             engine.now,
             partial(self._fill, new_entry, bank_idx),
         )
-        engine.schedule(probes, self._send_to_memory, mem_request)
+        engine.schedule(
+            probes,
+            self._enqueue_memory if self.request_bus is None
+            else self._send_to_memory,
+            mem_request,
+        )
 
     def _send_to_memory(self, mem_request: MemoryRequest) -> None:
-        if self.request_bus is not None:
-            # Conventional line-interleaved banking: every bank shares one
-            # command bus to all MCs (8 B command/address beat).
-            _, arrival = self.request_bus.transfer(8, self.engine.now)
-            self.engine.schedule_at(arrival, self._enqueue_memory, mem_request)
-            return
-        self._enqueue_memory(mem_request)
+        """Conventional line-interleaved banking: every bank shares one
+        command bus to all MCs (8 B command/address beat)."""
+        _, arrival = self.request_bus.transfer(8, self.engine.now)
+        self.engine.schedule_at(arrival, self._enqueue_memory, mem_request)
 
     def _enqueue_memory(self, mem_request: MemoryRequest) -> None:
         if not self.memory.enqueue(mem_request):
@@ -338,8 +346,8 @@ class BankedL2Cache:
         waiters = self._mshr_waiters[bank_idx]
         file = self.mshr_files[bank_idx]
         # Every organization's ``allocate`` refuses only when the file
-        # ``is_full``, so a popped waiter is never re-queued here.
-        while waiters and not file.is_full:
+        # is full, so a popped waiter is never re-queued here.
+        while waiters and file.occupancy < file.capacity_limit:
             self._mshr_path(waiters.popleft())
 
     # ------------------------------------------------------------------
@@ -350,22 +358,22 @@ class BankedL2Cache:
         wb = MemoryRequest(line, AccessType.WRITEBACK, created_at=self.engine.now)
         self._enqueue_memory(wb)
 
-    def _note_prefetch_usefulness(self, line: int) -> None:
-        if self._prefetched_lines.pop(line, None) is not None:
-            self.stats.add("prefetch_useful")
-
     def _train_prefetcher(
         self, addr: int, pc: int, core_id: int, was_miss: bool
     ) -> None:
-        if self.prefetcher is None:
-            return
+        """Issue the prefetcher's candidates for one demand access."""
+        array = self.array
+        sets = array._sets
+        files = self.mshr_files
+        shift = self._mshr_shift
         for line in self.prefetcher.observe(addr, pc, was_miss):
-            if self.array.probe(line):
+            cache_set = sets[(line >> array._line_shift) % array.num_sets]
+            if cache_set is not None and line in cache_set:
                 continue
-            bank_idx = self.mshr_bank_index(line)
-            if self.mshr_files[bank_idx].is_full:
+            file = files[(line >> shift) % len(files)]
+            if file.occupancy >= file.capacity_limit:
                 continue  # never stall the pipe for a prefetch
-            entry, _ = self.mshr_files[bank_idx].search(line)
+            entry, _ = file.search(line)
             if entry is not None:
                 continue
             self.stats.add("prefetches_issued")

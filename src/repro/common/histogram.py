@@ -23,16 +23,13 @@ class LatencyHistogram:
         self.min_value: int | None = None
         self.max_value: int | None = None
 
-    @staticmethod
-    def _bucket_of(value: int) -> int:
-        return value.bit_length()  # 0 -> 0, 1 -> 1, 2..3 -> 2, 4..7 -> 3...
-
     def record(self, value: int) -> None:
         """Add one sample."""
         if value < 0:
             raise ValueError("latency cannot be negative")
-        bucket = self._bucket_of(value)
-        self._buckets[bucket] = self._buckets.get(bucket, 0) + 1
+        bucket = value.bit_length()  # 0 -> 0, 1 -> 1, 2..3 -> 2, 4..7 -> 3...
+        buckets = self._buckets
+        buckets[bucket] = buckets.get(bucket, 0) + 1
         self.count += 1
         self.total += value
         if self.min_value is None or value < self.min_value:

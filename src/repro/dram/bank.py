@@ -71,11 +71,14 @@ class Bank:
         return self.row_buffers.open_rows
 
     def is_row_open(self, row: int) -> bool:
-        """Non-mutating check used by FR-FCFS scheduling."""
+        """Non-mutating row-hit check (FR-FCFS reads it inline)."""
         return row in self.row_buffers
 
     def earliest_start(self, time: int) -> int:
-        """Earliest cycle >= ``time`` the bank could begin a new access."""
+        """Earliest cycle >= ``time`` the bank could begin a new access.
+
+        The controller's ready scan and :meth:`access` compute this
+        inline; this method is their reference."""
         ready = self._bank_ready
         return self.refresh.earliest_available(time if time > ready else ready)
 
@@ -84,18 +87,38 @@ class Bank:
 
         Returns ``(data_time, row_hit)`` where ``data_time`` is the cycle
         the first data beat is available at (reads) or accepted by
-        (writes) the device.
+        (writes) the device.  The start cycle is
+        ``earliest_start(start)``; entering a new refresh epoch
+        (``refresh.epoch`` of that cycle) closes every open row first.
+        Both are computed inline.
         """
-        begin = self.earliest_start(start)
-        self._maybe_cross_refresh_epoch(begin)
+        begin = self._bank_ready
+        if begin < start:
+            begin = start
+        refresh = self.refresh
+        phase = refresh.phase
+        if begin >= phase:
+            t_refi = refresh.t_refi
+            epoch = (begin - phase) // t_refi
+            offset = begin - phase - epoch * t_refi
+            if offset < refresh.t_rfc:
+                # Past the blackout, still inside window ``epoch``.
+                begin += refresh.t_rfc - offset
+        else:
+            epoch = -1
+        if epoch != self._epoch:
+            self._epoch = epoch
+            dropped = self.row_buffers.evict_all()
+            if dropped:
+                self.stats.add("refresh_row_closures", len(dropped))
 
-        if self.row_buffers.lookup(row):
-            data_time = begin + self.timing.t_cas
-            if is_write:
-                self.row_buffers.touch_dirty(row)
+        rows = self.row_buffers._entries
+        if row in rows:
+            # RowBufferCache.lookup + touch_dirty: MRU, dirty on a write.
+            rows[row] = rows.pop(row) or is_write
             self._bank_ready = begin + self.timing.t_ccd
             self._c_row_hits.value += 1.0
-            return data_time, True
+            return begin + self.timing.t_cas, True
 
         # Row miss: activate the row into a buffer entry.  With a
         # multi-entry row-buffer cache the previous rows stay latched, but
@@ -130,14 +153,6 @@ class Bank:
                 self.row_buffers.touch_dirty(row)
             return
         self.row_buffers.insert(row, dirty=is_write)
-
-    def _maybe_cross_refresh_epoch(self, time: int) -> None:
-        epoch = self.refresh.epoch(time)
-        if epoch != self._epoch:
-            self._epoch = epoch
-            dropped = self.row_buffers.evict_all()
-            if dropped:
-                self.stats.add("refresh_row_closures", len(dropped))
 
 
 def build_banks(

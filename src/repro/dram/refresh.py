@@ -34,7 +34,9 @@ class RefreshSchedule:
         self.phase = phase % self.t_refi
 
     def epoch(self, time: int) -> int:
-        """Which refresh window ``time`` falls in (monotone in time)."""
+        """Which refresh window ``time`` falls in (monotone in time).
+
+        :meth:`~repro.dram.bank.Bank.access` computes this inline."""
         if time >= self.phase:
             return (time - self.phase) // self.t_refi
         return -1

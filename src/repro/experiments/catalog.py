@@ -61,8 +61,8 @@ class Experiment:
         name: the catalog name (see module docstring).
         configs: returns the matrix's configurations; names are unique
             and the first one is the baseline every value is relative to.
-        title: heading of the report (studies with their own
-            ``result`` class print their own).
+        title: heading of the report; a degraded report keeps it above
+            its "report incomplete" line.
         groups: mix groups run when no mixes are given (empty: all
             twelve mixes in the paper's order).
         per_mix: layout — True reports one row per mix plus GM(H,VH) /
@@ -350,6 +350,7 @@ CATALOG: Dict[str, Experiment] = {
         # is the cold-miss floor (~14), not their stream's.
         Experiment(
             name="table2a",
+            title=table2.TITLE_2A,
             configs=lambda: [table2.single_core_config()],
             run=table2.run_table2a,
             expect=_table2_bands(
@@ -364,6 +365,7 @@ CATALOG: Dict[str, Experiment] = {
         ),
         Experiment(
             name="table2b",
+            title=table2.TITLE_2B,
             configs=lambda: [config_2d()],
             result=table2.Table2bResult,
             expect=_table2_bands(
@@ -584,12 +586,14 @@ def render(experiment: Experiment, result) -> str:
     note); a degraded run renders what it can.
 
     A report over a failed cell reads "report incomplete" with the
-    cell's post-mortem; any recorded failures are listed below it.
+    cell's post-mortem, under the entry's title; any recorded failures
+    are listed below it.
     """
     try:
         text = result.format()
     except CellFailedError as exc:
-        text = f"report incomplete — {exc}"
+        title = experiment.title
+        text = f"{title}\n{'=' * len(title)}\nreport incomplete — {exc}"
     note = claims_note(experiment, result.table)
     if note:
         text = f"{text}\n{note}"

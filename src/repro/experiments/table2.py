@@ -41,6 +41,11 @@ def single_core_config():
     )
 
 
+#: The two reports' headings (also their catalog entries' titles).
+TITLE_2A = "Table 2(a): stand-alone L2 MPKI (6 MiB L2, single core)"
+TITLE_2B = "Table 2(b): baseline HMIPC on the 2D (off-chip) machine"
+
+
 @dataclass
 class Table2aResult:
     """Measured vs paper MPKI, in paper (descending-MPKI) order.
@@ -62,7 +67,7 @@ class Table2aResult:
         mpki = self.mpki
         names = sorted(mpki, key=lambda n: BENCHMARKS[n].paper_mpki, reverse=True)
         return format_table(
-            "Table 2(a): stand-alone L2 MPKI (6 MiB L2, single core)",
+            TITLE_2A,
             names,
             {
                 "paper": [BENCHMARKS[n].paper_mpki for n in names],
@@ -106,7 +111,7 @@ class Table2bResult:
     def format(self) -> str:
         names = [n for n in MIX_ORDER if n in self.table.mixes]
         return format_table(
-            "Table 2(b): baseline HMIPC on the 2D (off-chip) machine",
+            TITLE_2B,
             names,
             {
                 "paper": [MIXES[n].paper_hmipc for n in names],

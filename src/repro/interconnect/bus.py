@@ -60,7 +60,8 @@ class Bus:
         return self._free_at
 
     def occupancy_cycles(self, size_bytes: int) -> int:
-        """How long a transfer of ``size_bytes`` holds the bus."""
+        """How long a transfer of ``size_bytes`` holds the bus
+        (:meth:`transfer` computes it inline)."""
         # Integer ceil-division: avoids float conversion per transfer.
         beats = -(-size_bytes // self.width_bytes)
         if beats < 1:
@@ -74,7 +75,9 @@ class Bus:
         the cycle the data is available at the far end (last beat plus
         wire latency).
         """
-        occupancy = self.occupancy_cycles(size_bytes)
+        # occupancy_cycles, inline: integer ceil-division, one beat at least.
+        beats = -(-size_bytes // self.width_bytes)
+        occupancy = (beats if beats > 1 else 1) * self.cycles_per_beat
         free_at = self._free_at
         start = earliest_start if earliest_start > free_at else free_at
         end = start + occupancy

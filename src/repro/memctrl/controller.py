@@ -111,15 +111,31 @@ class MemoryController:
     # ------------------------------------------------------------------
     def enqueue(self, request: MemoryRequest) -> bool:
         """Queue a request; False when the MRQ is full (caller must wait)."""
-        coords = self.mapping.decompose(request.addr)
-        bank = self.banks[coords.rank][coords.bank]
-        entry = self.mrq.push(request, coords, self.engine.now, bank)
-        if entry is None:
+        mrq = self.mrq
+        entries = mrq.entries
+        if len(entries) >= mrq.capacity:
             self._c_mrq_rejections.value += 1.0
             return False
+        coords = self.mapping.decompose(request.addr)
+        engine = self.engine
+        now = engine.now
+        entries.append(
+            MrqEntry(request, coords, now, self.banks[coords.rank][coords.bank])
+        )
         self._c_mrq_accepts.value += 1.0
-        self._c_mrq_occupancy_sum.value += len(self.mrq)
-        self._schedule_pump(self.engine.now)
+        self._c_mrq_occupancy_sum.value += len(entries)
+        # Arm the pump for max(now, next issue slot), unless the pending
+        # one fires no later; an earlier arming cancels the later one.
+        at = self._next_issue_time
+        if at < now:
+            at = now
+        pump_at = self._pump_at
+        if pump_at is not None:
+            if pump_at <= at:
+                return True
+            engine.cancel(self._pump_handle)
+        self._pump_at = at
+        self._pump_handle = engine.schedule_at(at, self._pump)
         return True
 
     def wait_for_space(self, callback: Callable[[], None]) -> None:
@@ -129,20 +145,22 @@ class MemoryController:
     # ------------------------------------------------------------------
     # Issue side
     # ------------------------------------------------------------------
-    def _schedule_pump(self, at: int) -> None:
-        at = max(at, self._next_issue_time)
-        if self._pump_at is not None:
-            if self._pump_at <= at:
-                return
-            self.engine.cancel(self._pump_handle)
-        self._pump_at = at
-        self._pump_handle = self.engine.schedule_at(at, self._pump)
-
     def _pump(self) -> None:
+        """Issue the scheduler's pick among the ready entries, then
+        re-arm: at the next issue slot while entries remain, or, when no
+        bank is ready, at the earliest cycle one is.
+
+        An entry is ready when its bank could start now: the bank's next
+        column-command cycle, pushed past its rank's refresh blackout
+        (``Bank.earliest_start``, computed inline).  The pump is the
+        only pending pump event whenever it runs, so it re-arms without
+        a cancel."""
         self._pump_at = None
-        now = self.engine.now
+        engine = self.engine
+        now = engine.now
         if now < self._next_issue_time:
-            self._schedule_pump(self._next_issue_time)
+            at = self._pump_at = self._next_issue_time
+            self._pump_handle = engine.schedule_at(at, self._pump)
             return
         entries = self.mrq.entries
         if not entries:
@@ -150,62 +168,76 @@ class MemoryController:
         ready = []
         next_ready = None
         for entry in entries:
-            start = entry.bank.earliest_start(now)
-            if start <= now:
+            bank = entry.bank
+            start = bank._bank_ready
+            if start < now:
+                start = now
+            refresh = bank.refresh
+            phase = refresh.phase
+            if start >= phase:
+                offset = (start - phase) % refresh.t_refi
+                if offset < refresh.t_rfc:
+                    start += refresh.t_rfc - offset
+            if start == now:
                 ready.append(entry)
             elif next_ready is None or start < next_ready:
                 next_ready = start
         if not ready:
-            if next_ready is not None:
-                self._schedule_pump(next_ready)
+            # now >= the next issue slot, so the wake is next_ready.
+            self._pump_at = next_ready
+            self._pump_handle = engine.schedule_at(next_ready, self._pump)
             return
         if len(ready) == 1 and self._scheduler_single_trivial:
             entry = ready[0]
         else:
             entry = self.scheduler.select(ready)
-        self.mrq.remove(entry)
+        entries.remove(entry)
         self._issue(entry, now)
-        self._next_issue_time = now + self._issue_gap
-        if not self.mrq.is_empty:
-            self._schedule_pump(self._next_issue_time)
-        self._release_waiters()
+        at = self._next_issue_time = now + self._issue_gap
+        if entries:
+            self._pump_at = at
+            self._pump_handle = engine.schedule_at(at, self._pump)
+        if self._space_waiters:
+            self._release_waiters()
 
     def _release_waiters(self) -> None:
-        while self._space_waiters and not self.mrq.is_full:
-            waiter = self._space_waiters.popleft()
-            waiter()
+        waiters = self._space_waiters
+        entries = self.mrq.entries
+        capacity = self.mrq.capacity
+        while waiters and len(entries) < capacity:
+            waiters.popleft()()
 
     def _issue(self, entry: MrqEntry, now: int) -> None:
-        """Issue one entry and schedule its completion event."""
+        """Issue one entry and schedule its completion event.
+
+        Writes: the data crosses the channel first, then is written into
+        the bank (or its row buffer); the request completes when the
+        bank has accepted it (write recovery lives in the bank's ready
+        times).  Reads: the command propagates to the device, the bank
+        produces the data, then the data crosses the channel back.
+        Delivery is critical-word-first (Section 3): the requester
+        unblocks after the first beat, while the bus stays occupied for
+        the full line transfer.
+        """
         request = entry.request
         self._c_issued.value += 1.0
         self._c_queue_wait_cycles.value += now - entry.arrival
-        if request.is_write:
-            # Write data crosses the channel first, then is written into
-            # the bank (or its row buffer).  The request completes when
-            # the bank has accepted the data (write-recovery is handled
-            # inside the bank's ready times).
-            _, data_arrival = self.bus.transfer(self.line_size, now)
+        bus = self.bus
+        is_write = request.is_write
+        if is_write:
+            _, data_arrival = bus.transfer(self.line_size, now)
             done, hit = entry.bank.access(data_arrival, entry.coords.row, True)
-            self._note_row_outcome(request, hit)
-            self.engine.schedule_at(done, request.complete, done)
         else:
-            # Reads: command propagates to the device, the bank produces
-            # data, then the data crosses the channel back to the MC.
-            # Delivery is critical-word-first (Section 3): the requester
-            # unblocks after the first beat, while the bus stays occupied
-            # for the full line transfer.
-            cmd_arrival = now + self.bus.wire_latency
-            data_time, hit = entry.bank.access(cmd_arrival, entry.coords.row, False)
-            self._note_row_outcome(request, hit)
-            start, _ = self.bus.transfer(self.line_size, data_time)
-            first_beat = start + self.bus.cycles_per_beat + self.bus.wire_latency
-            self.read_latency.record(first_beat - entry.arrival)
-            self.engine.schedule_at(first_beat, request.complete, first_beat)
-
-    def _note_row_outcome(self, request: MemoryRequest, hit: bool) -> None:
+            done, hit = entry.bank.access(
+                now + bus.wire_latency, entry.coords.row, False
+            )
         request.row_buffer_hit = hit
         if hit:
             self._c_row_hits.value += 1.0
         else:
             self._c_row_misses.value += 1.0
+        if not is_write:
+            start, _ = bus.transfer(self.line_size, done)
+            done = start + bus.cycles_per_beat + bus.wire_latency
+            self.read_latency.record(done - entry.arrival)
+        self.engine.schedule_at(done, request.complete, done)

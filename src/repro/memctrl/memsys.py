@@ -25,7 +25,7 @@ from .schedulers import make_scheduler
 class MainMemory:
     """Facade over every memory controller and DRAM rank in the machine."""
 
-    __slots__ = ("engine", "registry", "mapping", "controllers")
+    __slots__ = ("engine", "registry", "mapping", "controllers", "_mc_shift")
 
     def __init__(
         self,
@@ -73,6 +73,8 @@ class MainMemory:
             page_size=page_size,
             line_size=line_size,
         )
+        # mapping.mc_index's page shift, for the routing in enqueue.
+        self._mc_shift = self.mapping._page_shift
         per_mc_queue = aggregate_queue_capacity // num_mcs
         self.controllers: List[MemoryController] = []
         for local_mc in range(num_mcs):
@@ -112,7 +114,10 @@ class MainMemory:
 
     def enqueue(self, request: MemoryRequest) -> bool:
         """Route a request to its controller; False when that MRQ is full."""
-        return self.controller_for(request.addr).enqueue(request)
+        controllers = self.controllers
+        return controllers[
+            (request.addr >> self._mc_shift) % len(controllers)
+        ].enqueue(request)
 
     def wait_for_space(self, addr: int, callback: Callable[[], None]) -> None:
         """One-shot callback when the MC owning ``addr`` frees a slot."""

@@ -5,12 +5,13 @@ all controllers: one MC gets a 32-entry queue, four MCs get 8 entries each
 (Section 4.1).
 
 The queue is a plain arrival-ordered list of :class:`MrqEntry` handles;
-the controller's pump, the schedulers and the checkers all iterate it.
+the controller's enqueue appends to it, and its pump, the schedulers
+and the checkers iterate it.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from ..common.request import MemoryRequest
 from ..dram.bank import Bank
@@ -44,49 +45,22 @@ class MrqEntry:
 
 
 class MemoryRequestQueue:
-    """Bounded FIFO-ordered pool the scheduler picks from."""
+    """Bounded pool the scheduler picks from.
 
-    __slots__ = ("capacity", "_entries")
+    ``entries`` holds the queued :class:`MrqEntry` handles in arrival
+    order (the scheduler may pick any of them).
+    :meth:`~repro.memctrl.controller.MemoryController.enqueue` appends
+    while fewer than ``capacity`` are queued, and the controller's pump
+    removes the one it issues.
+    """
+
+    __slots__ = ("capacity", "entries")
 
     def __init__(self, capacity: int = 32) -> None:
         if capacity < 1:
             raise ValueError("MRQ capacity must be >= 1")
         self.capacity = capacity
-        self._entries: List[MrqEntry] = []
+        self.entries: List[MrqEntry] = []
 
     def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def is_full(self) -> bool:
-        return len(self._entries) >= self.capacity
-
-    @property
-    def is_empty(self) -> bool:
-        return not self._entries
-
-    @property
-    def entries(self) -> List[MrqEntry]:
-        """Entries in arrival order (the scheduler may pick any of them)."""
-        return self._entries
-
-    def push(
-        self,
-        request: MemoryRequest,
-        coords: DramCoordinates,
-        now: int,
-        bank: Bank,
-    ) -> Optional[MrqEntry]:
-        """Append a request; returns None (rejected) when full."""
-        if self.is_full:
-            return None
-        entry = MrqEntry(request, coords, now, bank)
-        self._entries.append(entry)
-        return entry
-
-    def remove(self, entry: MrqEntry) -> None:
-        self._entries.remove(entry)
-
-    def occupancy(self) -> float:
-        return len(self._entries) / self.capacity
-
+        return len(self.entries)

@@ -39,7 +39,7 @@ class FrFcfsScheduler:
 
     Row-hit status is probed against the live row-buffer cache state, so
     multi-entry row-buffer caches automatically widen the set of hits the
-    scheduler can exploit.
+    scheduler can exploit (``Bank.is_row_open``, read inline).
     """
 
     __slots__ = ()
@@ -54,7 +54,7 @@ class FrFcfsScheduler:
         for entry in ready:
             if oldest is None or entry.arrival < oldest.arrival:
                 oldest = entry
-            if entry.bank.is_row_open(entry.coords.row):
+            if entry.coords.row in entry.bank.row_buffers._entries:
                 if best_hit is None or entry.arrival < best_hit.arrival:
                     best_hit = entry
         assert oldest is not None

@@ -21,7 +21,8 @@ class MshrEntry:
     """Bookkeeping for one outstanding line miss.
 
     ``requests`` holds the waiters: memory requests in the L2, the
-    core's in-flight records in an L1 (which only hands them back).
+    core's in-flight records in an L1 (which only hands them back).  A
+    secondary miss merges by appending to it.
     """
 
     __slots__ = ("line_addr", "requests", "is_prefetch")
@@ -30,10 +31,6 @@ class MshrEntry:
         self.line_addr = line_addr
         self.requests: List[MemoryRequest] = []
         self.is_prefetch = False
-
-    def merge(self, request: MemoryRequest) -> None:
-        """Attach a secondary miss to this entry."""
-        self.requests.append(request)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<MshrEntry line={self.line_addr:#x} merged={len(self.requests)}>"

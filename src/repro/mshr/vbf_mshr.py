@@ -20,6 +20,8 @@ with low-bit extraction (``bits & -bits`` / ``bit_length``) instead of a
 per-bit generator — identical probe order and counts, a fraction of the
 interpreter work.  ``allocate`` keeps a slot-occupancy bitmask so the
 first free displacement is one rotate-and-scan rather than a slot walk.
+Probe accounting and the VBF row updates are inline as well, so each
+operation is one frame.
 """
 
 from __future__ import annotations
@@ -72,8 +74,10 @@ class VbfMshr(MshrFile):
         # Mandatory first probe, overlapped with the VBF row read.
         probes = 1
         entry = slots[home]
+        self.total_accesses += 1
         if entry is not None and entry.line_addr == line_addr:
-            return entry, self._count(probes)
+            self.total_probes += 1
+            return entry, 1
         # Remaining set bits in increasing displacement order; bit 0 is
         # the home slot, already probed.
         bits = self.vbf._rows[home] & ~1
@@ -86,13 +90,16 @@ class VbfMshr(MshrFile):
                 slot -= cap
             candidate = slots[slot]
             if candidate is not None and candidate.line_addr == line_addr:
-                return candidate, self._count(probes)
-        return None, self._count(probes)
+                self.total_probes += probes
+                return candidate, probes
+        self.total_probes += probes
+        return None, probes
 
     def allocate(self, line_addr: int) -> Tuple[Optional[MshrEntry], int]:
-        probes = self._count(1)
-        if self.is_full:
-            return None, probes
+        self.total_probes += 1
+        self.total_accesses += 1
+        if self.occupancy >= self.capacity_limit:
+            return None, 1
         cap = self.capacity
         home = (line_addr >> self._shift) % cap
         occupied = self._occupied_bits
@@ -123,24 +130,27 @@ class VbfMshr(MshrFile):
             slot -= cap
         entry = MshrEntry(line_addr)
         slots[slot] = entry
-        self.vbf.set(home, d_free)
+        self.vbf._rows[home] |= 1 << d_free  # VectorBloomFilter.set
         self._occupied_bits = occupied | (1 << slot)
         self.occupancy += 1
-        return entry, probes
+        return entry, 1
 
     def deallocate(self, line_addr: int) -> int:
         cap = self.capacity
         home = (line_addr >> self._shift) % cap
         slots = self._slots
+        rows = self.vbf._rows  # cleared inline (VectorBloomFilter.clear)
         probes = 1
         entry = slots[home]
         if entry is not None and entry.line_addr == line_addr:
             slots[home] = None
-            self.vbf.clear(home, 0)
+            rows[home] &= ~1
             self._occupied_bits &= ~(1 << home)
             self.occupancy -= 1
-            return self._count(probes)
-        bits = self.vbf._rows[home] & ~1
+            self.total_probes += 1
+            self.total_accesses += 1
+            return 1
+        bits = rows[home] & ~1
         while bits:
             low = bits & -bits
             bits ^= low
@@ -152,9 +162,11 @@ class VbfMshr(MshrFile):
             candidate = slots[slot]
             if candidate is not None and candidate.line_addr == line_addr:
                 slots[slot] = None
-                self.vbf.clear(home, displacement)
+                rows[home] &= ~low
                 self._occupied_bits &= ~(1 << slot)
                 self.occupancy -= 1
-                return self._count(probes)
+                self.total_probes += probes
+                self.total_accesses += 1
+                return probes
         raise KeyError(f"no MSHR entry for line {line_addr:#x}")
 

@@ -39,7 +39,6 @@ from ..interconnect.links import offchip_fsb, tsv_bus
 from ..memctrl.memsys import MainMemory
 from ..mshr.dynamic import DynamicMshrTuner
 from ..mshr.factory import make_mshr
-from ..mshr.conventional import ConventionalMshr
 from ..workloads.benchmarks import get_benchmark
 from .config import SystemConfig
 from .run import RunDriver
@@ -303,7 +302,7 @@ class Machine:
                 self.engine,
                 core_id,
                 CacheArray(config.l1_size, config.l1_assoc, config.line_size),
-                ConventionalMshr(config.l1_mshr_entries),
+                config.l1_mshr_entries,
                 self.l2,
                 registry=self.registry,
                 latency=config.l1_latency,

@@ -36,6 +36,7 @@ class FakeMemory:
         def __init__(self, num_mcs):
             self.num_mcs = num_mcs
             self.line_size = 64
+            self.page_size = 4096
 
         def mc_index(self, addr):
             return (addr >> 12) % self.num_mcs

@@ -8,7 +8,6 @@ from repro.cache.array import CacheArray
 from repro.cache.l1 import HIT, MISS, L1Cache
 from repro.cache.prefetch import Prefetcher
 from repro.common.request import AccessType
-from repro.mshr.conventional import ConventionalMshr
 
 from .conftest import FakeL2
 
@@ -21,7 +20,7 @@ def _l1(engine, l2=None, mshr_entries=8, prefetcher=None, latency=3):
         engine,
         core_id=0,
         array=CacheArray(4 * 1024, 4, 64),
-        mshr=ConventionalMshr(mshr_entries),
+        mshr_entries=mshr_entries,
         l2=l2,
         latency=latency,
         prefetcher=prefetcher,
@@ -177,9 +176,9 @@ def test_a_hit_naming_one_new_line_twice_issues_one_prefetch(engine):
     l1.array.fill(0x1000)
     for addr in (0x1020, 0x1028, 0x1030):  # train: fill, stride, confirm
         assert _read(l1, addr) == HIT
-    assert not l2.requests and l1.mshr.occupancy == 0
+    assert not l2.requests and len(l1.mshr) == 0
     assert _read(l1, 0x1038) == HIT  # predicts 0x1040 and 0x1048
-    assert l1.mshr.occupancy == 1 and l1.mshr.contains(0x1040)
+    assert len(l1.mshr) == 1 and 0x1040 in l1.mshr
     assert l1.stats.get("prefetches_issued") == 1
     assert [(r.addr, r.access) for r in l2.requests] == [
         (0x1040, AccessType.PREFETCH)

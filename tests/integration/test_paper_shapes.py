@@ -89,8 +89,8 @@ def test_fidelity_goes_on_past_a_failed_cell_and_writes_nothing(
     tmp_path, monkeypatch, capsys
 ):
     """Stubbed entries, no simulation: the one with a failed cell
-    renders "report incomplete", the run goes on to the next entry,
-    and exits 1 with both generated files untouched."""
+    renders "report incomplete" under its title, the run goes on to the
+    next entry, and exits 1 with both generated files untouched."""
     failure = CellFailure("3D", "H1", "InjectedFault", "boom", "", 1, 0.0)
 
     class Stub:
@@ -108,10 +108,14 @@ def test_fidelity_goes_on_past_a_failed_cell_and_writes_nothing(
     monkeypatch.setattr(tools, "run_experiment", lambda e, *args: Stub(e.name))
     assert main(["validate", "fidelity", "--scale", "smoke"]) == 1
     out, err = capsys.readouterr()
+    title = CATALOG["figure4"].title
     heads = [line.split(" — ")[0] for line in out.splitlines()
-             if line.startswith(("stub ", "report incomplete"))]
-    assert heads == ["report incomplete" if name == "figure4" else f"stub {name}"
-                     for name in CATALOG]
+             if line.startswith(("stub ", "report incomplete", title))]
+    expected = []
+    for name in CATALOG:
+        expected += [title, "report incomplete"] if name == "figure4" else [f"stub {name}"]
+    assert heads == expected
+    assert f"{title}\n{'=' * len(title)}\nreport incomplete — " in out
     assert f"FAIL: {failure.describe()}" in err
     _assert_generated_unchanged(tmp_path)
 

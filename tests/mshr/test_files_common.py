@@ -113,14 +113,19 @@ def test_contains_untimed(mshr):
 
 
 def test_entry_merging(mshr):
+    """A new entry holds no waiters and is no prefetch; the caches merge
+    a miss into it by appending, and the search finds it, waiters in
+    arrival order."""
     from repro.common.request import AccessType, MemoryRequest
 
     entry, _ = mshr.allocate(6 * LINE)
+    assert entry.requests == [] and entry.is_prefetch is False
     r1 = MemoryRequest(6 * LINE, AccessType.READ)
     r2 = MemoryRequest(6 * LINE + 8, AccessType.READ)
-    entry.merge(r1)
-    entry.merge(r2)
-    assert entry.requests == [r1, r2]
+    entry.requests.append(r1)
+    entry.requests.append(r2)
+    found, _ = mshr.search(6 * LINE)
+    assert found is entry and found.requests == [r1, r2]
 
 
 def test_avg_probes_statistic(mshr):

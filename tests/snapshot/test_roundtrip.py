@@ -278,7 +278,7 @@ def test_a_snapshot_in_the_previous_layout_is_refused(tmp_path, monkeypatch):
         )
     with pytest.raises(SnapshotSchemaError) as refused:
         read_snapshot_file(old)
-    assert (refused.value.found, refused.value.expected) == (3, 10)
+    assert (refused.value.found, refused.value.expected) == (3, 11)
     fresh = _build(config)
     with pytest.raises(SnapshotSchemaError):
         fresh.restore_state(tree)
@@ -318,7 +318,7 @@ def test_a_snapshot_in_schema_4_is_refused(tmp_path, monkeypatch):
         )
     with pytest.raises(SnapshotSchemaError) as refused:
         read_snapshot_file(old)
-    assert (refused.value.found, refused.value.expected) == (4, 10)
+    assert (refused.value.found, refused.value.expected) == (4, 11)
     fresh = _build(config)
     with pytest.raises(SnapshotError):
         fresh.restore_state(tree)
@@ -357,7 +357,7 @@ def test_a_snapshot_in_schema_5_is_refused(tmp_path, monkeypatch):
         )
     with pytest.raises(SnapshotSchemaError) as refused:
         read_snapshot_file(old)
-    assert (refused.value.found, refused.value.expected) == (5, 10)
+    assert (refused.value.found, refused.value.expected) == (5, 11)
     fresh = _build(config)
     with pytest.raises(SnapshotSchemaError):
         fresh.restore_state(tree)
@@ -389,7 +389,7 @@ def test_a_snapshot_in_schema_6_is_refused(tmp_path, monkeypatch):
         )
     with pytest.raises(SnapshotSchemaError) as refused:
         read_snapshot_file(old)
-    assert (refused.value.found, refused.value.expected) == (6, 10)
+    assert (refused.value.found, refused.value.expected) == (6, 11)
     fresh = _build(config)
     with pytest.raises(SnapshotSchemaError):
         fresh.restore_state(tree)
@@ -420,7 +420,7 @@ def _refused_as_schema(tmp_path, monkeypatch, config, header, tree, schema):
         )
     with pytest.raises(SnapshotSchemaError) as refused:
         read_snapshot_file(old)
-    assert (refused.value.found, refused.value.expected) == (schema, 10)
+    assert (refused.value.found, refused.value.expected) == (schema, 11)
     fresh = _build(config)
     with pytest.raises(SnapshotSchemaError):
         fresh.restore_state(tree)
@@ -478,6 +478,33 @@ def test_a_snapshot_in_schema_9_is_refused(tmp_path, monkeypatch):
         if type(node) is tuple and node[:2] == ("o", index):
             node[2].insert(at, None)
     _refused_as_schema(tmp_path, monkeypatch, config, header, tree, 9)
+
+
+def test_a_snapshot_in_schema_10_is_refused(tmp_path, monkeypatch):
+    """Schema 10 kept the L1's miss file as a ``ConventionalMshr`` with
+    no ``L1Cache.mshr_entries`` cap beside it, and the MRQ's entry list
+    in a ``_entries`` slot: its file and its layouts are refused."""
+    config = _small(config_3d_fast())
+    path = str(tmp_path / "cell.snap")
+    _preempt_to_file(config, None, path)
+    header, tree = read_snapshot_file(path)
+    index = _layout_index(tree, "L1Cache")
+    module, qualname, fields = tree["layouts"][index]
+    at = fields.index("mshr_entries")
+    tree["layouts"][index] = (
+        module, qualname, fields[:at] + fields[at + 1:]
+    )
+    for node in _walk(tree["root"]):
+        if type(node) is tuple and node[:2] == ("o", index):
+            del node[2][at]
+    index = _layout_index(tree, "MemoryRequestQueue")
+    module, qualname, fields = tree["layouts"][index]
+    assert fields == ("capacity", "entries")
+    tree["layouts"][index] = (module, qualname, ("_entries", "capacity"))
+    for node in _walk(tree["root"]):
+        if type(node) is tuple and node[:2] == ("o", index):
+            node[2].reverse()
+    _refused_as_schema(tmp_path, monkeypatch, config, header, tree, 10)
 
 
 def test_cache_and_tlb_sets_pack_into_one_node_per_array(tmp_path):

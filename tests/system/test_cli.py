@@ -168,18 +168,20 @@ def test_figure_with_journal_and_resume(capsys, monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "command, failing_config",
+    "command, failing_config, entry",
     [
-        (["figure", "4"], "3D-wide"),
-        (["table", "2b"], "2D"),
-        (["ablation", "scheduler"], "fcfs"),
+        (["figure", "4"], "3D-wide", "figure4"),
+        (["table", "2b"], "2D", "table2b"),
+        (["ablation", "scheduler"], "fcfs", "ablation_scheduler"),
     ],
     ids=["figure4", "table2b", "ablation"],
 )
 def test_figure_with_injected_failure_degrades(
-    capsys, monkeypatch, command, failing_config
+    capsys, monkeypatch, command, failing_config, entry
 ):
-    """A degraded run renders what it can on every experiment command."""
+    """A degraded run renders what it can on every experiment command,
+    "report incomplete" under the entry's title."""
+    from repro.experiments.catalog import CATALOG
     from repro.experiments import faults
     from repro.system import scale as scale_mod
 
@@ -188,7 +190,8 @@ def test_figure_with_injected_failure_degrades(
     monkeypatch.setenv(faults.ENV_VAR, f"raise:{failing_config}:M3:-1")
     assert main(command + ["--mixes", "M3", "--workers", "1"]) == 0
     out = capsys.readouterr().out
-    assert "report incomplete" in out
+    title = CATALOG[entry].title
+    assert f"{title}\n{'=' * len(title)}\nreport incomplete — " in out
     assert "WARNING: 1 cell(s) failed" in out
     assert f"cell ({failing_config}, M3)" in out
     assert "--resume" in out

@@ -180,7 +180,6 @@ def test_replayed_trace_drives_a_core(tmp_path):
     from repro.cache.l1 import L1Cache
     from repro.cpu.core import Core
     from repro.engine import Engine
-    from repro.mshr.conventional import ConventionalMshr
 
     path = tmp_path / "replay.trace"
     capture(
@@ -199,8 +198,7 @@ def test_replayed_trace_drives_a_core(tmp_path):
 
     engine = Engine()
     l1 = L1Cache(
-        engine, 0, CacheArray(4096, 4, 64), ConventionalMshr(8),
-        InstantL2(engine),
+        engine, 0, CacheArray(4096, 4, 64), 8, InstantL2(engine),
     )
     core = Core(engine, 0, read_trace(path, loop=True), l1, PageAllocator())
     core.start()
